@@ -163,6 +163,62 @@ BM_ProtocolFetch(benchmark::State &state)
 }
 BENCHMARK(BM_ProtocolFetch);
 
+/**
+ * The directory write path: ns per GetX that invalidates a fixed four
+ * readers, for each sharer format on an N-node machine (args: format
+ * index, N). Each block is primed untimed — the previous writer
+ * writes back, then the four readers fetch — in batches, so only the
+ * writes are timed. Four spread-out readers stay under the default
+ * four-pointer budget, so limited-pointer never broadcasts; a
+ * coarse-vector write invalidates the readers' whole regions.
+ */
+void
+BM_DirectoryWrite(benchmark::State &state)
+{
+    Params p = Params::base();
+    p.numNodes = static_cast<std::size_t>(state.range(1));
+    p.dirFormat = static_cast<SharerFormat>(state.range(0));
+    p.validate();
+    state.SetLabel(p.directoryId());
+    Network net(p.numNodes, p.netLatency, p.niOccupancy);
+    HomeZero place;
+    NullSink sink;
+    std::vector<std::unique_ptr<Memory>> mems;
+    std::vector<Memory *> ptrs;
+    for (std::size_t i = 0; i < p.numNodes; ++i) {
+        mems.push_back(
+            std::make_unique<Memory>(p.dramAccess, p.blockSize));
+        ptrs.push_back(mems.back().get());
+    }
+    GlobalProtocol proto(p, net, place, sink, ptrs);
+    const NodeId writer = static_cast<NodeId>(p.numNodes - 1);
+    NodeId readers[4];
+    for (NodeId k = 0; k < 4; ++k)
+        readers[k] = static_cast<NodeId>((k + 1) * p.numNodes / 5);
+    constexpr std::size_t batch = 1024;
+    std::size_t i = batch;
+    Tick now = 0;
+    for (auto _ : state) {
+        if (i == batch) {
+            state.PauseTiming();
+            for (Addr b = 0; b < batch; ++b) {
+                proto.writeback(now, writer, b * p.blockSize);
+                for (NodeId r : readers)
+                    proto.fetch(now, r, b * p.blockSize, ReqType::GetS);
+            }
+            i = 0;
+            state.ResumeTiming();
+        }
+        benchmark::DoNotOptimize(
+            proto.fetch(now, writer, i * p.blockSize, ReqType::GetX));
+        ++i;
+        now += 400;
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DirectoryWrite)->ArgsProduct({{0, 1, 2}, {8, 64, 128, 512}});
+
 void
 BM_EndToEndSimulation(benchmark::State &state)
 {

@@ -33,10 +33,9 @@ constexpr NodeId invalidNode = std::numeric_limits<NodeId>::max();
 constexpr Addr invalidAddr = std::numeric_limits<Addr>::max();
 
 /**
- * Upper bound on nodes; sizes the full-map directory sharer bitsets
- * and the exact `touched` classification sets. 512 is the scaling
- * ceiling ROADMAP item 2 targets; sparse directory formats
- * (proto/directory.hh) keep per-entry state O(sharers) regardless.
+ * Upper bound on nodes (Params::validate) and the scaling ceiling.
+ * The directory (proto/directory.hh) sizes its sets to the configured
+ * machine, not to this bound.
  */
 constexpr std::size_t maxNodes = 512;
 

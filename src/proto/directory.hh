@@ -16,16 +16,24 @@
  * never miss a true sharer), so correctness is preserved and the
  * cost of sparseness shows up where it does in hardware: extra
  * invalidation traffic.
+ *
+ * The host layout is separate from the modeled hardware entry
+ * (DirConfig::entryBits()). Each Directory sizes its sets once from
+ * the configured machine: ⌈N/64⌉ machine words per node set, and
+ * ⌈⌈N/r⌉/64⌉ per coarse-vector set. A limited-pointer set is a node
+ * bitmap whose population is the pointer count; broadcast sets every
+ * bit. So the sets cost host memory in proportion to the machine,
+ * and every walk is a bit-scan over the words.
  */
 
 #ifndef RNUMA_PROTO_DIRECTORY_HH
 #define RNUMA_PROTO_DIRECTORY_HH
 
 #include <algorithm>
-#include <bitset>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <unordered_map>
-#include <vector>
 
 #include "common/params.hh"
 #include "common/types.hh"
@@ -90,60 +98,70 @@ struct DirConfig
     }
 };
 
+/** Format and host width of one kind of set, fixed per Directory. */
+struct SetShape
+{
+    SharerFormat format;
+    std::uint32_t nodes;
+    std::uint32_t pointers;
+    std::uint32_t regionSize;
+    /** Machine words of node bits, or region bits (CoarseVector). */
+    std::uint32_t words;
+};
+
 /**
- * One pluggable-representation set of node ids. Full-map is exact;
- * limited-pointer and coarse-vector are conservative
+ * A view of one set of node ids in a directory entry. Full-map is
+ * exact; limited-pointer and coarse-vector are conservative
  * over-approximations: test() may report a node that was never
  * set(), but a node that was set() and not individually reset() is
  * always reported. Degradation rules:
  *
- *  - LimitedPointer: up to `pointers` exact ids; one more set()
- *    flips the entry to broadcast (test() true for every node,
- *    count() == nodes). reset(n) of one node cannot un-broadcast;
- *    only a full reset() (protocol-wide invalidation/flush) clears
- *    the overflow.
+ *  - LimitedPointer: up to `pointers` exact ids (the bitmap's
+ *    population); one more distinct set() flips the entry to
+ *    broadcast, which sets every node's bit (test() true for every
+ *    node, count() == nodes). Re-setting a present node is free.
+ *    reset(n) of one node cannot un-broadcast; only a full reset()
+ *    (protocol-wide invalidation/flush) clears the overflow.
  *  - CoarseVector: one bit per region of `regionSize` nodes;
  *    reset(n) is a no-op because other sharers may map to the same
  *    region bit.
  *
- * Default construction is an exact full-map over maxNodes, which is
- * what `DirEntry e;` in the unit tests and the pre-sparse protocol
- * relied on.
+ * The words and the overflow flag belong to the entry; the view is
+ * built per call by Directory::sharers()/prior()/touched().
  */
 class SharerSet
 {
   public:
-    SharerSet() = default;
-
-    explicit SharerSet(const DirConfig &cfg)
-        : format_(cfg.format),
-          nodes_(static_cast<std::uint32_t>(cfg.nodes)),
-          maxPtrs_(static_cast<std::uint32_t>(cfg.pointers)),
-          regionSize_(static_cast<std::uint32_t>(cfg.regionSize))
+    SharerSet(const SetShape &shape, std::uint64_t *words,
+              std::uint32_t *flags, std::uint32_t overflow_bit)
+        : shape_(&shape), w_(words), flags_(flags), ovf_(overflow_bit)
     {
     }
 
     void
     set(NodeId n)
     {
-        switch (format_) {
+        switch (shape_->format) {
           case SharerFormat::FullMap:
-            bits_.set(n);
+            setBit(n);
             return;
           case SharerFormat::LimitedPointer:
-            if (overflowed_ || havePtr(n))
+            if (overflowed() || testBit(n))
                 return;
-            if (ptrs_.size() < maxPtrs_) {
-                ptrs_.push_back(static_cast<std::uint16_t>(n));
+            if (population() < shape_->pointers) {
+                setBit(n);
             } else {
                 // Dir_iB: the i+1'th distinct sharer flips the
                 // entry to broadcast.
-                ptrs_.clear();
-                overflowed_ = true;
+                std::fill_n(w_, shape_->words, ~std::uint64_t{0});
+                if (shape_->nodes % 64)
+                    w_[shape_->words - 1] =
+                        (std::uint64_t{1} << (shape_->nodes % 64)) - 1;
+                *flags_ |= ovf_;
             }
             return;
           case SharerFormat::CoarseVector:
-            bits_.set(n / regionSize_);
+            setBit(n / shape_->regionSize);
             return;
         }
     }
@@ -152,13 +170,13 @@ class SharerSet
     void
     reset(NodeId n)
     {
-        switch (format_) {
+        switch (shape_->format) {
           case SharerFormat::FullMap:
-            bits_.reset(n);
+            clearBit(n);
             return;
           case SharerFormat::LimitedPointer:
-            if (!overflowed_)
-                dropPtr(n);
+            if (!overflowed())
+                clearBit(n);
             return;
           case SharerFormat::CoarseVector:
             // Cannot clear a region bit: other sharers may map to it.
@@ -170,56 +188,86 @@ class SharerSet
     void
     reset()
     {
-        bits_.reset();
-        ptrs_.clear();
-        overflowed_ = false;
+        std::fill_n(w_, shape_->words, 0);
+        *flags_ &= ~ovf_;
     }
 
     bool
     test(NodeId n) const
     {
-        switch (format_) {
-          case SharerFormat::FullMap:
-            return bits_.test(n);
-          case SharerFormat::LimitedPointer:
-            return overflowed_ || havePtr(n);
-          case SharerFormat::CoarseVector:
-            return bits_.test(n / regionSize_);
-        }
-        return false;
+        if (shape_->format == SharerFormat::CoarseVector)
+            return testBit(n / shape_->regionSize);
+        return testBit(n);
     }
 
     bool
     none() const
     {
-        switch (format_) {
-          case SharerFormat::FullMap:
-          case SharerFormat::CoarseVector:
-            return bits_.none();
-          case SharerFormat::LimitedPointer:
-            return !overflowed_ && ptrs_.empty();
-        }
+        for (std::uint32_t i = 0; i < shape_->words; ++i)
+            if (w_[i])
+                return false;
         return true;
     }
 
     /**
      * Apparent sharer count (over-approximate for the sparse
-     * formats: nodes for a broadcast entry, region population times
-     * region size for coarse bits, clamped to the machine size).
+     * formats: nodes for a broadcast entry, the real population of
+     * every set region for coarse bits).
      */
     std::size_t
     count() const
     {
-        switch (format_) {
-          case SharerFormat::FullMap:
-            return bits_.count();
-          case SharerFormat::LimitedPointer:
-            return overflowed_ ? nodes_ : ptrs_.size();
-          case SharerFormat::CoarseVector:
-            return std::min<std::size_t>(bits_.count() * regionSize_,
-                                         nodes_);
+        const std::size_t pop = population();
+        if (shape_->format != SharerFormat::CoarseVector || pop == 0)
+            return pop;
+        // Every set region holds regionSize nodes except a partial
+        // last one.
+        const std::uint32_t r = shape_->regionSize;
+        const std::uint32_t last = (shape_->nodes - 1) / r;
+        if (!testBit(last))
+            return pop * r;
+        return (pop - 1) * r + (shape_->nodes - last * r);
+    }
+
+    /**
+     * True when the set could report no node other than @p n, which
+     * is exactly what clearing @p n with reset(n) and asking none()
+     * answers: a broadcast or any coarse region bit is never "only
+     * @p n".
+     */
+    bool
+    noneExcept(NodeId n) const
+    {
+        if (shape_->format == SharerFormat::CoarseVector)
+            return none();
+        if (overflowed())
+            return false;
+        for (std::uint32_t i = 0; i < shape_->words; ++i)
+            if (w_[i] & ~(i == n / 64 ? mask(n) : 0))
+                return false;
+        return true;
+    }
+
+    /**
+     * Call @p f(node) for every node test() reports, in ascending
+     * order: a bit-scan of the words. A broadcast visits every node;
+     * a coarse region expands to its nodes, clipped at the machine.
+     */
+    template <class F>
+    void
+    forEach(F &&f) const
+    {
+        if (shape_->format != SharerFormat::CoarseVector) {
+            scanBits(f);
+            return;
         }
-        return 0;
+        const std::uint32_t r = shape_->regionSize;
+        scanBits([&](std::uint32_t region) {
+            const NodeId first = region * r;
+            const NodeId last = std::min(first + r, shape_->nodes);
+            for (NodeId n = first; n < last; ++n)
+                f(n);
+        });
     }
 
     /**
@@ -233,114 +281,77 @@ class SharerSet
     bool
     withinRange(NodeId lo, NodeId hi) const
     {
-        switch (format_) {
-          case SharerFormat::FullMap:
-            for (NodeId n = 0; n < nodes_; ++n)
-                if (bits_.test(n) && (n < lo || n >= hi))
-                    return false;
-            return true;
-          case SharerFormat::LimitedPointer:
-            if (overflowed_)
-                return lo == 0 && hi >= nodes_;
-            for (std::uint16_t p : ptrs_)
-                if (p < lo || p >= hi)
-                    return false;
-            return true;
-          case SharerFormat::CoarseVector:
-            for (std::uint32_t r = 0;
-                 r * regionSize_ < nodes_; ++r) {
-                if (!bits_.test(r))
-                    continue;
-                const NodeId first = r * regionSize_;
-                const NodeId last = std::min<NodeId>(
-                    first + regionSize_, nodes_);
-                if (first < lo || last > hi)
-                    return false;
-            }
-            return true;
-        }
-        return false;
+        bool inside = true;
+        forEach([&](NodeId n) { inside = inside && n >= lo && n < hi; });
+        return inside;
     }
 
-    /** A limited-pointer entry that has degraded to broadcast. */
-    bool overflowed() const { return overflowed_; }
-
-    SharerFormat format() const { return format_; }
+    /** A limited-pointer set that has degraded to broadcast. */
+    bool overflowed() const { return (*flags_ & ovf_) != 0; }
 
   private:
-    bool
-    havePtr(NodeId n) const
+    static std::uint64_t mask(std::uint32_t b) { return 1ull << (b % 64); }
+    bool testBit(std::uint32_t b) const { return w_[b / 64] & mask(b); }
+    void setBit(std::uint32_t b) { w_[b / 64] |= mask(b); }
+    void clearBit(std::uint32_t b) { w_[b / 64] &= ~mask(b); }
+
+    std::size_t
+    population() const
     {
-        for (std::uint16_t p : ptrs_)
-            if (p == n)
-                return true;
-        return false;
+        std::size_t pop = 0;
+        for (std::uint32_t i = 0; i < shape_->words; ++i)
+            pop += static_cast<std::size_t>(__builtin_popcountll(w_[i]));
+        return pop;
     }
 
+    template <class F>
     void
-    dropPtr(NodeId n)
+    scanBits(F &&f) const
     {
-        for (std::size_t i = 0; i < ptrs_.size(); ++i) {
-            if (ptrs_[i] == n) {
-                ptrs_[i] = ptrs_.back();
-                ptrs_.pop_back();
-                return;
-            }
-        }
+        for (std::uint32_t i = 0; i < shape_->words; ++i)
+            for (std::uint64_t w = w_[i]; w; w &= w - 1)
+                f(static_cast<std::uint32_t>(
+                    i * 64 + static_cast<unsigned>(__builtin_ctzll(w))));
     }
 
-    SharerFormat format_ = SharerFormat::FullMap;
-    std::uint32_t nodes_ = maxNodes;
-    std::uint32_t maxPtrs_ = 0;
-    std::uint32_t regionSize_ = 1;
-    bool overflowed_ = false;
-    /** Full-map node bits, or coarse region bits (low indices). */
-    std::bitset<maxNodes> bits_;
-    /** Exact node ids (LimitedPointer, when not overflowed). */
-    std::vector<std::uint16_t> ptrs_;
+    const SetShape *shape_;
+    std::uint64_t *w_;
+    std::uint32_t *flags_;
+    std::uint32_t ovf_;
 };
 
-/** Directory entry for one coherence block. */
-struct DirEntry
+/**
+ * Directory entry header for one coherence block. Its three sets live
+ * in the words that trail it in the Directory's group arena, read
+ * through Directory::sharers(), prior() and touched():
+ *
+ *  - sharers: nodes the directory believes hold a copy. Read-only
+ *    copies are evicted silently (non-notifying protocol), so a bit
+ *    may be stale — which is precisely how read refetches are
+ *    detected: a request from a node whose bit is still set means
+ *    the node lost its copy to capacity or conflict, not coherence.
+ *  - prior: nodes that previously held the block exclusively and
+ *    voluntarily wrote it back (block-cache eviction). A request from
+ *    such a node is a refetch of a read-write block.
+ *  - touched: nodes that have ever fetched the block (cold-miss
+ *    detection). Simulator classification state, always exact — not
+ *    part of the modeled hardware entry (DirConfig::entryBits()).
+ */
+struct alignas(std::uint64_t) DirEntry
 {
-    DirEntry() = default;
-
-    explicit DirEntry(const DirConfig &cfg)
-        : sharers(cfg), prior(cfg)
-    {
-    }
-
-    /**
-     * Nodes the directory believes hold a copy. Read-only copies are
-     * evicted silently (non-notifying protocol), so a bit may be
-     * stale — which is precisely how read refetches are detected: a
-     * request from a node whose bit is still set means the node lost
-     * its copy to capacity or conflict, not coherence.
-     */
-    SharerSet sharers;
-
-    /**
-     * Nodes that previously held the block exclusively and
-     * voluntarily wrote it back (block-cache eviction). A request
-     * from such a node is a refetch of a read-write block.
-     */
-    SharerSet prior;
-
-    /**
-     * Nodes that have ever fetched the block (cold-miss detection).
-     * Simulator classification state, always exact — not part of the
-     * modeled hardware entry (DirConfig::entryBits()).
-     */
-    std::bitset<maxNodes> touched;
-
     /** Node holding the block exclusively (dirty), if any. */
     NodeId owner = invalidNode;
 
     bool hasOwner() const { return owner != invalidNode; }
 
-    /** Number of (apparent) sharers. */
-    std::size_t sharerCount() const { return sharers.count(); }
+  private:
+    friend class Directory;
+    /** Limited-pointer broadcast flags of sharers and prior. */
+    std::uint32_t overflow_ = 0;
 };
+
+static_assert(sizeof(DirEntry) == sizeof(std::uint64_t),
+              "a DirEntry header is one arena word");
 
 /**
  * The directory for the whole machine, keyed by block address. In
@@ -348,16 +359,17 @@ struct DirEntry
  * store is behaviorally identical and simpler.
  *
  * Storage is a page-grouped arena rather than a per-block hash map:
- * the first touch of any block on a page allocates one fixed-size
- * group holding that page's `blocks_per_page` entries, so the hash
- * map shrinks by that factor and consecutive blocks of a page — the
- * access pattern the workloads overwhelmingly produce — land in
- * adjacent memory. A one-entry memo of the last group resolved makes
- * the common same-page run of lookups skip the hash entirely.
- * Groups are never resized or erased, so entry references stay valid
- * for the Directory's lifetime (the protocol holds a DirEntry
- * reference across coherence callbacks that may create entries for
- * other blocks).
+ * the first touch of any block on a page allocates one zeroed group
+ * holding that page's live bits and `blocks_per_page` records, each a
+ * DirEntry header followed by its sharers, prior and touched words.
+ * So the hash map shrinks by that factor and consecutive blocks of a
+ * page — the access pattern the workloads overwhelmingly produce —
+ * land in adjacent memory. A one-entry memo of the last group
+ * resolved makes the common same-page run of lookups skip the hash
+ * entirely. Groups are never resized or erased, so entry references
+ * stay valid for the Directory's lifetime (the protocol holds a
+ * DirEntry reference across coherence callbacks that may create
+ * entries for other blocks).
  *
  * All block addresses passed in must be block-aligned, as every
  * protocol call site guarantees (fetch/writeback/flushBlock align
@@ -378,7 +390,16 @@ class Directory
     explicit Directory(std::size_t block_bytes = 1,
                        std::size_t blocks_per_page = 1,
                        DirConfig cfg = {})
-        : cfg_(cfg), proto_(cfg)
+        : cfg_(cfg),
+          setShape_{cfg.format, u32(cfg.nodes), u32(cfg.pointers),
+                    u32(cfg.regionSize),
+                    wordsFor(cfg.format == SharerFormat::CoarseVector
+                                 ? (cfg.nodes + cfg.regionSize - 1) /
+                                     cfg.regionSize
+                                 : cfg.nodes)},
+          nodeShape_{SharerFormat::FullMap, u32(cfg.nodes), 0, 1,
+                     wordsFor(cfg.nodes)},
+          stride_(1 + 2 * setShape_.words + nodeShape_.words)
     {
         while ((std::size_t{1} << (blockShift_ + 1)) <= block_bytes)
             ++blockShift_;
@@ -389,6 +410,7 @@ class Directory
         while ((std::size_t{1} << groupShift_) < groupBlocks_)
             ++groupShift_;
         idxMask_ = groupBlocks_ - 1;
+        liveWords_ = wordsFor(groupBlocks_);
     }
 
     /** Find-or-create the entry for a block address. */
@@ -396,14 +418,18 @@ class Directory
     entry(Addr block)
     {
         const Addr bi = block >> blockShift_;
-        Group *g = resolve(bi >> groupShift_, true);
+        std::uint64_t *g = resolve(bi >> groupShift_, true);
         const std::size_t idx =
             static_cast<std::size_t>(bi) & idxMask_;
-        if (!g->live[idx]) {
-            g->live[idx] = 1;
+        std::uint64_t *rec = g + liveWords_ + idx * stride_;
+        std::uint64_t &live = g[idx / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+        if (!(live & bit)) {
+            live |= bit;
             ++liveCount_;
+            return *new (rec) DirEntry;
         }
-        return g->entries[idx];
+        return *std::launder(reinterpret_cast<DirEntry *>(rec));
     }
 
     /** Read-only probe; nullptr when the block was never touched. */
@@ -411,19 +437,46 @@ class Directory
     peek(Addr block) const
     {
         const Addr bi = block >> blockShift_;
-        const Group *g = const_cast<Directory *>(this)->resolve(
-            bi >> groupShift_, false);
+        const std::uint64_t *g =
+            const_cast<Directory *>(this)->resolve(bi >> groupShift_,
+                                                   false);
         if (!g)
             return nullptr;
         const std::size_t idx =
             static_cast<std::size_t>(bi) & idxMask_;
-        return g->live[idx] ? &g->entries[idx] : nullptr;
+        if (!((g[idx / 64] >> (idx % 64)) & 1))
+            return nullptr;
+        return std::launder(reinterpret_cast<const DirEntry *>(
+            g + liveWords_ + idx * stride_));
     }
+
+    /** @name Views of an entry's sets (see DirEntry). */
+    /// @{
+    SharerSet sharers(DirEntry &e) { return view(e, 0); }
+    SharerSet prior(DirEntry &e) { return view(e, 1); }
+    SharerSet touched(DirEntry &e) { return view(e, 2); }
+    const SharerSet sharers(const DirEntry &e) const { return view(e, 0); }
+    const SharerSet prior(const DirEntry &e) const { return view(e, 1); }
+    const SharerSet touched(const DirEntry &e) const { return view(e, 2); }
+    /// @}
 
     /** Number of blocks with directory state. */
     std::size_t size() const { return liveCount_; }
 
     const DirConfig &config() const { return cfg_; }
+
+    /**
+     * Host bytes one entry costs in its group (header, the three
+     * sets' words and its share of the live bits), rounded up — the
+     * simulator's footprint, not the modeled entryBits().
+     */
+    std::size_t
+    hostBytesPerEntry() const
+    {
+        const std::size_t group_bytes = sizeof(std::uint64_t) *
+            (liveWords_ + groupBlocks_ * stride_);
+        return (group_bytes + groupBlocks_ - 1) / groupBlocks_;
+    }
 
     /**
      * Modeled directory storage: live entries times the per-entry
@@ -439,34 +492,52 @@ class Directory
     }
 
   private:
-    /**
-     * One page's entries. The vectors are sized once at creation and
-     * never touched again, so DirEntry references are stable.
-     */
-    struct Group
-    {
-        std::vector<DirEntry> entries;
-        std::vector<char> live;
-    };
+    static std::uint32_t u32(std::size_t v) { return std::uint32_t(v); }
 
-    Group *
+    static std::uint32_t
+    wordsFor(std::size_t bits)
+    {
+        return u32((bits + 63) / 64);
+    }
+
+    /**
+     * View of set @p which (sharers, prior, touched) of @p e: the
+     * set words trail the entry's one-word header in its record. The
+     * touched set is exact in every format and never overflows.
+     */
+    SharerSet
+    view(const DirEntry &e, unsigned which) const
+    {
+        auto &m = const_cast<DirEntry &>(e);
+        std::uint64_t *w = reinterpret_cast<std::uint64_t *>(&m + 1) +
+            which * setShape_.words;
+        if (which == 2)
+            return {nodeShape_, w, &m.overflow_, 0};
+        return {setShape_, w, &m.overflow_, 1u << which};
+    }
+
+    /**
+     * One page's live bits and records, as a single zeroed
+     * allocation that is never touched again, so DirEntry references
+     * are stable.
+     */
+    std::uint64_t *
     resolve(Addr key, bool create)
     {
         if (lastGroup_ && lastKey_ == key)
             return lastGroup_;
-        Group *g;
+        std::uint64_t *g;
         if (create) {
-            Group &ref = groups_[key];
-            if (ref.entries.empty()) {
-                ref.entries.assign(groupBlocks_, proto_);
-                ref.live.assign(groupBlocks_, 0);
-            }
-            g = &ref;
+            auto &ref = groups_[key];
+            if (!ref)
+                ref.reset(new std::uint64_t[liveWords_ +
+                                            groupBlocks_ * stride_]());
+            g = ref.get();
         } else {
             auto it = groups_.find(key);
             if (it == groups_.end())
                 return nullptr;
-            g = &it->second;
+            g = it->second.get();
         }
         lastKey_ = key;
         lastGroup_ = g;
@@ -474,17 +545,21 @@ class Directory
     }
 
     DirConfig cfg_;
-    /** Prototype entry carrying the configured sharer-set format. */
-    DirEntry proto_;
+    SetShape setShape_;
+    SetShape nodeShape_;
+    /** Words per record: header, sharers, prior, touched. */
+    std::size_t stride_;
     unsigned blockShift_ = 0;
     std::size_t groupBlocks_ = 1;
     unsigned groupShift_ = 0;
     std::size_t idxMask_ = 0;
-    std::unordered_map<Addr, Group> groups_;
+    /** Leading live-bit words of each group. */
+    std::size_t liveWords_ = 1;
+    std::unordered_map<Addr, std::unique_ptr<std::uint64_t[]>> groups_;
     std::size_t liveCount_ = 0;
     /** Memo of the last group resolved (groups are never erased). */
     mutable Addr lastKey_ = 0;
-    mutable Group *lastGroup_ = nullptr;
+    mutable std::uint64_t *lastGroup_ = nullptr;
 };
 
 } // namespace rnuma

@@ -1,5 +1,7 @@
 #include "proto/protocol.hh"
 
+#include <array>
+
 #include "common/logging.hh"
 
 namespace rnuma
@@ -50,9 +52,7 @@ GlobalProtocol::onlyHolder(NodeId node, Addr block) const
         return true;
     if (e->hasOwner() && e->owner != node)
         return false;
-    auto others = e->sharers;
-    others.reset(node);
-    return others.none();
+    return d.sharers(*e).noneExcept(node);
 }
 
 std::uint64_t
@@ -78,7 +78,8 @@ GlobalProtocol::fetchConfined(NodeId requester, Addr block,
                               bool write, NodeId lo, NodeId hi) const
 {
     block = block & ~(Addr(p.blockSize) - 1);
-    const DirEntry *e = dirFor(requester).peek(block);
+    const Directory &d = dirFor(requester);
+    const DirEntry *e = d.peek(block);
     if (!e)
         return true; // first touch of the block: purely local fill
     // A dirty third-node owner means a forward (and on reads a
@@ -87,7 +88,7 @@ GlobalProtocol::fetchConfined(NodeId requester, Addr block,
         (e->owner < lo || e->owner >= hi))
         return false;
     // Writes invalidate every apparent sharer.
-    if (write && !e->sharers.withinRange(lo, hi))
+    if (write && !d.sharers(*e).withinRange(lo, hi))
         return false;
     return true;
 }
@@ -96,27 +97,28 @@ bool
 GlobalProtocol::wouldRefetch(NodeId requester, Addr block) const
 {
     block = block & ~(Addr(p.blockSize) - 1);
-    const DirEntry *e = dirFor(requester).peek(block);
-    return e && (e->sharers.test(requester) ||
-                 e->prior.test(requester) || e->owner == requester);
+    const Directory &d = dirFor(requester);
+    const DirEntry *e = d.peek(block);
+    return e && (d.sharers(*e).test(requester) ||
+                 d.prior(*e).test(requester) || e->owner == requester);
 }
 
 MissKind
-GlobalProtocol::classify(const DirEntry &e, NodeId requester,
-                         ReqType type) const
+GlobalProtocol::classify(const Directory &d, const DirEntry &e,
+                         NodeId requester, ReqType type) const
 {
     if (type == ReqType::Upgrade) {
         // The node holds valid data; this is permission traffic, not
         // a block refetch.
         return MissKind::Coherence;
     }
-    if (e.sharers.test(requester) || e.prior.test(requester) ||
+    if (d.sharers(e).test(requester) || d.prior(e).test(requester) ||
         e.owner == requester) {
         // The directory believes the node already has the block: the
         // node lost it to capacity or conflict (Section 3.1).
         return MissKind::Refetch;
     }
-    if (e.touched.test(requester))
+    if (d.touched(e).test(requester))
         return MissKind::Coherence;
     return MissKind::Cold;
 }
@@ -127,10 +129,13 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    DirEntry &e = dirFor(home).entry(block);
+    Directory &dir = dirFor(home);
+    DirEntry &e = dir.entry(block);
+    SharerSet sharers = dir.sharers(e);
+    SharerSet prior = dir.prior(e);
 
     FetchResult res;
-    res.kind = classify(e, requester, type);
+    res.kind = classify(dir, e, requester, type);
 
     const bool local = requester == home;
     const bool write = type != ReqType::GetS;
@@ -162,7 +167,7 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
             // Owner loses its copy below, with the other sharers.
         } else {
             sink.downgradeNodeCopy(owner, block);
-            e.sharers.set(owner);
+            sharers.set(owner);
             e.owner = invalidNode;
         }
     } else if (need_data) {
@@ -179,18 +184,34 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
     Tick ack_at = t;
     if (write) {
         // Sparse sharer sets may over-approximate (broadcast or
-        // region bits), so this loop can invalidate nodes that never
+        // region bits), so the targets can include nodes that never
         // held the block — the modeled cost of a sparse directory.
-        // Every true sharer is always covered.
+        // Every true sharer is always covered. The targets are every
+        // apparent sharer plus the owner, snapshotted in ascending
+        // node order before any callback: the order is observable,
+        // since a mesh acquires its links in post order.
+        std::array<NodeId, maxNodes> targets;
+        std::size_t ntargets = 0;
+        NodeId owner = e.owner;
+        sharers.forEach([&](NodeId m) {
+            if (owner < m)
+                targets[ntargets++] = owner;
+            if (owner <= m)
+                owner = invalidNode;
+            targets[ntargets++] = m;
+        });
+        if (owner != invalidNode)
+            targets[ntargets++] = owner;
+
         Tick worst_wire = 0;
-        for (NodeId m = 0; m < p.numNodes; ++m) {
-            bool holds = e.sharers.test(m) || e.owner == m;
-            if (!holds || m == requester)
+        for (std::size_t i = 0; i < ntargets; ++i) {
+            const NodeId m = targets[i];
+            if (m == requester)
                 continue;
             sink.invalidateNodeCopy(m, block);
             net.post(t, home, m, MsgKind::Invalidate);
-            e.sharers.reset(m);
-            e.prior.reset(m);
+            sharers.reset(m);
+            prior.reset(m);
             res.invalidations++;
             const Tick wire = net.latency(home, m);
             if (wire > worst_wire)
@@ -206,11 +227,11 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
     }
 
     // Directory state update for the requester.
-    e.touched.set(requester);
-    e.prior.reset(requester);
+    dir.touched(e).set(requester);
+    prior.reset(requester);
     if (write) {
-        e.sharers.reset();
-        e.sharers.set(requester);
+        sharers.reset();
+        sharers.set(requester);
         e.owner = requester;
         res.exclusiveGrant = true;
     } else {
@@ -220,8 +241,8 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
             // the home copy as current and clear ownership.
             e.owner = invalidNode;
         }
-        e.sharers.set(requester);
-        res.exclusiveGrant = e.sharerCount() == 1 && !e.hasOwner();
+        sharers.set(requester);
+        res.exclusiveGrant = sharers.count() == 1 && !e.hasOwner();
     }
 
     Tick done = data_at > ack_at ? data_at : ack_at;
@@ -236,15 +257,16 @@ GlobalProtocol::writeback(Tick now, NodeId from, Addr block)
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    DirEntry &e = dirFor(home).entry(block);
+    Directory &dir = dirFor(home);
+    DirEntry &e = dir.entry(block);
     if (e.owner == from) {
         e.owner = invalidNode;
-        e.sharers.reset(from);
+        dir.sharers(e).reset(from);
         // Remember the voluntary writeback so a later re-request is
         // classified as a read-write refetch (Section 3.1). The
         // ablation switch drops this extra state.
         if (p.priorOwnerState)
-            e.prior.set(from);
+            dir.prior(e).set(from);
     }
     net.post(now, from, home, MsgKind::Writeback);
 }
@@ -254,9 +276,10 @@ GlobalProtocol::flushBlock(Tick now, NodeId from, Addr block, bool dirty)
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    DirEntry &e = dirFor(home).entry(block);
-    e.sharers.reset(from);
-    e.prior.reset(from);
+    Directory &dir = dirFor(home);
+    DirEntry &e = dir.entry(block);
+    dir.sharers(e).reset(from);
+    dir.prior(e).reset(from);
     if (e.owner == from)
         e.owner = invalidNode;
     net.post(now, from, home, MsgKind::Flush);

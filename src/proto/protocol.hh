@@ -216,8 +216,8 @@ class GlobalProtocol
     Addr pageOf(Addr a) const { return a / p.pageSize; }
 
     /** Classify a request against directory state (Section 3.1). */
-    MissKind classify(const DirEntry &e, NodeId requester,
-                      ReqType type) const;
+    MissKind classify(const Directory &d, const DirEntry &e,
+                      NodeId requester, ReqType type) const;
 };
 
 } // namespace rnuma

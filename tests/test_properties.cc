@@ -149,14 +149,15 @@ TEST(Properties, OwnerImpliesSharerBit)
     m.run();
     checkDirectoryInvariants(m, p);
     // Spot-check the shared page's blocks through the public API.
+    const Directory &dir = m.protocol().directory();
     for (std::size_t blk = 0; blk < p.blocksPerPage(); ++blk) {
         Addr a = static_cast<Addr>(blk) * p.blockSize;
-        const DirEntry *e = m.protocol().directory().peek(a);
+        const DirEntry *e = dir.peek(a);
         if (!e || !e->hasOwner())
             continue;
-        EXPECT_TRUE(e->sharers.test(e->owner))
+        EXPECT_TRUE(dir.sharers(*e).test(e->owner))
             << "owner without sharer bit at block " << a;
-        EXPECT_EQ(e->sharerCount(), 1u)
+        EXPECT_EQ(dir.sharers(*e).count(), 1u)
             << "dirty owner must be the sole sharer";
     }
 }

@@ -54,8 +54,8 @@ class RecordingSink : public CoherenceSink
 class ProtocolTest : public ::testing::Test
 {
   protected:
-    ProtocolTest()
-        : p(Params::base()),
+    explicit ProtocolTest(Params params = Params::base())
+        : p(params),
           net(p.numNodes, p.netLatency, p.niOccupancy)
     {
         for (std::size_t i = 0; i < p.numNodes; ++i)
@@ -117,12 +117,14 @@ TEST_F(ProtocolTest, VoluntaryWritebackMakesReadWriteRefetch)
     const DirEntry *e = proto->directory().peek(blk);
     ASSERT_NE(e, nullptr);
     EXPECT_FALSE(e->hasOwner());
-    EXPECT_TRUE(e->prior.test(1));
+    EXPECT_TRUE(proto->directory().prior(*e).test(1));
     // Re-request from the prior owner is a refetch (the extra
     // directory state of Section 3.1).
     FetchResult r = proto->fetch(1000, 1, blk, ReqType::GetX);
     EXPECT_EQ(r.kind, MissKind::Refetch);
-    EXPECT_FALSE(proto->directory().peek(blk)->prior.test(1));
+    EXPECT_FALSE(proto->directory()
+                     .prior(*proto->directory().peek(blk))
+                     .test(1));
 }
 
 TEST_F(ProtocolTest, NotifyingFlushPreventsRefetch)
@@ -141,7 +143,7 @@ TEST_F(ProtocolTest, FlushFromDirtyOwnerClearsOwnership)
     proto->flushBlock(500, 1, blk, true);
     const DirEntry *e = proto->directory().peek(blk);
     EXPECT_FALSE(e->hasOwner());
-    EXPECT_FALSE(e->sharers.test(1));
+    EXPECT_FALSE(proto->directory().sharers(*e).test(1));
 }
 
 TEST_F(ProtocolTest, UpgradeIsPermissionTrafficNotRefetch)
@@ -165,8 +167,8 @@ TEST_F(ProtocolTest, WriteInvalidatesAllOtherSharers)
     EXPECT_EQ(sink.invalidated.size(), 3u);
     const DirEntry *e = proto->directory().peek(blk);
     EXPECT_EQ(e->owner, 4u);
-    EXPECT_EQ(e->sharerCount(), 1u);
-    EXPECT_TRUE(e->sharers.test(4));
+    EXPECT_EQ(proto->directory().sharers(*e).count(), 1u);
+    EXPECT_TRUE(proto->directory().sharers(*e).test(4));
 }
 
 TEST_F(ProtocolTest, ThreeHopForwardFromDirtyOwner)
@@ -178,8 +180,8 @@ TEST_F(ProtocolTest, ThreeHopForwardFromDirtyOwner)
     EXPECT_EQ(sink.downgraded[0].first, 1u);
     const DirEntry *e = proto->directory().peek(blk);
     EXPECT_FALSE(e->hasOwner());
-    EXPECT_TRUE(e->sharers.test(1));
-    EXPECT_TRUE(e->sharers.test(2));
+    EXPECT_TRUE(proto->directory().sharers(*e).test(1));
+    EXPECT_TRUE(proto->directory().sharers(*e).test(2));
 }
 
 TEST_F(ProtocolTest, WriteToDirtyThirdNodeForwardsAndInvalidates)
@@ -230,6 +232,33 @@ TEST_F(ProtocolTest, OnlyHolderSemantics)
     proto->fetch(0, 1, blk, ReqType::GetS);
     EXPECT_FALSE(proto->onlyHolder(0, blk));
     EXPECT_TRUE(proto->onlyHolder(1, blk));
+}
+
+/** Nine nodes in 8-node coarse-vector regions: region 1 is node 8. */
+class PartialRegionTest : public ProtocolTest
+{
+  protected:
+    PartialRegionTest() : ProtocolTest(nineNodeCoarse()) {}
+
+    static Params
+    nineNodeCoarse()
+    {
+        Params q = Params::base();
+        q.numNodes = 9;
+        q.dirFormat = SharerFormat::CoarseVector;
+        q.dirRegionSize = 8;
+        q.validate();
+        return q;
+    }
+};
+
+TEST_F(PartialRegionTest, SoleReaderOfPartialRegionGetsExclusive)
+{
+    // The partial last region holds only node 8, so its bit names one
+    // sharer: the grant matches full-map. Region 0 names eight.
+    EXPECT_TRUE(proto->fetch(0, 8, blk, ReqType::GetS).exclusiveGrant);
+    EXPECT_FALSE(proto->fetch(0, 1, blk + 64, ReqType::GetS)
+                     .exclusiveGrant);
 }
 
 TEST_F(ProtocolTest, HomeOfUsesPlacement)
