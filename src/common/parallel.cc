@@ -1,7 +1,6 @@
 #include "common/parallel.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -62,109 +61,6 @@ parallelFor(std::size_t n, std::size_t jobs,
 
     if (!first_error.empty())
         RNUMA_FATAL("parallel task failed: ", first_error);
-}
-
-WorkerTeam::WorkerTeam(std::size_t slots)
-    : nslots_(slots == 0 ? 1 : slots)
-{
-    if (nslots_ == 1)
-        return;
-    // On a single hardware context, spinning workers only preempt
-    // the coordinator (and each other) — every round costs scheduler
-    // quanta instead of nanoseconds. Team tasks are required to be
-    // independent, so running every slot inline on the calling
-    // thread produces identical results; run() does that whenever no
-    // threads were spawned. RNUMA_TEAM_THREADS=1 forces real threads
-    // regardless, so sanitizer jobs exercise the concurrent handoff
-    // even on single-core runners.
-    if (std::thread::hardware_concurrency() <= 1 &&
-        std::getenv("RNUMA_TEAM_THREADS") == nullptr)
-        return;
-    errors_.resize(nslots_ - 1);
-    threads_.reserve(nslots_ - 1);
-    for (std::size_t w = 1; w < nslots_; ++w)
-        threads_.emplace_back([this, w] { workerLoop(w); });
-}
-
-WorkerTeam::~WorkerTeam()
-{
-    if (threads_.empty())
-        return;
-    stop_.store(true, std::memory_order_relaxed);
-    generation_.fetch_add(1, std::memory_order_release);
-    for (std::thread &t : threads_)
-        t.join();
-}
-
-void
-WorkerTeam::workerLoop(std::size_t slot)
-{
-    ScopedPanicToException panics_throw;
-    std::uint64_t seen = 0;
-    for (;;) {
-        // Spin on the round counter; yield after a burst so an idle
-        // team does not monopolize cores the simulation could use.
-        std::uint64_t gen;
-        std::size_t spins = 0;
-        while ((gen = generation_.load(std::memory_order_acquire)) ==
-               seen) {
-            if (++spins >= 4096) {
-                std::this_thread::yield();
-                spins = 0;
-            }
-        }
-        seen = gen;
-        if (stop_.load(std::memory_order_relaxed))
-            return;
-        try {
-            (*task_)(slot);
-        } catch (...) {
-            errors_[slot - 1] = std::current_exception();
-        }
-        done_.fetch_add(1, std::memory_order_release);
-    }
-}
-
-void
-WorkerTeam::run(const std::function<void(std::size_t)> &task)
-{
-    if (threads_.empty()) {
-        // One slot, or a single-core host (see the constructor):
-        // every slot runs inline, in slot order.
-        for (std::size_t s = 0; s < nslots_; ++s)
-            task(s);
-        return;
-    }
-    task_ = &task; // published by the generation release store below
-    done_.store(0, std::memory_order_relaxed);
-    generation_.fetch_add(1, std::memory_order_release);
-
-    std::exception_ptr own;
-    try {
-        task(0);
-    } catch (...) {
-        own = std::current_exception();
-    }
-
-    // Join the round before touching any shared state (or throwing).
-    std::size_t spins = 0;
-    while (done_.load(std::memory_order_acquire) < nslots_ - 1) {
-        if (++spins >= 4096) {
-            std::this_thread::yield();
-            spins = 0;
-        }
-    }
-
-    for (std::exception_ptr &e : errors_) {
-        if (e) {
-            std::exception_ptr first = e;
-            for (std::exception_ptr &r : errors_)
-                r = nullptr;
-            std::rethrow_exception(first);
-        }
-    }
-    if (own)
-        std::rethrow_exception(own);
 }
 
 } // namespace rnuma

@@ -10,12 +10,8 @@
 #ifndef RNUMA_COMMON_PARALLEL_HH
 #define RNUMA_COMMON_PARALLEL_HH
 
-#include <atomic>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <thread>
-#include <vector>
 
 namespace rnuma
 {
@@ -34,54 +30,6 @@ namespace rnuma
  */
 void parallelFor(std::size_t n, std::size_t jobs,
                  const std::function<void(std::size_t)> &fn);
-
-/**
- * A persistent team of spinning workers for round-based parallel
- * simulation (sim/machine_parallel.cc): the parallel engine runs tens
- * of thousands of short windows per figure cell, so per-round thread
- * spawns — or even condition-variable wakeups — would dominate the
- * work. run(task) executes task(0) on the calling thread and
- * task(1..slots-1) on the persistent workers, returning once every
- * slot has finished; rounds are published with release stores on a
- * generation counter and joined with acquire loads on a completion
- * counter, so the handoff is data-race-free (ThreadSanitizer-clean)
- * without locks.
- *
- * Failures in any slot (panics included — workers install
- * ScopedPanicToException) are captured, the round is fully joined,
- * and the first error rethrows on the calling thread.
- *
- * On a single-core host no threads are spawned and run() executes
- * every slot inline, in slot order — tasks are independent by
- * contract, so results are identical and the spinning handoff (which
- * would cost a scheduler quantum per round there) is avoided.
- */
-class WorkerTeam
-{
-  public:
-    /** @param slots total parallel slots (1 spawns no threads). */
-    explicit WorkerTeam(std::size_t slots);
-    ~WorkerTeam();
-
-    WorkerTeam(const WorkerTeam &) = delete;
-    WorkerTeam &operator=(const WorkerTeam &) = delete;
-
-    /** Run task(0..slots-1), one slot per thread; joins all slots. */
-    void run(const std::function<void(std::size_t)> &task);
-
-    std::size_t slots() const { return nslots_; }
-
-  private:
-    std::size_t nslots_;
-    std::vector<std::thread> threads_;
-    std::atomic<std::uint64_t> generation_{0};
-    std::atomic<std::size_t> done_{0};
-    std::atomic<bool> stop_{false};
-    const std::function<void(std::size_t)> *task_ = nullptr;
-    std::vector<std::exception_ptr> errors_; ///< one per worker slot
-
-    void workerLoop(std::size_t slot);
-};
 
 } // namespace rnuma
 

@@ -82,25 +82,6 @@ struct Params
     /** Per-message occupancy of one mesh link (contention unit). */
     Tick linkOccupancy = 4;
 
-    //--- Intra-cell parallelism (sim/machine_parallel.cc) -----------------
-    /**
-     * Logical processes one Machine is partitioned into. 1 (the
-     * default) is the serial engine, bit-identical to every previous
-     * release. N > 1 shards the nodes into N contiguous partitions
-     * simulated on N threads under a conservative time-window
-     * barrier; results are deterministic for a fixed N but not
-     * necessarily bit-identical to serial (see docs/ARCHITECTURE.md,
-     * "Parallel intra-cell simulation"). Must divide numNodes.
-     */
-    std::size_t intraJobs = 1;
-    /**
-     * Synchronization-window multiplier for the parallel engine: the
-     * window edge advances by intraWindow * max(1, minLatency) per
-     * round. Larger windows amortize barrier cost at the price of
-     * more timestamp skew absorbed by the --compare-events tolerance.
-     */
-    std::size_t intraWindow = 4;
-
     //--- Directory sharer-set format (proto/directory.hh) ----------------
     /** Sharer-set representation for directory entries. */
     SharerFormat dirFormat = SharerFormat::FullMap;

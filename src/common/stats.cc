@@ -67,46 +67,6 @@ RunStats::rwPageRefetchFraction() const
 }
 
 void
-RunStats::mergeFrom(const RunStats &shard)
-{
-    ticks = std::max(ticks, shard.ticks);
-    refs += shard.refs;
-    l1Hits += shard.l1Hits;
-    l1Misses += shard.l1Misses;
-    upgrades += shard.upgrades;
-    barriers += shard.barriers;
-    localFills += shard.localFills;
-    nodeTransfers += shard.nodeTransfers;
-    blockCacheHits += shard.blockCacheHits;
-    pageCacheHits += shard.pageCacheHits;
-    remoteFetches += shard.remoteFetches;
-    refetches += shard.refetches;
-    coherenceMisses += shard.coherenceMisses;
-    coldMisses += shard.coldMisses;
-    invalidationsSent += shard.invalidationsSent;
-    forwards += shard.forwards;
-    writebacks += shard.writebacks;
-    flushedBlocks += shard.flushedBlocks;
-    pageFaults += shard.pageFaults;
-    scomaAllocations += shard.scomaAllocations;
-    scomaReplacements += shard.scomaReplacements;
-    relocations += shard.relocations;
-    evictionsZeroHit += shard.evictionsZeroHit;
-    evictedPageHits += shard.evictedPageHits;
-    busWait += shard.busWait;
-    niWait += shard.niWait;
-    osCycles += shard.osCycles;
-    stallCycles += shard.stallCycles;
-    for (const auto &kv : shard.pages) {
-        PageStats &ps = pages[kv.first];
-        ps.refetches += kv.second.refetches;
-        ps.remoteFetches += kv.second.remoteFetches;
-        ps.remoteRead = ps.remoteRead || kv.second.remoteRead;
-        ps.remoteWrite = ps.remoteWrite || kv.second.remoteWrite;
-    }
-}
-
-void
 RunStats::print(std::ostream &os) const
 {
     os << "ticks=" << ticks

@@ -164,16 +164,6 @@ struct RunStats
     /** Fraction of refetches on read-write shared pages (Table 4). */
     double rwPageRefetchFraction() const;
 
-    /**
-     * Fold one partition shard into this record: counters and waits
-     * sum, ticks takes the max, the per-page maps merge key-wise
-     * (counts sum, read/write flags OR). Machine-global fields the
-     * shards never touch (events, net, dirEntries, dirBits) are left
-     * for the caller to fill. The parallel engine calls this in
-     * partition-index order, so the reduction is deterministic.
-     */
-    void mergeFrom(const RunStats &shard);
-
     /** Human-readable dump of the headline counters. */
     void print(std::ostream &os) const;
 };

@@ -78,16 +78,6 @@ class RelocationPolicy
     /** Drop all per-page state for @p page (unmap). */
     virtual void reset(Addr page) = 0;
 
-    /**
-     * Would the *next* onRefetch(@p page) fire? A side-effect-free
-     * probe for the parallel engine's confinement check: a firing
-     * relocation may evict a page whose blocks flush to a home
-     * outside the partition, so a potential fire forces the miss to
-     * the serial coordinator. The default is conservatively true
-     * (always defer); policies with a predictable rule override it.
-     */
-    virtual bool wouldFire(Addr /*page*/) const { return true; }
-
     /** Current pending refetch count for a page. */
     virtual std::uint64_t count(Addr page) const = 0;
 
@@ -110,7 +100,6 @@ class StaticThresholdPolicy : public RelocationPolicy
     explicit StaticThresholdPolicy(std::size_t threshold);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;
@@ -148,7 +137,6 @@ class HysteresisPolicy : public RelocationPolicy
                      std::size_t revertedThreshold);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;
@@ -199,7 +187,6 @@ class AdaptiveThresholdPolicy : public RelocationPolicy
                             std::size_t maxThreshold);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;
@@ -257,7 +244,6 @@ class UtilityThresholdPolicy : public RelocationPolicy
                            std::uint64_t breakEvenHits);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;
@@ -295,8 +281,7 @@ class UtilityThresholdPolicy : public RelocationPolicy
  * one until, at h >= T*, relocation is known-profitable and fires at
  * the floor. With no eviction history the policy *is* rnuma-model
  * (h = 0, T = round(T*)), and on a stationary zero-reuse stream it
- * converges back to it. The EWMA only moves in onEvicted, so
- * wouldFire stays an exact probe between evictions.
+ * converges back to it. The EWMA only moves in onEvicted.
  */
 class OnlineModelPolicy : public RelocationPolicy
 {
@@ -311,7 +296,6 @@ class OnlineModelPolicy : public RelocationPolicy
                       std::size_t maxThreshold);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;
@@ -348,9 +332,8 @@ class OnlineModelPolicy : public RelocationPolicy
  *
  * so the no-evidence midpoint is (min + max) / 2 and the registry
  * picks min/max to land that at the configured base T. The score only
- * moves in onEvicted (and drops on reset), so wouldFire stays exact;
- * only IEEE +,*,/ arithmetic is used, keeping results deterministic
- * across platforms.
+ * moves in onEvicted (and drops on reset); only IEEE +,*,/ arithmetic
+ * is used, keeping results deterministic across platforms.
  */
 class EwmaUtilityPolicy : public RelocationPolicy
 {
@@ -365,7 +348,6 @@ class EwmaUtilityPolicy : public RelocationPolicy
                       std::uint64_t breakEvenHits, double alpha);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;

@@ -1349,9 +1349,6 @@ runFigure(const FigureSpec &spec, const FigureOptions &opt,
     runner.shareCache(sharedCache);
     run.jobs = runner.jobs();
     Sweep sweep = spec.build(opt);
-    // Post-build: the workload keys (generation Params) are already
-    // fixed, so parallel cells share snapshots with serial runs.
-    sweep.applyIntraJobs(opt.intraJobs);
     auto t0 = std::chrono::steady_clock::now();
     run.result = runner.run(sweep);
     auto t1 = std::chrono::steady_clock::now();

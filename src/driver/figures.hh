@@ -60,20 +60,6 @@ struct FigureOptions
      * ignore it.
      */
     std::vector<std::string> workloads;
-    /**
-     * Partition every cell's machine into this many logical
-     * processes (the parallel intra-cell engine; the CLI's
-     * --intra-jobs flag). Applied after the figure builds its sweep,
-     * so workload cache keys — derived from the generation Params —
-     * are unchanged and snapshots stay shared with serial runs. A
-     * cell whose node count the value does not divide (or exceed)
-     * keeps the serial engine; the per-cell effective value is
-     * recorded in CellResult::intraJobs and the JSON artifact.
-     * Results are deterministic for a fixed value but NOT
-     * tick-identical across values — gate them with the CLI's
-     * --compare-events, not --compare.
-     */
-    std::size_t intraJobs = 1;
 };
 
 /** One figure/table: identity, lazy sweep builder, table renderer. */

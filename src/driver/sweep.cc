@@ -92,21 +92,6 @@ Sweep::add(Cell c)
     cells_.push_back(std::move(c));
 }
 
-std::size_t
-Sweep::applyIntraJobs(std::size_t n)
-{
-    if (n <= 1)
-        return 0;
-    std::size_t switched = 0;
-    for (Cell &c : cells_) {
-        if (n > c.params.numNodes || c.params.numNodes % n != 0)
-            continue;
-        c.params.intraJobs = n;
-        switched++;
-    }
-    return switched;
-}
-
 void
 Sweep::addApp(const std::string &app, const std::string &config,
               const Params &p, const std::string &proto,

@@ -142,7 +142,6 @@ runCell(const Cell &cell, const SnapshotMap &snapshots,
     r.network = cell.params.networkModel;
     r.directory = cell.params.directoryId();
     r.workload = cell.workload;
-    r.intraJobs = cell.params.intraJobs;
 
     auto t0 = std::chrono::steady_clock::now();
     std::unique_ptr<Workload> wl;

@@ -42,13 +42,6 @@ struct CellResult
     std::string network;      ///< network model id ("constant", ...)
     std::string directory;    ///< directory format id ("full-map", ...)
     std::string workload;     ///< workload registry id ("barnes", ...)
-    /**
-     * Intra-cell partitions the cell's machine ran with (1 = the
-     * serial engine). The effective per-cell value: a sweep-level
-     * --intra-jobs request that a cell's node count cannot honor
-     * records 1 here.
-     */
-    std::size_t intraJobs = 1;
     RunStats stats;
     double wallMs = 0; ///< host wall-clock time for this cell
 

@@ -21,7 +21,6 @@
 #ifndef RNUMA_NET_NETWORK_HH
 #define RNUMA_NET_NETWORK_HH
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -83,23 +82,15 @@ class NetworkModel
      */
     virtual Tick meanLatency() const;
 
-    /**
-     * Minimum contention-free latency over all ordered pairs of
-     * distinct nodes: the conservative-parallel engine's lookahead.
-     * No cross-node effect can propagate faster than this, so two
-     * partitions whose clocks are within minLatency() of each other
-     * cannot causally affect one another inside the window. The
-     * constant model overrides this to its fixed latency; topology
-     * models inherit the pairwise scan (one hop for mesh-2d,
-     * sibling distance for fat-tree).
-     */
-    virtual Tick minLatency() const;
-
     /** Aggregate NI (and link, where modeled) queueing delay. */
     virtual Tick waited() const;
 
     /** Total messages of one kind. */
-    std::uint64_t count(MsgKind kind) const;
+    std::uint64_t
+    count(MsgKind kind) const
+    {
+        return counts[static_cast<std::size_t>(kind)];
+    }
 
     /** Total messages of all kinds. */
     std::uint64_t totalMessages() const;
@@ -111,19 +102,14 @@ class NetworkModel
 
   protected:
     /** Bump the per-kind counter; every send/post must call this. */
-    void countMsg(MsgKind kind);
+    void countMsg(MsgKind kind) { counts[static_cast<std::size_t>(kind)]++; }
 
     Resource &ni(NodeId n);
 
     std::vector<Resource> nis;
 
   private:
-    /**
-     * Relaxed atomics: under --intra-jobs > 1 several partition
-     * threads count messages concurrently, and sums commute, so the
-     * totals stay deterministic. Serial runs pay nothing measurable.
-     */
-    std::atomic<std::uint64_t> counts[numMsgKinds] = {};
+    std::uint64_t counts[numMsgKinds] = {};
 };
 
 /**
@@ -147,7 +133,6 @@ class Network : public NetworkModel
               MsgKind kind) override;
     Tick latency(NodeId from, NodeId to) const override;
     Tick meanLatency() const override { return netLatency; }
-    Tick minLatency() const override { return netLatency; }
 
     Tick latency() const { return netLatency; }
 

@@ -270,22 +270,6 @@ class SharerSet
         });
     }
 
-    /**
-     * Conservative containment test: true only when every node the
-     * set could report via test() lies in [lo, hi). Used by the
-     * parallel engine's confinement check — a false negative merely
-     * defers a miss to the serial coordinator, so the sparse formats
-     * answer pessimistically (a broadcast entry fits only a
-     * full-machine range; a coarse region must lie entirely inside).
-     */
-    bool
-    withinRange(NodeId lo, NodeId hi) const
-    {
-        bool inside = true;
-        forEach([&](NodeId n) { inside = inside && n >= lo && n < hi; });
-        return inside;
-    }
-
     /** A limited-pointer set that has degraded to broadcast. */
     bool overflowed() const { return (*flags_ & ovf_) != 0; }
 

@@ -14,14 +14,10 @@ GlobalProtocol::GlobalProtocol(const Params &params,
                                std::vector<Memory *> memories)
     : p(params), net(net_), place(placement), sink(sink_),
       mems(std::move(memories)),
-      nodesPerShard_(params.numNodes / params.intraJobs)
+      dir_(p.blockSize, p.blocksPerPage(), DirConfig::fromParams(p))
 {
     RNUMA_ASSERT(mems.size() == p.numNodes,
                  "need one memory per node, got ", mems.size());
-    dirs_.reserve(p.intraJobs);
-    for (std::size_t s = 0; s < p.intraJobs; ++s)
-        dirs_.emplace_back(p.blockSize, p.blocksPerPage(),
-                           DirConfig::fromParams(p));
     controllers.reserve(p.numNodes);
     for (std::size_t i = 0; i < p.numNodes; ++i)
         controllers.emplace_back(p.radOccupancy);
@@ -36,89 +32,37 @@ GlobalProtocol::homeOf(Addr addr) const
 bool
 GlobalProtocol::nodeOwns(NodeId node, Addr block) const
 {
-    // Every caller probes state the node itself is home for (or
-    // runs with a single shard), so the node's shard is the block's.
-    const Directory &d = dirs_.size() == 1 ? dirs_[0] : dirFor(node);
-    const DirEntry *e = d.peek(block & ~(Addr(p.blockSize) - 1));
+    const DirEntry *e = dir_.peek(blockAlign(block));
     return e && e->owner == node;
 }
 
 bool
 GlobalProtocol::onlyHolder(NodeId node, Addr block) const
 {
-    const Directory &d = dirs_.size() == 1 ? dirs_[0] : dirFor(node);
-    const DirEntry *e = d.peek(block & ~(Addr(p.blockSize) - 1));
+    const DirEntry *e = dir_.peek(blockAlign(block));
     if (!e)
         return true;
     if (e->hasOwner() && e->owner != node)
         return false;
-    return d.sharers(*e).noneExcept(node);
-}
-
-std::uint64_t
-GlobalProtocol::dirEntryCount() const
-{
-    std::uint64_t n = 0;
-    for (const Directory &d : dirs_)
-        n += d.size();
-    return n;
-}
-
-std::uint64_t
-GlobalProtocol::dirStorageBits() const
-{
-    std::uint64_t n = 0;
-    for (const Directory &d : dirs_)
-        n += d.modeledStorageBits();
-    return n;
-}
-
-bool
-GlobalProtocol::fetchConfined(NodeId requester, Addr block,
-                              bool write, NodeId lo, NodeId hi) const
-{
-    block = block & ~(Addr(p.blockSize) - 1);
-    const Directory &d = dirFor(requester);
-    const DirEntry *e = d.peek(block);
-    if (!e)
-        return true; // first touch of the block: purely local fill
-    // A dirty third-node owner means a forward (and on reads a
-    // downgrade) to that node.
-    if (e->hasOwner() && e->owner != requester &&
-        (e->owner < lo || e->owner >= hi))
-        return false;
-    // Writes invalidate every apparent sharer.
-    if (write && !d.sharers(*e).withinRange(lo, hi))
-        return false;
-    return true;
-}
-
-bool
-GlobalProtocol::wouldRefetch(NodeId requester, Addr block) const
-{
-    block = block & ~(Addr(p.blockSize) - 1);
-    const Directory &d = dirFor(requester);
-    const DirEntry *e = d.peek(block);
-    return e && (d.sharers(*e).test(requester) ||
-                 d.prior(*e).test(requester) || e->owner == requester);
+    return dir_.sharers(*e).noneExcept(node);
 }
 
 MissKind
-GlobalProtocol::classify(const Directory &d, const DirEntry &e,
-                         NodeId requester, ReqType type) const
+GlobalProtocol::classify(const DirEntry &e, NodeId requester,
+                         ReqType type) const
 {
     if (type == ReqType::Upgrade) {
         // The node holds valid data; this is permission traffic, not
         // a block refetch.
         return MissKind::Coherence;
     }
-    if (d.sharers(e).test(requester) || d.prior(e).test(requester) ||
-        e.owner == requester) {
+    if (dir_.sharers(e).test(requester) ||
+        dir_.prior(e).test(requester) || e.owner == requester) {
         // The directory believes the node already has the block: the
         // node lost it to capacity or conflict (Section 3.1).
         return MissKind::Refetch;
     }
-    if (d.touched(e).test(requester))
+    if (dir_.touched(e).test(requester))
         return MissKind::Coherence;
     return MissKind::Cold;
 }
@@ -129,13 +73,12 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    Directory &dir = dirFor(home);
-    DirEntry &e = dir.entry(block);
-    SharerSet sharers = dir.sharers(e);
-    SharerSet prior = dir.prior(e);
+    DirEntry &e = dir_.entry(block);
+    SharerSet sharers = dir_.sharers(e);
+    SharerSet prior = dir_.prior(e);
 
     FetchResult res;
-    res.kind = classify(dir, e, requester, type);
+    res.kind = classify(e, requester, type);
 
     const bool local = requester == home;
     const bool write = type != ReqType::GetS;
@@ -227,7 +170,7 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
     }
 
     // Directory state update for the requester.
-    dir.touched(e).set(requester);
+    dir_.touched(e).set(requester);
     prior.reset(requester);
     if (write) {
         sharers.reset();
@@ -257,16 +200,15 @@ GlobalProtocol::writeback(Tick now, NodeId from, Addr block)
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    Directory &dir = dirFor(home);
-    DirEntry &e = dir.entry(block);
+    DirEntry &e = dir_.entry(block);
     if (e.owner == from) {
         e.owner = invalidNode;
-        dir.sharers(e).reset(from);
+        dir_.sharers(e).reset(from);
         // Remember the voluntary writeback so a later re-request is
         // classified as a read-write refetch (Section 3.1). The
         // ablation switch drops this extra state.
         if (p.priorOwnerState)
-            dir.prior(e).set(from);
+            dir_.prior(e).set(from);
     }
     net.post(now, from, home, MsgKind::Writeback);
 }
@@ -276,10 +218,9 @@ GlobalProtocol::flushBlock(Tick now, NodeId from, Addr block, bool dirty)
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    Directory &dir = dirFor(home);
-    DirEntry &e = dir.entry(block);
-    dir.sharers(e).reset(from);
-    dir.prior(e).reset(from);
+    DirEntry &e = dir_.entry(block);
+    dir_.sharers(e).reset(from);
+    dir_.prior(e).reset(from);
     if (e.owner == from)
         e.owner = invalidNode;
     net.post(now, from, home, MsgKind::Flush);

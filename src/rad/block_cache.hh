@@ -47,13 +47,6 @@ class BlockCache
         return cache.allocate(a, victim);
     }
 
-    /** The victim allocate() would evict, without mutating anything. */
-    Cache::Victim
-    victimProbe(Addr a) const
-    {
-        return cache.victimProbe(a);
-    }
-
     /** Invalidate; returns prior state. */
     CacheState invalidate(Addr a) { return cache.invalidate(a); }
 

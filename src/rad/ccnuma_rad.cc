@@ -118,37 +118,4 @@ CcNumaRad::hasWritePermission(Addr block) const
     return bc.ownsBlock(blockOf(block));
 }
 
-bool
-CcNumaRad::accessConfined(Addr addr, bool write, NodeId lo,
-                          NodeId hi) const
-{
-    Addr block = blockOf(addr);
-    const CacheLine *line = bc.find(block);
-    if (line && line->valid() &&
-        (!write || line->state == CacheState::Modified))
-        return true; // block cache hit: fully node-local
-    // Everything below talks to the home; the directory peeks are
-    // only safe once the home is known to be inside the range.
-    NodeId home = d.proto.homeOf(addr);
-    if (home < lo || home >= hi)
-        return false;
-    if (line && line->valid()) // write to a read-only copy: upgrade
-        return d.proto.fetchConfined(nodeId, block, true, lo, hi);
-    // Miss: a dirty block-cache victim writes back to ITS home.
-    Cache::Victim v = bc.victimProbe(block);
-    if (v.valid && v.state == CacheState::Modified) {
-        NodeId vhome = d.proto.homeOf(v.addr);
-        if (vhome < lo || vhome >= hi)
-            return false;
-    }
-    return d.proto.fetchConfined(nodeId, block, write, lo, hi);
-}
-
-bool
-CcNumaRad::absorbsL1Writeback(Addr block) const
-{
-    const CacheLine *line = bc.find(blockOf(block));
-    return line && line->valid();
-}
-
 } // namespace rnuma

@@ -41,9 +41,6 @@ class RNumaRad : public Rad
     void downgradeBlock(Addr block) override;
     void l1Writeback(Tick now, Addr block) override;
     bool hasWritePermission(Addr block) const override;
-    bool accessConfined(Addr addr, bool write, NodeId lo,
-                        NodeId hi) const override;
-    bool absorbsL1Writeback(Addr block) const override;
 
     /** Test introspection. */
     const BlockCache &blockCache() const { return bc; }

@@ -45,15 +45,6 @@ HeapEventQueue::pop()
     return e;
 }
 
-bool
-HeapEventQueue::popBefore(Tick limit, Event &out)
-{
-    if (heap.empty() || heap.top().when >= limit)
-        return false;
-    out = pop();
-    return true;
-}
-
 //--------------------------------------------------------------------------
 // EventQueue (indexed calendar over a far-future heap)
 //--------------------------------------------------------------------------
@@ -190,15 +181,6 @@ EventQueue::pop()
     size_--;
     popCount_++;
     return e;
-}
-
-bool
-EventQueue::popBefore(Tick limit, Event &out)
-{
-    if (size_ == 0 || peekTime() >= limit)
-        return false;
-    out = pop();
-    return true;
 }
 
 Tick

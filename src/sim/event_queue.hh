@@ -71,15 +71,6 @@ class HeapEventQueue
     /** Pop the earliest event (ties broken by insertion order). */
     Event pop();
 
-    /**
-     * Pop the earliest event into @p out iff its tick is strictly
-     * below @p limit; returns whether one was popped. The parallel
-     * engine's window drain: events at or past the edge stay queued
-     * for the next round, so no partition ever runs ahead of the
-     * lookahead bound.
-     */
-    bool popBefore(Tick limit, Event &out);
-
     /** Tick of the earliest pending event (queue must not be empty). */
     Tick peekTime() const { return heap.top().when; }
 
@@ -151,13 +142,6 @@ class EventQueue
 
     /** Pop the earliest event (ties broken by insertion order). */
     Event pop();
-
-    /**
-     * Pop the earliest event into @p out iff its tick is strictly
-     * below @p limit; returns whether one was popped (see
-     * HeapEventQueue::popBefore).
-     */
-    bool popBefore(Tick limit, Event &out);
 
     /** Tick of the earliest pending event (queue must not be empty). */
     Tick peekTime() const;

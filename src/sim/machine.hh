@@ -61,36 +61,6 @@ class Machine : public CoherenceSink
     const Params &params() const { return p; }
 
   private:
-    /**
-     * One logical process of the parallel engine (--intra-jobs > 1):
-     * a contiguous range of nodes and their CPUs, with a private
-     * event queue and statistics shard. The owning worker thread is
-     * the only mutator of everything in the range during a window;
-     * misses whose side effects would escape the range are parked on
-     * the deferred list for the serial coordinator at the window
-     * boundary. See sim/machine_parallel.cc.
-     */
-    struct Partition
-    {
-        /** A miss (or first touch) awaiting the coordinator. */
-        struct Deferred
-        {
-            Tick when;
-            CpuId cpu;
-        };
-
-        NodeId nodeLo = 0, nodeHi = 0;
-        CpuId cpuLo = 0, cpuHi = 0;
-        EventQueue eq;
-        RunStats stats;
-        std::vector<Deferred> deferred;
-        std::size_t finished = 0; ///< CPUs that reached End
-        std::size_t arrived = 0;  ///< CPUs waiting at the app barrier
-        Tick arrivedMax = 0;      ///< latest local barrier arrival
-
-        explicit Partition(std::size_t span) : eq(span) {}
-    };
-
     Params p;
     std::string protocolId_;
     Workload &wl;
@@ -107,10 +77,6 @@ class Machine : public CoherenceSink
     std::size_t barrierArrived = 0;
     Tick barrierMax = 0;
     bool ran = false;
-    /** Parallel-engine partitions; empty when intraJobs == 1. */
-    std::vector<Partition> partitions_;
-    /** CPUs per partition (valid when partitions_ is non-empty). */
-    std::size_t cpusPerPartition_ = 0;
 
     /** Advance one CPU until it blocks (miss, barrier, or end). */
     void step(CpuId cpu);
@@ -121,38 +87,6 @@ class Machine : public CoherenceSink
     /** Release the barrier if every active CPU has arrived. */
     void maybeReleaseBarrier();
 
-    //--- Parallel engine (sim/machine_parallel.cc) ------------------------
-    /** The window-barrier parallel run loop (intraJobs > 1). */
-    RunStats runParallel();
-
-    /** The stats shard a CPU's counters land in. */
-    RunStats &statsFor(CpuId cpu);
-
-    /** The partition owning a CPU. */
-    Partition &partitionOf(CpuId cpu);
-
-    /** Drain one partition's events strictly below the window edge. */
-    void drainPartition(Partition &pt, Tick edge);
-
-    /** Partition-confined variant of step(). */
-    void stepPartition(Partition &pt, CpuId cpu, Tick edge);
-
-    /** Can this miss run inside the partition's node range now? */
-    bool missConfined(const Partition &pt, CpuId cpu,
-                      const Ref &r) const;
-
-    /**
-     * Serial boundary phase: run deferred misses in time order.
-     * Returns how many were replayed, so the round loop knows more
-     * work may now sit below the current edge.
-     */
-    std::size_t processDeferred(std::vector<Partition::Deferred> &batch);
-
-    /**
-     * Barrier release across partitions (window boundary). True when
-     * a release happened (woken CPUs may have events below the edge).
-     */
-    bool releaseBarrierParallel();
 };
 
 } // namespace rnuma

@@ -65,18 +65,6 @@ class Node : public L1Snooper
      */
     bool tryHit(std::size_t cpu, Addr addr, bool write);
 
-    /**
-     * Would access(now, cpu, addr, write, is_home) touch only state
-     * belonging to nodes in [lo, hi)? Side-effect-free mirror of
-     * access()'s control flow; the parallel engine calls it from a
-     * partition thread before executing a miss, deferring to the
-     * serial coordinator on false. Requires the page to be placed,
-     * and this node (plus the page's home when is_home) inside
-     * [lo, hi).
-     */
-    bool missConfined(std::size_t cpu, Addr addr, bool write,
-                      bool is_home, NodeId lo, NodeId hi) const;
-
     //--- L1Snooper --------------------------------------------------------
     CacheState invalidateL1Block(Addr block) override;
 
@@ -117,11 +105,6 @@ class Node : public L1Snooper
 
     /** Find an owned (M/O) copy in another L1 (MBus supplies those). */
     CacheLine *snoopOwned(std::size_t cpu, Addr block);
-    const CacheLine *snoopOwned(std::size_t cpu, Addr block) const;
-
-    /** Would fillL1's victim handling stay inside [lo, hi)? */
-    bool fillConfined(std::size_t cpu, Addr block, NodeId lo,
-                      NodeId hi) const;
 
     /** Does this node hold global write permission for the block? */
     bool nodeHasWritePermission(Addr block, bool is_home) const;

@@ -436,19 +436,6 @@ StreamTraceWorkload::next(CpuId cpu)
     return cur.current;
 }
 
-const Ref &
-StreamTraceWorkload::peek(CpuId cpu)
-{
-    RNUMA_ASSERT(cpu < cursors_.size(), "cpu ", cpu,
-                 " out of range for trace '", name_, "'");
-    Cursor &cur = cursors_[cpu];
-    if (!cur.hasPending) {
-        cur.current = Ref::end();
-        return cur.current;
-    }
-    return cur.pending;
-}
-
 void
 StreamTraceWorkload::reset()
 {

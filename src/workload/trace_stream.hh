@@ -23,7 +23,7 @@
  * returns consumed chunks to the OS (madvise) as it crosses chunk
  * boundaries — resident memory is ~one chunk per CPU regardless of
  * trace length. Replay is bit-identical to the recorded source:
- * every next()/peek() returns the same Ref sequence per CPU.
+ * every next() returns the same Ref sequence per CPU.
  */
 
 #ifndef RNUMA_WORKLOAD_TRACE_STREAM_HH
@@ -77,7 +77,6 @@ class StreamTraceWorkload : public Workload
 
     std::size_t numCpus() const override { return cursors_.size(); }
     const Ref &next(CpuId cpu) override;
-    const Ref &peek(CpuId cpu) override;
     void reset() override;
     const std::string &name() const override { return name_; }
     Tick maxThink() const override { return max_think_; }
@@ -101,7 +100,7 @@ class StreamTraceWorkload : public Workload
         std::size_t len = 0;      ///< payload length
         std::size_t chunk = 0;    ///< next index into chunks_[cpu]
         Addr prev = 0;            ///< delta-decoding base
-        Ref pending;              ///< what peek()/the next next() see
+        Ref pending;              ///< what the next next() returns
         Ref current;              ///< what the last next() returned
         bool hasPending = false;
     };

@@ -24,17 +24,6 @@ VectorWorkload::next(CpuId cpu)
     return s[c++];
 }
 
-const Ref &
-VectorWorkload::peek(CpuId cpu)
-{
-    RNUMA_ASSERT(cpu < streams.size(), "bad cpu ", cpu);
-    const auto &s = streams[cpu];
-    std::size_t c = cursor[cpu];
-    if (c >= s.size())
-        return endRef;
-    return s[c];
-}
-
 void
 VectorWorkload::reset()
 {
@@ -121,16 +110,6 @@ SnapshotWorkload::next(CpuId cpu)
     if (s.cursor >= s.size)
         return VectorWorkload::endRef;
     return s.data[s.cursor++];
-}
-
-const Ref &
-SnapshotWorkload::peek(CpuId cpu)
-{
-    RNUMA_ASSERT(cpu < streams_.size(), "bad cpu ", cpu);
-    const Stream &s = streams_[cpu];
-    if (s.cursor >= s.size)
-        return VectorWorkload::endRef;
-    return s.data[s.cursor];
 }
 
 void

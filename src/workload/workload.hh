@@ -63,16 +63,6 @@ class Workload
      */
     virtual const Ref &next(CpuId cpu) = 0;
 
-    /**
-     * The entry the following next() will return, without advancing
-     * the stream. The parallel engine uses this at window boundaries
-     * to apply a CPU's consecutive InitTouch run atomically — the
-     * serial engine consumes such runs in one uninterrupted step, and
-     * first-touch placement is order-sensitive, so replaying them one
-     * per round would home pages differently.
-     */
-    virtual const Ref &peek(CpuId cpu) = 0;
-
     /** Rewind all streams (for back-to-back protocol comparisons). */
     virtual void reset() = 0;
 
@@ -97,7 +87,6 @@ class VectorWorkload : public Workload
 
     std::size_t numCpus() const override { return streams.size(); }
     const Ref &next(CpuId cpu) override;
-    const Ref &peek(CpuId cpu) override;
     void reset() override;
     const std::string &name() const override { return name_; }
     Tick maxThink() const override { return max_think; }
@@ -173,7 +162,6 @@ class SnapshotWorkload : public Workload
 
     std::size_t numCpus() const override;
     const Ref &next(CpuId cpu) override;
-    const Ref &peek(CpuId cpu) override;
     void reset() override;
     const std::string &name() const override;
     Tick maxThink() const override;

@@ -140,31 +140,6 @@ TEST(SweepRunnerTest, VerifyDetectsTamperedStats)
     EXPECT_THROW(verifySerialIdentical(s, r), std::logic_error);
 }
 
-TEST(SweepDecl, ApplyIntraJobsRespectsDivisibility)
-{
-    Sweep s("ij", "", "");
-    Params two = test::smallParams(); // 2 nodes
-    s.addApp("moldyn", "ccnuma", two, "ccnuma", testScale);
-    Params eight = test::paperParams(); // 8 nodes
-    s.addApp("moldyn", "rnuma", eight, "rnuma", testScale);
-
-    // 1 is a no-op; 4 fits only the 8-node cell (2 % 4 != 0 and
-    // 4 > 2); 2 fits both.
-    EXPECT_EQ(s.applyIntraJobs(1), 0u);
-    EXPECT_EQ(s.applyIntraJobs(4), 1u);
-    EXPECT_EQ(s.cells()[0].params.intraJobs, 1u);
-    EXPECT_EQ(s.cells()[1].params.intraJobs, 4u);
-    EXPECT_EQ(s.applyIntraJobs(2), 2u);
-    EXPECT_EQ(s.cells()[0].params.intraJobs, 2u);
-
-    // The effective per-cell value lands in the results.
-    Sweep fresh("ij2", "", "");
-    fresh.addApp("moldyn", "ccnuma", two, "ccnuma", testScale);
-    fresh.applyIntraJobs(2);
-    SweepResult r = SweepRunner(1).run(fresh);
-    EXPECT_EQ(r.cells[0].intraJobs, 2u);
-}
-
 TEST(JsonRoundTrip, SmallSweepSurvivesWriteAndParse)
 {
     Sweep s = smallSweep();
@@ -282,7 +257,6 @@ class OpaqueWorkload : public Workload
         return inner_->numCpus();
     }
     const Ref &next(CpuId cpu) override { return inner_->next(cpu); }
-    const Ref &peek(CpuId cpu) override { return inner_->peek(cpu); }
     void reset() override { inner_->reset(); }
     const std::string &name() const override
     {
@@ -509,84 +483,6 @@ TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
     EXPECT_EQ(
         compareResults(loaded, direct, CompareOptions{-1}, report),
         0u);
-}
-
-TEST(CompareGate, EventCountsGateSelfComparesAndCatchesDrift)
-{
-    Sweep s = smallSweep();
-    FigureRun run = wrap(s, SweepRunner(1).run(s));
-    std::ostringstream os;
-    JsonSink().write(os, {run});
-    ResultDoc base = loadResults(os.str());
-    ResultDoc cur = resultsOf({run});
-
-    // Identical documents: zero violations, PASS line.
-    std::ostringstream ok;
-    EXPECT_EQ(compareEventCounts(base, cur, EventCompareOptions{},
-                                 ok),
-              0u);
-    EXPECT_NE(ok.str().find("compare-events: PASS"),
-              std::string::npos);
-
-    // A structural counter (refs) is exact: drift of 1 fails.
-    ResultDoc drifted = cur;
-    drifted.figures[0].cells[1].counters["refs"] += 1;
-    std::ostringstream bad;
-    EXPECT_GT(compareEventCounts(base, drifted,
-                                 EventCompareOptions{}, bad),
-              0u);
-    EXPECT_NE(bad.str().find("refs drifted"), std::string::npos);
-
-    // Protocol counters carry slack: within it passes, beyond fails.
-    ResultDoc nudged = cur;
-    nudged.figures[0].cells[1].counters["remote_fetches"] += 10;
-    std::ostringstream near_ok;
-    EXPECT_EQ(compareEventCounts(base, nudged,
-                                 EventCompareOptions{}, near_ok),
-              0u);
-    EventCompareOptions tight;
-    tight.tolerancePct = 0.0;
-    tight.absSlack = 2;
-    std::ostringstream near_bad;
-    EXPECT_GT(
-        compareEventCounts(base, nudged, tight, near_bad), 0u);
-    EXPECT_NE(near_bad.str().find("remote_fetches diverged"),
-              std::string::npos);
-
-    // Ticks are explicitly NOT part of the contract.
-    ResultDoc retimed = cur;
-    retimed.figures[0].cells[2].ticks += 12345;
-    std::ostringstream timing;
-    EXPECT_EQ(compareEventCounts(base, retimed,
-                                 EventCompareOptions{}, timing),
-              0u);
-
-    // A missing cell is coverage loss, as in compareResults.
-    ResultDoc missing = cur;
-    missing.figures[0].cells.pop_back();
-    std::ostringstream lost;
-    EXPECT_GT(compareEventCounts(base, missing,
-                                 EventCompareOptions{}, lost),
-              0u);
-}
-
-TEST(CompareGate, IntraJobsMismatchFailsTickCompare)
-{
-    Sweep s = smallSweep();
-    FigureRun run = wrap(s, SweepRunner(1).run(s));
-    ResultDoc base = resultsOf({run});
-    ResultDoc cur = base;
-    cur.figures[0].cells[0].intraJobs = 2;
-    std::ostringstream os;
-    EXPECT_GT(compareResults(base, cur, CompareOptions{-1}, os),
-              0u);
-    EXPECT_NE(os.str().find("intra_jobs changed"),
-              std::string::npos);
-    // The event gate is the sanctioned cross-engine comparison.
-    std::ostringstream ev;
-    EXPECT_EQ(compareEventCounts(base, cur, EventCompareOptions{},
-                                 ev),
-              0u);
 }
 
 TEST(CompareGate, AcceptsV1BaselinesWithoutEvents)

@@ -339,69 +339,6 @@ TEST(EventQueueParity, RandomizedSpansMatchTheHeapReference)
     }
 }
 
-TEST(EventQueueParity, PopBeforeIsBoundedAndOrderedUnderFuzz)
-{
-    // The parallel engine's safety hinges on popBefore never
-    // releasing an event at or past the window edge, while still
-    // returning everything strictly below it in exact pop() order —
-    // even as new events land inside and beyond the window between
-    // drains. Replay a randomized schedule through the calendar and
-    // the heap reference at 20 random lookahead widths.
-    Rng seeds(0x15CA97);
-    for (int round = 0; round < 20; ++round) {
-        const Tick lookahead = 1 + seeds.below(250);
-        Rng rng(seeds.next());
-        EventQueue cal;
-        HeapEventQueue heap;
-        std::uint32_t tag = 0;
-        Tick now = 0;
-
-        auto scheduleSome = [&](std::size_t n, Tick base) {
-            for (std::size_t i = 0; i < n; ++i) {
-                // Mostly inside the window, a tail far beyond it
-                // (the far-heap overflow path of the calendar).
-                Tick when = base + rng.below(3 * lookahead);
-                cal.schedule(when, tag);
-                heap.schedule(when, tag);
-                ++tag;
-            }
-        };
-
-        scheduleSome(40, 0);
-        for (int window = 0; window < 30; ++window) {
-            Tick edge = now + lookahead;
-            Event got;
-            while (cal.popBefore(edge, got)) {
-                ASSERT_LT(got.when, edge)
-                    << "lookahead " << lookahead;
-                Event want;
-                ASSERT_TRUE(heap.popBefore(edge, want));
-                ASSERT_EQ(got.when, want.when);
-                ASSERT_EQ(got.seq, want.seq);
-                ASSERT_EQ(got.tag, want.tag);
-                // Re-entry: a drained event may schedule more work,
-                // inside or beyond the current window.
-                if (rng.below(4) == 0)
-                    scheduleSome(1, got.when);
-            }
-            // The oracle must agree the window is exhausted.
-            Event leftover;
-            ASSERT_FALSE(heap.popBefore(edge, leftover))
-                << "lookahead " << lookahead;
-            now = edge;
-        }
-        // Drain the tail unbounded: full parity to empty.
-        while (!heap.empty()) {
-            Event a = cal.pop();
-            Event b = heap.pop();
-            ASSERT_EQ(a.when, b.when);
-            ASSERT_EQ(a.seq, b.seq);
-            ASSERT_EQ(a.tag, b.tag);
-        }
-        EXPECT_TRUE(cal.empty());
-    }
-}
-
 TEST(EventQueueParity, MassTiesPreserveInsertionOrder)
 {
     // Many events on few distinct ticks: the FIFO-per-bucket path.

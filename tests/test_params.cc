@@ -103,28 +103,6 @@ TEST(Params, ValidateRejectsTooManyNodes)
     EXPECT_THROW(p.validate(), std::logic_error);
 }
 
-TEST(Params, ValidateIntraJobs)
-{
-    Params p = Params::base(); // 8 nodes
-    p.intraJobs = 0;
-    EXPECT_THROW(p.validate(), std::logic_error);
-
-    p.intraJobs = p.numNodes + 1; // more partitions than nodes
-    EXPECT_THROW(p.validate(), std::logic_error);
-
-    p.intraJobs = 3; // does not divide 8: unequal partitions
-    EXPECT_THROW(p.validate(), std::logic_error);
-
-    for (std::size_t ok : {1, 2, 4, 8}) {
-        p.intraJobs = ok;
-        EXPECT_NO_THROW(p.validate()) << ok;
-    }
-
-    p.intraJobs = 4;
-    p.intraWindow = 0; // a zero-width window can never advance
-    EXPECT_THROW(p.validate(), std::logic_error);
-}
-
 TEST(Params, ProtocolNames)
 {
     EXPECT_STREQ(protocolName(Protocol::CCNuma), "CC-NUMA");

@@ -5,10 +5,8 @@
  * (including bit-identity against an inline oracle replicating the
  * pre-registry ReactivePolicy counter semantics), the
  * HysteresisPolicy's ping-pong suppression, the
- * AdaptiveThresholdPolicy's per-page threshold convergence, the
- * residency-feedback family (utility / online-model / ewma), and the
- * registry-wide wouldFire <-> onRefetch consistency contract the
- * parallel engine's confinement probe depends on.
+ * AdaptiveThresholdPolicy's per-page threshold convergence, and the
+ * residency-feedback family (utility / online-model / ewma).
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +17,6 @@
 #include "common/rng.hh"
 #include "core/analytic_model.hh"
 #include "core/relocation_policy.hh"
-#include "proto/registry.hh"
 
 namespace rnuma
 {
@@ -523,43 +520,6 @@ TEST(Ewma, ResetRestoresTheNeutralScore)
     ep.reset(1);
     EXPECT_EQ(ep.thresholdOf(1), 64u);
     EXPECT_EQ(ep.trackedPages(), 0u);
-}
-
-TEST(Policies, WouldFireMatchesOnRefetchForEveryRegisteredPolicy)
-{
-    // The parallel engine's confinement probe (RNumaRad::
-    // accessConfined) consults wouldFire before the real onRefetch
-    // runs; the contract is one-sided — wouldFire may overpredict
-    // (forcing a deferral), but must never underpredict, or a firing
-    // relocation could evict a page whose blocks flush outside the
-    // partition. Assert fired => predicted for every registered
-    // policy under randomized refetch/relocate/evict/reset streams,
-    // with randomized hit counts driving the feedback policies'
-    // threshold updates.
-    Params p = Params::base();
-    for (const ProtocolSpec *spec : ProtocolRegistry::global().all()) {
-        if (!spec->makePolicy)
-            continue;
-        auto policy = spec->makePolicy(p);
-        Rng rng(0xc0face + spec->id.size());
-        for (int step = 0; step < 30000; ++step) {
-            Addr page = rng.below(12);
-            std::uint64_t action = rng.below(100);
-            if (action < 85) {
-                bool predicted = policy->wouldFire(page);
-                bool fired = policy->onRefetch(page);
-                ASSERT_TRUE(!fired || predicted)
-                    << spec->id << " underpredicted at step "
-                    << step;
-            } else if (action < 90) {
-                policy->onRelocated(page);
-            } else if (action < 96) {
-                policy->onEvicted(page, rng.below(100));
-            } else {
-                policy->reset(page);
-            }
-        }
-    }
 }
 
 } // namespace rnuma

@@ -26,13 +26,6 @@
  *                        or 1)
  *   --jobs N             worker threads; 0 = hardware concurrency
  *                        (default 1)
- *   --intra-jobs N       partition every cell's machine into N
- *                        logical processes (the conservative
- *                        parallel intra-cell engine; default 1 =
- *                        serial). Deterministic per N, but not
- *                        tick-identical across N — gate with
- *                        --compare-events. Cells whose node count N
- *                        does not divide stay serial.
  *   --json-out FILE      write results as rnuma-sweep-results/v8 JSON
  *   --csv-out FILE       write results as flat CSV
  *   --verify             re-run each sweep serially and assert
@@ -44,16 +37,8 @@
  *                        per-cell ticks/events, thresholded wall time
  *   --tolerance PCT      allowed wall-time growth for --compare
  *                        (default 25; negative = determinism only)
- *   --compare-events FILE diff protocol-event counts against a
- *                        baseline JSON: exact refs/barriers,
- *                        thresholded protocol counters, timing
- *                        ignored — the cross-engine equivalence gate
- *                        for --intra-jobs runs (exit 4 on drift)
- *   --events-tolerance PCT allowed protocol-counter drift for
- *                        --compare-events (default 12)
- *   --current FILE       with --compare/--compare-events and no
- *                        figures: diff FILE against the baseline
- *                        instead of running
+ *   --current FILE       with --compare and no figures: diff FILE
+ *                        against the baseline instead of running
  *   --quiet              suppress the per-figure human tables
  *
  * Workloads are cached process-wide: figures sharing a generator
@@ -105,10 +90,6 @@ usage(std::ostream &os, int status)
           "RNUMA_BENCH_SCALE or 1)\n"
           "  --jobs N             worker threads (0 = hardware "
           "concurrency; default 1)\n"
-          "  --intra-jobs N       partition each cell's machine into "
-          "N logical processes\n"
-          "                       (deterministic per N; gate with "
-          "--compare-events)\n"
           "  --json-out FILE      write rnuma-sweep-results/v8 JSON\n"
           "  --csv-out FILE       write flat CSV\n"
           "  --verify             assert serial/parallel RunStats "
@@ -119,14 +100,7 @@ usage(std::ostream &os, int status)
           "JSON (exit 4 on drift)\n"
           "  --tolerance PCT      wall-time tolerance for --compare "
           "(default 25)\n"
-          "  --compare-events FILE diff protocol-event counts against "
-          "a baseline JSON\n"
-          "                       (the --intra-jobs equivalence gate; "
-          "exit 4 on drift)\n"
-          "  --events-tolerance PCT protocol-counter tolerance for "
-          "--compare-events (default 12)\n"
-          "  --current FILE       with --compare/--compare-events: "
-          "diff FILE instead\n"
+          "  --current FILE       with --compare: diff FILE instead\n"
           "                       of running figures\n"
           "  --quiet              suppress human-readable tables\n";
     return status;
@@ -234,17 +208,14 @@ main(int argc, char **argv)
 {
     double scale = envScale();
     std::size_t jobs = 1;
-    std::size_t intra_jobs = 1;
     std::vector<std::string> protocols;
     std::vector<std::string> networks;
     std::vector<std::string> workloads;
     std::string json_out;
     std::string csv_out;
     std::string compare_path;
-    std::string compare_events_path;
     std::string current_path;
     double tolerance = 25.0;
-    double events_tolerance = driver::EventCompareOptions{}.tolerancePct;
     bool verify = false;
     bool quiet = false;
     bool cache_workloads = true;
@@ -314,28 +285,6 @@ main(int argc, char **argv)
                 return 2;
             }
             jobs = static_cast<std::size_t>(j);
-        } else if (arg == "--intra-jobs") {
-            const char *val = next();
-            char *end = nullptr;
-            long j = std::strtol(val, &end, 10);
-            if (end == val || *end != '\0' || j < 1) {
-                std::cerr << "rnuma_sweep: --intra-jobs wants a "
-                             "positive integer, got '" << val
-                          << "'\n";
-                return 2;
-            }
-            intra_jobs = static_cast<std::size_t>(j);
-        } else if (arg == "--events-tolerance") {
-            const char *val = next();
-            char *end = nullptr;
-            events_tolerance = std::strtod(val, &end);
-            if (end == val || *end != '\0' ||
-                events_tolerance < 0) {
-                std::cerr << "rnuma_sweep: --events-tolerance wants "
-                             "a non-negative number (percent), got '"
-                          << val << "'\n";
-                return 2;
-            }
         } else if (arg == "--tolerance") {
             const char *val = next();
             char *end = nullptr;
@@ -353,8 +302,6 @@ main(int argc, char **argv)
             csv_out = next();
         else if (arg == "--compare")
             compare_path = next();
-        else if (arg == "--compare-events")
-            compare_events_path = next();
         else if (arg == "--current")
             current_path = next();
         else if (arg == "--verify")
@@ -368,10 +315,8 @@ main(int argc, char **argv)
         else
             names.push_back(arg);
     }
-    if (!current_path.empty() && compare_path.empty() &&
-        compare_events_path.empty()) {
-        std::cerr << "rnuma_sweep: --current requires --compare or "
-                     "--compare-events\n";
+    if (!current_path.empty() && compare_path.empty()) {
+        std::cerr << "rnuma_sweep: --current requires --compare\n";
         return 2;
     }
     if (names.empty() && current_path.empty())
@@ -404,7 +349,6 @@ main(int argc, char **argv)
     opt.protocols = protocols;
     opt.networks = networks;
     opt.workloads = workloads;
-    opt.intraJobs = intra_jobs;
     // One process-scope snapshot store for the whole invocation, so
     // figures sharing a workload key generate it exactly once.
     WorkloadCache process_cache;
@@ -420,10 +364,6 @@ main(int argc, char **argv)
             std::cout << "==== " << run.name << ": " << run.title
                       << "\n     " << run.paperRef << "\n     scale "
                       << run.scale << ", jobs " << run.jobs
-                      << (intra_jobs > 1
-                              ? ", intra-jobs " +
-                                    std::to_string(intra_jobs)
-                              : "")
                       << ", " << run.result.cells.size()
                       << " cells, "
                       << Table::num(run.wallMs) << " ms"
@@ -465,7 +405,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (!compare_path.empty() || !compare_events_path.empty()) {
+    if (!compare_path.empty()) {
         try {
             ResultDoc current;
             if (!current_path.empty()) {
@@ -476,33 +416,16 @@ main(int argc, char **argv)
             } else {
                 current = resultsOf(runs);
             }
-            if (!compare_path.empty()) {
-                std::string text;
-                if (!slurp(compare_path, text))
-                    return 2;
-                ResultDoc baseline = loadResults(text);
-                CompareOptions copt;
-                copt.wallTolerancePct = tolerance;
-                std::cout << "comparing against " << compare_path
-                          << " (" << baseline.schema << ")\n";
-                if (compareResults(baseline, current, copt,
-                                   std::cout) > 0)
-                    status = 4;
-            }
-            if (!compare_events_path.empty()) {
-                std::string text;
-                if (!slurp(compare_events_path, text))
-                    return 2;
-                ResultDoc baseline = loadResults(text);
-                EventCompareOptions eopt;
-                eopt.tolerancePct = events_tolerance;
-                std::cout << "comparing event counts against "
-                          << compare_events_path << " ("
-                          << baseline.schema << ")\n";
-                if (compareEventCounts(baseline, current, eopt,
-                                       std::cout) > 0)
-                    status = 4;
-            }
+            std::string text;
+            if (!slurp(compare_path, text))
+                return 2;
+            ResultDoc baseline = loadResults(text);
+            CompareOptions copt;
+            copt.wallTolerancePct = tolerance;
+            std::cout << "comparing against " << compare_path << " ("
+                      << baseline.schema << ")\n";
+            if (compareResults(baseline, current, copt, std::cout) > 0)
+                status = 4;
         } catch (const std::exception &e) {
             std::cerr << "rnuma_sweep: compare failed: " << e.what()
                       << "\n";
