@@ -34,40 +34,15 @@ struct ResultCell
 {
     std::string app;
     std::string config;
-    /**
-     * Canonical protocol id, already passed through
-     * canonicalProtocolId(): enum-era labels in v1/v2 baselines
-     * ("CC-NUMA") read back as the stable id ("ccnuma"). Empty when
-     * the document carried none.
-     */
+    /** Registry ids of the cell's protocol, interconnect, directory
+     *  format, and workload generator ("" for an ad-hoc factory). */
     std::string protocol;
-    /**
-     * Canonical network-model id. Pre-v5 documents carried none;
-     * their cells default to "constant" (the only interconnect that
-     * existed), so v1-v4 baselines stay comparable.
-     */
-    std::string network = "constant";
-    /**
-     * Canonical directory-format id; pre-v5 cells default to
-     * "full-map" for the same reason.
-     */
-    std::string directory = "full-map";
-    /**
-     * Canonical workload-registry id of the cell's generator
-     * ("barnes", "zipf-serve", ...). Pre-v7 documents carried none;
-     * their cells default to "" (unknown), and the gate reports a
-     * workload mismatch against them as a note, not a violation.
-     */
+    std::string network;
+    std::string directory;
     std::string workload;
-    std::uint64_t ticks = 0;
-    /** Scheduler events; hasEvents false for v1 baselines. */
-    std::uint64_t events = 0;
-    bool hasEvents = false;
     double wallMs = 0;
-    /**
-     * Every numeric field of the cell's serialized "stats" object,
-     * by field name. Empty for v1 baselines (which carried no stats).
-     */
+    /** Every field of the cell's serialized "stats" object, by
+     *  field name (see statFields()): "ticks", "events", ... */
     std::map<std::string, std::uint64_t> counters;
 };
 
@@ -78,35 +53,26 @@ struct ResultFigure
     double scale = 1.0;
     std::size_t jobs = 1;
     double wallMs = 0;
-    /**
-     * The v4 per-figure "protocols" array (distinct canonical spec
-     * ids, first-appearance order); reconstructed from the cells for
-     * pre-v4 documents, so consumers can rely on it regardless of
-     * the baseline's age.
-     */
-    std::vector<std::string> protocols;
     std::vector<ResultCell> cells;
 
     const ResultCell *find(const std::string &app,
                            const std::string &config) const;
 };
 
-/** A parsed results document (any schema version). */
+/** A parsed results document (always resultsSchema). */
 struct ResultDoc
 {
-    std::string schema;
     std::vector<ResultFigure> figures;
 
     const ResultFigure *find(const std::string &name) const;
-
-    /** Numeric schema version (the N of rnuma-sweep-results/vN). */
-    int version() const;
 };
 
 /**
- * Extract the comparable slice from a parsed rnuma-sweep-results
- * document (v1 through v7). Throws std::runtime_error on documents
- * that are not sweep results at all.
+ * Extract the comparable slice from a serialized results document.
+ * Throws std::runtime_error on anything but resultsSchema (naming
+ * the schema found) and on a count field (jobs, a stats counter)
+ * that is not a non-negative integer below 2^64 (naming the figure,
+ * cell, and field).
  */
 ResultDoc loadResults(const std::string &json_text);
 
@@ -128,24 +94,18 @@ struct CompareOptions
  * Diff @p current against @p baseline, writing a per-figure report
  * to @p os. Returns the number of violations:
  *
- * - a figure or cell present in the baseline but missing now
- *   (coverage loss);
- * - per-cell `ticks` or `events` drift — exact comparison, any
- *   difference fails (the simulator is deterministic, so drift means
- *   behavior changed without the baseline being re-recorded);
- * - a cell's canonical protocol id changing, when BOTH documents are
- *   v3 or newer (pre-v3 baselines carry enum-era labels that cannot
- *   distinguish policy variants — e.g. fig8's per-threshold specs
- *   all serialized as "R-NUMA" — so against those the id change is a
- *   note, not a violation: the string-mapping shim that keeps the
- *   first post-registry PR from false-failing on an old artifact);
+ * - a figure or cell present in the baseline but missing now, or a
+ *   figure whose scale changed (coverage loss / incomparable);
+ * - per-cell `ticks`, `events`, `evictions_zero_hit`, or
+ *   `evicted_page_hits` drift — exact comparison, any difference
+ *   fails (the simulator is deterministic, so drift means behavior
+ *   changed without the baseline being re-recorded);
+ * - a cell's protocol, network, directory, or workload id changing;
  * - per-figure wall time above baseline by more than the tolerance.
  *
- * Figures whose scale differs from the baseline's are a violation
- * (the comparison would be meaningless). Cells/figures only in
- * @p current are reported as new, not counted. Wall-time checks are
- * skipped (with a note) when the job counts differ, since sweep wall
- * time scales with concurrency.
+ * Cells/figures only in @p current are reported as new, not
+ * counted. Wall-time checks are skipped (with a note) when the job
+ * counts differ, since sweep wall time scales with concurrency.
  */
 std::size_t compareResults(const ResultDoc &baseline,
                            const ResultDoc &current,
@@ -188,10 +148,12 @@ struct BenchFigure
                           const std::string &config) const;
 };
 
+/** The bench artifact schema writeBench writes and loadBench reads. */
+constexpr const char *benchSchema = "rnuma-bench/v1";
+
 /** A parsed (or freshly measured) bench artifact. */
 struct BenchDoc
 {
-    std::string schema;
     std::size_t runs = 0; ///< medians are over this many runs
     double scale = 1.0;
     std::size_t jobs = 1;
@@ -201,12 +163,14 @@ struct BenchDoc
 };
 
 /**
- * Parse a bench artifact. Throws std::runtime_error on documents
- * that are not rnuma-bench at all.
+ * Parse a bench artifact. Throws std::runtime_error on anything but
+ * an rnuma-bench/v1 document, and on a count field (runs, jobs,
+ * events, ticks, refs) that is not a non-negative integer below
+ * 2^64.
  */
 BenchDoc loadBench(const std::string &json_text);
 
-/** Serialize a bench artifact as indented rnuma-bench/v1 JSON. */
+/** Serialize a bench artifact as indented benchSchema JSON. */
 void writeBench(std::ostream &os, const BenchDoc &doc);
 
 /** Tuning for compareBench. */

@@ -11,35 +11,6 @@ namespace rnuma::driver
 namespace
 {
 
-// v2 added per-cell "events" (in stats) and "events_per_sec", plus
-// the figure-level workload-cache counters — the fields the
-// perf-baseline gate (rnuma_sweep --compare) consumes. v3 switches
-// the per-cell "protocol" field from the enum-era display name
-// ("CC-NUMA") to the registry's stable spec id ("ccnuma",
-// "rnuma-t16", ...) and adds "protocol_name" with the display name;
-// the gate canonicalizes enum-era labels when reading older
-// baselines. v4 adds the per-figure "protocols" array: the distinct
-// spec ids the figure's cells ran, in first-appearance order — the
-// field CI validates to prove a registered protocol actually
-// reached the figure pipeline. v5 adds the per-cell "network" and
-// "directory" ids (the interconnect model and directory sharer-set
-// format the cell ran under) and the net_*/dir_* stat fields; the
-// gate defaults pre-v5 cells to "constant"/"full-map". v6 added a
-// per-cell job count for a since-removed intra-cell engine; it is no
-// longer written and readers ignore it.
-// No v9 for dropping it: readers defaulted it to 1, so it is compatible both ways.
-// v7 adds the per-cell "workload" field: the
-// workload-registry id of the generator behind the cell ("barnes",
-// "zipf-serve", ...; "" for an ad-hoc factory). Pre-v7 cells carried
-// no workload ids, so the gate treats a workload mismatch against
-// older baselines as a note, not a violation. v8 adds the
-// residency-feedback counters
-// "evictions_zero_hit" / "evicted_page_hits" (how wasted the
-// evicted relocations were); they are absent from pre-v8 baselines,
-// so the gate only enforces them when both documents are v8+ and
-// reports pre-v8 differences as notes.
-constexpr const char *schemaName = "rnuma-sweep-results/v8";
-
 std::uint64_t
 remotePages(const RunStats &s)
 {
@@ -151,7 +122,7 @@ JsonSink::write(std::ostream &os,
     JsonWriter w(os);
     w.beginObject();
     w.key("schema");
-    w.value(schemaName);
+    w.value(resultsSchema);
     w.key("figures");
     w.beginArray();
     for (const FigureRun &run : runs) {

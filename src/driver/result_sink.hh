@@ -2,14 +2,11 @@
  * @file
  * Machine- and human-readable emitters for executed sweeps. A
  * FigureRun pairs a figure's identity with its SweepResult; the
- * sinks serialize lists of them. The JSON schema
- * ("rnuma-sweep-results/v4", documented in docs/PERFORMANCE.md) is
- * the stable artifact format the CI figure pipeline and the
- * perf-baseline gate consume, so changes to it must bump the schema
- * string (v2 added per-cell event counts/throughput and the
- * workload-cache counters, v3 the stable protocol ids, v4 the
- * per-figure "protocols" array; the gate still reads v1-v3
- * baselines).
+ * sinks serialize lists of them. The JSON schema (resultsSchema,
+ * documented in docs/PERFORMANCE.md) is the stable artifact format
+ * the CI figure pipeline and the perf-baseline gate consume, so a
+ * change to it must bump the schema string; the gate reads only the
+ * current version.
  */
 
 #ifndef RNUMA_DRIVER_RESULT_SINK_HH
@@ -23,6 +20,9 @@
 
 namespace rnuma::driver
 {
+
+/** The results schema the JSON sink writes and loadResults reads. */
+constexpr const char *resultsSchema = "rnuma-sweep-results/v8";
 
 /** One executed figure: identity plus per-cell results. */
 struct FigureRun
@@ -47,7 +47,7 @@ const std::vector<StatField> &statFields();
 
 /**
  * The distinct protocol ids a sweep's cells ran, in first-appearance
- * order — the figure-level "protocols" array of the v4 schema.
+ * order — the figure-level "protocols" array of the results schema.
  */
 std::vector<std::string> protocolsOf(const SweepResult &result);
 

@@ -1,8 +1,6 @@
 #include "proto/registry.hh"
 
-#include <cctype>
 #include <cmath>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "core/analytic_model.hh"
@@ -12,25 +10,6 @@
 
 namespace rnuma
 {
-
-std::string
-canonicalProtocolId(const std::string &name)
-{
-    std::string s;
-    s.reserve(name.size());
-    for (char c : name)
-        s.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c))));
-    // Enum-era display names (protocolName()) map onto the stable
-    // ids so pre-registry baselines and call sites keep resolving.
-    if (s == "cc-numa")
-        return "ccnuma";
-    if (s == "s-coma")
-        return "scoma";
-    if (s == "r-numa")
-        return "rnuma";
-    return s;
-}
 
 ProtocolSpec
 hybridSpec(std::string id, std::string displayName,
@@ -63,7 +42,8 @@ staticThresholdSpec(std::size_t threshold)
         });
 }
 
-ProtocolRegistry::ProtocolRegistry()
+void
+addBuiltins(ProtocolRegistry &reg)
 {
     ProtocolSpec cc;
     cc.id = "ccnuma";
@@ -74,7 +54,7 @@ ProtocolRegistry::ProtocolRegistry()
         return std::unique_ptr<Rad>(
             std::make_unique<CcNumaRad>(p, node, deps));
     };
-    add(std::move(cc));
+    reg.add(std::move(cc));
 
     ProtocolSpec sc;
     sc.id = "scoma";
@@ -85,9 +65,9 @@ ProtocolRegistry::ProtocolRegistry()
         return std::unique_ptr<Rad>(
             std::make_unique<SComaRad>(p, node, deps));
     };
-    add(std::move(sc));
+    reg.add(std::move(sc));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma", "R-NUMA",
         "hybrid RAD; pages relocate after "
         "Params::relocationThreshold refetches (Section 3.1)",
@@ -97,7 +77,7 @@ ProtocolRegistry::ProtocolRegistry()
                     p.relocationThreshold));
         }));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-hysteresis", "R-NUMA(hyst)",
         "hybrid RAD; pages evicted from the page cache need 4x the "
         "refetches to relocate again (no ping-pong)",
@@ -108,7 +88,7 @@ ProtocolRegistry::ProtocolRegistry()
                     4 * p.relocationThreshold));
         }));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-adaptive", "R-NUMA(adapt)",
         "hybrid RAD; per-page threshold halves on relocation and "
         "escalates 2x per relocate/evict ping-pong, tracking the "
@@ -121,7 +101,7 @@ ProtocolRegistry::ProtocolRegistry()
                                                           16 * t));
         }));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-model", "R-NUMA(model)",
         "hybrid RAD; static threshold seeded from the Section 3.2 "
         "cost model's optimum T* = C_alloc / C_refetch",
@@ -146,7 +126,7 @@ ProtocolRegistry::ProtocolRegistry()
     // T* = C_alloc / C_refetch page-cache hits repaid its page
     // operations.
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-utility", "R-NUMA(utility)",
         "hybrid RAD; evictions escalate the per-page threshold only "
         "below the Eq 3 break-even hit count — profitable "
@@ -165,7 +145,7 @@ ProtocolRegistry::ProtocolRegistry()
                                                          be));
         }));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-online-model", "R-NUMA(online)",
         "hybrid RAD; re-estimates the Eq 3 optimum online — the "
         "global threshold is T* minus the observed EWMA of resident "
@@ -181,7 +161,7 @@ ProtocolRegistry::ProtocolRegistry()
                     tStar, 1, 16 * p.relocationThreshold));
         }));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-ewma", "R-NUMA(ewma)",
         "hybrid RAD; per-page EWMA utility score (resident hits vs "
         "the Eq 3 break-even) interpolates the threshold between "
@@ -203,77 +183,17 @@ ProtocolRegistry::ProtocolRegistry()
         }));
 }
 
-ProtocolRegistry &
-ProtocolRegistry::global()
+Table
+protocolTable()
 {
-    static ProtocolRegistry reg;
-    return reg;
-}
-
-const ProtocolSpec &
-ProtocolRegistry::add(ProtocolSpec spec)
-{
-    RNUMA_ASSERT(spec.valid(), "protocol spec needs an id and a Rad "
-                 "factory");
-    RNUMA_ASSERT(spec.id == canonicalProtocolId(spec.id),
-                 "protocol id '", spec.id,
-                 "' is not canonical (lowercase, no enum-era "
-                 "spelling)");
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (findLocked(spec.id)) {
-        RNUMA_FATAL("protocol '", spec.id,
-                    "' is already registered");
+    Params p = Params::base();
+    Table t({"id", "name", "relocation policy", "description"});
+    for (const ProtocolSpec *s : ProtocolRegistry::global().all()) {
+        t.addRow({s->id, s->displayName,
+                  s->makePolicy ? s->makePolicy(p)->describe() : "-",
+                  s->description});
     }
-    specs_.push_back(
-        std::make_unique<ProtocolSpec>(std::move(spec)));
-    return *specs_.back();
-}
-
-const ProtocolSpec *
-ProtocolRegistry::findLocked(const std::string &name) const
-{
-    std::string id = canonicalProtocolId(name);
-    for (const auto &s : specs_) {
-        if (s->id == id || canonicalProtocolId(s->displayName) == id)
-            return s.get();
-    }
-    return nullptr;
-}
-
-const ProtocolSpec *
-ProtocolRegistry::find(const std::string &name) const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return findLocked(name);
-}
-
-const ProtocolSpec &
-ProtocolRegistry::at(const std::string &name) const
-{
-    const ProtocolSpec *s = find(name);
-    if (!s) {
-        RNUMA_FATAL("unknown protocol '", name,
-                    "' (see rnuma_sweep --list-protocols)");
-    }
-    return *s;
-}
-
-std::vector<const ProtocolSpec *>
-ProtocolRegistry::all() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    std::vector<const ProtocolSpec *> out;
-    out.reserve(specs_.size());
-    for (const auto &s : specs_)
-        out.push_back(s.get());
-    return out;
-}
-
-std::size_t
-ProtocolRegistry::size() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return specs_.size();
+    return t;
 }
 
 const ProtocolSpec &

@@ -22,10 +22,10 @@
 
 #include <functional>
 #include <memory>
-#include <shared_mutex>
 #include <string>
-#include <vector>
 
+#include "common/registry.hh"
+#include "common/table.hh"
 #include "core/relocation_policy.hh"
 #include "rad/rad.hh"
 
@@ -67,63 +67,22 @@ struct ProtocolSpec
     PolicyFactory makePolicy;
 
     bool valid() const { return !id.empty() && makeRad != nullptr; }
+
+    static constexpr const char *kind = "protocol";
 };
 
-/**
- * The process-wide name -> ProtocolSpec table. Lookup accepts the
- * stable id, the display name, and enum-era spellings
- * (case-insensitively), so pre-registry artifacts and call sites
- * keep resolving. Specs have stable addresses for the registry's
- * lifetime.
- *
- * Thread-safe: registration takes an exclusive lock and lookups a
- * shared one, so sweep workers may register and resolve specs
- * concurrently (previously the table was unguarded and only safe
- * for static init + main-thread use). Returned spec pointers stay
- * valid forever — specs are never removed or moved.
- */
-class ProtocolRegistry
-{
-  public:
-    /** The global registry, with the built-ins pre-registered. */
-    static ProtocolRegistry &global();
+/** The protocol table; see common/registry.hh. */
+using ProtocolRegistry = Registry<ProtocolSpec>;
 
-    /**
-     * Register a spec. Fatal on an invalid spec or a duplicate id.
-     * @return the registered (stably stored) spec.
-     */
-    const ProtocolSpec &add(ProtocolSpec spec);
-
-    /** Look up by id/display/enum-era name; nullptr when unknown. */
-    const ProtocolSpec *find(const std::string &name) const;
-
-    /** Look up; fatal (std::runtime_error under tests) when unknown. */
-    const ProtocolSpec &at(const std::string &name) const;
-
-    /** All specs, in registration order (built-ins first). */
-    std::vector<const ProtocolSpec *> all() const;
-
-    std::size_t size() const;
-
-  private:
-    ProtocolRegistry();
-
-    /** find() without taking the lock (callers hold it). */
-    const ProtocolSpec *findLocked(const std::string &name) const;
-
-    /** Guards specs_: exclusive for add, shared for lookups. */
-    mutable std::shared_mutex mutex_;
-    std::vector<std::unique_ptr<ProtocolSpec>> specs_;
-};
+/** Registers the paper's three systems and the policy variants. */
+void addBuiltins(ProtocolRegistry &reg);
 
 /**
- * Normalize a protocol label to its stable id: lowercases and maps
- * the enum-era display names ("CC-NUMA" -> "ccnuma", "S-COMA" ->
- * "scoma", "R-NUMA" -> "rnuma"). Unknown labels pass through
- * lowercased — the shim the compare gate uses to diff v3 results
- * against enum-era baselines.
+ * The protocol registry as a table (id, name, relocation policy for
+ * the paper's base Params, description): what --list-protocols
+ * prints.
  */
-std::string canonicalProtocolId(const std::string &name);
+Table protocolTable();
 
 /** Shorthand for ProtocolRegistry::global().at(name). */
 const ProtocolSpec &protocolSpec(const std::string &name);

@@ -1,8 +1,6 @@
 #include "workload/registry.hh"
 
-#include <cctype>
 #include <cstdlib>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "workload/apps/apps.hh"
@@ -179,18 +177,8 @@ noOptions(const std::string &id,
 // WorkloadRegistry
 //--------------------------------------------------------------------------
 
-std::string
-canonicalWorkloadId(const std::string &name)
-{
-    std::string s;
-    s.reserve(name.size());
-    for (char c : name)
-        s.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c))));
-    return s;
-}
-
-WorkloadRegistry::WorkloadRegistry()
+void
+addBuiltins(WorkloadRegistry &reg)
 {
     // The ten Table 3 applications, through the preserved table.
     for (const Entry &e : entries) {
@@ -207,7 +195,7 @@ WorkloadRegistry::WorkloadRegistry()
                          -> std::unique_ptr<Workload> {
                 return make(p, scale, seed);
             });
-        add(std::move(spec));
+        reg.add(std::move(spec));
     }
 
     // The microbenchmark patterns, defaulted to the parameterizations
@@ -324,7 +312,7 @@ WorkloadRegistry::WorkloadRegistry()
         spec.input = m.input;
         spec.category = "micro";
         spec.make = m.make;
-        add(std::move(spec));
+        reg.add(std::move(spec));
     }
 
     // The commercial-serving generators (Section 1's motivating
@@ -344,7 +332,7 @@ WorkloadRegistry::WorkloadRegistry()
         return std::unique_ptr<Workload>(
             makeZipfServe(p, scale, seed, options));
     };
-    add(std::move(zipf));
+    reg.add(std::move(zipf));
 
     WorkloadSpec phase;
     phase.id = "phase-shift";
@@ -359,7 +347,7 @@ WorkloadRegistry::WorkloadRegistry()
         return std::unique_ptr<Workload>(
             makePhaseShift(p, scale, seed, options));
     };
-    add(std::move(phase));
+    reg.add(std::move(phase));
 
     WorkloadSpec ten;
     ten.id = "tenants";
@@ -374,7 +362,7 @@ WorkloadRegistry::WorkloadRegistry()
         return std::unique_ptr<Workload>(
             makeTenants(p, scale, seed, options));
     };
-    add(std::move(ten));
+    reg.add(std::move(ten));
 
     WorkloadSpec db;
     db.id = "database-scan";
@@ -389,78 +377,18 @@ WorkloadRegistry::WorkloadRegistry()
         return std::unique_ptr<Workload>(
             makeDatabaseScan(p, scale, seed, options));
     };
-    add(std::move(db));
+    reg.add(std::move(db));
 }
 
-WorkloadRegistry &
-WorkloadRegistry::global()
+Table
+workloadTable()
 {
-    static WorkloadRegistry reg;
-    return reg;
-}
-
-const WorkloadSpec &
-WorkloadRegistry::add(WorkloadSpec spec)
-{
-    RNUMA_ASSERT(spec.valid(),
-                 "workload spec needs an id and a factory");
-    RNUMA_ASSERT(spec.id == canonicalWorkloadId(spec.id),
-                 "workload id '", spec.id,
-                 "' is not canonical (lowercase, stable spelling)");
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (findLocked(spec.id)) {
-        RNUMA_FATAL("workload '", spec.id,
-                    "' is already registered");
+    Table t({"id", "name", "category", "input", "description"});
+    for (const WorkloadSpec *s : WorkloadRegistry::global().all()) {
+        t.addRow({s->id, s->displayName, s->category, s->input,
+                  s->description});
     }
-    specs_.push_back(std::make_unique<WorkloadSpec>(std::move(spec)));
-    return *specs_.back();
-}
-
-const WorkloadSpec *
-WorkloadRegistry::findLocked(const std::string &name) const
-{
-    std::string id = canonicalWorkloadId(name);
-    for (const auto &s : specs_) {
-        if (s->id == id || canonicalWorkloadId(s->displayName) == id)
-            return s.get();
-    }
-    return nullptr;
-}
-
-const WorkloadSpec *
-WorkloadRegistry::find(const std::string &name) const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return findLocked(name);
-}
-
-const WorkloadSpec &
-WorkloadRegistry::at(const std::string &name) const
-{
-    const WorkloadSpec *s = find(name);
-    if (!s) {
-        RNUMA_FATAL("unknown workload '", name,
-                    "' (see rnuma_sweep --list-workloads)");
-    }
-    return *s;
-}
-
-std::vector<const WorkloadSpec *>
-WorkloadRegistry::all() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    std::vector<const WorkloadSpec *> out;
-    out.reserve(specs_.size());
-    for (const auto &s : specs_)
-        out.push_back(s.get());
-    return out;
-}
-
-std::size_t
-WorkloadRegistry::size() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return specs_.size();
+    return t;
 }
 
 const WorkloadSpec &

@@ -1,8 +1,8 @@
 /**
  * @file
  * The workload registry: string-keyed, composable reference-stream
- * generators mirroring the protocol and network registries
- * (proto/registry.hh, net/registry.hh). A WorkloadSpec captures a
+ * generators in the one Registry<Spec> mechanism
+ * (common/registry.hh). A WorkloadSpec captures a
  * stable id (the JSON/compare/CLI currency), a display name, and a
  * factory from (Params, scale, seed, option string) to a Workload.
  *
@@ -27,11 +27,12 @@
 
 #include <functional>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "common/params.hh"
+#include "common/registry.hh"
+#include "common/table.hh"
 #include "workload/workload.hh"
 
 namespace rnuma
@@ -100,54 +101,20 @@ struct WorkloadSpec
     WorkloadMakeFn make;
 
     bool valid() const { return !id.empty() && make != nullptr; }
+
+    static constexpr const char *kind = "workload";
 };
 
-/**
- * The process-wide name -> WorkloadSpec table. Lookup is
- * case-insensitive on id and display name. Thread-safe exactly like
- * ProtocolRegistry: registration takes an exclusive lock and lookups
- * a shared one; returned spec pointers stay valid forever.
- */
-class WorkloadRegistry
-{
-  public:
-    /** The global registry, with the built-ins pre-registered. */
-    static WorkloadRegistry &global();
+/** The generator table; see common/registry.hh. */
+using WorkloadRegistry = Registry<WorkloadSpec>;
 
-    /**
-     * Register a spec. Fatal on an invalid spec or a duplicate id.
-     * @return the registered (stably stored) spec.
-     */
-    const WorkloadSpec &add(WorkloadSpec spec);
+/** Registers the Table 3 apps, the micros, and the serving
+ *  generators, in that order. */
+void addBuiltins(WorkloadRegistry &reg);
 
-    /** Look up by id/display name; nullptr when unknown. */
-    const WorkloadSpec *find(const std::string &name) const;
-
-    /** Look up; fatal (std::runtime_error under tests) when unknown. */
-    const WorkloadSpec &at(const std::string &name) const;
-
-    /** All specs, in registration order (built-ins first). */
-    std::vector<const WorkloadSpec *> all() const;
-
-    std::size_t size() const;
-
-  private:
-    WorkloadRegistry();
-
-    /** find() without taking the lock (callers hold it). */
-    const WorkloadSpec *findLocked(const std::string &name) const;
-
-    /** Guards specs_: exclusive for add, shared for lookups. */
-    mutable std::shared_mutex mutex_;
-    std::vector<std::unique_ptr<WorkloadSpec>> specs_;
-};
-
-/**
- * Normalize a workload label to its stable id: lowercased. Unknown
- * labels pass through lowercased — the shim the compare gate uses
- * against pre-v7 baselines (whose cells carried no workload ids).
- */
-std::string canonicalWorkloadId(const std::string &name);
+/** The workload registry as a table (id, name, category, input,
+ *  description): what --list-workloads prints. */
+Table workloadTable();
 
 /** Shorthand for WorkloadRegistry::global().at(name). */
 const WorkloadSpec &workloadSpec(const std::string &name);

@@ -49,7 +49,6 @@ BenchDoc
 sampleDoc()
 {
     BenchDoc d;
-    d.schema = "rnuma-bench/v1";
     d.runs = 5;
     d.scale = 0.1;
     d.jobs = 1;
@@ -229,7 +228,6 @@ TEST(BenchCompare, ArtifactRoundTripsThroughWriteAndLoad)
     writeBench(os, doc);
     BenchDoc back = loadBench(os.str());
 
-    EXPECT_EQ(back.schema, "rnuma-bench/v1");
     EXPECT_EQ(back.runs, doc.runs);
     EXPECT_EQ(back.scale, doc.scale);
     EXPECT_EQ(back.jobs, doc.jobs);
@@ -270,6 +268,39 @@ TEST(BenchCompare, LoaderRejectsForeignDocuments)
     EXPECT_THROW(
         loadBench("{\"schema\": \"rnuma-bench/v1\", \"runs\": 5}"),
         std::runtime_error);
+    EXPECT_THROW(loadBench("{\"schema\": \"rnuma-bench/v0\", "
+                           "\"figures\": []}"),
+                 std::runtime_error);
+}
+
+TEST(BenchCompare, LoaderRejectsCountsACastCannotHold)
+{
+    // Negative, fractional, or >= 2^64 counters are diagnostics
+    // naming the cell and field, not undefined double-to-integer
+    // casts.
+    BenchDoc doc = sampleDoc();
+    std::ostringstream os;
+    writeBench(os, doc);
+    const std::string good = os.str();
+    const std::string field = "\"refs\": 30000";
+    ASSERT_NE(good.find(field), std::string::npos);
+    for (const char *bad : {"-30000", "0.5", "1e30"}) {
+        std::string text = good;
+        text.replace(text.find(field), field.size(),
+                     std::string("\"refs\": ") + bad);
+        try {
+            loadBench(text);
+            ADD_FAILURE() << "refs " << bad << " was accepted";
+        } catch (const std::runtime_error &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find("fig6/em3d/CC-NUMA"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("'refs'"), std::string::npos) << msg;
+        }
+    }
+    std::string runs = good;
+    runs.replace(runs.find("\"runs\": 5"), 9, "\"runs\": -5");
+    EXPECT_THROW(loadBench(runs), std::runtime_error);
 }
 
 } // namespace rnuma::driver

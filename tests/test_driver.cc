@@ -4,7 +4,8 @@
  * RunStats determinism across thread counts, the content-addressed
  * workload cache (hit/miss accounting, opt-out bit-identity, key
  * semantics), the perf-baseline compare gate (exact ticks/events,
- * thresholded wall time, v1 baselines), JSON round-trip of a small
+ * thresholded wall time, current-schema-only and checked-count
+ * loading), JSON round-trip of a small
  * executed sweep, sweep declaration invariants, and the unknown-app
  * / empty-sweep error paths. Uses the tiny test_util.hh machine so
  * the suites stay fast.
@@ -377,7 +378,7 @@ TEST(CompareGate, TicksDriftFailsExactly)
 {
     ResultDoc base = smallDoc();
     ResultDoc cur = base;
-    cur.figures[0].cells[3].ticks += 1;
+    cur.figures[0].cells[3].counters["ticks"] += 1;
     std::ostringstream os;
     EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u);
     EXPECT_NE(os.str().find("ticks drifted"), std::string::npos);
@@ -387,7 +388,7 @@ TEST(CompareGate, EventsDriftFails)
 {
     ResultDoc base = smallDoc();
     ResultDoc cur = base;
-    cur.figures[0].cells[0].events += 5;
+    cur.figures[0].cells[0].counters["events"] += 5;
     std::ostringstream os;
     EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u);
     EXPECT_NE(os.str().find("events drifted"), std::string::npos);
@@ -402,7 +403,6 @@ TEST(CompareGate, MissingCellAndFigureAreViolations)
     EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u);
 
     ResultDoc none;
-    none.schema = base.schema;
     std::ostringstream os2;
     EXPECT_EQ(compareResults(base, none, CompareOptions{}, os2), 1u);
     EXPECT_NE(os2.str().find("figure missing"), std::string::npos);
@@ -417,8 +417,7 @@ TEST(CompareGate, ScaleMismatchIsAViolation)
     EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u);
     EXPECT_NE(os.str().find("scale changed"), std::string::npos);
 
-    // Serialization rounding must not count as a mismatch: pre-v2
-    // baselines carried %.6g-truncated scales.
+    // Serialization rounding must not count as a mismatch.
     cur.figures[0].scale =
         base.figures[0].scale * (1.0 + 1e-7);
     std::ostringstream os2;
@@ -462,12 +461,7 @@ TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
     std::ostringstream os;
     JsonSink().write(os, {run});
     ResultDoc loaded = loadResults(os.str());
-    EXPECT_EQ(loaded.schema, "rnuma-sweep-results/v8");
     ResultDoc direct = resultsOf({run});
-    EXPECT_EQ(loaded.figures[0].protocols,
-              direct.figures[0].protocols);
-    EXPECT_EQ(loaded.figures[0].protocols,
-              protocolsOf(run.result));
     ASSERT_EQ(loaded.figures.size(), 1u);
     ASSERT_EQ(loaded.figures[0].cells.size(),
               direct.figures[0].cells.size());
@@ -475,9 +469,11 @@ TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
          ++i) {
         const ResultCell &a = loaded.figures[0].cells[i];
         const ResultCell &b = direct.figures[0].cells[i];
-        EXPECT_EQ(a.ticks, b.ticks) << a.app << "/" << a.config;
-        EXPECT_EQ(a.events, b.events) << a.app << "/" << a.config;
-        EXPECT_TRUE(a.hasEvents);
+        EXPECT_EQ(a.counters, b.counters) << a.app << "/" << a.config;
+        EXPECT_EQ(a.protocol, b.protocol);
+        EXPECT_EQ(a.network, b.network);
+        EXPECT_EQ(a.directory, b.directory);
+        EXPECT_EQ(a.workload, b.workload);
     }
     std::ostringstream report;
     EXPECT_EQ(
@@ -485,107 +481,29 @@ TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
         0u);
 }
 
-TEST(CompareGate, AcceptsV1BaselinesWithoutEvents)
+namespace
 {
-    // A v1 document has no per-cell events; only ticks are diffed.
-    const char *v1 =
-        "{\"schema\": \"rnuma-sweep-results/v1\", \"figures\": ["
-        "{\"name\": \"small\", \"scale\": 0.05, \"jobs\": 1,"
-        " \"wall_ms\": 10.0, \"status\": 0, \"cells\": ["
-        "{\"app\": \"moldyn\", \"config\": \"ccnuma\","
-        " \"wall_ms\": 1.0, \"stats\": {\"ticks\": 42}}]}]}";
-    ResultDoc base = loadResults(v1);
-    ASSERT_EQ(base.figures.size(), 1u);
-    EXPECT_FALSE(base.figures[0].cells[0].hasEvents);
 
-    ResultDoc cur = base;
-    cur.figures[0].cells[0].events = 7; // ignored: baseline has none
-    cur.figures[0].cells[0].hasEvents = true;
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 0u);
-
-    cur.figures[0].cells[0].ticks = 43;
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os2), 1u);
+/** A one-cell v8 document whose stats carry @p stats verbatim. */
+std::string
+oneCellDoc(const std::string &stats)
+{
+    return "{\"schema\": \"rnuma-sweep-results/v8\", \"figures\": ["
+           "{\"name\": \"small\", \"scale\": 0.05, \"jobs\": 1,"
+           " \"wall_ms\": 10.0, \"status\": 0, \"cells\": ["
+           "{\"app\": \"moldyn\", \"config\": \"rnuma\","
+           " \"protocol\": \"rnuma\", \"network\": \"constant\","
+           " \"directory\": \"full-map\", \"workload\": \"moldyn\","
+           " \"wall_ms\": 1.0, \"stats\": {" + stats + "}}]}]}";
 }
 
-TEST(CompareGate, ProtocolShimAcceptsEnumEraBaselines)
+} // namespace
+
+TEST(CompareGate, IdChangesAndFeedbackCounterDriftFail)
 {
-    // A v2 baseline carries enum-era display names; after the load
-    // shim they canonicalize to registry ids, and an id change
-    // against a pre-v3 baseline is a note, never a violation.
-    const char *v2 =
-        "{\"schema\": \"rnuma-sweep-results/v2\", \"figures\": ["
-        "{\"name\": \"small\", \"scale\": 0.05, \"jobs\": 1,"
-        " \"wall_ms\": 10.0, \"status\": 0, \"cells\": ["
-        "{\"app\": \"moldyn\", \"config\": \"t16\","
-        " \"protocol\": \"R-NUMA\", \"wall_ms\": 1.0,"
-        " \"stats\": {\"ticks\": 42}}]}]}";
-    ResultDoc base = loadResults(v2);
-    EXPECT_EQ(base.version(), 2);
-    EXPECT_EQ(base.figures[0].cells[0].protocol, "rnuma");
-
-    ResultDoc cur = base;
-    cur.schema = "rnuma-sweep-results/v3";
-    cur.figures[0].cells[0].protocol = "rnuma-t16";
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{-1}, os), 0u);
-    EXPECT_NE(os.str().find("label shim only"), std::string::npos);
-
-    // Both v3: a protocol change is genuine drift.
-    ResultDoc base3 = base;
-    base3.schema = "rnuma-sweep-results/v3";
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(base3, cur, CompareOptions{-1}, os2),
-              1u);
-    EXPECT_NE(os2.str().find("protocol changed"),
-              std::string::npos);
-}
-
-TEST(CompareGate, ReconstructsProtocolsForPreV4Baselines)
-{
-    // A v3 document has no per-figure protocols array; the loader
-    // rebuilds it from the cells (canonicalized, first-appearance
-    // order) so v4-era consumers work against old baselines, and a
-    // v3 baseline still diffs cleanly against v4 results.
-    const char *v3 =
-        "{\"schema\": \"rnuma-sweep-results/v3\", \"figures\": ["
-        "{\"name\": \"small\", \"scale\": 0.05, \"jobs\": 1,"
-        " \"wall_ms\": 10.0, \"status\": 0, \"cells\": ["
-        "{\"app\": \"a\", \"config\": \"baseline\","
-        " \"protocol\": \"ccnuma\", \"stats\": {\"ticks\": 7}},"
-        "{\"app\": \"a\", \"config\": \"rnuma\","
-        " \"protocol\": \"R-NUMA\", \"stats\": {\"ticks\": 9}},"
-        "{\"app\": \"b\", \"config\": \"rnuma\","
-        " \"protocol\": \"rnuma\", \"stats\": {\"ticks\": 5}}]}]}";
-    ResultDoc base = loadResults(v3);
-    ASSERT_EQ(base.figures.size(), 1u);
-    std::vector<std::string> expected{"ccnuma", "rnuma"};
-    EXPECT_EQ(base.figures[0].protocols, expected);
-
-    ResultDoc cur = base;
-    cur.schema = "rnuma-sweep-results/v4";
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{-1}, os), 0u);
-}
-
-TEST(CompareGate, FeedbackCountersGateOnlyBetweenV8Documents)
-{
-    // v8 added the residency-feedback counters. Between two v8
-    // documents a drift is a violation; against a v7-shaped
-    // baseline (counters absent) the check degrades to a note so
-    // old perf baselines keep passing.
-    const char *v8 =
-        "{\"schema\": \"rnuma-sweep-results/v8\", \"figures\": ["
-        "{\"name\": \"small\", \"scale\": 0.05, \"jobs\": 1,"
-        " \"wall_ms\": 10.0, \"status\": 0, \"cells\": ["
-        "{\"app\": \"moldyn\", \"config\": \"rnuma\","
-        " \"protocol\": \"rnuma\", \"wall_ms\": 1.0,"
-        " \"stats\": {\"ticks\": 42, \"evictions_zero_hit\": 3,"
-        " \"evicted_page_hits\": 90}}]}]}";
-    ResultDoc base = loadResults(v8);
-    ASSERT_EQ(base.version(), 8);
-
+    ResultDoc base = loadResults(oneCellDoc(
+        "\"ticks\": 42, \"events\": 9, \"evictions_zero_hit\": 3,"
+        " \"evicted_page_hits\": 90"));
     ResultDoc cur = base;
     cur.figures[0].cells[0].counters["evictions_zero_hit"] = 5;
     std::ostringstream os;
@@ -593,24 +511,62 @@ TEST(CompareGate, FeedbackCountersGateOnlyBetweenV8Documents)
     EXPECT_NE(os.str().find("evictions_zero_hit drifted"),
               std::string::npos);
 
-    // Same drift against a v7 baseline without the counters: the
-    // keys are absent on one side, so nothing diffs at all.
-    ResultDoc old = base;
-    old.schema = "rnuma-sweep-results/v7";
-    old.figures[0].cells[0].counters.erase("evictions_zero_hit");
-    old.figures[0].cells[0].counters.erase("evicted_page_hits");
+    cur = base;
+    cur.figures[0].cells[0].protocol = "rnuma-t16";
+    cur.figures[0].cells[0].network = "mesh-2d";
     std::ostringstream os2;
-    EXPECT_EQ(compareResults(old, cur, CompareOptions{-1}, os2), 0u);
+    EXPECT_EQ(compareResults(base, cur, CompareOptions{-1}, os2), 2u);
+    EXPECT_NE(os2.str().find("protocol changed"), std::string::npos);
+    EXPECT_NE(os2.str().find("network changed"), std::string::npos);
+}
 
-    // A v7 baseline that somehow carries the counters (hand-edited
-    // or transitional): a mismatch is reported, but as a note.
-    ResultDoc noted = base;
-    noted.schema = "rnuma-sweep-results/v7";
-    std::ostringstream os3;
-    EXPECT_EQ(compareResults(noted, cur, CompareOptions{-1}, os3),
-              0u);
-    EXPECT_NE(os3.str().find("feedback counters not comparable"),
-              std::string::npos);
+TEST(CompareGate, RejectsOlderSchemaVersions)
+{
+    // Only the current schema loads; an older document fails with
+    // its schema named, never with a silently defaulted diff.
+    for (int v = 1; v <= 7; ++v) {
+        std::string old = oneCellDoc("\"ticks\": 42");
+        std::string schema = "rnuma-sweep-results/v" +
+            std::to_string(v);
+        old.replace(old.find("rnuma-sweep-results/v8"),
+                    schema.size(), schema);
+        try {
+            loadResults(old);
+            ADD_FAILURE() << schema << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("'" + schema + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_NO_THROW(loadResults(oneCellDoc("\"ticks\": 42")));
+}
+
+TEST(CompareGate, RejectsCountsACastCannotHold)
+{
+    // A baseline comes from outside the program: a negative,
+    // fractional, or >= 2^64 counter must be a diagnostic naming the
+    // cell and field, not an undefined double-to-integer cast.
+    for (const char *bad :
+         {"-5", "1.5", "1e20", "18446744073709551616", "\"7\""}) {
+        try {
+            loadResults(oneCellDoc(std::string("\"ticks\": ") + bad));
+            ADD_FAILURE() << "ticks " << bad << " was accepted";
+        } catch (const std::runtime_error &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find("small/moldyn/rnuma"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("'ticks'"), std::string::npos) << msg;
+        }
+    }
+    std::string doc = oneCellDoc("\"ticks\": 42");
+    doc.replace(doc.find("\"jobs\": 1"), 9, "\"jobs\": -1");
+    EXPECT_THROW(loadResults(doc), std::runtime_error);
+    // The largest double below 2^64 still fits.
+    ResultDoc ok = loadResults(
+        oneCellDoc("\"ticks\": 18446744073709549568"));
+    EXPECT_EQ(ok.figures[0].cells[0].counters.at("ticks"),
+              18446744073709549568ull);
 }
 
 TEST(CompareGate, RejectsForeignJson)

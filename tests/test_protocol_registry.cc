@@ -1,21 +1,18 @@
 /**
  * @file
- * Tests for the protocol registry (proto/registry.hh): name -> spec
- * -> Rad round-trips through a real Machine, lookup normalization
- * (ids, display names, enum-era labels), the unknown-name error
- * path, bit-identity of the registry path against the legacy enum
- * path, Figure 8's staticThresholdSpec variants against the
- * pre-registry "params hack" equivalent, and end-to-end runs of the
- * new policy protocols.
+ * Tests for the protocol registry's domain content
+ * (proto/registry.hh): the built-ins in order, name -> spec -> Rad
+ * round-trips through a real Machine, bit-identity of the registry
+ * path against the legacy enum path, Figure 8's
+ * staticThresholdSpec variants against the pre-registry "params
+ * hack" equivalent, and end-to-end runs of the new policy
+ * protocols. The registry mechanism itself (lookup, duplicates,
+ * concurrency) is tested in test_registry.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include "core/analytic_model.hh"
 #include "proto/registry.hh"
@@ -56,36 +53,6 @@ TEST(ProtocolRegistry, HasTheBuiltinsInOrder)
         EXPECT_FALSE(s->displayName.empty()) << s->id;
         EXPECT_FALSE(s->description.empty()) << s->id;
     }
-}
-
-TEST(ProtocolRegistry, LookupNormalizesNames)
-{
-    const ProtocolSpec &cc = protocolSpec("ccnuma");
-    EXPECT_EQ(findProtocolSpec("CCNUMA"), &cc);
-    EXPECT_EQ(findProtocolSpec("CC-NUMA"), &cc); // enum-era label
-    EXPECT_EQ(findProtocolSpec("cc-numa"), &cc);
-    EXPECT_EQ(findProtocolSpec("R-NUMA"), &protocolSpec("rnuma"));
-    EXPECT_EQ(findProtocolSpec("S-COMA"), &protocolSpec("scoma"));
-    EXPECT_EQ(canonicalProtocolId("R-NUMA"), "rnuma");
-    EXPECT_EQ(canonicalProtocolId("rnuma-t16"), "rnuma-t16");
-}
-
-TEST(ProtocolRegistry, UnknownNameIsAnError)
-{
-    EXPECT_EQ(findProtocolSpec("no-such-protocol"), nullptr);
-    EXPECT_THROW(protocolSpec("no-such-protocol"),
-                 std::runtime_error);
-}
-
-TEST(ProtocolRegistry, RejectsInvalidAndDuplicateSpecs)
-{
-    ProtocolSpec empty;
-    EXPECT_THROW(ProtocolRegistry::global().add(std::move(empty)),
-                 std::logic_error);
-    // Duplicate id: fatal.
-    ProtocolSpec dup = protocolSpec("ccnuma");
-    EXPECT_THROW(ProtocolRegistry::global().add(std::move(dup)),
-                 std::runtime_error);
 }
 
 TEST(ProtocolRegistry, EnumResolvesToTheSameSpecs)
@@ -207,81 +174,6 @@ TEST(ProtocolRegistry, ModelPolicyIsSeededFromTheAnalyticOptimum)
     RunStats b = runProtocol(p, std::string("rnuma-model"), *wl_b);
     EXPECT_EQ(a, b);
     EXPECT_GT(a.refs, 0u);
-}
-
-TEST(ProtocolRegistry, ConcurrentRegistrationAndLookupIsSafe)
-{
-    // The registry is process-global shared state; sweep workers may
-    // register ad-hoc specs while others resolve names. Hammer both
-    // paths from many threads — under TSan this is the test that
-    // catches an unguarded table, and even without TSan a torn
-    // vector usually crashes. Registered test specs stay in the
-    // global registry afterwards (specs are never removed), which
-    // is harmless: ids are namespaced with a test prefix.
-    constexpr int writers = 4;
-    constexpr int readers = 4;
-    constexpr int perWriter = 8;
-    // Ids must be fresh per in-process run of this test (e.g.
-    // --gtest_repeat): the global registry never forgets, and a
-    // duplicate registration is fatal — from inside a thread that
-    // would terminate the whole binary.
-    static int runSeq = 0;
-    const std::string prefix =
-        "rnuma-test-race-r" + std::to_string(runSeq++) + "-w";
-    std::atomic<bool> go{false};
-    std::atomic<int> registered{0};
-    std::vector<std::thread> threads;
-    for (int w = 0; w < writers; ++w) {
-        threads.emplace_back([w, &go, &registered, &prefix] {
-            while (!go.load())
-                std::this_thread::yield();
-            for (int i = 0; i < perWriter; ++i) {
-                std::string id = prefix +
-                    std::to_string(w) + "-" + std::to_string(i);
-                ProtocolRegistry::global().add(hybridSpec(
-                    id, "R-NUMA(race)", "concurrency test spec",
-                    [](const Params &) {
-                        return std::unique_ptr<RelocationPolicy>(
-                            std::make_unique<
-                                StaticThresholdPolicy>(1));
-                    }));
-                registered.fetch_add(1);
-            }
-        });
-    }
-    // gtest macros are not thread-safe; readers tally failures into
-    // an atomic and the main thread asserts afterwards.
-    std::atomic<int> readerFailures{0};
-    for (int r = 0; r < readers; ++r) {
-        threads.emplace_back([&go, &readerFailures] {
-            while (!go.load())
-                std::this_thread::yield();
-            for (int i = 0; i < 200; ++i) {
-                // Builtins resolve throughout...
-                if (findProtocolSpec("rnuma") == nullptr)
-                    readerFailures.fetch_add(1);
-                // ...and enumeration yields only valid specs.
-                for (const ProtocolSpec *s :
-                     ProtocolRegistry::global().all()) {
-                    if (!s->valid())
-                        readerFailures.fetch_add(1);
-                }
-            }
-        });
-    }
-    go.store(true);
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(readerFailures.load(), 0);
-    EXPECT_EQ(registered.load(), writers * perWriter);
-    // Every concurrently registered spec is resolvable afterwards.
-    for (int w = 0; w < writers; ++w) {
-        for (int i = 0; i < perWriter; ++i) {
-            std::string id = prefix + std::to_string(w) + "-" +
-                std::to_string(i);
-            EXPECT_NE(findProtocolSpec(id), nullptr) << id;
-        }
-    }
 }
 
 TEST(ProtocolRegistry, HybridSpecComposesCustomPolicies)

@@ -68,7 +68,6 @@ TEST(WorkloadRegistry, BuiltinsCoverAllThreeCategories)
     std::size_t apps = 0, micros = 0, serving = 0;
     for (const WorkloadSpec *s : reg.all()) {
         EXPECT_TRUE(s->valid());
-        EXPECT_EQ(s->id, canonicalWorkloadId(s->id));
         if (s->category == "app")
             ++apps;
         else if (s->category == "micro")
@@ -79,14 +78,6 @@ TEST(WorkloadRegistry, BuiltinsCoverAllThreeCategories)
     EXPECT_EQ(apps, 10u);
     EXPECT_GE(micros, 7u);
     EXPECT_GE(serving, 4u);
-}
-
-TEST(WorkloadRegistry, LookupIsCaseInsensitiveOnIdAndDisplayName)
-{
-    EXPECT_NE(findWorkloadSpec("zipf-serve"), nullptr);
-    EXPECT_NE(findWorkloadSpec("ZIPF-SERVE"), nullptr);
-    EXPECT_EQ(findWorkloadSpec("no-such-workload"), nullptr);
-    EXPECT_EQ(workloadSpec("Barnes").id, "barnes");
 }
 
 TEST(WorkloadRegistry, UnknownNameIsFatal)

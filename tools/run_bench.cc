@@ -50,8 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "common/table.hh"
-#include "core/relocation_policy.hh"
 #include "driver/compare.hh"
 #include "driver/figures.hh"
 #include "driver/json.hh"
@@ -107,6 +105,32 @@ slurp(const std::string &path, std::string &out)
     return true;
 }
 
+/**
+ * Diff @p current against the bench artifact at @p path. Returns the
+ * exit status: 0 clean, 4 drift, 2 unreadable or foreign baseline.
+ */
+int
+benchCompare(const std::string &path, const BenchDoc &current,
+             double rate_tolerance)
+{
+    std::string text;
+    if (!slurp(path, text))
+        return 2;
+    try {
+        BenchDoc baseline = loadBench(text);
+        BenchCompareOptions opt;
+        opt.ratePct = rate_tolerance;
+        std::cout << "bench-comparing against " << path << " ("
+                  << benchSchema << ")\n";
+        return compareBench(baseline, current, opt, std::cout) > 0 ? 4
+                                                                   : 0;
+    } catch (const std::exception &e) {
+        std::cerr << "rnuma_bench: bench-compare failed: " << e.what()
+                  << "\n";
+        return 2;
+    }
+}
+
 double
 median(std::vector<double> v)
 {
@@ -144,33 +168,12 @@ main(int argc, char **argv)
         if (arg == "--help" || arg == "-h")
             return usage(std::cout, 0);
         else if (arg == "--list-protocols") {
-            // Mirror rnuma_sweep --list-protocols: the describe()
-            // column is what makes static(T=64) vs
-            // hysteresis(T=64,T_reverted=256) visible from the CLI.
-            Params p = Params::base();
-            Table t({"id", "name", "relocation policy",
-                     "description"});
-            for (const ProtocolSpec *s :
-                 ProtocolRegistry::global().all()) {
-                t.addRow({s->id, s->displayName,
-                          s->makePolicy
-                              ? s->makePolicy(p)->describe()
-                              : "-",
-                          s->description});
-            }
-            t.print(std::cout);
+            protocolTable().print(std::cout);
             std::cout << "\n(policies are shown for the paper's "
                          "base Params)\n";
             return 0;
         } else if (arg == "--list-workloads") {
-            Table t({"id", "name", "category", "input",
-                     "description"});
-            for (const WorkloadSpec *s :
-                 WorkloadRegistry::global().all()) {
-                t.addRow({s->id, s->displayName, s->category,
-                          s->input, s->description});
-            }
-            t.print(std::cout);
+            workloadTable().print(std::cout);
             return 0;
         } else if (arg == "--workload") {
             std::string name = next();
@@ -248,21 +251,12 @@ main(int argc, char **argv)
 
     //--- Pure artifact-vs-artifact mode ---------------------------------
     if (!current_path.empty()) {
+        std::string text;
+        if (!slurp(current_path, text))
+            return 2;
         try {
-            std::string base_text, cur_text;
-            if (!slurp(compare_path, base_text) ||
-                !slurp(current_path, cur_text))
-                return 2;
-            BenchDoc baseline = loadBench(base_text);
-            BenchDoc current = loadBench(cur_text);
-            BenchCompareOptions opt;
-            opt.ratePct = rate_tolerance;
-            std::cout << "bench-comparing against " << compare_path
-                      << " (" << baseline.schema << ")\n";
-            return compareBench(baseline, current, opt, std::cout) >
-                           0
-                       ? 4
-                       : 0;
+            return benchCompare(compare_path, loadBench(text),
+                                rate_tolerance);
         } catch (const std::exception &e) {
             std::cerr << "rnuma_bench: bench-compare failed: "
                       << e.what() << "\n";
@@ -294,7 +288,6 @@ main(int argc, char **argv)
     WorkloadCache process_cache;
 
     BenchDoc doc;
-    doc.schema = "rnuma-bench/v1";
     doc.runs = runs;
     doc.scale = scale;
     doc.jobs = jobs;
@@ -375,7 +368,6 @@ main(int argc, char **argv)
         }
     }
 
-    int status = 0;
     if (!out_path.empty()) {
         std::ostringstream buf;
         writeBench(buf, doc);
@@ -402,23 +394,7 @@ main(int argc, char **argv)
                   << runs << ", validated)\n";
     }
 
-    if (!compare_path.empty()) {
-        try {
-            std::string text;
-            if (!slurp(compare_path, text))
-                return 2;
-            BenchDoc baseline = loadBench(text);
-            BenchCompareOptions copt;
-            copt.ratePct = rate_tolerance;
-            std::cout << "bench-comparing against " << compare_path
-                      << " (" << baseline.schema << ")\n";
-            if (compareBench(baseline, doc, copt, std::cout) > 0)
-                status = 4;
-        } catch (const std::exception &e) {
-            std::cerr << "rnuma_bench: bench-compare failed: "
-                      << e.what() << "\n";
-            return 2;
-        }
-    }
-    return status;
+    if (!compare_path.empty())
+        return benchCompare(compare_path, doc, rate_tolerance);
+    return 0;
 }

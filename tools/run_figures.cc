@@ -116,15 +116,7 @@ listFigures(std::ostream &os)
 void
 listProtocols(std::ostream &os)
 {
-    Params p = Params::base();
-    Table t({"id", "name", "relocation policy", "description"});
-    for (const ProtocolSpec *s : ProtocolRegistry::global().all()) {
-        t.addRow({s->id, s->displayName,
-                  s->makePolicy ? s->makePolicy(p)->describe()
-                                : "-",
-                  s->description});
-    }
-    t.print(os);
+    protocolTable().print(os);
     os << "\n(policies are shown for the paper's base Params; "
           "select with --protocol,\nrun them via the 'policies' "
           "figure)\n";
@@ -133,10 +125,7 @@ listProtocols(std::ostream &os)
 void
 listNetworks(std::ostream &os)
 {
-    Table t({"id", "name", "description"});
-    for (const NetworkSpec *s : NetworkRegistry::global().all())
-        t.addRow({s->id, s->displayName, s->description});
-    t.print(os);
+    networkTable().print(os);
     os << "\n(select with --network, sweep them via the 'scaling' "
           "figure; every other\nfigure pins the paper's constant "
           "model)\n";
@@ -145,12 +134,7 @@ listNetworks(std::ostream &os)
 void
 listWorkloads(std::ostream &os)
 {
-    Table t({"id", "name", "category", "input", "description"});
-    for (const WorkloadSpec *s : WorkloadRegistry::global().all()) {
-        t.addRow({s->id, s->displayName, s->category, s->input,
-                  s->description});
-    }
-    t.print(os);
+    workloadTable().print(os);
     os << "\n(select with --workload, sweep them via the 'churn' "
           "figure; serving\ngenerators take k=v options via "
           "makeWorkload — see docs/ARCHITECTURE.md)\n";
@@ -423,7 +407,7 @@ main(int argc, char **argv)
             CompareOptions copt;
             copt.wallTolerancePct = tolerance;
             std::cout << "comparing against " << compare_path << " ("
-                      << baseline.schema << ")\n";
+                      << resultsSchema << ")\n";
             if (compareResults(baseline, current, copt, std::cout) > 0)
                 status = 4;
         } catch (const std::exception &e) {
