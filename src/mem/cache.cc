@@ -18,14 +18,17 @@ isValid(CacheState s)
 }
 
 Cache::Cache(std::size_t size_bytes, std::size_t block_bytes,
-             std::size_t assoc_, bool infinite)
-    : blockBytes(block_bytes), assoc(assoc_), unbounded(infinite)
+             std::size_t assoc_, bool infinite, std::size_t banks_)
+    : blockBytes(block_bytes), assoc(assoc_), nbanks(banks_),
+      unbounded(infinite)
 {
     RNUMA_ASSERT(block_bytes > 0 && (block_bytes & (block_bytes - 1)) == 0,
                  "block size must be a power of two");
+    RNUMA_ASSERT(nbanks >= 1, "a cache needs at least one bank");
     while ((std::size_t{1} << blockShift) < block_bytes)
         ++blockShift;
     if (unbounded) {
+        RNUMA_ASSERT(nbanks == 1, "an infinite cache has one bank");
         sets = 1;
         return;
     }
@@ -37,51 +40,20 @@ Cache::Cache(std::size_t size_bytes, std::size_t block_bytes,
     RNUMA_ASSERT(sets >= 1, "cache must have at least one set");
     setsArePow2 = (sets & (sets - 1)) == 0;
     setMask = sets - 1;
-    lines.resize(sets * assoc);
-}
-
-std::size_t
-Cache::setIndex(Addr a) const
-{
-    const Addr block = a >> blockShift;
-    if (setsArePow2)
-        return static_cast<std::size_t>(block) & setMask;
-    return static_cast<std::size_t>(block % sets);
+    lines.resize(sets * nbanks * assoc);
+    if (assoc > 1)
+        lru.resize(lines.size());
 }
 
 CacheLine *
-Cache::find(Addr a)
+Cache::findUnbounded(Addr a)
 {
-    a = blockAlign(a);
-    if (unbounded) {
-        auto it = map.find(a);
-        return it == map.end() ? nullptr : &it->second;
-    }
-    std::size_t base = setIndex(a) * assoc;
-    for (std::size_t w = 0; w < assoc; ++w) {
-        CacheLine &line = lines[base + w];
-        // Tag compare first: it almost always fails, and is cheaper
-        // than the state load on lines that do not match.
-        if (line.addr == a && line.valid())
-            return &line;
-    }
-    return nullptr;
-}
-
-const CacheLine *
-Cache::find(Addr a) const
-{
-    return const_cast<Cache *>(this)->find(a);
-}
-
-void
-Cache::touch(CacheLine *line)
-{
-    line->lru = ++lruClock;
+    auto it = map.find(a);
+    return it == map.end() ? nullptr : &it->second;
 }
 
 CacheLine *
-Cache::allocate(Addr a, Victim &victim)
+Cache::allocate(Addr a, Victim &victim, std::size_t bank)
 {
     a = blockAlign(a);
     victim = Victim{};
@@ -91,51 +63,37 @@ Cache::allocate(Addr a, Victim &victim)
         CacheLine &line = map[a];
         line.addr = a;
         line.state = CacheState::Invalid;
-        line.lru = ++lruClock;
         return &line;
     }
+    RNUMA_ASSERT(bank < nbanks, "bank ", bank, " out of range");
     // One pass over the set both picks the victim and enforces the
     // not-already-present contract (a second find() would walk the
-    // same ways again).
-    std::size_t base = setIndex(a) * assoc;
-    CacheLine *chosen = nullptr;
-    for (std::size_t w = 0; w < assoc; ++w) {
-        CacheLine &line = lines[base + w];
+    // same ways again). The first way is taken without an LRU
+    // compare, so direct-mapped caches never read the (absent) stamps.
+    const std::size_t base = (setIndex(a) * nbanks + bank) * assoc;
+    std::size_t chosen = base;
+    for (std::size_t i = base; i < base + assoc; ++i) {
+        const CacheLine &line = lines[i];
         if (!line.valid()) {
-            if (!chosen || chosen->valid())
-                chosen = &line;
+            if (i == base || lines[chosen].valid())
+                chosen = i;
             continue;
         }
         RNUMA_ASSERT(line.addr != a,
                      "allocate of already-present block ", a);
-        if (!chosen || (chosen->valid() && line.lru < chosen->lru))
-            chosen = &line;
+        if (i != base && lines[chosen].valid() && lru[i] < lru[chosen])
+            chosen = i;
     }
-    if (chosen->valid()) {
+    CacheLine &line = lines[chosen];
+    if (line.valid()) {
         victim.valid = true;
-        victim.addr = chosen->addr;
-        victim.state = chosen->state;
+        victim.addr = line.addr;
+        victim.state = line.state;
     }
-    chosen->addr = a;
-    chosen->state = CacheState::Invalid;
-    chosen->lru = ++lruClock;
-    return chosen;
-}
-
-CacheState
-Cache::invalidate(Addr a)
-{
-    CacheLine *line = find(a);
-    if (!line)
-        return CacheState::Invalid;
-    CacheState prior = line->state;
-    if (unbounded) {
-        map.erase(blockAlign(a));
-        return prior;
-    }
-    line->state = CacheState::Invalid;
-    line->addr = invalidAddr;
-    return prior;
+    line.addr = a;
+    line.state = CacheState::Invalid;
+    touch(&line);
+    return &line;
 }
 
 void

@@ -1,9 +1,10 @@
 /**
  * @file
  * A generic set-associative, write-back cache model with MOESI line
- * states. Instantiated as the per-processor L1 data caches and (via
- * rad/BlockCache) as the RAD's remote block cache. Supports an
- * "infinite" mode used for the Figure 6 normalization baseline.
+ * states. Instantiated as a node's processor L1 data caches (one bank
+ * per CPU) and (via rad/BlockCache) as the RAD's remote block cache.
+ * Supports an "infinite" mode used for the Figure 6 normalization
+ * baseline.
  */
 
 #ifndef RNUMA_MEM_CACHE_HH
@@ -38,12 +39,11 @@ bool isDirty(CacheState s);
 /** True for any valid state. */
 bool isValid(CacheState s);
 
-/** One cache line: block address, coherence state, LRU stamp. */
+/** One cache line: block address and coherence state. */
 struct CacheLine
 {
     Addr addr = invalidAddr;
     CacheState state = CacheState::Invalid;
-    std::uint64_t lru = 0;
 
     bool valid() const { return state != CacheState::Invalid; }
 };
@@ -51,31 +51,69 @@ struct CacheLine
 /**
  * The cache proper. All addresses passed in are rounded down to block
  * boundaries internally, so callers may pass raw addresses.
+ *
+ * A cache may hold several banks: independent caches of the same
+ * geometry (no capacity or LRU order is shared between them) whose
+ * lines are stored set-major, so one set's ways in every bank sit side
+ * by side. A node keeps its CPUs' L1s as the banks of one Cache, and
+ * a snoop or invalidation that probes every L1 then reads about one
+ * host cache line. Per-line calls name their bank; the default, 0, is
+ * the only bank of an unbanked cache.
  */
 class Cache
 {
   public:
     /**
-     * @param size_bytes  total capacity (ignored when infinite)
+     * @param size_bytes  capacity of each bank (ignored when infinite)
      * @param block_bytes coherence block size
      * @param assoc       ways per set (1 = direct-mapped)
      * @param infinite    unbounded capacity, no evictions ever
+     * @param banks       number of banks (must be 1 when infinite)
      */
     Cache(std::size_t size_bytes, std::size_t block_bytes,
-          std::size_t assoc, bool infinite = false);
+          std::size_t assoc, bool infinite = false,
+          std::size_t banks = 1);
 
     /** Block-align an address. */
     Addr blockAlign(Addr a) const { return a & ~(blockBytes - 1); }
 
     /**
-     * Probe for a block. Returns the line (without updating LRU) or
-     * nullptr on miss.
+     * Probe @p bank for a block. Returns the line (without updating
+     * LRU) or nullptr on miss.
      */
-    CacheLine *find(Addr a);
-    const CacheLine *find(Addr a) const;
+    CacheLine *
+    find(Addr a, std::size_t bank = 0)
+    {
+        a = blockAlign(a);
+        if (unbounded)
+            return findUnbounded(a);
+        CacheLine *set = &lines[(setIndex(a) * nbanks + bank) * assoc];
+        for (std::size_t w = 0; w < assoc; ++w) {
+            // Tag compare first: it almost always fails, and is
+            // cheaper than the state load on lines that do not match.
+            if (set[w].addr == a && set[w].valid())
+                return &set[w];
+        }
+        return nullptr;
+    }
 
-    /** Mark a line most-recently used. */
-    void touch(CacheLine *line);
+    const CacheLine *
+    find(Addr a, std::size_t bank = 0) const
+    {
+        return const_cast<Cache *>(this)->find(a, bank);
+    }
+
+    /**
+     * Mark a line most-recently used. Direct-mapped and infinite
+     * caches keep no LRU order, so this does nothing in them.
+     */
+    void
+    touch(CacheLine *line)
+    {
+        if (!lru.empty())
+            lru[static_cast<std::size_t>(line - lines.data())] =
+                ++lruClock;
+    }
 
     /** Description of a line evicted by allocate(). */
     struct Victim
@@ -86,28 +124,42 @@ class Cache
     };
 
     /**
-     * Allocate a line for a block (which must not currently be
-     * present), evicting the LRU way if the set is full. The caller
-     * must handle any writeback implied by the victim's dirty state.
-     * The returned line is valid with state Invalid; the caller sets
-     * the state.
+     * Allocate a line in @p bank for a block (which must not currently
+     * be present there), evicting the bank's LRU way if the set is
+     * full. The caller must handle any writeback implied by the
+     * victim's dirty state. The returned line is valid with state
+     * Invalid; the caller sets the state.
      */
-    CacheLine *allocate(Addr a, Victim &victim);
+    CacheLine *allocate(Addr a, Victim &victim, std::size_t bank = 0);
 
     /**
-     * Invalidate a block if present; returns its prior state
-     * (Invalid when absent).
+     * Invalidate a block in @p bank if present; returns its prior
+     * state (Invalid when absent).
      */
-    CacheState invalidate(Addr a);
+    CacheState
+    invalidate(Addr a, std::size_t bank = 0)
+    {
+        CacheLine *line = find(a, bank);
+        if (!line)
+            return CacheState::Invalid;
+        const CacheState prior = line->state;
+        if (unbounded) {
+            map.erase(blockAlign(a));
+        } else {
+            line->state = CacheState::Invalid;
+            line->addr = invalidAddr;
+        }
+        return prior;
+    }
 
     /** Downgrade a block to Shared if present (snoop read). */
     void downgrade(Addr a);
 
-    /** Visit every valid line (test/diagnostic use). */
+    /** Visit every valid line of every bank (test/diagnostic use). */
     void forEachValid(
         const std::function<void(const CacheLine &)> &fn) const;
 
-    /** Number of currently valid lines. */
+    /** Number of currently valid lines, over all banks. */
     std::size_t validCount() const;
 
     std::size_t numSets() const { return sets; }
@@ -118,6 +170,7 @@ class Cache
   private:
     std::size_t blockBytes;
     std::size_t assoc;
+    std::size_t nbanks;
     std::size_t sets;
     bool unbounded;
     /**
@@ -135,12 +188,26 @@ class Cache
     bool setsArePow2 = false;
     std::uint64_t lruClock = 0;
 
-    /** Set-indexed storage (finite mode): sets * assoc lines. */
+    /**
+     * Set-indexed storage (finite mode): sets * banks * assoc lines,
+     * line (set * banks + bank) * assoc + way.
+     */
     std::vector<CacheLine> lines;
+    /** LRU stamps, parallel to lines; allocated only when assoc > 1. */
+    std::vector<std::uint64_t> lru;
     /** Map storage (infinite mode). */
     std::unordered_map<Addr, CacheLine> map;
 
-    std::size_t setIndex(Addr a) const;
+    std::size_t
+    setIndex(Addr a) const
+    {
+        const Addr block = a >> blockShift;
+        if (setsArePow2)
+            return static_cast<std::size_t>(block) & setMask;
+        return static_cast<std::size_t>(block % sets);
+    }
+
+    CacheLine *findUnbounded(Addr a);
 };
 
 } // namespace rnuma

@@ -37,7 +37,7 @@ class BlockCache
     CacheLine *find(Addr a) { return cache.find(a); }
     const CacheLine *find(Addr a) const { return cache.find(a); }
 
-    /** LRU touch. */
+    /** LRU touch (nothing to do when direct-mapped). */
     void touch(CacheLine *line) { cache.touch(line); }
 
     /** Allocate a frame; the victim (if any) is returned. */

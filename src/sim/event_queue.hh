@@ -5,33 +5,27 @@
  * activity is processed in global time order; L1 hits are accumulated
  * arithmetically without events.
  *
- * Two implementations share one contract — pop order is strictly
- * (when, seq), i.e. time order with deterministic FIFO tie-breaking:
+ * Pop order is strictly (when, seq): time order with deterministic
+ * FIFO tie-breaking by insertion order.
  *
- * - EventQueue: the production scheduler, an indexed two-level
- *   structure exploiting the simulator's mostly-monotonic small-delta
- *   event pattern. A calendar of one-tick FIFO buckets covers the
- *   near future [cursor, cursor + window); a hierarchical bitmap over
- *   the buckets finds the next non-empty one in a few word
- *   operations, so schedule and pop are O(1) in the common case.
- *   Events beyond the window (page operations, long barrier jumps)
- *   overflow into a min-heap and are merged back in by comparison at
- *   pop time, which keeps the (when, seq) order exact even when the
- *   same tick holds both calendar and heap events.
- *
- * - HeapEventQueue: the plain std::priority_queue reference
- *   implementation. The unit tests assert the two pop bit-identical
- *   sequences under randomized schedules, and bench_micro measures
- *   the calendar's throughput advantage against it.
+ * The machine never has more than one event pending per CPU: step()
+ * reschedules the CPU it was popped for at most once, and a barrier
+ * release reschedules only CPUs that are waiting and so have none.
+ * The queue is therefore one slot per tag with a winner tree over the
+ * slots: every internal node holds the earliest event of its subtree,
+ * so the root is the next event. schedule() and pop() each replay one
+ * leaf-to-root path, log2(tags) comparisons (5 on the paper's 32 CPUs,
+ * 9 at 512). The tests check the pop sequence against a plain
+ * std::priority_queue oracle (tests/heap_event_queue.hh).
  */
 
 #ifndef RNUMA_SIM_EVENT_QUEUE_HH
 #define RNUMA_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace rnuma
@@ -45,106 +39,55 @@ struct Event
     std::uint32_t tag = 0; ///< payload (the CPU id)
 };
 
-/** Strict (when, seq) order: the one pop order both queues honor. */
-inline bool
-eventBefore(const Event &a, const Event &b)
-{
-    if (a.when != b.when)
-        return a.when < b.when;
-    return a.seq < b.seq;
-}
-
-/**
- * Reference min-heap event queue with deterministic tie-breaking.
- * Kept as the ordering oracle for the calendar queue's tests and the
- * baseline for bench_micro's scheduler-throughput comparison.
- */
-class HeapEventQueue
-{
-  public:
-    /** Schedule @p tag to run at @p when. */
-    void schedule(Tick when, std::uint32_t tag);
-
-    /** Any events pending? */
-    bool empty() const { return heap.empty(); }
-
-    /** Pop the earliest event (ties broken by insertion order). */
-    Event pop();
-
-    /** Tick of the earliest pending event (queue must not be empty). */
-    Tick peekTime() const { return heap.top().when; }
-
-    /** Events processed so far. */
-    std::uint64_t processed() const { return popCount; }
-
-    /** Events currently pending. */
-    std::size_t pending() const { return heap.size(); }
-
-  private:
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            return eventBefore(b, a);
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, Later> heap;
-    std::uint64_t seqCounter = 0;
-    std::uint64_t popCount = 0;
-};
-
-/**
- * The production scheduler: a bitmap-indexed calendar of one-tick
- * FIFO buckets over a far-future min-heap (see the file comment).
- * Drop-in API-compatible with HeapEventQueue and bit-identical in
- * pop order.
- */
+/** At most one pending event per tag, in a winner tree (see above). */
 class EventQueue
 {
   public:
-    /**
-     * @param window calendar span in ticks (one bucket per tick),
-     *        rounded up to a power of two, minimum 64. The default
-     *        covers the simulator's common event deltas — think
-     *        times, bus and remote-fetch latencies, barrier releases
-     *        are all well under 1024 cycles — while the rare
-     *        multi-thousand-cycle page operations overflow into the
-     *        heap. Kept small on purpose: the bucket array is the
-     *        hot working set, and 1024 buckets stay cache-resident
-     *        where a wider calendar thrashes. Size it up for
-     *        workloads with systematically longer deltas (e.g.
-     *        slower networks).
-     */
-    explicit EventQueue(std::size_t window = 1024);
+    /** @param tags number of tags (0..tags-1); fatal when 0. */
+    explicit EventQueue(std::size_t tags);
 
     /**
-     * The window for a workload whose common scheduling deltas are
-     * bounded by @p typical_max_delta ticks: the smallest power of
-     * two covering the span, clamped to [64, 65536]. Window size
-     * never affects pop order — only how often events overflow to
-     * the far heap — so auto-sizing is bit-identity-safe by
-     * construction. The cap keeps pathological spans (page-op-scale
-     * deltas belong in the heap) from inflating the bucket array
-     * past the cache-resident sizes the calendar is designed for.
+     * Schedule @p tag to run at @p when. Fatal if @p tag is out of
+     * range or already has an event pending.
      */
-    static std::size_t autoWindow(Tick typical_max_delta);
-
-    /** Calendar span actually in use (post-rounding). */
-    std::size_t windowSize() const { return window_; }
-
-    /** Schedule @p tag to run at @p when. */
-    void schedule(Tick when, std::uint32_t tag);
+    void
+    schedule(Tick when, std::uint32_t tag)
+    {
+        RNUMA_ASSERT(tag < tags_, "event tag ", tag, " out of range");
+        Key &leaf = key_[leaves_ + tag];
+        RNUMA_ASSERT(leaf == idle, "tag ", tag,
+                     " already has an event pending");
+        RNUMA_ASSERT(seqCounter_ < seqLimit_, "event sequence overflow");
+        leaf = Key{when} << 64 | Key{seqCounter_++ << tagBits_ | tag};
+        size_++;
+        replay(tag);
+    }
 
     /** Any events pending? */
     bool empty() const { return size_ == 0; }
 
     /** Pop the earliest event (ties broken by insertion order). */
-    Event pop();
+    Event
+    pop()
+    {
+        RNUMA_ASSERT(size_ > 0, "pop from empty event queue");
+        const Key k = key_[1];
+        const auto low = static_cast<std::uint64_t>(k);
+        const auto tag = static_cast<std::uint32_t>(low & (leaves_ - 1));
+        key_[leaves_ + tag] = idle;
+        size_--;
+        popCount_++;
+        replay(tag);
+        return Event{static_cast<Tick>(k >> 64), low >> tagBits_, tag};
+    }
 
     /** Tick of the earliest pending event (queue must not be empty). */
-    Tick peekTime() const;
+    Tick
+    peekTime() const
+    {
+        RNUMA_ASSERT(size_ > 0, "peek into empty event queue");
+        return static_cast<Tick>(key_[1] >> 64);
+    }
 
     /** Events processed so far. */
     std::uint64_t processed() const { return popCount_; }
@@ -153,56 +96,58 @@ class EventQueue
     std::size_t pending() const { return size_; }
 
   private:
-    /** A FIFO of same-tick events, drained from head. */
-    struct Bucket
-    {
-        std::vector<Event> ev;
-        std::size_t head = 0;
-        bool empty() const { return head == ev.size(); }
-    };
+    /**
+     * An event as one integer: when in the high word, then seq, then
+     * the tag in the low tagBits_ bits. Integer order is (when, seq)
+     * order (seqs are unique, so the tag never decides), and a match
+     * is one compare and a conditional move, with no branch to
+     * mispredict.
+     */
+    __extension__ typedef unsigned __int128 Key;
 
-    struct Later
+    /** The key of a tag with nothing pending: loses every match. */
+    static constexpr Key idle = ~Key{0};
+
+    /** Re-run the matches on the path from @p tag's leaf to the root. */
+    void
+    replay(std::uint32_t tag)
     {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            return eventBefore(b, a);
+        std::size_t n = leaves_ + tag;
+        Key k = key_[n];
+        for (; n > 1; n >>= 1) {
+            const Key sib = key_[n ^ 1];
+            k = sib < k ? sib : k;
+            key_[n >> 1] = k;
         }
-    };
-    using Heap =
-        std::priority_queue<Event, std::vector<Event>, Later>;
+    }
 
-    static constexpr std::size_t noHint = ~std::size_t{0};
-
+    std::size_t tags_;
+    std::size_t leaves_ = 1; ///< tags_ rounded up to a power of two
+    unsigned tagBits_ = 0;   ///< log2(leaves_)
+    std::uint64_t seqLimit_; ///< seqs must fit beside the tag
     /**
-     * Index of the first non-empty bucket in circular order from
-     * cursor_; only valid when nearCount_ > 0.
+     * The tree, heap-numbered from 1: node n holds the earliest key
+     * of its subtree, node leaves_ + t is tag t's own slot, and
+     * leaves past tags_ stay idle.
      */
-    std::size_t nextBucket() const;
-
-    /** Earliest calendar event, or nullptr when the calendar is empty. */
-    const Event *nearFront() const;
-
-    std::size_t window_;   ///< calendar span (power of two, >= 64)
-    std::size_t bitWords_; ///< window_ / 64
-    std::vector<Bucket> near_;        ///< window_ one-tick buckets
-    std::vector<std::uint64_t> bits_; ///< non-empty-bucket index
-    /**
-     * Memo of the earliest non-empty bucket (noHint = recompute).
-     * peekTime/pop pairs and runs of same-tick ties then skip the
-     * bitmap scan entirely; schedule keeps it coherent by moving it
-     * when an earlier event arrives.
-     */
-    mutable std::size_t hint_ = noHint;
-    Heap far_;  ///< events at or beyond cursor_ + window at insert
-    Heap past_; ///< events scheduled before cursor_ (API generality;
-                ///< the simulator never schedules into the past)
-    Tick cursor_ = 0; ///< lower bound of all near/far events
-    std::size_t nearCount_ = 0;
+    std::vector<Key> key_;
     std::size_t size_ = 0;
     std::uint64_t seqCounter_ = 0;
     std::uint64_t popCount_ = 0;
 };
+
+inline EventQueue::EventQueue(std::size_t tags) : tags_(tags)
+{
+    RNUMA_ASSERT(tags > 0, "event queue needs at least one tag");
+    RNUMA_ASSERT(tags <= std::size_t{1} << 31, "event queue of ", tags,
+                 " tags is too large");
+    while (leaves_ < tags) {
+        leaves_ *= 2;
+        tagBits_++;
+    }
+    seqLimit_ = ~std::uint64_t{0} >> tagBits_;
+    key_.assign(2 * leaves_, idle);
+}
 
 } // namespace rnuma
 

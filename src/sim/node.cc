@@ -8,12 +8,11 @@ namespace rnuma
 Node::Node(const Params &params, NodeId id, const ProtocolSpec &spec,
            Memory &memory, GlobalProtocol &proto_, RunStats &stats_)
     : p(params), id_(id), proto(proto_), stats(stats_), mem(memory),
-      bus_(params.busOccupancy), pageTable_(),
-      vm_(params, id, stats_)
+      bus_(params.busOccupancy),
+      l1s_(params.l1Size, params.blockSize, params.l1Assoc, false,
+           params.cpusPerNode),
+      pageTable_(), vm_(params, id, stats_)
 {
-    l1s.reserve(p.cpusPerNode);
-    for (std::size_t i = 0; i < p.cpusPerNode; ++i)
-        l1s.emplace_back(p.l1Size, p.blockSize, p.l1Assoc);
     rad_ = makeRad(spec, p, id,
                    RadDeps{proto, stats, bus_, mem, vm_, pageTable_,
                            *this});
@@ -22,10 +21,10 @@ Node::Node(const Params &params, NodeId id, const ProtocolSpec &spec,
 CacheLine *
 Node::snoopOwned(std::size_t cpu, Addr block)
 {
-    for (std::size_t i = 0; i < l1s.size(); ++i) {
+    for (std::size_t i = 0; i < p.cpusPerNode; ++i) {
         if (i == cpu)
             continue;
-        CacheLine *line = l1s[i].find(block);
+        CacheLine *line = l1s_.find(block, i);
         if (line && isDirty(line->state))
             return line;
     }
@@ -35,9 +34,9 @@ Node::snoopOwned(std::size_t cpu, Addr block)
 void
 Node::invalidateOtherL1s(std::size_t cpu, Addr block)
 {
-    for (std::size_t i = 0; i < l1s.size(); ++i)
+    for (std::size_t i = 0; i < p.cpusPerNode; ++i)
         if (i != cpu)
-            l1s[i].invalidate(block);
+            l1s_.invalidate(block, i);
 }
 
 bool
@@ -51,11 +50,10 @@ Node::nodeHasWritePermission(Addr block, bool is_home) const
 void
 Node::fillL1(Tick now, std::size_t cpu, Addr block, CacheState st)
 {
-    Cache &l1 = l1s[cpu];
     Cache::Victim v;
-    CacheLine *nl = l1.allocate(block, v);
+    CacheLine *nl = l1s_.allocate(block, v, cpu);
     nl->state = st;
-    l1.touch(nl);
+    l1s_.touch(nl);
     if (!v.valid || !isDirty(v.state))
         return;
     // Dirty victim: write it back to the node-level holder. The
@@ -69,32 +67,16 @@ Node::fillL1(Tick now, std::size_t cpu, Addr block, CacheState st)
     }
 }
 
-bool
-Node::tryHit(std::size_t cpu, Addr addr, bool write)
-{
-    Addr block = blockOf(addr);
-    Cache &l1 = l1s[cpu];
-    CacheLine *line = l1.find(block);
-    if (!line || !line->valid())
-        return false;
-    if (write && line->state != CacheState::Modified)
-        return false;
-    l1.touch(line);
-    stats.l1Hits++;
-    return true;
-}
-
 Tick
 Node::access(Tick now, std::size_t cpu, Addr addr, bool write,
              bool is_home)
 {
     Addr block = blockOf(addr);
-    Cache &l1 = l1s[cpu];
-    CacheLine *line = l1.find(block);
+    CacheLine *line = l1s_.find(block, cpu);
 
-    if (line && line->valid()) {
+    if (line) {
         if (!write || line->state == CacheState::Modified) {
-            l1.touch(line);
+            l1s_.touch(line);
             stats.l1Hits++;
             return now;
         }
@@ -106,7 +88,7 @@ Node::access(Tick now, std::size_t cpu, Addr addr, bool write,
             // bus transaction transfers ownership locally.
             invalidateOtherL1s(cpu, block);
             line->state = CacheState::Modified;
-            l1.touch(line);
+            l1s_.touch(line);
             return t;
         }
         Tick done;
@@ -126,10 +108,10 @@ Node::access(Tick now, std::size_t cpu, Addr addr, bool write,
         // The RAD access may have relocated the page and purged this
         // very line; re-probe rather than resurrecting a stale
         // pointer.
-        line = l1.find(block);
-        if (line && line->valid()) {
+        line = l1s_.find(block, cpu);
+        if (line) {
             line->state = CacheState::Modified;
-            l1.touch(line);
+            l1s_.touch(line);
         } else {
             fillL1(done, cpu, block, CacheState::Modified);
         }
@@ -200,8 +182,8 @@ Node::invalidateL1Block(Addr block)
         }
         return 0;
     };
-    for (auto &l1 : l1s) {
-        CacheState s = l1.invalidate(block);
+    for (std::size_t i = 0; i < p.cpusPerNode; ++i) {
+        CacheState s = l1s_.invalidate(block, i);
         if (rank(s) > rank(strongest))
             strongest = s;
     }
@@ -221,9 +203,9 @@ void
 Node::downgradeAll(Addr block)
 {
     block = blockOf(block);
-    for (auto &l1 : l1s) {
-        CacheLine *line = l1.find(block);
-        if (line && line->valid())
+    for (std::size_t i = 0; i < p.cpusPerNode; ++i) {
+        CacheLine *line = l1s_.find(block, i);
+        if (line)
             line->state = CacheState::Shared;
     }
     rad_->downgradeBlock(block);

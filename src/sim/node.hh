@@ -6,13 +6,14 @@
  * Device. The node routes each L1 miss: on-node cache-to-cache
  * transfer (owned lines only, per the MBus limitation in Section 4),
  * home-memory access for local pages, or the RAD for remote pages.
+ * The L1s are the banks of one Cache, one bank per CPU, so a snoop of
+ * all four reads one set's lines side by side.
  */
 
 #ifndef RNUMA_SIM_NODE_HH
 #define RNUMA_SIM_NODE_HH
 
 #include <memory>
-#include <vector>
 
 #include "common/params.hh"
 #include "common/stats.hh"
@@ -63,7 +64,16 @@ class Node : public L1Snooper
      * sufficient permission (zero extra latency, no shared state
      * touched). Returns false otherwise, with no side effects.
      */
-    bool tryHit(std::size_t cpu, Addr addr, bool write);
+    bool
+    tryHit(std::size_t cpu, Addr addr, bool write)
+    {
+        CacheLine *line = l1s_.find(addr, cpu);
+        if (!line || (write && line->state != CacheState::Modified))
+            return false;
+        l1s_.touch(line);
+        stats.l1Hits++;
+        return true;
+    }
 
     //--- L1Snooper --------------------------------------------------------
     CacheState invalidateL1Block(Addr block) override;
@@ -80,7 +90,8 @@ class Node : public L1Snooper
     const Rad &rad() const { return *rad_; }
     Bus &bus() { return bus_; }
     PageTable &pageTable() { return pageTable_; }
-    Cache &l1(std::size_t cpu) { return l1s[cpu]; }
+    /** The node's L1s: bank i is local CPU i's cache. */
+    Cache &l1s() { return l1s_; }
     NodeId id() const { return id_; }
 
   private:
@@ -90,7 +101,7 @@ class Node : public L1Snooper
     RunStats &stats;
     Memory &mem;
     Bus bus_;
-    std::vector<Cache> l1s;
+    Cache l1s_;
     PageTable pageTable_;
     VmManager vm_;
     std::unique_ptr<Rad> rad_;

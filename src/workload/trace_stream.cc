@@ -171,7 +171,7 @@ recordStreamTrace(Workload &wl, const std::string &path)
     putU64(os, streamTraceMagic);
     putU32(os, streamTraceVersion);
     putU32(os, static_cast<std::uint32_t>(wl.numCpus()));
-    putU64(os, wl.maxThink());
+    putU64(os, 0); // unused slot
     putU64(os, addrLimit);
     const std::string &name = wl.name();
     putU64(os, name.size());
@@ -214,7 +214,7 @@ StreamTraceWorkload::StreamTraceWorkload(const std::string &path)
     }
     file_size_ = static_cast<std::size_t>(st.st_size);
 
-    // 8 magic + 4 version + 4 ncpus + 8 maxThink + 8 addrLimit
+    // 8 magic + 4 version + 4 ncpus + 8 unused + 8 addrLimit
     // + 8 nameLen
     constexpr std::size_t fixedHeader = 40;
     if (file_size_ < fixedHeader) {
@@ -251,7 +251,6 @@ StreamTraceWorkload::StreamTraceWorkload(const std::string &path)
     std::uint32_t ncpus = readU32(map_ + 12);
     if (ncpus == 0 || ncpus > 4096)
         bail(detail::concat("implausible cpu count ", ncpus));
-    max_think_ = readU64(map_ + 16);
     addr_limit_ = readU64(map_ + 24);
     std::uint64_t nameLen = readU64(map_ + 32);
     if (nameLen > 4096 || fixedHeader + nameLen > file_size_)

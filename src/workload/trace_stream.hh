@@ -9,8 +9,9 @@
  * billions-of-references serving replays the north star calls for.
  * The stream format instead:
  *
- *  - header: magic "RNUMAST1", format version, cpu count, max think
- *    time, address-space high-water mark, workload name;
+ *  - header: magic "RNUMAST1", format version, cpu count, an unused
+ *    8-byte slot (written 0, skipped on read; it once held the max
+ *    think time), address-space high-water mark, workload name;
  *  - body: a sequence of chunks `[varint cpu][varint len][records]`,
  *    written round-robin across CPUs so file order tracks replay
  *    order;
@@ -79,7 +80,6 @@ class StreamTraceWorkload : public Workload
     const Ref &next(CpuId cpu) override;
     void reset() override;
     const std::string &name() const override { return name_; }
-    Tick maxThink() const override { return max_think_; }
 
     /** The recorded allocation high-water mark (0 = unknown). */
     Addr addrLimit() const { return addr_limit_; }
@@ -122,7 +122,6 @@ class StreamTraceWorkload : public Workload
     std::size_t body_off_ = 0;
     std::size_t drop_lo_ = 0; ///< file offset already madvise()d away
     std::string name_;
-    Tick max_think_ = 0;
     Addr addr_limit_ = 0;
     std::vector<Cursor> cursors_;
     /// Per-cpu chunk index, built in one constructor pass so replay

@@ -38,8 +38,6 @@ VectorWorkload::push(CpuId cpu, Ref r)
     RNUMA_ASSERT(!sealed, "cannot push after seal()");
     if (r.kind == RefKind::Mem)
         mem_refs++;
-    if (r.think > max_think)
-        max_think = r.think;
     streams[cpu].push_back(r);
 }
 
@@ -123,12 +121,6 @@ const std::string &
 SnapshotWorkload::name() const
 {
     return snap_->name_;
-}
-
-Tick
-SnapshotWorkload::maxThink() const
-{
-    return snap_->maxThink();
 }
 
 } // namespace rnuma

@@ -68,15 +68,6 @@ class Workload
 
     /** Workload name for reports. */
     virtual const std::string &name() const = 0;
-
-    /**
-     * Largest think time in any stream, in ticks. The machine sizes
-     * its event calendar from this span (see EventQueue::autoWindow);
-     * 0 — the default for sources that cannot know — selects the
-     * minimum window, which is always correct, only slower when the
-     * real deltas are systematically larger.
-     */
-    virtual Tick maxThink() const { return 0; }
 };
 
 /** A workload backed by pre-generated per-CPU vectors. */
@@ -89,7 +80,6 @@ class VectorWorkload : public Workload
     const Ref &next(CpuId cpu) override;
     void reset() override;
     const std::string &name() const override { return name_; }
-    Tick maxThink() const override { return max_think; }
 
     /** Append an entry to one CPU's stream. */
     void push(CpuId cpu, Ref r);
@@ -132,7 +122,6 @@ class VectorWorkload : public Workload
     std::vector<std::vector<Ref>> streams;
     std::vector<std::size_t> cursor;
     std::size_t mem_refs = 0;
-    Tick max_think = 0;
     Addr addr_limit = 0;
     bool sealed = false;
 
@@ -164,7 +153,6 @@ class SnapshotWorkload : public Workload
     const Ref &next(CpuId cpu) override;
     void reset() override;
     const std::string &name() const override;
-    Tick maxThink() const override;
 
   private:
     /** One CPU's stream: borrowed storage plus this view's cursor. */

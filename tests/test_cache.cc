@@ -157,6 +157,61 @@ TEST(Cache, ForEachValidVisitsAll)
     EXPECT_EQ(n, 5u);
 }
 
+TEST(CacheBanks, OneSetInTwoBanksHoldsTwoBlocks)
+{
+    // 1 KB direct-mapped banks: 0 and 1024 share a set, but each
+    // bank is its own cache, so neither fill evicts the other.
+    Cache c(1024, 32, 1, false, 2);
+    Cache::Victim v;
+    c.allocate(0, v, 0)->state = CacheState::Modified;
+    c.allocate(1024, v, 1)->state = CacheState::Shared;
+    EXPECT_FALSE(v.valid);
+    EXPECT_NE(c.find(0, 0), nullptr);
+    EXPECT_NE(c.find(1024, 1), nullptr);
+    EXPECT_EQ(c.find(0, 1), nullptr);
+    EXPECT_EQ(c.find(1024, 0), nullptr);
+    // The same block may live in both banks; invalidation is per bank.
+    c.allocate(0, v, 1)->state = CacheState::Shared;
+    EXPECT_TRUE(v.valid);
+    EXPECT_EQ(v.addr, 1024u);
+    EXPECT_EQ(c.invalidate(0, 1), CacheState::Shared);
+    EXPECT_EQ(c.find(0, 0)->state, CacheState::Modified);
+    EXPECT_EQ(c.validCount(), 1u);
+}
+
+TEST(CacheBanks, LruOrderIsKeptPerBank)
+{
+    // One 2-way set in each of two banks, filled in interleaved
+    // order: bank 0 touches its older way, bank 1 its newer one, so
+    // the two banks must pick different victims.
+    Cache c(2 * 32, 32, 2, false, 2);
+    Cache::Victim v;
+    auto fill = [&](Addr a, std::size_t bank) {
+        CacheLine *l = c.allocate(a, v, bank);
+        l->state = CacheState::Shared;
+        return l;
+    };
+    CacheLine *a0 = fill(0, 0);
+    fill(0, 1);
+    fill(32, 0);
+    CacheLine *b1 = fill(32, 1);
+    c.touch(a0);
+    c.touch(b1);
+    c.allocate(64, v, 0);
+    EXPECT_TRUE(v.valid);
+    EXPECT_EQ(v.addr, 32u);
+    c.allocate(64, v, 1);
+    EXPECT_TRUE(v.valid);
+    EXPECT_EQ(v.addr, 0u);
+    EXPECT_NE(c.find(0, 0), nullptr);
+    EXPECT_NE(c.find(32, 1), nullptr);
+}
+
+TEST(CacheBanks, InfiniteCacheHasOneBank)
+{
+    EXPECT_THROW(Cache(0, 32, 1, true, 2), std::logic_error);
+}
+
 /** Parameterized sweep: geometry invariants across configurations. */
 class CacheGeometry
     : public ::testing::TestWithParam<std::tuple<int, int, int>>

@@ -1,17 +1,20 @@
 /**
  * @file
- * Unit tests for the discrete-event queue: API behavior of the
- * production calendar scheduler, plus ordering-parity checks that
- * replay randomized schedules through both the calendar and the
- * HeapEventQueue reference and assert bit-identical pop sequences.
+ * Unit tests for the discrete-event queue: the API behavior of the
+ * per-tag winner tree, its one-pending-event-per-tag contract, and
+ * ordering-parity checks that replay simulator-shaped schedules
+ * through both the winner tree and the HeapEventQueue oracle and
+ * assert identical pop sequences.
  */
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
+#include "heap_event_queue.hh"
 #include "sim/event_queue.hh"
 
 namespace rnuma
@@ -19,7 +22,7 @@ namespace rnuma
 
 TEST(EventQueue, PopsInTimeOrder)
 {
-    EventQueue q;
+    EventQueue q(4);
     q.schedule(30, 3);
     q.schedule(10, 1);
     q.schedule(20, 2);
@@ -31,18 +34,18 @@ TEST(EventQueue, PopsInTimeOrder)
 
 TEST(EventQueue, TiesBreakByInsertionOrder)
 {
-    EventQueue q;
-    q.schedule(5, 7);
+    EventQueue q(10);
     q.schedule(5, 8);
+    q.schedule(5, 7);
     q.schedule(5, 9);
-    EXPECT_EQ(q.pop().tag, 7u);
     EXPECT_EQ(q.pop().tag, 8u);
+    EXPECT_EQ(q.pop().tag, 7u);
     EXPECT_EQ(q.pop().tag, 9u);
 }
 
 TEST(EventQueue, PeekTime)
 {
-    EventQueue q;
+    EventQueue q(2);
     q.schedule(42, 0);
     q.schedule(7, 1);
     EXPECT_EQ(q.peekTime(), 7u);
@@ -52,9 +55,9 @@ TEST(EventQueue, PeekTime)
 
 TEST(EventQueue, ProcessedAndPendingCounters)
 {
-    EventQueue q;
+    EventQueue q(2);
     q.schedule(1, 0);
-    q.schedule(2, 0);
+    q.schedule(2, 1);
     EXPECT_EQ(q.pending(), 2u);
     q.pop();
     EXPECT_EQ(q.processed(), 1u);
@@ -63,310 +66,171 @@ TEST(EventQueue, ProcessedAndPendingCounters)
 
 TEST(EventQueue, PopEmptyPanics)
 {
-    EventQueue q;
+    EventQueue q(1);
     EXPECT_THROW(q.pop(), std::logic_error);
+    EXPECT_THROW(q.peekTime(), std::logic_error);
 }
 
 TEST(EventQueue, InterleavedScheduleAndPop)
 {
-    EventQueue q;
+    EventQueue q(4);
     q.schedule(10, 1);
     Event e = q.pop();
     // Scheduling an earlier event after popping is fine; the queue
     // orders whatever is pending.
     q.schedule(e.when + 5, 2);
     q.schedule(e.when + 1, 3);
-    EXPECT_EQ(q.pop().tag, 3u);
-    EXPECT_EQ(q.pop().tag, 2u);
-}
-
-TEST(EventQueue, SchedulingBeforeTheCursorStillPopsInOrder)
-{
-    // The simulator never schedules into the past, but the API
-    // allows it; such events pop first, in (when, seq) order.
-    EventQueue q;
-    q.schedule(100, 1);
-    EXPECT_EQ(q.pop().when, 100u);
-    q.schedule(50, 2);
-    q.schedule(5, 3);
-    q.schedule(100, 4);
-    q.schedule(50, 5);
-    EXPECT_EQ(q.pop().tag, 3u); // t=5
-    EXPECT_EQ(q.pop().tag, 2u); // t=50, first inserted
-    EXPECT_EQ(q.pop().tag, 5u); // t=50, second inserted
-    EXPECT_EQ(q.pop().tag, 4u); // t=100
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, FarAndNearEventsAtTheSameTickKeepFifoOrder)
-{
-    // tag 1 lands beyond the calendar window (far heap); after the
-    // cursor advances, tag 2 at the *same tick* lands in the
-    // calendar. FIFO tie-break must still pop 1 before 2.
-    EventQueue q;
-    q.schedule(10000, 1); // cursor 0: far
-    q.schedule(7000, 9);
-    EXPECT_EQ(q.pop().tag, 9u); // cursor -> 7000
-    q.schedule(10000, 2);       // now within the window: near
-    q.schedule(10000, 3);
+    q.schedule(e.when - 4, 1);
     EXPECT_EQ(q.pop().tag, 1u);
-    EXPECT_EQ(q.pop().tag, 2u);
     EXPECT_EQ(q.pop().tag, 3u);
+    EXPECT_EQ(q.pop().tag, 2u);
 }
 
-TEST(EventQueue, LongJumpsCrossTheCalendarWindow)
+TEST(EventQueue, SchedulingAPendingTagTwicePanics)
 {
-    // Page-operation-sized deltas overflow the near window; the far
-    // heap hands them back in order, including exact window edges.
-    EventQueue q;
-    q.schedule(0, 0);
-    q.schedule(1023, 1);  // last near bucket
-    q.schedule(1024, 2);  // first far tick
-    q.schedule(11500, 3); // a full page-op jump
-    for (std::uint32_t want = 0; want < 4; ++want)
-        EXPECT_EQ(q.pop().tag, want);
+    EventQueue q(4);
+    q.schedule(10, 2);
+    EXPECT_THROW(q.schedule(20, 2), std::logic_error);
+    EXPECT_EQ(q.pending(), 1u);
+    // Once popped, the tag is free again.
+    EXPECT_EQ(q.pop().tag, 2u);
+    q.schedule(20, 2);
+    EXPECT_EQ(q.pop().when, 20u);
+}
+
+TEST(EventQueue, OutOfRangeTagAndZeroTagsPanic)
+{
+    EXPECT_THROW(EventQueue(0), std::logic_error);
+    EventQueue q(3); // one padding leaf in the tree
+    EXPECT_THROW(q.schedule(0, 3), std::logic_error);
     EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueParity, RandomizedStreamsMatchTheHeapReference)
+namespace
 {
-    // Replay an event pattern shaped like the simulator's (bursts of
-    // small deltas, occasional barrier- and page-op-sized jumps,
-    // same-tick ties) through both queues; the pop sequences must be
-    // bit-identical, including seq numbers.
-    Rng rng(0xeeff01);
-    EventQueue cal;
+
+/**
+ * Drive @p tags CPUs through both queues the way Machine::run does
+ * and assert identical pops. Each popped CPU either reschedules
+ * itself at a simulator-shaped delta (think/bus, fill/fetch, page-op
+ * scale, or the same tick), arrives at a barrier, or finishes; when
+ * every live CPU waits, all are released at one tick in CPU order.
+ * Every seventh tag never runs, so the tree also carries idle leaves.
+ */
+void
+runParity(std::size_t tags, std::uint64_t seed, int steps)
+{
+    Rng rng(seed);
+    EventQueue tree(tags);
     HeapEventQueue heap;
-    Tick now = 0;
-    std::size_t pendingCount = 0;
-    for (int step = 0; step < 20000; ++step) {
-        bool doSchedule =
-            pendingCount == 0 || rng.chance(0.55);
-        if (doSchedule) {
+    std::vector<bool> waiting(tags, false);
+    std::size_t live = 0, arrived = 0;
+    Tick barrierMax = 0;
+    for (std::uint32_t c = 0; c < tags; ++c) {
+        if (c % 7 == 6)
+            continue;
+        tree.schedule(0, c);
+        heap.schedule(0, c);
+        live++;
+    }
+    for (int step = 0; step < steps && !heap.empty(); ++step) {
+        ASSERT_EQ(tree.peekTime(), heap.peekTime()) << "step " << step;
+        Event a = tree.pop();
+        Event b = heap.pop();
+        ASSERT_EQ(a.when, b.when) << "step " << step;
+        ASSERT_EQ(a.seq, b.seq) << "step " << step;
+        ASSERT_EQ(a.tag, b.tag) << "step " << step;
+
+        const std::uint64_t shape = rng.below(100);
+        if (shape < 8 || (shape < 9 && live > 2)) {
+            if (shape < 8) {
+                waiting[a.tag] = true;
+                arrived++;
+                if (a.when > barrierMax)
+                    barrierMax = a.when;
+            } else {
+                live--; // finished: never scheduled again
+            }
+            if (arrived > 0 && arrived == live) {
+                const Tick resume = barrierMax + 100;
+                for (std::uint32_t c = 0; c < tags; ++c) {
+                    if (!waiting[c])
+                        continue;
+                    waiting[c] = false;
+                    tree.schedule(resume, c);
+                    heap.schedule(resume, c);
+                }
+                arrived = 0;
+                barrierMax = 0;
+            }
+        } else {
             Tick delta;
-            std::uint64_t shape = rng.below(100);
             if (shape < 70)
                 delta = rng.below(16); // think-time / bus scale
             else if (shape < 90)
                 delta = 60 + rng.below(400); // fill / fetch scale
-            else if (shape < 97)
+            else if (shape < 96)
                 delta = 3000 + rng.below(9000); // page ops
             else
-                delta = 0; // exact tie on `now`
-            std::uint32_t tag =
-                static_cast<std::uint32_t>(rng.below(32));
-            cal.schedule(now + delta, tag);
-            heap.schedule(now + delta, tag);
-            pendingCount++;
-        } else {
-            ASSERT_EQ(cal.peekTime(), heap.peekTime());
-            Event a = cal.pop();
-            Event b = heap.pop();
-            ASSERT_EQ(a.when, b.when) << "step " << step;
-            ASSERT_EQ(a.seq, b.seq) << "step " << step;
-            ASSERT_EQ(a.tag, b.tag) << "step " << step;
-            now = a.when;
-            pendingCount--;
+                delta = 0; // a tie on the popped tick
+            tree.schedule(a.when + delta, a.tag);
+            heap.schedule(a.when + delta, a.tag);
         }
-        ASSERT_EQ(cal.pending(), heap.pending());
+        ASSERT_EQ(tree.pending(), heap.pending()) << "step " << step;
     }
-    while (!cal.empty()) {
-        Event a = cal.pop();
+    while (!heap.empty()) {
+        Event a = tree.pop();
         Event b = heap.pop();
         ASSERT_EQ(a.when, b.when);
         ASSERT_EQ(a.seq, b.seq);
         ASSERT_EQ(a.tag, b.tag);
     }
-    EXPECT_TRUE(heap.empty());
-    EXPECT_EQ(cal.processed(), heap.processed());
+    EXPECT_TRUE(tree.empty());
+    EXPECT_EQ(tree.processed(), heap.processed());
 }
 
-TEST(EventQueue, WindowRoundsUpToAPowerOfTwo)
+} // namespace
+
+TEST(EventQueueParity, PaperMachineMatchesTheHeapOracle)
 {
-    EXPECT_EQ(EventQueue().windowSize(), 1024u);
-    EXPECT_EQ(EventQueue(1024).windowSize(), 1024u);
-    EXPECT_EQ(EventQueue(100).windowSize(), 128u);
-    EXPECT_EQ(EventQueue(1).windowSize(), 64u);   // floor: one word
-    EXPECT_EQ(EventQueue(65).windowSize(), 128u);
-    EXPECT_EQ(EventQueue(4096).windowSize(), 4096u);
-    EXPECT_THROW(EventQueue(0), std::logic_error);
-    // Absurd spans are a config error, not an overflowing loop.
-    EXPECT_THROW(EventQueue(~std::size_t{0}), std::logic_error);
+    runParity(32, 0xeeff01, 40000);
 }
 
-TEST(EventQueueParity, NonDefaultWindowsMatchTheHeapReference)
+TEST(EventQueueParity, LargeMachineMatchesTheHeapOracle)
 {
-    // The same randomized simulator-shaped stream as above, but with
-    // calendars small enough that fill/fetch deltas overflow into
-    // the far heap constantly (64) and wide enough that page ops fit
-    // the calendar (16384): the (when, seq) contract must hold at
-    // any window size.
-    for (std::size_t window : {64u, 256u, 16384u}) {
-        Rng rng(0xeeff02 + window);
-        EventQueue cal(window);
-        HeapEventQueue heap;
-        Tick now = 0;
-        std::size_t pendingCount = 0;
-        for (int step = 0; step < 8000; ++step) {
-            bool doSchedule =
-                pendingCount == 0 || rng.chance(0.55);
-            if (doSchedule) {
-                Tick delta;
-                std::uint64_t shape = rng.below(100);
-                if (shape < 70)
-                    delta = rng.below(16);
-                else if (shape < 90)
-                    delta = 60 + rng.below(400);
-                else if (shape < 97)
-                    delta = 3000 + rng.below(9000);
-                else
-                    delta = 0;
-                std::uint32_t tag =
-                    static_cast<std::uint32_t>(rng.below(32));
-                cal.schedule(now + delta, tag);
-                heap.schedule(now + delta, tag);
-                pendingCount++;
-            } else {
-                ASSERT_EQ(cal.peekTime(), heap.peekTime())
-                    << "window " << window << " step " << step;
-                Event a = cal.pop();
-                Event b = heap.pop();
-                ASSERT_EQ(a.when, b.when)
-                    << "window " << window << " step " << step;
-                ASSERT_EQ(a.seq, b.seq)
-                    << "window " << window << " step " << step;
-                ASSERT_EQ(a.tag, b.tag)
-                    << "window " << window << " step " << step;
-                now = a.when;
-                pendingCount--;
-            }
-        }
-        while (!cal.empty()) {
-            Event a = cal.pop();
-            Event b = heap.pop();
-            ASSERT_EQ(a.when, b.when) << "window " << window;
-            ASSERT_EQ(a.seq, b.seq) << "window " << window;
-            ASSERT_EQ(a.tag, b.tag) << "window " << window;
-        }
-        EXPECT_TRUE(heap.empty()) << "window " << window;
-    }
+    runParity(512, 0xeeff02, 40000);
 }
 
-TEST(EventQueue, AutoWindowCoversTheSpanWithinTheClamp)
+TEST(EventQueueParity, NonPowerOfTwoTagCountsMatchTheHeapOracle)
 {
-    // The machine sizes its calendar from the workload's tick span
-    // (maxThink + the longest common service chain). The policy:
-    // smallest power of two covering the span, clamped to
-    // [64, 65536]. Window size never affects pop order, so these
-    // pins guard the sizing itself, not correctness.
-    EXPECT_EQ(EventQueue::autoWindow(0), 64u);
-    EXPECT_EQ(EventQueue::autoWindow(63), 64u);
-    EXPECT_EQ(EventQueue::autoWindow(64), 128u);
-    EXPECT_EQ(EventQueue::autoWindow(500), 512u);
-    // The paper's base machine: maxThink + remoteFetch(376) +
-    // barrierCost(100) = 476 fits in a 512 window — half the 1024
-    // the queue used to default to.
-    EXPECT_EQ(EventQueue::autoWindow(476), 512u);
-    EXPECT_EQ(EventQueue::autoWindow(1000), 1024u);
-    EXPECT_EQ(EventQueue::autoWindow(40000), 65536u);
-    // Page-op-scale spans hit the cap instead of inflating the
-    // bucket array.
-    EXPECT_EQ(EventQueue::autoWindow(~Tick{0}), 65536u);
-    // The result is always directly constructible.
-    for (Tick d : {Tick{0}, Tick{1000}, Tick{70000}})
-        EXPECT_EQ(EventQueue(EventQueue::autoWindow(d)).windowSize(),
-                  EventQueue::autoWindow(d));
+    for (std::size_t tags : {1u, 3u, 24u, 100u})
+        runParity(tags, 0xeeff03 + tags, 5000);
 }
 
-TEST(EventQueueParity, RandomizedSpansMatchTheHeapReference)
+TEST(EventQueueParity, MassReleaseTiesPopInInsertionOrder)
 {
-    // The auto-sizing logic means production calendars can now have
-    // any power-of-two span, not just the defaults; replay the
-    // simulator-shaped stream at ~20 randomized window requests
-    // (1 .. ~128k ticks, rounded up inside the queue) and hold the
-    // (when, seq) contract at every one.
-    Rng windowRng(0x5eed5);
-    for (int trial = 0; trial < 20; ++trial) {
-        std::size_t want = static_cast<std::size_t>(
-            1 + windowRng.below(131072));
-        EventQueue cal(want);
-        HeapEventQueue heap;
-        Rng rng(0xfeed00 + trial);
-        Tick now = 0;
-        std::size_t pendingCount = 0;
-        for (int step = 0; step < 4000; ++step) {
-            bool doSchedule =
-                pendingCount == 0 || rng.chance(0.55);
-            if (doSchedule) {
-                Tick delta;
-                std::uint64_t shape = rng.below(100);
-                if (shape < 70)
-                    delta = rng.below(16);
-                else if (shape < 90)
-                    delta = 60 + rng.below(400);
-                else if (shape < 97)
-                    delta = 3000 + rng.below(9000);
-                else
-                    delta = 0;
-                std::uint32_t tag =
-                    static_cast<std::uint32_t>(rng.below(32));
-                cal.schedule(now + delta, tag);
-                heap.schedule(now + delta, tag);
-                pendingCount++;
-            } else {
-                ASSERT_EQ(cal.peekTime(), heap.peekTime())
-                    << "window " << want << " step " << step;
-                Event a = cal.pop();
-                Event b = heap.pop();
-                ASSERT_EQ(a.when, b.when)
-                    << "window " << want << " step " << step;
-                ASSERT_EQ(a.seq, b.seq)
-                    << "window " << want << " step " << step;
-                ASSERT_EQ(a.tag, b.tag)
-                    << "window " << want << " step " << step;
-                now = a.when;
-                pendingCount--;
-            }
-        }
-        while (!cal.empty()) {
-            Event a = cal.pop();
-            Event b = heap.pop();
-            ASSERT_EQ(a.when, b.when) << "window " << want;
-            ASSERT_EQ(a.seq, b.seq) << "window " << want;
-            ASSERT_EQ(a.tag, b.tag) << "window " << want;
-        }
-        EXPECT_TRUE(heap.empty()) << "window " << want;
-    }
-}
-
-TEST(EventQueueParity, MassTiesPreserveInsertionOrder)
-{
-    // Many events on few distinct ticks: the FIFO-per-bucket path.
-    EventQueue cal;
+    // A barrier release: every tag at one tick, scheduled in a
+    // shuffled order, pops in exactly that order.
+    EventQueue tree(512);
     HeapEventQueue heap;
+    std::vector<std::uint32_t> order(512);
+    for (std::uint32_t c = 0; c < order.size(); ++c)
+        order[c] = c;
     Rng rng(0xabc123);
-    for (int i = 0; i < 2000; ++i) {
-        Tick when = rng.below(8) * 7;
-        std::uint32_t tag = static_cast<std::uint32_t>(i);
-        cal.schedule(when, tag);
-        heap.schedule(when, tag);
+    for (std::size_t i = order.size() - 1; i > 0; --i)
+        std::swap(order[i], order[rng.below(i + 1)]);
+    for (std::uint32_t c : order) {
+        tree.schedule(700, c);
+        heap.schedule(700, c);
     }
-    std::uint32_t prevTag = 0;
-    Tick prevWhen = 0;
-    bool first = true;
-    while (!heap.empty()) {
-        Event a = cal.pop();
+    for (std::uint32_t want : order) {
+        Event a = tree.pop();
         Event b = heap.pop();
+        ASSERT_EQ(a.tag, want);
         ASSERT_EQ(a.seq, b.seq);
         ASSERT_EQ(a.tag, b.tag);
-        if (!first && a.when == prevWhen) {
-            ASSERT_LT(prevTag, a.tag); // tags are insertion order
-        }
-        prevWhen = a.when;
-        prevTag = a.tag;
-        first = false;
     }
-    EXPECT_TRUE(cal.empty());
+    EXPECT_TRUE(tree.empty());
 }
 
 } // namespace rnuma

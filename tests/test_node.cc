@@ -119,6 +119,55 @@ TEST(Node, L1HitsAreFree)
     EXPECT_EQ(s.l1Misses, 1u);
 }
 
+TEST(Node, FillLeavesASiblingL1LineInTheSameSetValid)
+{
+    // x and y map to the same L1 set (one L1 size apart). cpu 1
+    // holds x; cpu 0's fill of y must not evict it: the node's L1s
+    // are banks of one store but separate caches.
+    Params p = test::smallParams();
+    auto wl = blank();
+    Addr x = 0;
+    Addr y = x + p.l1Size;
+    wl->push(0, Ref::touchOf(x));
+    wl->push(0, Ref::touchOf(y));
+    wl->pushBarrierAll();
+    wl->push(1, Ref::mem(x, false, 0));
+    wl->pushBarrierAll();
+    wl->push(0, Ref::mem(y, false, 0));
+    wl->seal();
+
+    Machine m(p, Protocol::CCNuma, *wl);
+    m.run();
+    Cache &l1s = m.node(0).l1s();
+    ASSERT_NE(l1s.find(x, 1), nullptr);
+    ASSERT_NE(l1s.find(y, 0), nullptr);
+    EXPECT_EQ(l1s.find(x, 0), nullptr);
+    EXPECT_EQ(l1s.find(y, 1), nullptr);
+}
+
+TEST(Node, InvalidateAllReportsASiblingL1sModifiedCopy)
+{
+    // A home block written only by cpu 1: the node's sole copy is
+    // Modified in cpu 1's L1 (cpu 0 only placed the page).
+    Params p = test::smallParams();
+    auto wl = blank();
+    Addr x = 0;
+    wl->push(0, Ref::touchOf(x));
+    wl->pushBarrierAll();
+    wl->push(1, Ref::mem(x, true, 0));
+    wl->seal();
+
+    Machine m(p, Protocol::CCNuma, *wl);
+    m.run();
+    Cache &l1s = m.node(0).l1s();
+    EXPECT_EQ(l1s.find(x, 0), nullptr);
+    ASSERT_NE(l1s.find(x, 1), nullptr);
+    EXPECT_EQ(l1s.find(x, 1)->state, CacheState::Modified);
+    EXPECT_TRUE(m.node(0).invalidateAll(x));
+    EXPECT_EQ(l1s.find(x, 1), nullptr);
+    EXPECT_FALSE(m.node(0).invalidateAll(x));
+}
+
 TEST(Node, DirtyL1VictimWritesBackThroughRad)
 {
     // Fill the tiny L1 with dirty remote blocks past capacity; the

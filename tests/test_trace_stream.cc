@@ -54,7 +54,6 @@ roundTrip(VectorWorkload &src, const char *file)
     StreamTraceWorkload replay(path);
 
     EXPECT_EQ(replay.name(), src.name());
-    EXPECT_EQ(replay.maxThink(), src.maxThink());
     EXPECT_EQ(replay.addrLimit(), src.addrLimit());
     ASSERT_EQ(replay.numCpus(), src.numCpus());
     for (CpuId c = 0; c < src.numCpus(); ++c) {
@@ -240,6 +239,38 @@ TEST(TraceStream, CorruptVersionIsFatal)
     std::remove(path.c_str());
 }
 
+TEST(TraceStream, UnusedHeaderSlotIsWrittenZeroAndSkippedOnRead)
+{
+    // Bytes 16..23 once held the max think time. The writer now
+    // writes 0 there and the reader ignores the slot, so traces
+    // recorded with a value in it still load and replay unchanged.
+    Params p = test::smallParams();
+    auto src = makeProducerConsumer(p, 2, 2);
+    std::string path = tempPath("slot.strace");
+    recordStreamTrace(*src, path);
+    {
+        std::ifstream in(path, std::ios::binary);
+        char slot[8];
+        in.seekg(16);
+        in.read(slot, sizeof slot);
+        for (char c : slot)
+            EXPECT_EQ(c, 0);
+    }
+    {
+        std::fstream f(path,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(16);
+        const char old[8] = {4, 0, 0, 0, 0, 0, 0, 0};
+        f.write(old, sizeof old);
+    }
+    StreamTraceWorkload replay(path);
+    ASSERT_EQ(replay.numCpus(), src->numCpus());
+    for (CpuId c = 0; c < src->numCpus(); ++c)
+        for (std::size_t i = 0; i < src->size(c); ++i)
+            expectSameRef(src->at(c, i), replay.next(c), c, i);
+    std::remove(path.c_str());
+}
+
 namespace
 {
 
@@ -279,7 +310,6 @@ class SyntheticFirehose : public Workload
         }
     }
     const std::string &name() const override { return name_; }
-    Tick maxThink() const override { return 4; }
 
   private:
     void
