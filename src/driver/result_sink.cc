@@ -135,10 +135,6 @@ JsonSink::write(std::ostream &os,
         w.value(run.paperRef);
         w.key("scale");
         w.value(run.scale);
-        w.key("jobs");
-        w.value(static_cast<std::uint64_t>(run.jobs));
-        w.key("wall_ms");
-        w.value(run.wallMs);
         w.key("status");
         w.value(static_cast<std::uint64_t>(
             run.status < 0 ? 0 : run.status));
@@ -171,10 +167,6 @@ JsonSink::write(std::ostream &os,
             w.value(c.directory);
             w.key("workload");
             w.value(c.workload);
-            w.key("wall_ms");
-            w.value(c.wallMs);
-            w.key("events_per_sec");
-            w.value(c.eventsPerSec());
             w.key("stats");
             w.beginObject();
             for (const StatField &f : statFields()) {
@@ -197,7 +189,7 @@ CsvSink::write(std::ostream &os,
                const std::vector<FigureRun> &runs) const
 {
     os << "figure,scale,app,config,protocol,network,directory,"
-          "workload,wall_ms,events_per_sec";
+          "workload";
     for (const StatField &f : statFields())
         os << "," << f.name;
     os << "\n";
@@ -206,8 +198,7 @@ CsvSink::write(std::ostream &os,
             os << run.name << "," << run.scale << "," << c.app << ","
                << c.config << "," << c.protocol << ","
                << c.network << "," << c.directory << ","
-               << c.workload << ","
-               << c.wallMs << "," << c.eventsPerSec();
+               << c.workload;
             for (const StatField &f : statFields())
                 os << "," << f.get(c.stats);
             os << "\n";

@@ -22,7 +22,7 @@ namespace rnuma::driver
 {
 
 /** The results schema the JSON sink writes and loadResults reads. */
-constexpr const char *resultsSchema = "rnuma-sweep-results/v8";
+constexpr const char *resultsSchema = "rnuma-sweep-results/v9";
 
 /** One executed figure: identity plus per-cell results. */
 struct FigureRun
@@ -31,8 +31,8 @@ struct FigureRun
     std::string title;
     std::string paperRef;
     double scale = 1.0;   ///< workload scale the sweep ran at
-    std::size_t jobs = 1; ///< concurrency it ran with
-    double wallMs = 0;    ///< wall-clock for the whole sweep
+    std::size_t jobs = 1; ///< concurrency it ran with (console only)
+    double wallMs = 0;    ///< sweep wall-clock (console only)
     int status = 0;       ///< render/verification exit status
     SweepResult result;
 };
@@ -60,7 +60,11 @@ class ResultSink
                        const std::vector<FigureRun> &runs) const = 0;
 };
 
-/** The "rnuma-sweep-results/v4" JSON document. */
+/**
+ * The resultsSchema JSON document. It carries no host timings, so
+ * the same figures at the same scale serialize to the same bytes at
+ * any job count.
+ */
 class JsonSink : public ResultSink
 {
   public:

@@ -1,6 +1,5 @@
 #include "driver/sweep_runner.hh"
 
-#include <chrono>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -12,14 +11,6 @@
 
 namespace rnuma::driver
 {
-
-double
-CellResult::eventsPerSec() const
-{
-    if (wallMs <= 0)
-        return 0;
-    return static_cast<double>(stats.events) / (wallMs / 1000.0);
-}
 
 const CellResult *
 SweepResult::find(const std::string &app,
@@ -143,7 +134,6 @@ runCell(const Cell &cell, const SnapshotMap &snapshots,
     r.directory = cell.params.directoryId();
     r.workload = cell.workload;
 
-    auto t0 = std::chrono::steady_clock::now();
     std::unique_ptr<Workload> wl;
     if (!cell.workloadKey.empty()) {
         auto it = snapshots.find(cell.workloadKey);
@@ -157,9 +147,6 @@ runCell(const Cell &cell, const SnapshotMap &snapshots,
     RNUMA_ASSERT(wl, "cell (", cell.app, ", ", cell.config,
                  ") factory returned no workload");
     r.stats = runProtocol(cell.params, cell.proto, *wl);
-    auto t1 = std::chrono::steady_clock::now();
-    r.wallMs = std::chrono::duration<double, std::milli>(t1 - t0)
-                   .count();
     return r;
 }
 

@@ -43,10 +43,6 @@ struct CellResult
     std::string directory;    ///< directory format id ("full-map", ...)
     std::string workload;     ///< workload registry id ("barnes", ...)
     RunStats stats;
-    double wallMs = 0; ///< host wall-clock time for this cell
-
-    /** Scheduler throughput: simulation events per host second. */
-    double eventsPerSec() const;
 };
 
 /** All cell results of one sweep, in cell order. */

@@ -17,7 +17,7 @@
  *    tenants, database-scan).
  *
  * New generators are one registration away and immediately
- * selectable from the rnuma_sweep/rnuma_bench CLIs (--workload,
+ * selectable from the rnuma_sweep CLI (--workload,
  * --list-workloads) and sweepable by the workload-parametric
  * figures (the "churn" sweep).
  */

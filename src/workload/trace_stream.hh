@@ -4,10 +4,9 @@
  * on-disk reference-stream format, plus a Workload implementation
  * that replays one directly off the mapping in O(1) resident memory.
  *
- * The eager format (trace.hh) materializes a full VectorWorkload on
- * load — fine for unit-test sized streams, hopeless for the
- * billions-of-references serving replays the north star calls for.
- * The stream format instead:
+ * This is the repository's only trace format. Materializing a full
+ * VectorWorkload on load is hopeless for billions-of-references
+ * serving replays, so the format is built for streaming:
  *
  *  - header: magic "RNUMAST1", format version, cpu count, an unused
  *    8-byte slot (written 0, skipped on read; it once held the max

@@ -3,9 +3,9 @@
  * Tests for the sweep driver (src/driver): serial-vs-parallel
  * RunStats determinism across thread counts, the content-addressed
  * workload cache (hit/miss accounting, opt-out bit-identity, key
- * semantics), the perf-baseline compare gate (exact ticks/events,
- * thresholded wall time, current-schema-only and checked-count
- * loading), JSON round-trip of a small
+ * semantics), the counter gate (every counter exact, coverage loss,
+ * current-schema-only and checked-count loading), byte-identical
+ * JSON across job counts, JSON round-trip of a small
  * executed sweep, sweep declaration invariants, and the unknown-app
  * / empty-sweep error paths. Uses the tiny test_util.hh machine so
  * the suites stay fast.
@@ -119,6 +119,17 @@ TEST(SweepRunnerTest, BitIdenticalStatsAcrossThreadCounts)
 {
     Sweep s = smallSweep();
     SweepResult serial = SweepRunner(1).run(s);
+    // The results document carries no host timings, so its bytes do
+    // not depend on the job count either.
+    auto json = [&s](SweepResult r, std::size_t jobs) {
+        FigureRun run = wrap(s, std::move(r));
+        run.jobs = jobs;
+        run.wallMs = 10.0 * static_cast<double>(jobs);
+        std::ostringstream os;
+        JsonSink().write(os, {run});
+        return os.str();
+    };
+    const std::string serialJson = json(serial, 1);
     for (std::size_t jobs : {2u, 4u, 8u}) {
         SweepResult parallel = SweepRunner(jobs).run(s);
         ASSERT_EQ(parallel.cells.size(), serial.cells.size());
@@ -130,6 +141,9 @@ TEST(SweepRunnerTest, BitIdenticalStatsAcrossThreadCounts)
         }
         // The library's own assertion agrees.
         EXPECT_NO_THROW(verifySerialIdentical(s, parallel));
+        if (jobs == 4) {
+            EXPECT_EQ(json(parallel, jobs), serialJson);
+        }
     }
 }
 
@@ -152,7 +166,7 @@ TEST(JsonRoundTrip, SmallSweepSurvivesWriteAndParse)
 
     ASSERT_TRUE(doc.isObject());
     ASSERT_NE(doc.get("schema"), nullptr);
-    EXPECT_EQ(doc.get("schema")->str, "rnuma-sweep-results/v8");
+    EXPECT_EQ(doc.get("schema")->str, "rnuma-sweep-results/v9");
 
     const JsonValue *figures = doc.get("figures");
     ASSERT_NE(figures, nullptr);
@@ -161,6 +175,9 @@ TEST(JsonRoundTrip, SmallSweepSurvivesWriteAndParse)
 
     const JsonValue &fig = figures->array[0];
     EXPECT_EQ(fig.get("name")->str, "small");
+    // v9: no host timings anywhere in the document.
+    EXPECT_EQ(fig.get("jobs"), nullptr);
+    EXPECT_EQ(fig.get("wall_ms"), nullptr);
 
     // The v4 per-figure protocols array: distinct ids in
     // first-appearance order.
@@ -183,6 +200,8 @@ TEST(JsonRoundTrip, SmallSweepSurvivesWriteAndParse)
         const CellResult &cc = run.result.cells[i];
         EXPECT_EQ(jc.get("app")->str, cc.app);
         EXPECT_EQ(jc.get("config")->str, cc.config);
+        EXPECT_EQ(jc.get("wall_ms"), nullptr);
+        EXPECT_EQ(jc.get("events_per_sec"), nullptr);
         const JsonValue *stats = jc.get("stats");
         ASSERT_NE(stats, nullptr);
         for (const StatField &f : statFields()) {
@@ -359,9 +378,7 @@ ResultDoc
 smallDoc()
 {
     Sweep s = smallSweep();
-    FigureRun run = wrap(s, SweepRunner(1).run(s));
-    run.wallMs = 100.0; // deterministic wall time for the tests
-    return resultsOf({run});
+    return resultsOf({wrap(s, SweepRunner(1).run(s))});
 }
 
 } // namespace
@@ -370,7 +387,9 @@ TEST(CompareGate, IdenticalResultsPass)
 {
     ResultDoc doc = smallDoc();
     std::ostringstream os;
-    EXPECT_EQ(compareResults(doc, doc, CompareOptions{}, os), 0u);
+    EXPECT_EQ(compareResults(doc, doc, os), 0u);
+    EXPECT_NE(os.str().find("ok:   small: 12 cells, counters identical"),
+              std::string::npos);
     EXPECT_NE(os.str().find("compare: PASS"), std::string::npos);
 }
 
@@ -380,7 +399,7 @@ TEST(CompareGate, TicksDriftFailsExactly)
     ResultDoc cur = base;
     cur.figures[0].cells[3].counters["ticks"] += 1;
     std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u);
+    EXPECT_EQ(compareResults(base, cur, os), 1u);
     EXPECT_NE(os.str().find("ticks drifted"), std::string::npos);
 }
 
@@ -390,8 +409,54 @@ TEST(CompareGate, EventsDriftFails)
     ResultDoc cur = base;
     cur.figures[0].cells[0].counters["events"] += 5;
     std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u);
+    EXPECT_EQ(compareResults(base, cur, os), 1u);
     EXPECT_NE(os.str().find("events drifted"), std::string::npos);
+
+    // Independent cells accumulate independent violations.
+    cur.figures[0].cells[1].counters["refs"] -= 1;
+    std::ostringstream os2;
+    EXPECT_EQ(compareResults(base, cur, os2), 2u);
+    EXPECT_NE(os2.str().find("refs drifted"), std::string::npos);
+    EXPECT_NE(os2.str().find("compare: FAIL (2 violation(s))"),
+              std::string::npos);
+}
+
+TEST(CompareGate, EveryStatFieldIsGated)
+{
+    // A +1 drift in any one serialized counter of one cell is exactly
+    // one violation, and the report names that counter.
+    ResultDoc base = smallDoc();
+    for (const StatField &f : statFields()) {
+        ResultDoc cur = base;
+        cur.figures[0].cells[5].counters.at(f.name) += 1;
+        std::ostringstream os;
+        EXPECT_EQ(compareResults(base, cur, os), 1u) << f.name;
+        EXPECT_NE(os.str().find(std::string(": ") + f.name +
+                                " drifted"),
+                  std::string::npos)
+            << f.name << "\n" << os.str();
+    }
+}
+
+TEST(CompareGate, StatsKeyOnOneSideOnlyIsAViolation)
+{
+    ResultDoc base = smallDoc();
+    ResultDoc cur = base;
+    cur.figures[0].cells[2].counters.erase("relocations");
+    std::ostringstream os;
+    EXPECT_EQ(compareResults(base, cur, os), 1u);
+    EXPECT_NE(os.str().find("counter relocations missing from the "
+                            "current document"),
+              std::string::npos)
+        << os.str();
+
+    // The other way round: a key the baseline lacks.
+    std::ostringstream os2;
+    EXPECT_EQ(compareResults(cur, base, os2), 1u);
+    EXPECT_NE(os2.str().find("counter relocations missing from the "
+                             "baseline"),
+              std::string::npos)
+        << os2.str();
 }
 
 TEST(CompareGate, MissingCellAndFigureAreViolations)
@@ -400,12 +465,30 @@ TEST(CompareGate, MissingCellAndFigureAreViolations)
     ResultDoc cur = base;
     cur.figures[0].cells.pop_back();
     std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u);
+    EXPECT_EQ(compareResults(base, cur, os), 1u);
+    EXPECT_NE(os.str().find("cell missing"), std::string::npos);
 
     ResultDoc none;
     std::ostringstream os2;
-    EXPECT_EQ(compareResults(base, none, CompareOptions{}, os2), 1u);
-    EXPECT_NE(os2.str().find("figure missing"), std::string::npos);
+    EXPECT_EQ(compareResults(base, none, os2), 1u);
+    EXPECT_NE(os2.str().find("small: figure missing"), std::string::npos);
+}
+
+TEST(CompareGate, NewCellsAndFiguresAreNotesNotViolations)
+{
+    ResultDoc base = smallDoc();
+    ResultDoc cur = base;
+    ResultCell extra = cur.figures[0].cells[0];
+    extra.config = "rnuma-extra";
+    cur.figures[0].cells.push_back(extra);
+    ResultFigure fig;
+    fig.name = "fig99";
+    cur.figures.push_back(fig);
+    std::ostringstream os;
+    EXPECT_EQ(compareResults(base, cur, os), 0u);
+    EXPECT_NE(os.str().find("small/moldyn/rnuma-extra is new"),
+              std::string::npos);
+    EXPECT_NE(os.str().find("figure fig99 is new"), std::string::npos);
 }
 
 TEST(CompareGate, ScaleMismatchIsAViolation)
@@ -413,45 +496,19 @@ TEST(CompareGate, ScaleMismatchIsAViolation)
     ResultDoc base = smallDoc();
     ResultDoc cur = base;
     cur.figures[0].scale *= 2;
+    // The figure is incomparable as a whole: one violation, and its
+    // cells are not diffed.
+    cur.figures[0].cells[0].counters["events"] += 999;
     std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u);
+    EXPECT_EQ(compareResults(base, cur, os), 1u);
     EXPECT_NE(os.str().find("scale changed"), std::string::npos);
+    cur.figures[0].cells[0].counters["events"] -= 999;
 
     // Serialization rounding must not count as a mismatch.
     cur.figures[0].scale =
         base.figures[0].scale * (1.0 + 1e-7);
     std::ostringstream os2;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os2), 0u);
-}
-
-TEST(CompareGate, WallTimeThresholdedNotExact)
-{
-    ResultDoc base = smallDoc();
-    ResultDoc cur = base;
-    cur.figures[0].wallMs = base.figures[0].wallMs * 1.2;
-    CompareOptions opt;
-    opt.wallTolerancePct = 25.0;
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, opt, os), 0u);
-
-    cur.figures[0].wallMs = base.figures[0].wallMs * 1.3;
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(base, cur, opt, os2), 1u);
-    EXPECT_NE(os2.str().find("wall time regressed"),
-              std::string::npos);
-
-    // Negative tolerance: determinism checks only.
-    opt.wallTolerancePct = -1;
-    std::ostringstream os3;
-    EXPECT_EQ(compareResults(base, cur, opt, os3), 0u);
-
-    // Different job counts: wall check skipped with a note.
-    opt.wallTolerancePct = 25.0;
-    cur.figures[0].jobs = base.figures[0].jobs + 1;
-    std::ostringstream os4;
-    EXPECT_EQ(compareResults(base, cur, opt, os4), 0u);
-    EXPECT_NE(os4.str().find("wall-time check skipped"),
-              std::string::npos);
+    EXPECT_EQ(compareResults(base, cur, os2), 0u);
 }
 
 TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
@@ -476,25 +533,23 @@ TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
         EXPECT_EQ(a.workload, b.workload);
     }
     std::ostringstream report;
-    EXPECT_EQ(
-        compareResults(loaded, direct, CompareOptions{-1}, report),
-        0u);
+    EXPECT_EQ(compareResults(loaded, direct, report), 0u);
 }
 
 namespace
 {
 
-/** A one-cell v8 document whose stats carry @p stats verbatim. */
+/** A one-cell v9 document whose stats carry @p stats verbatim. */
 std::string
 oneCellDoc(const std::string &stats)
 {
-    return "{\"schema\": \"rnuma-sweep-results/v8\", \"figures\": ["
-           "{\"name\": \"small\", \"scale\": 0.05, \"jobs\": 1,"
-           " \"wall_ms\": 10.0, \"status\": 0, \"cells\": ["
+    return "{\"schema\": \"rnuma-sweep-results/v9\", \"figures\": ["
+           "{\"name\": \"small\", \"scale\": 0.05, \"status\": 0,"
+           " \"cells\": ["
            "{\"app\": \"moldyn\", \"config\": \"rnuma\","
            " \"protocol\": \"rnuma\", \"network\": \"constant\","
            " \"directory\": \"full-map\", \"workload\": \"moldyn\","
-           " \"wall_ms\": 1.0, \"stats\": {" + stats + "}}]}]}";
+           " \"stats\": {" + stats + "}}]}]}";
 }
 
 } // namespace
@@ -507,7 +562,7 @@ TEST(CompareGate, IdChangesAndFeedbackCounterDriftFail)
     ResultDoc cur = base;
     cur.figures[0].cells[0].counters["evictions_zero_hit"] = 5;
     std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{-1}, os), 1u);
+    EXPECT_EQ(compareResults(base, cur, os), 1u);
     EXPECT_NE(os.str().find("evictions_zero_hit drifted"),
               std::string::npos);
 
@@ -515,7 +570,7 @@ TEST(CompareGate, IdChangesAndFeedbackCounterDriftFail)
     cur.figures[0].cells[0].protocol = "rnuma-t16";
     cur.figures[0].cells[0].network = "mesh-2d";
     std::ostringstream os2;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{-1}, os2), 2u);
+    EXPECT_EQ(compareResults(base, cur, os2), 2u);
     EXPECT_NE(os2.str().find("protocol changed"), std::string::npos);
     EXPECT_NE(os2.str().find("network changed"), std::string::npos);
 }
@@ -524,11 +579,11 @@ TEST(CompareGate, RejectsOlderSchemaVersions)
 {
     // Only the current schema loads; an older document fails with
     // its schema named, never with a silently defaulted diff.
-    for (int v = 1; v <= 7; ++v) {
+    for (int v = 1; v <= 8; ++v) {
         std::string old = oneCellDoc("\"ticks\": 42");
         std::string schema = "rnuma-sweep-results/v" +
             std::to_string(v);
-        old.replace(old.find("rnuma-sweep-results/v8"),
+        old.replace(old.find("rnuma-sweep-results/v9"),
                     schema.size(), schema);
         try {
             loadResults(old);
@@ -559,9 +614,6 @@ TEST(CompareGate, RejectsCountsACastCannotHold)
             EXPECT_NE(msg.find("'ticks'"), std::string::npos) << msg;
         }
     }
-    std::string doc = oneCellDoc("\"ticks\": 42");
-    doc.replace(doc.find("\"jobs\": 1"), 9, "\"jobs\": -1");
-    EXPECT_THROW(loadResults(doc), std::runtime_error);
     // The largest double below 2^64 still fits.
     ResultDoc ok = loadResults(
         oneCellDoc("\"ticks\": 18446744073709549568"));
@@ -572,6 +624,9 @@ TEST(CompareGate, RejectsCountsACastCannotHold)
 TEST(CompareGate, RejectsForeignJson)
 {
     EXPECT_THROW(loadResults("{\"schema\": \"other/v1\"}"),
+                 std::runtime_error);
+    EXPECT_THROW(loadResults("{\"figures\": []}"), std::runtime_error);
+    EXPECT_THROW(loadResults("{\"schema\": \"rnuma-sweep-results/v9\"}"),
                  std::runtime_error);
     EXPECT_THROW(loadResults("[1, 2]"), std::runtime_error);
     EXPECT_THROW(loadResults("not json"), std::runtime_error);

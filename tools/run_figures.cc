@@ -2,8 +2,8 @@
  * @file
  * rnuma_sweep: run any paper figure/table by name through the
  * thread-parallel sweep driver and emit human tables plus
- * machine-readable JSON/CSV results, optionally diffing them against
- * a stored perf baseline.
+ * machine-readable JSON/CSV results, optionally diffing their
+ * counters against a stored baseline.
  *
  * Usage: rnuma_sweep [options] <figure>... | all
  *   --list               print the known figure names and exit
@@ -26,17 +26,15 @@
  *                        or 1)
  *   --jobs N             worker threads; 0 = hardware concurrency
  *                        (default 1)
- *   --json-out FILE      write results as rnuma-sweep-results/v8 JSON
+ *   --json-out FILE      write results as rnuma-sweep-results/v9 JSON
  *   --csv-out FILE       write results as flat CSV
  *   --verify             re-run each sweep serially and assert
  *                        bit-identical RunStats
  *   --no-workload-cache  generate every cell's workload independently
  *                        (isolation debugging; results are identical
  *                        either way)
- *   --compare FILE       diff results against a baseline JSON: exact
- *                        per-cell ticks/events, thresholded wall time
- *   --tolerance PCT      allowed wall-time growth for --compare
- *                        (default 25; negative = determinism only)
+ *   --compare FILE       diff results against a baseline JSON: every
+ *                        per-cell counter, exactly (exit 4 on drift)
  *   --current FILE       with --compare and no figures: diff FILE
  *                        against the baseline instead of running
  *   --quiet              suppress the per-figure human tables
@@ -90,7 +88,7 @@ usage(std::ostream &os, int status)
           "RNUMA_BENCH_SCALE or 1)\n"
           "  --jobs N             worker threads (0 = hardware "
           "concurrency; default 1)\n"
-          "  --json-out FILE      write rnuma-sweep-results/v8 JSON\n"
+          "  --json-out FILE      write rnuma-sweep-results/v9 JSON\n"
           "  --csv-out FILE       write flat CSV\n"
           "  --verify             assert serial/parallel RunStats "
           "are bit-identical\n"
@@ -98,8 +96,6 @@ usage(std::ostream &os, int status)
           "workload cache\n"
           "  --compare FILE       diff results against a baseline "
           "JSON (exit 4 on drift)\n"
-          "  --tolerance PCT      wall-time tolerance for --compare "
-          "(default 25)\n"
           "  --current FILE       with --compare: diff FILE instead\n"
           "                       of running figures\n"
           "  --quiet              suppress human-readable tables\n";
@@ -199,7 +195,6 @@ main(int argc, char **argv)
     std::string csv_out;
     std::string compare_path;
     std::string current_path;
-    double tolerance = 25.0;
     bool verify = false;
     bool quiet = false;
     bool cache_workloads = true;
@@ -269,18 +264,7 @@ main(int argc, char **argv)
                 return 2;
             }
             jobs = static_cast<std::size_t>(j);
-        } else if (arg == "--tolerance") {
-            const char *val = next();
-            char *end = nullptr;
-            tolerance = std::strtod(val, &end);
-            if (end == val || *end != '\0') {
-                std::cerr << "rnuma_sweep: --tolerance wants a "
-                             "number (percent), got '" << val
-                          << "'\n";
-                return 2;
-            }
-        }
-        else if (arg == "--json-out")
+        } else if (arg == "--json-out")
             json_out = next();
         else if (arg == "--csv-out")
             csv_out = next();
@@ -404,11 +388,9 @@ main(int argc, char **argv)
             if (!slurp(compare_path, text))
                 return 2;
             ResultDoc baseline = loadResults(text);
-            CompareOptions copt;
-            copt.wallTolerancePct = tolerance;
             std::cout << "comparing against " << compare_path << " ("
                       << resultsSchema << ")\n";
-            if (compareResults(baseline, current, copt, std::cout) > 0)
+            if (compareResults(baseline, current, std::cout) > 0)
                 status = 4;
         } catch (const std::exception &e) {
             std::cerr << "rnuma_sweep: compare failed: " << e.what()
