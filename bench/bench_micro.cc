@@ -228,7 +228,7 @@ BM_EndToEndSimulation(benchmark::State &state)
         state.PauseTiming();
         auto wl = makeHotRemoteReuse(p, 16, 2);
         state.ResumeTiming();
-        RunStats s = runProtocol(p, Protocol::RNuma, *wl);
+        RunStats s = runProtocol(p, "rnuma", *wl);
         benchmark::DoNotOptimize(s.ticks);
         state.SetItemsProcessed(
             static_cast<std::int64_t>(s.refs));
@@ -240,10 +240,10 @@ void
 BM_AppSimulationRate(benchmark::State &state)
 {
     Params p = Params::base();
-    auto wl = makeApp("moldyn", p, 0.1);
+    auto wl = makeWorkload("moldyn", p, 0.1);
     std::uint64_t refs = 0;
     for (auto _ : state) {
-        RunStats s = runProtocol(p, Protocol::RNuma, *wl);
+        RunStats s = runProtocol(p, "rnuma", *wl);
         refs += s.refs;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(refs));

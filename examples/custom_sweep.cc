@@ -40,7 +40,7 @@ main(int argc, char **argv)
     // One shared factory and one shared cache key: every cell
     // measures the identical trace, and the runner's workload cache
     // generates it exactly once for the whole grid.
-    WorkloadFactory make = appFactory(app, base, scale);
+    WorkloadFactory make = workloadFactory(app, base, scale);
     std::string key = workloadCacheKey(app, base, scale);
     Params inf = base;
     inf.infiniteBlockCache = true;
@@ -68,17 +68,13 @@ main(int argc, char **argv)
               << " workload generated, " << result.workloadCacheHits
               << " cells served from the cache\n";
 
-    Tick ideal = result.at(app, "baseline").stats.ticks;
     Table t({"threshold \\ page cache", "160KB", "320KB", "1280KB"});
     for (std::size_t T : thresholds) {
         std::vector<std::string> row{"T=" + std::to_string(T)};
         for (std::size_t kb : cache_kb) {
-            const CellResult &c = result.at(
+            row.push_back(Table::num(result.norm(
                 app, "t" + std::to_string(T) + "-p" +
-                    std::to_string(kb) + "k");
-            row.push_back(Table::num(
-                static_cast<double>(c.stats.ticks) /
-                static_cast<double>(ideal)));
+                         std::to_string(kb) + "k")));
         }
         t.addRow(row);
     }

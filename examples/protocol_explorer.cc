@@ -13,6 +13,8 @@
 
 #include "common/params.hh"
 #include "common/table.hh"
+#include "driver/sweep.hh"
+#include "driver/sweep_runner.hh"
 #include "os/page_table.hh"
 #include "sim/machine.hh"
 #include "sim/runner.hh"
@@ -52,6 +54,7 @@ int
 main()
 {
     using namespace rnuma;
+    using namespace rnuma::driver;
     Params p = Params::base();
     p.relocationThreshold = 8; // small, so the demo is short
 
@@ -61,7 +64,7 @@ main()
 
     auto wl = explorerStream(p);
 
-    Machine m(p, Protocol::RNuma, *wl);
+    Machine m(p, protocolSpec("rnuma"), *wl);
     RunStats s = m.run();
 
     std::cout << "after 12 alternations over two conflicting remote "
@@ -91,27 +94,44 @@ main()
                  "the OS moved both pages into the page\ncache — the "
                  "R-NUMA mechanism end to end.\n\n";
 
-    // The same scripted stream under every registered protocol: the
-    // registry-driven ComparisonMatrix is the N-way version of the
-    // run above, and a newly registered policy appears in this
-    // table with zero wiring.
+    // The same scripted stream under every registered protocol: one
+    // sweep row, the N-way version of the run above, in which a
+    // newly registered policy appears with zero wiring.
     std::cout << "the same stream under every registered protocol "
                  "(normalized to the\ninfinite-block-cache "
                  "baseline):\n\n";
-    ComparisonMatrix cm = compareAll(
-        p, [&p] { return explorerStream(p); }, {}, /*jobs=*/0);
+    std::vector<std::string> ids;
+    for (const ProtocolSpec *spec : ProtocolRegistry::global().all())
+        ids.push_back(spec->id);
+    Sweep sweep("explorer");
+    sweep.addComparison(
+        "explorer", p, [p] { return explorerStream(p); },
+        workloadCacheKey("explorer", p, 1.0), "", ids);
+    SweepResult r = SweepRunner(/*jobs=*/0).run(sweep);
+
+    // The fastest protocol; ties go to the earliest registered.
+    const CellResult *winner = nullptr;
+    for (const CellResult &c : r.cells) {
+        if (c.config != "baseline" &&
+            (!winner || c.stats.ticks < winner->stats.ticks))
+            winner = &c;
+    }
     Table t({"protocol", "normalized", "vs winner", "refetches",
              "relocations", "page-cache hits"});
-    for (const ComparisonEntry &e : cm.entries) {
-        double r = cm.regret(e.id);
-        t.addRow({e.name, Table::num(cm.norm(e.id)),
-                  r <= 0 ? "winner" : "+" + Table::pct(r),
-                  std::to_string(e.stats.refetches),
-                  std::to_string(e.stats.relocations),
-                  std::to_string(e.stats.pageCacheHits)});
+    for (const CellResult &c : r.cells) {
+        if (c.config == "baseline")
+            continue;
+        double loss =
+            normalizedTime(c.stats.ticks, winner->stats.ticks) - 1.0;
+        t.addRow({c.protocolName,
+                  Table::num(r.norm("explorer", c.config)),
+                  loss <= 0 ? "winner" : "+" + Table::pct(loss),
+                  std::to_string(c.stats.refetches),
+                  std::to_string(c.stats.relocations),
+                  std::to_string(c.stats.pageCacheHits)});
     }
     t.print(std::cout);
-    std::cout << "\nwinner: " << cm.winner().name
+    std::cout << "\nwinner: " << winner->protocolName
               << " — the threshold-8 hybrids relocate both pages "
                  "(and pay for it on this\nshort stream), while "
                  "R-NUMA(model)'s model-derived threshold exceeds "

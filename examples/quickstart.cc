@@ -18,6 +18,8 @@
 
 #include "common/params.hh"
 #include "common/table.hh"
+#include "driver/sweep.hh"
+#include "driver/sweep_runner.hh"
 #include "sim/runner.hh"
 #include "workload/registry.hh"
 
@@ -25,6 +27,7 @@ int
 main(int argc, char **argv)
 {
     using namespace rnuma;
+    using namespace rnuma::driver;
 
     std::string app = argc > 1 ? argv[1] : "moldyn";
     double scale = argc > 2 ? std::atof(argv[2]) : 0.5;
@@ -40,40 +43,54 @@ main(int argc, char **argv)
               << p.pageCacheSize / 1024 << "KB, threshold "
               << p.relocationThreshold << "\n\n";
 
-    auto wl = makeApp(app, p, scale);
-    std::cout << "workload: " << wl->totalRefs()
+    auto wl = makeWorkload(app, p, scale);
+    std::cout << "workload: "
+              << dynamic_cast<const VectorWorkload &>(*wl).totalRefs()
               << " stream entries\n\n";
 
-    // Every run builds its own copy of the workload, so the runs can
-    // execute concurrently with bit-identical results. The empty
-    // spec list selects every registered protocol.
-    ComparisonMatrix m = compareAll(
-        p, [&] { return makeApp(app, p, scale); }, {}, jobs);
+    // One sweep row: the infinite-block-cache baseline plus every
+    // registered protocol. The cells share one generated workload and
+    // run concurrently with bit-identical results.
+    std::vector<std::string> ids;
+    for (const ProtocolSpec *spec : ProtocolRegistry::global().all())
+        ids.push_back(spec->id);
+    Sweep sweep("quickstart");
+    sweep.addComparison(app, p, workloadFactory(app, p, scale),
+                        workloadCacheKey(app, p, scale), app, ids);
+    SweepResult r = SweepRunner(jobs).run(sweep);
+
+    // The fastest protocol; ties go to the earliest registered.
+    const CellResult *winner = nullptr;
+    for (const CellResult &c : r.cells) {
+        if (c.config != "baseline" &&
+            (!winner || c.stats.ticks < winner->stats.ticks))
+            winner = &c;
+    }
 
     Table t({"protocol", "ticks", "normalized", "vs winner",
              "remote fetches", "refetches", "page ops"});
-    auto row = [&](const std::string &name, const RunStats &s,
-                   const std::string &regret) {
-        t.addRow({name, std::to_string(s.ticks),
-                  Table::num(static_cast<double>(s.ticks) /
-                             static_cast<double>(m.baseline.ticks)),
-                  regret,
+    for (const CellResult &c : r.cells) {
+        const RunStats &s = c.stats;
+        std::string regret = "-";
+        if (c.config != "baseline") {
+            double loss =
+                normalizedTime(s.ticks, winner->stats.ticks) - 1.0;
+            regret = loss <= 0 ? "winner" : "+" + Table::pct(loss);
+        }
+        t.addRow({c.config == "baseline" ? "CC-NUMA(inf)"
+                                         : c.protocolName,
+                  std::to_string(s.ticks),
+                  Table::num(r.norm(app, c.config)), regret,
                   std::to_string(s.remoteFetches),
                   std::to_string(s.refetches),
                   std::to_string(s.scomaAllocations +
                                  s.relocations)});
-    };
-    row("CC-NUMA(inf)", m.baseline, "-");
-    for (const ComparisonEntry &e : m.entries) {
-        double r = m.regret(e.id);
-        row(e.name, e.stats,
-            r <= 0 ? "winner" : "+" + Table::pct(r));
     }
     t.print(std::cout);
 
-    std::cout << "\nwinner: " << m.winner().name
-              << "  best of CC/SC: " << Table::num(m.bestOfBase())
-              << "  R-NUMA: " << Table::num(m.norm("rnuma"))
+    std::cout << "\nwinner: " << winner->protocolName
+              << "  best of CC/SC: " << Table::num(r.bestOfBase(app))
+              << "  R-NUMA: " << Table::num(r.norm(app, "rnuma"))
               << "\npaper invariant: R-NUMA is never much worse "
                  "than the best of the two base\nsystems (Section "
                  "5) — and any newly registered policy lands in "

@@ -1,10 +1,10 @@
 /**
  * @file
  * The one worker pool in the codebase: run n independent index-tasks
- * on up to a requested number of threads. Used by the sweep driver
- * (cells) and the protocol-comparison runner (the four
- * configurations); both owe their bit-identical parallelism to the
- * tasks writing disjoint, caller-owned slots.
+ * on up to a requested number of threads. Used only by the sweep
+ * driver (workload generation and cells), which owes its
+ * bit-identical parallelism to the tasks writing disjoint,
+ * caller-owned slots.
  */
 
 #ifndef RNUMA_COMMON_PARALLEL_HH

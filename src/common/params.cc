@@ -8,17 +8,6 @@
 namespace rnuma
 {
 
-const char *
-protocolName(Protocol p)
-{
-    switch (p) {
-      case Protocol::CCNuma: return "CC-NUMA";
-      case Protocol::SComa:  return "S-COMA";
-      case Protocol::RNuma:  return "R-NUMA";
-    }
-    return "?";
-}
-
 Params
 Params::base()
 {

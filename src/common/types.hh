@@ -68,25 +68,6 @@ enum class SharerFormat : std::uint8_t
     CoarseVector
 };
 
-/**
- * Legacy shorthand for the three remote-data caching systems the
- * paper compares. CCNuma caches remote data in the processor caches
- * plus a small SRAM block cache; SComa caches remote data at page
- * granularity in main memory; RNuma starts pages as CC-NUMA and
- * reactively relocates high-refetch pages into the S-COMA page cache
- * (Section 3).
- *
- * The system-selection currency is the string-keyed protocol
- * registry (proto/registry.hh) — these enumerators are retained as
- * spellings of the three built-in registrations ("ccnuma", "scoma",
- * "rnuma") for the sim-layer convenience overloads; nothing
- * dispatches on them.
- */
-enum class Protocol : std::uint8_t { CCNuma, SComa, RNuma };
-
-/** Enum-era display name ("CC-NUMA"); kept for log compatibility. */
-const char *protocolName(Protocol p);
-
 } // namespace rnuma
 
 #endif // RNUMA_COMMON_TYPES_HH

@@ -13,9 +13,7 @@
 #include "proto/protocol.hh"
 #include "proto/registry.hh"
 #include "sim/runner.hh"
-#include "workload/micro.hh"
 #include "workload/registry.hh"
-#include "workload/synthetic.hh"
 
 namespace rnuma::driver
 {
@@ -23,25 +21,84 @@ namespace rnuma::driver
 namespace
 {
 
+/** The three systems the paper compares, as spec ids. */
+const std::vector<std::string> paperSystems = {"ccnuma", "scoma",
+                                               "rnuma"};
+
 /**
- * Normalized time; NaN (rendered "nan", serialized null) when the
- * baseline simulated zero ticks — a degenerate one-reference
- * workload at a tiny scale is a flagged cell, not a panic. One
- * rule, shared with the comparison harness.
+ * A figure's selection from the @p Spec registry: @p names (a
+ * repeatable CLI flag), else @p defaults, else every registered
+ * spec. Names canonicalize to spec ids and dedupe, so repeated or
+ * alias spellings (--protocol rnuma --protocol R-NUMA) run once
+ * instead of tripping the duplicate-cell check. Fatal on an unknown
+ * name.
  */
-double
-norm(Tick x, Tick base)
+template <class Spec>
+std::vector<std::string>
+selectedIds(std::vector<std::string> names,
+            const std::vector<std::string> &defaults = {})
 {
-    return normalizedTime(x, base);
+    if (names.empty())
+        names = defaults;
+    if (names.empty()) {
+        for (const Spec *spec : Registry<Spec>::global().all())
+            names.push_back(spec->id);
+    }
+    std::vector<std::string> ids;
+    for (const std::string &name : names) {
+        const std::string &id = Registry<Spec>::global().at(name).id;
+        if (std::find(ids.begin(), ids.end(), id) == ids.end())
+            ids.push_back(id);
+    }
+    return ids;
 }
 
-/** Normalized execution time of (app, config) vs (app, "baseline"). */
-double
-normTo(const SweepResult &r, const std::string &app,
-       const std::string &config, const std::string &base = "baseline")
+/**
+ * Add one comparison row (Sweep::addComparison) over the registered
+ * workload @p wl, generated from @p p at @p scale with generator
+ * @p options. Options are not Params fields, so a non-empty option
+ * string joins the workload cache key by name.
+ */
+void
+addRow(Sweep &s, const std::string &row, const std::string &wl,
+       const Params &p, double scale,
+       const std::vector<std::string> &ids,
+       const std::string &options = "")
 {
-    return norm(r.at(app, config).stats.ticks,
-                r.at(app, base).stats.ticks);
+    s.addComparison(row, p, workloadFactory(wl, p, scale, 1, options),
+                    workloadCacheKey(options.empty() ? wl
+                                                     : wl + "/" + options,
+                                     p, scale),
+                    wl, ids);
+}
+
+/** A cell's protocol as a table label: display name, else id. */
+const std::string &
+label(const CellResult &c)
+{
+    return c.protocolName.empty() ? c.protocol : c.protocolName;
+}
+
+/** A cell's relocation policy, described for the base machine. */
+std::string
+policyOf(const CellResult &c)
+{
+    const ProtocolSpec *spec = findProtocolSpec(c.protocol);
+    return spec && spec->makePolicy
+        ? spec->makePolicy(Params::base())->describe() : "-";
+}
+
+/**
+ * The fastest of the paper's three systems on @p app; R-NUMA wins
+ * ties with the best base system.
+ */
+const char *
+winner(const SweepResult &r, const std::string &app)
+{
+    if (r.norm(app, "rnuma") <= r.bestOfBase(app))
+        return "R-NUMA";
+    return r.norm(app, "ccnuma") < r.norm(app, "scoma") ? "CC-NUMA"
+                                                        : "S-COMA";
 }
 
 //--------------------------------------------------------------------------
@@ -53,7 +110,7 @@ buildFig5(const FigureOptions &opt)
 {
     Sweep s("fig5");
     Params p = Params::base();
-    for (const auto &app : appNames())
+    for (const std::string &app : workloadIds("app"))
         s.addApp(app, "ccnuma", p, "ccnuma", opt.scale);
     return s;
 }
@@ -108,11 +165,8 @@ buildFig6(const FigureOptions &opt)
 {
     Sweep s("fig6");
     Params p = Params::base();
-    for (const auto &app : appNames()) {
-        s.addBaseline(app, p, opt.scale);
-        s.addApp(app, "ccnuma", p, "ccnuma", opt.scale);
-        s.addApp(app, "scoma", p, "scoma", opt.scale);
-        s.addApp(app, "rnuma", p, "rnuma", opt.scale);
+    for (const std::string &app : workloadIds("app")) {
+        addRow(s, app, app, p, opt.scale, paperSystems);
     }
     return s;
 }
@@ -124,20 +178,18 @@ renderFig6(const FigureRun &run, std::ostream &os)
              "R-NUMA vs best"});
     double worst_gap = 0;
     std::string worst_app;
-    for (const auto &app : appNames()) {
-        double cc = normTo(run.result, app, "ccnuma");
-        double sc = normTo(run.result, app, "scoma");
-        double rn = normTo(run.result, app, "rnuma");
-        double best = std::min(cc, sc);
-        const char *winner = rn <= best
-            ? "R-NUMA" : (cc < sc ? "CC-NUMA" : "S-COMA");
+    const SweepResult &r = run.result;
+    for (const std::string &app : workloadIds("app")) {
+        double rn = r.norm(app, "rnuma");
+        double best = r.bestOfBase(app);
         double gap = rn / best - 1.0;
         if (gap > worst_gap) {
             worst_gap = gap;
             worst_app = app;
         }
-        t.addRow({app, Table::num(cc), Table::num(sc),
-                  Table::num(rn), Table::num(best), winner,
+        t.addRow({app, Table::num(r.norm(app, "ccnuma")),
+                  Table::num(r.norm(app, "scoma")), Table::num(rn),
+                  Table::num(best), winner(r, app),
                   gap <= 0 ? "best" : "+" + Table::pct(gap)});
     }
     t.print(os);
@@ -169,13 +221,13 @@ buildFig7(const FigureOptions &opt)
     rn_bigpc.pageCacheSize = 40 * 1024 * 1024;
     const ProtocolSpec &cc = protocolSpec("ccnuma");
     const ProtocolSpec &rn = protocolSpec("rnuma");
-    for (const auto &app : appNames()) {
+    for (const std::string &app : workloadIds("app")) {
         // One factory per row: fmm derives its anti-aliasing pool
         // from the block-cache geometry, so every cache-size column
         // must measure the identical trace generated from the base
         // machine (as the original harness did). The shared cache
         // key makes the runner generate that trace exactly once.
-        WorkloadFactory make = appFactory(app, base, opt.scale);
+        WorkloadFactory make = workloadFactory(app, base, opt.scale);
         std::string key = workloadCacheKey(app, base, opt.scale);
         s.add({app, "baseline", cc, inf, make, key, app});
         s.add({app, "cc-b1k", cc, cc1k, make, key, app});
@@ -192,16 +244,12 @@ renderFig7(const FigureRun &run, std::ostream &os)
 {
     Table t({"app", "CC b=1K", "CC b=32K", "RN b=128,p=320K",
              "RN b=32K,p=320K", "RN b=128,p=40M"});
-    for (const auto &app : appNames()) {
-        t.addRow({app,
-                  Table::num(normTo(run.result, app, "cc-b1k")),
-                  Table::num(normTo(run.result, app, "cc-b32k")),
-                  Table::num(normTo(run.result, app,
-                                    "rn-b128-p320k")),
-                  Table::num(normTo(run.result, app,
-                                    "rn-b32k-p320k")),
-                  Table::num(normTo(run.result, app,
-                                    "rn-b128-p40m"))});
+    for (const std::string &app : workloadIds("app")) {
+        std::vector<std::string> row{app};
+        for (const char *config : {"cc-b1k", "cc-b32k", "rn-b128-p320k",
+                                   "rn-b32k-p320k", "rn-b128-p40m"})
+            row.push_back(Table::num(run.result.norm(app, config)));
+        t.addRow(row);
     }
     t.print(os);
     os << "\npaper shape: em3d/fft perform well even at b=1K; "
@@ -230,8 +278,8 @@ buildFig8(const FigureOptions &opt)
 {
     Sweep s("fig8");
     Params base = Params::base();
-    for (const auto &app : appNames()) {
-        WorkloadFactory make = appFactory(app, base, opt.scale);
+    for (const std::string &app : workloadIds("app")) {
+        WorkloadFactory make = workloadFactory(app, base, opt.scale);
         std::string key = workloadCacheKey(app, base, opt.scale);
         for (std::size_t T : fig8Thresholds) {
             s.add({app, "t" + std::to_string(T),
@@ -245,12 +293,11 @@ int
 renderFig8(const FigureRun &run, std::ostream &os)
 {
     Table t({"app", "T=16", "T=64", "T=256", "T=1024"});
-    for (const auto &app : appNames()) {
+    for (const std::string &app : workloadIds("app")) {
         std::vector<std::string> row{app};
         for (std::size_t T : fig8Thresholds) {
             row.push_back(Table::num(
-                normTo(run.result, app, "t" + std::to_string(T),
-                       "t64")));
+                run.result.norm(app, "t" + std::to_string(T), "t64")));
         }
         t.addRow(row);
     }
@@ -278,8 +325,8 @@ buildFig9(const FigureOptions &opt)
     const ProtocolSpec &cc = protocolSpec("ccnuma");
     const ProtocolSpec &sc = protocolSpec("scoma");
     const ProtocolSpec &rn = protocolSpec("rnuma");
-    for (const auto &app : appNames()) {
-        WorkloadFactory make = appFactory(app, base, opt.scale);
+    for (const std::string &app : workloadIds("app")) {
+        WorkloadFactory make = workloadFactory(app, base, opt.scale);
         std::string key = workloadCacheKey(app, base, opt.scale);
         s.add({app, "baseline", cc, inf, make, key, app});
         s.add({app, "scoma", sc, base, make, key, app});
@@ -295,18 +342,14 @@ renderFig9(const FigureRun &run, std::ostream &os)
 {
     Table t({"app", "S-COMA", "S-COMA-SOFT", "R-NUMA",
              "R-NUMA-SOFT", "SC soft/base", "RN soft/base"});
-    for (const auto &app : appNames()) {
-        Tick sc = run.result.at(app, "scoma").stats.ticks;
-        Tick sc_soft = run.result.at(app, "scoma-soft").stats.ticks;
-        Tick rn = run.result.at(app, "rnuma").stats.ticks;
-        Tick rn_soft = run.result.at(app, "rnuma-soft").stats.ticks;
-        Tick ideal = run.result.at(app, "baseline").stats.ticks;
-        t.addRow({app, Table::num(norm(sc, ideal)),
-                  Table::num(norm(sc_soft, ideal)),
-                  Table::num(norm(rn, ideal)),
-                  Table::num(norm(rn_soft, ideal)),
-                  Table::num(norm(sc_soft, sc)),
-                  Table::num(norm(rn_soft, rn))});
+    const SweepResult &r = run.result;
+    for (const std::string &app : workloadIds("app")) {
+        t.addRow({app, Table::num(r.norm(app, "scoma")),
+                  Table::num(r.norm(app, "scoma-soft")),
+                  Table::num(r.norm(app, "rnuma")),
+                  Table::num(r.norm(app, "rnuma-soft")),
+                  Table::num(r.norm(app, "scoma-soft", "scoma")),
+                  Table::num(r.norm(app, "rnuma-soft", "rnuma"))});
     }
     t.print(os);
     os << "\npaper shape: S-COMA is highly sensitive — execution "
@@ -405,10 +448,9 @@ buildTable4(const FigureOptions &opt)
 {
     Sweep s("table4");
     Params p = Params::base();
-    for (const auto &app : appNames()) {
-        s.addApp(app, "ccnuma", p, "ccnuma", opt.scale);
-        s.addApp(app, "scoma", p, "scoma", opt.scale);
-        s.addApp(app, "rnuma", p, "rnuma", opt.scale);
+    for (const std::string &app : workloadIds("app")) {
+        for (const std::string &id : paperSystems)
+            s.addApp(app, id, p, id, opt.scale);
     }
     return s;
 }
@@ -418,7 +460,7 @@ renderTable4(const FigureRun &run, std::ostream &os)
 {
     Table t({"app", "CC-NUMA RW pages", "R-NUMA refetches vs CC",
              "R-NUMA replacements vs S-COMA"});
-    for (const auto &app : appNames()) {
+    for (const std::string &app : workloadIds("app")) {
         const RunStats &cc = run.result.at(app, "ccnuma").stats;
         const RunStats &sc = run.result.at(app, "scoma").stats;
         const RunStats &rn = run.result.at(app, "rnuma").stats;
@@ -459,21 +501,7 @@ buildEq3(const FigureOptions &)
     // structure is threshold-independent), so it does not scale.
     Params sp = Params::base();
     sp.relocationThreshold = 16;
-    WorkloadFactory adversary = [sp] {
-        return std::unique_ptr<Workload>(
-            makeAdversary(sp, 24, sp.relocationThreshold + 1));
-    };
-    Params base = sp;
-    base.infiniteBlockCache = true;
-    std::string key = workloadCacheKey("adversary", sp, 1.0);
-    s.add({"adversary", "baseline", protocolSpec("ccnuma"), base,
-           adversary, key, "adversary"});
-    s.add({"adversary", "ccnuma", protocolSpec("ccnuma"), sp,
-           adversary, key, "adversary"});
-    s.add({"adversary", "scoma", protocolSpec("scoma"), sp,
-           adversary, key, "adversary"});
-    s.add({"adversary", "rnuma", protocolSpec("rnuma"), sp,
-           adversary, key, "adversary"});
+    addRow(s, "adversary", "adversary", sp, 1.0, paperSystems);
     return s;
 }
 
@@ -505,16 +533,17 @@ renderEq3(const FigureRun &run, std::ostream &os)
 
     os << "Empirical adversary (threshold 16, pages relocate then "
           "die):\n";
-    double o_cc = normTo(run.result, "adversary", "ccnuma") - 1.0;
-    double o_sc = normTo(run.result, "adversary", "scoma") - 1.0;
-    double o_rn = normTo(run.result, "adversary", "rnuma") - 1.0;
+    const SweepResult &r = run.result;
+    double o_cc = r.norm("adversary", "ccnuma") - 1.0;
+    double o_sc = r.norm("adversary", "scoma") - 1.0;
+    double o_rn = r.norm("adversary", "rnuma") - 1.0;
     Table e({"protocol", "normalized time", "overhead vs ideal"});
     e.addRow({"CC-NUMA", Table::num(o_cc + 1.0), Table::num(o_cc)});
     e.addRow({"S-COMA", Table::num(o_sc + 1.0), Table::num(o_sc)});
     e.addRow({"R-NUMA", Table::num(o_rn + 1.0), Table::num(o_rn)});
     e.print(os);
 
-    double best = std::min(o_cc, o_sc);
+    double best = r.bestOfBase("adversary") - 1.0;
     double ratio = best > 0 ? o_rn / best : 0;
     os << "\nR-NUMA overhead vs best of CC/SC: " << Table::num(ratio)
        << "x (bounded by a small constant; the paper's bound at T* "
@@ -534,7 +563,7 @@ buildAblation(const FigureOptions &opt)
     Params full = Params::base();
     Params ablated = full;
     ablated.priorOwnerState = false;
-    for (const auto &app : appNames()) {
+    for (const std::string &app : workloadIds("app")) {
         s.addBaseline(app, full, opt.scale);
         s.addApp(app, "full", full, "rnuma", opt.scale);
         s.addApp(app, "ablated", ablated, "rnuma", opt.scale);
@@ -547,13 +576,13 @@ renderAblation(const FigureRun &run, std::ostream &os)
 {
     Table t({"app", "R-NUMA (full)", "R-NUMA (no prior state)",
              "slowdown", "relocations full/ablated"});
-    for (const auto &app : appNames()) {
-        const RunStats &a = run.result.at(app, "full").stats;
-        const RunStats &b = run.result.at(app, "ablated").stats;
-        Tick ideal = run.result.at(app, "baseline").stats.ticks;
-        t.addRow({app, Table::num(norm(a.ticks, ideal)),
-                  Table::num(norm(b.ticks, ideal)),
-                  Table::num(norm(b.ticks, a.ticks)),
+    const SweepResult &r = run.result;
+    for (const std::string &app : workloadIds("app")) {
+        const RunStats &a = r.at(app, "full").stats;
+        const RunStats &b = r.at(app, "ablated").stats;
+        t.addRow({app, Table::num(r.norm(app, "full")),
+                  Table::num(r.norm(app, "ablated")),
+                  Table::num(r.norm(app, "ablated", "full")),
                   std::to_string(a.relocations) + "/" +
                       std::to_string(b.relocations)});
     }
@@ -574,48 +603,17 @@ renderAblation(const FigureRun &run, std::ostream &os)
 // (not a paper figure; the library's analyzable sanity sweep).
 //--------------------------------------------------------------------------
 
+/** The micro figure's rows: registered micro workloads. */
+const char *const microPatterns[] = {"private-loop", "hot-reuse",
+                                     "producer-consumer", "rw-sharing"};
+
 Sweep
 buildMicro(const FigureOptions &opt)
 {
     Sweep s("micro");
     Params p = Params::base();
-    double scale = opt.scale;
-    struct Pattern
-    {
-        const char *name;
-        WorkloadFactory make;
-    };
-    const Pattern patterns[] = {
-        {"private-loop", [p, scale] {
-             return std::unique_ptr<Workload>(makePrivateLoop(
-                 p, 4, scaled(20, scale)));
-         }},
-        {"hot-reuse", [p, scale] {
-             return std::unique_ptr<Workload>(makeHotRemoteReuse(
-                 p, scaled(120, scale, 2), 8));
-         }},
-        {"producer-consumer", [p, scale] {
-             return std::unique_ptr<Workload>(makeProducerConsumer(
-                 p, scaled(32, scale, 1), 10));
-         }},
-        {"rw-sharing", [p, scale] {
-             return std::unique_ptr<Workload>(
-                 makeRwSharing(p, scaled(400, scale, 8)));
-         }},
-    };
-    for (const Pattern &pat : patterns) {
-        Params base = p;
-        base.infiniteBlockCache = true;
-        std::string key = workloadCacheKey(pat.name, p, scale);
-        s.add({pat.name, "baseline", protocolSpec("ccnuma"), base,
-               pat.make, key, pat.name});
-        s.add({pat.name, "ccnuma", protocolSpec("ccnuma"), p,
-               pat.make, key, pat.name});
-        s.add({pat.name, "scoma", protocolSpec("scoma"), p,
-               pat.make, key, pat.name});
-        s.add({pat.name, "rnuma", protocolSpec("rnuma"), p,
-               pat.make, key, pat.name});
-    }
+    for (const char *pat : microPatterns)
+        addRow(s, pat, pat, p, opt.scale, paperSystems);
     return s;
 }
 
@@ -623,15 +621,11 @@ int
 renderMicro(const FigureRun &run, std::ostream &os)
 {
     Table t({"pattern", "CC-NUMA", "S-COMA", "R-NUMA", "winner"});
-    for (const char *pat : {"private-loop", "hot-reuse",
-                            "producer-consumer", "rw-sharing"}) {
-        double cc = normTo(run.result, pat, "ccnuma");
-        double sc = normTo(run.result, pat, "scoma");
-        double rn = normTo(run.result, pat, "rnuma");
-        const char *winner = rn <= std::min(cc, sc)
-            ? "R-NUMA" : (cc < sc ? "CC-NUMA" : "S-COMA");
-        t.addRow({pat, Table::num(cc), Table::num(sc),
-                  Table::num(rn), winner});
+    const SweepResult &r = run.result;
+    for (const char *pat : microPatterns) {
+        t.addRow({pat, Table::num(r.norm(pat, "ccnuma")),
+                  Table::num(r.norm(pat, "scoma")),
+                  Table::num(r.norm(pat, "rnuma")), winner(r, pat)});
     }
     t.print(os);
     os << "\nexpected shape: all protocols tie on private-loop; "
@@ -663,59 +657,14 @@ buildPolicies(const FigureOptions &opt)
 {
     Sweep s("policies");
     Params p = Params::base();
-    double scale = opt.scale;
-    struct Pattern
-    {
-        const char *name;
-        WorkloadFactory make;
-    };
-    // The eviction cell derives its page count from the frame
+    std::vector<std::string> ids =
+        selectedIds<ProtocolSpec>(opt.protocols);
+    // evict-storm's default page count derives from the frame
     // budget, not from the scale alone: the reuse set must overflow
-    // the page cache at every scale (the small-scale tie was
-    // exactly this cell degenerating into in-cache reuse).
-    std::size_t frames = p.pageCacheFrames();
-    const Pattern patterns[] = {
-        {"hot-reuse", [p, scale] {
-             return std::unique_ptr<Workload>(makeHotRemoteReuse(
-                 p, scaled(120, scale, 2), 8));
-         }},
-        // The overshoot and sweep floors are where the policies
-        // separate strictly at CI scale (0.1): fewer ping-pong
-        // pages or rounds and the escalating/hysteresis re-entry
-        // bars never get exercised past their first doubling.
-        {"evict-storm", [p, scale, frames] {
-             return std::unique_ptr<Workload>(makeEvictionStorm(
-                 p, frames + scaled(80, scale, 40),
-                 scaled(16, scale, 8)));
-         }},
-    };
-    std::vector<std::string> names = opt.protocols;
-    if (names.empty()) {
-        for (const ProtocolSpec *spec :
-             ProtocolRegistry::global().all())
-            names.push_back(spec->id);
-    }
-    // Selections canonicalize to spec ids and dedupe, so repeated
-    // or alias spellings (--protocol rnuma --protocol R-NUMA) run
-    // the protocol once instead of tripping the duplicate-cell
-    // check.
-    std::vector<std::string> ids;
-    for (const std::string &name : names) {
-        const std::string &id = protocolSpec(name).id;
-        if (std::find(ids.begin(), ids.end(), id) == ids.end())
-            ids.push_back(id);
-    }
-    Params inf = p;
-    inf.infiniteBlockCache = true;
-    for (const Pattern &pat : patterns) {
-        std::string key = workloadCacheKey(pat.name, p, scale);
-        s.add({pat.name, "baseline", protocolSpec("ccnuma"), inf,
-               pat.make, key, pat.name});
-        for (const std::string &id : ids) {
-            s.add({pat.name, id, protocolSpec(id), p, pat.make, key,
-                   pat.name});
-        }
-    }
+    // the page cache at every scale (the small-scale tie was exactly
+    // this cell degenerating into in-cache reuse).
+    for (const char *pat : {"hot-reuse", "evict-storm"})
+        addRow(s, pat, pat, p, opt.scale, ids);
     return s;
 }
 
@@ -724,18 +673,11 @@ renderPolicies(const FigureRun &run, std::ostream &os)
 {
     Table t({"pattern", "protocol", "policy", "normalized time",
              "relocations", "page-cache hits", "refetches"});
-    Params p = Params::base();
     for (const CellResult &c : run.result.cells) {
         if (c.config == "baseline")
             continue;
-        const ProtocolSpec *spec = findProtocolSpec(c.protocol);
-        std::string policy = spec && spec->makePolicy
-            ? spec->makePolicy(p)->describe() : "-";
-        t.addRow({c.app,
-                  c.protocolName.empty() ? c.protocol
-                                         : c.protocolName,
-                  policy,
-                  Table::num(normTo(run.result, c.app, c.config)),
+        t.addRow({c.app, label(c), policyOf(c),
+                  Table::num(run.result.norm(c.app, c.config)),
                   std::to_string(c.stats.relocations),
                   std::to_string(c.stats.pageCacheHits),
                   std::to_string(c.stats.refetches)});
@@ -775,18 +717,8 @@ buildScaling(const FigureOptions &opt)
 {
     Sweep s("scaling");
     double scale = opt.scale;
-    std::vector<std::string> names = opt.networks;
-    if (names.empty())
-        names = {"constant", "mesh-2d"};
-    // Selections canonicalize to spec ids and dedupe, like the
-    // policies sweep does for protocols (--network mesh --network
-    // "2D mesh" runs the mesh once).
-    std::vector<std::string> nets;
-    for (const std::string &name : names) {
-        const std::string &id = networkSpec(name).id;
-        if (std::find(nets.begin(), nets.end(), id) == nets.end())
-            nets.push_back(id);
-    }
+    std::vector<std::string> nets = selectedIds<NetworkSpec>(
+        opt.networks, {"constant", "mesh-2d"});
     const SharerFormat formats[] = {SharerFormat::FullMap,
                                     SharerFormat::LimitedPointer};
     for (std::size_t nodes : {8, 16, 32, 64, 128}) {
@@ -795,12 +727,8 @@ buildScaling(const FigureOptions &opt)
         // The workload depends only on the machine geometry: one
         // generation (and one cache entry) per node count, shared
         // by every network x directory cell at that size.
-        std::size_t pages = scaled(4, scale, 1);
-        std::size_t sweeps = scaled(4, scale, 2);
-        WorkloadFactory make = [gen, pages, sweeps] {
-            return std::unique_ptr<Workload>(
-                makeScalingShift(gen, pages, sweeps));
-        };
+        WorkloadFactory make =
+            workloadFactory("scaling-shift", gen, scale);
         std::string key =
             workloadCacheKey("scaling-shift", gen, scale);
         for (const std::string &net : nets) {
@@ -847,7 +775,7 @@ renderScaling(const FigureRun &run, std::ostream &os)
             lpBits = bitsPerEntry;
         t.addRow({size, c.network, c.directory,
                   std::to_string(c.stats.ticks),
-                  Table::num(norm(c.stats.ticks, base)),
+                  Table::num(normalizedTime(c.stats.ticks, base)),
                   std::to_string(c.stats.net.totalMessages()),
                   std::to_string(c.stats.niWait),
                   std::to_string(c.stats.dirEntries),
@@ -894,31 +822,12 @@ renderScaling(const FigureRun &run, std::ostream &os)
 /** The serving figure's skew axis (stable row-label spellings). */
 const char *const servingThetas[] = {"0.2", "0.6", "0.95"};
 
-/** Canonicalize + dedupe a --protocol selection (default: all). */
-std::vector<std::string>
-selectedProtocolIds(const FigureOptions &opt)
-{
-    std::vector<std::string> names = opt.protocols;
-    if (names.empty()) {
-        for (const ProtocolSpec *spec :
-             ProtocolRegistry::global().all())
-            names.push_back(spec->id);
-    }
-    std::vector<std::string> ids;
-    for (const std::string &name : names) {
-        const std::string &id = protocolSpec(name).id;
-        if (std::find(ids.begin(), ids.end(), id) == ids.end())
-            ids.push_back(id);
-    }
-    return ids;
-}
-
 Sweep
 buildServing(const FigureOptions &opt)
 {
     Sweep s("serving");
-    double scale = opt.scale;
-    std::vector<std::string> ids = selectedProtocolIds(opt);
+    std::vector<std::string> ids =
+        selectedIds<ProtocolSpec>(opt.protocols);
 
     struct MachineAxis
     {
@@ -935,24 +844,8 @@ buildServing(const FigureOptions &opt)
         for (const char *theta : servingThetas) {
             std::string row = std::string("zipf-") + theta +
                               m.suffix;
-            std::string options = std::string("theta=") + theta;
-            Params gen = m.gen;
-            WorkloadFactory make = [gen, scale, options] {
-                return makeWorkload("zipf-serve", gen, scale, 1,
-                                    options);
-            };
-            // theta is a generator option, not a Params field, so it
-            // must participate in the cache key by name.
-            std::string key = workloadCacheKey(
-                "zipf-serve/" + options, gen, scale);
-            Params inf = gen;
-            inf.infiniteBlockCache = true;
-            s.add({row, "baseline", protocolSpec("ccnuma"), inf,
-                   make, key, "zipf-serve"});
-            for (const std::string &id : ids) {
-                s.add({row, id, protocolSpec(id), gen, make, key,
-                       "zipf-serve"});
-            }
+            addRow(s, row, "zipf-serve", m.gen, opt.scale, ids,
+                   std::string("theta=") + theta);
         }
     }
     return s;
@@ -972,18 +865,15 @@ renderServing(const FigureRun &run, std::ostream &os)
                     c.app.rfind("-m64") == c.app.size() - 4;
         std::string theta = c.app.substr(
             5, c.app.size() - 5 - (mesh ? 4 : 0));
-        t.addRow({mesh ? "mesh-2d/64" : "base/8", theta,
-                  c.protocolName.empty() ? c.protocol
-                                         : c.protocolName,
-                  Table::num(normTo(run.result, c.app, c.config)),
+        t.addRow({mesh ? "mesh-2d/64" : "base/8", theta, label(c),
+                  Table::num(run.result.norm(c.app, c.config)),
                   std::to_string(c.stats.relocations),
                   std::to_string(c.stats.pageCacheHits),
                   std::to_string(c.stats.refetches)});
         if (c.protocol == "rnuma") {
-            double cc = normTo(run.result, c.app, "ccnuma");
-            double sc = normTo(run.result, c.app, "scoma");
-            double rn = normTo(run.result, c.app, "rnuma");
-            double gap = rn / std::min(cc, sc) - 1.0;
+            double gap = run.result.norm(c.app, "rnuma") /
+                             run.result.bestOfBase(c.app) -
+                         1.0;
             if (gap > worst_gap) {
                 worst_gap = gap;
                 worst_row = c.app;
@@ -1021,31 +911,11 @@ buildChurn(const FigureOptions &opt)
 {
     Sweep s("churn");
     Params p = Params::base();
-    double scale = opt.scale;
-    std::vector<std::string> wls = opt.workloads;
-    if (wls.empty())
-        wls = {"phase-shift", "tenants"};
-    // Canonicalize to registry ids and dedupe, like the policies
-    // sweep does for protocols.
-    std::vector<std::string> workloads;
-    for (const std::string &name : wls) {
-        const std::string &id = workloadSpec(name).id;
-        if (std::find(workloads.begin(), workloads.end(), id) ==
-            workloads.end())
-            workloads.push_back(id);
-    }
-    std::vector<std::string> ids = selectedProtocolIds(opt);
-    Params inf = p;
-    inf.infiniteBlockCache = true;
-    for (const std::string &wl : workloads) {
-        WorkloadFactory make = [wl, p, scale] {
-            return makeWorkload(wl, p, scale, 1);
-        };
-        std::string key = workloadCacheKey(wl, p, scale);
-        s.add({wl, "baseline", protocolSpec("ccnuma"), inf, make,
-               key, wl});
-        for (const std::string &id : ids)
-            s.add({wl, id, protocolSpec(id), p, make, key, wl});
+    std::vector<std::string> ids =
+        selectedIds<ProtocolSpec>(opt.protocols);
+    for (const std::string &wl : selectedIds<WorkloadSpec>(
+             opt.workloads, {"phase-shift", "tenants"})) {
+        addRow(s, wl, wl, p, opt.scale, ids);
     }
     return s;
 }
@@ -1059,10 +929,8 @@ renderChurn(const FigureRun &run, std::ostream &os)
     for (const CellResult &c : run.result.cells) {
         if (c.config == "baseline")
             continue;
-        t.addRow({c.app,
-                  c.protocolName.empty() ? c.protocol
-                                         : c.protocolName,
-                  Table::num(normTo(run.result, c.app, c.config)),
+        t.addRow({c.app, label(c),
+                  Table::num(run.result.norm(c.app, c.config)),
                   std::to_string(c.stats.relocations),
                   std::to_string(c.stats.scomaAllocations),
                   std::to_string(c.stats.pageCacheHits),
@@ -1104,7 +972,7 @@ buildStormCliff(const FigureOptions &opt)
     // One factory and key for every column, generated from the base
     // machine (fmm reads the block-cache geometry; the fig7
     // convention), so each cell measures the identical trace.
-    WorkloadFactory make = appFactory("fmm", base, opt.scale);
+    WorkloadFactory make = workloadFactory("fmm", base, opt.scale);
     std::string key = workloadCacheKey("fmm", base, opt.scale);
     s.add({"fmm", "baseline", protocolSpec("ccnuma"), inf, make,
            key, "fmm"});
@@ -1132,7 +1000,7 @@ renderStormCliff(const FigureRun &run, std::ostream &os)
                   std::to_string(starved ? 4
                                          : base.pageCacheFrames()),
                   std::to_string(c.stats.ticks),
-                  Table::num(normTo(run.result, "fmm", c.config)),
+                  Table::num(run.result.norm("fmm", c.config)),
                   std::to_string(c.stats.relocations),
                   std::to_string(c.stats.scomaReplacements),
                   std::to_string(c.stats.refetches)});
@@ -1178,31 +1046,16 @@ buildFeedback(const FigureOptions &opt)
 {
     Sweep s("feedback");
     Params p = Params::base();
-    double scale = opt.scale;
-    std::vector<std::string> ids = selectedProtocolIds(opt);
-    Params inf = p;
-    inf.infiniteBlockCache = true;
+    std::vector<std::string> ids =
+        selectedIds<ProtocolSpec>(opt.protocols);
     for (const char *phases : feedbackPhases) {
         std::string row = std::string("shift-p") + phases;
         // A fixed sweep count (not the generator's scaled default):
         // separation needs residencies long enough for capacity
         // refetches to cross the thresholds at *every* scale — the
         // CI ordering check runs this figure at scale 0.1.
-        std::string options =
-            std::string("phases=") + phases + ",sweeps=96";
-        WorkloadFactory make = [p, scale, options] {
-            return makeWorkload("phase-shift", p, scale, 1, options);
-        };
-        // The phase count is a generator option, not a Params field,
-        // so it must participate in the cache key by name (the
-        // serving figure's theta convention).
-        std::string key = workloadCacheKey("phase-shift/" + options,
-                                           p, scale);
-        s.add({row, "baseline", protocolSpec("ccnuma"), inf, make,
-               key, "phase-shift"});
-        for (const std::string &id : ids)
-            s.add({row, id, protocolSpec(id), p, make, key,
-                   "phase-shift"});
+        addRow(s, row, "phase-shift", p, opt.scale, ids,
+               std::string("phases=") + phases + ",sweeps=96");
     }
     return s;
 }
@@ -1213,18 +1066,11 @@ renderFeedback(const FigureRun &run, std::ostream &os)
     Table t({"step", "protocol", "policy", "normalized time",
              "relocations", "zero-hit evictions",
              "evicted-page hits"});
-    Params p = Params::base();
     for (const CellResult &c : run.result.cells) {
         if (c.config == "baseline")
             continue;
-        const ProtocolSpec *spec = findProtocolSpec(c.protocol);
-        std::string policy = spec && spec->makePolicy
-            ? spec->makePolicy(p)->describe() : "-";
-        t.addRow({c.app,
-                  c.protocolName.empty() ? c.protocol
-                                         : c.protocolName,
-                  policy,
-                  Table::num(normTo(run.result, c.app, c.config)),
+        t.addRow({c.app, label(c), policyOf(c),
+                  Table::num(run.result.norm(c.app, c.config)),
                   std::to_string(c.stats.relocations),
                   std::to_string(c.stats.evictionsZeroHit),
                   std::to_string(c.stats.evictedPageHits)});

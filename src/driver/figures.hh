@@ -4,8 +4,10 @@
  * specs. Each spec knows how to build its Sweep (lazily — no
  * workloads are generated until the runner executes cells) and how
  * to render the executed sweep as the figure's human-readable table
- * with the paper commentary. The bench harnesses and the rnuma_sweep
- * CLI are both thin shells over this registry.
+ * with the paper commentary. The rnuma_sweep CLI is the shell over
+ * this registry. Comparison figures build their rows with
+ * Sweep::addComparison and read them back through SweepResult::norm
+ * and SweepResult::bestOfBase.
  */
 
 #ifndef RNUMA_DRIVER_FIGURES_HH

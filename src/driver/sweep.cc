@@ -1,5 +1,6 @@
 #include "driver/sweep.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -10,46 +11,39 @@
 namespace rnuma::driver
 {
 
+std::optional<double>
+parseScale(const std::string &text)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    double s = std::strtod(begin, &end);
+    if (end == begin || *end != '\0' || !std::isfinite(s) || s <= 0)
+        return std::nullopt;
+    return s;
+}
+
 double
 envScale()
 {
     const char *env = std::getenv("RNUMA_BENCH_SCALE");
     if (!env)
         return 1.0;
-    char *end = nullptr;
-    double s = std::strtod(env, &end);
-    if (end == env || *end != '\0' || s <= 0) {
+    std::optional<double> s = parseScale(env);
+    if (!s) {
         warn("ignoring RNUMA_BENCH_SCALE='", env,
-             "' (want a positive number); using 1.0");
+             "' (want a positive finite number); using 1.0");
         return 1.0;
     }
-    return s;
-}
-
-std::size_t
-envJobs()
-{
-    const char *env = std::getenv("RNUMA_BENCH_JOBS");
-    if (!env)
-        return 1;
-    char *end = nullptr;
-    long j = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || j < 0) {
-        warn("ignoring RNUMA_BENCH_JOBS='", env,
-             "' (want a non-negative integer; 0 = all cores); "
-             "using 1");
-        return 1;
-    }
-    return static_cast<std::size_t>(j);
+    return *s;
 }
 
 WorkloadFactory
-appFactory(std::string app, const Params &gen, double scale,
-           std::uint64_t seed)
+workloadFactory(std::string id, const Params &gen, double scale,
+                std::uint64_t seed, std::string options)
 {
-    return [app = std::move(app), gen, scale, seed] {
-        return std::unique_ptr<Workload>(
-            makeApp(app, gen, scale, seed));
+    return [id = std::move(id), gen, scale, seed,
+            options = std::move(options)] {
+        return makeWorkload(id, gen, scale, seed, options);
     };
 }
 
@@ -102,7 +96,7 @@ Sweep::addApp(const std::string &app, const std::string &config,
     c.config = config;
     c.proto = protocolSpec(proto);
     c.params = p;
-    c.make = appFactory(app, p, scale, seed);
+    c.make = workloadFactory(app, p, scale, seed);
     c.workloadKey = workloadCacheKey(app, p, scale, seed);
     c.workload = app;
     add(std::move(c));
@@ -112,16 +106,25 @@ void
 Sweep::addBaseline(const std::string &app, const Params &p,
                    double scale, std::uint64_t seed)
 {
-    Cell c;
-    c.app = app;
-    c.config = "baseline";
-    c.proto = protocolSpec("ccnuma");
-    c.params = p;
-    c.params.infiniteBlockCache = true;
-    c.make = appFactory(app, p, scale, seed);
-    c.workloadKey = workloadCacheKey(app, p, scale, seed);
-    c.workload = app;
-    add(std::move(c));
+    addComparison(app, p, workloadFactory(app, p, scale, seed),
+                  workloadCacheKey(app, p, scale, seed), app, {});
+}
+
+void
+Sweep::addComparison(const std::string &row, const Params &gen,
+                     const WorkloadFactory &make,
+                     const std::string &key,
+                     const std::string &workload,
+                     const std::vector<std::string> &specIds)
+{
+    Params inf = gen;
+    inf.infiniteBlockCache = true;
+    add({row, "baseline", protocolSpec("ccnuma"), inf, make, key,
+         workload});
+    for (const std::string &id : specIds) {
+        const ProtocolSpec &spec = protocolSpec(id);
+        add({row, spec.id, spec, gen, make, key, workload});
+    }
 }
 
 } // namespace rnuma::driver

@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,9 +34,14 @@ namespace rnuma::driver
  */
 using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
 
-/** A registry-app factory generating from @p gen at @p scale. */
-WorkloadFactory appFactory(std::string app, const Params &gen,
-                           double scale, std::uint64_t seed = 1);
+/**
+ * A factory for the registered workload @p id (makeWorkload),
+ * generating from @p gen at @p scale with @p seed and generator
+ * @p options.
+ */
+WorkloadFactory workloadFactory(std::string id, const Params &gen,
+                                double scale, std::uint64_t seed = 1,
+                                std::string options = "");
 
 /**
  * Content-address a generated workload: a key equal exactly when the
@@ -51,13 +57,17 @@ std::string workloadCacheKey(const std::string &name,
                              std::uint64_t seed = 1);
 
 /**
- * The environment conventions shared by the bench harnesses and the
- * sweep CLI: RNUMA_BENCH_SCALE (workload scale, default 1.0) and
- * RNUMA_BENCH_JOBS (worker threads, 0 = hardware concurrency,
- * default 1). Unparseable values warn and fall back to the default.
+ * A workload scale: @p text as a positive finite number, or nullopt
+ * (junk, trailing characters, zero, negative, NaN or infinity).
+ */
+std::optional<double> parseScale(const std::string &text);
+
+/**
+ * The sweep CLI's default scale: RNUMA_BENCH_SCALE through
+ * parseScale(), or 1.0 when unset. A rejected value warns and falls
+ * back to 1.0.
  */
 double envScale();
-std::size_t envJobs();
 
 /** One independently runnable experiment point. */
 struct Cell
@@ -105,7 +115,8 @@ class Sweep
      * from @p p, running the registered protocol named @p proto
      * (fatal when unknown). Convenience for sweeps whose rows do not
      * vary generation-relevant Params across columns; otherwise
-     * build one appFactory() per row and add() cells sharing it.
+     * build one workloadFactory() per row and add() cells sharing
+     * it.
      */
     void addApp(const std::string &app, const std::string &config,
                 const Params &p, const std::string &proto,
@@ -119,6 +130,20 @@ class Sweep
      */
     void addBaseline(const std::string &app, const Params &p,
                      double scale, std::uint64_t seed = 1);
+
+    /**
+     * Append one comparison row: the infinite-block-cache CC-NUMA
+     * baseline (config "baseline") plus one cell per registered
+     * protocol in @p specIds (config = its canonical id). Every cell
+     * runs under @p gen, the baseline with an infinite block cache,
+     * on the workload @p make generates, keyed @p key and recorded
+     * as registry workload @p workload.
+     */
+    void addComparison(const std::string &row, const Params &gen,
+                       const WorkloadFactory &make,
+                       const std::string &key,
+                       const std::string &workload,
+                       const std::vector<std::string> &specIds);
 
     const std::string &name() const { return name_; }
     const std::string &title() const { return title_; }

@@ -1,5 +1,6 @@
 #include "driver/sweep_runner.hh"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -31,6 +32,20 @@ SweepResult::at(const std::string &app,
         RNUMA_FATAL("no cell (", app, ", ", config,
                     ") in sweep result");
     return *c;
+}
+
+double
+SweepResult::norm(const std::string &app, const std::string &config,
+                  const std::string &base) const
+{
+    return normalizedTime(at(app, config).stats.ticks,
+                          at(app, base).stats.ticks);
+}
+
+double
+SweepResult::bestOfBase(const std::string &app) const
+{
+    return std::min(norm(app, "ccnuma"), norm(app, "scoma"));
 }
 
 SweepRunner::SweepRunner(std::size_t jobs) : jobs_(jobs)

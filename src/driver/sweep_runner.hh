@@ -63,6 +63,21 @@ struct SweepResult
     /** Find a cell by labels; fatal when absent. */
     const CellResult &at(const std::string &app,
                          const std::string &config) const;
+
+    /**
+     * Ticks of (app, config) normalized to (app, base) — by default
+     * the infinite-block-cache baseline (normalizedTime: NaN when the
+     * base simulated zero ticks). Fatal when either cell is absent.
+     */
+    double norm(const std::string &app, const std::string &config,
+                const std::string &base = "baseline") const;
+
+    /**
+     * The paper's yardstick for @p app: the better of the normalized
+     * "ccnuma" and "scoma" cells, "the best of the two base
+     * protocols".
+     */
+    double bestOfBase(const std::string &app) const;
 };
 
 /**

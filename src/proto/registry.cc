@@ -208,23 +208,6 @@ findProtocolSpec(const std::string &name)
     return ProtocolRegistry::global().find(name);
 }
 
-const char *
-protocolId(Protocol proto)
-{
-    switch (proto) {
-      case Protocol::CCNuma: return "ccnuma";
-      case Protocol::SComa:  return "scoma";
-      case Protocol::RNuma:  return "rnuma";
-    }
-    RNUMA_PANIC("unknown protocol enum value");
-}
-
-const ProtocolSpec &
-builtinSpec(Protocol proto)
-{
-    return protocolSpec(protocolId(proto));
-}
-
 std::unique_ptr<Rad>
 makeRad(const ProtocolSpec &spec, const Params &params, NodeId node,
         RadDeps deps)
@@ -232,13 +215,6 @@ makeRad(const ProtocolSpec &spec, const Params &params, NodeId node,
     RNUMA_ASSERT(spec.valid(), "protocol spec '", spec.id,
                  "' has no Rad factory");
     return spec.makeRad(params, node, deps);
-}
-
-std::unique_ptr<Rad>
-makeRad(Protocol proto, const Params &params, NodeId node,
-        RadDeps deps)
-{
-    return builtinSpec(proto).makeRad(params, node, deps);
 }
 
 } // namespace rnuma

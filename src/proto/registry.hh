@@ -90,12 +90,6 @@ const ProtocolSpec &protocolSpec(const std::string &name);
 /** Shorthand for ProtocolRegistry::global().find(name). */
 const ProtocolSpec *findProtocolSpec(const std::string &name);
 
-/** The registered spec of a legacy enum value. */
-const ProtocolSpec &builtinSpec(Protocol proto);
-
-/** Stable id of a legacy enum value ("ccnuma"/"scoma"/"rnuma"). */
-const char *protocolId(Protocol proto);
-
 /**
  * Build an unregistered hybrid-RAD spec (block cache + page cache +
  * @p policy): the one-liner for experimenting with a new relocation

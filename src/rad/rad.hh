@@ -137,14 +137,6 @@ std::unique_ptr<Rad> makeRad(const ProtocolSpec &spec,
                              const Params &params, NodeId node,
                              RadDeps deps);
 
-/**
- * Legacy-enum convenience: construct the RAD of one of the three
- * paper systems by resolving the enum through the protocol registry
- * (proto/registry.hh).
- */
-std::unique_ptr<Rad> makeRad(Protocol proto, const Params &params,
-                             NodeId node, RadDeps deps);
-
 } // namespace rnuma
 
 #endif // RNUMA_RAD_RAD_HH

@@ -39,12 +39,6 @@ Machine::Machine(const Params &params, const ProtocolSpec &spec,
     cpus_.resize(p.numCpus());
 }
 
-Machine::Machine(const Params &params, Protocol protocol,
-                 Workload &wl_)
-    : Machine(params, builtinSpec(protocol), wl_)
-{
-}
-
 bool
 Machine::invalidateNodeCopy(NodeId node, Addr block)
 {

@@ -40,9 +40,6 @@ class Machine : public CoherenceSink
     Machine(const Params &params, const ProtocolSpec &spec,
             Workload &wl);
 
-    /** Legacy-enum convenience: one of the three paper systems. */
-    Machine(const Params &params, Protocol protocol, Workload &wl);
-
     /** Execute the workload to completion; returns the statistics. */
     RunStats run();
 

@@ -106,10 +106,8 @@ WorkloadOptions::finish(const std::string &workload) const
 }
 
 //--------------------------------------------------------------------------
-// The application table, preserved verbatim from the pre-registry
-// interface: the registry's "app" entries are built over it, and the
-// appNames()/appProblem()/appInput()/makeApp() shims keep reading it
-// directly, so the streams stay bit-identical.
+// The Table 3 application table the registry's "app" entries are
+// built from.
 //--------------------------------------------------------------------------
 
 namespace
@@ -146,16 +144,6 @@ const Entry entries[] = {
      &makeRaytrace},
 };
 
-const Entry &
-lookup(const std::string &name)
-{
-    for (const Entry &e : entries)
-        if (name == e.name)
-            return e;
-    RNUMA_FATAL("unknown application '", name,
-                "' (see appNames() for the valid set)");
-}
-
 /** Wrap a no-option factory: any option string is an error. */
 WorkloadMakeFn
 noOptions(const std::string &id,
@@ -180,7 +168,7 @@ noOptions(const std::string &id,
 void
 addBuiltins(WorkloadRegistry &reg)
 {
-    // The ten Table 3 applications, through the preserved table.
+    // The ten Table 3 applications.
     for (const Entry &e : entries) {
         WorkloadSpec spec;
         spec.id = e.name;
@@ -403,6 +391,16 @@ findWorkloadSpec(const std::string &name)
     return WorkloadRegistry::global().find(name);
 }
 
+std::vector<std::string>
+workloadIds(const std::string &category)
+{
+    std::vector<std::string> ids;
+    for (const WorkloadSpec *s : WorkloadRegistry::global().all())
+        if (s->category == category)
+            ids.push_back(s->id);
+    return ids;
+}
+
 std::unique_ptr<Workload>
 makeWorkload(const std::string &name, const Params &p, double scale,
              std::uint64_t seed, const std::string &options)
@@ -419,47 +417,6 @@ makeWorkload(const std::string &name, const Params &p, double scale,
                      "' emitted no memory references at scale ",
                      scale);
     }
-    return wl;
-}
-
-//--------------------------------------------------------------------------
-// Pre-registry application shims.
-//--------------------------------------------------------------------------
-
-const std::vector<std::string> &
-appNames()
-{
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> v;
-        for (const Entry &e : entries)
-            v.emplace_back(e.name);
-        return v;
-    }();
-    return names;
-}
-
-const char *
-appProblem(const std::string &name)
-{
-    return lookup(name).problem;
-}
-
-const char *
-appInput(const std::string &name)
-{
-    return lookup(name).input;
-}
-
-std::unique_ptr<VectorWorkload>
-makeApp(const std::string &name, const Params &p, double scale,
-        std::uint64_t seed)
-{
-    auto wl = lookup(name).make(p, scale, seed);
-    // Every generator clamps its structure (see scaled()) so that it
-    // stays viable at any positive scale; a workload with zero loads
-    // and stores would silently turn every figure cell into a no-op.
-    RNUMA_ASSERT(wl->memRefCount() > 0, "application '", name,
-                 "' emitted no memory references at scale ", scale);
     return wl;
 }
 

@@ -123,6 +123,13 @@ const WorkloadSpec &workloadSpec(const std::string &name);
 const WorkloadSpec *findWorkloadSpec(const std::string &name);
 
 /**
+ * Ids of the registered workloads in @p category, in registration
+ * order: "app" lists the ten Table 3 applications in the paper's
+ * (alphabetical) order, the row list of every application figure.
+ */
+std::vector<std::string> workloadIds(const std::string &category);
+
+/**
  * Build a registered workload by name. Fatal on unknown names or
  * (via the generator's WorkloadOptions::finish) unknown options.
  * Asserts the product emits at least one memory reference when it is
@@ -133,30 +140,6 @@ std::unique_ptr<Workload>
 makeWorkload(const std::string &name, const Params &p,
              double scale = 1.0, std::uint64_t seed = 1,
              const std::string &options = "");
-
-//--------------------------------------------------------------------------
-// The pre-registry application interface, preserved verbatim: the ten
-// Table 3 generators by name. Every call maps onto the registry's
-// "app" entries, so the streams (and the figure artifacts downstream
-// of them) are bit-identical to the pre-registry harness.
-//--------------------------------------------------------------------------
-
-/** The ten application names in the paper's (alphabetical) order. */
-const std::vector<std::string> &appNames();
-
-/** Table 3 "Problem" description for an application. */
-const char *appProblem(const std::string &name);
-
-/** Table 3 "Input Data Set" description for an application. */
-const char *appInput(const std::string &name);
-
-/**
- * Build an application workload by name. Fatal on unknown names.
- * @param scale input scale (1.0 = calibrated size)
- */
-std::unique_ptr<VectorWorkload>
-makeApp(const std::string &name, const Params &p, double scale = 1.0,
-        std::uint64_t seed = 1);
 
 } // namespace rnuma
 

@@ -81,12 +81,18 @@ StreamBuilder::finish()
 std::size_t
 scaled(std::size_t v, double scale, std::size_t min)
 {
-    if (scale <= 0) {
-        RNUMA_FATAL("workload scale must be positive, got ", scale);
+    if (!std::isfinite(scale) || scale <= 0) {
+        RNUMA_FATAL("workload scale must be a positive finite number, "
+                    "got ", scale);
     }
     if (min == 0)
         min = 1;
     double s = static_cast<double>(v) * scale;
+    // llround's range ends at 2^63; past it the count is garbage.
+    if (!(s < 0x1p63)) {
+        RNUMA_FATAL("workload scale ", scale, " scales ", v,
+                    " past any representable count");
+    }
     std::size_t r = static_cast<std::size_t>(std::llround(s));
     return r < min ? min : r;
 }

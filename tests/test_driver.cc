@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "driver/compare.hh"
@@ -21,6 +23,7 @@
 #include "driver/result_sink.hh"
 #include "driver/sweep.hh"
 #include "driver/sweep_runner.hh"
+#include "sim/runner.hh"
 #include "workload/micro.hh"
 #include "workload/registry.hh"
 
@@ -75,6 +78,51 @@ TEST(SweepDecl, RejectsDuplicateCellAndMissingFactory)
     EXPECT_THROW(s.add({"x", "y", protocolSpec("ccnuma"), p, nullptr,
                         "", ""}),
                  std::logic_error);
+}
+
+TEST(SweepDecl, AddComparisonIsTheBaselinePlusOneCellPerSpec)
+{
+    // addComparison builds exactly the cells addBaseline + addApp
+    // would, and keys its columns by canonical spec id.
+    Params p = test::smallParams();
+    Sweep by_hand("by-hand", "", "");
+    by_hand.addBaseline("radix", p, testScale);
+    by_hand.addApp("radix", "ccnuma", p, "ccnuma", testScale);
+    by_hand.addApp("radix", "rnuma", p, "rnuma", testScale);
+    Sweep row("row", "", "");
+    row.addComparison("radix", p,
+                      workloadFactory("radix", p, testScale),
+                      workloadCacheKey("radix", p, testScale), "radix",
+                      {"ccnuma", "R-NUMA"});
+    ASSERT_EQ(row.size(), by_hand.size());
+    for (std::size_t i = 0; i < row.size(); ++i) {
+        const Cell &a = row.cells()[i];
+        const Cell &b = by_hand.cells()[i];
+        EXPECT_EQ(a.app, b.app);
+        EXPECT_EQ(a.config, b.config);
+        EXPECT_EQ(a.proto.id, b.proto.id);
+        EXPECT_EQ(a.params.fingerprint(), b.params.fingerprint());
+        EXPECT_EQ(a.workloadKey, b.workloadKey);
+        EXPECT_EQ(a.workload, b.workload);
+    }
+    EXPECT_TRUE(row.cells()[0].params.infiniteBlockCache);
+    EXPECT_EQ(SweepRunner(1).run(row).cells.size(), 3u);
+    // An unknown spec id is fatal at declaration time.
+    EXPECT_THROW(row.addComparison("lu", p,
+                                   workloadFactory("lu", p, testScale),
+                                   "", "lu", {"no-such-protocol"}),
+                 std::runtime_error);
+}
+
+TEST(SweepDecl, ParseScaleAcceptsOnlyPositiveFiniteNumbers)
+{
+    EXPECT_EQ(parseScale("0.1"), 0.1);
+    EXPECT_EQ(parseScale("2"), 2.0);
+    EXPECT_EQ(parseScale("1e300"), 1e300); // finite: scaled() judges it
+    for (const char *bad : {"", "x", "0.1x", "0", "-1", "nan", "NaN",
+                            "inf", "-inf", "infinity", "1e999"}) {
+        EXPECT_FALSE(parseScale(bad).has_value()) << bad;
+    }
 }
 
 TEST(SweepRunnerTest, EmptySweepYieldsEmptyResultOnAnyJobCount)
@@ -147,12 +195,77 @@ TEST(SweepRunnerTest, BitIdenticalStatsAcrossThreadCounts)
     }
 }
 
+TEST(SweepRunnerTest, RegistryAppsAreDeterministicAcrossJobs)
+{
+    // The differential-determinism safety net under hot-path layout
+    // work: every registered protocol on every Table 3 generator,
+    // serial vs 4 jobs, must produce bit-identical RunStats — every
+    // counter, via RunStats::operator== — so a data-layout change
+    // that silently breaks reproducibility cannot land.
+    Params p = test::smallParams();
+    std::vector<std::string> ids;
+    for (const ProtocolSpec *spec : ProtocolRegistry::global().all())
+        ids.push_back(spec->id);
+    Sweep s("determinism", "", "");
+    for (const std::string &app : workloadIds("app")) {
+        s.addComparison(app, p,
+                        workloadFactory(app, p, 0.02, /*seed=*/7),
+                        workloadCacheKey(app, p, 0.02, 7), app, ids);
+    }
+    ASSERT_EQ(s.size(), 10 * (ids.size() + 1));
+    SweepResult serial = SweepRunner(1).run(s);
+    SweepResult parallel = SweepRunner(4).run(s);
+    ASSERT_EQ(parallel.cells.size(), serial.cells.size());
+    for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+        EXPECT_EQ(parallel.cells[i].stats, serial.cells[i].stats)
+            << serial.cells[i].app << " " << serial.cells[i].config;
+    }
+}
+
 TEST(SweepRunnerTest, VerifyDetectsTamperedStats)
 {
     Sweep s = smallSweep();
     SweepResult r = SweepRunner(1).run(s);
     r.cells[3].stats.ticks += 1;
     EXPECT_THROW(verifySerialIdentical(s, r), std::logic_error);
+}
+
+TEST(SweepResultTest, NormAndBestOfBaseReadTheBaselineRow)
+{
+    Sweep s = smallSweep();
+    SweepResult r = SweepRunner(1).run(s);
+    auto ticks = [&r](const char *config) {
+        return r.at("radix", config).stats.ticks;
+    };
+    EXPECT_EQ(r.norm("radix", "rnuma"),
+              normalizedTime(ticks("rnuma"), ticks("baseline")));
+    EXPECT_EQ(r.norm("radix", "rnuma", "scoma"),
+              normalizedTime(ticks("rnuma"), ticks("scoma")));
+    EXPECT_EQ(r.norm("radix", "baseline"), 1.0);
+    EXPECT_EQ(r.bestOfBase("radix"),
+              std::min(r.norm("radix", "ccnuma"),
+                       r.norm("radix", "scoma")));
+    EXPECT_THROW(r.norm("radix", "no-such-config"),
+                 std::runtime_error);
+    EXPECT_THROW(r.norm("no-such-app", "rnuma"), std::runtime_error);
+
+    // A zero-tick baseline is a flagged (NaN) cell, not a panic.
+    for (CellResult &c : r.cells)
+        if (c.app == "radix" && c.config == "baseline")
+            c.stats.ticks = 0;
+    EXPECT_TRUE(std::isnan(r.norm("radix", "rnuma")));
+    EXPECT_TRUE(std::isnan(r.bestOfBase("radix")));
+
+    // bestOfBase needs both base systems in the row.
+    Sweep only_cc("only-cc", "", "");
+    Params p = test::smallParams();
+    only_cc.addComparison("moldyn", p,
+                          workloadFactory("moldyn", p, testScale),
+                          workloadCacheKey("moldyn", p, testScale),
+                          "moldyn", {"ccnuma"});
+    SweepResult cc = SweepRunner(1).run(only_cc);
+    EXPECT_GT(cc.norm("moldyn", "ccnuma"), 0.0);
+    EXPECT_THROW(cc.bestOfBase("moldyn"), std::runtime_error);
 }
 
 TEST(JsonRoundTrip, SmallSweepSurvivesWriteAndParse)
@@ -250,7 +363,7 @@ TEST(WorkloadCache, UnkeyedCellsBypassTheCache)
 {
     Sweep s("unkeyed", "", "");
     Params p = test::smallParams();
-    WorkloadFactory make = appFactory("moldyn", p, testScale);
+    WorkloadFactory make = workloadFactory("moldyn", p, testScale);
     s.add({"moldyn", "a", protocolSpec("ccnuma"), p, make, "",
            "moldyn"});
     s.add({"moldyn", "b", protocolSpec("scoma"), p, make, "",
@@ -300,7 +413,8 @@ TEST(WorkloadCache, NonSnapshottableKeyedFactoryWastesNoGeneration)
     WorkloadFactory make = [calls, p] {
         ++*calls;
         return std::unique_ptr<Workload>(std::make_unique<
-            OpaqueWorkload>(makeApp("moldyn", p, testScale)));
+            OpaqueWorkload>(
+            test::makeVectorWorkload("moldyn", p, testScale)));
     };
     Sweep s("opaque", "", "");
     s.add({"moldyn", "a", protocolSpec("ccnuma"), p, make,

@@ -99,7 +99,8 @@ void
 generateAndRunEverywhere(const char *app, const Params &p)
 {
     SCOPED_TRACE(app);
-    std::unique_ptr<VectorWorkload> wl = makeApp(app, p, 0.01);
+    std::unique_ptr<VectorWorkload> wl =
+        test::makeVectorWorkload(app, p, 0.01);
     ASSERT_TRUE(wl);
     EXPECT_GE(wl->memRefCount(), 1u);
     ASSERT_GT(wl->addrLimit(), 0u);
@@ -113,11 +114,10 @@ generateAndRunEverywhere(const char *app, const Params &p)
             }
         }
     }
-    for (Protocol proto :
-         {Protocol::CCNuma, Protocol::SComa, Protocol::RNuma}) {
+    for (const char *proto : {"ccnuma", "scoma", "rnuma"}) {
         RunStats s = runProtocol(p, proto, *wl);
-        EXPECT_GT(s.refs, 0u) << protocolName(proto);
-        EXPECT_GT(s.ticks, 0u) << protocolName(proto);
+        EXPECT_GT(s.refs, 0u) << proto;
+        EXPECT_GT(s.ticks, 0u) << proto;
     }
 }
 
@@ -156,7 +156,9 @@ TEST(GeneratorGeometry, BaseMachineStreamsCarryTheAuditBound)
     // honors it (finish() would have panicked otherwise).
     Params p = Params::base();
     for (const char *app : auditedApps) {
-        std::unique_ptr<VectorWorkload> wl = makeApp(app, p, 0.02);
+        std::unique_ptr<VectorWorkload> wl =
+            test::makeVectorWorkload(app, p, 0.02);
+        ASSERT_TRUE(wl) << app;
         ASSERT_GT(wl->addrLimit(), 0u) << app;
         EXPECT_GE(wl->memRefCount(), 1u) << app;
     }

@@ -29,24 +29,23 @@ class AppIntegration : public ::testing::TestWithParam<std::string>
 TEST_P(AppIntegration, RunsUnderEveryProtocol)
 {
     Params p = test::paperParams();
-    auto wl = makeApp(GetParam(), p, testScale);
+    auto wl = test::makeVectorWorkload(GetParam(), p, testScale);
     ASSERT_GT(wl->totalRefs(), 0u);
 
-    for (Protocol proto : {Protocol::CCNuma, Protocol::SComa,
-                           Protocol::RNuma}) {
+    for (std::string proto : {"ccnuma", "scoma", "rnuma"}) {
         RunStats s = runProtocol(p, proto, *wl);
-        EXPECT_GT(s.ticks, 0u) << protocolName(proto);
-        EXPECT_GT(s.refs, 0u) << protocolName(proto);
+        EXPECT_GT(s.ticks, 0u) << proto;
+        EXPECT_GT(s.refs, 0u) << proto;
         // Miss-kind conservation.
         EXPECT_EQ(s.coldMisses + s.coherenceMisses + s.refetches,
                   s.remoteFetches)
-            << protocolName(proto);
+            << proto;
         // Only the page-cache protocols perform page-cache work.
-        if (proto == Protocol::CCNuma) {
+        if (proto == "ccnuma") {
             EXPECT_EQ(s.scomaAllocations, 0u);
             EXPECT_EQ(s.pageCacheHits, 0u);
         }
-        if (proto == Protocol::SComa) {
+        if (proto == "scoma") {
             EXPECT_EQ(s.relocations, 0u);
         }
     }
@@ -55,9 +54,9 @@ TEST_P(AppIntegration, RunsUnderEveryProtocol)
 TEST_P(AppIntegration, DeterministicTiming)
 {
     Params p = test::paperParams();
-    auto wl = makeApp(GetParam(), p, testScale);
-    RunStats a = runProtocol(p, Protocol::RNuma, *wl);
-    RunStats b = runProtocol(p, Protocol::RNuma, *wl);
+    auto wl = makeWorkload(GetParam(), p, testScale);
+    RunStats a = runProtocol(p, "rnuma", *wl);
+    RunStats b = runProtocol(p, "rnuma", *wl);
     EXPECT_EQ(a.ticks, b.ticks);
     EXPECT_EQ(a.remoteFetches, b.remoteFetches);
     EXPECT_EQ(a.relocations, b.relocations);
@@ -66,11 +65,11 @@ TEST_P(AppIntegration, DeterministicTiming)
 TEST_P(AppIntegration, SeedChangesStreamButStaysValid)
 {
     Params p = test::paperParams();
-    auto w1 = makeApp(GetParam(), p, testScale, /*seed=*/1);
-    auto w2 = makeApp(GetParam(), p, testScale, /*seed=*/2);
+    auto w1 = makeWorkload(GetParam(), p, testScale, /*seed=*/1);
+    auto w2 = makeWorkload(GetParam(), p, testScale, /*seed=*/2);
     // Same structure (barrier/End counts), possibly different refs.
     EXPECT_EQ(w1->numCpus(), w2->numCpus());
-    RunStats s = runProtocol(p, Protocol::RNuma, *w2);
+    RunStats s = runProtocol(p, "rnuma", *w2);
     EXPECT_GT(s.refs, 0u);
 }
 
@@ -84,19 +83,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Registry, NamesMatchTable3)
 {
-    const auto &names = appNames();
+    const std::vector<std::string> names = workloadIds("app");
     ASSERT_EQ(names.size(), 10u);
     EXPECT_EQ(names.front(), "barnes");
     EXPECT_EQ(names.back(), "raytrace");
-    EXPECT_STREQ(appInput("radix"), "1M integers, radix 1024");
-    EXPECT_STREQ(appProblem("em3d"),
-                 "3-D electromagnetic wave propagation");
+    EXPECT_EQ(workloadSpec("radix").input, "1M integers, radix 1024");
+    EXPECT_EQ(workloadSpec("em3d").description,
+              "3-D electromagnetic wave propagation");
 }
 
 TEST(Registry, UnknownNameIsFatal)
 {
     Params p = test::paperParams();
-    EXPECT_THROW(makeApp("no-such-app", p, 0.1), std::runtime_error);
+    EXPECT_THROW(makeWorkload("no-such-app", p, 0.1),
+                 std::runtime_error);
 }
 
 } // namespace rnuma

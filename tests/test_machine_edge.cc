@@ -22,7 +22,7 @@ TEST(MachineEdge, EmptyWorkloadFinishesAtTickZero)
     Params p = test::smallParams();
     VectorWorkload wl("empty", p.numCpus());
     wl.seal();
-    Machine m(p, Protocol::RNuma, wl);
+    Machine m(p, protocolSpec("rnuma"), wl);
     RunStats s = m.run();
     EXPECT_EQ(s.ticks, 0u);
     EXPECT_EQ(s.refs, 0u);
@@ -35,7 +35,7 @@ TEST(MachineEdge, BarrierOnlyWorkload)
     for (int i = 0; i < 5; ++i)
         wl.pushBarrierAll();
     wl.seal();
-    Machine m(p, Protocol::CCNuma, wl);
+    Machine m(p, protocolSpec("ccnuma"), wl);
     RunStats s = m.run();
     EXPECT_EQ(s.barriers, 5u);
     // Each barrier costs the release overhead.
@@ -53,7 +53,7 @@ TEST(MachineEdge, CpuFinishingEarlyDoesNotDeadlockBarriers)
         wl.push(c, Ref::barrier());
     }
     wl.seal();
-    Machine m(p, Protocol::CCNuma, wl);
+    Machine m(p, protocolSpec("ccnuma"), wl);
     RunStats s = m.run();
     EXPECT_EQ(s.barriers, 2u);
 }
@@ -68,7 +68,7 @@ TEST(MachineEdge, ThinkTimeAccumulatesWithoutMemoryTraffic)
     for (int i = 0; i < 100; ++i)
         wl.push(0, Ref::mem(0, false, 10));
     wl.seal();
-    Machine m(p, Protocol::CCNuma, wl);
+    Machine m(p, protocolSpec("ccnuma"), wl);
     RunStats s = m.run();
     // 101 refs x 10 think + one local fill (69 uncontended).
     EXPECT_GE(s.ticks, 1010u + p.localFill());
@@ -81,8 +81,8 @@ TEST(MachineEdge, DeferredMissesPreserveDeterminism)
     // two identical runs must agree exactly.
     Params p = test::smallParams();
     auto wl = makeRwSharing(p, 200);
-    RunStats a = runProtocol(p, Protocol::RNuma, *wl);
-    RunStats b = runProtocol(p, Protocol::RNuma, *wl);
+    RunStats a = runProtocol(p, "rnuma", *wl);
+    RunStats b = runProtocol(p, "rnuma", *wl);
     EXPECT_EQ(a.ticks, b.ticks);
     EXPECT_EQ(a.invalidationsSent, b.invalidationsSent);
     EXPECT_EQ(a.busWait, b.busWait);
@@ -95,10 +95,10 @@ TEST(MachineEdge, ContentionNeverReducesExecutionTime)
     // machine up.
     Params p = test::smallParams();
     auto wl = makeHotRemoteReuse(p, 4, 3);
-    RunStats base = runProtocol(p, Protocol::CCNuma, *wl);
+    RunStats base = runProtocol(p, "ccnuma", *wl);
     Params slow = p;
     slow.busOccupancy *= 4;
-    RunStats s = runProtocol(slow, Protocol::CCNuma, *wl);
+    RunStats s = runProtocol(slow, "ccnuma", *wl);
     EXPECT_GE(s.ticks, base.ticks);
 }
 
@@ -106,10 +106,10 @@ TEST(MachineEdge, SlowerNetworkSlowsRemoteTraffic)
 {
     Params p = test::smallParams();
     auto wl = makeHotRemoteReuse(p, 4, 3);
-    RunStats base = runProtocol(p, Protocol::CCNuma, *wl);
+    RunStats base = runProtocol(p, "ccnuma", *wl);
     Params slow = p;
     slow.netLatency *= 4;
-    RunStats s = runProtocol(slow, Protocol::CCNuma, *wl);
+    RunStats s = runProtocol(slow, "ccnuma", *wl);
     EXPECT_GT(s.ticks, base.ticks);
 }
 
@@ -123,14 +123,14 @@ TEST(MachineEdge, StatsTickEqualsSlowestCpu)
         wl.push(0, Ref::mem((i % 64) * 32, i % 2 == 0, 5));
     wl.push(1, Ref::mem(0, false, 1)); // tiny stream
     wl.seal();
-    Machine m(p, Protocol::CCNuma, wl);
+    Machine m(p, protocolSpec("ccnuma"), wl);
     RunStats s = m.run();
     EXPECT_GT(s.ticks, 200u * 5u);
 }
 
 /** Sweep: every protocol on every microbenchmark, no panics. */
 class MicroByProtocol
-    : public ::testing::TestWithParam<std::tuple<int, Protocol>>
+    : public ::testing::TestWithParam<std::tuple<int, std::string>>
 {
 };
 
@@ -155,8 +155,8 @@ TEST_P(MicroByProtocol, RunsClean)
 INSTANTIATE_TEST_SUITE_P(
     Grid, MicroByProtocol,
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
-                       ::testing::Values(Protocol::CCNuma,
-                                         Protocol::SComa,
-                                         Protocol::RNuma)));
+                       ::testing::Values(std::string("ccnuma"),
+                                         std::string("scoma"),
+                                         std::string("rnuma"))));
 
 } // namespace rnuma

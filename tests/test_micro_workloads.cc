@@ -68,7 +68,7 @@ TEST(MicroWorkloads, EvictionStormCausesEvictionPingPong)
     // evicted.
     Params p = test::smallParams();
     auto wl = makeEvictionStorm(p, 8, 6);
-    RunStats s = runProtocol(p, Protocol::RNuma, *wl);
+    RunStats s = runProtocol(p, "rnuma", *wl);
     EXPECT_GT(s.relocations, 8u);
 }
 

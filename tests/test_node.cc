@@ -38,7 +38,7 @@ TEST(Node, DirtyLineTransfersCacheToCacheWithinNode)
     wl->push(1, Ref::mem(x, false, 0)); // cpu1 reads: M/O supply
     wl->seal();
 
-    Machine m(p, Protocol::CCNuma, *wl);
+    Machine m(p, protocolSpec("ccnuma"), *wl);
     RunStats s = m.run();
     EXPECT_GE(s.nodeTransfers, 1u);
 }
@@ -59,7 +59,7 @@ TEST(Node, CleanRemoteCopiesDoNotTransferOnMBus)
     wl->push(1, Ref::mem(x, false, 0));
     wl->seal();
 
-    Machine m(p, Protocol::CCNuma, *wl);
+    Machine m(p, protocolSpec("ccnuma"), *wl);
     RunStats s = m.run();
     EXPECT_EQ(s.nodeTransfers, 0u);
     EXPECT_GE(s.blockCacheHits, 1u);
@@ -75,7 +75,7 @@ TEST(Node, WriteHitOnSharedLineCountsAsUpgrade)
     wl->push(0, Ref::mem(x, true, 0));  // write same block: upgrade
     wl->seal();
 
-    Machine m(p, Protocol::CCNuma, *wl);
+    Machine m(p, protocolSpec("ccnuma"), *wl);
     RunStats s = m.run();
     EXPECT_GE(s.upgrades, 1u);
 }
@@ -95,7 +95,7 @@ TEST(Node, WriteInvalidatesPeerL1OnSameNode)
     wl->push(0, Ref::mem(x, false, 0)); // cpu0 must re-acquire
     wl->seal();
 
-    Machine m(p, Protocol::CCNuma, *wl);
+    Machine m(p, protocolSpec("ccnuma"), *wl);
     RunStats s = m.run();
     // cpu0's final read cannot be an L1 hit: its copy was
     // invalidated. It is served by the on-node dirty supplier.
@@ -113,7 +113,7 @@ TEST(Node, L1HitsAreFree)
         wl->push(0, Ref::mem(x, true, 0));
     wl->seal();
 
-    Machine m(p, Protocol::CCNuma, *wl);
+    Machine m(p, protocolSpec("ccnuma"), *wl);
     RunStats s = m.run();
     EXPECT_GE(s.l1Hits, 50u);
     EXPECT_EQ(s.l1Misses, 1u);
@@ -136,7 +136,7 @@ TEST(Node, FillLeavesASiblingL1LineInTheSameSetValid)
     wl->push(0, Ref::mem(y, false, 0));
     wl->seal();
 
-    Machine m(p, Protocol::CCNuma, *wl);
+    Machine m(p, protocolSpec("ccnuma"), *wl);
     m.run();
     Cache &l1s = m.node(0).l1s();
     ASSERT_NE(l1s.find(x, 1), nullptr);
@@ -157,7 +157,7 @@ TEST(Node, InvalidateAllReportsASiblingL1sModifiedCopy)
     wl->push(1, Ref::mem(x, true, 0));
     wl->seal();
 
-    Machine m(p, Protocol::CCNuma, *wl);
+    Machine m(p, protocolSpec("ccnuma"), *wl);
     m.run();
     Cache &l1s = m.node(0).l1s();
     EXPECT_EQ(l1s.find(x, 0), nullptr);
@@ -183,7 +183,7 @@ TEST(Node, DirtyL1VictimWritesBackThroughRad)
         wl->push(0, Ref::mem(base + i * p.blockSize, true, 0));
     wl->seal();
 
-    Machine m(p, Protocol::CCNuma, *wl);
+    Machine m(p, protocolSpec("ccnuma"), *wl);
     RunStats s = m.run();
     // All blocks are writable on node 0; the block cache (32 lines)
     // holds every victim, so no voluntary writeback leaves the node.

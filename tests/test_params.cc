@@ -103,11 +103,4 @@ TEST(Params, ValidateRejectsTooManyNodes)
     EXPECT_THROW(p.validate(), std::logic_error);
 }
 
-TEST(Params, ProtocolNames)
-{
-    EXPECT_STREQ(protocolName(Protocol::CCNuma), "CC-NUMA");
-    EXPECT_STREQ(protocolName(Protocol::SComa), "S-COMA");
-    EXPECT_STREQ(protocolName(Protocol::RNuma), "R-NUMA");
-}
-
 } // namespace rnuma

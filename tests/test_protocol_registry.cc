@@ -2,8 +2,8 @@
  * @file
  * Tests for the protocol registry's domain content
  * (proto/registry.hh): the built-ins in order, name -> spec -> Rad
- * round-trips through a real Machine, bit-identity of the registry
- * path against the legacy enum path, Figure 8's
+ * round-trips through a real Machine, bit-identity of running by
+ * name against running by spec, Figure 8's
  * staticThresholdSpec variants against the pre-registry "params
  * hack" equivalent, and end-to-end runs of the new policy
  * protocols. The registry mechanism itself (lookup, duplicates,
@@ -55,36 +55,31 @@ TEST(ProtocolRegistry, HasTheBuiltinsInOrder)
     }
 }
 
-TEST(ProtocolRegistry, EnumResolvesToTheSameSpecs)
+TEST(ProtocolRegistry, PaperSystemsKeepTheirDisplayNames)
 {
-    EXPECT_EQ(&builtinSpec(Protocol::CCNuma),
-              &protocolSpec("ccnuma"));
-    EXPECT_EQ(&builtinSpec(Protocol::SComa), &protocolSpec("scoma"));
-    EXPECT_EQ(&builtinSpec(Protocol::RNuma), &protocolSpec("rnuma"));
-    EXPECT_STREQ(protocolId(Protocol::RNuma), "rnuma");
+    // The tables label the three paper systems by display name, and
+    // those names resolve back to the same specs.
+    EXPECT_EQ(protocolSpec("ccnuma").displayName, "CC-NUMA");
+    EXPECT_EQ(protocolSpec("scoma").displayName, "S-COMA");
+    EXPECT_EQ(protocolSpec("rnuma").displayName, "R-NUMA");
+    for (const char *id : {"ccnuma", "scoma", "rnuma"}) {
+        const ProtocolSpec &spec = protocolSpec(id);
+        EXPECT_EQ(&protocolSpec(spec.displayName), &spec) << id;
+    }
 }
 
 TEST(ProtocolRegistry, NameToSpecToRadRoundTrip)
 {
-    // Running a machine by registry name is bit-identical to the
-    // legacy enum path for each paper system.
+    // Running a machine by registry name is bit-identical to running
+    // it from the spec directly, for each paper system.
     Params p = test::smallParams();
-    const struct
-    {
-        const char *name;
-        Protocol proto;
-    } systems[] = {
-        {"ccnuma", Protocol::CCNuma},
-        {"scoma", Protocol::SComa},
-        {"rnuma", Protocol::RNuma},
-    };
-    for (const auto &sys : systems) {
+    for (const char *name : {"ccnuma", "scoma", "rnuma"}) {
         auto wl_a = reuseWorkload(p);
         auto wl_b = reuseWorkload(p);
-        RunStats by_name = runProtocol(p, std::string(sys.name),
-                                       *wl_a);
-        RunStats by_enum = runProtocol(p, sys.proto, *wl_b);
-        EXPECT_EQ(by_name, by_enum) << sys.name;
+        RunStats by_name = runProtocol(p, name, *wl_a);
+        Machine m(p, protocolSpec(name), *wl_b);
+        RunStats by_spec = m.run();
+        EXPECT_EQ(by_name, by_spec) << name;
         EXPECT_GT(by_name.refs, 0u);
     }
 }
@@ -111,7 +106,7 @@ TEST(ProtocolRegistry, StaticThresholdSpecMatchesTheParamsHack)
         RunStats via_spec =
             runProtocol(base, staticThresholdSpec(T), *wl_a);
         RunStats via_params =
-            runProtocol(hacked, Protocol::RNuma, *wl_b);
+            runProtocol(hacked, "rnuma", *wl_b);
         EXPECT_EQ(via_spec, via_params) << "T=" << T;
     }
 }

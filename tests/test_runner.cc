@@ -1,20 +1,17 @@
 /**
  * @file
- * Tests for the comparison runner: the registry-driven
- * ComparisonMatrix (N-way, serial and parallel), its parity with the
- * legacy four-way ProtocolComparison shim, the winner/regret
- * summary, the unknown-spec error paths, and the degenerate
- * zero-tick-baseline case (NaN, not a panic).
+ * Tests for the single-run helpers: runProtocol, the
+ * infinite-block-cache baseline, and the one normalization rule (NaN
+ * on a zero-tick baseline, not a panic). N-way comparisons are driver
+ * sweeps, tested in test_driver.cc and test_smoke_apps.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
 
 #include "sim/runner.hh"
 #include "workload/micro.hh"
-#include "workload/registry.hh"
 
 #include "test_util.hh"
 
@@ -27,205 +24,34 @@ TEST(Runner, BaselineUsesInfiniteBlockCache)
     auto wl = makeHotRemoteReuse(p, 8, 3);
     RunStats base = runInfiniteBaseline(p, *wl);
     EXPECT_EQ(base.refetches, 0u);
-}
-
-TEST(Runner, CompareRunsAllFourConfigurations)
-{
-    Params p = test::smallParams();
-    auto wl = makeHotRemoteReuse(p, 4, 3);
-    ProtocolComparison c = compareProtocols(p, *wl);
-    EXPECT_GT(c.baseline.ticks, 0u);
-    EXPECT_GT(c.ccNuma.ticks, 0u);
-    EXPECT_GT(c.sComa.ticks, 0u);
-    EXPECT_GT(c.rNuma.ticks, 0u);
-    // Normalized values are relative to the infinite baseline.
-    EXPECT_NEAR(c.normCC(),
-                static_cast<double>(c.ccNuma.ticks) /
-                    static_cast<double>(c.baseline.ticks),
-                1e-12);
-    EXPECT_LE(c.bestOfBase(), c.normCC());
-    EXPECT_LE(c.bestOfBase(), c.normSC());
+    // The baseline is the finite CC-NUMA machine with the block cache
+    // made infinite, so it never loses to it.
+    RunStats finite = runProtocol(p, "ccnuma", *wl);
+    EXPECT_EQ(base.refs, finite.refs);
+    EXPECT_LE(base.ticks, finite.ticks);
 }
 
 TEST(Runner, ResetsWorkloadBetweenRuns)
 {
     Params p = test::smallParams();
     auto wl = makePrivateLoop(p, 1, 2);
-    RunStats a = runProtocol(p, Protocol::CCNuma, *wl);
+    RunStats a = runProtocol(p, "ccnuma", *wl);
     // Without the reset inside runProtocol the second run would see
     // exhausted streams and do nothing.
-    RunStats b = runProtocol(p, Protocol::CCNuma, *wl);
+    RunStats b = runProtocol(p, "ccnuma", *wl);
     EXPECT_EQ(a.refs, b.refs);
     EXPECT_GT(b.refs, 0u);
 }
 
-TEST(ComparisonMatrixTest, DefaultSelectionCoversTheRegistry)
-{
-    Params p = test::smallParams();
-    auto wl = makeHotRemoteReuse(p, 6, 3);
-    ComparisonMatrix m = compareAll(p, *wl);
-    auto all = ProtocolRegistry::global().all();
-    ASSERT_EQ(m.entries.size(), all.size());
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        EXPECT_EQ(m.entries[i].id, all[i]->id);
-        EXPECT_EQ(m.entries[i].name, all[i]->displayName);
-        EXPECT_GT(m.entries[i].stats.ticks, 0u) << all[i]->id;
-        EXPECT_EQ(m.entries[i].stats.refs, m.baseline.refs)
-            << all[i]->id;
-    }
-}
-
-TEST(ComparisonMatrixTest, ThreeWayRestrictionMatchesTheLegacyShim)
-{
-    // The parity contract: a matrix restricted to the three
-    // built-ins is bit-identical — RunStats and normalized ratios —
-    // to the four-field compareProtocols() it replaced.
-    Params p = test::smallParams();
-    auto wl_m = makeHotRemoteReuse(p, 6, 3);
-    auto wl_c = makeHotRemoteReuse(p, 6, 3);
-    ComparisonMatrix m = compareAll(
-        p, *wl_m, protocolSpecs({"ccnuma", "scoma", "rnuma"}));
-    ProtocolComparison c = compareProtocols(p, *wl_c);
-
-    EXPECT_EQ(m.baseline, c.baseline);
-    EXPECT_EQ(m.at("ccnuma").stats, c.ccNuma);
-    EXPECT_EQ(m.at("scoma").stats, c.sComa);
-    EXPECT_EQ(m.at("rnuma").stats, c.rNuma);
-    EXPECT_EQ(m.norm("ccnuma"), c.normCC());
-    EXPECT_EQ(m.norm("scoma"), c.normSC());
-    EXPECT_EQ(m.norm("rnuma"), c.normRN());
-    EXPECT_EQ(m.bestOfBase(), c.bestOfBase());
-    EXPECT_EQ(m.bestOf({"ccnuma", "scoma"}), c.bestOfBase());
-}
-
-TEST(ComparisonMatrixTest, SerialAndParallelAreBitIdentical)
-{
-    Params p = test::smallParams();
-    auto make = [&p] {
-        return std::unique_ptr<Workload>(makeHotRemoteReuse(p, 6, 3));
-    };
-    auto wl = make();
-    ComparisonMatrix serial = compareAll(p, *wl);
-    for (std::size_t jobs : {1u, 2u, 8u}) {
-        ComparisonMatrix par = compareAll(p, make, {}, jobs);
-        EXPECT_EQ(par.baseline, serial.baseline) << "jobs=" << jobs;
-        ASSERT_EQ(par.entries.size(), serial.entries.size());
-        for (std::size_t i = 0; i < serial.entries.size(); ++i) {
-            EXPECT_EQ(par.entries[i].id, serial.entries[i].id);
-            EXPECT_EQ(par.entries[i].stats, serial.entries[i].stats)
-                << serial.entries[i].id << " at jobs=" << jobs;
-        }
-    }
-    // And the parallel legacy shim agrees with the serial one.
-    auto wl_c = make();
-    ProtocolComparison cs = compareProtocols(p, *wl_c);
-    ProtocolComparison cp = compareProtocols(p, make, 4);
-    EXPECT_EQ(cs.baseline, cp.baseline);
-    EXPECT_EQ(cs.ccNuma, cp.ccNuma);
-    EXPECT_EQ(cs.sComa, cp.sComa);
-    EXPECT_EQ(cs.rNuma, cp.rNuma);
-}
-
-TEST(ComparisonMatrixTest, RegistryAppsAreDeterministicAcrossJobs)
-{
-    // The differential-determinism safety net under the hot-path
-    // layout work (arena directory, SoA page cache, auto-sized
-    // calendar): every registered protocol on real application
-    // generators, serial vs jobs=4, must produce bit-identical
-    // RunStats — all 28 counters, via RunStats::operator== — at more
-    // than one scale, so a data-layout change that silently breaks
-    // reproducibility cannot land.
-    Params p = test::smallParams();
-    for (const char *app : {"barnes", "em3d", "moldyn"}) {
-        for (double scale : {0.02, 0.05}) {
-            auto make = [&]() -> std::unique_ptr<Workload> {
-                return makeApp(app, p, scale, /*seed=*/7);
-            };
-            auto wl = make();
-            ComparisonMatrix serial = compareAll(p, *wl);
-            ComparisonMatrix par = compareAll(p, make, {}, 4);
-            EXPECT_EQ(par.baseline, serial.baseline)
-                << app << " scale " << scale;
-            ASSERT_EQ(par.entries.size(), serial.entries.size());
-            for (std::size_t i = 0; i < serial.entries.size(); ++i) {
-                EXPECT_EQ(par.entries[i].id, serial.entries[i].id);
-                EXPECT_EQ(par.entries[i].stats,
-                          serial.entries[i].stats)
-                    << app << " scale " << scale << " "
-                    << serial.entries[i].id;
-            }
-        }
-    }
-}
-
-TEST(ComparisonMatrixTest, WinnerAndRegretAreCoherent)
-{
-    Params p = test::smallParams();
-    auto wl = makeHotRemoteReuse(p, 6, 3);
-    ComparisonMatrix m = compareAll(p, *wl);
-    const ComparisonEntry &w = m.winner();
-    EXPECT_DOUBLE_EQ(m.regret(w.id), 0.0);
-    for (const ComparisonEntry &e : m.entries) {
-        EXPECT_GE(m.regret(e.id), 0.0) << e.id;
-        EXPECT_GE(e.stats.ticks, w.stats.ticks) << e.id;
-    }
-}
-
-TEST(ComparisonMatrixTest, UnknownSpecIdsAreErrors)
-{
-    Params p = test::smallParams();
-    auto wl = makeHotRemoteReuse(p, 4, 2);
-    // Resolving an unknown name for the spec list throws.
-    EXPECT_THROW(protocolSpecs({"ccnuma", "no-such-protocol"}),
-                 std::runtime_error);
-    // Looking up an id that did not run throws too.
-    ComparisonMatrix m =
-        compareAll(p, *wl, protocolSpecs({"ccnuma"}));
-    EXPECT_EQ(m.find("scoma"), nullptr);
-    EXPECT_THROW(m.at("scoma"), std::runtime_error);
-    EXPECT_THROW(m.norm("scoma"), std::runtime_error);
-    EXPECT_THROW(m.bestOfBase(), std::runtime_error);
-}
-
-TEST(ComparisonMatrixTest, AdHocSpecsNeedNoRegistration)
-{
-    // Figure 8-style variants run through the same matrix without
-    // touching the global registry.
-    Params p = test::smallParams();
-    auto wl = makeHotRemoteReuse(p, 6, 3);
-    ComparisonMatrix m =
-        compareAll(p, *wl, {staticThresholdSpec(2)});
-    ASSERT_EQ(m.entries.size(), 1u);
-    EXPECT_EQ(m.entries[0].id, "rnuma-t2");
-    EXPECT_GT(m.norm("rnuma-t2"), 0.0);
-}
-
-TEST(ComparisonMatrixTest, ZeroTickBaselineIsNaNNotAPanic)
+TEST(Runner, ZeroTickBaselineIsNaNNotAPanic)
 {
     // Degenerate one-reference workloads at tiny scales can in
     // principle produce a zero-tick baseline; normalized values must
     // be defined (NaN: a flagged cell) instead of tripping an
     // assertion mid-figure.
-    ComparisonMatrix m;
-    m.baseline = RunStats{}; // ticks == 0
-    ComparisonEntry e;
-    e.id = "x";
-    e.stats.ticks = 5;
-    m.entries.push_back(e);
-    EXPECT_TRUE(std::isnan(m.norm("x")));
-    EXPECT_TRUE(std::isnan(m.bestOf({"x"})));
-    // Regret compares against the winner, not the baseline, so it
-    // stays defined even here.
-    EXPECT_DOUBLE_EQ(m.regret("x"), 0.0);
-
-    ProtocolComparison c;
-    c.ccNuma.ticks = 3;
-    c.sComa.ticks = 4;
-    c.rNuma.ticks = 5;
-    EXPECT_TRUE(std::isnan(c.normCC()));
-    EXPECT_TRUE(std::isnan(c.normSC()));
-    EXPECT_TRUE(std::isnan(c.normRN()));
-    EXPECT_TRUE(std::isnan(c.bestOfBase()));
+    EXPECT_TRUE(std::isnan(normalizedTime(5, 0)));
+    EXPECT_TRUE(std::isnan(normalizedTime(0, 0)));
+    EXPECT_DOUBLE_EQ(normalizedTime(6, 4), 1.5);
 }
 
 } // namespace rnuma

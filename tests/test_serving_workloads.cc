@@ -15,6 +15,7 @@
 #include <set>
 #include <vector>
 
+#include "workload/apps/apps.hh"
 #include "workload/registry.hh"
 #include "workload/serving.hh"
 
@@ -87,18 +88,18 @@ TEST(WorkloadRegistry, UnknownNameIsFatal)
                  std::runtime_error);
 }
 
-TEST(WorkloadRegistry, MakeWorkloadMatchesMakeAppBitForBit)
+TEST(WorkloadRegistry, MakeWorkloadMatchesTheGeneratorBitForBit)
 {
     Params p = test::smallParams();
-    auto via_shim = makeApp("radix", p, 0.1, 7);
+    auto direct = makeRadix(p, 0.1, 7);
     auto via_registry = makeWorkload("radix", p, 0.1, 7);
     auto *vec = dynamic_cast<VectorWorkload *>(via_registry.get());
     ASSERT_NE(vec, nullptr);
-    ASSERT_EQ(vec->numCpus(), via_shim->numCpus());
+    ASSERT_EQ(vec->numCpus(), direct->numCpus());
     for (CpuId c = 0; c < vec->numCpus(); ++c) {
-        ASSERT_EQ(vec->size(c), via_shim->size(c));
+        ASSERT_EQ(vec->size(c), direct->size(c));
         for (std::size_t i = 0; i < vec->size(c); ++i) {
-            const Ref &a = via_shim->at(c, i);
+            const Ref &a = direct->at(c, i);
             const Ref &b = vec->at(c, i);
             ASSERT_EQ(a.kind, b.kind);
             ASSERT_EQ(a.addr, b.addr);

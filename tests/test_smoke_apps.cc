@@ -1,9 +1,10 @@
 /**
  * @file
- * Smoke tests: the registry-driven N-way ComparisonMatrix harness
- * (sim/runner.hh) runs end to end on the tiny 2x2 machine from
- * test_util.hh for every Table 3 application and every registered
- * protocol, and each hybrid stays within the paper's comparative
+ * Smoke tests: the registry-driven N-way comparison sweep
+ * (Sweep::addComparison on a SweepRunner) runs end to end on the tiny
+ * 2x2 machine from test_util.hh for every Table 3 application and
+ * every registered protocol, and each hybrid stays within the
+ * paper's comparative
  * envelope ("R-NUMA is never much worse than the best of CC-NUMA
  * and S-COMA", Section 5). Complements test_integration_apps.cc,
  * which exercises the paper's full machine per protocol but never
@@ -13,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/sweep.hh"
+#include "driver/sweep_runner.hh"
 #include "sim/runner.hh"
 #include "workload/registry.hh"
 
@@ -64,46 +67,47 @@ TEST_P(AppSmoke, NWayComparisonOnSmallMachine)
     Params p = test::smallParams();
     p.pageCacheSize = 16 * p.pageSize;
     p.validate();
-    auto wl = makeApp(GetParam(), p, smokeScale);
-    ASSERT_GT(wl->totalRefs(), 0u);
+    const std::string app = GetParam();
 
-    // Empty spec list: every registered protocol, in registration
-    // order. A new registration lands in this loop with no edit.
-    ComparisonMatrix m = compareAll(p, *wl);
-    ASSERT_GE(m.entries.size(), ProtocolRegistry::global().size());
+    // Every registered protocol, in registration order. A new
+    // registration lands in this row with no edit.
+    std::vector<std::string> ids;
+    for (const ProtocolSpec *spec : ProtocolRegistry::global().all())
+        ids.push_back(spec->id);
+    driver::Sweep sweep("smoke");
+    sweep.addComparison(app, p,
+                        driver::workloadFactory(app, p, smokeScale),
+                        driver::workloadCacheKey(app, p, smokeScale),
+                        app, ids);
+    driver::SweepResult r = driver::SweepRunner(1).run(sweep);
+    ASSERT_EQ(r.cells.size(), ids.size() + 1);
 
     // Every configuration simulated the same full stream.
-    EXPECT_GT(m.baseline.refs, 0u);
-    EXPECT_GT(m.baseline.ticks, 0u);
-    for (const ComparisonEntry &e : m.entries) {
-        EXPECT_GT(e.stats.ticks, 0u) << e.id;
-        EXPECT_EQ(e.stats.refs, m.baseline.refs) << e.id;
+    const RunStats &base = r.at(app, "baseline").stats;
+    EXPECT_GT(base.refs, 0u);
+    EXPECT_GT(base.ticks, 0u);
+    for (const driver::CellResult &c : r.cells) {
+        EXPECT_GT(c.stats.ticks, 0u) << c.config;
+        EXPECT_EQ(c.stats.refs, base.refs) << c.config;
     }
 
     // The infinite-block-cache baseline can never lose to the finite
     // CC-NUMA, so its normalized time is >= 1 (Figure 6
     // methodology), and best-of-base is a min.
-    EXPECT_GE(m.norm("ccnuma"), 1.0);
-    EXPECT_GT(m.norm("scoma"), 0.0);
-    double best = m.bestOfBase();
-    EXPECT_LE(best, m.norm("ccnuma"));
-    EXPECT_LE(best, m.norm("scoma"));
+    EXPECT_GE(r.norm(app, "ccnuma"), 1.0);
+    EXPECT_GT(r.norm(app, "scoma"), 0.0);
+    double best = r.bestOfBase(app);
+    EXPECT_LE(best, r.norm(app, "ccnuma"));
+    EXPECT_LE(best, r.norm(app, "scoma"));
 
     // The paper invariant, for every hybrid in the registry: never
     // much worse than the best of the two base systems.
-    for (const ComparisonEntry &e : m.entries) {
-        if (e.id.rfind("rnuma", 0) != 0)
+    for (const std::string &id : ids) {
+        if (id.rfind("rnuma", 0) != 0)
             continue;
-        EXPECT_LE(m.norm(e.id), hybridEnvelope * best)
-            << e.id << " breaks the Section 5 envelope";
+        EXPECT_LE(r.norm(app, id), hybridEnvelope * best)
+            << id << " breaks the Section 5 envelope";
     }
-
-    // The winner/regret summary is coherent: the winner has zero
-    // regret and nobody beats it.
-    const ComparisonEntry &w = m.winner();
-    EXPECT_DOUBLE_EQ(m.regret(w.id), 0.0);
-    for (const ComparisonEntry &e : m.entries)
-        EXPECT_GE(m.regret(e.id), 0.0) << e.id;
 }
 
 // Regression for the scale floor: generators used to degenerate
@@ -113,9 +117,10 @@ TEST_P(AppSmoke, NWayComparisonOnSmallMachine)
 TEST_P(AppSmoke, StaysViableAtHundredthScale)
 {
     Params p = test::smallParams();
-    auto wl = makeApp(GetParam(), p, 0.01);
+    auto wl = test::makeVectorWorkload(GetParam(), p, 0.01);
+    ASSERT_TRUE(wl);
     EXPECT_GT(wl->memRefCount(), 0u);
-    RunStats s = runProtocol(p, Protocol::RNuma, *wl);
+    RunStats s = runProtocol(p, "rnuma", *wl);
     EXPECT_GT(s.refs, 0u);
     EXPECT_GT(s.ticks, 0u);
 }
@@ -124,13 +129,13 @@ TEST_P(AppSmoke, StaysViableAtHundredthScale)
 // lockstep with the registered app set — a new or renamed app is
 // covered (or surfaced) automatically.
 INSTANTIATE_TEST_SUITE_P(AllApps, AppSmoke,
-                         ::testing::ValuesIn(appNames()),
+                         ::testing::ValuesIn(workloadIds("app")),
                          appTestName);
 
 // Table 3 has exactly ten applications.
 TEST(AppSmoke, RegistryHasAllTableThreeApps)
 {
-    EXPECT_EQ(appNames().size(), 10u);
+    EXPECT_EQ(workloadIds("app").size(), 10u);
 }
 
 } // namespace rnuma

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "workload/address_space.hh"
@@ -120,6 +122,15 @@ TEST(StreamBuilder, ScaledClampsToStructuralMinimum)
     // clamps.
     EXPECT_THROW(scaled(16, 0.0), std::runtime_error);
     EXPECT_THROW(scaled(16, -1.0), std::runtime_error);
+    // So are non-finite scales and products no count can hold: they
+    // used to reach llround and come back as ~2^63-entry loops.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(scaled(16, std::nan("")), std::runtime_error);
+    EXPECT_THROW(scaled(16, inf), std::runtime_error);
+    EXPECT_THROW(scaled(16, -inf), std::runtime_error);
+    EXPECT_THROW(scaled(16, 1e300), std::runtime_error);
+    // A large but representable product still scales.
+    EXPECT_EQ(scaled(16, 1e6), 16000000u);
 }
 
 TEST(VectorWorkload, MemRefCountCountsOnlyLoadsAndStores)

@@ -39,6 +39,11 @@
  *                        against the baseline instead of running
  *   --quiet              suppress the per-figure human tables
  *
+ * Each figure's table goes to stdout under a header naming its
+ * scale, cell count and workload-cache counts: the same bytes at any
+ * --jobs. Its job count, wall time and verification note go to
+ * stderr.
+ *
  * Workloads are cached process-wide: figures sharing a generator
  * key (fig5/fig6/table4's base-machine apps) generate once per
  * invocation, and the aggregate hit/miss count is reported in the
@@ -48,6 +53,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -246,13 +252,13 @@ main(int argc, char **argv)
             workloads.push_back(name);
         } else if (arg == "--scale") {
             const char *val = next();
-            char *end = nullptr;
-            scale = std::strtod(val, &end);
-            if (end == val || *end != '\0' || scale <= 0) {
+            std::optional<double> s = parseScale(val);
+            if (!s) {
                 std::cerr << "rnuma_sweep: --scale wants a positive "
-                             "number, got '" << val << "'\n";
+                             "finite number, got '" << val << "'\n";
                 return 2;
             }
+            scale = *s;
         } else if (arg == "--jobs") {
             const char *val = next();
             char *end = nullptr;
@@ -329,14 +335,18 @@ main(int argc, char **argv)
         std::ostringstream table;
         int rc = renderFigure(*spec, run, table);
         if (!quiet) {
+            // Host- and --jobs-dependent facts go to stderr, so
+            // stdout is the same bytes at any job count.
+            std::cerr << "rnuma_sweep: " << run.name << ": jobs "
+                      << run.jobs << ", " << Table::num(run.wallMs)
+                      << " ms"
+                      << (verify && run.jobs > 1
+                              ? ", serial/parallel verified" : "")
+                      << "\n";
             std::cout << "==== " << run.name << ": " << run.title
                       << "\n     " << run.paperRef << "\n     scale "
-                      << run.scale << ", jobs " << run.jobs
-                      << ", " << run.result.cells.size()
-                      << " cells, "
-                      << Table::num(run.wallMs) << " ms"
-                      << (verify && run.jobs > 1
-                              ? ", serial/parallel verified" : "");
+                      << run.scale << ", " << run.result.cells.size()
+                      << " cells";
             if (run.result.workloadsGenerated > 0) {
                 std::cout << ", " << run.result.workloadsGenerated
                           << " workloads generated ("
