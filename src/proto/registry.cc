@@ -4,9 +4,7 @@
 
 #include "common/logging.hh"
 #include "core/analytic_model.hh"
-#include "rad/ccnuma_rad.hh"
 #include "rad/rnuma_rad.hh"
-#include "rad/scoma_rad.hh"
 
 namespace rnuma
 {
@@ -22,8 +20,9 @@ hybridSpec(std::string id, std::string displayName,
     s.description = std::move(description);
     s.makePolicy = policy;
     s.makeRad = [policy](const Params &p, NodeId node, RadDeps deps) {
-        return std::unique_ptr<Rad>(
-            std::make_unique<RNumaRad>(p, node, deps, policy(p)));
+        return std::unique_ptr<Rad>(std::make_unique<RNumaRad>(
+            p, node, deps, PageMode::CCNuma, p.rnumaBlockCacheSize,
+            false, p.pageCacheFrames(), policy(p)));
     };
     return s;
 }
@@ -50,9 +49,12 @@ addBuiltins(ProtocolRegistry &reg)
     cc.displayName = "CC-NUMA";
     cc.description =
         "block cache only; remote data cached at 32 B granularity";
+    // Pages never leave the block cache: no policy, and the smallest
+    // page cache stands idle.
     cc.makeRad = [](const Params &p, NodeId node, RadDeps deps) {
-        return std::unique_ptr<Rad>(
-            std::make_unique<CcNumaRad>(p, node, deps));
+        return std::unique_ptr<Rad>(std::make_unique<RNumaRad>(
+            p, node, deps, PageMode::CCNuma, p.blockCacheSize,
+            p.infiniteBlockCache, 1, nullptr));
     };
     reg.add(std::move(cc));
 
@@ -61,9 +63,13 @@ addBuiltins(ProtocolRegistry &reg)
     sc.displayName = "S-COMA";
     sc.description =
         "page cache only; remote pages allocated in local memory";
+    // Every remote page faults into the page cache on first touch, so
+    // the smallest block cache (one set) stands idle.
     sc.makeRad = [](const Params &p, NodeId node, RadDeps deps) {
-        return std::unique_ptr<Rad>(
-            std::make_unique<SComaRad>(p, node, deps));
+        return std::unique_ptr<Rad>(std::make_unique<RNumaRad>(
+            p, node, deps, PageMode::SComa,
+            p.blockSize * p.blockCacheAssoc, false, p.pageCacheFrames(),
+            nullptr));
     };
     reg.add(std::move(sc));
 

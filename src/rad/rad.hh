@@ -3,8 +3,10 @@
  * The Remote Access Device (RAD) abstraction. Every node has a RAD
  * that snoops the memory bus and services references to remote pages
  * (Figure 1). The three systems differ only in their RAD: CC-NUMA
- * has a block cache, S-COMA a page cache with fine-grain tags, and
- * R-NUMA both plus the reactive per-page refetch counters.
+ * uses a block cache, S-COMA a page cache with fine-grain tags, and
+ * R-NUMA both plus the reactive per-page refetch counters. Since
+ * R-NUMA's device is the union of the other two, RNumaRad
+ * (rad/rnuma_rad.hh) implements all three.
  */
 
 #ifndef RNUMA_RAD_RAD_HH

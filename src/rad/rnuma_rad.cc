@@ -1,35 +1,62 @@
 #include "rad/rnuma_rad.hh"
 
+#include "common/logging.hh"
+
 namespace rnuma
 {
 
 RNumaRad::RNumaRad(const Params &params, NodeId node, RadDeps deps,
+                   PageMode firstTouch, std::size_t blockCacheBytes,
+                   bool infiniteBlockCache, std::size_t pageFrames,
                    std::unique_ptr<RelocationPolicy> policy)
-    : Rad(params, node, deps),
-      bc(params.rnumaBlockCacheSize, params, false),
-      pc(params.pageCacheFrames(), params.blocksPerPage()),
+    : Rad(params, node, deps), firstTouch_(firstTouch),
+      bc(blockCacheBytes, params, infiniteBlockCache),
+      pc(pageFrames, params.blocksPerPage()),
       policy_(std::move(policy))
 {
-    if (!policy_) {
-        policy_ = std::make_unique<StaticThresholdPolicy>(
-            params.relocationThreshold);
-    }
+    RNUMA_ASSERT(firstTouch_ == PageMode::CCNuma ||
+                     firstTouch_ == PageMode::SComa,
+                 "first touch must map a page CC-NUMA or S-COMA");
 }
 
 std::size_t
-RNumaRad::flushPage(Tick now, Addr victim_page)
+RNumaRad::evictLrm(Tick now)
 {
+    Addr victim = pc.lrmVictim();
     std::size_t flushed = 0;
-    pc.forEachValid(victim_page,
-                    [&](std::size_t idx, FineTag tag) {
-        Addr block = victim_page * p.pageSize + idx * p.blockSize;
+    pc.forEachValid(victim, [&](std::size_t idx, FineTag tag) {
+        Addr block = victim * p.pageSize + idx * p.blockSize;
         d.l1.invalidateL1Block(block);
-        d.proto.flushBlock(now, nodeId, block,
-                           tag == FineTag::ReadWrite);
+        d.proto.flushBlock(now, nodeId, block, tag == FineTag::ReadWrite);
         d.stats.flushedBlocks++;
         flushed++;
     });
+    // Read the residency's hit count before the frame is recycled: it
+    // is the utility signal the policy learns from and the
+    // wasted-relocation observability counters record.
+    std::uint64_t hits = pc.hitsOf(victim);
+    pc.erase(victim);
+    d.pageTable.unmap(victim); // the next touch is a first touch again
+    d.stats.scomaReplacements++;
+    if (policy_) {
+        policy_->onEvicted(victim, hits);
+        d.stats.evictedPageHits += hits;
+        if (hits == 0)
+            d.stats.evictionsZeroHit++;
+    }
     return flushed;
+}
+
+Tick
+RNumaRad::allocatePage(Tick now, Addr page)
+{
+    std::size_t flushed = pc.full() ? evictLrm(now) : 0;
+    Tick t = d.vm.chargeAllocation(now, flushed);
+    d.stats.pageFaults++;
+    d.stats.scomaAllocations++;
+    pc.insert(page);
+    d.pageTable.set(page, PageMode::SComa);
+    return t;
 }
 
 Tick
@@ -37,26 +64,9 @@ RNumaRad::relocate(Tick now, Addr page)
 {
     d.stats.relocations++;
 
-    // Make room: replace the least-recently-missed page if the cache
-    // is full. The evicted page reverts to CC-NUMA on its next touch
-    // (it becomes unmapped), and its counter restarts.
     Tick t = now;
-    if (pc.full()) {
-        Addr victim = pc.lrmVictim();
-        std::size_t flushed = flushPage(t, victim);
-        // Read the residency's hit count before the frame is
-        // recycled: it is the utility signal the policy learns from
-        // and the wasted-relocation observability counters record.
-        std::uint64_t hits = pc.hitsOf(victim);
-        pc.erase(victim);
-        d.pageTable.unmap(victim);
-        policy_->onEvicted(victim, hits);
-        d.stats.scomaReplacements++;
-        d.stats.evictedPageHits += hits;
-        if (hits == 0)
-            d.stats.evictionsZeroHit++;
-        t = d.vm.chargeAllocation(t, flushed);
-    }
+    if (pc.full())
+        t = d.vm.chargeAllocation(t, evictLrm(t));
     pc.insert(page);
 
     // Move the locally referenced blocks: unmap the CC-NUMA page,
@@ -84,31 +94,60 @@ RNumaRad::relocate(Tick now, Addr page)
     return t;
 }
 
+Tick
+RNumaRad::upgradeRemote(Tick now, Addr block, Addr page)
+{
+    FetchResult res = d.proto.fetch(now, nodeId, block, ReqType::Upgrade);
+    d.stats.invalidationsSent +=
+        static_cast<std::uint64_t>(res.invalidations);
+    d.stats.markSharedWrite(page);
+    return res.done;
+}
+
+FetchResult
+RNumaRad::fetchRemote(Tick now, Addr block, Addr page, bool write)
+{
+    FetchResult res = d.proto.fetch(now, nodeId, block,
+                                    write ? ReqType::GetX : ReqType::GetS);
+    d.stats.recordFetch(page, res.kind, write, true);
+    d.stats.invalidationsSent +=
+        static_cast<std::uint64_t>(res.invalidations);
+    if (res.threeHop)
+        d.stats.forwards++;
+    res.done = d.bus.acquire(res.done) + p.busLatency;
+    return res;
+}
+
 RadAccess
 RNumaRad::blockPath(Tick now, Addr addr, bool write)
 {
     Addr page = pageOf(addr);
     Addr block = blockOf(addr);
+    CacheState fill = write ? CacheState::Modified : CacheState::Shared;
 
     CacheLine *line = bc.find(block);
     if (line && line->valid()) {
         if (!write || line->state == CacheState::Modified) {
+            // Block cache hit: SRAM access plus the bus transfer.
             bc.touch(line);
             d.stats.blockCacheHits++;
             return {now + p.sramAccess + p.busLatency,
-                    ServiceKind::BlockCache,
-                    write ? CacheState::Modified : CacheState::Shared};
+                    ServiceKind::BlockCache, fill};
         }
-        FetchResult res = d.proto.fetch(now, nodeId, block,
-                                        ReqType::Upgrade);
-        d.stats.invalidationsSent +=
-            static_cast<std::uint64_t>(res.invalidations);
-        d.stats.markSharedWrite(page);
+        // Write to a read-only block: permission-only upgrade.
+        Tick done = upgradeRemote(now, block, page);
         line->state = CacheState::Modified;
         bc.touch(line);
-        return {res.done, ServiceKind::Remote, CacheState::Modified};
+        return {done, ServiceKind::Remote, CacheState::Modified};
     }
 
+    // Block cache miss: allocate a frame, writing back a dirty victim
+    // (Figure 2b). Inclusion holds for read-write blocks: purge L1
+    // copies and voluntarily write the block back home, which records
+    // this node in the directory's prior-owner set. Read-only victims
+    // are dropped silently (non-notifying), so the directory keeps
+    // this node in the sharer set — the basis of read refetch
+    // detection.
     Cache::Victim victim;
     CacheLine *nl = bc.allocate(block, victim);
     if (victim.valid && victim.state == CacheState::Modified) {
@@ -117,27 +156,19 @@ RNumaRad::blockPath(Tick now, Addr addr, bool write)
         d.stats.writebacks++;
     }
 
-    FetchResult res = d.proto.fetch(now, nodeId, block,
-                                    write ? ReqType::GetX : ReqType::GetS);
-    nl->state = write ? CacheState::Modified : CacheState::Shared;
+    FetchResult res = fetchRemote(now, block, page, write);
+    nl->state = fill;
     bc.touch(nl);
-    d.stats.recordFetch(page, res.kind, write, true);
-    d.stats.invalidationsSent +=
-        static_cast<std::uint64_t>(res.invalidations);
-    if (res.threeHop)
-        d.stats.forwards++;
-
-    Tick done = d.bus.acquire(res.done) + p.busLatency;
 
     // The reactive mechanism: report capacity/conflict refetches to
     // the relocation policy; when it fires, the RAD interrupts and
     // the OS relocates the page into the page cache (Figure 4b).
-    if (res.kind == MissKind::Refetch && policy_->onRefetch(page)) {
+    Tick done = res.done;
+    if (policy_ && res.kind == MissKind::Refetch &&
+        policy_->onRefetch(page)) {
         done = relocate(done, page);
     }
-
-    return {done, ServiceKind::Remote,
-            write ? CacheState::Modified : CacheState::Shared};
+    return {done, ServiceKind::Remote, fill};
 }
 
 RadAccess
@@ -147,57 +178,51 @@ RNumaRad::pagePath(Tick now, Addr addr, bool write)
     Addr block = blockOf(addr);
     std::size_t idx = blockIndex(addr);
     FineTag tag = pc.tag(page, idx);
+    CacheState fill = write ? CacheState::Modified : CacheState::Shared;
 
     if (tag == FineTag::ReadWrite ||
         (tag == FineTag::ReadOnly && !write)) {
+        // Fine-grain tag hit: serviced by local memory.
         Tick done = d.memory.access(now + p.sramAccess, addr);
         d.stats.pageCacheHits++;
         pc.recordHit(page);
-        return {done, ServiceKind::PageCache,
-                write ? CacheState::Modified : CacheState::Shared};
+        return {done, ServiceKind::PageCache, fill};
     }
 
     if (tag == FineTag::ReadOnly) {
-        FetchResult res = d.proto.fetch(now, nodeId, block,
-                                        ReqType::Upgrade);
-        d.stats.invalidationsSent +=
-            static_cast<std::uint64_t>(res.invalidations);
-        d.stats.markSharedWrite(page);
+        // Write to a read-only block: permission-only upgrade.
+        Tick done = upgradeRemote(now, block, page);
         pc.setTag(page, idx, FineTag::ReadWrite);
         pc.recordMiss(page);
-        return {res.done, ServiceKind::Remote, CacheState::Modified};
+        return {done, ServiceKind::Remote, CacheState::Modified};
     }
 
-    FetchResult res = d.proto.fetch(now, nodeId, block,
-                                    write ? ReqType::GetX : ReqType::GetS);
-    pc.setTag(page, idx,
-              write ? FineTag::ReadWrite : FineTag::ReadOnly);
+    // Invalid tag: the RAD inhibits memory and fetches from the home.
+    FetchResult res = fetchRemote(now, block, page, write);
+    pc.setTag(page, idx, write ? FineTag::ReadWrite : FineTag::ReadOnly);
     pc.recordMiss(page);
-    d.stats.recordFetch(page, res.kind, write, true);
-    d.stats.invalidationsSent +=
-        static_cast<std::uint64_t>(res.invalidations);
-    if (res.threeHop)
-        d.stats.forwards++;
-
-    Tick done = d.bus.acquire(res.done) + p.busLatency;
-    return {done, ServiceKind::Remote,
-            write ? CacheState::Modified : CacheState::Shared};
+    return {res.done, ServiceKind::Remote, fill};
 }
 
 RadAccess
 RNumaRad::access(Tick now, Addr addr, bool write, bool upgrade)
 {
-    (void)upgrade;
+    (void)upgrade; // permission requests take the same paths
     Addr page = pageOf(addr);
     PageMode mode = d.pageTable.modeOf(page);
 
     Tick t = now;
     if (mode == PageMode::Unmapped) {
-        // First touch: the OS initially maps the page CC-NUMA
-        // (Figure 4b).
-        t = d.vm.chargeMapFault(t);
-        d.pageTable.set(page, PageMode::CCNuma);
-        mode = PageMode::CCNuma;
+        // First touch: S-COMA faults the page into the page cache;
+        // otherwise the OS takes a soft fault and maps it to the
+        // CC-NUMA global physical address (Figures 2b and 4b).
+        if (firstTouch_ == PageMode::SComa) {
+            t = allocatePage(t, page);
+        } else {
+            t = d.vm.chargeMapFault(t);
+            d.pageTable.set(page, PageMode::CCNuma);
+        }
+        mode = firstTouch_;
     }
 
     if (mode == PageMode::SComa)
@@ -240,6 +265,8 @@ RNumaRad::l1Writeback(Tick now, Addr block)
     Addr page = pageOf(block);
     if (d.pageTable.modeOf(page) == PageMode::SComa &&
         pc.contains(page)) {
+        // The page cache is main memory; the dirty line lands in the
+        // frame and the tag stays/becomes read-write.
         pc.setTag(page, blockIndex(block), FineTag::ReadWrite);
         return;
     }
@@ -249,6 +276,8 @@ RNumaRad::l1Writeback(Tick now, Addr block)
         bc.touch(line);
         return;
     }
+    // Inclusion should make this unreachable, but stay safe: send the
+    // dirty data home as a voluntary writeback.
     d.proto.writeback(now, nodeId, block);
     d.stats.writebacks++;
 }

@@ -1,12 +1,15 @@
 /**
  * @file
- * The hybrid Remote Access Device (Section 3, Figure 4): the union
- * of the CC-NUMA and S-COMA RADs, parameterized by a pluggable
- * RelocationPolicy. Remote pages start CC-NUMA; when the policy
- * fires on a page's refetch stream, the RAD interrupts the OS, which
- * relocates the page into the S-COMA page cache. Pages evicted from
- * the page cache revert to CC-NUMA on their next touch (the policy
- * is told, so stateful policies can react). With the paper's
+ * The Remote Access Device of Section 3 (Figure 4): the union of the
+ * CC-NUMA block cache and the S-COMA page cache with fine-grain
+ * tags, plus an optional pluggable RelocationPolicy. It serves all
+ * three systems. CC-NUMA maps pages CC-NUMA on first touch and has
+ * no policy, so pages never leave the block cache. S-COMA faults
+ * every remote page into the page cache on first touch. R-NUMA maps
+ * pages CC-NUMA and relocates a page into the page cache when the
+ * policy fires on its refetch stream; pages evicted from the page
+ * cache revert to CC-NUMA on their next touch (the policy is told,
+ * so stateful policies can react). With the paper's
  * StaticThresholdPolicy this is exactly R-NUMA; other policies give
  * new hybrid systems on the same hardware.
  */
@@ -24,16 +27,20 @@
 namespace rnuma
 {
 
-/** Hybrid RAD: block cache + page cache + a relocation policy. */
+/** Block cache + page cache + an optional relocation policy. */
 class RNumaRad : public Rad
 {
   public:
     /**
-     * @param policy the relocation decision rule; null selects the
-     *        paper's StaticThresholdPolicy(params.relocationThreshold)
+     * @param firstTouch mode an unmapped page takes on first touch:
+     *        CCNuma (block cache) or SComa (page cache)
+     * @param infiniteBlockCache the Figure 6 normalization baseline
+     * @param policy relocation decision rule; null never relocates
      */
     RNumaRad(const Params &params, NodeId node, RadDeps deps,
-             std::unique_ptr<RelocationPolicy> policy = nullptr);
+             PageMode firstTouch, std::size_t blockCacheBytes,
+             bool infiniteBlockCache, std::size_t pageFrames,
+             std::unique_ptr<RelocationPolicy> policy);
 
     RadAccess access(Tick now, Addr addr, bool write,
                      bool upgrade) override;
@@ -42,12 +49,8 @@ class RNumaRad : public Rad
     void l1Writeback(Tick now, Addr block) override;
     bool hasWritePermission(Addr block) const override;
 
-    /** Test introspection. */
-    const BlockCache &blockCache() const { return bc; }
-    const PageCache &pageCache() const { return pc; }
-    const RelocationPolicy &policy() const { return *policy_; }
-
   private:
+    PageMode firstTouch_;
     BlockCache bc;
     PageCache pc;
     std::unique_ptr<RelocationPolicy> policy_;
@@ -58,6 +61,22 @@ class RNumaRad : public Rad
     /** S-COMA-mode path through the page cache. */
     RadAccess pagePath(Tick now, Addr addr, bool write);
 
+    /** Permission-only upgrade at the home; returns its done tick. */
+    Tick upgradeRemote(Tick now, Addr block, Addr page);
+
+    /**
+     * Fetch a missing block from its home and record the traffic;
+     * the result's done tick is when the fill is on the node bus.
+     */
+    FetchResult fetchRemote(Tick now, Addr block, Addr page,
+                            bool write);
+
+    /**
+     * S-COMA page fault (Figure 3b): evict the LRM page if no frame
+     * is free, then allocate and map. Returns the resume tick.
+     */
+    Tick allocatePage(Tick now, Addr page);
+
     /**
      * Relocate a page from CC-NUMA to S-COMA (Section 3.1): trap,
      * flush the page's blocks from the L1s and block cache into a
@@ -66,8 +85,12 @@ class RNumaRad : public Rad
      */
     Tick relocate(Tick now, Addr page);
 
-    /** Flush a victim page's blocks home (notifying). */
-    std::size_t flushPage(Tick now, Addr victim_page);
+    /**
+     * Replace the least-recently-missed page: flush its blocks home
+     * (notifying), free the frame, unmap the page. Returns the
+     * number of blocks flushed (feeds the page-operation cost).
+     */
+    std::size_t evictLrm(Tick now);
 };
 
 } // namespace rnuma

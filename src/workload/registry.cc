@@ -1,5 +1,8 @@
 #include "workload/registry.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -61,9 +64,13 @@ WorkloadOptions::getSize(const std::string &key,
     const Pair *p = find(key);
     if (!p)
         return fallback;
+    // strtoull would skip blanks, wrap "-1" and saturate on overflow.
+    const char *s = p->value.c_str();
     char *rest = nullptr;
-    unsigned long long v = std::strtoull(p->value.c_str(), &rest, 10);
-    if (rest == p->value.c_str() || *rest != '\0') {
+    errno = 0;
+    unsigned long long v = std::strtoull(s, &rest, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*s)) || *rest != '\0' ||
+        errno == ERANGE) {
         RNUMA_FATAL("workload option ", key, "=", p->value,
                     " is not an unsigned integer");
     }
@@ -79,9 +86,9 @@ WorkloadOptions::getDouble(const std::string &key,
         return fallback;
     char *rest = nullptr;
     double v = std::strtod(p->value.c_str(), &rest);
-    if (rest == p->value.c_str() || *rest != '\0') {
+    if (rest == p->value.c_str() || *rest != '\0' || !std::isfinite(v)) {
         RNUMA_FATAL("workload option ", key, "=", p->value,
-                    " is not a number");
+                    " is not a finite number");
     }
     return v;
 }

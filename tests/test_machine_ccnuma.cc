@@ -34,6 +34,11 @@ TEST(MachineCcNuma, HotReuseBeyondBlockCacheRefetches)
     EXPECT_GT(s.refetches, 100u);
     // Page stats recorded against all 8 remote pages (Figure 5 data).
     EXPECT_EQ(s.remotePageCount(), 8u);
+    // CC-NUMA runs the shared RAD with no relocation policy: however
+    // many refetches a page takes, it never leaves the block cache.
+    EXPECT_EQ(s.relocations, 0u);
+    EXPECT_EQ(s.scomaAllocations, 0u);
+    EXPECT_EQ(s.scomaReplacements, 0u);
 }
 
 TEST(MachineCcNuma, InfiniteBlockCacheEliminatesRefetches)

@@ -35,6 +35,12 @@ TEST(MachineSComa, ThrashesWhenRemotePagesExceedFrames)
     // Replaced pages are flushed (notifying), so nothing counts as a
     // refetch.
     EXPECT_EQ(s.refetches, 0u);
+    // S-COMA runs the shared RAD with no relocation policy: pages
+    // fault in, never relocate, and the R-NUMA-only eviction-utility
+    // counters stay untouched.
+    EXPECT_EQ(s.relocations, 0u);
+    EXPECT_EQ(s.evictionsZeroHit, 0u);
+    EXPECT_EQ(s.evictedPageHits, 0u);
 }
 
 TEST(MachineSComa, SlowerThanCcNumaForCommunicationPages)

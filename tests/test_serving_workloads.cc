@@ -136,6 +136,29 @@ TEST(WorkloadOptions, MalformedInputIsFatal)
     EXPECT_THROW(WorkloadOptions::parse("=3"), std::runtime_error);
     auto o = WorkloadOptions::parse("pages=notanumber");
     EXPECT_THROW(o.getSize("pages", 1), std::runtime_error);
+    // Each failure is fatal and names the offending key=value.
+    auto expectFatal = [](const std::string &kv, bool size) {
+        auto bad = WorkloadOptions::parse(kv);
+        std::string key = kv.substr(0, kv.find('='));
+        try {
+            if (size)
+                bad.getSize(key, 1);
+            else
+                bad.getDouble(key, 0.5);
+            ADD_FAILURE() << kv << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(kv), std::string::npos)
+                << e.what();
+        }
+    };
+    // Sizes are plain digit strings that fit: no sign (strtoull
+    // would wrap "-1" to 2^64 - 1), no whitespace, no saturation.
+    for (const char *kv : {"pages=-1", "pages=+7", "pages= 5",
+                           "pages=99999999999999999999"})
+        expectFatal(kv, true);
+    for (const char *kv : {"theta=nan", "theta=inf", "theta=-inf",
+                           "write=nan"})
+        expectFatal(kv, false);
 }
 
 TEST(WorkloadOptions, UnknownGeneratorOptionIsFatal)

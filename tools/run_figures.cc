@@ -50,6 +50,7 @@
  * closing summary line.
  */
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -262,8 +263,9 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             const char *val = next();
             char *end = nullptr;
+            errno = 0;
             long j = std::strtol(val, &end, 10);
-            if (end == val || *end != '\0' || j < 0) {
+            if (end == val || *end != '\0' || j < 0 || errno == ERANGE) {
                 std::cerr << "rnuma_sweep: --jobs wants a "
                              "non-negative integer (0 = all cores), "
                              "got '" << val << "'\n";
