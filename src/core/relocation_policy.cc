@@ -1,5 +1,7 @@
 #include "core/relocation_policy.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace rnuma
@@ -8,97 +10,40 @@ namespace rnuma
 namespace
 {
 
-std::uint64_t
-countIn(const std::unordered_map<Addr, std::uint64_t> &counts,
-        Addr page)
+/** round(t) half up, clamped to [lo, hi]; t may be negative. */
+std::size_t
+roundClamped(double t, std::size_t lo, std::size_t hi)
 {
-    auto it = counts.find(page);
-    return it == counts.end() ? 0 : it->second;
+    std::size_t rounded =
+        t <= 0.0 ? 0 : static_cast<std::size_t>(t + 0.5);
+    return std::min(hi, std::max(lo, rounded));
+}
+
+/** EwmaUtilityPolicy's threshold at utility @p u. */
+std::size_t
+ewmaThreshold(double u, std::size_t minT, std::size_t maxT)
+{
+    return roundClamped(static_cast<double>(maxT) +
+                            u * (static_cast<double>(minT) -
+                                 static_cast<double>(maxT)),
+                        minT, maxT);
 }
 
 } // namespace
 
 //--------------------------------------------------------------------------
-// StaticThresholdPolicy
+// ThresholdPolicy
 //--------------------------------------------------------------------------
 
-StaticThresholdPolicy::StaticThresholdPolicy(std::size_t threshold)
-    : thresh(threshold)
+std::size_t
+ThresholdPolicy::thresholdOf(Addr page) const
 {
-    RNUMA_ASSERT(thresh >= 1, "threshold must be at least 1");
+    auto it = perPageT.find(page);
+    return it == perPageT.end() ? defaultT : it->second;
 }
 
 bool
-StaticThresholdPolicy::onRefetch(Addr page)
-{
-    std::uint64_t &c = counts[page];
-    if (++c >= thresh) {
-        counts.erase(page);
-        return true;
-    }
-    return false;
-}
-
-void
-StaticThresholdPolicy::onRelocated(Addr page)
-{
-    counts.erase(page);
-}
-
-void
-StaticThresholdPolicy::onEvicted(Addr page,
-                                 std::uint64_t /*residentHits*/)
-{
-    counts.erase(page);
-}
-
-void
-StaticThresholdPolicy::reset(Addr page)
-{
-    counts.erase(page);
-}
-
-std::uint64_t
-StaticThresholdPolicy::count(Addr page) const
-{
-    return countIn(counts, page);
-}
-
-std::size_t
-StaticThresholdPolicy::trackedPages() const
-{
-    return counts.size();
-}
-
-std::string
-StaticThresholdPolicy::describe() const
-{
-    return "static(T=" + std::to_string(thresh) + ")";
-}
-
-//--------------------------------------------------------------------------
-// HysteresisPolicy
-//--------------------------------------------------------------------------
-
-HysteresisPolicy::HysteresisPolicy(std::size_t relocateThreshold,
-                                   std::size_t revertedThreshold)
-    : relocT(relocateThreshold), revertT(revertedThreshold)
-{
-    RNUMA_ASSERT(relocT >= 1, "relocate threshold must be at least 1");
-    RNUMA_ASSERT(revertT >= relocT,
-                 "reverted threshold (", revertT,
-                 ") must not be below the relocate threshold (",
-                 relocT, ")");
-}
-
-std::size_t
-HysteresisPolicy::thresholdOf(Addr page) const
-{
-    return reverted.count(page) ? revertT : relocT;
-}
-
-bool
-HysteresisPolicy::onRefetch(Addr page)
+ThresholdPolicy::onRefetch(Addr page)
 {
     std::uint64_t &c = counts[page];
     if (++c >= thresholdOf(page)) {
@@ -109,47 +54,85 @@ HysteresisPolicy::onRefetch(Addr page)
 }
 
 void
-HysteresisPolicy::onRelocated(Addr page)
+ThresholdPolicy::onRelocated(Addr page)
 {
     counts.erase(page);
+    relocated(page);
 }
 
 void
-HysteresisPolicy::onEvicted(Addr page, std::uint64_t /*residentHits*/)
+ThresholdPolicy::onEvicted(Addr page, std::uint64_t residentHits)
 {
     counts.erase(page);
-    reverted.insert(page);
+    evicted(page, residentHits);
 }
 
 void
-HysteresisPolicy::reset(Addr page)
+ThresholdPolicy::reset(Addr page)
 {
     counts.erase(page);
-    reverted.erase(page);
+    perPageT.erase(page);
+    forget(page);
 }
 
 std::uint64_t
-HysteresisPolicy::count(Addr page) const
+ThresholdPolicy::count(Addr page) const
 {
-    return countIn(counts, page);
+    auto it = counts.find(page);
+    return it == counts.end() ? 0 : it->second;
 }
 
 std::size_t
-HysteresisPolicy::trackedPages() const
+ThresholdPolicy::trackedPages() const
 {
-    // Live state is a pending counter or a reverted mark; count the
-    // union, not just the counters.
     std::size_t n = counts.size();
-    for (Addr page : reverted)
-        if (!counts.count(page))
+    for (const auto &kv : perPageT)
+        if (!counts.count(kv.first))
             n++;
     return n;
+}
+
+//--------------------------------------------------------------------------
+// StaticThresholdPolicy
+//--------------------------------------------------------------------------
+
+StaticThresholdPolicy::StaticThresholdPolicy(std::size_t threshold)
+    : ThresholdPolicy(threshold)
+{
+    RNUMA_ASSERT(threshold >= 1, "threshold must be at least 1");
+}
+
+std::string
+StaticThresholdPolicy::describe() const
+{
+    return "static(T=" + std::to_string(defaultT) + ")";
+}
+
+//--------------------------------------------------------------------------
+// HysteresisPolicy
+//--------------------------------------------------------------------------
+
+HysteresisPolicy::HysteresisPolicy(std::size_t relocateThreshold,
+                                   std::size_t revertedThreshold)
+    : ThresholdPolicy(relocateThreshold), revertT(revertedThreshold)
+{
+    RNUMA_ASSERT(defaultT >= 1, "relocate threshold must be at least 1");
+    RNUMA_ASSERT(revertT >= defaultT,
+                 "reverted threshold (", revertT,
+                 ") must not be below the relocate threshold (",
+                 defaultT, ")");
+}
+
+void
+HysteresisPolicy::evicted(Addr page, std::uint64_t /*residentHits*/)
+{
+    perPageT[page] = revertT;
 }
 
 std::string
 HysteresisPolicy::describe() const
 {
-    return "hysteresis(T=" + std::to_string(relocT) +
+    return "hysteresis(T=" + std::to_string(defaultT) +
         ",T_reverted=" + std::to_string(revertT) + ")";
 }
 
@@ -160,48 +143,27 @@ HysteresisPolicy::describe() const
 AdaptiveThresholdPolicy::AdaptiveThresholdPolicy(
     std::size_t initialThreshold, std::size_t minThreshold,
     std::size_t maxThreshold)
-    : initialT(initialThreshold), minT(minThreshold),
+    : ThresholdPolicy(initialThreshold), minT(minThreshold),
       maxT(maxThreshold)
 {
     RNUMA_ASSERT(minT >= 1, "minimum threshold must be at least 1");
-    RNUMA_ASSERT(minT <= initialT && initialT <= maxT,
+    RNUMA_ASSERT(minT <= defaultT && defaultT <= maxT,
                  "need min <= initial <= max, got ", minT, " / ",
-                 initialT, " / ", maxT);
-}
-
-std::size_t
-AdaptiveThresholdPolicy::thresholdOf(Addr page) const
-{
-    auto it = perPageT.find(page);
-    return it == perPageT.end() ? initialT : it->second;
-}
-
-bool
-AdaptiveThresholdPolicy::onRefetch(Addr page)
-{
-    std::uint64_t &c = counts[page];
-    if (++c >= thresholdOf(page)) {
-        counts.erase(page);
-        return true;
-    }
-    return false;
+                 defaultT, " / ", maxT);
 }
 
 void
-AdaptiveThresholdPolicy::onRelocated(Addr page)
+AdaptiveThresholdPolicy::relocated(Addr page)
 {
-    counts.erase(page);
     std::size_t entry = thresholdOf(page);
-    std::size_t t = entry / 2;
-    perPageT[page] = t < minT ? minT : t;
+    perPageT[page] = std::max(minT, entry / 2);
     entryT[page] = entry;
 }
 
 void
-AdaptiveThresholdPolicy::onEvicted(Addr page,
-                                   std::uint64_t /*residentHits*/)
+AdaptiveThresholdPolicy::evicted(Addr page,
+                                 std::uint64_t /*residentHits*/)
 {
-    counts.erase(page);
     // An eviction that undoes a relocation is one ping-pong round
     // trip: escalate from the page's pre-relocation threshold, so
     // churn costs T, 2T, 4T, ... instead of washing out against the
@@ -209,47 +171,25 @@ AdaptiveThresholdPolicy::onEvicted(Addr page,
     // would re-enter at exactly the static threshold forever.
     // Free-standing evictions (no relocation recorded) double the
     // current value.
+    std::size_t from = thresholdOf(page);
     auto it = entryT.find(page);
-    std::size_t t;
     if (it != entryT.end()) {
-        t = it->second * 2;
+        from = it->second;
         entryT.erase(it);
-    } else {
-        t = thresholdOf(page) * 2;
     }
-    perPageT[page] = t > maxT ? maxT : t;
+    perPageT[page] = std::min(maxT, from * 2);
 }
 
 void
-AdaptiveThresholdPolicy::reset(Addr page)
+AdaptiveThresholdPolicy::forget(Addr page)
 {
-    counts.erase(page);
-    perPageT.erase(page);
     entryT.erase(page);
-}
-
-std::uint64_t
-AdaptiveThresholdPolicy::count(Addr page) const
-{
-    return countIn(counts, page);
-}
-
-std::size_t
-AdaptiveThresholdPolicy::trackedPages() const
-{
-    // Live state is a pending counter or an adapted threshold;
-    // count the union, not just the counters.
-    std::size_t n = counts.size();
-    for (const auto &kv : perPageT)
-        if (!counts.count(kv.first))
-            n++;
-    return n;
 }
 
 std::string
 AdaptiveThresholdPolicy::describe() const
 {
-    return "adaptive(T0=" + std::to_string(initialT) + ",min=" +
+    return "adaptive(T0=" + std::to_string(defaultT) + ",min=" +
         std::to_string(minT) + ",max=" + std::to_string(maxT) + ")";
 }
 
@@ -260,97 +200,38 @@ AdaptiveThresholdPolicy::describe() const
 UtilityThresholdPolicy::UtilityThresholdPolicy(
     std::size_t initialThreshold, std::size_t minThreshold,
     std::size_t maxThreshold, std::uint64_t breakEvenHits)
-    : initialT(initialThreshold), minT(minThreshold),
+    : ThresholdPolicy(initialThreshold), minT(minThreshold),
       maxT(maxThreshold), breakEvenHits(breakEvenHits)
 {
     RNUMA_ASSERT(minT >= 1, "minimum threshold must be at least 1");
-    RNUMA_ASSERT(minT <= initialT && initialT <= maxT,
+    RNUMA_ASSERT(minT <= defaultT && defaultT <= maxT,
                  "need min <= initial <= max, got ", minT, " / ",
-                 initialT, " / ", maxT);
+                 defaultT, " / ", maxT);
     RNUMA_ASSERT(breakEvenHits >= 1,
                  "break-even hit count must be at least 1");
 }
 
-std::size_t
-UtilityThresholdPolicy::thresholdOf(Addr page) const
-{
-    auto it = perPageT.find(page);
-    return it == perPageT.end() ? initialT : it->second;
-}
-
-bool
-UtilityThresholdPolicy::onRefetch(Addr page)
-{
-    std::uint64_t &c = counts[page];
-    if (++c >= thresholdOf(page)) {
-        counts.erase(page);
-        return true;
-    }
-    return false;
-}
-
 void
-UtilityThresholdPolicy::onRelocated(Addr page)
+UtilityThresholdPolicy::evicted(Addr page, std::uint64_t residentHits)
 {
     // Relocation is not evidence; only the residency's outcome is.
-    counts.erase(page);
-}
-
-void
-UtilityThresholdPolicy::onEvicted(Addr page, std::uint64_t residentHits)
-{
-    counts.erase(page);
     std::size_t cur = thresholdOf(page);
-    std::size_t t;
     if (residentHits >= breakEvenHits) {
         // Profitable residency: the page ops were amortized, so the
         // page has earned eager re-entry. Jump below the break-even
         // bar on first profit and keep halving on repeated profit.
-        std::size_t from =
-            cur < static_cast<std::size_t>(breakEvenHits)
-                ? cur
-                : static_cast<std::size_t>(breakEvenHits);
-        t = from / 2;
-        if (t < minT)
-            t = minT;
+        perPageT[page] = std::max(
+            minT, std::min<std::size_t>(cur, breakEvenHits) / 2);
     } else {
         // Wasted residency: ping-pong evidence, exponential back-off.
-        t = cur * 2;
-        if (t > maxT)
-            t = maxT;
+        perPageT[page] = std::min(maxT, cur * 2);
     }
-    perPageT[page] = t;
-}
-
-void
-UtilityThresholdPolicy::reset(Addr page)
-{
-    counts.erase(page);
-    perPageT.erase(page);
-}
-
-std::uint64_t
-UtilityThresholdPolicy::count(Addr page) const
-{
-    return countIn(counts, page);
-}
-
-std::size_t
-UtilityThresholdPolicy::trackedPages() const
-{
-    // Live state is a pending counter or an adapted threshold;
-    // count the union, not just the counters.
-    std::size_t n = counts.size();
-    for (const auto &kv : perPageT)
-        if (!counts.count(kv.first))
-            n++;
-    return n;
 }
 
 std::string
 UtilityThresholdPolicy::describe() const
 {
-    return "utility(T0=" + std::to_string(initialT) + ",min=" +
+    return "utility(T0=" + std::to_string(defaultT) + ",min=" +
         std::to_string(minT) + ",max=" + std::to_string(maxT) +
         ",breakeven=" + std::to_string(breakEvenHits) + ")";
 }
@@ -362,7 +243,8 @@ UtilityThresholdPolicy::describe() const
 OnlineModelPolicy::OnlineModelPolicy(double optimalThreshold,
                                      std::size_t minThreshold,
                                      std::size_t maxThreshold)
-    : tStar(optimalThreshold), minT(minThreshold), maxT(maxThreshold)
+    : ThresholdPolicy(minThreshold), tStar(optimalThreshold),
+      minT(minThreshold), maxT(maxThreshold)
 {
     RNUMA_ASSERT(minT >= 1, "minimum threshold must be at least 1");
     RNUMA_ASSERT(minT <= maxT, "need min <= max, got ", minT, " / ",
@@ -376,63 +258,18 @@ OnlineModelPolicy::reestimate()
 {
     // Each expected resident hit is one refetch's worth of cost the
     // residency repays, so it lowers the competitive bar one-for-one.
-    double t = tStar - avgHits;
-    // Round half up with integer-safe arithmetic (t <= tStar, a
-    // machine constant, so the cast is in range).
-    std::size_t rounded =
-        t <= 0.0 ? 0 : static_cast<std::size_t>(t + 0.5);
-    if (rounded < minT)
-        rounded = minT;
-    if (rounded > maxT)
-        rounded = maxT;
-    curT = rounded;
-}
-
-bool
-OnlineModelPolicy::onRefetch(Addr page)
-{
-    std::uint64_t &c = counts[page];
-    if (++c >= curT) {
-        counts.erase(page);
-        return true;
-    }
-    return false;
+    // t <= tStar, a machine constant, so the rounding cast is in
+    // range.
+    defaultT = roundClamped(tStar - avgHits, minT, maxT);
 }
 
 void
-OnlineModelPolicy::onRelocated(Addr page)
+OnlineModelPolicy::evicted(Addr /*page*/, std::uint64_t residentHits)
 {
-    counts.erase(page);
-}
-
-void
-OnlineModelPolicy::onEvicted(Addr page, std::uint64_t residentHits)
-{
-    counts.erase(page);
     // alpha = 1/8; pure IEEE add/multiply keeps this deterministic
     // across platforms.
     avgHits += (static_cast<double>(residentHits) - avgHits) / 8.0;
     reestimate();
-}
-
-void
-OnlineModelPolicy::reset(Addr page)
-{
-    // Per-page unmap drops the pending counter; the global rate
-    // estimate is machine state and survives.
-    counts.erase(page);
-}
-
-std::uint64_t
-OnlineModelPolicy::count(Addr page) const
-{
-    return countIn(counts, page);
-}
-
-std::size_t
-OnlineModelPolicy::trackedPages() const
-{
-    return counts.size();
 }
 
 std::string
@@ -453,7 +290,8 @@ EwmaUtilityPolicy::EwmaUtilityPolicy(std::size_t minThreshold,
                                      std::size_t maxThreshold,
                                      std::uint64_t breakEvenHits,
                                      double alpha)
-    : minT(minThreshold), maxT(maxThreshold),
+    : ThresholdPolicy(ewmaThreshold(0.5, minThreshold, maxThreshold)),
+      minT(minThreshold), maxT(maxThreshold),
       breakEvenHits(breakEvenHits), alpha(alpha)
 {
     RNUMA_ASSERT(minT >= 1, "minimum threshold must be at least 1");
@@ -472,72 +310,22 @@ EwmaUtilityPolicy::utilityOf(Addr page) const
     return it == utility.end() ? 0.5 : it->second;
 }
 
-std::size_t
-EwmaUtilityPolicy::thresholdOf(Addr page) const
-{
-    double u = utilityOf(page);
-    double t = static_cast<double>(maxT) +
-        u * (static_cast<double>(minT) - static_cast<double>(maxT));
-    std::size_t rounded =
-        t <= 0.0 ? 0 : static_cast<std::size_t>(t + 0.5);
-    if (rounded < minT)
-        rounded = minT;
-    if (rounded > maxT)
-        rounded = maxT;
-    return rounded;
-}
-
-bool
-EwmaUtilityPolicy::onRefetch(Addr page)
-{
-    std::uint64_t &c = counts[page];
-    if (++c >= thresholdOf(page)) {
-        counts.erase(page);
-        return true;
-    }
-    return false;
-}
-
 void
-EwmaUtilityPolicy::onRelocated(Addr page)
+EwmaUtilityPolicy::evicted(Addr page, std::uint64_t residentHits)
 {
-    counts.erase(page);
-}
-
-void
-EwmaUtilityPolicy::onEvicted(Addr page, std::uint64_t residentHits)
-{
-    counts.erase(page);
     double grade = static_cast<double>(residentHits) /
         static_cast<double>(breakEvenHits);
     if (grade > 1.0)
         grade = 1.0;
-    utility[page] = (1.0 - alpha) * utilityOf(page) + alpha * grade;
+    double u = (1.0 - alpha) * utilityOf(page) + alpha * grade;
+    utility[page] = u;
+    perPageT[page] = ewmaThreshold(u, minT, maxT);
 }
 
 void
-EwmaUtilityPolicy::reset(Addr page)
+EwmaUtilityPolicy::forget(Addr page)
 {
-    counts.erase(page);
     utility.erase(page);
-}
-
-std::uint64_t
-EwmaUtilityPolicy::count(Addr page) const
-{
-    return countIn(counts, page);
-}
-
-std::size_t
-EwmaUtilityPolicy::trackedPages() const
-{
-    // Live state is a pending counter or a utility score; count the
-    // union, not just the counters.
-    std::size_t n = counts.size();
-    for (const auto &kv : utility)
-        if (!counts.count(kv.first))
-            n++;
-    return n;
 }
 
 std::string

@@ -25,17 +25,22 @@
  *                       (thousands of hits before a phase boundary)
  *                       from ping-pong (evicted before serving any).
  *
- * Implementations: StaticThresholdPolicy (the paper's rule, exactly
- * the pre-registry counter semantics), HysteresisPolicy (reverted
- * pages need a higher count to relocate again, suppressing
- * ping-pong), AdaptiveThresholdPolicy (per-page T halves on
- * relocation and escalates on relocate/evict ping-pong — all three
- * ignore residentHits, keeping the paper-era systems bit-identical),
- * plus the utility-aware rules that consume it:
- * UtilityThresholdPolicy (escalate only below break-even, decay on
- * profit), OnlineModelPolicy (re-estimates the Eq 3 optimum from the
- * observed hit rate), EwmaUtilityPolicy (per-page EWMA utility
- * score).
+ * Every shipped rule is the paper's counter with a different rule for
+ * T, so ThresholdPolicy implements the counter once — pending counts,
+ * a default T and per-page T overrides — and each policy keeps only
+ * the hooks that move its threshold:
+ * StaticThresholdPolicy (the paper's rule, exactly the pre-registry
+ * counter semantics), HysteresisPolicy (reverted pages need a higher
+ * count to relocate again, suppressing ping-pong),
+ * AdaptiveThresholdPolicy (per-page T halves on relocation and
+ * escalates on relocate/evict ping-pong — all three ignore
+ * residentHits, keeping the paper-era systems bit-identical), plus
+ * the utility-aware rules that consume it: UtilityThresholdPolicy
+ * (escalate only below break-even, decay on profit),
+ * OnlineModelPolicy (re-estimates the Eq 3 optimum from the observed
+ * hit rate), EwmaUtilityPolicy (per-page EWMA utility score). A rule
+ * that is not a count-versus-threshold rule implements
+ * RelocationPolicy directly.
  */
 
 #ifndef RNUMA_CORE_RELOCATION_POLICY_HH
@@ -44,7 +49,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/types.hh"
 
@@ -89,30 +93,61 @@ class RelocationPolicy
 };
 
 /**
+ * The count-versus-threshold core every shipped policy shares: a
+ * page's pending refetch count fires (and is consumed) when it
+ * reaches the page's threshold — its override, or else the default.
+ * Relocation, eviction and unmap drop the pending count and then call
+ * the protected hook a subclass uses to move thresholds; unmap also
+ * drops the override. Subclasses keep only those hooks.
+ */
+class ThresholdPolicy : public RelocationPolicy
+{
+  public:
+    bool onRefetch(Addr page) final;
+    void onRelocated(Addr page) final;
+    void onEvicted(Addr page, std::uint64_t residentHits) final;
+    void reset(Addr page) final;
+    std::uint64_t count(Addr page) const final;
+    /** Pages with a pending count or a threshold override (union). */
+    std::size_t trackedPages() const final;
+
+    /** The default threshold (pages without an override). */
+    std::size_t threshold() const { return defaultT; }
+
+    /** The threshold currently governing @p page. */
+    std::size_t thresholdOf(Addr page) const;
+
+  protected:
+    explicit ThresholdPolicy(std::size_t threshold) : defaultT(threshold) {}
+
+    /**
+     * The threshold rule: called by onRelocated, onEvicted and reset
+     * after they dropped the page's count (reset also its override).
+     */
+    virtual void relocated(Addr) {}
+    virtual void evicted(Addr, std::uint64_t /*residentHits*/) {}
+    virtual void forget(Addr) {}
+
+    std::size_t defaultT;
+    /** Per-page threshold overrides; thresholdOf falls back to defaultT. */
+    std::unordered_map<Addr, std::size_t> perPageT;
+
+  private:
+    std::unordered_map<Addr, std::uint64_t> counts;
+};
+
+/**
  * The paper's rule (Section 3.1): a fixed threshold T. Fires on the
  * T-th refetch; the counter resets on fire, relocation, or eviction.
  * Bit-identical to the pre-registry ReactivePolicy counters.
  */
-class StaticThresholdPolicy : public RelocationPolicy
+class StaticThresholdPolicy : public ThresholdPolicy
 {
   public:
     /** @param threshold refetches before relocation (base: 64). */
     explicit StaticThresholdPolicy(std::size_t threshold);
 
-    bool onRefetch(Addr page) override;
-    void onRelocated(Addr page) override;
-    void onEvicted(Addr page, std::uint64_t residentHits) override;
-    void reset(Addr page) override;
-    std::uint64_t count(Addr page) const override;
-    std::size_t trackedPages() const override;
     std::string describe() const override;
-
-    /** Configured threshold T. */
-    std::size_t threshold() const { return thresh; }
-
-  private:
-    std::size_t thresh;
-    std::unordered_map<Addr, std::uint64_t> counts;
 };
 
 /**
@@ -123,9 +158,10 @@ class StaticThresholdPolicy : public RelocationPolicy
  * Pages that ping-pong between modes — relocate, fall out, refetch,
  * relocate again — pay the page-operation cost over and over under
  * the static rule; the raised re-entry bar suppresses that cycle
- * while leaving first-time relocations as cheap as ever.
+ * while leaving first-time relocations as cheap as ever. The
+ * override marks the reverted pages.
  */
-class HysteresisPolicy : public RelocationPolicy
+class HysteresisPolicy : public ThresholdPolicy
 {
   public:
     /**
@@ -136,22 +172,13 @@ class HysteresisPolicy : public RelocationPolicy
     HysteresisPolicy(std::size_t relocateThreshold,
                      std::size_t revertedThreshold);
 
-    bool onRefetch(Addr page) override;
-    void onRelocated(Addr page) override;
-    void onEvicted(Addr page, std::uint64_t residentHits) override;
-    void reset(Addr page) override;
-    std::uint64_t count(Addr page) const override;
-    std::size_t trackedPages() const override;
     std::string describe() const override;
 
-    /** The threshold currently governing @p page. */
-    std::size_t thresholdOf(Addr page) const;
+  protected:
+    void evicted(Addr page, std::uint64_t residentHits) override;
 
   private:
-    std::size_t relocT;
     std::size_t revertT;
-    std::unordered_map<Addr, std::uint64_t> counts;
-    std::unordered_set<Addr> reverted; ///< pages evicted at least once
 };
 
 /**
@@ -179,30 +206,23 @@ class HysteresisPolicy : public RelocationPolicy
  * preserved for bit-identity with the PR 4 figures). The policies
  * below it consume the signal instead.
  */
-class AdaptiveThresholdPolicy : public RelocationPolicy
+class AdaptiveThresholdPolicy : public ThresholdPolicy
 {
   public:
     AdaptiveThresholdPolicy(std::size_t initialThreshold,
                             std::size_t minThreshold,
                             std::size_t maxThreshold);
 
-    bool onRefetch(Addr page) override;
-    void onRelocated(Addr page) override;
-    void onEvicted(Addr page, std::uint64_t residentHits) override;
-    void reset(Addr page) override;
-    std::uint64_t count(Addr page) const override;
-    std::size_t trackedPages() const override;
     std::string describe() const override;
 
-    /** The threshold currently governing @p page. */
-    std::size_t thresholdOf(Addr page) const;
+  protected:
+    void relocated(Addr page) override;
+    void evicted(Addr page, std::uint64_t residentHits) override;
+    void forget(Addr page) override;
 
   private:
-    std::size_t initialT;
     std::size_t minT;
     std::size_t maxT;
-    std::unordered_map<Addr, std::uint64_t> counts;
-    std::unordered_map<Addr, std::size_t> perPageT;
     /**
      * Per page, the threshold in force when it last relocated (the
      * value the eviction escalates from); erased once consumed, so
@@ -228,7 +248,7 @@ class AdaptiveThresholdPolicy : public RelocationPolicy
  * relocation itself is not an event — only the measured outcome
  * moves the threshold.
  */
-class UtilityThresholdPolicy : public RelocationPolicy
+class UtilityThresholdPolicy : public ThresholdPolicy
 {
   public:
     /**
@@ -243,27 +263,18 @@ class UtilityThresholdPolicy : public RelocationPolicy
                            std::size_t maxThreshold,
                            std::uint64_t breakEvenHits);
 
-    bool onRefetch(Addr page) override;
-    void onRelocated(Addr page) override;
-    void onEvicted(Addr page, std::uint64_t residentHits) override;
-    void reset(Addr page) override;
-    std::uint64_t count(Addr page) const override;
-    std::size_t trackedPages() const override;
     std::string describe() const override;
-
-    /** The threshold currently governing @p page. */
-    std::size_t thresholdOf(Addr page) const;
 
     /** Configured break-even hit count. */
     std::uint64_t breakEven() const { return breakEvenHits; }
 
+  protected:
+    void evicted(Addr page, std::uint64_t residentHits) override;
+
   private:
-    std::size_t initialT;
     std::size_t minT;
     std::size_t maxT;
     std::uint64_t breakEvenHits;
-    std::unordered_map<Addr, std::uint64_t> counts;
-    std::unordered_map<Addr, std::size_t> perPageT;
 };
 
 /**
@@ -281,9 +292,11 @@ class UtilityThresholdPolicy : public RelocationPolicy
  * one until, at h >= T*, relocation is known-profitable and fires at
  * the floor. With no eviction history the policy *is* rnuma-model
  * (h = 0, T = round(T*)), and on a stationary zero-reuse stream it
- * converges back to it. The EWMA only moves in onEvicted.
+ * converges back to it. The EWMA only moves in onEvicted, and T is
+ * the default threshold: no page carries an override, so an unmap
+ * leaves the global estimate alone.
  */
-class OnlineModelPolicy : public RelocationPolicy
+class OnlineModelPolicy : public ThresholdPolicy
 {
   public:
     /**
@@ -295,19 +308,13 @@ class OnlineModelPolicy : public RelocationPolicy
     OnlineModelPolicy(double optimalThreshold, std::size_t minThreshold,
                       std::size_t maxThreshold);
 
-    bool onRefetch(Addr page) override;
-    void onRelocated(Addr page) override;
-    void onEvicted(Addr page, std::uint64_t residentHits) override;
-    void reset(Addr page) override;
-    std::uint64_t count(Addr page) const override;
-    std::size_t trackedPages() const override;
     std::string describe() const override;
-
-    /** The global threshold currently in force. */
-    std::size_t threshold() const { return curT; }
 
     /** Current EWMA of resident hits per eviction. */
     double estimatedHits() const { return avgHits; }
+
+  protected:
+    void evicted(Addr page, std::uint64_t residentHits) override;
 
   private:
     void reestimate();
@@ -316,8 +323,6 @@ class OnlineModelPolicy : public RelocationPolicy
     std::size_t minT;
     std::size_t maxT;
     double avgHits = 0.0; ///< EWMA (alpha = 1/8) of residentHits
-    std::size_t curT;
-    std::unordered_map<Addr, std::uint64_t> counts;
 };
 
 /**
@@ -332,10 +337,11 @@ class OnlineModelPolicy : public RelocationPolicy
  *
  * so the no-evidence midpoint is (min + max) / 2 and the registry
  * picks min/max to land that at the configured base T. The score only
- * moves in onEvicted (and drops on reset); only IEEE +,*,/ arithmetic
- * is used, keeping results deterministic across platforms.
+ * moves in onEvicted (and drops on reset), which stores T_p as the
+ * page's override; only IEEE +,*,/ arithmetic is used, keeping
+ * results deterministic across platforms.
  */
-class EwmaUtilityPolicy : public RelocationPolicy
+class EwmaUtilityPolicy : public ThresholdPolicy
 {
   public:
     /**
@@ -347,26 +353,20 @@ class EwmaUtilityPolicy : public RelocationPolicy
     EwmaUtilityPolicy(std::size_t minThreshold, std::size_t maxThreshold,
                       std::uint64_t breakEvenHits, double alpha);
 
-    bool onRefetch(Addr page) override;
-    void onRelocated(Addr page) override;
-    void onEvicted(Addr page, std::uint64_t residentHits) override;
-    void reset(Addr page) override;
-    std::uint64_t count(Addr page) const override;
-    std::size_t trackedPages() const override;
     std::string describe() const override;
-
-    /** The threshold currently governing @p page. */
-    std::size_t thresholdOf(Addr page) const;
 
     /** Current utility score for @p page (0.5 with no evidence). */
     double utilityOf(Addr page) const;
+
+  protected:
+    void evicted(Addr page, std::uint64_t residentHits) override;
+    void forget(Addr page) override;
 
   private:
     std::size_t minT;
     std::size_t maxT;
     std::uint64_t breakEvenHits;
     double alpha;
-    std::unordered_map<Addr, std::uint64_t> counts;
     std::unordered_map<Addr, double> utility;
 };
 

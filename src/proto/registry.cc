@@ -1,5 +1,6 @@
 #include "proto/registry.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -8,6 +9,41 @@
 
 namespace rnuma
 {
+
+namespace
+{
+
+/**
+ * Eq 3's T* = C_allocate / C_refetch, at the half-occupied page move
+ * the eq3 figure also evaluates (Table 1's C_allocate at
+ * blocksPerPage()/2 valid blocks).
+ */
+double
+eq3Optimum(const Params &p)
+{
+    return AnalyticModel(ModelParams::fromSystem(p, p.blocksPerPage() / 2))
+        .optimalThreshold();
+}
+
+/**
+ * max(1, round(T*)): rnuma-model's static threshold and the
+ * break-even hit count of the utility-aware policies.
+ */
+std::size_t
+eq3Anchor(const Params &p)
+{
+    auto t = static_cast<std::size_t>(std::llround(eq3Optimum(p)));
+    return t < 1 ? 1 : t;
+}
+
+/** The decay floor of the per-page policies: max(1, t / 16). */
+std::size_t
+floorThreshold(std::size_t t)
+{
+    return t / 16 < 1 ? 1 : t / 16;
+}
+
+} // namespace
 
 ProtocolSpec
 hybridSpec(std::string id, std::string displayName,
@@ -36,8 +72,7 @@ staticThresholdSpec(std::size_t threshold)
         "R-NUMA with the relocation threshold pinned to " +
             std::to_string(threshold),
         [threshold](const Params &) {
-            return std::unique_ptr<RelocationPolicy>(
-                std::make_unique<StaticThresholdPolicy>(threshold));
+            return std::make_unique<StaticThresholdPolicy>(threshold);
         });
 }
 
@@ -78,9 +113,8 @@ addBuiltins(ProtocolRegistry &reg)
         "hybrid RAD; pages relocate after "
         "Params::relocationThreshold refetches (Section 3.1)",
         [](const Params &p) {
-            return std::unique_ptr<RelocationPolicy>(
-                std::make_unique<StaticThresholdPolicy>(
-                    p.relocationThreshold));
+            return std::make_unique<StaticThresholdPolicy>(
+                p.relocationThreshold);
         }));
 
     reg.add(hybridSpec(
@@ -88,10 +122,8 @@ addBuiltins(ProtocolRegistry &reg)
         "hybrid RAD; pages evicted from the page cache need 4x the "
         "refetches to relocate again (no ping-pong)",
         [](const Params &p) {
-            return std::unique_ptr<RelocationPolicy>(
-                std::make_unique<HysteresisPolicy>(
-                    p.relocationThreshold,
-                    4 * p.relocationThreshold));
+            return std::make_unique<HysteresisPolicy>(
+                p.relocationThreshold, 4 * p.relocationThreshold);
         }));
 
     reg.add(hybridSpec(
@@ -101,10 +133,8 @@ addBuiltins(ProtocolRegistry &reg)
         "Eq 3 optimum",
         [](const Params &p) {
             std::size_t t = p.relocationThreshold;
-            std::size_t lo = t / 16 < 1 ? 1 : t / 16;
-            return std::unique_ptr<RelocationPolicy>(
-                std::make_unique<AdaptiveThresholdPolicy>(t, lo,
-                                                          16 * t));
+            return std::make_unique<AdaptiveThresholdPolicy>(
+                t, floorThreshold(t), 16 * t);
         }));
 
     reg.add(hybridSpec(
@@ -112,17 +142,7 @@ addBuiltins(ProtocolRegistry &reg)
         "hybrid RAD; static threshold seeded from the Section 3.2 "
         "cost model's optimum T* = C_alloc / C_refetch",
         [](const Params &p) {
-            // Eq 3's T* assumes the half-occupied page move the
-            // eq3 figure also evaluates (Table 1's C_allocate at
-            // blocksPerPage()/2 valid blocks).
-            AnalyticModel model(ModelParams::fromSystem(
-                p, p.blocksPerPage() / 2));
-            auto t = static_cast<std::size_t>(
-                std::llround(model.optimalThreshold()));
-            if (t < 1)
-                t = 1;
-            return std::unique_ptr<RelocationPolicy>(
-                std::make_unique<StaticThresholdPolicy>(t));
+            return std::make_unique<StaticThresholdPolicy>(eq3Anchor(p));
         }));
 
     // The utility-aware family: policies that consume the
@@ -139,16 +159,8 @@ addBuiltins(ProtocolRegistry &reg)
         "residencies decay it instead",
         [](const Params &p) {
             std::size_t t = p.relocationThreshold;
-            std::size_t lo = t / 16 < 1 ? 1 : t / 16;
-            AnalyticModel model(ModelParams::fromSystem(
-                p, p.blocksPerPage() / 2));
-            auto be = static_cast<std::uint64_t>(
-                std::llround(model.optimalThreshold()));
-            if (be < 1)
-                be = 1;
-            return std::unique_ptr<RelocationPolicy>(
-                std::make_unique<UtilityThresholdPolicy>(t, lo, 16 * t,
-                                                         be));
+            return std::make_unique<UtilityThresholdPolicy>(
+                t, floorThreshold(t), 16 * t, eq3Anchor(p));
         }));
 
     reg.add(hybridSpec(
@@ -157,14 +169,9 @@ addBuiltins(ProtocolRegistry &reg)
         "global threshold is T* minus the observed EWMA of resident "
         "hits per eviction",
         [](const Params &p) {
-            AnalyticModel model(ModelParams::fromSystem(
-                p, p.blocksPerPage() / 2));
-            double tStar = model.optimalThreshold();
-            if (tStar < 1.0)
-                tStar = 1.0;
-            return std::unique_ptr<RelocationPolicy>(
-                std::make_unique<OnlineModelPolicy>(
-                    tStar, 1, 16 * p.relocationThreshold));
+            return std::make_unique<OnlineModelPolicy>(
+                std::max(1.0, eq3Optimum(p)), 1,
+                16 * p.relocationThreshold);
         }));
 
     reg.add(hybridSpec(
@@ -173,19 +180,12 @@ addBuiltins(ProtocolRegistry &reg)
         "the Eq 3 break-even) interpolates the threshold between "
         "trust and distrust",
         [](const Params &p) {
-            std::size_t t = p.relocationThreshold;
-            std::size_t lo = t / 16 < 1 ? 1 : t / 16;
+            std::size_t lo = floorThreshold(p.relocationThreshold);
             // min + max = 2t, so the no-evidence midpoint threshold
             // is exactly the configured base T.
-            std::size_t hi = 2 * t - lo;
-            AnalyticModel model(ModelParams::fromSystem(
-                p, p.blocksPerPage() / 2));
-            auto be = static_cast<std::uint64_t>(
-                std::llround(model.optimalThreshold()));
-            if (be < 1)
-                be = 1;
-            return std::unique_ptr<RelocationPolicy>(
-                std::make_unique<EwmaUtilityPolicy>(lo, hi, be, 0.5));
+            std::size_t hi = 2 * p.relocationThreshold - lo;
+            return std::make_unique<EwmaUtilityPolicy>(lo, hi, eq3Anchor(p),
+                                                       0.5);
         }));
 }
 

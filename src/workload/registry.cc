@@ -58,8 +58,8 @@ WorkloadOptions::find(const std::string &key) const
 }
 
 std::size_t
-WorkloadOptions::getSize(const std::string &key,
-                         std::size_t fallback) const
+WorkloadOptions::getSize(const std::string &key, std::size_t fallback,
+                         std::size_t min) const
 {
     const Pair *p = find(key);
     if (!p)
@@ -74,12 +74,16 @@ WorkloadOptions::getSize(const std::string &key,
         RNUMA_FATAL("workload option ", key, "=", p->value,
                     " is not an unsigned integer");
     }
+    if (v < min) {
+        RNUMA_FATAL("workload option ", key, "=", p->value,
+                    " is out of range (want ", key, " >= ", min, ")");
+    }
     return static_cast<std::size_t>(v);
 }
 
 double
-WorkloadOptions::getDouble(const std::string &key,
-                           double fallback) const
+WorkloadOptions::getDouble(const std::string &key, double fallback,
+                           double lo, double hi) const
 {
     const Pair *p = find(key);
     if (!p)
@@ -89,6 +93,11 @@ WorkloadOptions::getDouble(const std::string &key,
     if (rest == p->value.c_str() || *rest != '\0' || !std::isfinite(v)) {
         RNUMA_FATAL("workload option ", key, "=", p->value,
                     " is not a finite number");
+    }
+    if (v < lo || v > hi) {
+        RNUMA_FATAL("workload option ", key, "=", p->value,
+                    " is out of range (want ", lo, " <= ", key, " <= ",
+                    hi, ")");
     }
     return v;
 }
@@ -212,9 +221,9 @@ addBuiltins(WorkloadRegistry &reg)
          [](const Params &p, double scale, std::uint64_t,
             const std::string &options) -> std::unique_ptr<Workload> {
              auto o = WorkloadOptions::parse(options);
-             std::size_t pages = o.getSize("pages", 4);
+             std::size_t pages = o.getSize("pages", 4, 1);
              std::size_t iters =
-                 o.getSize("iters", scaled(20, scale));
+                 o.getSize("iters", scaled(20, scale), 1);
              o.finish("private-loop");
              return makePrivateLoop(p, pages, iters);
          }},
@@ -226,8 +235,8 @@ addBuiltins(WorkloadRegistry &reg)
             const std::string &options) -> std::unique_ptr<Workload> {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
-                 o.getSize("pages", scaled(120, scale, 2));
-             std::size_t sweeps = o.getSize("sweeps", 8);
+                 o.getSize("pages", scaled(120, scale, 2), 1);
+             std::size_t sweeps = o.getSize("sweeps", 8, 1);
              o.finish("hot-reuse");
              return makeHotRemoteReuse(p, pages, sweeps);
          }},
@@ -240,9 +249,10 @@ addBuiltins(WorkloadRegistry &reg)
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
                  o.getSize("pages", p.pageCacheFrames() +
-                                        scaled(80, scale, 40));
+                                        scaled(80, scale, 40),
+                           p.pageCacheFrames() + 1);
              std::size_t sweeps =
-                 o.getSize("sweeps", scaled(16, scale, 8));
+                 o.getSize("sweeps", scaled(16, scale, 8), 1);
              o.finish("evict-storm");
              return makeEvictionStorm(p, pages, sweeps);
          }},
@@ -254,8 +264,8 @@ addBuiltins(WorkloadRegistry &reg)
             const std::string &options) -> std::unique_ptr<Workload> {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
-                 o.getSize("pages", scaled(32, scale, 1));
-             std::size_t rounds = o.getSize("rounds", 10);
+                 o.getSize("pages", scaled(32, scale, 1), 1);
+             std::size_t rounds = o.getSize("rounds", 10, 1);
              o.finish("producer-consumer");
              return makeProducerConsumer(p, pages, rounds);
          }},
@@ -267,7 +277,7 @@ addBuiltins(WorkloadRegistry &reg)
             const std::string &options) -> std::unique_ptr<Workload> {
              auto o = WorkloadOptions::parse(options);
              std::size_t rounds =
-                 o.getSize("rounds", scaled(400, scale, 8));
+                 o.getSize("rounds", scaled(400, scale, 8), 1);
              o.finish("rw-sharing");
              return makeRwSharing(p, rounds);
          }},
@@ -278,9 +288,9 @@ addBuiltins(WorkloadRegistry &reg)
          [](const Params &p, double, std::uint64_t,
             const std::string &options) -> std::unique_ptr<Workload> {
              auto o = WorkloadOptions::parse(options);
-             std::size_t pages = o.getSize("pages", 24);
+             std::size_t pages = o.getSize("pages", 24, 1);
              std::size_t touches = o.getSize(
-                 "touches", p.relocationThreshold + 1);
+                 "touches", p.relocationThreshold + 1, 1);
              o.finish("adversary");
              return makeAdversary(p, pages, touches);
          }},
@@ -292,9 +302,9 @@ addBuiltins(WorkloadRegistry &reg)
             const std::string &options) -> std::unique_ptr<Workload> {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
-                 o.getSize("pages", scaled(4, scale, 1));
+                 o.getSize("pages", scaled(4, scale, 1), 1);
              std::size_t sweeps =
-                 o.getSize("sweeps", scaled(4, scale, 2));
+                 o.getSize("sweeps", scaled(4, scale, 2), 1);
              o.finish("scaling-shift");
              return makeScalingShift(p, pages, sweeps);
          }},

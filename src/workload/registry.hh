@@ -25,6 +25,7 @@
 #ifndef RNUMA_WORKLOAD_REGISTRY_HH
 #define RNUMA_WORKLOAD_REGISTRY_HH
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -50,9 +51,12 @@ class WorkloadOptions
     /** Parse @p text ("" = no options). Fatal on malformed pairs. */
     static WorkloadOptions parse(const std::string &text);
 
-    std::size_t getSize(const std::string &key,
-                        std::size_t fallback) const;
-    double getDouble(const std::string &key, double fallback) const;
+    /** Fatal, naming `key=value`, on a value below @p min. */
+    std::size_t getSize(const std::string &key, std::size_t fallback,
+                        std::size_t min = 0) const;
+    /** Fatal, naming `key=value`, on a value outside [lo, hi]. */
+    double getDouble(const std::string &key, double fallback,
+                     double lo = -HUGE_VAL, double hi = HUGE_VAL) const;
     std::string getString(const std::string &key,
                           const std::string &fallback) const;
 

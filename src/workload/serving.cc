@@ -70,15 +70,12 @@ makeZipfServe(const Params &p, double scale, std::uint64_t seed,
               const std::string &options)
 {
     auto o = WorkloadOptions::parse(options);
-    std::size_t pages = o.getSize("pages", scaled(480, scale, 16));
-    double theta = o.getDouble("theta", 0.8);
-    double writeFrac = o.getDouble("write", 0.1);
+    std::size_t pages = o.getSize("pages", scaled(480, scale, 16), 1);
+    double theta = o.getDouble("theta", 0.8, 0.0);
+    double writeFrac = o.getDouble("write", 0.1, 0.0, 1.0);
     std::size_t requests =
-        o.getSize("requests", scaled(2400, scale, 40));
+        o.getSize("requests", scaled(2400, scale, 40), 1);
     o.finish("zipf-serve");
-    RNUMA_ASSERT(writeFrac >= 0.0 && writeFrac <= 1.0,
-                 "zipf-serve write fraction must be in [0,1], got ",
-                 writeFrac);
 
     StreamBuilder b("zipf-serve", p, seed);
     Addr pool = b.allocPages(pages);
@@ -116,12 +113,10 @@ makePhaseShift(const Params &p, double scale, std::uint64_t seed,
     // Pool ~3x the frame budget (geometry-derived, like evict-storm:
     // the rotation must overflow the page cache at every scale).
     std::size_t pages =
-        o.getSize("pages", 3 * p.pageCacheFrames());
-    std::size_t phases = o.getSize("phases", 6);
-    std::size_t sweeps = o.getSize("sweeps", scaled(4, scale, 2));
+        o.getSize("pages", 3 * p.pageCacheFrames(), 1);
+    std::size_t phases = o.getSize("phases", 6, 1);
+    std::size_t sweeps = o.getSize("sweeps", scaled(4, scale, 2), 1);
     o.finish("phase-shift");
-    RNUMA_ASSERT(pages > 0 && phases > 0 && sweeps > 0,
-                 "phase-shift needs non-zero pages/phases/sweeps");
 
     StreamBuilder b("phase-shift", p, seed);
     Addr pool = b.allocPages(pages);
@@ -159,12 +154,10 @@ makeTenants(const Params &p, double scale, std::uint64_t seed,
             const std::string &options)
 {
     auto o = WorkloadOptions::parse(options);
-    std::size_t tenants = o.getSize("tenants", 4);
-    std::size_t pages = o.getSize("pages", scaled(96, scale, 8));
-    std::size_t rounds = o.getSize("rounds", scaled(6, scale, 2));
+    std::size_t tenants = o.getSize("tenants", 4, 1);
+    std::size_t pages = o.getSize("pages", scaled(96, scale, 8), 1);
+    std::size_t rounds = o.getSize("rounds", scaled(6, scale, 2), 1);
     o.finish("tenants");
-    RNUMA_ASSERT(tenants > 0 && pages > 0 && rounds > 0,
-                 "tenants needs non-zero tenants/pages/rounds");
 
     StreamBuilder b("tenants", p, seed);
     tenants = std::min(tenants, b.ncpus());
@@ -213,14 +206,16 @@ makeDatabaseScan(const Params &p, double scale, std::uint64_t seed,
 {
     auto o = WorkloadOptions::parse(options);
     std::size_t transactions =
-        o.getSize("transactions", scaled(48, scale, 8));
-    std::size_t pool_pages = o.getSize("pool", 160);
+        o.getSize("transactions", scaled(48, scale, 8), 1);
+    std::size_t pool_pages = o.getSize("pool", 160, 1);
     std::size_t rows_per_txn = o.getSize("rows", 48);
-    std::size_t hot_fraction_pages = o.getSize("hot", 24);
+    std::size_t hot_fraction_pages = o.getSize("hot", 24, 1);
     o.finish("database-scan");
-    RNUMA_ASSERT(hot_fraction_pages <= pool_pages,
-                 "database-scan hot set (", hot_fraction_pages,
-                 " pages) exceeds the pool (", pool_pages, ")");
+    if (hot_fraction_pages > pool_pages) {
+        RNUMA_FATAL("database-scan option hot=", hot_fraction_pages,
+                    " is out of range (want hot <= pool=", pool_pages,
+                    ")");
+    }
 
     StreamBuilder b("database-scan", p, seed);
     Addr pool = b.allocPages(pool_pages);

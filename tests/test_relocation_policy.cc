@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "common/params.hh"
 #include "common/rng.hh"
 #include "core/analytic_model.hh"
 #include "core/relocation_policy.hh"
+#include "proto/registry.hh"
 
 namespace rnuma
 {
@@ -149,6 +152,93 @@ TEST(StaticThreshold, BitIdenticalToPreRefactorOracle)
     }
     for (Addr page = 0; page < 16; ++page)
         ASSERT_EQ(rp.onRefetch(page), oracle.recordRefetch(page));
+}
+
+namespace
+{
+
+/** 64-bit FNV-1a, folded one little-endian byte at a time. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+/**
+ * Drive @p rp with a seeded refetch / relocate / evict / reset
+ * stream over 64 pages and digest every decision and the observable
+ * state after each step: onRefetch's result, the page's pending
+ * count and trackedPages(). A firing usually relocates (the machine's
+ * order), but relocations, evictions with residentHits in [0, 64) and
+ * resets also arrive free-standing, so pages carry adapted thresholds
+ * alongside pending counts.
+ */
+std::uint64_t
+decisionDigest(RelocationPolicy &rp)
+{
+    Rng rng(0xd16e57);
+    Fnv1a d;
+    for (int step = 0; step < 100000; ++step) {
+        Addr page = rng.below(64);
+        std::uint64_t action = rng.below(1000);
+        if (action < 970) {
+            bool fired = rp.onRefetch(page);
+            d.add(fired);
+            if (fired && rng.below(4) != 0)
+                rp.onRelocated(page);
+        } else if (action < 980) {
+            rp.onRelocated(page);
+        } else if (action < 993) {
+            // Skewed toward short residencies (mean ~16 hits), so the
+            // break-even rules see both outcomes.
+            rp.onEvicted(page, rng.below(1 + rng.below(64)));
+        } else {
+            rp.reset(page);
+        }
+        d.add(rp.count(page));
+        d.add(rp.trackedPages());
+    }
+    return d.h;
+}
+
+} // namespace
+
+TEST(Policies, EveryShippedPolicyMatchesItsPinnedDecisionDigest)
+{
+    // Recorded against the per-policy implementations that predate
+    // the shared ThresholdPolicy core; any change to a shipped rule's
+    // decisions, counts or tracked state moves its digest. A new
+    // registered policy needs a digest here too.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"rnuma", 0x404ea7f5e210fcc9ull},
+        {"rnuma-hysteresis", 0xfce95fb683362bf2ull},
+        {"rnuma-adaptive", 0x1dfd63a87c70c5adull},
+        {"rnuma-model", 0x9e07d66a8b6144f3ull},
+        {"rnuma-utility", 0x3238a9ec485d8829ull},
+        {"rnuma-online-model", 0xdc4126bcfcb9a511ull},
+        {"rnuma-ewma", 0x1624a46fd9242cbcull},
+    };
+    Params p = Params::base();
+    std::size_t withPolicy = 0;
+    for (const ProtocolSpec *s : ProtocolRegistry::global().all()) {
+        if (!s->makePolicy)
+            continue;
+        withPolicy++;
+        auto it = pinned.find(s->id);
+        ASSERT_NE(it, pinned.end()) << s->id << " has no pinned digest";
+        auto rp = s->makePolicy(p);
+        EXPECT_EQ(decisionDigest(*rp), it->second)
+            << s->id << " (" << rp->describe() << ")";
+    }
+    EXPECT_EQ(withPolicy, pinned.size());
 }
 
 TEST(Hysteresis, FirstRelocationUsesTheBaseThreshold)

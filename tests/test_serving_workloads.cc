@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "workload/apps/apps.hh"
@@ -167,6 +169,34 @@ TEST(WorkloadOptions, UnknownGeneratorOptionIsFatal)
     EXPECT_THROW(
         makeWorkload("zipf-serve", p, 0.1, 1, "thtea=0.9"),
         std::runtime_error);
+}
+
+TEST(WorkloadOptions, OutOfRangeGeneratorOptionIsFatal)
+{
+    // Each value parses but is outside the generator's domain: a
+    // user error that names the option, not a simulator panic (or a
+    // bad_alloc / division by zero further down).
+    Params p = test::smallParams(); // 4 page-cache frames
+    const std::pair<const char *, const char *> cases[] = {
+        {"zipf-serve", "write=2"},        {"zipf-serve", "theta=-1"},
+        {"zipf-serve", "pages=0"},        {"zipf-serve", "requests=0"},
+        {"phase-shift", "phases=0"},      {"tenants", "rounds=0"},
+        {"tenants", "tenants=0"},         {"database-scan", "hot=500"},
+        {"database-scan", "hot=0"},       {"database-scan", "pool=0"},
+        {"private-loop", "pages=0"},      {"hot-reuse", "sweeps=0"},
+        {"evict-storm", "pages=4"},       {"producer-consumer", "pages=0"},
+        {"rw-sharing", "rounds=0"},       {"adversary", "touches=0"},
+        {"scaling-shift", "pages=0"},
+    };
+    for (const auto &[workload, kv] : cases) {
+        try {
+            makeWorkload(workload, p, 0.1, 1, kv);
+            ADD_FAILURE() << workload << " accepted " << kv;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(kv), std::string::npos)
+                << workload << ": " << e.what();
+        }
+    }
 }
 
 //--------------------------------------------------------------------------
