@@ -37,15 +37,13 @@ main(int argc, char **argv)
     Sweep sweep("threshold-x-pagecache",
                 "R-NUMA threshold vs page-cache size", "custom");
     Params base = Params::base();
-    // One shared factory and one shared cache key: every cell
-    // measures the identical trace, and the runner's workload cache
-    // generates it exactly once for the whole grid.
-    WorkloadFactory make = workloadFactory(app, base, scale);
-    std::string key = workloadCacheKey(app, base, scale);
+    // One shared workload input: every cell measures the identical
+    // trace, and the runner's workload cache generates it exactly
+    // once for the whole grid.
+    WorkloadInput wl(app, base, scale);
     Params inf = base;
     inf.infiniteBlockCache = true;
-    sweep.add({app, "baseline", protocolSpec("ccnuma"), inf, make,
-               key, app});
+    sweep.add({app, "baseline", protocolSpec("ccnuma"), inf, wl});
     for (std::size_t T : thresholds) {
         for (std::size_t kb : cache_kb) {
             // The threshold axis is a relocation-policy variant
@@ -56,7 +54,7 @@ main(int argc, char **argv)
             sweep.add({app,
                        "t" + std::to_string(T) + "-p" +
                            std::to_string(kb) + "k",
-                       staticThresholdSpec(T), p, make, key, app});
+                       staticThresholdSpec(T), p, wl});
         }
     }
 
@@ -89,6 +87,6 @@ main(int argc, char **argv)
     run.jobs = runner.jobs();
     run.result = std::move(result);
     std::cout << "\nJSON:\n";
-    JsonSink().write(std::cout, {std::move(run)});
+    writeJson(std::cout, {std::move(run)});
     return 0;
 }

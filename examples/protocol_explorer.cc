@@ -13,8 +13,6 @@
 
 #include "common/params.hh"
 #include "common/table.hh"
-#include "driver/sweep.hh"
-#include "driver/sweep_runner.hh"
 #include "os/page_table.hh"
 #include "sim/machine.hh"
 #include "sim/runner.hh"
@@ -54,7 +52,6 @@ int
 main()
 {
     using namespace rnuma;
-    using namespace rnuma::driver;
     Params p = Params::base();
     p.relocationThreshold = 8; // small, so the demo is short
 
@@ -94,44 +91,36 @@ main()
                  "the OS moved both pages into the page\ncache — the "
                  "R-NUMA mechanism end to end.\n\n";
 
-    // The same scripted stream under every registered protocol: one
-    // sweep row, the N-way version of the run above, in which a
-    // newly registered policy appears with zero wiring.
+    // The same scripted stream under every registered protocol, the
+    // N-way version of the run above, in which a newly registered
+    // policy appears with zero wiring.
     std::cout << "the same stream under every registered protocol "
                  "(normalized to the\ninfinite-block-cache "
                  "baseline):\n\n";
-    std::vector<std::string> ids;
+    Tick baseline = runInfiniteBaseline(p, *wl).ticks;
+    std::vector<std::pair<const ProtocolSpec *, RunStats>> runs;
     for (const ProtocolSpec *spec : ProtocolRegistry::global().all())
-        ids.push_back(spec->id);
-    Sweep sweep("explorer");
-    sweep.addComparison(
-        "explorer", p, [p] { return explorerStream(p); },
-        workloadCacheKey("explorer", p, 1.0), "", ids);
-    SweepResult r = SweepRunner(/*jobs=*/0).run(sweep);
+        runs.emplace_back(spec, runProtocol(p, *spec, *wl));
 
     // The fastest protocol; ties go to the earliest registered.
-    const CellResult *winner = nullptr;
-    for (const CellResult &c : r.cells) {
-        if (c.config != "baseline" &&
-            (!winner || c.stats.ticks < winner->stats.ticks))
-            winner = &c;
-    }
+    const auto *winner = &runs.front();
+    for (const auto &run : runs)
+        if (run.second.ticks < winner->second.ticks)
+            winner = &run;
     Table t({"protocol", "normalized", "vs winner", "refetches",
              "relocations", "page-cache hits"});
-    for (const CellResult &c : r.cells) {
-        if (c.config == "baseline")
-            continue;
+    for (const auto &[spec, stats] : runs) {
         double loss =
-            normalizedTime(c.stats.ticks, winner->stats.ticks) - 1.0;
-        t.addRow({c.protocolName,
-                  Table::num(r.norm("explorer", c.config)),
+            normalizedTime(stats.ticks, winner->second.ticks) - 1.0;
+        t.addRow({spec->displayName,
+                  Table::num(normalizedTime(stats.ticks, baseline)),
                   loss <= 0 ? "winner" : "+" + Table::pct(loss),
-                  std::to_string(c.stats.refetches),
-                  std::to_string(c.stats.relocations),
-                  std::to_string(c.stats.pageCacheHits)});
+                  std::to_string(stats.refetches),
+                  std::to_string(stats.relocations),
+                  std::to_string(stats.pageCacheHits)});
     }
     t.print(std::cout);
-    std::cout << "\nwinner: " << winner->protocolName
+    std::cout << "\nwinner: " << winner->first->displayName
               << " — the threshold-8 hybrids relocate both pages "
                  "(and pay for it on this\nshort stream), while "
                  "R-NUMA(model)'s model-derived threshold exceeds "

@@ -45,7 +45,7 @@ main(int argc, char **argv)
 
     auto wl = makeWorkload(app, p, scale);
     std::cout << "workload: "
-              << dynamic_cast<const VectorWorkload &>(*wl).totalRefs()
+              << wl->totalRefs()
               << " stream entries\n\n";
 
     // One sweep row: the infinite-block-cache baseline plus every
@@ -55,8 +55,7 @@ main(int argc, char **argv)
     for (const ProtocolSpec *spec : ProtocolRegistry::global().all())
         ids.push_back(spec->id);
     Sweep sweep("quickstart");
-    sweep.addComparison(app, p, workloadFactory(app, p, scale),
-                        workloadCacheKey(app, p, scale), app, ids);
+    sweep.addComparison(app, p, {app, p, scale}, ids);
     SweepResult r = SweepRunner(jobs).run(sweep);
 
     // The fastest protocol; ties go to the earliest registered.

@@ -29,7 +29,7 @@ struct ResultCell
     std::string app;
     std::string config;
     /** Registry ids of the cell's protocol, interconnect, directory
-     *  format, and workload generator ("" for an ad-hoc factory). */
+     *  format, and workload generator. */
     std::string protocol;
     std::string network;
     std::string directory;

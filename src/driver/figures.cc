@@ -53,25 +53,6 @@ selectedIds(std::vector<std::string> names,
     return ids;
 }
 
-/**
- * Add one comparison row (Sweep::addComparison) over the registered
- * workload @p wl, generated from @p p at @p scale with generator
- * @p options. Options are not Params fields, so a non-empty option
- * string joins the workload cache key by name.
- */
-void
-addRow(Sweep &s, const std::string &row, const std::string &wl,
-       const Params &p, double scale,
-       const std::vector<std::string> &ids,
-       const std::string &options = "")
-{
-    s.addComparison(row, p, workloadFactory(wl, p, scale, 1, options),
-                    workloadCacheKey(options.empty() ? wl
-                                                     : wl + "/" + options,
-                                     p, scale),
-                    wl, ids);
-}
-
 /** A cell's protocol as a table label: display name, else id. */
 const std::string &
 label(const CellResult &c)
@@ -166,7 +147,7 @@ buildFig6(const FigureOptions &opt)
     Sweep s("fig6");
     Params p = Params::base();
     for (const std::string &app : workloadIds("app")) {
-        addRow(s, app, app, p, opt.scale, paperSystems);
+        s.addComparison(app, p, {app, p, opt.scale}, paperSystems);
     }
     return s;
 }
@@ -222,19 +203,18 @@ buildFig7(const FigureOptions &opt)
     const ProtocolSpec &cc = protocolSpec("ccnuma");
     const ProtocolSpec &rn = protocolSpec("rnuma");
     for (const std::string &app : workloadIds("app")) {
-        // One factory per row: fmm derives its anti-aliasing pool
+        // One input per row: fmm derives its anti-aliasing pool
         // from the block-cache geometry, so every cache-size column
         // must measure the identical trace generated from the base
-        // machine (as the original harness did). The shared cache
-        // key makes the runner generate that trace exactly once.
-        WorkloadFactory make = workloadFactory(app, base, opt.scale);
-        std::string key = workloadCacheKey(app, base, opt.scale);
-        s.add({app, "baseline", cc, inf, make, key, app});
-        s.add({app, "cc-b1k", cc, cc1k, make, key, app});
-        s.add({app, "cc-b32k", cc, base, make, key, app});
-        s.add({app, "rn-b128-p320k", rn, base, make, key, app});
-        s.add({app, "rn-b32k-p320k", rn, rn_bigbc, make, key, app});
-        s.add({app, "rn-b128-p40m", rn, rn_bigpc, make, key, app});
+        // machine (as the original harness did). The shared input
+        // makes the runner generate that trace exactly once.
+        WorkloadInput wl(app, base, opt.scale);
+        s.add({app, "baseline", cc, inf, wl});
+        s.add({app, "cc-b1k", cc, cc1k, wl});
+        s.add({app, "cc-b32k", cc, base, wl});
+        s.add({app, "rn-b128-p320k", rn, base, wl});
+        s.add({app, "rn-b32k-p320k", rn, rn_bigbc, wl});
+        s.add({app, "rn-b128-p40m", rn, rn_bigpc, wl});
     }
     return s;
 }
@@ -279,11 +259,10 @@ buildFig8(const FigureOptions &opt)
     Sweep s("fig8");
     Params base = Params::base();
     for (const std::string &app : workloadIds("app")) {
-        WorkloadFactory make = workloadFactory(app, base, opt.scale);
-        std::string key = workloadCacheKey(app, base, opt.scale);
+        WorkloadInput wl(app, base, opt.scale);
         for (std::size_t T : fig8Thresholds) {
             s.add({app, "t" + std::to_string(T),
-                   staticThresholdSpec(T), base, make, key, app});
+                   staticThresholdSpec(T), base, wl});
         }
     }
     return s;
@@ -326,13 +305,12 @@ buildFig9(const FigureOptions &opt)
     const ProtocolSpec &sc = protocolSpec("scoma");
     const ProtocolSpec &rn = protocolSpec("rnuma");
     for (const std::string &app : workloadIds("app")) {
-        WorkloadFactory make = workloadFactory(app, base, opt.scale);
-        std::string key = workloadCacheKey(app, base, opt.scale);
-        s.add({app, "baseline", cc, inf, make, key, app});
-        s.add({app, "scoma", sc, base, make, key, app});
-        s.add({app, "scoma-soft", sc, soft, make, key, app});
-        s.add({app, "rnuma", rn, base, make, key, app});
-        s.add({app, "rnuma-soft", rn, soft, make, key, app});
+        WorkloadInput wl(app, base, opt.scale);
+        s.add({app, "baseline", cc, inf, wl});
+        s.add({app, "scoma", sc, base, wl});
+        s.add({app, "scoma-soft", sc, soft, wl});
+        s.add({app, "rnuma", rn, base, wl});
+        s.add({app, "rnuma-soft", rn, soft, wl});
     }
     return s;
 }
@@ -501,7 +479,8 @@ buildEq3(const FigureOptions &)
     // structure is threshold-independent), so it does not scale.
     Params sp = Params::base();
     sp.relocationThreshold = 16;
-    addRow(s, "adversary", "adversary", sp, 1.0, paperSystems);
+    s.addComparison("adversary", sp, {"adversary", sp, 1.0},
+                    paperSystems);
     return s;
 }
 
@@ -564,7 +543,7 @@ buildAblation(const FigureOptions &opt)
     Params ablated = full;
     ablated.priorOwnerState = false;
     for (const std::string &app : workloadIds("app")) {
-        s.addBaseline(app, full, opt.scale);
+        s.addComparison(app, full, {app, full, opt.scale}, {});
         s.addApp(app, "full", full, "rnuma", opt.scale);
         s.addApp(app, "ablated", ablated, "rnuma", opt.scale);
     }
@@ -613,7 +592,7 @@ buildMicro(const FigureOptions &opt)
     Sweep s("micro");
     Params p = Params::base();
     for (const char *pat : microPatterns)
-        addRow(s, pat, pat, p, opt.scale, paperSystems);
+        s.addComparison(pat, p, {pat, p, opt.scale}, paperSystems);
     return s;
 }
 
@@ -664,7 +643,7 @@ buildPolicies(const FigureOptions &opt)
     // the page cache at every scale (the small-scale tie was exactly
     // this cell degenerating into in-cache reuse).
     for (const char *pat : {"hot-reuse", "evict-storm"})
-        addRow(s, pat, pat, p, opt.scale, ids);
+        s.addComparison(pat, p, {pat, p, opt.scale}, ids);
     return s;
 }
 
@@ -727,10 +706,7 @@ buildScaling(const FigureOptions &opt)
         // The workload depends only on the machine geometry: one
         // generation (and one cache entry) per node count, shared
         // by every network x directory cell at that size.
-        WorkloadFactory make =
-            workloadFactory("scaling-shift", gen, scale);
-        std::string key =
-            workloadCacheKey("scaling-shift", gen, scale);
+        WorkloadInput wl("scaling-shift", gen, scale);
         for (const std::string &net : nets) {
             for (SharerFormat fmt : formats) {
                 Params p = gen;
@@ -738,8 +714,7 @@ buildScaling(const FigureOptions &opt)
                 p.dirFormat = fmt;
                 std::string config = "n" + std::to_string(nodes) +
                     "/" + net + "/" + p.directoryId();
-                s.add({"shift", config, protocolSpec("rnuma"), p,
-                       make, key, "scaling-shift"});
+                s.add({"shift", config, protocolSpec("rnuma"), p, wl});
             }
         }
     }
@@ -844,8 +819,10 @@ buildServing(const FigureOptions &opt)
         for (const char *theta : servingThetas) {
             std::string row = std::string("zipf-") + theta +
                               m.suffix;
-            addRow(s, row, "zipf-serve", m.gen, opt.scale, ids,
-                   std::string("theta=") + theta);
+            s.addComparison(row, m.gen,
+                            {"zipf-serve", m.gen, opt.scale, 1,
+                             std::string("theta=") + theta},
+                            ids);
         }
     }
     return s;
@@ -915,7 +892,7 @@ buildChurn(const FigureOptions &opt)
         selectedIds<ProtocolSpec>(opt.protocols);
     for (const std::string &wl : selectedIds<WorkloadSpec>(
              opt.workloads, {"phase-shift", "tenants"})) {
-        addRow(s, wl, wl, p, opt.scale, ids);
+        s.addComparison(wl, p, {wl, p, opt.scale}, ids);
     }
     return s;
 }
@@ -969,21 +946,17 @@ buildStormCliff(const FigureOptions &opt)
     // The starved machine: 4 page-cache frames.
     Params f4 = base;
     f4.pageCacheSize = 4 * base.pageSize;
-    // One factory and key for every column, generated from the base
-    // machine (fmm reads the block-cache geometry; the fig7
-    // convention), so each cell measures the identical trace.
-    WorkloadFactory make = workloadFactory("fmm", base, opt.scale);
-    std::string key = workloadCacheKey("fmm", base, opt.scale);
-    s.add({"fmm", "baseline", protocolSpec("ccnuma"), inf, make,
-           key, "fmm"});
-    s.add({"fmm", "rnuma", protocolSpec("rnuma"), base, make, key,
-           "fmm"});
-    s.add({"fmm", "rnuma-f4", protocolSpec("rnuma"), f4, make, key,
-           "fmm"});
+    // One input for every column, generated from the base machine
+    // (fmm reads the block-cache geometry; the fig7 convention), so
+    // each cell measures the identical trace.
+    WorkloadInput wl("fmm", base, opt.scale);
+    s.add({"fmm", "baseline", protocolSpec("ccnuma"), inf, wl});
+    s.add({"fmm", "rnuma", protocolSpec("rnuma"), base, wl});
+    s.add({"fmm", "rnuma-f4", protocolSpec("rnuma"), f4, wl});
     s.add({"fmm", "rnuma-hysteresis-f4",
-           protocolSpec("rnuma-hysteresis"), f4, make, key, "fmm"});
+           protocolSpec("rnuma-hysteresis"), f4, wl});
     s.add({"fmm", "rnuma-adaptive-f4",
-           protocolSpec("rnuma-adaptive"), f4, make, key, "fmm"});
+           protocolSpec("rnuma-adaptive"), f4, wl});
     return s;
 }
 
@@ -1054,8 +1027,11 @@ buildFeedback(const FigureOptions &opt)
         // separation needs residencies long enough for capacity
         // refetches to cross the thresholds at *every* scale — the
         // CI ordering check runs this figure at scale 0.1.
-        addRow(s, row, "phase-shift", p, opt.scale, ids,
-               std::string("phases=") + phases + ",sweeps=96");
+        s.addComparison(row, p,
+                        {"phase-shift", p, opt.scale, 1,
+                         std::string("phases=") + phases +
+                             ",sweeps=96"},
+                        ids);
     }
     return s;
 }
@@ -1181,8 +1157,7 @@ findFigure(const std::string &name)
 
 FigureRun
 runFigure(const FigureSpec &spec, const FigureOptions &opt,
-          std::size_t jobs, bool verify, bool cacheWorkloads,
-          WorkloadCache *sharedCache)
+          SweepRunner &runner, bool verify)
 {
     FigureRun run;
     run.name = spec.name;
@@ -1190,9 +1165,6 @@ runFigure(const FigureSpec &spec, const FigureOptions &opt,
     run.paperRef = spec.paperRef;
     run.scale = opt.scale;
 
-    SweepRunner runner(jobs);
-    runner.cacheWorkloads(cacheWorkloads);
-    runner.shareCache(sharedCache);
     run.jobs = runner.jobs();
     Sweep sweep = spec.build(opt);
     auto t0 = std::chrono::steady_clock::now();
@@ -1203,7 +1175,7 @@ runFigure(const FigureSpec &spec, const FigureOptions &opt,
     // A serial run *is* the reference; re-running it to compare
     // against itself would double the cost to prove nothing.
     if (verify && run.jobs > 1)
-        verifySerialIdentical(sweep, run.result, cacheWorkloads);
+        verifySerialIdentical(sweep, run.result);
     return run;
 }
 

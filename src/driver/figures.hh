@@ -96,20 +96,15 @@ const std::vector<FigureSpec> &figureSpecs();
 const FigureSpec *findFigure(const std::string &name);
 
 /**
- * Build and execute one figure's sweep with @p jobs worker threads.
- * With @p verify set and more than one worker, re-runs the sweep
- * serially and asserts every cell's RunStats is bit-identical
- * (catching any cross-cell state leakage that threading would
- * expose); a serial run is itself the reference, so verify is a
- * no-op there. @p cacheWorkloads toggles the runner's
- * content-addressed workload cache (the CLI's --no-workload-cache
- * passes false); @p sharedCache optionally attaches a process-scope
- * WorkloadCache so workloads generate once across figures.
+ * Build and execute one figure's sweep on @p runner, whose workload
+ * cache serves every figure run on it. With @p verify set and more
+ * than one worker, re-runs the sweep serially and asserts every
+ * cell's RunStats is bit-identical (catching any cross-cell state
+ * leakage that threading would expose); a serial run is itself the
+ * reference, so verify is a no-op there.
  */
 FigureRun runFigure(const FigureSpec &spec, const FigureOptions &opt,
-                    std::size_t jobs, bool verify,
-                    bool cacheWorkloads = true,
-                    WorkloadCache *sharedCache = nullptr);
+                    SweepRunner &runner, bool verify);
 
 /** Render @p run with its spec's renderer, recording the status. */
 int renderFigure(const FigureSpec &spec, FigureRun &run,

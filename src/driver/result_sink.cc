@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/table.hh"
 #include "driver/json.hh"
 
 namespace rnuma::driver
@@ -116,8 +115,7 @@ statFields()
 }
 
 void
-JsonSink::write(std::ostream &os,
-                const std::vector<FigureRun> &runs) const
+writeJson(std::ostream &os, const std::vector<FigureRun> &runs)
 {
     JsonWriter w(os);
     w.beginObject();
@@ -185,8 +183,7 @@ JsonSink::write(std::ostream &os,
 }
 
 void
-CsvSink::write(std::ostream &os,
-               const std::vector<FigureRun> &runs) const
+writeCsv(std::ostream &os, const std::vector<FigureRun> &runs)
 {
     os << "figure,scale,app,config,protocol,network,directory,"
           "workload";
@@ -203,29 +200,6 @@ CsvSink::write(std::ostream &os,
                 os << "," << f.get(c.stats);
             os << "\n";
         }
-    }
-}
-
-void
-TableSink::write(std::ostream &os,
-                 const std::vector<FigureRun> &runs) const
-{
-    for (const FigureRun &run : runs) {
-        os << run.name << ": " << run.title << " (scale "
-           << run.scale << ", " << run.result.cells.size()
-           << " cells)\n";
-        Table t({"app", "config", "protocol", "ticks", "refs",
-                 "remote fetches", "refetches", "relocations"});
-        for (const CellResult &c : run.result.cells) {
-            t.addRow({c.app, c.config, c.protocol,
-                      std::to_string(c.stats.ticks),
-                      std::to_string(c.stats.refs),
-                      std::to_string(c.stats.remoteFetches),
-                      std::to_string(c.stats.refetches),
-                      std::to_string(c.stats.relocations)});
-        }
-        t.print(os);
-        os << "\n";
     }
 }
 

@@ -1,12 +1,12 @@
 /**
  * @file
- * Machine- and human-readable emitters for executed sweeps. A
- * FigureRun pairs a figure's identity with its SweepResult; the
- * sinks serialize lists of them. The JSON schema (resultsSchema,
- * documented in docs/PERFORMANCE.md) is the stable artifact format
- * the CI figure pipeline and the perf-baseline gate consume, so a
- * change to it must bump the schema string; the gate reads only the
- * current version.
+ * Machine-readable emitters for executed sweeps. A FigureRun pairs
+ * a figure's identity with its SweepResult; writeJson() and
+ * writeCsv() serialize lists of them. The JSON schema
+ * (resultsSchema, documented in docs/PERFORMANCE.md) is the stable
+ * artifact format the CI figure pipeline and the perf-baseline gate
+ * consume, so a change to it must bump the schema string; the gate
+ * reads only the current version.
  */
 
 #ifndef RNUMA_DRIVER_RESULT_SINK_HH
@@ -21,7 +21,7 @@
 namespace rnuma::driver
 {
 
-/** The results schema the JSON sink writes and loadResults reads. */
+/** The results schema writeJson() writes and loadResults reads. */
 constexpr const char *resultsSchema = "rnuma-sweep-results/v9";
 
 /** One executed figure: identity plus per-cell results. */
@@ -37,7 +37,8 @@ struct FigureRun
     SweepResult result;
 };
 
-/** The per-cell counters serialized by the sinks, in order. */
+/** The per-cell counters writeJson() and writeCsv() serialize, in
+ *  order. */
 struct StatField
 {
     const char *name;
@@ -51,42 +52,15 @@ const std::vector<StatField> &statFields();
  */
 std::vector<std::string> protocolsOf(const SweepResult &result);
 
-/** Abstract emitter over a batch of executed figures. */
-class ResultSink
-{
-  public:
-    virtual ~ResultSink() = default;
-    virtual void write(std::ostream &os,
-                       const std::vector<FigureRun> &runs) const = 0;
-};
-
 /**
- * The resultsSchema JSON document. It carries no host timings, so
- * the same figures at the same scale serialize to the same bytes at
- * any job count.
+ * Write @p runs as the resultsSchema JSON document. It carries no
+ * host timings, so the same figures at the same scale serialize to
+ * the same bytes at any job count.
  */
-class JsonSink : public ResultSink
-{
-  public:
-    void write(std::ostream &os,
-               const std::vector<FigureRun> &runs) const override;
-};
+void writeJson(std::ostream &os, const std::vector<FigureRun> &runs);
 
-/** One flat CSV row per cell, all figures concatenated. */
-class CsvSink : public ResultSink
-{
-  public:
-    void write(std::ostream &os,
-               const std::vector<FigureRun> &runs) const override;
-};
-
-/** Raw per-cell counter tables (debugging / quick inspection). */
-class TableSink : public ResultSink
-{
-  public:
-    void write(std::ostream &os,
-               const std::vector<FigureRun> &runs) const override;
-};
+/** Write @p runs as flat CSV: one row per cell, figures concatenated. */
+void writeCsv(std::ostream &os, const std::vector<FigureRun> &runs);
 
 } // namespace rnuma::driver
 

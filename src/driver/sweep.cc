@@ -22,34 +22,16 @@ parseScale(const std::string &text)
     return s;
 }
 
-double
-envScale()
+WorkloadInput::WorkloadInput(std::string id_, const Params &gen_,
+                             double scale_, std::uint64_t seed_,
+                             std::string options_)
+    : id(std::move(id_)), gen(gen_), scale(scale_), seed(seed_),
+      options(std::move(options_))
 {
-    const char *env = std::getenv("RNUMA_BENCH_SCALE");
-    if (!env)
-        return 1.0;
-    std::optional<double> s = parseScale(env);
-    if (!s) {
-        warn("ignoring RNUMA_BENCH_SCALE='", env,
-             "' (want a positive finite number); using 1.0");
-        return 1.0;
-    }
-    return *s;
-}
-
-WorkloadFactory
-workloadFactory(std::string id, const Params &gen, double scale,
-                std::uint64_t seed, std::string options)
-{
-    return [id = std::move(id), gen, scale, seed,
-            options = std::move(options)] {
-        return makeWorkload(id, gen, scale, seed, options);
-    };
 }
 
 std::string
-workloadCacheKey(const std::string &name, const Params &gen,
-                 double scale, std::uint64_t seed)
+WorkloadInput::key() const
 {
     // scale participates bit-exactly (formatting a double would
     // collapse nearby values).
@@ -58,9 +40,15 @@ workloadCacheKey(const std::string &name, const Params &gen,
                   "double is not 64-bit");
     std::memcpy(&scale_bits, &scale, sizeof(scale_bits));
     std::ostringstream os;
-    os << name << '@' << std::hex << gen.fingerprint() << '/'
-       << scale_bits << '/' << seed;
+    os << id << '@' << std::hex << gen.fingerprint() << '/'
+       << scale_bits << '/' << seed << '/' << options;
     return os.str();
+}
+
+std::unique_ptr<VectorWorkload>
+WorkloadInput::make() const
+{
+    return makeWorkload(id, gen, scale, seed, options);
 }
 
 Sweep::Sweep(std::string name, std::string title,
@@ -73,8 +61,8 @@ Sweep::Sweep(std::string name, std::string title,
 void
 Sweep::add(Cell c)
 {
-    RNUMA_ASSERT(c.make, "cell (", c.app, ", ", c.config,
-                 ") has no workload factory");
+    RNUMA_ASSERT(!c.workload.id.empty(), "cell (", c.app, ", ",
+                 c.config, ") names no workload");
     RNUMA_ASSERT(c.proto.valid(), "cell (", c.app, ", ", c.config,
                  ") has no protocol spec");
     for (const Cell &prev : cells_) {
@@ -91,39 +79,20 @@ Sweep::addApp(const std::string &app, const std::string &config,
               const Params &p, const std::string &proto,
               double scale, std::uint64_t seed)
 {
-    Cell c;
-    c.app = app;
-    c.config = config;
-    c.proto = protocolSpec(proto);
-    c.params = p;
-    c.make = workloadFactory(app, p, scale, seed);
-    c.workloadKey = workloadCacheKey(app, p, scale, seed);
-    c.workload = app;
-    add(std::move(c));
+    add({app, config, protocolSpec(proto), p, {app, p, scale, seed}});
 }
 
 void
-Sweep::addBaseline(const std::string &app, const Params &p,
-                   double scale, std::uint64_t seed)
-{
-    addComparison(app, p, workloadFactory(app, p, scale, seed),
-                  workloadCacheKey(app, p, scale, seed), app, {});
-}
-
-void
-Sweep::addComparison(const std::string &row, const Params &gen,
-                     const WorkloadFactory &make,
-                     const std::string &key,
-                     const std::string &workload,
+Sweep::addComparison(const std::string &row, const Params &p,
+                     const WorkloadInput &workload,
                      const std::vector<std::string> &specIds)
 {
-    Params inf = gen;
+    Params inf = p;
     inf.infiniteBlockCache = true;
-    add({row, "baseline", protocolSpec("ccnuma"), inf, make, key,
-         workload});
+    add({row, "baseline", protocolSpec("ccnuma"), inf, workload});
     for (const std::string &id : specIds) {
         const ProtocolSpec &spec = protocolSpec(id);
-        add({row, spec.id, spec, gen, make, key, workload});
+        add({row, spec.id, spec, p, workload});
     }
 }
 

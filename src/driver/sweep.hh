@@ -3,7 +3,7 @@
  * The declarative experiment-sweep description. A Sweep is a flat
  * list of Cells, each naming one (workload row, configuration
  * column) point of a paper figure or table: its Params, its
- * protocol, and a factory that builds a fresh Workload. Cells carry
+ * protocol, and the workload it replays, by value. Cells carry
  * everything they need, so the SweepRunner can execute them in any
  * order, concurrently, with no shared mutable state.
  */
@@ -11,7 +11,6 @@
 #ifndef RNUMA_DRIVER_SWEEP_HH
 #define RNUMA_DRIVER_SWEEP_HH
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,49 +24,42 @@ namespace rnuma::driver
 {
 
 /**
- * Builds a fresh workload for one cell. Factories are
- * self-contained: they capture the generation Params (and scale and
- * seed) at sweep-construction time, so cells whose *run* Params vary
- * generation-relevant fields — e.g. Figure 7's block-cache axis,
- * which fmm's generator reads — can still share one identical trace
- * per row by sharing one factory.
+ * A cell's workload, by value: the registered generator @p id run
+ * from the generation Params @p gen at @p scale with @p seed and
+ * generator @p options. Generators are deterministic, so equal
+ * inputs replay bit-identical streams. The generation Params are
+ * separate from the cell's run Params, so cells whose run Params
+ * vary generation-relevant fields — e.g. Figure 7's block-cache
+ * axis, which fmm's generator reads — still share one trace per row
+ * by sharing one input.
  */
-using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
+struct WorkloadInput
+{
+    WorkloadInput(std::string id, const Params &gen, double scale,
+                  std::uint64_t seed = 1, std::string options = "");
 
-/**
- * A factory for the registered workload @p id (makeWorkload),
- * generating from @p gen at @p scale with @p seed and generator
- * @p options.
- */
-WorkloadFactory workloadFactory(std::string id, const Params &gen,
-                                double scale, std::uint64_t seed = 1,
-                                std::string options = "");
+    std::string id; ///< workload registry id ("barnes", "zipf-serve")
+    Params gen;
+    double scale;
+    std::uint64_t seed;
+    std::string options;
 
-/**
- * Content-address a generated workload: a key equal exactly when the
- * generator inputs — name, every Params field (via
- * Params::fingerprint()), scale, and seed — are equal, so cells with
- * the same key replay bit-identical streams. Used as Cell::workloadKey
- * by the SweepRunner's workload cache; @p name need not be a registry
- * app (the micro patterns and the eq3 adversary key themselves the
- * same way).
- */
-std::string workloadCacheKey(const std::string &name,
-                             const Params &gen, double scale,
-                             std::uint64_t seed = 1);
+    /**
+     * The content address: equal exactly when all five fields are
+     * equal (Params through Params::fingerprint(), scale bit-exactly).
+     * The SweepRunner generates each distinct key once.
+     */
+    std::string key() const;
+
+    /** Generate the workload (makeWorkload). */
+    std::unique_ptr<VectorWorkload> make() const;
+};
 
 /**
  * A workload scale: @p text as a positive finite number, or nullopt
  * (junk, trailing characters, zero, negative, NaN or infinity).
  */
 std::optional<double> parseScale(const std::string &text);
-
-/**
- * The sweep CLI's default scale: RNUMA_BENCH_SCALE through
- * parseScale(), or 1.0 when unset. A rejected value warns and falls
- * back to 1.0.
- */
-double envScale();
 
 /** One independently runnable experiment point. */
 struct Cell
@@ -82,22 +74,13 @@ struct Cell
      */
     ProtocolSpec proto;
     Params params;      ///< the configuration the cell *runs* under
-    WorkloadFactory make;
     /**
-     * Content address of the workload `make` generates (see
-     * workloadCacheKey). Cells sharing a key generate the workload
-     * once per sweep and replay immutable snapshot views of it.
-     * Empty means "don't cache": the cell always calls `make`.
+     * The workload the cell replays. Its registry id is recorded per
+     * cell in the JSON artifact, distinct from `app`, which is a
+     * figure row label and may carry sweep-axis decoration
+     * ("zipf-0.95").
      */
-    std::string workloadKey;
-    /**
-     * Stable workload-registry id of the generator behind `make`
-     * ("barnes", "zipf-serve", ...), recorded per cell in the JSON
-     * artifact (schema v7). Distinct from `app`, which is a figure
-     * row label and may carry sweep-axis decoration ("zipf-0.95").
-     * Empty means unidentified (an ad-hoc factory).
-     */
-    std::string workload;
+    WorkloadInput workload;
 };
 
 /** An ordered collection of cells with identity metadata. */
@@ -115,34 +98,21 @@ class Sweep
      * from @p p, running the registered protocol named @p proto
      * (fatal when unknown). Convenience for sweeps whose rows do not
      * vary generation-relevant Params across columns; otherwise
-     * build one workloadFactory() per row and add() cells sharing
-     * it.
+     * build one WorkloadInput per row and add() cells sharing it.
      */
     void addApp(const std::string &app, const std::string &config,
                 const Params &p, const std::string &proto,
                 double scale, std::uint64_t seed = 1);
 
     /**
-     * Append the Figure 6 normalization baseline for @p app: CC-NUMA
-     * with an infinite block cache, under config name "baseline".
-     * The workload is generated from @p p itself (the finite
-     * machine), like addApp.
+     * Append one comparison row: the Figure 6 normalization baseline,
+     * CC-NUMA with an infinite block cache (config "baseline"), plus
+     * one cell per registered protocol in @p specIds (config = its
+     * canonical id). Every cell runs under @p p, the baseline with an
+     * infinite block cache, on @p workload.
      */
-    void addBaseline(const std::string &app, const Params &p,
-                     double scale, std::uint64_t seed = 1);
-
-    /**
-     * Append one comparison row: the infinite-block-cache CC-NUMA
-     * baseline (config "baseline") plus one cell per registered
-     * protocol in @p specIds (config = its canonical id). Every cell
-     * runs under @p gen, the baseline with an infinite block cache,
-     * on the workload @p make generates, keyed @p key and recorded
-     * as registry workload @p workload.
-     */
-    void addComparison(const std::string &row, const Params &gen,
-                       const WorkloadFactory &make,
-                       const std::string &key,
-                       const std::string &workload,
+    void addComparison(const std::string &row, const Params &p,
+                       const WorkloadInput &workload,
                        const std::vector<std::string> &specIds);
 
     const std::string &name() const { return name_; }

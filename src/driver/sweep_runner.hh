@@ -7,21 +7,17 @@
  * index, so the output order — and, because the simulator is
  * deterministic, every RunStats bit — is identical at any job count.
  *
- * Cells that declare a Cell::workloadKey are served by the runner's
- * content-addressed workload cache: each distinct key's workload is
- * generated once per run() (concurrently, on the same pool) into an
- * immutable snapshot, and every cell sharing the key replays a
- * SnapshotWorkload view of it. Generators are deterministic, so the
- * per-cell RunStats is bit-identical with the cache on or off; the
- * opt-out (cacheWorkloads(false), the CLI's --no-workload-cache)
- * exists to restore full cell isolation when debugging.
+ * The runner owns one content-addressed workload cache for its
+ * lifetime: each distinct WorkloadInput::key() is generated once
+ * (concurrently, on the same pool) into an immutable snapshot, and
+ * every cell naming that input — in this run() or a later one —
+ * replays a SnapshotWorkload view of it.
  */
 
 #ifndef RNUMA_DRIVER_SWEEP_RUNNER_HH
 #define RNUMA_DRIVER_SWEEP_RUNNER_HH
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -80,45 +76,6 @@ struct SweepResult
     double bestOfBase(const std::string &app) const;
 };
 
-/**
- * A process-scope content-addressed store of generated workload
- * snapshots, shareable across SweepRunner::run() invocations: attach
- * one via SweepRunner::shareCache() and figures whose cells key the
- * same (app, gen-params, scale, seed) — fig5/fig6/table4's base
- * workloads in `rnuma_sweep all` — generate it once per process
- * instead of once per figure. Thread-safe; also aggregates
- * generated/hit counts across every run it served (the CLI's
- * end-of-run summary line).
- */
-class WorkloadCache
-{
-  public:
-    /** Snapshot for @p key; nullptr when not cached. */
-    std::shared_ptr<const VectorWorkload>
-    find(const std::string &key) const;
-
-    /** Store a snapshot (first writer wins). */
-    void insert(const std::string &key,
-                std::shared_ptr<const VectorWorkload> snapshot);
-
-    /** Fold one run's counters into the process aggregates. */
-    void recordRun(std::size_t generated, std::size_t hits);
-
-    //--- Aggregates over every run served ------------------------------
-    std::size_t generated() const;
-    std::size_t hits() const;
-    /** Distinct snapshots currently held. */
-    std::size_t snapshots() const;
-
-  private:
-    mutable std::mutex m_;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const VectorWorkload>>
-        map_;
-    std::size_t generated_ = 0;
-    std::size_t hits_ = 0;
-};
-
 /** Executes sweeps with a fixed concurrency level. */
 class SweepRunner
 {
@@ -130,50 +87,34 @@ class SweepRunner
      * Run every cell and return results in cell order. A cell that
      * fails (for example, an unknown application name reaching the
      * registry) aborts the whole sweep: the first error is reported
-     * through RNUMA_FATAL after all workers have drained.
+     * through RNUMA_FATAL after all workers have drained, and the
+     * cache is left as it was.
      */
-    SweepResult run(const Sweep &sweep) const;
+    SweepResult run(const Sweep &sweep);
 
     std::size_t jobs() const { return jobs_; }
 
-    /** Enable/disable the workload cache (default: enabled). */
-    SweepRunner &
-    cacheWorkloads(bool enable)
-    {
-        cache_ = enable;
-        return *this;
-    }
-    bool workloadCacheEnabled() const { return cache_; }
-
-    /**
-     * Attach a process-scope snapshot store shared across run()
-     * invocations (and across runners). Null (the default) keeps
-     * every run()'s cache private, exactly the pre-process-cache
-     * behavior. Ignored while cacheWorkloads(false).
-     */
-    SweepRunner &
-    shareCache(WorkloadCache *shared)
-    {
-        shared_ = shared;
-        return *this;
-    }
+    //--- Workload-cache totals over every run() ------------------------
+    std::size_t workloadsGenerated() const { return generated_; }
+    std::size_t workloadCacheHits() const { return hits_; }
 
   private:
     std::size_t jobs_;
-    bool cache_ = true;
-    WorkloadCache *shared_ = nullptr;
+    std::unordered_map<std::string,
+                       std::shared_ptr<const VectorWorkload>>
+        cache_;
+    std::size_t generated_ = 0;
+    std::size_t hits_ = 0;
 };
 
 /**
- * Re-run @p sweep serially and assert each cell's RunStats is
- * bit-identical to @p result (the `--verify` mode of the CLI; the
- * driver tests use it across job counts). @p cacheWorkloads selects
- * the reference run's workload-cache mode, so a cache-disabled sweep
- * is verified against a cache-disabled reference.
+ * Re-run @p sweep serially on a fresh runner, so every workload is
+ * regenerated, and assert each cell's RunStats is bit-identical to
+ * @p result (the `--verify` mode of the CLI; the driver tests use it
+ * across job counts).
  */
 void verifySerialIdentical(const Sweep &sweep,
-                           const SweepResult &result,
-                           bool cacheWorkloads = true);
+                           const SweepResult &result);
 
 } // namespace rnuma::driver
 

@@ -163,13 +163,11 @@ const Entry entries[] = {
 /** Wrap a no-option factory: any option string is an error. */
 WorkloadMakeFn
 noOptions(const std::string &id,
-          std::function<std::unique_ptr<Workload>(
-              const Params &, double, std::uint64_t)>
-              make)
+          std::unique_ptr<VectorWorkload> (*make)(const Params &, double,
+                                                  std::uint64_t))
 {
     return [id, make](const Params &p, double scale,
-                      std::uint64_t seed, const std::string &options)
-               -> std::unique_ptr<Workload> {
+                      std::uint64_t seed, const std::string &options) {
         WorkloadOptions::parse(options).finish(id);
         return make(p, scale, seed);
     };
@@ -192,13 +190,7 @@ addBuiltins(WorkloadRegistry &reg)
         spec.description = e.problem;
         spec.input = e.input;
         spec.category = "app";
-        auto make = e.make;
-        spec.make = noOptions(
-            spec.id, [make](const Params &p, double scale,
-                            std::uint64_t seed)
-                         -> std::unique_ptr<Workload> {
-                return make(p, scale, seed);
-            });
+        spec.make = noOptions(spec.id, e.make);
         reg.add(std::move(spec));
     }
 
@@ -219,7 +211,7 @@ addBuiltins(WorkloadRegistry &reg)
          "floor every protocol should match",
          "pages=4, iters=20",
          [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) -> std::unique_ptr<Workload> {
+            const std::string &options) {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages = o.getSize("pages", 4, 1);
              std::size_t iters =
@@ -232,7 +224,7 @@ addBuiltins(WorkloadRegistry &reg)
          "relocation win case",
          "pages=120, sweeps=8",
          [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) -> std::unique_ptr<Workload> {
+            const std::string &options) {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
                  o.getSize("pages", scaled(120, scale, 2), 1);
@@ -245,7 +237,7 @@ addBuiltins(WorkloadRegistry &reg)
          "unless the policy backs off",
          "pages=frames+80, sweeps=16",
          [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) -> std::unique_ptr<Workload> {
+            const std::string &options) {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
                  o.getSize("pages", p.pageCacheFrames() +
@@ -261,7 +253,7 @@ addBuiltins(WorkloadRegistry &reg)
          "replication win case",
          "pages=32, rounds=10",
          [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) -> std::unique_ptr<Workload> {
+            const std::string &options) {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
                  o.getSize("pages", scaled(32, scale, 1), 1);
@@ -274,7 +266,7 @@ addBuiltins(WorkloadRegistry &reg)
          "win case",
          "rounds=400",
          [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) -> std::unique_ptr<Workload> {
+            const std::string &options) {
              auto o = WorkloadOptions::parse(options);
              std::size_t rounds =
                  o.getSize("rounds", scaled(400, scale, 8), 1);
@@ -286,7 +278,7 @@ addBuiltins(WorkloadRegistry &reg)
          "Equation 3 worst case",
          "pages=24, touches=threshold+1",
          [](const Params &p, double, std::uint64_t,
-            const std::string &options) -> std::unique_ptr<Workload> {
+            const std::string &options) {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages = o.getSize("pages", 24, 1);
              std::size_t touches = o.getSize(
@@ -299,7 +291,7 @@ addBuiltins(WorkloadRegistry &reg)
          "count; the topology-sweep generator",
          "pages=4/node, sweeps=4",
          [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) -> std::unique_ptr<Workload> {
+            const std::string &options) {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
                  o.getSize("pages", scaled(4, scale, 1), 1);
@@ -332,11 +324,7 @@ addBuiltins(WorkloadRegistry &reg)
         "weight 1/r^theta; parameterized read/write mix";
     zipf.input = "pages=480, theta=0.8, write=0.1, requests=2400";
     zipf.category = "serving";
-    zipf.make = [](const Params &p, double scale, std::uint64_t seed,
-                   const std::string &options) {
-        return std::unique_ptr<Workload>(
-            makeZipfServe(p, scale, seed, options));
-    };
+    zipf.make = &makeZipfServe;
     reg.add(std::move(zipf));
 
     WorkloadSpec phase;
@@ -347,11 +335,7 @@ addBuiltins(WorkloadRegistry &reg)
         "relocation-vs-eviction churn across phase boundaries";
     phase.input = "pages=3x frames, phases=6, sweeps=4";
     phase.category = "serving";
-    phase.make = [](const Params &p, double scale, std::uint64_t seed,
-                    const std::string &options) {
-        return std::unique_ptr<Workload>(
-            makePhaseShift(p, scale, seed, options));
-    };
+    phase.make = &makePhaseShift;
     reg.add(std::move(phase));
 
     WorkloadSpec ten;
@@ -362,11 +346,7 @@ addBuiltins(WorkloadRegistry &reg)
         "stresses page-cache fairness under competing hot sets";
     ten.input = "tenants=4, pages=96/tenant, rounds=6";
     ten.category = "serving";
-    ten.make = [](const Params &p, double scale, std::uint64_t seed,
-                  const std::string &options) {
-        return std::unique_ptr<Workload>(
-            makeTenants(p, scale, seed, options));
-    };
+    ten.make = &makeTenants;
     reg.add(std::move(ten));
 
     WorkloadSpec db;
@@ -377,11 +357,7 @@ addBuiltins(WorkloadRegistry &reg)
         "subset, per-cpu scratch, and a lock page";
     db.input = "transactions=48, pool=160 pages, hot=24";
     db.category = "serving";
-    db.make = [](const Params &p, double scale, std::uint64_t seed,
-                 const std::string &options) {
-        return std::unique_ptr<Workload>(
-            makeDatabaseScan(p, scale, seed, options));
-    };
+    db.make = &makeDatabaseScan;
     reg.add(std::move(db));
 }
 
@@ -418,22 +394,20 @@ workloadIds(const std::string &category)
     return ids;
 }
 
-std::unique_ptr<Workload>
+std::unique_ptr<VectorWorkload>
 makeWorkload(const std::string &name, const Params &p, double scale,
              std::uint64_t seed, const std::string &options)
 {
     const WorkloadSpec &spec = workloadSpec(name);
-    std::unique_ptr<Workload> wl = spec.make(p, scale, seed, options);
+    std::unique_ptr<VectorWorkload> wl =
+        spec.make(p, scale, seed, options);
     RNUMA_ASSERT(wl != nullptr, "workload '", spec.id,
                  "' factory returned null");
     // Every generator clamps its structure (see scaled()) so that it
     // stays viable at any positive scale; a workload with zero loads
     // and stores would silently turn every figure cell into a no-op.
-    if (auto *vec = dynamic_cast<const VectorWorkload *>(wl.get())) {
-        RNUMA_ASSERT(vec->memRefCount() > 0, "workload '", spec.id,
-                     "' emitted no memory references at scale ",
-                     scale);
-    }
+    RNUMA_ASSERT(wl->memRefCount() > 0, "workload '", spec.id,
+                 "' emitted no memory references at scale ", scale);
     return wl;
 }
 

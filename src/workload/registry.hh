@@ -4,7 +4,8 @@
  * generators in the one Registry<Spec> mechanism
  * (common/registry.hh). A WorkloadSpec captures a
  * stable id (the JSON/compare/CLI currency), a display name, and a
- * factory from (Params, scale, seed, option string) to a Workload.
+ * factory from (Params, scale, seed, option string) to a
+ * VectorWorkload.
  *
  * The built-ins cover three categories:
  *  - "app": the ten Table 3 application generators (barnes ...
@@ -80,7 +81,7 @@ class WorkloadOptions
  * generator seed, and a generator-specific option string (see
  * WorkloadOptions; "" selects every default).
  */
-using WorkloadMakeFn = std::function<std::unique_ptr<Workload>(
+using WorkloadMakeFn = std::function<std::unique_ptr<VectorWorkload>(
     const Params &, double, std::uint64_t, const std::string &)>;
 
 /** One selectable workload generator. Value-semantic, like
@@ -136,11 +137,11 @@ std::vector<std::string> workloadIds(const std::string &category);
 /**
  * Build a registered workload by name. Fatal on unknown names or
  * (via the generator's WorkloadOptions::finish) unknown options.
- * Asserts the product emits at least one memory reference when it is
- * materialized (a VectorWorkload): a workload with zero loads and
- * stores would silently turn every figure cell into a no-op.
+ * Asserts the product emits at least one memory reference: a
+ * workload with zero loads and stores would silently turn every
+ * figure cell into a no-op.
  */
-std::unique_ptr<Workload>
+std::unique_ptr<VectorWorkload>
 makeWorkload(const std::string &name, const Params &p,
              double scale = 1.0, std::uint64_t seed = 1,
              const std::string &options = "");

@@ -1,14 +1,14 @@
 /**
  * @file
  * Tests for the sweep driver (src/driver): serial-vs-parallel
- * RunStats determinism across thread counts, the content-addressed
- * workload cache (hit/miss accounting, opt-out bit-identity, key
- * semantics), the counter gate (every counter exact, coverage loss,
- * current-schema-only and checked-count loading), byte-identical
- * JSON across job counts, JSON round-trip of a small
- * executed sweep, sweep declaration invariants, and the unknown-app
- * / empty-sweep error paths. Uses the tiny test_util.hh machine so
- * the suites stay fast.
+ * RunStats determinism across thread counts, the runner's
+ * content-addressed workload cache (hit/miss accounting across runs,
+ * key semantics, recovery from a failed generation), the counter
+ * gate (every counter exact, coverage loss, current-schema-only and
+ * checked-count loading), byte-identical JSON across job counts,
+ * JSON round-trip of a small executed sweep, sweep declaration
+ * invariants, and the unknown-app / empty-sweep error paths. Uses
+ * the tiny test_util.hh machine so the suites stay fast.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "driver/sweep.hh"
 #include "driver/sweep_runner.hh"
 #include "sim/runner.hh"
-#include "workload/micro.hh"
 #include "workload/registry.hh"
 
 #include "test_util.hh"
@@ -44,7 +43,7 @@ smallSweep()
     Sweep s("small", "driver test sweep", "none");
     Params p = test::smallParams();
     for (const char *app : {"moldyn", "radix", "em3d"}) {
-        s.addBaseline(app, p, testScale);
+        s.addComparison(app, p, {app, p, testScale}, {});
         s.addApp(app, "ccnuma", p, "ccnuma", testScale);
         s.addApp(app, "scoma", p, "scoma", testScale);
         s.addApp(app, "rnuma", p, "rnuma", testScale);
@@ -67,7 +66,7 @@ wrap(const Sweep &s, SweepResult r)
 
 } // namespace
 
-TEST(SweepDecl, RejectsDuplicateCellAndMissingFactory)
+TEST(SweepDecl, RejectsDuplicateCellAndMissingWorkload)
 {
     Sweep s("dup", "", "");
     Params p = test::smallParams();
@@ -75,24 +74,26 @@ TEST(SweepDecl, RejectsDuplicateCellAndMissingFactory)
     EXPECT_THROW(
         s.addApp("moldyn", "ccnuma", p, "scoma", testScale),
         std::runtime_error);
-    EXPECT_THROW(s.add({"x", "y", protocolSpec("ccnuma"), p, nullptr,
-                        "", ""}),
+    EXPECT_THROW(s.add({"x", "y", protocolSpec("ccnuma"), p,
+                        {"", p, testScale}}),
                  std::logic_error);
 }
 
 TEST(SweepDecl, AddComparisonIsTheBaselinePlusOneCellPerSpec)
 {
-    // addComparison builds exactly the cells addBaseline + addApp
-    // would, and keys its columns by canonical spec id.
+    // addComparison builds exactly the infinite-block-cache CC-NUMA
+    // baseline plus the cells addApp would, and keys its columns by
+    // canonical spec id.
     Params p = test::smallParams();
+    Params inf = p;
+    inf.infiniteBlockCache = true;
     Sweep by_hand("by-hand", "", "");
-    by_hand.addBaseline("radix", p, testScale);
+    by_hand.add({"radix", "baseline", protocolSpec("ccnuma"), inf,
+                 {"radix", p, testScale}});
     by_hand.addApp("radix", "ccnuma", p, "ccnuma", testScale);
     by_hand.addApp("radix", "rnuma", p, "rnuma", testScale);
     Sweep row("row", "", "");
-    row.addComparison("radix", p,
-                      workloadFactory("radix", p, testScale),
-                      workloadCacheKey("radix", p, testScale), "radix",
+    row.addComparison("radix", p, {"radix", p, testScale},
                       {"ccnuma", "R-NUMA"});
     ASSERT_EQ(row.size(), by_hand.size());
     for (std::size_t i = 0; i < row.size(); ++i) {
@@ -102,15 +103,13 @@ TEST(SweepDecl, AddComparisonIsTheBaselinePlusOneCellPerSpec)
         EXPECT_EQ(a.config, b.config);
         EXPECT_EQ(a.proto.id, b.proto.id);
         EXPECT_EQ(a.params.fingerprint(), b.params.fingerprint());
-        EXPECT_EQ(a.workloadKey, b.workloadKey);
-        EXPECT_EQ(a.workload, b.workload);
+        EXPECT_EQ(a.workload.key(), b.workload.key());
     }
     EXPECT_TRUE(row.cells()[0].params.infiniteBlockCache);
     EXPECT_EQ(SweepRunner(1).run(row).cells.size(), 3u);
     // An unknown spec id is fatal at declaration time.
-    EXPECT_THROW(row.addComparison("lu", p,
-                                   workloadFactory("lu", p, testScale),
-                                   "", "lu", {"no-such-protocol"}),
+    EXPECT_THROW(row.addComparison("lu", p, {"lu", p, testScale},
+                                   {"no-such-protocol"}),
                  std::runtime_error);
 }
 
@@ -174,7 +173,7 @@ TEST(SweepRunnerTest, BitIdenticalStatsAcrossThreadCounts)
         run.jobs = jobs;
         run.wallMs = 10.0 * static_cast<double>(jobs);
         std::ostringstream os;
-        JsonSink().write(os, {run});
+        writeJson(os, {run});
         return os.str();
     };
     const std::string serialJson = json(serial, 1);
@@ -208,9 +207,7 @@ TEST(SweepRunnerTest, RegistryAppsAreDeterministicAcrossJobs)
         ids.push_back(spec->id);
     Sweep s("determinism", "", "");
     for (const std::string &app : workloadIds("app")) {
-        s.addComparison(app, p,
-                        workloadFactory(app, p, 0.02, /*seed=*/7),
-                        workloadCacheKey(app, p, 0.02, 7), app, ids);
+        s.addComparison(app, p, {app, p, 0.02, /*seed=*/7}, ids);
     }
     ASSERT_EQ(s.size(), 10 * (ids.size() + 1));
     SweepResult serial = SweepRunner(1).run(s);
@@ -259,10 +256,8 @@ TEST(SweepResultTest, NormAndBestOfBaseReadTheBaselineRow)
     // bestOfBase needs both base systems in the row.
     Sweep only_cc("only-cc", "", "");
     Params p = test::smallParams();
-    only_cc.addComparison("moldyn", p,
-                          workloadFactory("moldyn", p, testScale),
-                          workloadCacheKey("moldyn", p, testScale),
-                          "moldyn", {"ccnuma"});
+    only_cc.addComparison("moldyn", p, {"moldyn", p, testScale},
+                          {"ccnuma"});
     SweepResult cc = SweepRunner(1).run(only_cc);
     EXPECT_GT(cc.norm("moldyn", "ccnuma"), 0.0);
     EXPECT_THROW(cc.bestOfBase("moldyn"), std::runtime_error);
@@ -274,7 +269,7 @@ TEST(JsonRoundTrip, SmallSweepSurvivesWriteAndParse)
     FigureRun run = wrap(s, SweepRunner(2).run(s));
 
     std::ostringstream os;
-    JsonSink().write(os, {run});
+    writeJson(os, {run});
     JsonValue doc = parseJson(os.str());
 
     ASSERT_TRUE(doc.isObject());
@@ -327,10 +322,10 @@ TEST(JsonRoundTrip, SmallSweepSurvivesWriteAndParse)
     }
 }
 
-TEST(WorkloadCache, SharesGenerationAcrossCellsAndCountsHits)
+TEST(RunnerCache, SharesGenerationAcrossCellsAndCountsHits)
 {
     // smallSweep: 3 apps x 4 configs, each app's four cells sharing
-    // one (app, gen-params, scale, seed) workload key.
+    // one (app, gen-params, scale, seed) workload input.
     Sweep s = smallSweep();
     SweepResult r = SweepRunner(2).run(s);
     EXPECT_EQ(r.workloadsGenerated, 3u);
@@ -341,146 +336,72 @@ TEST(WorkloadCache, SharesGenerationAcrossCellsAndCountsHits)
     }
 }
 
-TEST(WorkloadCache, OptOutIsBitIdenticalAndGeneratesPerCell)
-{
-    Sweep s = smallSweep();
-    SweepResult cached = SweepRunner(1).run(s);
-    SweepResult isolated =
-        SweepRunner(1).cacheWorkloads(false).run(s);
-    EXPECT_EQ(isolated.workloadsGenerated, 0u);
-    EXPECT_EQ(isolated.workloadCacheHits, 0u);
-    ASSERT_EQ(cached.cells.size(), isolated.cells.size());
-    for (std::size_t i = 0; i < cached.cells.size(); ++i) {
-        EXPECT_EQ(cached.cells[i].stats, isolated.cells[i].stats)
-            << cached.cells[i].app << "/"
-            << cached.cells[i].config;
-    }
-    // The cache-off reference path of verify agrees too.
-    EXPECT_NO_THROW(verifySerialIdentical(s, isolated, false));
-}
-
-TEST(WorkloadCache, UnkeyedCellsBypassTheCache)
-{
-    Sweep s("unkeyed", "", "");
-    Params p = test::smallParams();
-    WorkloadFactory make = workloadFactory("moldyn", p, testScale);
-    s.add({"moldyn", "a", protocolSpec("ccnuma"), p, make, "",
-           "moldyn"});
-    s.add({"moldyn", "b", protocolSpec("scoma"), p, make, "",
-           "moldyn"});
-    SweepResult r = SweepRunner(1).run(s);
-    EXPECT_EQ(r.workloadsGenerated, 0u);
-    EXPECT_EQ(r.workloadCacheHits, 0u);
-    EXPECT_GT(r.at("moldyn", "a").stats.refs, 0u);
-}
-
-namespace
-{
-
-/** A Workload that is deliberately not a VectorWorkload. */
-class OpaqueWorkload : public Workload
-{
-  public:
-    explicit OpaqueWorkload(std::unique_ptr<VectorWorkload> inner)
-        : inner_(std::move(inner))
-    {
-    }
-    std::size_t numCpus() const override
-    {
-        return inner_->numCpus();
-    }
-    const Ref &next(CpuId cpu) override { return inner_->next(cpu); }
-    void reset() override { inner_->reset(); }
-    const std::string &name() const override
-    {
-        return inner_->name();
-    }
-
-  private:
-    std::unique_ptr<VectorWorkload> inner_;
-};
-
-} // namespace
-
-TEST(WorkloadCache, NonSnapshottableKeyedFactoryWastesNoGeneration)
-{
-    // A keyed factory whose product cannot be snapshotted: phase 1
-    // still generates once, and that product must be handed to one
-    // of the cells — total generations equal the cell count, the
-    // same as with the cache off (never cells + 1).
-    auto calls = std::make_shared<int>(0);
-    Params p = test::smallParams();
-    WorkloadFactory make = [calls, p] {
-        ++*calls;
-        return std::unique_ptr<Workload>(std::make_unique<
-            OpaqueWorkload>(
-            test::makeVectorWorkload("moldyn", p, testScale)));
-    };
-    Sweep s("opaque", "", "");
-    s.add({"moldyn", "a", protocolSpec("ccnuma"), p, make,
-           "opaque-key", "moldyn"});
-    s.add({"moldyn", "b", protocolSpec("scoma"), p, make,
-           "opaque-key", "moldyn"});
-    SweepResult r = SweepRunner(1).run(s);
-    EXPECT_EQ(r.workloadsGenerated, 0u);
-    EXPECT_EQ(r.workloadCacheHits, 0u);
-    EXPECT_GT(r.at("moldyn", "a").stats.refs, 0u);
-    EXPECT_GT(r.at("moldyn", "b").stats.refs, 0u);
-    EXPECT_EQ(*calls, 2);
-    // And the streams are identical to the snapshotted path.
-    Sweep keyed("keyed", "", "");
-    keyed.addApp("moldyn", "a", p, "ccnuma", testScale);
-    SweepResult kr = SweepRunner(1).run(keyed);
-    EXPECT_EQ(kr.at("moldyn", "a").stats,
-              r.at("moldyn", "a").stats);
-}
-
-TEST(WorkloadCache, KeyDistinguishesGeneratorInputs)
+TEST(RunnerCache, KeyDistinguishesGeneratorInputs)
 {
     Params p = test::smallParams();
     Params q = p;
     q.blockCacheSize = 2 * p.blockCacheSize;
-    EXPECT_EQ(workloadCacheKey("fmm", p, 0.1, 1),
-              workloadCacheKey("fmm", p, 0.1, 1));
-    EXPECT_NE(workloadCacheKey("fmm", p, 0.1, 1),
-              workloadCacheKey("fmm", q, 0.1, 1));
-    EXPECT_NE(workloadCacheKey("fmm", p, 0.1, 1),
-              workloadCacheKey("fmm", p, 0.2, 1));
-    EXPECT_NE(workloadCacheKey("fmm", p, 0.1, 1),
-              workloadCacheKey("fmm", p, 0.1, 2));
-    EXPECT_NE(workloadCacheKey("fmm", p, 0.1, 1),
-              workloadCacheKey("lu", p, 0.1, 1));
+    auto key = [](const WorkloadInput &in) { return in.key(); };
+    EXPECT_EQ(key({"fmm", p, 0.1, 1}), key({"fmm", p, 0.1, 1}));
+    EXPECT_NE(key({"fmm", p, 0.1, 1}), key({"fmm", q, 0.1, 1}));
+    EXPECT_NE(key({"fmm", p, 0.1, 1}), key({"fmm", p, 0.2, 1}));
+    EXPECT_NE(key({"fmm", p, 0.1, 1}), key({"fmm", p, 0.1, 2}));
+    EXPECT_NE(key({"fmm", p, 0.1, 1}), key({"lu", p, 0.1, 1}));
+    EXPECT_NE(key({"zipf-serve", p, 0.1, 1, "theta=0.2"}),
+              key({"zipf-serve", p, 0.1, 1, "theta=0.95"}));
+    EXPECT_NE(key({"zipf-serve", p, 0.1, 1, "theta=0.2"}),
+              key({"zipf-serve", p, 0.1, 1}));
 }
 
-TEST(WorkloadCache, ProcessScopeCacheSharesAcrossRuns)
+TEST(RunnerCache, OneRunnerGeneratesEachWorkloadOnceAcrossRuns)
 {
-    // Two sweeps keyed on the same workloads, one shared cache: the
-    // second run generates nothing, serves everything as hits, and
-    // its per-cell stats stay bit-identical to an uncached run.
+    // The same sweep twice on one runner: the second run generates
+    // nothing, serves every cell as a hit, and its per-cell stats
+    // stay bit-identical to a fresh runner's.
     Sweep s = smallSweep();
-    driver::WorkloadCache shared;
     SweepRunner runner(2);
-    runner.shareCache(&shared);
 
     SweepResult first = runner.run(s);
     EXPECT_EQ(first.workloadsGenerated, 3u);
     EXPECT_EQ(first.workloadCacheHits, 9u);
-    EXPECT_EQ(shared.snapshots(), 3u);
-    EXPECT_EQ(shared.generated(), 3u);
-    EXPECT_EQ(shared.hits(), 9u);
 
     SweepResult second = runner.run(s);
     EXPECT_EQ(second.workloadsGenerated, 0u);
     EXPECT_EQ(second.workloadCacheHits, 12u);
-    EXPECT_EQ(shared.generated(), 3u);
-    EXPECT_EQ(shared.hits(), 21u);
+    EXPECT_EQ(runner.workloadsGenerated(), 3u);
+    EXPECT_EQ(runner.workloadCacheHits(), 21u);
 
-    SweepResult isolated =
-        SweepRunner(1).cacheWorkloads(false).run(s);
-    ASSERT_EQ(second.cells.size(), isolated.cells.size());
+    SweepResult fresh = SweepRunner(1).run(s);
+    ASSERT_EQ(second.cells.size(), fresh.cells.size());
     for (std::size_t i = 0; i < second.cells.size(); ++i) {
-        EXPECT_EQ(second.cells[i].stats, isolated.cells[i].stats)
+        EXPECT_EQ(second.cells[i].stats, fresh.cells[i].stats)
             << second.cells[i].app << "/" << second.cells[i].config;
+    }
+}
+
+TEST(RunnerCache, FailedGenerationLeavesTheRunnerUsable)
+{
+    // A generation failure aborts the run without caching anything —
+    // not even the sibling moldyn workload that generated fine — so
+    // the same runner then runs a valid sweep from scratch.
+    Params p = test::smallParams();
+    Sweep bad("bad", "", "");
+    bad.addApp("no-such-app", "ccnuma", p, "ccnuma", testScale);
+    bad.addApp("moldyn", "ccnuma", p, "ccnuma", testScale);
+    SweepRunner runner(2);
+    EXPECT_THROW(runner.run(bad), std::runtime_error);
+    EXPECT_EQ(runner.workloadsGenerated(), 0u);
+    EXPECT_EQ(runner.workloadCacheHits(), 0u);
+
+    Sweep s = smallSweep();
+    SweepResult r = runner.run(s);
+    EXPECT_EQ(r.workloadsGenerated, 3u);
+    EXPECT_EQ(r.workloadCacheHits, 9u);
+    SweepResult fresh = SweepRunner(1).run(s);
+    ASSERT_EQ(r.cells.size(), fresh.cells.size());
+    for (std::size_t i = 0; i < r.cells.size(); ++i) {
+        EXPECT_EQ(r.cells[i].stats, fresh.cells[i].stats)
+            << r.cells[i].app << "/" << r.cells[i].config;
     }
 }
 
@@ -625,12 +546,12 @@ TEST(CompareGate, ScaleMismatchIsAViolation)
     EXPECT_EQ(compareResults(base, cur, os2), 0u);
 }
 
-TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
+TEST(CompareGate, LoadResultsRoundTripsWriteJson)
 {
     Sweep s = smallSweep();
     FigureRun run = wrap(s, SweepRunner(1).run(s));
     std::ostringstream os;
-    JsonSink().write(os, {run});
+    writeJson(os, {run});
     ResultDoc loaded = loadResults(os.str());
     ResultDoc direct = resultsOf({run});
     ASSERT_EQ(loaded.figures.size(), 1u);
@@ -751,7 +672,7 @@ TEST(JsonRoundTrip, CsvHasHeaderPlusOneRowPerCell)
     Sweep s = smallSweep();
     FigureRun run = wrap(s, SweepRunner(1).run(s));
     std::ostringstream os;
-    CsvSink().write(os, {run});
+    writeCsv(os, {run});
     std::istringstream is(os.str());
     std::string line;
     std::size_t lines = 0;
@@ -861,7 +782,8 @@ TEST(FigureRegistry, EvictionStormSeparatesThePoliciesAtCiScale)
     opt.protocols = {"rnuma", "rnuma-hysteresis", "rnuma-adaptive"};
     const FigureSpec *spec = findFigure("policies");
     ASSERT_NE(spec, nullptr);
-    FigureRun run = runFigure(*spec, opt, 0, /*verify=*/false);
+    SweepRunner runner(0);
+    FigureRun run = runFigure(*spec, opt, runner, /*verify=*/false);
 
     const RunStats &stat =
         run.result.at("evict-storm", "rnuma").stats;
@@ -897,7 +819,8 @@ TEST(FigureRegistry, FeedbackPolicyBeatsTheClassicsOnPhaseShift)
                      "rnuma-model", "rnuma-online-model"};
     const FigureSpec *spec = findFigure("feedback");
     ASSERT_NE(spec, nullptr);
-    FigureRun run = runFigure(*spec, opt, 0, /*verify=*/false);
+    SweepRunner runner(0);
+    FigureRun run = runFigure(*spec, opt, runner, /*verify=*/false);
 
     // The fastest-churning row shows the widest separation.
     const RunStats &stat =
@@ -939,7 +862,8 @@ TEST(FigureRegistry, Table2RendersAndPasses)
 {
     const FigureSpec *spec = findFigure("table2");
     ASSERT_NE(spec, nullptr);
-    FigureRun run = runFigure(*spec, {1.0}, 2, /*verify=*/true);
+    SweepRunner runner(2);
+    FigureRun run = runFigure(*spec, {1.0}, runner, /*verify=*/true);
     std::ostringstream os;
     EXPECT_EQ(renderFigure(*spec, run, os), 0);
     EXPECT_NE(os.str().find("PASS"), std::string::npos);
@@ -949,7 +873,8 @@ TEST(FigureRegistry, MicroFigureRunsVerifiedAndRenders)
 {
     const FigureSpec *spec = findFigure("micro");
     ASSERT_NE(spec, nullptr);
-    FigureRun run = runFigure(*spec, {0.02}, 4, /*verify=*/true);
+    SweepRunner runner(4);
+    FigureRun run = runFigure(*spec, {0.02}, runner, /*verify=*/true);
     EXPECT_EQ(run.result.cells.size(), 16u);
     std::ostringstream os;
     EXPECT_EQ(renderFigure(*spec, run, os), 0);

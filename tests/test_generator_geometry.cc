@@ -99,9 +99,7 @@ void
 generateAndRunEverywhere(const char *app, const Params &p)
 {
     SCOPED_TRACE(app);
-    std::unique_ptr<VectorWorkload> wl =
-        test::makeVectorWorkload(app, p, 0.01);
-    ASSERT_TRUE(wl);
+    std::unique_ptr<VectorWorkload> wl = makeWorkload(app, p, 0.01);
     EXPECT_GE(wl->memRefCount(), 1u);
     ASSERT_GT(wl->addrLimit(), 0u);
     for (CpuId c = 0; c < wl->numCpus(); ++c) {
@@ -156,9 +154,7 @@ TEST(GeneratorGeometry, BaseMachineStreamsCarryTheAuditBound)
     // honors it (finish() would have panicked otherwise).
     Params p = Params::base();
     for (const char *app : auditedApps) {
-        std::unique_ptr<VectorWorkload> wl =
-            test::makeVectorWorkload(app, p, 0.02);
-        ASSERT_TRUE(wl) << app;
+        std::unique_ptr<VectorWorkload> wl = makeWorkload(app, p, 0.02);
         ASSERT_GT(wl->addrLimit(), 0u) << app;
         EXPECT_GE(wl->memRefCount(), 1u) << app;
     }

@@ -29,7 +29,7 @@ class AppIntegration : public ::testing::TestWithParam<std::string>
 TEST_P(AppIntegration, RunsUnderEveryProtocol)
 {
     Params p = test::paperParams();
-    auto wl = test::makeVectorWorkload(GetParam(), p, testScale);
+    auto wl = makeWorkload(GetParam(), p, testScale);
     ASSERT_GT(wl->totalRefs(), 0u);
 
     for (std::string proto : {"ccnuma", "scoma", "rnuma"}) {

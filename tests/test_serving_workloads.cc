@@ -94,9 +94,7 @@ TEST(WorkloadRegistry, MakeWorkloadMatchesTheGeneratorBitForBit)
 {
     Params p = test::smallParams();
     auto direct = makeRadix(p, 0.1, 7);
-    auto via_registry = makeWorkload("radix", p, 0.1, 7);
-    auto *vec = dynamic_cast<VectorWorkload *>(via_registry.get());
-    ASSERT_NE(vec, nullptr);
+    auto vec = makeWorkload("radix", p, 0.1, 7);
     ASSERT_EQ(vec->numCpus(), direct->numCpus());
     for (CpuId c = 0; c < vec->numCpus(); ++c) {
         ASSERT_EQ(vec->size(c), direct->size(c));
@@ -355,15 +353,9 @@ TEST(ServingWorkloads, SameSeedSameStreamDifferentSeedDifferent)
     Params p = test::smallParams();
     for (const char *id :
          {"zipf-serve", "phase-shift", "tenants", "database-scan"}) {
-        auto a = makeWorkload(id, p, 0.1, 11);
-        auto b = makeWorkload(id, p, 0.1, 11);
-        auto c = makeWorkload(id, p, 0.1, 12);
-        auto *va = dynamic_cast<VectorWorkload *>(a.get());
-        auto *vb = dynamic_cast<VectorWorkload *>(b.get());
-        auto *vc = dynamic_cast<VectorWorkload *>(c.get());
-        ASSERT_NE(va, nullptr);
-        ASSERT_NE(vb, nullptr);
-        ASSERT_NE(vc, nullptr);
+        auto va = makeWorkload(id, p, 0.1, 11);
+        auto vb = makeWorkload(id, p, 0.1, 11);
+        auto vc = makeWorkload(id, p, 0.1, 12);
         ASSERT_EQ(va->numCpus(), vb->numCpus()) << id;
         bool differs_from_c =
             va->totalRefs() != vc->totalRefs();
@@ -398,9 +390,7 @@ TEST(ServingWorkloads, AllPassTheFinishAudit)
     for (const char *id :
          {"zipf-serve", "phase-shift", "tenants", "database-scan"}) {
         for (double scale : {0.1, 1.0}) {
-            auto wl = makeWorkload(id, p, scale, 1);
-            auto *vec = dynamic_cast<VectorWorkload *>(wl.get());
-            ASSERT_NE(vec, nullptr) << id;
+            auto vec = makeWorkload(id, p, scale, 1);
             EXPECT_GT(vec->addrLimit(), 0u) << id;
             EXPECT_GT(vec->memRefCount(), 0u) << id;
         }
@@ -413,10 +403,8 @@ TEST(ServingWorkloads, DatabaseScanRegistryMatchesHistoricalStream)
     // database_scan example has always run (the generator moved from
     // the example into the registry).
     Params p = Params::base();
-    auto wl = makeWorkload("database-scan", p, 1.0, 0xdb,
-                           "transactions=8");
-    auto *vec = dynamic_cast<VectorWorkload *>(wl.get());
-    ASSERT_NE(vec, nullptr);
+    auto vec = makeWorkload("database-scan", p, 1.0, 0xdb,
+                            "transactions=8");
     EXPECT_EQ(vec->name(), "database-scan");
     EXPECT_GT(vec->memRefCount(), 0u);
 }

@@ -75,10 +75,7 @@ TEST_P(AppSmoke, NWayComparisonOnSmallMachine)
     for (const ProtocolSpec *spec : ProtocolRegistry::global().all())
         ids.push_back(spec->id);
     driver::Sweep sweep("smoke");
-    sweep.addComparison(app, p,
-                        driver::workloadFactory(app, p, smokeScale),
-                        driver::workloadCacheKey(app, p, smokeScale),
-                        app, ids);
+    sweep.addComparison(app, p, {app, p, smokeScale}, ids);
     driver::SweepResult r = driver::SweepRunner(1).run(sweep);
     ASSERT_EQ(r.cells.size(), ids.size() + 1);
 
@@ -117,8 +114,7 @@ TEST_P(AppSmoke, NWayComparisonOnSmallMachine)
 TEST_P(AppSmoke, StaysViableAtHundredthScale)
 {
     Params p = test::smallParams();
-    auto wl = test::makeVectorWorkload(GetParam(), p, 0.01);
-    ASSERT_TRUE(wl);
+    auto wl = makeWorkload(GetParam(), p, 0.01);
     EXPECT_GT(wl->memRefCount(), 0u);
     RunStats s = runProtocol(p, "rnuma", *wl);
     EXPECT_GT(s.refs, 0u);

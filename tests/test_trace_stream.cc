@@ -85,10 +85,8 @@ TEST(TraceStream, RoundTripAppAndServingWorkloads)
     for (const char *id :
          {"radix", "barnes", "zipf-serve", "tenants",
           "database-scan"}) {
-        auto wl = makeWorkload(id, p, 0.1, 3);
-        auto *vec = dynamic_cast<VectorWorkload *>(wl.get());
-        ASSERT_NE(vec, nullptr) << id;
-        roundTrip(*vec, "wl.strace");
+        SCOPED_TRACE(id);
+        roundTrip(*makeWorkload(id, p, 0.1, 3), "wl.strace");
     }
 }
 

@@ -8,11 +8,7 @@
 #ifndef RNUMA_TESTS_TEST_UTIL_HH
 #define RNUMA_TESTS_TEST_UTIL_HH
 
-#include <memory>
-#include <string>
-
 #include "common/params.hh"
-#include "workload/registry.hh"
 
 namespace rnuma::test
 {
@@ -44,22 +40,6 @@ inline Params
 paperParams()
 {
     return Params::base();
-}
-
-/**
- * makeWorkload() for a generator that materializes its streams (the
- * Table 3 apps, the micros), for tests that inspect them; nullptr
- * when the product is not a VectorWorkload.
- */
-inline std::unique_ptr<VectorWorkload>
-makeVectorWorkload(const std::string &id, const Params &p,
-                   double scale, std::uint64_t seed = 1)
-{
-    std::unique_ptr<Workload> wl = makeWorkload(id, p, scale, seed);
-    if (!dynamic_cast<VectorWorkload *>(wl.get()))
-        return nullptr;
-    return std::unique_ptr<VectorWorkload>(
-        static_cast<VectorWorkload *>(wl.release()));
 }
 
 } // namespace rnuma::test

@@ -22,17 +22,13 @@
  *   --workload NAME      (repeatable) select registered workloads
  *                        for workload-parametric figures (the
  *                        "churn" sweep); other figures ignore it
- *   --scale S            workload scale (default: RNUMA_BENCH_SCALE
- *                        or 1)
+ *   --scale S            workload scale (default 1)
  *   --jobs N             worker threads; 0 = hardware concurrency
  *                        (default 1)
  *   --json-out FILE      write results as rnuma-sweep-results/v9 JSON
  *   --csv-out FILE       write results as flat CSV
  *   --verify             re-run each sweep serially and assert
  *                        bit-identical RunStats
- *   --no-workload-cache  generate every cell's workload independently
- *                        (isolation debugging; results are identical
- *                        either way)
  *   --compare FILE       diff results against a baseline JSON: every
  *                        per-cell counter, exactly (exit 4 on drift)
  *   --current FILE       with --compare and no figures: diff FILE
@@ -44,10 +40,11 @@
  * --jobs. Its job count, wall time and verification note go to
  * stderr.
  *
- * Workloads are cached process-wide: figures sharing a generator
- * key (fig5/fig6/table4's base-machine apps) generate once per
- * invocation, and the aggregate hit/miss count is reported in the
- * closing summary line.
+ * Every figure runs on one SweepRunner, whose workload cache lives for
+ * the whole invocation: figures naming the same workload input
+ * (fig5/fig6/table4's base-machine apps) generate it once, and the
+ * runner's generated/hit totals are reported in the closing summary
+ * line.
  */
 
 #include <cerrno>
@@ -91,16 +88,13 @@ usage(std::ostream &os, int status)
           "  --workload NAME      (repeatable) select workloads for "
           "workload-parametric\n"
           "                       figures (see 'churn')\n"
-          "  --scale S            workload scale (default: "
-          "RNUMA_BENCH_SCALE or 1)\n"
+          "  --scale S            workload scale (default 1)\n"
           "  --jobs N             worker threads (0 = hardware "
           "concurrency; default 1)\n"
           "  --json-out FILE      write rnuma-sweep-results/v9 JSON\n"
           "  --csv-out FILE       write flat CSV\n"
           "  --verify             assert serial/parallel RunStats "
           "are bit-identical\n"
-          "  --no-workload-cache  disable the content-addressed "
-          "workload cache\n"
           "  --compare FILE       diff results against a baseline "
           "JSON (exit 4 on drift)\n"
           "  --current FILE       with --compare: diff FILE instead\n"
@@ -149,7 +143,7 @@ emitJson(const std::string &path,
          const std::vector<FigureRun> &runs)
 {
     std::ostringstream buf;
-    JsonSink().write(buf, runs);
+    writeJson(buf, runs);
     std::string text = buf.str();
     try {
         JsonValue doc = parseJson(text);
@@ -193,7 +187,7 @@ slurp(const std::string &path, std::string &out)
 int
 main(int argc, char **argv)
 {
-    double scale = envScale();
+    double scale = 1.0;
     std::size_t jobs = 1;
     std::vector<std::string> protocols;
     std::vector<std::string> networks;
@@ -204,7 +198,6 @@ main(int argc, char **argv)
     std::string current_path;
     bool verify = false;
     bool quiet = false;
-    bool cache_workloads = true;
     std::vector<std::string> names;
 
     for (int i = 1; i < argc; ++i) {
@@ -282,8 +275,6 @@ main(int argc, char **argv)
             current_path = next();
         else if (arg == "--verify")
             verify = true;
-        else if (arg == "--no-workload-cache")
-            cache_workloads = false;
         else if (arg == "--quiet")
             quiet = true;
         else if (!arg.empty() && arg[0] == '-')
@@ -325,15 +316,13 @@ main(int argc, char **argv)
     opt.protocols = protocols;
     opt.networks = networks;
     opt.workloads = workloads;
-    // One process-scope snapshot store for the whole invocation, so
-    // figures sharing a workload key generate it exactly once.
-    WorkloadCache process_cache;
+    // One runner for the whole invocation, so figures naming the
+    // same workload input generate it exactly once.
+    SweepRunner runner(jobs);
     std::vector<FigureRun> runs;
     runs.reserve(specs.size());
     for (const FigureSpec *spec : specs) {
-        FigureRun run =
-            runFigure(*spec, opt, jobs, verify, cache_workloads,
-                      cache_workloads ? &process_cache : nullptr);
+        FigureRun run = runFigure(*spec, opt, runner, verify);
         std::ostringstream table;
         int rc = renderFigure(*spec, run, table);
         if (!quiet) {
@@ -362,11 +351,11 @@ main(int argc, char **argv)
         runs.push_back(std::move(run));
     }
 
-    if (!runs.empty() && cache_workloads) {
+    if (!runs.empty()) {
         std::cout << "workload cache: "
-                  << process_cache.generated()
+                  << runner.workloadsGenerated()
                   << " workloads generated, "
-                  << process_cache.hits()
+                  << runner.workloadCacheHits()
                   << " cells served from cache across "
                   << runs.size() << " figure(s)\n";
     }
@@ -380,7 +369,7 @@ main(int argc, char **argv)
                       << "\n";
             status = status > 1 ? status : 1;
         } else {
-            CsvSink().write(out, runs);
+            writeCsv(out, runs);
             std::cout << "wrote " << csv_out << "\n";
         }
     }
