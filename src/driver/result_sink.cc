@@ -182,25 +182,4 @@ writeJson(std::ostream &os, const std::vector<FigureRun> &runs)
     os << "\n";
 }
 
-void
-writeCsv(std::ostream &os, const std::vector<FigureRun> &runs)
-{
-    os << "figure,scale,app,config,protocol,network,directory,"
-          "workload";
-    for (const StatField &f : statFields())
-        os << "," << f.name;
-    os << "\n";
-    for (const FigureRun &run : runs) {
-        for (const CellResult &c : run.result.cells) {
-            os << run.name << "," << run.scale << "," << c.app << ","
-               << c.config << "," << c.protocol << ","
-               << c.network << "," << c.directory << ","
-               << c.workload;
-            for (const StatField &f : statFields())
-                os << "," << f.get(c.stats);
-            os << "\n";
-        }
-    }
-}
-
 } // namespace rnuma::driver

@@ -1,8 +1,8 @@
 /**
  * @file
  * Machine-readable emitters for executed sweeps. A FigureRun pairs
- * a figure's identity with its SweepResult; writeJson() and
- * writeCsv() serialize lists of them. The JSON schema
+ * a figure's identity with its SweepResult; writeJson() serializes
+ * lists of them. The JSON schema
  * (resultsSchema, documented in docs/PERFORMANCE.md) is the stable
  * artifact format the CI figure pipeline and the perf-baseline gate
  * consume, so a change to it must bump the schema string; the gate
@@ -37,8 +37,7 @@ struct FigureRun
     SweepResult result;
 };
 
-/** The per-cell counters writeJson() and writeCsv() serialize, in
- *  order. */
+/** The per-cell counters writeJson() serializes, in order. */
 struct StatField
 {
     const char *name;
@@ -58,9 +57,6 @@ std::vector<std::string> protocolsOf(const SweepResult &result);
  * the same bytes at any job count.
  */
 void writeJson(std::ostream &os, const std::vector<FigureRun> &runs);
-
-/** Write @p runs as flat CSV: one row per cell, figures concatenated. */
-void writeCsv(std::ostream &os, const std::vector<FigureRun> &runs);
 
 } // namespace rnuma::driver
 

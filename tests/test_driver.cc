@@ -7,14 +7,17 @@
  * gate (every counter exact, coverage loss, current-schema-only and
  * checked-count loading), byte-identical JSON across job counts,
  * JSON round-trip of a small executed sweep, sweep declaration
- * invariants, and the unknown-app / empty-sweep error paths. Uses
- * the tiny test_util.hh machine so the suites stay fast.
+ * invariants, the figures' selection flags, the extension figures'
+ * renderer-enforced invariants (on hand-built runs), and the
+ * unknown-app / empty-sweep error paths. Uses the tiny test_util.hh
+ * machine so the suites stay fast.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "driver/compare.hh"
@@ -62,6 +65,38 @@ wrap(const Sweep &s, SweepResult r)
     run.jobs = 1;
     run.result = std::move(r);
     return run;
+}
+
+/**
+ * A hand-built result cell carrying only what the extension
+ * renderers read. As in Sweep::addComparison rows, @p config is the
+ * protocol id, and the "baseline" column runs ccnuma.
+ */
+CellResult
+fakeCell(const std::string &app, const std::string &config, Tick ticks,
+         std::uint64_t relocations = 0)
+{
+    CellResult c;
+    c.app = app;
+    c.config = config;
+    c.protocol = config == "baseline" ? "ccnuma" : config;
+    c.stats.ticks = ticks;
+    c.stats.relocations = relocations;
+    return c;
+}
+
+/** Render @p cells through @p figure's spec; returns its status. */
+int
+renderCells(const char *figure, std::vector<CellResult> cells,
+            std::string &out)
+{
+    FigureRun run;
+    run.name = figure;
+    run.result.cells = std::move(cells);
+    std::ostringstream os;
+    int status = renderFigure(*findFigure(figure), run, os);
+    out = os.str();
+    return status;
 }
 
 } // namespace
@@ -667,20 +702,6 @@ TEST(CompareGate, RejectsForeignJson)
     EXPECT_THROW(loadResults("not json"), std::runtime_error);
 }
 
-TEST(JsonRoundTrip, CsvHasHeaderPlusOneRowPerCell)
-{
-    Sweep s = smallSweep();
-    FigureRun run = wrap(s, SweepRunner(1).run(s));
-    std::ostringstream os;
-    writeCsv(os, {run});
-    std::istringstream is(os.str());
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(is, line))
-        lines++;
-    EXPECT_EQ(lines, 1 + run.result.cells.size());
-}
-
 TEST(JsonParser, RejectsMalformedDocuments)
 {
     EXPECT_THROW(parseJson(""), std::runtime_error);
@@ -744,27 +765,51 @@ TEST(FigureRegistry, SweepsBuildLazilyWithExpectedShapes)
               2u * (1u + ProtocolRegistry::global().size()));
 }
 
-TEST(FigureRegistry, PoliciesFigureHonorsProtocolSelection)
+TEST(FigureRegistry, SelectionFlagsNarrowTheirFigures)
 {
-    FigureOptions opt;
-    opt.scale = testScale;
-    opt.protocols = {"rnuma", "rnuma-adaptive"};
-    Sweep s = findFigure("policies")->build(opt);
-    // Two patterns x (baseline + 2 selected).
-    ASSERT_EQ(s.size(), 6u);
-    EXPECT_EQ(s.cells()[0].app, "hot-reuse");
-    EXPECT_EQ(s.cells()[1].proto.id, "rnuma");
-    EXPECT_EQ(s.cells()[2].proto.id, "rnuma-adaptive");
-    EXPECT_EQ(s.cells()[3].app, "evict-storm");
-    EXPECT_EQ(s.cells()[4].proto.id, "rnuma");
-    EXPECT_EQ(s.cells()[5].proto.id, "rnuma-adaptive");
-
-    // Repeated and alias spellings dedupe to one cell per protocol
-    // instead of tripping the duplicate-cell check.
-    opt.protocols = {"rnuma", "R-NUMA", "rnuma"};
-    Sweep dedup = findFigure("policies")->build(opt);
-    ASSERT_EQ(dedup.size(), 4u); // 2 x (baseline + rnuma once)
-    EXPECT_EQ(dedup.cells()[1].proto.id, "rnuma");
+    // Each repeatable selection flag narrows the figure it is for:
+    // every built cell carries a selected value. Comparison baselines
+    // always run ccnuma, so the protocol check skips them. Repeated
+    // and alias spellings dedupe to one cell per protocol instead of
+    // tripping the duplicate-cell check.
+    auto protocolIn = [](std::vector<std::string> ids) {
+        return [ids](const Cell &c) {
+            return c.config == "baseline" ||
+                   std::find(ids.begin(), ids.end(), c.proto.id) !=
+                       ids.end();
+        };
+    };
+    FigureOptions pair(testScale, {"rnuma", "rnuma-adaptive"});
+    FigureOptions alias(testScale, {"rnuma", "R-NUMA", "rnuma"});
+    FigureOptions mesh(testScale);
+    mesh.networks = {"mesh-2d"};
+    FigureOptions tenants(testScale);
+    tenants.workloads = {"tenants"};
+    struct Case
+    {
+        const char *figure;
+        FigureOptions opt;
+        std::size_t cells;
+        std::function<bool(const Cell &)> selected;
+    };
+    const Case cases[] = {
+        // Two patterns x (baseline + the selected protocols).
+        {"policies", pair, 6, protocolIn({"rnuma", "rnuma-adaptive"})},
+        {"policies", alias, 4, protocolIn({"rnuma"})},
+        // Five node counts x two directory formats.
+        {"scaling", mesh, 10,
+         [](const Cell &c) { return c.params.networkModel == "mesh-2d"; }},
+        // One workload x (baseline + every registered protocol).
+        {"churn", tenants, 1 + ProtocolRegistry::global().size(),
+         [](const Cell &c) { return c.workload.id == "tenants"; }},
+    };
+    for (const Case &k : cases) {
+        Sweep s = findFigure(k.figure)->build(k.opt);
+        EXPECT_EQ(s.size(), k.cells) << k.figure;
+        for (const Cell &c : s.cells())
+            EXPECT_TRUE(k.selected(c))
+                << k.figure << ": " << c.app << "/" << c.config;
+    }
 }
 
 TEST(FigureRegistry, EvictionStormSeparatesThePoliciesAtCiScale)
@@ -796,6 +841,8 @@ TEST(FigureRegistry, EvictionStormSeparatesThePoliciesAtCiScale)
     EXPECT_GT(hyst.relocations, 0u);
     EXPECT_GT(stat.ticks, adapt.ticks);
     EXPECT_GT(adapt.ticks, hyst.ticks);
+    std::ostringstream os;
+    EXPECT_EQ(renderFigure(*spec, run, os), 0) << os.str();
 
     // The hot-reuse pattern still ties at this scale — that is the
     // documented limitation the second pattern exists to cover, and
@@ -842,6 +889,8 @@ TEST(FigureRegistry, FeedbackPolicyBeatsTheClassicsOnPhaseShift)
     // counters flow all the way into the figure's cells.
     EXPECT_GT(online.relocations, 0u);
     EXPECT_GT(online.evictedPageHits, 0u);
+    std::ostringstream os;
+    EXPECT_EQ(renderFigure(*spec, run, os), 0) << os.str();
 }
 
 TEST(FigureRegistry, Fig8IsAPolicySweepOverStaticThresholds)
@@ -879,6 +928,110 @@ TEST(FigureRegistry, MicroFigureRunsVerifiedAndRenders)
     std::ostringstream os;
     EXPECT_EQ(renderFigure(*spec, run, os), 0);
     EXPECT_NE(os.str().find("private-loop"), std::string::npos);
+}
+
+// Each extension figure enforces its invariant in its renderer: a
+// hand-built run that satisfies it renders with status 0 and no
+// MISMATCH line; breaking one counter makes the renderer return 1
+// with a MISMATCH line naming the offending row.
+
+TEST(FigureInvariants, FeedbackOnlineModelMustBeatEveryClassicPolicy)
+{
+    std::vector<CellResult> cells = {
+        fakeCell("shift-p3", "baseline", 100),
+        fakeCell("shift-p3", "rnuma-model", 300, 10),
+        fakeCell("shift-p3", "rnuma-online-model", 200, 10)};
+    std::string out;
+    EXPECT_EQ(renderCells("feedback", cells, out), 0) << out;
+    EXPECT_EQ(out.find("MISMATCH"), std::string::npos) << out;
+
+    std::vector<CellResult> tie = cells;
+    tie[2].stats.ticks = 300; // a tie with rnuma-model
+    EXPECT_EQ(renderCells("feedback", tie, out), 1);
+    EXPECT_NE(out.find("MISMATCH: shift-p3: rnuma-online-model ran 300 "
+                       "ticks, not below rnuma-model's 300"),
+              std::string::npos)
+        << out;
+
+    std::vector<CellResult> idle = cells;
+    idle[2].stats.relocations = 0;
+    EXPECT_EQ(renderCells("feedback", idle, out), 1);
+    EXPECT_NE(out.find("MISMATCH: shift-p3: rnuma-online-model made no "
+                       "relocations"),
+              std::string::npos)
+        << out;
+}
+
+TEST(FigureInvariants, PoliciesSuppressionRulesMustRelocateLess)
+{
+    std::vector<CellResult> cells = {
+        fakeCell("evict-storm", "baseline", 100),
+        fakeCell("evict-storm", "rnuma", 300, 10),
+        fakeCell("evict-storm", "rnuma-hysteresis", 200, 5)};
+    std::string out;
+    EXPECT_EQ(renderCells("policies", cells, out), 0) << out;
+    EXPECT_EQ(out.find("MISMATCH"), std::string::npos) << out;
+
+    cells[2].stats.relocations = 10; // static <= hysteresis
+    EXPECT_EQ(renderCells("policies", cells, out), 1);
+    EXPECT_NE(out.find("MISMATCH: evict-storm: rnuma-hysteresis made "
+                       "10 relocations, the static rule 10"),
+              std::string::npos)
+        << out;
+}
+
+TEST(FigureInvariants, ScalingChecksDirectoryBitsAndFormatParity)
+{
+    // Per entry: full-map 2N+3 bits, limited-pointer-4 2(4*log2 N+1)+3.
+    auto scalingCell = [](std::size_t nodes, const std::string &dir,
+                          std::uint64_t bitsPerEntry) {
+        CellResult c = fakeCell(
+            "shift", "n" + std::to_string(nodes) + "/constant/" + dir,
+            1000);
+        c.protocol = "rnuma";
+        c.network = "constant";
+        c.directory = dir;
+        c.stats.dirEntries = 10;
+        c.stats.dirBits = 10 * bitsPerEntry;
+        return c;
+    };
+    std::vector<CellResult> cells = {
+        scalingCell(8, "full-map", 19),
+        scalingCell(8, "limited-pointer-4", 29),
+        scalingCell(128, "full-map", 259),
+        scalingCell(128, "limited-pointer-4", 61)};
+    std::string out;
+    EXPECT_EQ(renderCells("scaling", cells, out), 0) << out;
+    EXPECT_EQ(out.find("MISMATCH"), std::string::npos) << out;
+
+    // Limited-pointer no smaller than full-map at the largest size.
+    std::vector<CellResult> bits = cells;
+    bits[3].stats.dirBits = 10 * 259;
+    EXPECT_EQ(renderCells("scaling", bits, out), 1);
+    EXPECT_NE(out.find("MISMATCH: n128/constant/limited-pointer-4: "
+                       "259.00 bits per entry against full-map's "
+                       "259.00"),
+              std::string::npos)
+        << out;
+
+    // Limited-pointer cheaper than full-map at the smallest size.
+    bits = cells;
+    bits[1].stats.dirBits = 10 * 15;
+    EXPECT_EQ(renderCells("scaling", bits, out), 1);
+    EXPECT_NE(out.find("MISMATCH: n8/constant/limited-pointer-4: 15.00 "
+                       "bits per entry against full-map's 19.00"),
+              std::string::npos)
+        << out;
+
+    // The directory format changed the entry count on one size.
+    std::vector<CellResult> entries = cells;
+    entries[1].stats.dirEntries = 11;
+    EXPECT_EQ(renderCells("scaling", entries, out), 1);
+    EXPECT_NE(out.find("MISMATCH: n8/constant/limited-pointer-4: 1000 "
+                       "ticks / 11 dir entries, but full-map has "
+                       "1000 / 10"),
+              std::string::npos)
+        << out;
 }
 
 } // namespace rnuma::driver

@@ -2,43 +2,19 @@
  * @file
  * rnuma_sweep: run any paper figure/table by name through the
  * thread-parallel sweep driver and emit human tables plus
- * machine-readable JSON/CSV results, optionally diffing their
- * counters against a stored baseline.
+ * machine-readable JSON results, optionally diffing their counters
+ * against a stored baseline.
  *
- * Usage: rnuma_sweep [options] <figure>... | all
- *   --list               print the known figure names and exit
- *   --list-protocols     print the protocol registry (id, name,
- *                        policy, description) and exit
- *   --list-networks      print the network registry (id, name,
- *                        description) and exit
- *   --list-workloads     print the workload registry (id, name,
- *                        category, input, description) and exit
- *   --protocol NAME      (repeatable) select registered protocols
- *                        for protocol-parametric figures (the
- *                        "policies" sweep); other figures ignore it
- *   --network NAME       (repeatable) select registered network
- *                        models for network-parametric figures (the
- *                        "scaling" sweep); other figures ignore it
- *   --workload NAME      (repeatable) select registered workloads
- *                        for workload-parametric figures (the
- *                        "churn" sweep); other figures ignore it
- *   --scale S            workload scale (default 1)
- *   --jobs N             worker threads; 0 = hardware concurrency
- *                        (default 1)
- *   --json-out FILE      write results as rnuma-sweep-results/v9 JSON
- *   --csv-out FILE       write results as flat CSV
- *   --verify             re-run each sweep serially and assert
- *                        bit-identical RunStats
- *   --compare FILE       diff results against a baseline JSON: every
- *                        per-cell counter, exactly (exit 4 on drift)
- *   --current FILE       with --compare and no figures: diff FILE
- *                        against the baseline instead of running
- *   --quiet              suppress the per-figure human tables
+ * Usage: rnuma_sweep [options] <figure>... | all; usage() below
+ * lists the options (rnuma_sweep --help).
  *
  * Each figure's table goes to stdout under a header naming its
  * scale, cell count and workload-cache counts: the same bytes at any
  * --jobs. Its job count, wall time and verification note go to
- * stderr.
+ * stderr, as does the "wrote FILE" notice of --json-out, so stdout
+ * holds only the tables and the closing cache summary. A renderer
+ * whose figure breaks one of its invariants prints a MISMATCH line
+ * and the exit status is 1.
  *
  * Every figure runs on one SweepRunner, whose workload cache lives for
  * the whole invocation: figures naming the same workload input
@@ -92,7 +68,6 @@ usage(std::ostream &os, int status)
           "  --jobs N             worker threads (0 = hardware "
           "concurrency; default 1)\n"
           "  --json-out FILE      write rnuma-sweep-results/v9 JSON\n"
-          "  --csv-out FILE       write flat CSV\n"
           "  --verify             assert serial/parallel RunStats "
           "are bit-identical\n"
           "  --compare FILE       diff results against a baseline "
@@ -162,7 +137,7 @@ emitJson(const std::string &path,
         return false;
     }
     out << text;
-    std::cout << "wrote " << path << " (" << runs.size()
+    std::cerr << "wrote " << path << " (" << runs.size()
               << " figures, validated)\n";
     return true;
 }
@@ -193,7 +168,6 @@ main(int argc, char **argv)
     std::vector<std::string> networks;
     std::vector<std::string> workloads;
     std::string json_out;
-    std::string csv_out;
     std::string compare_path;
     std::string current_path;
     bool verify = false;
@@ -267,8 +241,6 @@ main(int argc, char **argv)
             jobs = static_cast<std::size_t>(j);
         } else if (arg == "--json-out")
             json_out = next();
-        else if (arg == "--csv-out")
-            csv_out = next();
         else if (arg == "--compare")
             compare_path = next();
         else if (arg == "--current")
@@ -362,17 +334,6 @@ main(int argc, char **argv)
 
     if (!json_out.empty() && !emitJson(json_out, runs))
         status = status > 1 ? status : 1;
-    if (!csv_out.empty()) {
-        std::ofstream out(csv_out);
-        if (!out) {
-            std::cerr << "rnuma_sweep: cannot write " << csv_out
-                      << "\n";
-            status = status > 1 ? status : 1;
-        } else {
-            writeCsv(out, runs);
-            std::cout << "wrote " << csv_out << "\n";
-        }
-    }
 
     if (!compare_path.empty()) {
         try {
