@@ -8,12 +8,13 @@
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "common/params.hh"
 #include "common/table.hh"
 #include "core/analytic_model.hh"
+#include "driver/sweep.hh"
 #include "sim/runner.hh"
 #include "workload/micro.hh"
 
@@ -21,8 +22,12 @@ int
 main(int argc, char **argv)
 {
     using namespace rnuma;
-    std::size_t pages = argc > 1
-        ? static_cast<std::size_t>(std::atoi(argv[1])) : 24;
+    std::optional<std::size_t> pages =
+        driver::parseCount(argc > 1 ? argv[1] : "24");
+    if (!pages) {
+        std::cerr << "usage: adversary [pages >= 0]\n";
+        return 2;
+    }
 
     Params base = Params::base();
     AnalyticModel model(ModelParams::fromSystem(base, 64));
@@ -39,7 +44,7 @@ main(int argc, char **argv)
     for (std::size_t T : {4u, 8u, 16u, 32u, 64u}) {
         Params p = base;
         p.relocationThreshold = T;
-        auto wl = makeAdversary(p, pages, T + 1);
+        auto wl = makeAdversary(p, *pages, T + 1);
         Tick ideal = runInfiniteBaseline(p, *wl).ticks;
         auto overhead = [&](const char *id) {
             Tick ticks = runProtocol(p, id, *wl).ticks;

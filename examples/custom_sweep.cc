@@ -10,8 +10,8 @@
  * Usage: custom_sweep [app] [scale] [jobs]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "common/table.hh"
 #include "driver/result_sink.hh"
@@ -25,22 +25,24 @@ main(int argc, char **argv)
     using namespace rnuma::driver;
 
     std::string app = argc > 1 ? argv[1] : "ocean";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.25;
-    std::size_t jobs = argc > 3
-        ? static_cast<std::size_t>(std::atol(argv[3])) : 0;
+    std::optional<double> scale = parseScale(argc > 2 ? argv[2] : "0.25");
+    std::optional<std::size_t> jobs = parseCount(argc > 3 ? argv[3] : "0");
+    if (!scale || !jobs) {
+        std::cerr << "usage: custom_sweep [app] [scale > 0] [jobs >= 0]\n";
+        return 2;
+    }
 
     // The axes: R-NUMA's relocation threshold against its page-cache
     // budget. Each (T, size) pair is one independent cell.
     const std::size_t thresholds[] = {16, 64, 256};
     const std::size_t cache_kb[] = {160, 320, 1280};
 
-    Sweep sweep("threshold-x-pagecache",
-                "R-NUMA threshold vs page-cache size", "custom");
+    Sweep sweep("threshold-x-pagecache");
     Params base = Params::base();
     // One shared workload input: every cell measures the identical
     // trace, and the runner's workload cache generates it exactly
     // once for the whole grid.
-    WorkloadInput wl(app, base, scale);
+    WorkloadInput wl(app, base, *scale);
     Params inf = base;
     inf.infiniteBlockCache = true;
     sweep.add({app, "baseline", protocolSpec("ccnuma"), inf, wl});
@@ -58,7 +60,7 @@ main(int argc, char **argv)
         }
     }
 
-    SweepRunner runner(jobs);
+    SweepRunner runner(*jobs);
     std::cout << "running " << sweep.size() << " cells for " << app
               << " on " << runner.jobs() << " threads...\n\n";
     SweepResult result = runner.run(sweep);
@@ -81,9 +83,9 @@ main(int argc, char **argv)
     // The same result, machine-readable (pipe to a file to keep it).
     FigureRun run;
     run.name = sweep.name();
-    run.title = sweep.title();
-    run.paperRef = sweep.paperRef();
-    run.scale = scale;
+    run.title = "R-NUMA threshold vs page-cache size";
+    run.paperRef = "custom";
+    run.scale = *scale;
     run.jobs = runner.jobs();
     run.result = std::move(result);
     std::cout << "\nJSON:\n";

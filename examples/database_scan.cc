@@ -17,9 +17,11 @@
  */
 
 #include <iostream>
+#include <optional>
 
 #include "common/params.hh"
 #include "common/table.hh"
+#include "driver/sweep.hh"
 #include "sim/runner.hh"
 #include "workload/registry.hh"
 
@@ -27,17 +29,21 @@ int
 main(int argc, char **argv)
 {
     using namespace rnuma;
-    std::size_t txns = argc > 1
-        ? static_cast<std::size_t>(std::atoi(argv[1])) : 48;
+    std::optional<std::size_t> txns =
+        driver::parseCount(argc > 1 ? argv[1] : "48");
+    if (!txns || *txns == 0) {
+        std::cerr << "usage: database_scan [transactions >= 1]\n";
+        return 2;
+    }
 
     Params p = Params::base();
     std::cout << "database_scan: OLTP-like read-write sharing ("
-              << txns << " transaction rounds)\n\n";
+              << *txns << " transaction rounds)\n\n";
     // The generator lives in the workload registry now
     // (src/workload/serving.cc); seed 0xdb reproduces the stream
     // this example has always run.
     auto wl = makeWorkload("database-scan", p, 1.0, 0xdb,
-                           "transactions=" + std::to_string(txns));
+                           "transactions=" + std::to_string(*txns));
     Tick ideal = runInfiniteBaseline(p, *wl).ticks;
 
     Table t({"protocol", "normalized time", "refetches",

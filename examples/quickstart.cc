@@ -13,8 +13,8 @@
  *             deterministic at any value)
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "common/params.hh"
 #include "common/table.hh"
@@ -30,12 +30,15 @@ main(int argc, char **argv)
     using namespace rnuma::driver;
 
     std::string app = argc > 1 ? argv[1] : "moldyn";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.5;
-    std::size_t jobs = argc > 3
-        ? static_cast<std::size_t>(std::atol(argv[3])) : 4;
+    std::optional<double> scale = parseScale(argc > 2 ? argv[2] : "0.5");
+    std::optional<std::size_t> jobs = parseCount(argc > 3 ? argv[3] : "4");
+    if (!scale || !jobs) {
+        std::cerr << "usage: quickstart [app] [scale > 0] [jobs >= 0]\n";
+        return 2;
+    }
 
     Params p = Params::base();
-    std::cout << "R-NUMA quickstart: app=" << app << " scale=" << scale
+    std::cout << "R-NUMA quickstart: app=" << app << " scale=" << *scale
               << "\n"
               << "machine: " << p.numNodes << " nodes x "
               << p.cpusPerNode << " cpus, block cache "
@@ -43,7 +46,7 @@ main(int argc, char **argv)
               << p.pageCacheSize / 1024 << "KB, threshold "
               << p.relocationThreshold << "\n\n";
 
-    auto wl = makeWorkload(app, p, scale);
+    auto wl = makeWorkload(app, p, *scale);
     std::cout << "workload: "
               << wl->totalRefs()
               << " stream entries\n\n";
@@ -55,8 +58,8 @@ main(int argc, char **argv)
     for (const ProtocolSpec *spec : ProtocolRegistry::global().all())
         ids.push_back(spec->id);
     Sweep sweep("quickstart");
-    sweep.addComparison(app, p, {app, p, scale}, ids);
-    SweepResult r = SweepRunner(jobs).run(sweep);
+    sweep.addComparison(app, p, {app, p, *scale}, ids);
+    SweepResult r = SweepRunner(*jobs).run(sweep);
 
     // The fastest protocol; ties go to the earliest registered.
     const CellResult *winner = nullptr;

@@ -18,10 +18,11 @@
  * the trace-format golden round-trip check.
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "common/params.hh"
+#include "driver/sweep.hh"
 #include "sim/runner.hh"
 #include "workload/registry.hh"
 #include "workload/trace_stream.hh"
@@ -31,14 +32,19 @@ main(int argc, char **argv)
 {
     using namespace rnuma;
     std::string app = argc > 1 ? argv[1] : "barnes";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.2;
+    std::optional<double> scale =
+        driver::parseScale(argc > 2 ? argv[2] : "0.2");
     std::string path = argc > 3 ? argv[3] : "/tmp/rnuma_demo.trace";
+    if (!scale) {
+        std::cerr << "usage: trace_replay [workload] [scale > 0] [path]\n";
+        return 2;
+    }
 
     Params p = Params::base();
 
-    std::cout << "recording " << app << " (scale " << scale
+    std::cout << "recording " << app << " (scale " << *scale
               << ") to " << path << " ...\n";
-    auto original = makeWorkload(app, p, scale);
+    auto original = makeWorkload(app, p, *scale);
     recordStreamTrace(*original, path);
 
     std::cout << "replaying from the file mapping ...\n";

@@ -132,11 +132,6 @@ struct Params
     std::size_t numCpus() const { return numNodes * cpusPerNode; }
     /** Page frames in the S-COMA page cache. */
     std::size_t pageCacheFrames() const { return pageCacheSize / pageSize; }
-    /** Block frames in the block cache. */
-    std::size_t blockCacheBlocks() const
-    {
-        return blockCacheSize / blockSize;
-    }
 
     /** Uncontended local cache fill latency (Table 2: 69 cycles). */
     Tick localFill() const { return busLatency + dramAccess; }
@@ -169,13 +164,6 @@ struct Params
      * "full-map", "limited-pointer-<i>", or "coarse-vector-<r>".
      */
     std::string directoryId() const;
-
-    /** Block cache hit latency: bus + SRAM + bus transfer. */
-    Tick blockCacheHit() const { return busLatency + sramAccess +
-        busLatency; }
-
-    /** Page cache (fine-grain tag) hit latency: tags + DRAM fill. */
-    Tick pageCacheHit() const { return sramAccess + localFill(); }
 
     /**
      * Page allocation/replacement or relocation cost given the number

@@ -238,29 +238,4 @@ loadResults(const std::string &json_text)
     return out;
 }
 
-ResultDoc
-resultsOf(const std::vector<FigureRun> &runs)
-{
-    ResultDoc out;
-    for (const FigureRun &run : runs) {
-        ResultFigure f;
-        f.name = run.name;
-        f.scale = run.scale;
-        for (const CellResult &c : run.result.cells) {
-            ResultCell rc;
-            rc.app = c.app;
-            rc.config = c.config;
-            rc.protocol = c.protocol;
-            rc.network = c.network;
-            rc.directory = c.directory;
-            rc.workload = c.workload;
-            for (const StatField &sf : statFields())
-                rc.counters[sf.name] = sf.get(c.stats);
-            f.cells.push_back(std::move(rc));
-        }
-        out.figures.push_back(std::move(f));
-    }
-    return out;
-}
-
 } // namespace rnuma::driver

@@ -67,9 +67,6 @@ struct ResultDoc
  */
 ResultDoc loadResults(const std::string &json_text);
 
-/** Build the comparable slice directly from executed figures. */
-ResultDoc resultsOf(const std::vector<FigureRun> &runs);
-
 /**
  * Diff @p current against @p baseline, writing a per-figure report
  * to @p os. Returns the number of violations:

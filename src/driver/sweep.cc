@@ -1,5 +1,6 @@
 #include "driver/sweep.hh"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +21,18 @@ parseScale(const std::string &text)
     if (end == begin || *end != '\0' || !std::isfinite(s) || s <= 0)
         return std::nullopt;
     return s;
+}
+
+std::optional<std::size_t>
+parseCount(const std::string &text)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    errno = 0;
+    long n = std::strtol(begin, &end, 10);
+    if (end == begin || *end != '\0' || n < 0 || errno == ERANGE)
+        return std::nullopt;
+    return static_cast<std::size_t>(n);
 }
 
 WorkloadInput::WorkloadInput(std::string id_, const Params &gen_,
@@ -49,13 +62,6 @@ std::unique_ptr<VectorWorkload>
 WorkloadInput::make() const
 {
     return makeWorkload(id, gen, scale, seed, options);
-}
-
-Sweep::Sweep(std::string name, std::string title,
-             std::string paper_ref)
-    : name_(std::move(name)), title_(std::move(title)),
-      paper_ref_(std::move(paper_ref))
-{
 }
 
 void

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/params.hh"
@@ -61,6 +62,13 @@ struct WorkloadInput
  */
 std::optional<double> parseScale(const std::string &text);
 
+/**
+ * A count (a job count, pages, transactions): @p text as a
+ * non-negative decimal integer that fits a long, or nullopt (junk,
+ * trailing characters, a negative number or overflow).
+ */
+std::optional<std::size_t> parseCount(const std::string &text);
+
 /** One independently runnable experiment point. */
 struct Cell
 {
@@ -83,12 +91,11 @@ struct Cell
     WorkloadInput workload;
 };
 
-/** An ordered collection of cells with identity metadata. */
+/** An ordered, named collection of cells. */
 class Sweep
 {
   public:
-    explicit Sweep(std::string name, std::string title = "",
-                   std::string paper_ref = "");
+    explicit Sweep(std::string name) : name_(std::move(name)) {}
 
     /** Append a cell. Fatal on a duplicate (app, config) pair. */
     void add(Cell c);
@@ -116,16 +123,12 @@ class Sweep
                        const std::vector<std::string> &specIds);
 
     const std::string &name() const { return name_; }
-    const std::string &title() const { return title_; }
-    const std::string &paperRef() const { return paper_ref_; }
     const std::vector<Cell> &cells() const { return cells_; }
     bool empty() const { return cells_.empty(); }
     std::size_t size() const { return cells_.size(); }
 
   private:
     std::string name_;
-    std::string title_;
-    std::string paper_ref_;
     std::vector<Cell> cells_;
 };
 

@@ -162,8 +162,6 @@ class Cache
     /** Number of currently valid lines, over all banks. */
     std::size_t validCount() const;
 
-    std::size_t numSets() const { return sets; }
-    std::size_t associativity() const { return assoc; }
     std::size_t blockSize() const { return blockBytes; }
     bool infinite() const { return unbounded; }
 

@@ -38,8 +38,6 @@ class Memory
     /** Aggregate queueing delay across banks. */
     Tick waited() const;
 
-    std::size_t numBanks() const { return banks_.size(); }
-
   private:
     Tick latency;
     std::size_t blockBytes;

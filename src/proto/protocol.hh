@@ -135,7 +135,6 @@ class GlobalProtocol
 
     /** Directory introspection for tests and stats. */
     const Directory &directory() const { return dir_; }
-    Directory &directoryForTest() { return dir_; }
 
     /** Live directory entries. */
     std::uint64_t dirEntryCount() const { return dir_.size(); }

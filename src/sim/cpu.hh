@@ -55,12 +55,6 @@ struct CpuMap
     {
         return static_cast<std::size_t>(cpu % cpusPerNode);
     }
-
-    CpuId
-    globalOf(NodeId node, std::size_t local) const
-    {
-        return static_cast<CpuId>(node * cpusPerNode + local);
-    }
 };
 
 } // namespace rnuma

@@ -3,8 +3,7 @@
  * The ordering oracle for EventQueue: a plain std::priority_queue of
  * events in (when, seq) order, with no limit on events per tag. The
  * event-queue tests replay the same schedule through both and assert
- * identical pop sequences; bench_micro measures the winner tree's
- * throughput against it.
+ * identical pop sequences.
  */
 
 #ifndef RNUMA_TESTS_HEAP_EVENT_QUEUE_HH

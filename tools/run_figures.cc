@@ -23,7 +23,6 @@
  * line.
  */
 
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -112,19 +111,18 @@ listWorkloads(std::ostream &os)
           "makeWorkload — see docs/ARCHITECTURE.md)\n";
 }
 
-/** Serialize, then re-parse as a malformed-output guard. */
+/**
+ * Write @p text, the serialized @p figures runs, to @p path after
+ * re-parsing it as a malformed-output guard.
+ */
 bool
-emitJson(const std::string &path,
-         const std::vector<FigureRun> &runs)
+emitJson(const std::string &path, const std::string &text,
+         std::size_t figures)
 {
-    std::ostringstream buf;
-    writeJson(buf, runs);
-    std::string text = buf.str();
     try {
         JsonValue doc = parseJson(text);
-        const JsonValue *figures = doc.get("figures");
-        if (!figures || !figures->isArray() ||
-            figures->array.size() != runs.size())
+        const JsonValue *figs = doc.get("figures");
+        if (!figs || !figs->isArray() || figs->array.size() != figures)
             throw std::runtime_error("figure count mismatch");
     } catch (const std::exception &e) {
         std::cerr << "rnuma_sweep: emitted JSON failed validation: "
@@ -137,7 +135,7 @@ emitJson(const std::string &path,
         return false;
     }
     out << text;
-    std::cerr << "wrote " << path << " (" << runs.size()
+    std::cerr << "wrote " << path << " (" << figures
               << " figures, validated)\n";
     return true;
 }
@@ -229,16 +227,14 @@ main(int argc, char **argv)
             scale = *s;
         } else if (arg == "--jobs") {
             const char *val = next();
-            char *end = nullptr;
-            errno = 0;
-            long j = std::strtol(val, &end, 10);
-            if (end == val || *end != '\0' || j < 0 || errno == ERANGE) {
+            std::optional<std::size_t> j = parseCount(val);
+            if (!j) {
                 std::cerr << "rnuma_sweep: --jobs wants a "
                              "non-negative integer (0 = all cores), "
                              "got '" << val << "'\n";
                 return 2;
             }
-            jobs = static_cast<std::size_t>(j);
+            jobs = *j;
         } else if (arg == "--json-out")
             json_out = next();
         else if (arg == "--compare")
@@ -332,20 +328,22 @@ main(int argc, char **argv)
                   << runs.size() << " figure(s)\n";
     }
 
-    if (!json_out.empty() && !emitJson(json_out, runs))
+    // The serialized runs: what --json-out writes and, without
+    // --current, what --compare gates.
+    std::ostringstream doc;
+    writeJson(doc, runs);
+    std::string current_text = doc.str();
+
+    if (!json_out.empty() &&
+        !emitJson(json_out, current_text, runs.size()))
         status = status > 1 ? status : 1;
 
     if (!compare_path.empty()) {
         try {
-            ResultDoc current;
-            if (!current_path.empty()) {
-                std::string cur_text;
-                if (!slurp(current_path, cur_text))
-                    return 2;
-                current = loadResults(cur_text);
-            } else {
-                current = resultsOf(runs);
-            }
+            if (!current_path.empty() &&
+                !slurp(current_path, current_text))
+                return 2;
+            ResultDoc current = loadResults(current_text);
             std::string text;
             if (!slurp(compare_path, text))
                 return 2;
