@@ -1,21 +1,16 @@
 /**
  * @file
  * trace_replay: record a registered workload's reference streams to
- * the streaming binary trace format (workload/trace_stream.hh) and
- * replay it bit-identically off the file mapping — the mechanism for
- * sharing reproducible inputs and regression-testing protocol
- * changes without materializing the trace in memory.
- *
- * The replay side never loads the trace: StreamTraceWorkload decodes
- * records lazily from an mmap of the file, so resident memory is
- * bounded by one chunk per CPU regardless of trace length.
+ * the binary trace format (workload/trace_stream.hh), load the file
+ * back, and replay both under R-NUMA — the mechanism for sharing
+ * reproducible inputs and regression-testing protocol changes.
  *
  * Usage: trace_replay [workload] [scale] [path]
  *   workload: any id from `rnuma_sweep --list-workloads`
  *
- * Exits 0 when the replayed run is bit-identical to the original
- * (ticks and remote fetches match), 1 otherwise — CI uses this as
- * the trace-format golden round-trip check.
+ * Exits 0 when the replayed run's RunStats equal the original's
+ * field for field, 1 otherwise — CI uses this as the trace-format
+ * golden round-trip check.
  */
 
 #include <iostream>
@@ -47,11 +42,11 @@ main(int argc, char **argv)
     auto original = makeWorkload(app, p, *scale);
     recordStreamTrace(*original, path);
 
-    std::cout << "replaying from the file mapping ...\n";
-    StreamTraceWorkload replayed(path);
+    std::cout << "loading " << path << " ...\n";
+    auto replayed = loadStreamTrace(path);
 
     RunStats a = runProtocol(p, "rnuma", *original);
-    RunStats b = runProtocol(p, "rnuma", replayed);
+    RunStats b = runProtocol(p, "rnuma", *replayed);
 
     std::cout << "\noriginal : ticks=" << a.ticks
               << " remoteFetches=" << a.remoteFetches
@@ -60,11 +55,10 @@ main(int argc, char **argv)
               << " remoteFetches=" << b.remoteFetches
               << " relocations=" << b.relocations << "\n";
 
-    if (a.ticks == b.ticks && a.remoteFetches == b.remoteFetches &&
-        a.relocations == b.relocations) {
-        std::cout << "\nPASS: streamed replay is bit-identical.\n";
+    if (a == b) {
+        std::cout << "\nPASS: replayed RunStats are identical.\n";
         return 0;
     }
-    std::cout << "\nFAIL: streamed replay diverged.\n";
+    std::cout << "\nFAIL: replayed RunStats diverged.\n";
     return 1;
 }

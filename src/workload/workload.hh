@@ -107,13 +107,18 @@ class VectorWorkload : public Workload
     std::size_t memRefCount() const { return mem_refs; }
 
     /**
-     * One past the highest legally addressable byte (the generator's
-     * allocation high-water mark), recorded by StreamBuilder::finish
-     * after it audits every entry against it. 0 = unknown (e.g. a
-     * trace-replayed workload).
+     * One past the highest legally addressable byte: a generator's
+     * allocation high-water mark, or a loaded trace's recorded one.
+     * 0 = unknown (a trace recorded without one).
      */
     Addr addrLimit() const { return addr_limit; }
-    void setAddrLimit(Addr limit) { addr_limit = limit; }
+
+    /**
+     * Record @p limit as addrLimit() after auditing every Mem and
+     * InitTouch entry against it. Fatal, naming the workload, cpu
+     * and entry, on any address at or beyond the limit.
+     */
+    void setAddrLimit(Addr limit);
 
   private:
     friend class SnapshotWorkload;
