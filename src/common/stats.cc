@@ -17,7 +17,7 @@ RunStats::recordFetch(Addr page, MissKind kind, bool write, bool remote)
     }
     if (!remote)
         return;
-    PageStats &ps = pages[page];
+    PageStats &ps = pages.slot(page);
     ps.remoteFetches++;
     if (kind == MissKind::Refetch)
         ps.refetches++;
@@ -30,24 +30,26 @@ RunStats::recordFetch(Addr page, MissKind kind, bool write, bool remote)
 void
 RunStats::markSharedWrite(Addr page)
 {
-    auto it = pages.find(page);
-    if (it != pages.end())
-        it->second.remoteWrite = true;
+    if (pages[page].remoteFetches)
+        pages.slot(page).remoteWrite = true;
 }
 
 std::size_t
 RunStats::remotePageCount() const
 {
-    return pages.size();
+    std::size_t n = 0;
+    for (const PageStats &ps : pages)
+        n += ps.remoteFetches != 0;
+    return n;
 }
 
 std::vector<std::uint64_t>
 RunStats::refetchDistribution() const
 {
     std::vector<std::uint64_t> v;
-    v.reserve(pages.size());
-    for (const auto &kv : pages)
-        v.push_back(kv.second.refetches);
+    for (const PageStats &ps : pages)
+        if (ps.remoteFetches)
+            v.push_back(ps.refetches);
     std::sort(v.begin(), v.end(), std::greater<>());
     return v;
 }
@@ -57,10 +59,10 @@ RunStats::rwPageRefetchFraction() const
 {
     std::uint64_t total = 0;
     std::uint64_t rw = 0;
-    for (const auto &kv : pages) {
-        total += kv.second.refetches;
-        if (kv.second.readWriteShared())
-            rw += kv.second.refetches;
+    for (const PageStats &ps : pages) {
+        total += ps.refetches;
+        if (ps.readWriteShared())
+            rw += ps.refetches;
     }
     return total == 0 ? 0.0 : static_cast<double>(rw) /
         static_cast<double>(total);

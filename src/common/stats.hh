@@ -10,9 +10,9 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <unordered_map>
 #include <vector>
 
+#include "common/page_indexed.hh"
 #include "common/types.hh"
 
 namespace rnuma
@@ -137,8 +137,12 @@ struct RunStats
      */
     std::uint64_t dirBits = 0;
 
-    /** Per-page statistics keyed by page number (addr / pageSize). */
-    std::unordered_map<Addr, PageStats> pages;
+    /**
+     * Per-page statistics indexed by page number (addr / pageSize). A
+     * page was fetched remotely exactly when its remoteFetches is
+     * non-zero; the other slots are gaps.
+     */
+    PageIndexed<PageStats> pages;
 
     /** Record a remote fetch classification against a page. */
     void recordFetch(Addr page, MissKind kind, bool write, bool remote);
@@ -169,7 +173,7 @@ struct RunStats
 };
 
 /**
- * Field-by-field equality, including the per-page map. The sweep
+ * Field-by-field equality, including the per-page table. The sweep
  * driver uses this to assert that parallel cell execution is
  * bit-identical to serial execution.
  */

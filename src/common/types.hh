@@ -39,6 +39,16 @@ constexpr Addr invalidAddr = std::numeric_limits<Addr>::max();
  */
 constexpr std::size_t maxNodes = 512;
 
+/**
+ * Upper bound on the page numbers (addr / pageSize) the simulator
+ * accepts: 4 Mi pages, 16 GiB of address space at the base 4 KiB
+ * page. Every page-indexed table (common/page_indexed.hh) is fatal
+ * past it, and every generator option that sizes an allocation in
+ * pages is bounded by it (WorkloadOptions::getSize), so a hostile
+ * size is a named error instead of a bad_alloc.
+ */
+constexpr std::size_t maxPages = std::size_t{1} << 22;
+
 /** Message categories, for traffic accounting. */
 enum class MsgKind : std::uint8_t
 {

@@ -38,16 +38,16 @@ ewmaThreshold(double u, std::size_t minT, std::size_t maxT)
 std::size_t
 ThresholdPolicy::thresholdOf(Addr page) const
 {
-    auto it = perPageT.find(page);
-    return it == perPageT.end() ? defaultT : it->second;
+    const std::size_t t = pages_[page].t;
+    return t ? t : defaultT;
 }
 
 bool
 ThresholdPolicy::onRefetch(Addr page)
 {
-    std::uint64_t &c = counts[page];
-    if (++c >= thresholdOf(page)) {
-        counts.erase(page);
+    PageState &ps = pages_.slot(page);
+    if (++ps.count >= (ps.t ? ps.t : defaultT)) {
+        ps.count = 0;
         return true;
     }
     return false;
@@ -56,39 +56,36 @@ ThresholdPolicy::onRefetch(Addr page)
 void
 ThresholdPolicy::onRelocated(Addr page)
 {
-    counts.erase(page);
+    pages_.slot(page).count = 0;
     relocated(page);
 }
 
 void
 ThresholdPolicy::onEvicted(Addr page, std::uint64_t residentHits)
 {
-    counts.erase(page);
+    pages_.slot(page).count = 0;
     evicted(page, residentHits);
 }
 
 void
 ThresholdPolicy::reset(Addr page)
 {
-    counts.erase(page);
-    perPageT.erase(page);
+    pages_.reset(page);
     forget(page);
 }
 
 std::uint64_t
 ThresholdPolicy::count(Addr page) const
 {
-    auto it = counts.find(page);
-    return it == counts.end() ? 0 : it->second;
+    return pages_[page].count;
 }
 
 std::size_t
 ThresholdPolicy::trackedPages() const
 {
-    std::size_t n = counts.size();
-    for (const auto &kv : perPageT)
-        if (!counts.count(kv.first))
-            n++;
+    std::size_t n = 0;
+    for (const PageState &ps : pages_)
+        n += ps.count != 0 || ps.t != 0;
     return n;
 }
 
@@ -126,7 +123,7 @@ HysteresisPolicy::HysteresisPolicy(std::size_t relocateThreshold,
 void
 HysteresisPolicy::evicted(Addr page, std::uint64_t /*residentHits*/)
 {
-    perPageT[page] = revertT;
+    setThreshold(page, revertT);
 }
 
 std::string
@@ -156,8 +153,8 @@ void
 AdaptiveThresholdPolicy::relocated(Addr page)
 {
     std::size_t entry = thresholdOf(page);
-    perPageT[page] = std::max(minT, entry / 2);
-    entryT[page] = entry;
+    setThreshold(page, std::max(minT, entry / 2));
+    entryT.slot(page) = entry;
 }
 
 void
@@ -171,19 +168,18 @@ AdaptiveThresholdPolicy::evicted(Addr page,
     // would re-enter at exactly the static threshold forever.
     // Free-standing evictions (no relocation recorded) double the
     // current value.
-    std::size_t from = thresholdOf(page);
-    auto it = entryT.find(page);
-    if (it != entryT.end()) {
-        from = it->second;
-        entryT.erase(it);
-    }
-    perPageT[page] = std::min(maxT, from * 2);
+    std::size_t from = entryT[page];
+    if (from)
+        entryT.reset(page);
+    else
+        from = thresholdOf(page);
+    setThreshold(page, std::min(maxT, from * 2));
 }
 
 void
 AdaptiveThresholdPolicy::forget(Addr page)
 {
-    entryT.erase(page);
+    entryT.reset(page);
 }
 
 std::string
@@ -220,11 +216,12 @@ UtilityThresholdPolicy::evicted(Addr page, std::uint64_t residentHits)
         // Profitable residency: the page ops were amortized, so the
         // page has earned eager re-entry. Jump below the break-even
         // bar on first profit and keep halving on repeated profit.
-        perPageT[page] = std::max(
-            minT, std::min<std::size_t>(cur, breakEvenHits) / 2);
+        setThreshold(page,
+                     std::max(minT, std::min<std::size_t>(
+                                        cur, breakEvenHits) / 2));
     } else {
         // Wasted residency: ping-pong evidence, exponential back-off.
-        perPageT[page] = std::min(maxT, cur * 2);
+        setThreshold(page, std::min(maxT, cur * 2));
     }
 }
 
@@ -306,8 +303,7 @@ EwmaUtilityPolicy::EwmaUtilityPolicy(std::size_t minThreshold,
 double
 EwmaUtilityPolicy::utilityOf(Addr page) const
 {
-    auto it = utility.find(page);
-    return it == utility.end() ? 0.5 : it->second;
+    return utility[page];
 }
 
 void
@@ -318,14 +314,14 @@ EwmaUtilityPolicy::evicted(Addr page, std::uint64_t residentHits)
     if (grade > 1.0)
         grade = 1.0;
     double u = (1.0 - alpha) * utilityOf(page) + alpha * grade;
-    utility[page] = u;
-    perPageT[page] = ewmaThreshold(u, minT, maxT);
+    utility.slot(page) = u;
+    setThreshold(page, ewmaThreshold(u, minT, maxT));
 }
 
 void
 EwmaUtilityPolicy::forget(Addr page)
 {
-    utility.erase(page);
+    utility.reset(page);
 }
 
 std::string

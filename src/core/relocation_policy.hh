@@ -48,8 +48,8 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
+#include "common/page_indexed.hh"
 #include "common/types.hh"
 
 namespace rnuma
@@ -128,12 +128,20 @@ class ThresholdPolicy : public RelocationPolicy
     virtual void evicted(Addr, std::uint64_t /*residentHits*/) {}
     virtual void forget(Addr) {}
 
+    /** Override @p page's threshold (@p t >= 1). */
+    void setThreshold(Addr page, std::size_t t) { pages_.slot(page).t = t; }
+
     std::size_t defaultT;
-    /** Per-page threshold overrides; thresholdOf falls back to defaultT. */
-    std::unordered_map<Addr, std::size_t> perPageT;
 
   private:
-    std::unordered_map<Addr, std::uint64_t> counts;
+    /** A page's pending refetch count and threshold override. */
+    struct PageState
+    {
+        std::uint64_t count = 0;
+        std::size_t t = 0; ///< 0 = no override: defaultT governs
+    };
+
+    PageIndexed<PageState> pages_;
 };
 
 /**
@@ -225,13 +233,13 @@ class AdaptiveThresholdPolicy : public ThresholdPolicy
     std::size_t maxT;
     /**
      * Per page, the threshold in force when it last relocated (the
-     * value the eviction escalates from); erased once consumed, so
-     * only resident relocated pages carry an entry. Storing the
-     * actual pre-relocation value (not a flag) keeps the 2x
-     * escalation exact even when the relocation halve was clamped
-     * at minThreshold.
+     * value the eviction escalates from); zeroed once consumed, so
+     * only resident relocated pages carry one. Storing the actual
+     * pre-relocation value (not a flag) keeps the 2x escalation
+     * exact even when the relocation halve was clamped at
+     * minThreshold.
      */
-    std::unordered_map<Addr, std::size_t> entryT;
+    PageIndexed<std::size_t> entryT;
 };
 
 /**
@@ -367,7 +375,7 @@ class EwmaUtilityPolicy : public ThresholdPolicy
     std::size_t maxT;
     std::uint64_t breakEvenHits;
     double alpha;
-    std::unordered_map<Addr, double> utility;
+    PageIndexed<double> utility{0.5};
 };
 
 } // namespace rnuma

@@ -46,21 +46,19 @@ Cache::Cache(std::size_t size_bytes, std::size_t block_bytes,
 }
 
 CacheLine *
-Cache::findUnbounded(Addr a)
-{
-    auto it = map.find(a);
-    return it == map.end() ? nullptr : &it->second;
-}
-
-CacheLine *
 Cache::allocate(Addr a, Victim &victim, std::size_t bank)
 {
     a = blockAlign(a);
     victim = Victim{};
     if (unbounded) {
-        RNUMA_ASSERT(find(a) == nullptr,
+        const Addr block = a >> blockShift;
+        std::unique_ptr<CacheLine[]> &chunk =
+            chunks.slot(block >> chunkShift);
+        if (!chunk)
+            chunk.reset(new CacheLine[std::size_t{1} << chunkShift]);
+        CacheLine &line = chunk[block & ((1u << chunkShift) - 1)];
+        RNUMA_ASSERT(!line.valid(),
                      "allocate of already-present block ", a);
-        CacheLine &line = map[a];
         line.addr = a;
         line.state = CacheState::Invalid;
         return &line;
@@ -113,9 +111,10 @@ Cache::forEachValid(
     const std::function<void(const CacheLine &)> &fn) const
 {
     if (unbounded) {
-        for (const auto &kv : map)
-            if (kv.second.valid())
-                fn(kv.second);
+        for (const auto &chunk : chunks)
+            for (std::size_t i = 0; chunk && i < (1u << chunkShift); ++i)
+                if (chunk[i].valid())
+                    fn(chunk[i]);
         return;
     }
     for (const auto &line : lines)

@@ -12,9 +12,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
+#include "common/page_indexed.hh"
 #include "common/types.hh"
 
 namespace rnuma
@@ -143,12 +144,8 @@ class Cache
         if (!line)
             return CacheState::Invalid;
         const CacheState prior = line->state;
-        if (unbounded) {
-            map.erase(blockAlign(a));
-        } else {
-            line->state = CacheState::Invalid;
-            line->addr = invalidAddr;
-        }
+        line->state = CacheState::Invalid;
+        line->addr = invalidAddr;
         return prior;
     }
 
@@ -193,8 +190,13 @@ class Cache
     std::vector<CacheLine> lines;
     /** LRU stamps, parallel to lines; allocated only when assoc > 1. */
     std::vector<std::uint64_t> lru;
-    /** Map storage (infinite mode). */
-    std::unordered_map<Addr, CacheLine> map;
+    /**
+     * Infinite-mode storage: lines in chunks of 64 consecutive blocks,
+     * allocated on a chunk's first allocate() and indexed by block
+     * number / 64. Lines never move, so returned pointers stay valid.
+     */
+    static constexpr unsigned chunkShift = 6;
+    PageIndexed<std::unique_ptr<CacheLine[]>> chunks;
 
     std::size_t
     setIndex(Addr a) const
@@ -205,7 +207,16 @@ class Cache
         return static_cast<std::size_t>(block % sets);
     }
 
-    CacheLine *findUnbounded(Addr a);
+    CacheLine *
+    findUnbounded(Addr a)
+    {
+        const Addr block = a >> blockShift;
+        CacheLine *chunk = chunks[block >> chunkShift].get();
+        if (!chunk)
+            return nullptr;
+        CacheLine &line = chunk[block & ((1u << chunkShift) - 1)];
+        return line.valid() ? &line : nullptr;
+    }
 };
 
 } // namespace rnuma

@@ -13,13 +13,6 @@ NetworkModel::NetworkModel(std::size_t nodes, Tick ni_occupancy)
         nis.emplace_back(ni_occupancy);
 }
 
-Resource &
-NetworkModel::ni(NodeId n)
-{
-    RNUMA_ASSERT(n < nis.size(), "bad node id ", n);
-    return nis[n];
-}
-
 std::uint64_t
 NetworkModel::totalMessages() const
 {

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/bus.hh"
@@ -103,7 +104,12 @@ class NetworkModel
     /** Bump the per-kind counter; every send/post must call this. */
     void countMsg(MsgKind kind) { counts[static_cast<std::size_t>(kind)]++; }
 
-    Resource &ni(NodeId n);
+    Resource &
+    ni(NodeId n)
+    {
+        RNUMA_ASSERT(n < nis.size(), "bad node id ", n);
+        return nis[n];
+    }
 
     std::vector<Resource> nis;
 

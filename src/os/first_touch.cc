@@ -1,5 +1,7 @@
 #include "os/first_touch.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace rnuma
@@ -8,38 +10,44 @@ namespace rnuma
 NodeId
 FirstTouchPlacement::touch(Addr page, NodeId node)
 {
-    auto [it, inserted] = homes.try_emplace(page, node);
-    return it->second;
+    const NodeId home = homes[page];
+    if (home != invalidNode)
+        return home;
+    homes.slot(page) = node;
+    return node;
 }
 
 void
 FirstTouchPlacement::pin(Addr page, NodeId node)
 {
-    homes[page] = node;
+    homes.slot(page) = node;
 }
 
 bool
 FirstTouchPlacement::placed(Addr page) const
 {
-    return homes.find(page) != homes.end();
+    return homes[page] != invalidNode;
 }
 
 NodeId
 FirstTouchPlacement::homeOf(Addr page) const
 {
-    auto it = homes.find(page);
-    RNUMA_ASSERT(it != homes.end(), "page ", page, " has no home");
-    return it->second;
+    const NodeId home = homes[page];
+    RNUMA_ASSERT(home != invalidNode, "page ", page, " has no home");
+    return home;
+}
+
+std::size_t
+FirstTouchPlacement::pageCount() const
+{
+    return homes.size() -
+        std::count(homes.begin(), homes.end(), invalidNode);
 }
 
 std::size_t
 FirstTouchPlacement::pagesAt(NodeId node) const
 {
-    std::size_t n = 0;
-    for (const auto &kv : homes)
-        if (kv.second == node)
-            ++n;
-    return n;
+    return std::count(homes.begin(), homes.end(), node);
 }
 
 } // namespace rnuma

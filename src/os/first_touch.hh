@@ -10,15 +10,18 @@
 #ifndef RNUMA_OS_FIRST_TOUCH_HH
 #define RNUMA_OS_FIRST_TOUCH_HH
 
-#include <unordered_map>
-
+#include "common/page_indexed.hh"
 #include "common/types.hh"
 #include "proto/protocol.hh"
 
 namespace rnuma
 {
 
-/** First-touch home assignment; also supports explicit placement. */
+/**
+ * First-touch home assignment; also supports explicit placement. Homes
+ * are a page-indexed table (invalidNode = not yet placed), probed on
+ * every reference.
+ */
 class FirstTouchPlacement : public Placement
 {
   public:
@@ -37,13 +40,13 @@ class FirstTouchPlacement : public Placement
     NodeId homeOf(Addr page) const override;
 
     /** Number of placed pages. */
-    std::size_t pageCount() const { return homes.size(); }
+    std::size_t pageCount() const;
 
     /** Pages homed at @p node. */
     std::size_t pagesAt(NodeId node) const;
 
   private:
-    std::unordered_map<Addr, NodeId> homes;
+    PageIndexed<NodeId> homes{invalidNode};
 };
 
 } // namespace rnuma

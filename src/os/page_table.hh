@@ -10,9 +10,10 @@
 #ifndef RNUMA_OS_PAGE_TABLE_HH
 #define RNUMA_OS_PAGE_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/page_indexed.hh"
 #include "common/types.hh"
 
 namespace rnuma
@@ -27,40 +28,40 @@ enum class PageMode : std::uint8_t
     SComa     ///< mapped to a local page-cache frame
 };
 
-/** One node's page table. */
+/** One node's page table, indexed by page number. */
 class PageTable
 {
   public:
     /** Mapping mode of a page (Unmapped when never set). */
-    PageMode
-    modeOf(Addr page) const
-    {
-        auto it = map.find(page);
-        return it == map.end() ? PageMode::Unmapped : it->second;
-    }
+    PageMode modeOf(Addr page) const { return modes[page]; }
 
     /** Install or change a mapping. */
-    void set(Addr page, PageMode mode) { map[page] = mode; }
+    void set(Addr page, PageMode mode) { modes.slot(page) = mode; }
 
     /** Remove a mapping (page replacement / relocation unmap). */
-    void unmap(Addr page) { map.erase(page); }
+    void unmap(Addr page) { modes.reset(page); }
 
     /** Number of mapped pages. */
-    std::size_t size() const { return map.size(); }
+    std::size_t
+    size() const
+    {
+        return modes.size() -
+            std::count(modes.begin(), modes.end(), PageMode::Unmapped);
+    }
 
-    /** Count of pages in a given mode. */
+    /**
+     * Count of pages in a given mode. Unmapped counts 0: the table's
+     * gap slots are not pages.
+     */
     std::size_t
     countMode(PageMode mode) const
     {
-        std::size_t n = 0;
-        for (const auto &kv : map)
-            if (kv.second == mode)
-                ++n;
-        return n;
+        return mode == PageMode::Unmapped
+            ? 0 : std::count(modes.begin(), modes.end(), mode);
     }
 
   private:
-    std::unordered_map<Addr, PageMode> map;
+    PageIndexed<PageMode> modes{PageMode::Unmapped};
 };
 
 } // namespace rnuma

@@ -33,8 +33,8 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <unordered_map>
 
+#include "common/page_indexed.hh"
 #include "common/params.hh"
 #include "common/types.hh"
 
@@ -342,18 +342,17 @@ static_assert(sizeof(DirEntry) == sizeof(std::uint64_t),
  * hardware each home node holds the slice for its own pages; a single
  * store is behaviorally identical and simpler.
  *
- * Storage is a page-grouped arena rather than a per-block hash map:
- * the first touch of any block on a page allocates one zeroed group
+ * Storage is a page-grouped arena rather than a per-block map: the
+ * first touch of any block on a page allocates one zeroed group
  * holding that page's live bits and `blocks_per_page` records, each a
  * DirEntry header followed by its sharers, prior and touched words.
- * So the hash map shrinks by that factor and consecutive blocks of a
- * page — the access pattern the workloads overwhelmingly produce —
- * land in adjacent memory. A one-entry memo of the last group
- * resolved makes the common same-page run of lookups skip the hash
- * entirely. Groups are never resized or erased, so entry references
- * stay valid for the Directory's lifetime (the protocol holds a
- * DirEntry reference across coherence callbacks that may create
- * entries for other blocks).
+ * A page-indexed table of group pointers finds a page's group, and
+ * consecutive blocks of a page — the access pattern the workloads
+ * overwhelmingly produce — land in adjacent memory. Groups are never
+ * resized or erased, so entry references stay valid for the
+ * Directory's lifetime (the protocol holds a DirEntry reference
+ * across coherence callbacks that may create entries for other
+ * blocks).
  *
  * All block addresses passed in must be block-aligned, as every
  * protocol call site guarantees (fetch/writeback/flushBlock align
@@ -402,7 +401,12 @@ class Directory
     entry(Addr block)
     {
         const Addr bi = block >> blockShift_;
-        std::uint64_t *g = resolve(bi >> groupShift_, true);
+        std::unique_ptr<std::uint64_t[]> &ref =
+            groups_.slot(bi >> groupShift_);
+        if (!ref)
+            ref.reset(new std::uint64_t[liveWords_ +
+                                        groupBlocks_ * stride_]());
+        std::uint64_t *g = ref.get();
         const std::size_t idx =
             static_cast<std::size_t>(bi) & idxMask_;
         std::uint64_t *rec = g + liveWords_ + idx * stride_;
@@ -421,9 +425,7 @@ class Directory
     peek(Addr block) const
     {
         const Addr bi = block >> blockShift_;
-        const std::uint64_t *g =
-            const_cast<Directory *>(this)->resolve(bi >> groupShift_,
-                                                   false);
+        const std::uint64_t *g = groups_[bi >> groupShift_].get();
         if (!g)
             return nullptr;
         const std::size_t idx =
@@ -500,34 +502,6 @@ class Directory
         return {setShape_, w, &m.overflow_, 1u << which};
     }
 
-    /**
-     * One page's live bits and records, as a single zeroed
-     * allocation that is never touched again, so DirEntry references
-     * are stable.
-     */
-    std::uint64_t *
-    resolve(Addr key, bool create)
-    {
-        if (lastGroup_ && lastKey_ == key)
-            return lastGroup_;
-        std::uint64_t *g;
-        if (create) {
-            auto &ref = groups_[key];
-            if (!ref)
-                ref.reset(new std::uint64_t[liveWords_ +
-                                            groupBlocks_ * stride_]());
-            g = ref.get();
-        } else {
-            auto it = groups_.find(key);
-            if (it == groups_.end())
-                return nullptr;
-            g = it->second.get();
-        }
-        lastKey_ = key;
-        lastGroup_ = g;
-        return g;
-    }
-
     DirConfig cfg_;
     SetShape setShape_;
     SetShape nodeShape_;
@@ -539,11 +513,12 @@ class Directory
     std::size_t idxMask_ = 0;
     /** Leading live-bit words of each group. */
     std::size_t liveWords_ = 1;
-    std::unordered_map<Addr, std::unique_ptr<std::uint64_t[]>> groups_;
+    /**
+     * Each page's live bits and records, one zeroed allocation that
+     * is never touched again, so DirEntry references are stable.
+     */
+    PageIndexed<std::unique_ptr<std::uint64_t[]>> groups_;
     std::size_t liveCount_ = 0;
-    /** Memo of the last group resolved (groups are never erased). */
-    mutable Addr lastKey_ = 0;
-    mutable std::uint64_t *lastGroup_ = nullptr;
 };
 
 } // namespace rnuma

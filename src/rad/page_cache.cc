@@ -25,13 +25,9 @@ PageCache::PageCache(std::size_t frames, std::size_t blocks_per_page)
 std::uint32_t
 PageCache::frameOf(Addr page) const
 {
-    if (lastFrame_ != npos && lastPage_ == page)
-        return lastFrame_;
-    auto it = byPage.find(page);
-    RNUMA_ASSERT(it != byPage.end(), "page ", page, " not cached");
-    lastPage_ = page;
-    lastFrame_ = it->second;
-    return it->second;
+    const std::uint32_t f = byPage[page];
+    RNUMA_ASSERT(f != npos, "page ", page, " not cached");
+    return f;
 }
 
 void
@@ -61,14 +57,6 @@ PageCache::linkTail(std::uint32_t f)
     lrmTail_ = f;
 }
 
-bool
-PageCache::contains(Addr page) const
-{
-    if (lastFrame_ != npos && lastPage_ == page)
-        return true;
-    return byPage.find(page) != byPage.end();
-}
-
 Addr
 PageCache::lrmVictim() const
 {
@@ -90,22 +78,18 @@ PageCache::insert(Addr page)
     valid_[f] = 0;
     hits_[f] = 0;
     pageOf_[f] = page;
-    byPage.emplace(page, f);
+    byPage.slot(page) = f;
     linkTail(f);
-    lastPage_ = page;
-    lastFrame_ = f;
 }
 
 void
 PageCache::erase(Addr page)
 {
-    auto it = byPage.find(page);
-    RNUMA_ASSERT(it != byPage.end(), "erasing uncached page ", page);
-    const std::uint32_t f = it->second;
+    const std::uint32_t f = byPage[page];
+    RNUMA_ASSERT(f != npos, "erasing uncached page ", page);
     unlink(f);
-    byPage.erase(it);
+    byPage.reset(page);
     free_.push_back(f);
-    lastFrame_ = npos;
 }
 
 void

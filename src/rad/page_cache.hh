@@ -3,7 +3,7 @@
  * The S-COMA page cache (Section 2.2): a region of main memory set
  * aside to cache remote pages at page granularity, with two-bit
  * fine-grain access-control tags per block, an auxiliary translation
- * table (modeled as the page->frame map), and the paper's
+ * table (modeled as a page-indexed page->frame table), and the paper's
  * Least-Recently-Missed replacement policy — the frame list is
  * reordered on remote misses rather than on every reference
  * (Section 4).
@@ -14,9 +14,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/page_indexed.hh"
 #include "common/types.hh"
 
 namespace rnuma
@@ -42,13 +42,13 @@ class PageCache
     PageCache(std::size_t frames, std::size_t blocks_per_page);
 
     /** Is the page currently cached (translation-table hit)? */
-    bool contains(Addr page) const;
+    bool contains(Addr page) const { return byPage[page] != npos; }
 
     /** All frames in use? */
     bool full() const { return used() == capacity; }
 
     /** Frames in use. */
-    std::size_t used() const { return byPage.size(); }
+    std::size_t used() const { return capacity - free_.size(); }
 
     /** Total frames. */
     std::size_t frames() const { return capacity; }
@@ -103,10 +103,8 @@ class PageCache
      * nodes), and per-frame valid-tag counts are maintained
      * incrementally so validBlocks() — which page-operation costs
      * consult on every allocation, replacement, and relocation — is
-     * O(1) instead of a scan. A one-entry page->frame memo rides on
-     * top: the RADs probe the same page several times per access
-     * (tag read, tag write, miss bookkeeping), and the memo turns
-     * all but the first probe into two loads.
+     * O(1) instead of a scan. The translation table byPage maps a
+     * page number to its frame slot (npos = not cached).
      */
     static constexpr std::uint32_t npos = ~std::uint32_t{0};
 
@@ -121,9 +119,7 @@ class PageCache
     std::uint32_t lrmHead_ = npos; ///< least recently missed
     std::uint32_t lrmTail_ = npos; ///< most recently missed
     std::vector<std::uint32_t> free_; ///< unused frame slots
-    std::unordered_map<Addr, std::uint32_t> byPage;
-    mutable Addr lastPage_ = 0;             ///< memo key
-    mutable std::uint32_t lastFrame_ = npos; ///< memo value
+    PageIndexed<std::uint32_t> byPage{npos};
 
     std::uint32_t frameOf(Addr page) const;
     void unlink(std::uint32_t f);

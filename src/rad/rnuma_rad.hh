@@ -49,6 +49,9 @@ class RNumaRad : public Rad
     void l1Writeback(Tick now, Addr block) override;
     bool hasWritePermission(Addr block) const override;
 
+    /** The node's page cache (read-only, for invariant checks). */
+    const PageCache &pageCache() const { return pc; }
+
   private:
     PageMode firstTouch_;
     BlockCache bc;

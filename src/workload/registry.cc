@@ -59,7 +59,7 @@ WorkloadOptions::find(const std::string &key) const
 
 std::size_t
 WorkloadOptions::getSize(const std::string &key, std::size_t fallback,
-                         std::size_t min) const
+                         std::size_t min, std::size_t max) const
 {
     const Pair *p = find(key);
     if (!p)
@@ -77,6 +77,10 @@ WorkloadOptions::getSize(const std::string &key, std::size_t fallback,
     if (v < min) {
         RNUMA_FATAL("workload option ", key, "=", p->value,
                     " is out of range (want ", key, " >= ", min, ")");
+    }
+    if (v > max) {
+        RNUMA_FATAL("workload option ", key, "=", p->value,
+                    " is out of range (want ", key, " <= ", max, ")");
     }
     return static_cast<std::size_t>(v);
 }
@@ -213,7 +217,7 @@ addBuiltins(WorkloadRegistry &reg)
          [](const Params &p, double scale, std::uint64_t,
             const std::string &options) {
              auto o = WorkloadOptions::parse(options);
-             std::size_t pages = o.getSize("pages", 4, 1);
+             std::size_t pages = o.getSize("pages", 4, 1, maxPages);
              std::size_t iters =
                  o.getSize("iters", scaled(20, scale), 1);
              o.finish("private-loop");
@@ -227,7 +231,8 @@ addBuiltins(WorkloadRegistry &reg)
             const std::string &options) {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
-                 o.getSize("pages", scaled(120, scale, 2), 1);
+                 o.getSize("pages", scaled(120, scale, 2), 1,
+                           maxPages);
              std::size_t sweeps = o.getSize("sweeps", 8, 1);
              o.finish("hot-reuse");
              return makeHotRemoteReuse(p, pages, sweeps);
@@ -242,7 +247,7 @@ addBuiltins(WorkloadRegistry &reg)
              std::size_t pages =
                  o.getSize("pages", p.pageCacheFrames() +
                                         scaled(80, scale, 40),
-                           p.pageCacheFrames() + 1);
+                           p.pageCacheFrames() + 1, maxPages);
              std::size_t sweeps =
                  o.getSize("sweeps", scaled(16, scale, 8), 1);
              o.finish("evict-storm");
@@ -256,7 +261,7 @@ addBuiltins(WorkloadRegistry &reg)
             const std::string &options) {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
-                 o.getSize("pages", scaled(32, scale, 1), 1);
+                 o.getSize("pages", scaled(32, scale, 1), 1, maxPages);
              std::size_t rounds = o.getSize("rounds", 10, 1);
              o.finish("producer-consumer");
              return makeProducerConsumer(p, pages, rounds);
@@ -280,7 +285,7 @@ addBuiltins(WorkloadRegistry &reg)
          [](const Params &p, double, std::uint64_t,
             const std::string &options) {
              auto o = WorkloadOptions::parse(options);
-             std::size_t pages = o.getSize("pages", 24, 1);
+             std::size_t pages = o.getSize("pages", 24, 1, maxPages);
              std::size_t touches = o.getSize(
                  "touches", p.relocationThreshold + 1, 1);
              o.finish("adversary");
@@ -294,7 +299,7 @@ addBuiltins(WorkloadRegistry &reg)
             const std::string &options) {
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
-                 o.getSize("pages", scaled(4, scale, 1), 1);
+                 o.getSize("pages", scaled(4, scale, 1), 1, maxPages);
              std::size_t sweeps =
                  o.getSize("sweeps", scaled(4, scale, 2), 1);
              o.finish("scaling-shift");

@@ -27,6 +27,7 @@
 #define RNUMA_WORKLOAD_REGISTRY_HH
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -52,9 +53,13 @@ class WorkloadOptions
     /** Parse @p text ("" = no options). Fatal on malformed pairs. */
     static WorkloadOptions parse(const std::string &text);
 
-    /** Fatal, naming `key=value`, on a value below @p min. */
+    /**
+     * Fatal, naming `key=value`, on a value outside [min, max]. An
+     * option that sizes an allocation in pages passes maxPages.
+     */
     std::size_t getSize(const std::string &key, std::size_t fallback,
-                        std::size_t min = 0) const;
+                        std::size_t min = 0,
+                        std::size_t max = SIZE_MAX) const;
     /** Fatal, naming `key=value`, on a value outside [lo, hi]. */
     double getDouble(const std::string &key, double fallback,
                      double lo = -HUGE_VAL, double hi = HUGE_VAL) const;

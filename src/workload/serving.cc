@@ -70,7 +70,8 @@ makeZipfServe(const Params &p, double scale, std::uint64_t seed,
               const std::string &options)
 {
     auto o = WorkloadOptions::parse(options);
-    std::size_t pages = o.getSize("pages", scaled(480, scale, 16), 1);
+    std::size_t pages =
+        o.getSize("pages", scaled(480, scale, 16), 1, maxPages);
     double theta = o.getDouble("theta", 0.8, 0.0);
     double writeFrac = o.getDouble("write", 0.1, 0.0, 1.0);
     std::size_t requests =
@@ -113,7 +114,7 @@ makePhaseShift(const Params &p, double scale, std::uint64_t seed,
     // Pool ~3x the frame budget (geometry-derived, like evict-storm:
     // the rotation must overflow the page cache at every scale).
     std::size_t pages =
-        o.getSize("pages", 3 * p.pageCacheFrames(), 1);
+        o.getSize("pages", 3 * p.pageCacheFrames(), 1, maxPages);
     std::size_t phases = o.getSize("phases", 6, 1);
     std::size_t sweeps = o.getSize("sweeps", scaled(4, scale, 2), 1);
     o.finish("phase-shift");
@@ -155,7 +156,8 @@ makeTenants(const Params &p, double scale, std::uint64_t seed,
 {
     auto o = WorkloadOptions::parse(options);
     std::size_t tenants = o.getSize("tenants", 4, 1);
-    std::size_t pages = o.getSize("pages", scaled(96, scale, 8), 1);
+    std::size_t pages =
+        o.getSize("pages", scaled(96, scale, 8), 1, maxPages);
     std::size_t rounds = o.getSize("rounds", scaled(6, scale, 2), 1);
     o.finish("tenants");
 
@@ -207,7 +209,7 @@ makeDatabaseScan(const Params &p, double scale, std::uint64_t seed,
     auto o = WorkloadOptions::parse(options);
     std::size_t transactions =
         o.getSize("transactions", scaled(48, scale, 8), 1);
-    std::size_t pool_pages = o.getSize("pool", 160, 1);
+    std::size_t pool_pages = o.getSize("pool", 160, 1, maxPages);
     std::size_t rows_per_txn = o.getSize("rows", 48);
     std::size_t hot_fraction_pages = o.getSize("hot", 24, 1);
     o.finish("database-scan");

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/machine.hh"
 #include "sim/runner.hh"
 #include "workload/micro.hh"
@@ -126,6 +129,26 @@ TEST(MachineEdge, StatsTickEqualsSlowestCpu)
     Machine m(p, protocolSpec("ccnuma"), wl);
     RunStats s = m.run();
     EXPECT_GT(s.ticks, 200u * 5u);
+}
+
+TEST(MachineEdge, AddressPastThePageLimitIsFatal)
+{
+    // A hand-built workload (like a trace recorded without an
+    // addrLimit) is not audited against any bound, so the
+    // page-indexed tables' cap is what stops a stray address: a named
+    // fatal error, not a bad_alloc or an exhausted host.
+    Params p = test::smallParams();
+    VectorWorkload wl("far", p.numCpus());
+    wl.push(0, Ref::mem(Addr{1} << 50, false, 1));
+    wl.seal();
+    Machine m(p, protocolSpec("rnuma"), wl);
+    try {
+        m.run();
+        ADD_FAILURE() << "an address at 2^50 was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("limit"), std::string::npos)
+            << e.what();
+    }
 }
 
 /** Sweep: every protocol on every microbenchmark, no panics. */

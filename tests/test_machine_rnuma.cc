@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "os/page_table.hh"
+#include "rad/rnuma_rad.hh"
 #include "sim/machine.hh"
 #include "sim/runner.hh"
 #include "workload/micro.hh"
+#include "workload/registry.hh"
 
 #include "test_util.hh"
 
@@ -44,6 +46,39 @@ TEST(MachineRNuma, PageModeIsSComaAfterRelocation)
     // The accessing node is node 0; both remote pages relocated.
     PageTable &pt = m.node(0).pageTable();
     EXPECT_EQ(pt.countMode(PageMode::SComa), 2u);
+}
+
+TEST(MachineRNuma, PageTableAndPageCacheAgreeAfterChurn)
+{
+    // A rotating hot set over a 4-frame page cache at threshold 1:
+    // pages relocate in, are evicted (unmapped) and relocate again.
+    // Through all of it a node's page table maps a page S-COMA
+    // exactly when its page cache holds the page.
+    Params p = test::smallParams();
+    p.relocationThreshold = 1;
+    auto wl = makeWorkload("phase-shift", p, 1.0, 1,
+                           "pages=24,phases=6,sweeps=4");
+    wl->reset();
+    Machine m(p, protocolSpec("rnuma"), *wl);
+    RunStats s = m.run();
+    ASSERT_GT(s.relocations, 0u);
+    ASSERT_GT(s.scomaReplacements, 0u);
+    const Addr pages = wl->addrLimit() / p.pageSize;
+    ASSERT_GT(pages, 0u);
+    for (NodeId n = 0; n < p.numNodes; ++n) {
+        const PageTable &pt = m.node(n).pageTable();
+        const PageCache &pc =
+            dynamic_cast<const RNumaRad &>(m.node(n).rad()).pageCache();
+        std::size_t cached = 0;
+        for (Addr page = 0; page < pages; ++page) {
+            const bool scoma = pt.modeOf(page) == PageMode::SComa;
+            EXPECT_EQ(scoma, pc.contains(page))
+                << "node " << n << " page " << page;
+            cached += scoma;
+        }
+        EXPECT_EQ(cached, pc.used()) << "node " << n;
+        EXPECT_EQ(cached, pt.countMode(PageMode::SComa)) << "node " << n;
+    }
 }
 
 TEST(MachineRNuma, CommunicationPagesNeverRelocate)

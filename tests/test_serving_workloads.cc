@@ -185,6 +185,17 @@ TEST(WorkloadOptions, OutOfRangeGeneratorOptionIsFatal)
         {"evict-storm", "pages=4"},       {"producer-consumer", "pages=0"},
         {"rw-sharing", "rounds=0"},       {"adversary", "touches=0"},
         {"scaling-shift", "pages=0"},
+        // Past maxPages: a named error, not a bad_alloc.
+        {"zipf-serve", "pages=1000000000000"},
+        {"phase-shift", "pages=1000000000000"},
+        {"tenants", "pages=1000000000000"},
+        {"database-scan", "pool=1000000000000"},
+        {"private-loop", "pages=1000000000000"},
+        {"hot-reuse", "pages=1000000000000"},
+        {"evict-storm", "pages=1000000000000"},
+        {"producer-consumer", "pages=1000000000000"},
+        {"adversary", "pages=1000000000000"},
+        {"scaling-shift", "pages=1000000000000"},
     };
     for (const auto &[workload, kv] : cases) {
         try {

@@ -49,8 +49,8 @@ TEST(Stats, RwPageClassification)
     // Page 2: read-write remote traffic.
     s.recordFetch(2, MissKind::Refetch, false, true);
     s.recordFetch(2, MissKind::Refetch, true, true);
-    EXPECT_FALSE(s.pages.at(1).readWriteShared());
-    EXPECT_TRUE(s.pages.at(2).readWriteShared());
+    EXPECT_FALSE(s.pages[1].readWriteShared());
+    EXPECT_TRUE(s.pages[2].readWriteShared());
     // 2 of 4 refetches are on the RW page.
     EXPECT_DOUBLE_EQ(s.rwPageRefetchFraction(), 0.5);
 }
