@@ -22,12 +22,11 @@ namespace rnuma
 {
 
 /**
- * A vector of T indexed by page number (or, in the infinite Cache, by
- * 64-block chunk number). Every slot holds the fill value until it is
- * written, so a read needs no presence test: a read past the end
- * returns the fill value without growing, and a write grows the table
- * to cover its slot. Growth past maxPages slots is fatal, naming the
- * slot, so a stray address cannot exhaust memory.
+ * A vector of T indexed by page number. Every slot holds the fill
+ * value until it is written, so a read needs no presence test: a read
+ * past the end returns the fill value without growing, and a write
+ * grows the table to cover its slot. Growth past maxPages slots is
+ * fatal, naming the page, so a stray address cannot exhaust memory.
  */
 template <class T>
 class PageIndexed
@@ -88,8 +87,7 @@ class PageIndexed
     {
         if (i >= maxPages) {
             RNUMA_FATAL("page ", i, " is past the simulator's limit of ",
-                        maxPages, " pages (maxPages; the infinite "
-                        "block cache counts 64-block chunks)");
+                        maxPages, " pages (maxPages)");
         }
         if constexpr (std::is_copy_constructible_v<T>)
             slots_.resize(i + 1, fill_);

@@ -29,6 +29,12 @@ Cache::Cache(std::size_t size_bytes, std::size_t block_bytes,
         ++blockShift;
     if (unbounded) {
         RNUMA_ASSERT(nbanks == 1, "an infinite cache has one bank");
+        RNUMA_ASSERT(size_bytes >= block_bytes &&
+                         (size_bytes & (size_bytes - 1)) == 0,
+                     "an infinite cache's page size ", size_bytes,
+                     " must be a power-of-two multiple of the block");
+        while ((block_bytes << chunkShift) < size_bytes)
+            ++chunkShift;
         sets = 1;
         return;
     }

@@ -57,15 +57,18 @@ struct CacheLine
  * geometry (no capacity or LRU order is shared between them) whose
  * lines are stored set-major, so one set's ways in every bank sit side
  * by side. A node keeps its CPUs' L1s as the banks of one Cache, and
- * a snoop or invalidation that probes every L1 then reads about one
- * host cache line. Per-line calls name their bank; the default, 0, is
- * the only bank of an unbanked cache.
+ * a snoop or invalidation that probes every L1 is one pass over
+ * setLines(), about one host cache line. find() and allocate() name
+ * their bank; the default, 0, is the only bank of an unbanked cache.
  */
 class Cache
 {
   public:
     /**
-     * @param size_bytes  capacity of each bank (ignored when infinite)
+     * @param size_bytes  capacity of each bank; when infinite, the
+     *                    page size instead (a power-of-two multiple
+     *                    of the block size), by which lines are
+     *                    allocated
      * @param block_bytes coherence block size
      * @param assoc       ways per set (1 = direct-mapped)
      * @param infinite    unbounded capacity, no evictions ever
@@ -105,6 +108,21 @@ class Cache
     }
 
     /**
+     * The first of the ways() * banks lines of @p a's set, which sit
+     * side by side: bank b's ways are [b * ways(), (b + 1) * ways()).
+     * A probe of every bank scans them in one pass instead of calling
+     * find() per bank. Finite caches only.
+     */
+    CacheLine *
+    setLines(Addr a)
+    {
+        return &lines[setIndex(blockAlign(a)) * nbanks * assoc];
+    }
+
+    /** Ways per set in each bank. */
+    std::size_t ways() const { return assoc; }
+
+    /**
      * Mark a line most-recently used. Direct-mapped and infinite
      * caches keep no LRU order, so this does nothing in them.
      */
@@ -134,13 +152,14 @@ class Cache
     CacheLine *allocate(Addr a, Victim &victim, std::size_t bank = 0);
 
     /**
-     * Invalidate a block in @p bank if present; returns its prior
-     * state (Invalid when absent).
+     * Invalidate a block if present; returns its prior state (Invalid
+     * when absent). Bank 0 only: a banked cache's owner clears every
+     * bank in one pass over setLines().
      */
     CacheState
-    invalidate(Addr a, std::size_t bank = 0)
+    invalidate(Addr a)
     {
-        CacheLine *line = find(a, bank);
+        CacheLine *line = find(a);
         if (!line)
             return CacheState::Invalid;
         const CacheState prior = line->state;
@@ -191,12 +210,14 @@ class Cache
     /** LRU stamps, parallel to lines; allocated only when assoc > 1. */
     std::vector<std::uint64_t> lru;
     /**
-     * Infinite-mode storage: lines in chunks of 64 consecutive blocks,
-     * allocated on a chunk's first allocate() and indexed by block
-     * number / 64. Lines never move, so returned pointers stay valid.
+     * Infinite-mode storage: one page's lines per chunk, allocated on
+     * the page's first allocate() and indexed by page number, so the
+     * table shares every page-level table's maxPages cap. Lines never
+     * move, so returned pointers stay valid.
      */
-    static constexpr unsigned chunkShift = 6;
     PageIndexed<std::unique_ptr<CacheLine[]>> chunks;
+    /** log2 of the blocks in a page (infinite mode). */
+    unsigned chunkShift = 0;
 
     std::size_t
     setIndex(Addr a) const

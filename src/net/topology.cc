@@ -13,7 +13,11 @@ MeshNetwork::MeshNetwork(std::size_t nodes, Tick hop_latency,
     const bool ok = meshDims(nodes, &width_, &height_);
     RNUMA_ASSERT(ok, "mesh-2d cannot embed ", nodes, " nodes");
     RNUMA_ASSERT(hop_latency >= 1, "mesh hop latency must be >= 1");
-    // Four directed links per node (east, west, north, south); edge
+    coords_.reserve(nodes);
+    for (std::size_t n = 0; n < nodes; ++n)
+        coords_.push_back({static_cast<std::uint32_t>(n % width_),
+                           static_cast<std::uint32_t>(n / width_)});
+    // Four directed links per node (east, west, south, north); edge
     // nodes simply never acquire their missing directions.
     links_.reserve(nodes * 4);
     for (std::size_t i = 0; i < nodes * 4; ++i)
@@ -23,52 +27,35 @@ MeshNetwork::MeshNetwork(std::size_t nodes, Tick hop_latency,
 std::size_t
 MeshNetwork::hops(NodeId from, NodeId to) const
 {
-    const std::size_t fx = from % width_, fy = from / width_;
-    const std::size_t tx = to % width_, ty = to / width_;
-    const std::size_t dx = fx > tx ? fx - tx : tx - fx;
-    const std::size_t dy = fy > ty ? fy - ty : ty - fy;
+    const Coord f = coords_[from], t = coords_[to];
+    const std::size_t dx = f.x > t.x ? f.x - t.x : t.x - f.x;
+    const std::size_t dy = f.y > t.y ? f.y - t.y : t.y - f.y;
     return dx + dy;
 }
 
-Resource &
-MeshNetwork::link(NodeId from, NodeId to)
+Tick
+MeshNetwork::walk(Tick t, std::size_t at, std::ptrdiff_t step, Dir dir,
+                  std::size_t n)
 {
-    // Direction index: 0 east (+x), 1 west (-x), 2 south (+y),
-    // 3 north (-y).
-    std::size_t dir;
-    if (to == from + 1)
-        dir = 0;
-    else if (to + 1 == from)
-        dir = 1;
-    else if (to == from + width_)
-        dir = 2;
-    else
-        dir = 3;
-    return links_[static_cast<std::size_t>(from) * 4 + dir];
+    for (; n > 0; --n, at += static_cast<std::size_t>(step))
+        t = links_[at * 4 + dir].acquire(t) + hopLatency_;
+    return t;
 }
 
 Tick
 MeshNetwork::route(Tick depart, NodeId from, NodeId to)
 {
-    Tick t = depart;
-    NodeId at = from;
-    const std::size_t tx = to % width_;
     // Dimension-ordered: walk X to the destination column, then Y to
     // the destination row. Each directed link serializes crossing
     // traffic; each hop adds the wire latency.
-    while (at % width_ != tx) {
-        const NodeId next = at % width_ < tx ? at + 1 : at - 1;
-        t = link(at, next).acquire(t) + hopLatency_;
-        at = next;
-    }
-    while (at != to) {
-        const NodeId next =
-            at < to ? at + static_cast<NodeId>(width_)
-                    : at - static_cast<NodeId>(width_);
-        t = link(at, next).acquire(t) + hopLatency_;
-        at = next;
-    }
-    return t;
+    const Coord f = coords_[from], d = coords_[to];
+    const auto w = static_cast<std::ptrdiff_t>(width_);
+    Tick t = f.x < d.x ? walk(depart, from, 1, East, d.x - f.x)
+                       : walk(depart, from, -1, West, f.x - d.x);
+    // The X walk ends in the source row, destination column.
+    const std::size_t turn = std::size_t{from} - f.x + d.x;
+    return f.y < d.y ? walk(t, turn, w, South, d.y - f.y)
+                     : walk(t, turn, -w, North, f.y - d.y);
 }
 
 Tick

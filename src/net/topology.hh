@@ -15,6 +15,7 @@
 #define RNUMA_NET_TOPOLOGY_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "net/network.hh"
@@ -27,7 +28,9 @@ namespace rnuma
  * (n % W, n / W); messages route dimension-ordered (X first, then
  * Y). Each directed link is a Resource with Params::linkOccupancy
  * per message, so a hot link serializes crossing traffic; each hop
- * adds Params::hopLatency of wire time.
+ * adds Params::hopLatency of wire time. The coordinates are tabled
+ * once at construction, so hop counts and route walks never
+ * divide by W.
  *
  * Requires a rectangular factorization (meshDims); Params::validate()
  * rejects node counts that do not embed.
@@ -52,8 +55,15 @@ class MeshNetwork : public NetworkModel
     std::size_t height() const { return height_; }
 
   private:
-    /** Directed link leaving @p from toward adjacent @p to. */
-    Resource &link(NodeId from, NodeId to);
+    /** Outgoing link directions, indexing links_. */
+    enum Dir : std::size_t { East, West, South, North };
+
+    /** A node's column and row. */
+    struct Coord
+    {
+        std::uint32_t x;
+        std::uint32_t y;
+    };
 
     /**
      * Walk the dimension-ordered route, acquiring each directed link
@@ -61,9 +71,18 @@ class MeshNetwork : public NetworkModel
      */
     Tick route(Tick depart, NodeId from, NodeId to);
 
+    /**
+     * Cross @p n links in direction @p dir from node @p at, which
+     * steps by @p step per hop; returns the arrival time.
+     */
+    Tick walk(Tick t, std::size_t at, std::ptrdiff_t step, Dir dir,
+              std::size_t n);
+
     std::size_t width_;
     std::size_t height_;
     Tick hopLatency_;
+    /** coords_[n]: node n's (n % W, n / W). */
+    std::vector<Coord> coords_;
     /** links_[n * 4 + d]: node n's outgoing link in direction d. */
     std::vector<Resource> links_;
 };

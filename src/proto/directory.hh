@@ -318,8 +318,14 @@ class SharerSet
  *    voluntarily wrote it back (block-cache eviction). A request from
  *    such a node is a refetch of a read-write block.
  *  - touched: nodes that have ever fetched the block (cold-miss
- *    detection). Simulator classification state, always exact — not
- *    part of the modeled hardware entry (DirConfig::entryBits()).
+ *    detection). Simulator classification state, always exact and
+ *    never cleared — not part of the modeled hardware entry
+ *    (DirConfig::entryBits()). A node gets a copy of a block only
+ *    through a fetch (on-node transfers, relocations and L1
+ *    writebacks all start from a copy the node already holds), so a
+ *    held copy implies the node's touched bit. GlobalProtocol::fetch
+ *    relies on this to make invalidation downcalls only into touched
+ *    nodes.
  */
 struct alignas(std::uint64_t) DirEntry
 {

@@ -128,11 +128,12 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
     if (write) {
         // Sparse sharer sets may over-approximate (broadcast or
         // region bits), so the targets can include nodes that never
-        // held the block — the modeled cost of a sparse directory.
-        // Every true sharer is always covered. The targets are every
-        // apparent sharer plus the owner, snapshotted in ascending
-        // node order before any callback: the order is observable,
-        // since a mesh acquires its links in post order.
+        // held the block — the modeled cost of a sparse directory,
+        // charged below in messages and ack time. Every true sharer
+        // is always covered. The targets are every apparent sharer
+        // plus the owner, snapshotted in ascending node order before
+        // any callback: the order is observable, since a mesh
+        // acquires its links in post order.
         std::array<NodeId, maxNodes> targets;
         std::size_t ntargets = 0;
         NodeId owner = e.owner;
@@ -146,12 +147,17 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
         if (owner != invalidNode)
             targets[ntargets++] = owner;
 
+        // A node holds a copy only if it fetched the block (see
+        // DirEntry::touched), so the host downcall into any other
+        // target would find nothing to invalidate and is skipped.
+        const SharerSet touched = dir_.touched(e);
         Tick worst_wire = 0;
         for (std::size_t i = 0; i < ntargets; ++i) {
             const NodeId m = targets[i];
             if (m == requester)
                 continue;
-            sink.invalidateNodeCopy(m, block);
+            if (touched.test(m))
+                sink.invalidateNodeCopy(m, block);
             net.post(t, home, m, MsgKind::Invalidate);
             sharers.reset(m);
             prior.reset(m);

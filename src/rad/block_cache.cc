@@ -5,7 +5,7 @@ namespace rnuma
 
 BlockCache::BlockCache(std::size_t size_bytes, const Params &params,
                        bool infinite)
-    : cache(infinite ? params.blockSize : size_bytes, params.blockSize,
+    : cache(infinite ? params.pageSize : size_bytes, params.blockSize,
             params.blockCacheAssoc, infinite)
 {
 }

@@ -61,6 +61,13 @@ class BlockCache
         return line && line->state == CacheState::Modified;
     }
 
+    /** Visit every valid line (test/diagnostic use). */
+    void
+    forEachValid(const std::function<void(const CacheLine &)> &fn) const
+    {
+        cache.forEachValid(fn);
+    }
+
     std::size_t validCount() const { return cache.validCount(); }
     bool infinite() const { return cache.infinite(); }
 

@@ -52,6 +52,9 @@ class RNumaRad : public Rad
     /** The node's page cache (read-only, for invariant checks). */
     const PageCache &pageCache() const { return pc; }
 
+    /** The node's block cache (read-only, for invariant checks). */
+    const BlockCache &blockCache() const { return bc; }
+
   private:
     PageMode firstTouch_;
     BlockCache bc;

@@ -21,12 +21,14 @@ Node::Node(const Params &params, NodeId id, const ProtocolSpec &spec,
 CacheLine *
 Node::snoopOwned(std::size_t cpu, Addr block)
 {
-    for (std::size_t i = 0; i < p.cpusPerNode; ++i) {
-        if (i == cpu)
+    CacheLine *set = l1s_.setLines(block);
+    const std::size_t ways = l1s_.ways();
+    const std::size_t own = cpu * ways;
+    for (std::size_t i = 0; i < p.cpusPerNode * ways; ++i) {
+        if (i >= own && i < own + ways)
             continue;
-        CacheLine *line = l1s_.find(block, i);
-        if (line && isDirty(line->state))
-            return line;
+        if (set[i].addr == block && isDirty(set[i].state))
+            return &set[i];
     }
     return nullptr;
 }
@@ -34,9 +36,15 @@ Node::snoopOwned(std::size_t cpu, Addr block)
 void
 Node::invalidateOtherL1s(std::size_t cpu, Addr block)
 {
-    for (std::size_t i = 0; i < p.cpusPerNode; ++i)
-        if (i != cpu)
-            l1s_.invalidate(block, i);
+    CacheLine *set = l1s_.setLines(block);
+    const std::size_t ways = l1s_.ways();
+    const std::size_t own = cpu * ways;
+    for (std::size_t i = 0; i < p.cpusPerNode * ways; ++i) {
+        if (i >= own && i < own + ways)
+            continue;
+        if (set[i].addr == block && set[i].valid())
+            set[i] = CacheLine{};
+    }
 }
 
 bool
@@ -182,10 +190,13 @@ Node::invalidateL1Block(Addr block)
         }
         return 0;
     };
-    for (std::size_t i = 0; i < p.cpusPerNode; ++i) {
-        CacheState s = l1s_.invalidate(block, i);
-        if (rank(s) > rank(strongest))
-            strongest = s;
+    CacheLine *set = l1s_.setLines(block);
+    for (std::size_t i = 0; i < p.cpusPerNode * l1s_.ways(); ++i) {
+        if (set[i].addr != block || !set[i].valid())
+            continue;
+        if (rank(set[i].state) > rank(strongest))
+            strongest = set[i].state;
+        set[i] = CacheLine{};
     }
     return strongest;
 }
@@ -203,11 +214,10 @@ void
 Node::downgradeAll(Addr block)
 {
     block = blockOf(block);
-    for (std::size_t i = 0; i < p.cpusPerNode; ++i) {
-        CacheLine *line = l1s_.find(block, i);
-        if (line)
-            line->state = CacheState::Shared;
-    }
+    CacheLine *set = l1s_.setLines(block);
+    for (std::size_t i = 0; i < p.cpusPerNode * l1s_.ways(); ++i)
+        if (set[i].addr == block && set[i].valid())
+            set[i].state = CacheState::Shared;
     rad_->downgradeBlock(block);
 }
 

@@ -219,7 +219,8 @@ addBuiltins(WorkloadRegistry &reg)
              auto o = WorkloadOptions::parse(options);
              std::size_t pages = o.getSize("pages", 4, 1, maxPages);
              std::size_t iters =
-                 o.getSize("iters", scaled(20, scale), 1);
+                 o.getSize("iters", scaled(20, scale), 1,
+                           maxStreamCount);
              o.finish("private-loop");
              return makePrivateLoop(p, pages, iters);
          }},
@@ -233,7 +234,7 @@ addBuiltins(WorkloadRegistry &reg)
              std::size_t pages =
                  o.getSize("pages", scaled(120, scale, 2), 1,
                            maxPages);
-             std::size_t sweeps = o.getSize("sweeps", 8, 1);
+             std::size_t sweeps = o.getSize("sweeps", 8, 1, maxStreamCount);
              o.finish("hot-reuse");
              return makeHotRemoteReuse(p, pages, sweeps);
          }},
@@ -249,7 +250,8 @@ addBuiltins(WorkloadRegistry &reg)
                                         scaled(80, scale, 40),
                            p.pageCacheFrames() + 1, maxPages);
              std::size_t sweeps =
-                 o.getSize("sweeps", scaled(16, scale, 8), 1);
+                 o.getSize("sweeps", scaled(16, scale, 8), 1,
+                           maxStreamCount);
              o.finish("evict-storm");
              return makeEvictionStorm(p, pages, sweeps);
          }},
@@ -262,7 +264,7 @@ addBuiltins(WorkloadRegistry &reg)
              auto o = WorkloadOptions::parse(options);
              std::size_t pages =
                  o.getSize("pages", scaled(32, scale, 1), 1, maxPages);
-             std::size_t rounds = o.getSize("rounds", 10, 1);
+             std::size_t rounds = o.getSize("rounds", 10, 1, maxStreamCount);
              o.finish("producer-consumer");
              return makeProducerConsumer(p, pages, rounds);
          }},
@@ -274,7 +276,8 @@ addBuiltins(WorkloadRegistry &reg)
             const std::string &options) {
              auto o = WorkloadOptions::parse(options);
              std::size_t rounds =
-                 o.getSize("rounds", scaled(400, scale, 8), 1);
+                 o.getSize("rounds", scaled(400, scale, 8), 1,
+                           maxStreamCount);
              o.finish("rw-sharing");
              return makeRwSharing(p, rounds);
          }},
@@ -287,7 +290,7 @@ addBuiltins(WorkloadRegistry &reg)
              auto o = WorkloadOptions::parse(options);
              std::size_t pages = o.getSize("pages", 24, 1, maxPages);
              std::size_t touches = o.getSize(
-                 "touches", p.relocationThreshold + 1, 1);
+                 "touches", p.relocationThreshold + 1, 1, maxStreamCount);
              o.finish("adversary");
              return makeAdversary(p, pages, touches);
          }},
@@ -301,7 +304,8 @@ addBuiltins(WorkloadRegistry &reg)
              std::size_t pages =
                  o.getSize("pages", scaled(4, scale, 1), 1, maxPages);
              std::size_t sweeps =
-                 o.getSize("sweeps", scaled(4, scale, 2), 1);
+                 o.getSize("sweeps", scaled(4, scale, 2), 1,
+                           maxStreamCount);
              o.finish("scaling-shift");
              return makeScalingShift(p, pages, sweeps);
          }},

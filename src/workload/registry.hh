@@ -42,6 +42,15 @@ namespace rnuma
 {
 
 /**
+ * Upper bound on a generator option that sizes the reference stream
+ * by a repeat count (iters, sweeps, rounds, requests, transactions,
+ * rows, touches, phases): thousands of times any figure's input, so
+ * a mistyped count is a named fatal error before the stream grows
+ * instead of an allocation failure once it has.
+ */
+constexpr std::size_t maxStreamCount = std::size_t{1} << 20;
+
+/**
  * Parsed "key=value,key=value" generator options (the WorkloadSpec
  * factory's fourth argument). Typed getters record which keys were
  * consumed; finish() is fatal on any leftover, so a misspelled
@@ -55,7 +64,8 @@ class WorkloadOptions
 
     /**
      * Fatal, naming `key=value`, on a value outside [min, max]. An
-     * option that sizes an allocation in pages passes maxPages.
+     * option that sizes an allocation in pages passes maxPages; one
+     * that sizes the stream by a count passes maxStreamCount.
      */
     std::size_t getSize(const std::string &key, std::size_t fallback,
                         std::size_t min = 0,

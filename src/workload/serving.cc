@@ -75,7 +75,8 @@ makeZipfServe(const Params &p, double scale, std::uint64_t seed,
     double theta = o.getDouble("theta", 0.8, 0.0);
     double writeFrac = o.getDouble("write", 0.1, 0.0, 1.0);
     std::size_t requests =
-        o.getSize("requests", scaled(2400, scale, 40), 1);
+        o.getSize("requests", scaled(2400, scale, 40), 1,
+                  maxStreamCount);
     o.finish("zipf-serve");
 
     StreamBuilder b("zipf-serve", p, seed);
@@ -115,8 +116,9 @@ makePhaseShift(const Params &p, double scale, std::uint64_t seed,
     // the rotation must overflow the page cache at every scale).
     std::size_t pages =
         o.getSize("pages", 3 * p.pageCacheFrames(), 1, maxPages);
-    std::size_t phases = o.getSize("phases", 6, 1);
-    std::size_t sweeps = o.getSize("sweeps", scaled(4, scale, 2), 1);
+    std::size_t phases = o.getSize("phases", 6, 1, maxStreamCount);
+    std::size_t sweeps = o.getSize("sweeps", scaled(4, scale, 2), 1,
+                                   maxStreamCount);
     o.finish("phase-shift");
 
     StreamBuilder b("phase-shift", p, seed);
@@ -158,7 +160,8 @@ makeTenants(const Params &p, double scale, std::uint64_t seed,
     std::size_t tenants = o.getSize("tenants", 4, 1);
     std::size_t pages =
         o.getSize("pages", scaled(96, scale, 8), 1, maxPages);
-    std::size_t rounds = o.getSize("rounds", scaled(6, scale, 2), 1);
+    std::size_t rounds = o.getSize("rounds", scaled(6, scale, 2), 1,
+                                   maxStreamCount);
     o.finish("tenants");
 
     StreamBuilder b("tenants", p, seed);
@@ -208,9 +211,10 @@ makeDatabaseScan(const Params &p, double scale, std::uint64_t seed,
 {
     auto o = WorkloadOptions::parse(options);
     std::size_t transactions =
-        o.getSize("transactions", scaled(48, scale, 8), 1);
+        o.getSize("transactions", scaled(48, scale, 8), 1,
+                  maxStreamCount);
     std::size_t pool_pages = o.getSize("pool", 160, 1, maxPages);
-    std::size_t rows_per_txn = o.getSize("rows", 48);
+    std::size_t rows_per_txn = o.getSize("rows", 48, 0, maxStreamCount);
     std::size_t hot_fraction_pages = o.getSize("hot", 24, 1);
     o.finish("database-scan");
     if (hot_fraction_pages > pool_pages) {

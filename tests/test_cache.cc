@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "mem/cache.hh"
 
@@ -118,7 +119,7 @@ TEST(Cache, DowngradeDirtyAndClean)
 
 TEST(Cache, InfiniteModeNeverEvicts)
 {
-    Cache c(0, 32, 1, /*infinite=*/true);
+    Cache c(4096, 32, 1, /*infinite=*/true);
     Cache::Victim v;
     for (Addr a = 0; a < 32 * 10000; a += 32) {
         c.allocate(a, v)->state = CacheState::Shared;
@@ -130,7 +131,7 @@ TEST(Cache, InfiniteModeNeverEvicts)
 
 TEST(Cache, InfiniteModeInvalidateErases)
 {
-    Cache c(0, 32, 1, true);
+    Cache c(4096, 32, 1, true);
     Cache::Victim v;
     c.allocate(64, v)->state = CacheState::Modified;
     EXPECT_EQ(c.invalidate(64), CacheState::Modified);
@@ -170,13 +171,19 @@ TEST(CacheBanks, OneSetInTwoBanksHoldsTwoBlocks)
     EXPECT_NE(c.find(1024, 1), nullptr);
     EXPECT_EQ(c.find(0, 1), nullptr);
     EXPECT_EQ(c.find(1024, 0), nullptr);
-    // The same block may live in both banks; invalidation is per bank.
+    // The same block may live in both banks, and one set's lines sit
+    // side by side: bank 0's ways, then bank 1's.
     c.allocate(0, v, 1)->state = CacheState::Shared;
     EXPECT_TRUE(v.valid);
     EXPECT_EQ(v.addr, 1024u);
-    EXPECT_EQ(c.invalidate(0, 1), CacheState::Shared);
-    EXPECT_EQ(c.find(0, 0)->state, CacheState::Modified);
-    EXPECT_EQ(c.validCount(), 1u);
+    ASSERT_EQ(c.ways(), 1u);
+    CacheLine *set = c.setLines(0);
+    EXPECT_EQ(c.setLines(1024 + 31), set);
+    EXPECT_EQ(&set[0], c.find(0, 0));
+    EXPECT_EQ(&set[1], c.find(0, 1));
+    EXPECT_EQ(set[0].state, CacheState::Modified);
+    EXPECT_EQ(set[1].state, CacheState::Shared);
+    EXPECT_EQ(c.validCount(), 2u);
 }
 
 TEST(CacheBanks, LruOrderIsKeptPerBank)
@@ -207,9 +214,39 @@ TEST(CacheBanks, LruOrderIsKeptPerBank)
     EXPECT_NE(c.find(32, 1), nullptr);
 }
 
+TEST(Cache, InfiniteModeCapIsCountedInPages)
+{
+    // The lines are kept a page at a time, so the cap is the one every
+    // page-level table has. A 4 KiB page holds 128 blocks, two
+    // 64-block runs: a page past maxPages / 2 must still be accepted.
+    Cache c(4096, 32, 1, true);
+    Cache::Victim v;
+    const Addr page = maxPages / 2 + 1;
+    c.allocate(page * 4096 + 96, v)->state = CacheState::Shared;
+    EXPECT_NE(c.find(page * 4096 + 96), nullptr);
+    EXPECT_EQ(c.find(page * 4096 + 64), nullptr);
+    EXPECT_EQ(c.validCount(), 1u);
+    // Past the cap: a named fatal error that counts pages.
+    try {
+        c.allocate(Addr(maxPages) * 4096, v);
+        ADD_FAILURE() << "allocate past maxPages was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "page " + std::to_string(maxPages) + " is past"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Cache, InfiniteModeNeedsAPageOfBlocks)
+{
+    EXPECT_THROW(Cache(16, 32, 1, true), std::logic_error);
+    EXPECT_THROW(Cache(96, 32, 1, true), std::logic_error);
+}
+
 TEST(CacheBanks, InfiniteCacheHasOneBank)
 {
-    EXPECT_THROW(Cache(0, 32, 1, true, 2), std::logic_error);
+    EXPECT_THROW(Cache(4096, 32, 1, true, 2), std::logic_error);
 }
 
 /** Parameterized sweep: geometry invariants across configurations. */

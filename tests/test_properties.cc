@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 
 #include "core/analytic_model.hh"
 #include "proto/directory.hh"
+#include "rad/rnuma_rad.hh"
 #include "sim/machine.hh"
 #include "sim/runner.hh"
 #include "workload/micro.hh"
@@ -183,6 +186,77 @@ TEST(Properties, OwnerImpliesSharerBit)
             << "dirty owner must be the sole sharer";
     }
 }
+
+/**
+ * A held copy implies the directory's touched bit: every block a
+ * node's L1s, block cache or page cache holds was fetched by that
+ * node. GlobalProtocol::fetch relies on it to skip the invalidation
+ * downcalls into the other nodes a sparse sharer set names.
+ */
+class HeldImpliesTouched
+    : public ::testing::TestWithParam<
+          std::tuple<SharerFormat, std::string, std::size_t>>
+{
+};
+
+TEST_P(HeldImpliesTouched, AfterWriteSharedMeshRun)
+{
+    auto [fmt, proto, threshold] = GetParam();
+    Params p = test::smallParams(); // 4-frame page cache
+    p.numNodes = 16;
+    p.networkModel = "mesh-2d";
+    p.dirFormat = fmt;
+    p.dirPointers = 4;
+    p.dirRegionSize = 8;
+    p.relocationThreshold = threshold;
+    p.validate();
+    auto wl = makeWorkload("zipf-serve", p, 1.0, 7,
+                           "pages=24,theta=0.6,write=0.3,requests=40");
+    wl->reset();
+    Machine m(p, protocolSpec(proto), *wl);
+    RunStats s = m.run();
+    ASSERT_GT(s.invalidationsSent, 0u);
+    if (proto == "scoma") {
+        ASSERT_GT(s.scomaReplacements, 0u);
+    } else if (proto == "rnuma") {
+        ASSERT_GT(s.relocations, 0u);
+    }
+
+    const Directory &dir = m.protocol().directory();
+    const Addr pages = wl->addrLimit() / p.pageSize;
+    std::size_t copies = 0;
+    for (NodeId n = 0; n < p.numNodes; ++n) {
+        auto held = [&](Addr block, const char *where) {
+            const DirEntry *e = dir.peek(block);
+            EXPECT_TRUE(e && dir.touched(*e).test(n))
+                << "node " << n << " holds block " << block << " in its "
+                << where << " but never fetched it";
+            copies++;
+        };
+        m.node(n).l1s().forEachValid(
+            [&](const CacheLine &l) { held(l.addr, "L1s"); });
+        const auto &rad = dynamic_cast<const RNumaRad &>(m.node(n).rad());
+        rad.blockCache().forEachValid(
+            [&](const CacheLine &l) { held(l.addr, "block cache"); });
+        const PageCache &pc = rad.pageCache();
+        for (Addr page = 0; page < pages; ++page) {
+            if (!pc.contains(page))
+                continue;
+            pc.forEachValid(page, [&](std::size_t idx, FineTag) {
+                held(page * p.pageSize + idx * p.blockSize, "page cache");
+            });
+        }
+    }
+    EXPECT_GT(copies, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FormatsByProtocol, HeldImpliesTouched,
+    ::testing::Combine(::testing::Values(SharerFormat::FullMap,
+                                         SharerFormat::LimitedPointer,
+                                         SharerFormat::CoarseVector),
+                       ::testing::Values("ccnuma", "scoma", "rnuma"),
+                       ::testing::Values(std::size_t{1}, std::size_t{2})));
 
 /** Cross-protocol conservation sweep over apps and protocols. */
 class ConservationSweep

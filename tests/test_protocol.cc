@@ -261,6 +261,47 @@ TEST_F(PartialRegionTest, SoleReaderOfPartialRegionGetsExclusive)
                      .exclusiveGrant);
 }
 
+/** The base 8-node machine with one exact pointer per entry. */
+class OnePointerTest : public ProtocolTest
+{
+  protected:
+    OnePointerTest() : ProtocolTest(onePointer()) {}
+
+    static Params
+    onePointer()
+    {
+        Params q = Params::base();
+        q.dirFormat = SharerFormat::LimitedPointer;
+        q.dirPointers = 1;
+        q.validate();
+        return q;
+    }
+};
+
+TEST_F(OnePointerTest, BroadcastChargesEveryNodeButCallsOnlyFetchers)
+{
+    // Two readers overflow the single pointer, so the write
+    // broadcasts: all seven other nodes get an invalidation message
+    // and the ack wait covers them. Only the two readers ever fetched
+    // the block, so only they can hold a copy, and only they get a
+    // host downcall.
+    proto->fetch(0, 1, blk, ReqType::GetS);
+    proto->fetch(10, 2, blk, ReqType::GetS);
+    sink.invalidated.clear();
+    FetchResult w = proto->fetch(1000, 3, blk, ReqType::GetX);
+    EXPECT_EQ(w.invalidations, 7);
+    EXPECT_EQ(net.count(MsgKind::Invalidate), 7u);
+    // The directory lookup ends at 1000 + RAD 23 + request (NI 20 +
+    // wire 100) + directory 8 = 1151. The data is back by 1151 + DRAM
+    // 56 + reply 120 = 1327, the acks by 1151 + 2 x 100 + NI 20 =
+    // 1371; then the RAD's 23.
+    EXPECT_EQ(w.done, 1394u);
+    const std::vector<std::pair<NodeId, Addr>> fetchers = {{1, blk},
+                                                           {2, blk}};
+    EXPECT_EQ(sink.invalidated, fetchers);
+    EXPECT_TRUE(proto->nodeOwns(3, blk));
+}
+
 TEST_F(ProtocolTest, HomeOfUsesPlacement)
 {
     EXPECT_EQ(proto->homeOf(0xdeadbeef), 0u);

@@ -196,6 +196,20 @@ TEST(WorkloadOptions, OutOfRangeGeneratorOptionIsFatal)
         {"producer-consumer", "pages=1000000000000"},
         {"adversary", "pages=1000000000000"},
         {"scaling-shift", "pages=1000000000000"},
+        // Past maxStreamCount: named before the stream is built.
+        {"private-loop", "iters=1000000000000"},
+        {"hot-reuse", "sweeps=1000000000000"},
+        {"evict-storm", "sweeps=1000000000000"},
+        {"producer-consumer", "rounds=1000000000000"},
+        {"rw-sharing", "rounds=1000000000000"},
+        {"adversary", "touches=1000000000000"},
+        {"scaling-shift", "sweeps=1000000000000"},
+        {"zipf-serve", "requests=1000000000000"},
+        {"phase-shift", "phases=1000000000000"},
+        {"phase-shift", "sweeps=1000000000000"},
+        {"tenants", "rounds=1000000000000"},
+        {"database-scan", "transactions=1000000000000"},
+        {"database-scan", "rows=1000000000000"},
     };
     for (const auto &[workload, kv] : cases) {
         try {
@@ -206,6 +220,12 @@ TEST(WorkloadOptions, OutOfRangeGeneratorOptionIsFatal)
                 << workload << ": " << e.what();
         }
     }
+    // The stream bound is the one named constant, not a per-option
+    // limit.
+    EXPECT_THROW(makeWorkload("private-loop", p, 0.1, 1,
+                              "iters=" +
+                                  std::to_string(maxStreamCount + 1)),
+                 std::runtime_error);
 }
 
 //--------------------------------------------------------------------------

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/geometry.hh"
 #include "net/topology.hh"
 
@@ -89,6 +92,129 @@ TEST(Mesh, SharedLinkSerializesCrossingTraffic)
     EXPECT_EQ(m.send(0, 1, 2, MsgKind::Request), 74u);
     // The 29 cycles of link queueing show up in waited().
     EXPECT_GE(m.waited(), 29u);
+}
+
+TEST(Mesh, HopsMatchTheCoordinateFormula)
+{
+    // Node n sits at (n % W, n / W); the tabled coordinates must give
+    // the Manhattan distance that formula does, for every ordered pair.
+    for (std::size_t nodes : {8, 32, 128, 512}) {
+        MeshNetwork m(nodes, 25, 4, 20);
+        const std::size_t w = m.width();
+        for (NodeId a = 0; a < nodes; ++a) {
+            for (NodeId b = 0; b < nodes; ++b) {
+                const std::size_t ax = a % w, ay = a / w;
+                const std::size_t bx = b % w, by = b / w;
+                const std::size_t expect = (ax > bx ? ax - bx : bx - ax) +
+                    (ay > by ? ay - by : by - ay);
+                ASSERT_EQ(m.hops(a, b), expect)
+                    << nodes << " nodes: " << a << " -> " << b;
+            }
+        }
+    }
+}
+
+namespace
+{
+
+/**
+ * The dimension-ordered route written out hop by hop: each hop names
+ * its directed link by the neighbor it leads to (east +1, west -1,
+ * south +W, north -W) and is acquired in walk order.
+ */
+class ReferenceMesh
+{
+  public:
+    ReferenceMesh(std::size_t nodes, std::size_t width, Tick hop,
+                  Tick link_occupancy, Tick ni_occupancy)
+        : w_(width), hop_(hop), nis_(nodes, Resource(ni_occupancy)),
+          links_(nodes * 4, Resource(link_occupancy))
+    {
+    }
+
+    Tick
+    send(Tick now, NodeId from, NodeId to)
+    {
+        if (from == to)
+            return now;
+        Tick t = nis_[from].acquire(now) + nis_[from].occupancyPerUse();
+        NodeId at = from;
+        while (at % w_ != to % w_) {
+            const NodeId next = at % w_ < to % w_ ? at + 1 : at - 1;
+            t = link(at, next).acquire(t) + hop_;
+            at = next;
+        }
+        while (at != to) {
+            const NodeId next = at < to ? at + NodeId(w_) : at - NodeId(w_);
+            t = link(at, next).acquire(t) + hop_;
+            at = next;
+        }
+        return t;
+    }
+
+    Tick
+    waited() const
+    {
+        Tick total = 0;
+        for (const Resource &r : nis_)
+            total += r.waited();
+        for (const Resource &r : links_)
+            total += r.waited();
+        return total;
+    }
+
+  private:
+    Resource &
+    link(NodeId from, NodeId to)
+    {
+        const std::size_t dir = to == from + 1 ? 0
+            : to + 1 == from                  ? 1
+            : to == from + w_                 ? 2
+                                              : 3;
+        return links_[std::size_t{from} * 4 + dir];
+    }
+
+    std::size_t w_;
+    Tick hop_;
+    std::vector<Resource> nis_;
+    std::vector<Resource> links_;
+};
+
+} // namespace
+
+TEST(Mesh, ContendedRoutesAcquireTheSameLinksInTheSameOrder)
+{
+    // Links held 40 cycles against a 25-cycle hop, and a new message
+    // every 3 cycles: most hops queue, so an arrival tick depends on
+    // which links the route took and in which order. Every ordered
+    // pair is sent (all four directions, and every corner turn), on
+    // meshes 2, 4 and 8 nodes wide.
+    const std::pair<std::size_t, std::size_t> meshes[] = {
+        {4, 2}, {8, 4}, {32, 8}};
+    for (const auto &[nodes, width] : meshes) {
+        MeshNetwork m(nodes, 25, 40, 20);
+        ASSERT_EQ(m.width(), width);
+        ReferenceMesh ref(nodes, width, 25, 40, 20);
+        Tick now = 0;
+        std::size_t remote = 0, queued = 0;
+        for (NodeId a = 0; a < nodes; ++a) {
+            for (NodeId b = 0; b < nodes; ++b) {
+                // Interleave sources so routes cross one another; 5
+                // is coprime to each node count, so a still visits
+                // every source.
+                const NodeId from = NodeId((a * 5 + b) % nodes);
+                const Tick got = m.send(now, from, b, MsgKind::Request);
+                ASSERT_EQ(got, ref.send(now, from, b))
+                    << nodes << " nodes: " << from << " -> " << b
+                    << " at " << now;
+                remote += from != b;
+                queued += got > now + 20 + m.latency(from, b);
+                now += 3;
+            }
+        }
+        EXPECT_EQ(m.waited(), ref.waited()) << nodes << " nodes";
+        EXPECT_GT(2 * queued, remote) << nodes << " nodes";
+    }
 }
 
 TEST(Mesh, MeanLatencyIsAverageOverDistinctPairs)
