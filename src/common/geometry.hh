@@ -21,6 +21,19 @@ isPow2(std::size_t n)
 }
 
 /**
+ * ceil(log2(n)), with ceilLog2(0/1) == 0. For a power of two, the
+ * shift that replaces a division by it.
+ */
+inline unsigned
+ceilLog2(std::size_t n)
+{
+    unsigned bits = 0;
+    while ((std::size_t{1} << bits) < n)
+        ++bits;
+    return bits;
+}
+
+/**
  * Factor @p nodes into a near-square W x H mesh (W >= H). H is the
  * largest divisor of nodes with H*H <= nodes; the mesh is accepted
  * only when the aspect ratio is at most 2:1 (W <= 2*H), the

@@ -102,6 +102,12 @@ Params::validate() const
     RNUMA_ASSERT(cpusPerNode >= 1, "need at least one CPU per node");
     RNUMA_ASSERT(blockSize > 0 && (blockSize & (blockSize - 1)) == 0,
                  "blockSize must be a power of two: ", blockSize);
+    // A power-of-two page turns every page and block-in-page index on
+    // the reference path into a shift and a mask, and the 4 MiB cap
+    // keeps maxPages pages inside a packed reference's addrBits.
+    RNUMA_ASSERT(isPow2(pageSize) && pageSize <= maxPageSize,
+                 "pageSize must be a power of two of at most ",
+                 maxPageSize, " bytes: ", pageSize);
     RNUMA_ASSERT(pageSize % blockSize == 0,
                  "pageSize must be a multiple of blockSize");
     RNUMA_ASSERT(l1Size % blockSize == 0, "l1Size not block aligned");

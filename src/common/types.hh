@@ -49,6 +49,18 @@ constexpr std::size_t maxNodes = 512;
  */
 constexpr std::size_t maxPages = std::size_t{1} << 22;
 
+/** Upper bound on Params::pageSize (validate()): 4 MiB. */
+constexpr std::size_t maxPageSize = std::size_t{1} << 22;
+
+/**
+ * Width of every simulated address: maxPages pages of at most
+ * maxPageSize bytes. The packed host records (workload Ref, mem
+ * CacheLine) hold an address in this many bits.
+ */
+constexpr unsigned addrBits = 44;
+static_assert((Addr{maxPages} * maxPageSize) >> addrBits == 1,
+              "maxPages pages of maxPageSize bytes span addrBits");
+
 /** Message categories, for traffic accounting. */
 enum class MsgKind : std::uint8_t
 {

@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include "common/geometry.hh"
 #include "common/logging.hh"
 
 namespace rnuma
@@ -25,16 +26,14 @@ Cache::Cache(std::size_t size_bytes, std::size_t block_bytes,
     RNUMA_ASSERT(block_bytes > 0 && (block_bytes & (block_bytes - 1)) == 0,
                  "block size must be a power of two");
     RNUMA_ASSERT(nbanks >= 1, "a cache needs at least one bank");
-    while ((std::size_t{1} << blockShift) < block_bytes)
-        ++blockShift;
+    blockShift = ceilLog2(block_bytes);
     if (unbounded) {
         RNUMA_ASSERT(nbanks == 1, "an infinite cache has one bank");
         RNUMA_ASSERT(size_bytes >= block_bytes &&
                          (size_bytes & (size_bytes - 1)) == 0,
                      "an infinite cache's page size ", size_bytes,
                      " must be a power-of-two multiple of the block");
-        while ((block_bytes << chunkShift) < size_bytes)
-            ++chunkShift;
+        chunkShift = ceilLog2(size_bytes / block_bytes);
         sets = 1;
         return;
     }
@@ -55,6 +54,8 @@ CacheLine *
 Cache::allocate(Addr a, Victim &victim, std::size_t bank)
 {
     a = blockAlign(a);
+    RNUMA_ASSERT(a < CacheLine::noBlock, "block ", a,
+                 " does not fit a cache line's tag");
     victim = Victim{};
     if (unbounded) {
         const Addr block = a >> blockShift;

@@ -40,14 +40,30 @@ bool isDirty(CacheState s);
 /** True for any valid state. */
 bool isValid(CacheState s);
 
-/** One cache line: block address and coherence state. */
+/**
+ * One cache line, packed into one 64-bit word: the block address in
+ * the low 61 bits and the MOESI state in the top 3. Halving the line
+ * halves the L1 banks, block caches and infinite-cache chunks a
+ * Machine zeroes at construction, and puts twice the lines in a host
+ * cache line. A simulated address fits in addrBits (44) bits.
+ */
 struct CacheLine
 {
-    Addr addr = invalidAddr;
-    CacheState state = CacheState::Invalid;
+    static constexpr unsigned tagBits = 61;
+    /** The tag of an empty line: odd, so no block address equals it. */
+    static constexpr Addr noBlock = (Addr{1} << tagBits) - 1;
+
+    Addr addr : tagBits;
+    CacheState state : 3;
+
+    constexpr CacheLine() : addr(noBlock), state(CacheState::Invalid) {}
 
     bool valid() const { return state != CacheState::Invalid; }
 };
+
+static_assert(sizeof(CacheLine) == 8, "a CacheLine is one 64-bit word");
+static_assert(addrBits < CacheLine::tagBits,
+              "every simulated address fits a CacheLine tag");
 
 /**
  * The cache proper. All addresses passed in are rounded down to block
@@ -163,8 +179,7 @@ class Cache
         if (!line)
             return CacheState::Invalid;
         const CacheState prior = line->state;
-        line->state = CacheState::Invalid;
-        line->addr = invalidAddr;
+        *line = CacheLine{};
         return prior;
     }
 

@@ -1,5 +1,6 @@
 #include "mem/memory.hh"
 
+#include "common/geometry.hh"
 #include "common/logging.hh"
 
 namespace rnuma
@@ -7,9 +8,14 @@ namespace rnuma
 
 Memory::Memory(Tick dram_latency, std::size_t block_bytes,
                std::size_t banks)
-    : latency(dram_latency), blockBytes(block_bytes)
+    : latency(dram_latency), blockShift(ceilLog2(block_bytes)),
+      bankMask(banks - 1)
 {
-    RNUMA_ASSERT(banks >= 1, "memory needs at least one bank");
+    RNUMA_ASSERT(isPow2(block_bytes),
+                 "memory interleave must be a power of two: ",
+                 block_bytes);
+    RNUMA_ASSERT(isPow2(banks),
+                 "memory bank count must be a power of two: ", banks);
     // A bank is busy for the access latency itself; back-to-back
     // accesses to different banks overlap fully.
     banks_.reserve(banks);
@@ -20,8 +26,8 @@ Memory::Memory(Tick dram_latency, std::size_t block_bytes,
 Tick
 Memory::access(Tick now, Addr addr)
 {
-    std::size_t bank =
-        static_cast<std::size_t>((addr / blockBytes) % banks_.size());
+    const std::size_t bank =
+        static_cast<std::size_t>(addr >> blockShift) & bankMask;
     Tick grant = banks_[bank].acquire(now);
     return grant + latency;
 }

@@ -23,8 +23,9 @@ class Memory
   public:
     /**
      * @param dram_latency access latency in cycles (Table 2: 56)
-     * @param block_bytes  interleave granularity
-     * @param banks        number of independent banks
+     * @param block_bytes  interleave granularity (a power of two)
+     * @param banks        number of independent banks (a power of
+     *                     two, so the bank select is a shift and mask)
      */
     Memory(Tick dram_latency, std::size_t block_bytes,
            std::size_t banks = 4);
@@ -40,7 +41,8 @@ class Memory
 
   private:
     Tick latency;
-    std::size_t blockBytes;
+    unsigned blockShift;
+    std::size_t bankMask;
     std::vector<Resource> banks_;
 };
 

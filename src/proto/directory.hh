@@ -34,6 +34,7 @@
 #include <memory>
 #include <new>
 
+#include "common/geometry.hh"
 #include "common/page_indexed.hh"
 #include "common/params.hh"
 #include "common/types.hh"
@@ -61,16 +62,6 @@ struct DirConfig
         c.pointers = p.dirPointers;
         c.regionSize = p.dirRegionSize;
         return c;
-    }
-
-    /** ceil(log2(n)), with ceilLog2(0/1) == 0. */
-    static std::size_t
-    ceilLog2(std::size_t n)
-    {
-        std::size_t bits = 0;
-        while ((std::size_t{1} << bits) < n)
-            ++bits;
-        return bits;
     }
 
     /**
@@ -390,14 +381,12 @@ class Directory
                      wordsFor(cfg.nodes)},
           stride_(1 + 2 * setShape_.words + nodeShape_.words)
     {
-        while ((std::size_t{1} << (blockShift_ + 1)) <= block_bytes)
-            ++blockShift_;
+        blockShift_ = ceilLog2(block_bytes);
         std::size_t group = 1;
         while (group * 2 <= blocks_per_page)
             group *= 2;
         groupBlocks_ = group;
-        while ((std::size_t{1} << groupShift_) < groupBlocks_)
-            ++groupShift_;
+        groupShift_ = ceilLog2(groupBlocks_);
         idxMask_ = groupBlocks_ - 1;
         liveWords_ = wordsFor(groupBlocks_);
     }
@@ -434,12 +423,24 @@ class Directory
         const std::uint64_t *g = groups_[bi >> groupShift_].get();
         if (!g)
             return nullptr;
-        const std::size_t idx =
-            static_cast<std::size_t>(bi) & idxMask_;
-        if (!((g[idx / 64] >> (idx % 64)) & 1))
-            return nullptr;
-        return std::launder(reinterpret_cast<const DirEntry *>(
-            g + liveWords_ + idx * stride_));
+        return record(g, static_cast<std::size_t>(bi) & idxMask_);
+    }
+
+    /**
+     * Call @p f(block, entry) for every block with directory state,
+     * in ascending address order (invariant checks and diagnostics).
+     */
+    template <class F>
+    void
+    forEachEntry(F &&f) const
+    {
+        for (Addr gi = 0; gi < groups_.size(); ++gi) {
+            const std::uint64_t *g = groups_[gi].get();
+            for (std::size_t idx = 0; g && idx < groupBlocks_; ++idx) {
+                if (const DirEntry *e = record(g, idx))
+                    f(((gi << groupShift_) | idx) << blockShift_, *e);
+            }
+        }
     }
 
     /** @name Views of an entry's sets (see DirEntry). */
@@ -485,6 +486,16 @@ class Directory
 
   private:
     static std::uint32_t u32(std::size_t v) { return std::uint32_t(v); }
+
+    /** Entry @p idx of group @p g; nullptr when it is not live. */
+    const DirEntry *
+    record(const std::uint64_t *g, std::size_t idx) const
+    {
+        if (!((g[idx / 64] >> (idx % 64)) & 1))
+            return nullptr;
+        return std::launder(reinterpret_cast<const DirEntry *>(
+            g + liveWords_ + idx * stride_));
+    }
 
     static std::uint32_t
     wordsFor(std::size_t bits)

@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "common/geometry.hh"
 #include "common/logging.hh"
 
 namespace rnuma
@@ -14,7 +15,8 @@ GlobalProtocol::GlobalProtocol(const Params &params,
                                std::vector<Memory *> memories)
     : p(params), net(net_), place(placement), sink(sink_),
       mems(std::move(memories)),
-      dir_(p.blockSize, p.blocksPerPage(), DirConfig::fromParams(p))
+      dir_(p.blockSize, p.blocksPerPage(), DirConfig::fromParams(p)),
+      pageShift(ceilLog2(p.pageSize))
 {
     RNUMA_ASSERT(mems.size() == p.numNodes,
                  "need one memory per node, got ", mems.size());
@@ -26,7 +28,7 @@ GlobalProtocol::GlobalProtocol(const Params &params,
 NodeId
 GlobalProtocol::homeOf(Addr addr) const
 {
-    return place.homeOf(addr / p.pageSize);
+    return place.homeOf(addr >> pageShift);
 }
 
 bool

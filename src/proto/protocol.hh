@@ -172,8 +172,10 @@ class GlobalProtocol
     /** Home protocol-controller occupancy, one per node. */
     std::vector<Resource> controllers;
 
+    /** log2 of the page size (a power of two, Params::validate). */
+    unsigned pageShift;
+
     Addr blockAlign(Addr a) const { return a & ~(Addr(p.blockSize) - 1); }
-    Addr pageOf(Addr a) const { return a / p.pageSize; }
 
     /** Classify a request against directory state (Section 3.1). */
     MissKind classify(const DirEntry &e, NodeId requester,

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "common/geometry.hh"
 #include "common/params.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -82,7 +83,9 @@ class Rad
 {
   public:
     Rad(const Params &params, NodeId node, RadDeps deps)
-        : p(params), nodeId(node), d(deps)
+        : p(params), nodeId(node), d(deps),
+          pageShift(ceilLog2(params.pageSize)),
+          blockShift(ceilLog2(params.blockSize))
     {}
 
     virtual ~Rad() = default;
@@ -123,12 +126,17 @@ class Rad
     NodeId nodeId;
     RadDeps d;
 
+    /** Page and block sizes are powers of two (Params::validate). */
+    unsigned pageShift;
+    unsigned blockShift;
+
     Addr blockOf(Addr a) const { return a & ~(Addr(p.blockSize) - 1); }
-    Addr pageOf(Addr a) const { return a / p.pageSize; }
+    Addr pageOf(Addr a) const { return a >> pageShift; }
     std::size_t
     blockIndex(Addr a) const
     {
-        return static_cast<std::size_t>((a % p.pageSize) / p.blockSize);
+        return static_cast<std::size_t>(
+            (a & (Addr(p.pageSize) - 1)) >> blockShift);
     }
 };
 

@@ -37,24 +37,10 @@ struct CpuState
     Tick stalled = 0;
     /** Ticks spent parked at barriers (diagnostics). */
     Tick barrierWait = 0;
-};
-
-/** CPU-id helpers: global id = node * cpusPerNode + local index. */
-struct CpuMap
-{
-    std::size_t cpusPerNode = 1;
-
-    NodeId
-    nodeOf(CpuId cpu) const
-    {
-        return static_cast<NodeId>(cpu / cpusPerNode);
-    }
-
-    std::size_t
-    localOf(CpuId cpu) const
-    {
-        return static_cast<std::size_t>(cpu % cpusPerNode);
-    }
+    /** Node of this CPU (global id = node * cpusPerNode + local). */
+    NodeId node = 0;
+    /** This CPU's index within its node: its L1 bank. */
+    std::size_t local = 0;
 };
 
 } // namespace rnuma

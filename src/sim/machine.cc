@@ -1,5 +1,6 @@
 #include "sim/machine.hh"
 
+#include "common/geometry.hh"
 #include "common/logging.hh"
 
 namespace rnuma
@@ -8,7 +9,7 @@ namespace rnuma
 Machine::Machine(const Params &params, const ProtocolSpec &spec,
                  Workload &wl_)
     : p(params), protocolId_(spec.id), wl(wl_),
-      cpuMap{params.cpusPerNode}, net_(makeNetwork(params)),
+      pageShift(ceilLog2(params.pageSize)), net_(makeNetwork(params)),
       eq_(params.numCpus())
 {
     p.validate();
@@ -37,6 +38,10 @@ Machine::Machine(const Params &params, const ProtocolSpec &spec,
     }
 
     cpus_.resize(p.numCpus());
+    for (CpuId c = 0; c < cpus_.size(); ++c) {
+        cpus_[c].node = static_cast<NodeId>(c / p.cpusPerNode);
+        cpus_[c].local = c % p.cpusPerNode;
+    }
 }
 
 bool
@@ -73,15 +78,12 @@ Machine::maybeReleaseBarrier()
 }
 
 Tick
-Machine::processMiss(CpuId cpu, const Ref &r)
+Machine::processMiss(CpuState &cs, Addr addr, bool write)
 {
-    CpuState &cs = cpus_[cpu];
-    NodeId n = cpuMap.nodeOf(cpu);
-    Addr page = r.addr / p.pageSize;
-    NodeId home = place_.touch(page, n);
-    Tick before = cs.time;
-    Tick done = nodes_[n]->access(cs.time, cpuMap.localOf(cpu), r.addr,
-                                  r.write, home == n);
+    const NodeId home = place_.touch(addr >> pageShift, cs.node);
+    const Tick before = cs.time;
+    const Tick done = nodes_[cs.node]->access(cs.time, cs.local, addr,
+                                              write, home == cs.node);
     cs.stalled += done - before;
     stats_.stallCycles += done - before;
     return done;
@@ -96,19 +98,19 @@ Machine::step(CpuId cpu)
 
     if (cs.hasPending) {
         // A deferred miss, now at the head of global time order.
-        Ref r = cs.pending;
         cs.hasPending = false;
-        cs.time = processMiss(cpu, r);
+        cs.time = processMiss(cs, cs.pending.addr, cs.pending.write);
         eq_.schedule(cs.time, cpu);
         return;
     }
 
     while (true) {
-        const Ref &r = wl.next(cpu);
+        // One 8-byte load per entry; the fields decode from a copy.
+        const Ref r = wl.next(cpu);
         switch (r.kind) {
           case RefKind::InitTouch:
             // Pre-parallel placement: the toucher becomes the home.
-            place_.touch(r.addr / p.pageSize, cpuMap.nodeOf(cpu));
+            place_.touch(r.addr >> pageShift, cs.node);
             continue;
 
           case RefKind::End:
@@ -128,25 +130,23 @@ Machine::step(CpuId cpu)
             return;
 
           case RefKind::Mem: {
+            const Addr addr = r.addr;
+            const bool write = r.write;
             cs.time += r.think;
             stats_.refs++;
-            NodeId n = cpuMap.nodeOf(cpu);
-            if (nodes_[n]->tryHit(cpuMap.localOf(cpu), r.addr,
-                                  r.write)) {
+            if (nodes_[cs.node]->tryHit(cs.local, addr, write))
                 continue; // L1 hit: no shared state touched
-            }
             // A miss interacts with shared resources (bus, memory,
             // directory, network); it must execute in global time
             // order. If this CPU has run ahead of the event queue,
-            // defer the miss to its own event.
+            // defer the miss to its own event (think already applied).
             if (!eq_.empty() && eq_.peekTime() < cs.time) {
                 cs.hasPending = true;
                 cs.pending = r;
-                cs.pending.think = 0; // think already applied
                 eq_.schedule(cs.time, cpu);
                 return;
             }
-            cs.time = processMiss(cpu, r);
+            cs.time = processMiss(cs, addr, write);
             // Yield so other CPUs' events interleave before this
             // CPU's next shared-state interaction.
             eq_.schedule(cs.time, cpu);

@@ -61,7 +61,8 @@ class Machine : public CoherenceSink
     Params p;
     std::string protocolId_;
     Workload &wl;
-    CpuMap cpuMap;
+    /** log2 of the page size: the page of an address is a shift. */
+    unsigned pageShift;
     RunStats stats_;
     FirstTouchPlacement place_;
     std::unique_ptr<NetworkModel> net_;
@@ -79,7 +80,7 @@ class Machine : public CoherenceSink
     void step(CpuId cpu);
 
     /** Execute a miss at the CPU's current time; returns completion. */
-    Tick processMiss(CpuId cpu, const Ref &r);
+    Tick processMiss(CpuState &cs, Addr addr, bool write);
 
     /** Release the barrier if every active CPU has arrived. */
     void maybeReleaseBarrier();

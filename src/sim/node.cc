@@ -1,5 +1,6 @@
 #include "sim/node.hh"
 
+#include "common/geometry.hh"
 #include "common/logging.hh"
 
 namespace rnuma
@@ -11,7 +12,8 @@ Node::Node(const Params &params, NodeId id, const ProtocolSpec &spec,
       bus_(params.busOccupancy),
       l1s_(params.l1Size, params.blockSize, params.l1Assoc, false,
            params.cpusPerNode),
-      pageTable_(), vm_(params, id, stats_)
+      pageTable_(), vm_(params, id, stats_),
+      pageShift(ceilLog2(params.pageSize))
 {
     rad_ = makeRad(spec, p, id,
                    RadDeps{proto, stats, bus_, mem, vm_, pageTable_,
@@ -106,7 +108,7 @@ Node::access(Tick now, std::size_t cpu, Addr addr, bool write,
             stats.invalidationsSent +=
                 static_cast<std::uint64_t>(res.invalidations);
             if (res.invalidations > 0)
-                stats.markSharedWrite(addr / p.pageSize);
+                stats.markSharedWrite(addr >> pageShift);
             done = res.done;
         } else {
             RadAccess ra = rad_->access(t, addr, true, true);
@@ -158,7 +160,7 @@ Node::access(Tick now, std::size_t cpu, Addr addr, bool write,
         stats.invalidationsSent +=
             static_cast<std::uint64_t>(res.invalidations);
         if (write && res.invalidations > 0)
-            stats.markSharedWrite(addr / p.pageSize);
+            stats.markSharedWrite(addr >> pageShift);
         if (res.threeHop)
             stats.forwards++;
         else

@@ -105,6 +105,8 @@ class Node : public L1Snooper
     PageTable pageTable_;
     VmManager vm_;
     std::unique_ptr<Rad> rad_;
+    /** log2 of the page size (a power of two, Params::validate). */
+    unsigned pageShift;
 
     Addr blockOf(Addr a) const { return a & ~(Addr(p.blockSize) - 1); }
 

@@ -234,25 +234,42 @@ loadStreamTrace(const std::string &path)
         const std::uint8_t *chunkEnd = p + len;
         const auto c = static_cast<CpuId>(cpu);
         Addr &addr = prev[c];
+        // A decoded field a Ref cannot hold names the file, cpu and
+        // record (the entry's index in that cpu's stream).
+        auto nextAddr = [&] {
+            addr += static_cast<Addr>(
+                unzigzag(getVarint(p, chunkEnd, path, "a record")));
+            if (addr >= Ref::addrEnd) {
+                RNUMA_FATAL("stream trace '", path, "': cpu ", c,
+                            " record ", wl->size(c), " has address ",
+                            addr, ", past the ", addrBits,
+                            "-bit reference address limit ",
+                            Ref::addrEnd);
+            }
+            return addr;
+        };
         while (p < chunkEnd) {
             const std::uint8_t ctrl = *p++;
             switch (ctrl & 3) {
               case kindMem: {
-                addr += static_cast<Addr>(
-                    unzigzag(getVarint(p, chunkEnd, path, "a record")));
+                const Addr a = nextAddr();
                 const std::uint64_t think =
                     getVarint(p, chunkEnd, path, "a record");
-                wl->push(c, Ref::mem(addr, (ctrl & writeBit) != 0,
-                                     static_cast<std::uint32_t>(think)));
+                if (think > Ref::maxThink) {
+                    RNUMA_FATAL("stream trace '", path, "': cpu ", c,
+                                " record ", wl->size(c),
+                                " has think time ", think,
+                                ", past the ", Ref::thinkBits,
+                                "-bit reference limit ", Ref::maxThink);
+                }
+                wl->push(c, Ref::mem(a, (ctrl & writeBit) != 0, think));
                 break;
               }
               case kindBarrier:
                 wl->push(c, Ref::barrier());
                 break;
               case kindInitTouch:
-                addr += static_cast<Addr>(
-                    unzigzag(getVarint(p, chunkEnd, path, "a record")));
-                wl->push(c, Ref::touchOf(addr));
+                wl->push(c, Ref::touchOf(nextAddr()));
                 break;
               default:
                 RNUMA_FATAL("corrupt stream trace '", path,

@@ -15,6 +15,14 @@
  *    previous address and a varint think time. Barriers are a single
  *    byte; End is implicit at stream exhaustion.
  *
+ * Limits: a decoded think time must be at most Ref::maxThink (65535
+ * cycles, the 16-bit think field) and every decoded address below
+ * Ref::addrEnd (2^44, the 44-bit address field, which covers maxPages
+ * pages of the largest legal page). The varints can encode more; the
+ * loader rejects such a record with a diagnostic naming the file, cpu
+ * and record instead of truncating it. A recorded workload always
+ * fits, since its Refs hold the same fields.
+ *
  * A loaded trace is a sealed VectorWorkload, so it replays through
  * the same VectorWorkload/SnapshotWorkload path as a generated input,
  * bit-identically to the recorded source.
@@ -48,7 +56,8 @@ void recordStreamTrace(const VectorWorkload &wl, const std::string &path);
  * address outside it is rejected here. Fatal (throwing under tests)
  * on a missing file, bad magic, unsupported version, implausible
  * header, a chunk or record that runs off the file, an oversized
- * varint or an unknown record kind.
+ * varint, an unknown record kind, or a think time or address a Ref
+ * cannot hold.
  */
 std::unique_ptr<VectorWorkload> loadStreamTrace(const std::string &path);
 

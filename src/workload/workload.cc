@@ -7,6 +7,19 @@ namespace rnuma
 
 const Ref VectorWorkload::endRef = Ref::end();
 
+void
+Ref::unrepresentable(Addr a, std::uint64_t th)
+{
+    if (a >= addrEnd) {
+        RNUMA_FATAL("reference address ", a, " does not fit a Ref's ",
+                    addrBits, "-bit address field (addresses must be "
+                    "below ", addrEnd, ")");
+    }
+    RNUMA_FATAL("reference think time ", th, " does not fit a Ref's ",
+                thinkBits, "-bit think field (at most ", maxThink,
+                " cycles)");
+}
+
 VectorWorkload::VectorWorkload(std::string name, std::size_t ncpus)
     : name_(std::move(name)), streams(ncpus), cursor(ncpus, 0)
 {
@@ -38,6 +51,9 @@ VectorWorkload::push(CpuId cpu, Ref r)
     RNUMA_ASSERT(!sealed, "cannot push after seal()");
     if (r.kind == RefKind::Mem)
         mem_refs++;
+    if ((r.kind == RefKind::Mem || r.kind == RefKind::InitTouch) &&
+        r.addr >= addr_end)
+        addr_end = r.addr + 1;
     streams[cpu].push_back(r);
 }
 
@@ -75,18 +91,22 @@ VectorWorkload::at(CpuId cpu, std::size_t i) const
 void
 VectorWorkload::setAddrLimit(Addr limit)
 {
-    for (CpuId c = 0; c < streams.size(); ++c) {
-        for (std::size_t i = 0; i < streams[c].size(); ++i) {
-            const Ref &r = streams[c][i];
-            if ((r.kind == RefKind::Mem ||
-                 r.kind == RefKind::InitTouch) &&
-                r.addr >= limit) {
-                RNUMA_FATAL("workload '", name_, "': cpu ", c,
-                            " entry ", i, " touches ", r.addr,
-                            " beyond its ", limit,
-                            "-byte address limit");
+    if (addr_end > limit) {
+        for (CpuId c = 0; c < streams.size(); ++c) {
+            for (std::size_t i = 0; i < streams[c].size(); ++i) {
+                const Ref &r = streams[c][i];
+                if ((r.kind == RefKind::Mem ||
+                     r.kind == RefKind::InitTouch) &&
+                    r.addr >= limit) {
+                    RNUMA_FATAL("workload '", name_, "': cpu ", c,
+                                " entry ", i, " touches ", r.addr,
+                                " beyond its ", limit,
+                                "-byte address limit");
+                }
             }
         }
+        RNUMA_PANIC("workload '", name_, "': address high-water mark ",
+                    addr_end, " names no entry");
     }
     addr_limit = limit;
 }

@@ -29,24 +29,61 @@ enum class RefKind : std::uint8_t
     End        ///< stream exhausted
 };
 
-/** One stream entry. */
+/**
+ * One stream entry, packed into one 64-bit word: a workload holds
+ * tens of millions of them, so the host bytes per entry set both the
+ * generation time and the sweep's resident memory. Bits 0-1 hold the
+ * kind, bit 2 the write flag, bits 3-18 the think time and bits
+ * 19-62 the address. Build one through the factories: they reject a
+ * think time above maxThink or an address at or past addrEnd with a
+ * named fatal error, where assigning a field would silently truncate
+ * (the fields stay public for reading only). A default Ref is End.
+ */
 struct Ref
 {
-    Addr addr = 0;            ///< global address (Mem / InitTouch)
-    std::uint32_t think = 0;  ///< compute cycles before the access
-    RefKind kind = RefKind::End;
-    bool write = false;
+    static constexpr unsigned thinkBits = 16;
+    /** Largest think time a Ref holds: 65535 cycles. */
+    static constexpr std::uint64_t maxThink =
+        (std::uint64_t{1} << thinkBits) - 1;
+    /** One past the largest address a Ref holds: 2^44 (16 TiB). */
+    static constexpr Addr addrEnd = Addr{1} << addrBits;
+
+    RefKind kind : 2;
+    bool write : 1;
+    std::uint64_t think : thinkBits; ///< compute cycles before the access
+    Addr addr : addrBits;            ///< global address (Mem / InitTouch)
+
+    constexpr Ref() : Ref(RefKind::End, false, 0, 0) {}
 
     static Ref
-    mem(Addr a, bool w, std::uint32_t th)
+    mem(Addr a, bool w, std::uint64_t th)
     {
-        return Ref{a, th, RefKind::Mem, w};
+        if (a >= addrEnd || th > maxThink)
+            unrepresentable(a, th);
+        return Ref(RefKind::Mem, w, th, a);
     }
-    static Ref barrier() { return Ref{0, 0, RefKind::Barrier, false}; }
-    static Ref touchOf(Addr a) { return Ref{a, 0, RefKind::InitTouch,
-                                            false}; }
-    static Ref end() { return Ref{0, 0, RefKind::End, false}; }
+    static Ref barrier() { return Ref(RefKind::Barrier, false, 0, 0); }
+    static Ref
+    touchOf(Addr a)
+    {
+        if (a >= addrEnd)
+            unrepresentable(a, 0);
+        return Ref(RefKind::InitTouch, false, 0, a);
+    }
+    static Ref end() { return Ref(); }
+
+  private:
+    constexpr Ref(RefKind k, bool w, std::uint64_t th, Addr a)
+        : kind(k), write(w), think(th), addr(a)
+    {
+    }
+
+    /** Fatal: names the field that cannot hold @p a or @p th. */
+    [[noreturn, gnu::cold]] static void unrepresentable(Addr a,
+                                                        std::uint64_t th);
 };
+
+static_assert(sizeof(Ref) == 8, "a Ref is one 64-bit word");
 
 /** Abstract reference-stream source. */
 class Workload
@@ -116,7 +153,9 @@ class VectorWorkload : public Workload
     /**
      * Record @p limit as addrLimit() after auditing every Mem and
      * InitTouch entry against it. Fatal, naming the workload, cpu
-     * and entry, on any address at or beyond the limit.
+     * and first offending entry, on any address at or beyond the
+     * limit. push() tracks the highest address, so a passing audit
+     * is O(1); only a failing one walks the streams.
      */
     void setAddrLimit(Addr limit);
 
@@ -128,6 +167,12 @@ class VectorWorkload : public Workload
     std::vector<std::size_t> cursor;
     std::size_t mem_refs = 0;
     Addr addr_limit = 0;
+    /**
+     * One past the highest Mem or InitTouch address pushed, 0 when
+     * none was. Every address is below Ref::addrEnd, so the +1
+     * cannot overflow.
+     */
+    Addr addr_end = 0;
     bool sealed = false;
 
     static const Ref endRef;

@@ -136,15 +136,16 @@ TEST(MachineEdge, AddressPastThePageLimitIsFatal)
     // A hand-built workload (like a trace recorded without an
     // addrLimit) is not audited against any bound, so the
     // page-indexed tables' cap is what stops a stray address: a named
-    // fatal error, not a bad_alloc or an exhausted host.
+    // fatal error, not a bad_alloc or an exhausted host. 2^40 fits a
+    // Ref's 44-bit address but is page 2^31 at this 512-byte page.
     Params p = test::smallParams();
     VectorWorkload wl("far", p.numCpus());
-    wl.push(0, Ref::mem(Addr{1} << 50, false, 1));
+    wl.push(0, Ref::mem(Addr{1} << 40, false, 1));
     wl.seal();
     Machine m(p, protocolSpec("rnuma"), wl);
     try {
         m.run();
-        ADD_FAILURE() << "an address at 2^50 was accepted";
+        ADD_FAILURE() << "an address at 2^40 was accepted";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find("limit"), std::string::npos)
             << e.what();

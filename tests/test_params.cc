@@ -82,6 +82,29 @@ TEST(Params, ValidateRejectsBadBlockSize)
     EXPECT_THROW(p.validate(), std::logic_error);
 }
 
+TEST(Params, ValidateRejectsNonPowerOfTwoPageSize)
+{
+    // 6144 is a multiple of the 32-byte block, so only the
+    // power-of-two rule (pages are shifts on the reference path)
+    // rejects it.
+    Params p = Params::base();
+    p.pageSize = 6144;
+    p.pageCacheSize = 10 * p.pageSize;
+    EXPECT_THROW(p.validate(), std::logic_error);
+}
+
+TEST(Params, ValidateBoundsPageSizeAtFourMiB)
+{
+    // maxPages pages of the largest page span a Ref's 44-bit address.
+    Params p = Params::base();
+    p.pageSize = maxPageSize;
+    p.pageCacheSize = 2 * p.pageSize;
+    p.validate();
+    p.pageSize = 2 * maxPageSize;
+    p.pageCacheSize = 2 * p.pageSize;
+    EXPECT_THROW(p.validate(), std::logic_error);
+}
+
 TEST(Params, ValidateRejectsMisalignedPageCache)
 {
     Params p = Params::base();

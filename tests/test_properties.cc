@@ -150,17 +150,51 @@ TEST(Properties, RnumaNeverWorseThanBothOnMicrobenchmarks)
 namespace
 {
 
-void
+/**
+ * Walk every directory entry and check the invariants every protocol
+ * keeps: an owner is named by the sharer set, and the set names no
+ * node outside the owner's region (so at most one node holds the
+ * block exclusively; the region is one node except in a coarse
+ * vector); and every node an exact set names (full map, or a limited
+ * pointer set that has not overflowed) has fetched the block.
+ * @return the number of entries walked.
+ */
+std::size_t
 checkDirectoryInvariants(Machine &m, const Params &p)
 {
     const Directory &dir = m.protocol().directory();
-    (void)p;
-    // Walk every entry via peek on the machine's recorded pages is
-    // not exposed; instead re-verify through nodeOwns consistency on
-    // a sample of blocks would need the map. The Directory exposes
-    // size only; rely on per-entry checks during the run (panics) and
-    // check global sanity here.
-    EXPECT_GE(dir.size(), 0u);
+    const std::size_t region = p.dirFormat == SharerFormat::CoarseVector
+        ? p.dirRegionSize
+        : 1;
+    std::size_t entries = 0;
+    dir.forEachEntry([&](Addr block, const DirEntry &e) {
+        ++entries;
+        const SharerSet sharers = dir.sharers(e);
+        const SharerSet touched = dir.touched(e);
+        if (e.hasOwner()) {
+            EXPECT_TRUE(sharers.test(e.owner))
+                << "owner " << e.owner << " without its sharer bit at "
+                << block;
+            sharers.forEach([&](NodeId n) {
+                EXPECT_EQ(n / region, e.owner / region)
+                    << "block " << block << " owned by " << e.owner
+                    << " also names node " << n;
+            });
+            EXPECT_TRUE(touched.test(e.owner)) << "block " << block;
+        }
+        for (const SharerSet set : {sharers, dir.prior(e)}) {
+            if (p.dirFormat == SharerFormat::CoarseVector ||
+                set.overflowed())
+                continue;
+            set.forEach([&](NodeId n) {
+                EXPECT_TRUE(touched.test(n))
+                    << "block " << block << " names node " << n
+                    << ", which never fetched it";
+            });
+        }
+    });
+    EXPECT_EQ(entries, dir.size());
+    return entries;
 }
 
 } // namespace
@@ -172,20 +206,44 @@ TEST(Properties, OwnerImpliesSharerBit)
     wl->reset();
     Machine m(p, protocolSpec("rnuma"), *wl);
     m.run();
-    checkDirectoryInvariants(m, p);
-    // Spot-check the shared page's blocks through the public API.
-    const Directory &dir = m.protocol().directory();
-    for (std::size_t blk = 0; blk < p.blocksPerPage(); ++blk) {
-        Addr a = static_cast<Addr>(blk) * p.blockSize;
-        const DirEntry *e = dir.peek(a);
-        if (!e || !e->hasOwner())
-            continue;
-        EXPECT_TRUE(dir.sharers(*e).test(e->owner))
-            << "owner without sharer bit at block " << a;
-        EXPECT_EQ(dir.sharers(*e).count(), 1u)
-            << "dirty owner must be the sole sharer";
+    EXPECT_GT(checkDirectoryInvariants(m, p), 0u);
+}
+
+/** The directory invariants on every protocol's end state. */
+class DirectoryInvariants
+    : public ::testing::TestWithParam<std::tuple<SharerFormat, int>>
+{
+};
+
+TEST_P(DirectoryInvariants, HoldAfterAWriteSharedMeshRun)
+{
+    auto [fmt, priorOwner] = GetParam();
+    Params p = test::smallParams();
+    p.numNodes = 16;
+    p.networkModel = "mesh-2d";
+    p.dirFormat = fmt;
+    p.dirPointers = 2;
+    p.dirRegionSize = 4;
+    p.priorOwnerState = priorOwner != 0;
+    p.validate();
+    auto wl = makeWorkload("zipf-serve", p, 1.0, 7,
+                           "pages=24,theta=0.6,write=0.3,requests=40");
+    for (const ProtocolSpec *spec : ProtocolRegistry::global().all()) {
+        SCOPED_TRACE(spec->id);
+        wl->reset();
+        Machine m(p, *spec, *wl);
+        RunStats s = m.run();
+        ASSERT_GT(s.invalidationsSent, 0u);
+        EXPECT_GT(checkDirectoryInvariants(m, p), 0u);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, DirectoryInvariants,
+    ::testing::Combine(::testing::Values(SharerFormat::FullMap,
+                                         SharerFormat::LimitedPointer,
+                                         SharerFormat::CoarseVector),
+                       ::testing::Values(0, 1)));
 
 /**
  * A held copy implies the directory's touched bit: every block a

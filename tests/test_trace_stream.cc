@@ -3,12 +3,14 @@
  * Tests for the binary trace format (workload/trace_stream.hh):
  * record -> load bit-identity against the generated source, header
  * metadata preservation, rejection of corrupt/truncated/wrong-magic
- * files and of addresses past the recorded addrLimit, and a
- * truncation and byte-flip fuzz of the loader.
+ * files, of addresses past the recorded addrLimit and of think times
+ * or addresses a Ref cannot hold, and a truncation and byte-flip fuzz
+ * of the loader.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -64,6 +66,49 @@ expectSameWorkload(const VectorWorkload &want, const VectorWorkload &got)
             ASSERT_EQ(a.think, b.think) << "cpu " << c << " entry " << i;
         }
     }
+}
+
+void
+putVarint(std::string &out, std::uint64_t v)
+{
+    for (; v >= 0x80; v >>= 7)
+        out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    out.push_back(static_cast<char>(v));
+}
+
+/** One Mem record: control byte, zigzag address delta, think. */
+std::string
+memRecord(std::int64_t delta, std::uint64_t think)
+{
+    std::string r(1, '\0');
+    putVarint(r, (static_cast<std::uint64_t>(delta) << 1) ^
+                     static_cast<std::uint64_t>(delta >> 63));
+    putVarint(r, think);
+    return r;
+}
+
+/**
+ * Write a trace of @p ncpus cpus, no addrLimit and the hand-built
+ * chunk @p records for @p cpu to @p path; return the load's fatal
+ * message ("" when it loads).
+ */
+std::string
+loadHandBuilt(const std::string &path, std::uint32_t ncpus, CpuId cpu,
+              const std::string &records)
+{
+    VectorWorkload empty("h", ncpus);
+    empty.seal();
+    recordStreamTrace(empty, path);
+    std::string bytes = readBytes(path);
+    putVarint(bytes, cpu);
+    putVarint(bytes, records.size());
+    writeBytes(path, bytes + records);
+    try {
+        (void)loadStreamTrace(path);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
 }
 
 /** Record @p src, load the file, and assert bit-identity. */
@@ -160,6 +205,62 @@ TEST(TraceStream, AddressDeltaPastAddrLimitIsFatal)
     bytes[45] = '\x7f'; // delta +0x1fc0: past the limit
     writeBytes(path, bytes);
     EXPECT_THROW(loadStreamTrace(path), std::runtime_error);
+    std::remove(path.c_str());
+}
+
+TEST(TraceStream, RoundTripAtTheRefFieldLimits)
+{
+    VectorWorkload src("limits", 2);
+    src.push(0, Ref::touchOf(Ref::addrEnd - 1));
+    src.push(0, Ref::mem(Ref::addrEnd - 1, true, Ref::maxThink));
+    src.push(1, Ref::mem(0, false, Ref::maxThink));
+    src.push(1, Ref::mem(Ref::addrEnd - 1, false, 0));
+    src.push(1, Ref::mem(0, true, 1)); // the largest backward delta
+    src.seal();
+    src.setAddrLimit(Ref::addrEnd);
+    roundTrip(src, "limits.strace");
+}
+
+TEST(TraceStream, ThinkPastTheRefFieldIsFatalAndNamed)
+{
+    // The varint holds any 64-bit think time; a Ref holds 16 bits.
+    const std::string path = tempPath("think.strace");
+    EXPECT_EQ(loadHandBuilt(path, 2, 1, memRecord(64, 65535)), "");
+    const std::string msg = loadHandBuilt(
+        path, 2, 1, memRecord(64, 1) + memRecord(0, 65536));
+    EXPECT_NE(msg.find("stream trace '" + path + "': cpu 1 record 1 "
+                       "has think time 65536, past the 16-bit"),
+              std::string::npos)
+        << msg;
+    // The old loader cast a think above 2^32 - 1 to 32 bits.
+    EXPECT_NE(loadHandBuilt(path, 1, 0, memRecord(64, 1ull << 32))
+                  .find("think time 4294967296"),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(TraceStream, AddressPastTheRefFieldIsFatalAndNamed)
+{
+    const std::string path = tempPath("addr.strace");
+    const std::int64_t end = static_cast<std::int64_t>(Ref::addrEnd);
+    EXPECT_EQ(loadHandBuilt(path, 2, 1, memRecord(end - 1, 0)), "");
+    const std::string msg = loadHandBuilt(
+        path, 2, 1, memRecord(64, 0) + memRecord(end - 64, 0));
+    EXPECT_NE(msg.find("stream trace '" + path + "': cpu 1 record 1 "
+                       "has address 17592186044416, past the 44-bit"),
+              std::string::npos)
+        << msg;
+    // A delta below address 0 wraps past the field too.
+    EXPECT_NE(loadHandBuilt(path, 1, 0, memRecord(64, 0) +
+                                            memRecord(-128, 0))
+                  .find("cpu 0 record 1 has address"),
+              std::string::npos);
+    // So does an init touch (control byte 2, delta only).
+    std::string touch(1, '\x02');
+    putVarint(touch, static_cast<std::uint64_t>(end) << 1);
+    EXPECT_NE(loadHandBuilt(path, 1, 0, touch)
+                  .find("cpu 0 record 0 has address 17592186044416"),
+              std::string::npos);
     std::remove(path.c_str());
 }
 

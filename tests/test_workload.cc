@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "workload/address_space.hh"
 #include "workload/synthetic.hh"
@@ -14,6 +15,24 @@
 
 namespace rnuma
 {
+
+namespace
+{
+
+/** The message of the fatal error @p f raises; "" when it returns. */
+template <class F>
+std::string
+fatalMessage(F &&f)
+{
+    try {
+        f();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
 
 TEST(AddressSpace, PageAlignedBumpAllocation)
 {
@@ -144,6 +163,119 @@ TEST(VectorWorkload, MemRefCountCountsOnlyLoadsAndStores)
     wl.push(1, Ref::mem(64, true, 1));
     wl.seal();
     EXPECT_EQ(wl.memRefCount(), 2u);
+}
+
+TEST(Ref, PacksIntoOneWordAndRoundTripsAtTheFieldLimits)
+{
+    static_assert(sizeof(Ref) == 8);
+    const Addr top = Ref::addrEnd - 1;
+    const Ref m = Ref::mem(top, true, Ref::maxThink);
+    EXPECT_EQ(m.kind, RefKind::Mem);
+    EXPECT_TRUE(m.write);
+    EXPECT_EQ(m.think, 65535u);
+    EXPECT_EQ(m.addr, (Addr{1} << 44) - 1);
+    const Ref r = Ref::mem(0, false, 0);
+    EXPECT_EQ(r.kind, RefKind::Mem);
+    EXPECT_FALSE(r.write);
+    EXPECT_EQ(r.think, 0u);
+    EXPECT_EQ(r.addr, 0u);
+    const Ref t = Ref::touchOf(top);
+    EXPECT_EQ(t.kind, RefKind::InitTouch);
+    EXPECT_EQ(t.addr, top);
+    EXPECT_EQ(Ref{}.kind, RefKind::End);
+    EXPECT_EQ(Ref::barrier().kind, RefKind::Barrier);
+}
+
+TEST(Ref, ValuePastEachFieldIsFatalAndNamed)
+{
+    const std::string addr =
+        fatalMessage([] { Ref::mem(Ref::addrEnd, false, 0); });
+    EXPECT_NE(addr.find("44-bit address field"), std::string::npos)
+        << addr;
+    EXPECT_NE(addr.find("17592186044416"), std::string::npos) << addr;
+    const std::string touch =
+        fatalMessage([] { Ref::touchOf(Addr{1} << 50); });
+    EXPECT_NE(touch.find("44-bit address field"), std::string::npos)
+        << touch;
+    const std::string think =
+        fatalMessage([] { Ref::mem(0, false, Ref::maxThink + 1); });
+    EXPECT_NE(think.find("think time 65536"), std::string::npos) << think;
+    EXPECT_NE(think.find("16-bit think field"), std::string::npos)
+        << think;
+}
+
+TEST(StreamBuilder, ThinkOrAddressPastTheRefFieldIsFatal)
+{
+    Params p = test::smallParams();
+    StreamBuilder b("t", p, 1);
+    const Addr base = b.allocPages(1);
+    b.read(0, base, 65535);
+    b.write(1, base + p.blockSize, 65535);
+    EXPECT_NE(fatalMessage([&] { b.read(0, 0, 65536); })
+                  .find("16-bit think field"),
+              std::string::npos);
+    EXPECT_NE(fatalMessage([&] { b.write(0, Ref::addrEnd, 1); })
+                  .find("44-bit address field"),
+              std::string::npos);
+    EXPECT_NE(fatalMessage([&] { b.touch(0, Ref::addrEnd); })
+                  .find("44-bit address field"),
+              std::string::npos);
+    auto wl = b.finish();
+    EXPECT_EQ(wl->at(0, 0).think, 65535u);
+    EXPECT_EQ(wl->at(1, 0).addr, base + p.blockSize);
+    EXPECT_EQ(wl->size(0), 2u); // the rejected entries were not pushed
+}
+
+TEST(VectorWorkload, AddrLimitAuditNamesTheFirstOffender)
+{
+    auto build = [] {
+        VectorWorkload wl("w", 3);
+        wl.push(0, Ref::touchOf(0));
+        wl.push(0, Ref::mem(100, false, 1));
+        wl.pushBarrierAll();
+        wl.push(1, Ref::mem(64, false, 1));
+        wl.push(1, Ref::mem(4096, true, 1)); // cpu 1 entry 2
+        wl.push(1, Ref::mem(8192, true, 1));
+        wl.push(2, Ref::touchOf(5000)); // a later cpu's offender
+        wl.seal();
+        return wl;
+    };
+    // One past the highest address passes; the highest itself fails.
+    VectorWorkload ok = build();
+    ok.setAddrLimit(8193);
+    EXPECT_EQ(ok.addrLimit(), 8193u);
+    VectorWorkload bad = build();
+    const std::string msg = fatalMessage([&] { bad.setAddrLimit(4096); });
+    EXPECT_NE(msg.find("workload 'w': cpu 1 entry 2 touches 4096 beyond "
+                       "its 4096-byte address limit"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(bad.addrLimit(), 0u);
+}
+
+TEST(VectorWorkload, AddrLimitAuditEdges)
+{
+    // Barriers and End markers carry no address: any limit passes.
+    VectorWorkload none("n", 2);
+    none.pushBarrierAll();
+    none.seal();
+    none.setAddrLimit(0);
+    // Address 0 still counts: a zero limit rejects it.
+    VectorWorkload zero("z", 1);
+    zero.push(0, Ref::mem(0, false, 1));
+    zero.seal();
+    EXPECT_NE(fatalMessage([&] { zero.setAddrLimit(0); })
+                  .find("cpu 0 entry 0 touches 0"),
+              std::string::npos);
+    // The highest representable address: its +1 is Ref::addrEnd.
+    VectorWorkload top("t", 1);
+    top.push(0, Ref::touchOf(Ref::addrEnd - 1));
+    top.seal();
+    EXPECT_NE(fatalMessage([&] { top.setAddrLimit(Ref::addrEnd - 1); })
+                  .find("cpu 0 entry 0"),
+              std::string::npos);
+    top.setAddrLimit(Ref::addrEnd);
+    EXPECT_EQ(top.addrLimit(), Ref::addrEnd);
 }
 
 } // namespace rnuma
