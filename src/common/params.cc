@@ -110,9 +110,24 @@ Params::validate() const
                  maxPageSize, " bytes: ", pageSize);
     RNUMA_ASSERT(pageSize % blockSize == 0,
                  "pageSize must be a multiple of blockSize");
-    RNUMA_ASSERT(l1Size % blockSize == 0, "l1Size not block aligned");
-    RNUMA_ASSERT(blockCacheSize % blockSize == 0,
-                 "blockCacheSize not block aligned");
+    // Each cache is built with these sizes, so a geometry Cache
+    // cannot hold is rejected here, by name, instead of there.
+    RNUMA_ASSERT(l1Assoc >= 1, "l1Assoc must be >= 1: ", l1Assoc);
+    RNUMA_ASSERT(l1Size > 0 && l1Size % (blockSize * l1Assoc) == 0,
+                 "l1Size must be a positive multiple of blockSize * "
+                 "l1Assoc (", blockSize * l1Assoc, "): ", l1Size);
+    RNUMA_ASSERT(blockCacheAssoc >= 1,
+                 "blockCacheAssoc must be >= 1: ", blockCacheAssoc);
+    const std::size_t bc_set = blockSize * blockCacheAssoc;
+    RNUMA_ASSERT(blockCacheSize > 0 && blockCacheSize % bc_set == 0,
+                 "blockCacheSize must be a positive multiple of "
+                 "blockSize * blockCacheAssoc (", bc_set, "): ",
+                 blockCacheSize);
+    RNUMA_ASSERT(rnumaBlockCacheSize > 0 &&
+                     rnumaBlockCacheSize % bc_set == 0,
+                 "rnumaBlockCacheSize must be a positive multiple of "
+                 "blockSize * blockCacheAssoc (", bc_set, "): ",
+                 rnumaBlockCacheSize);
     RNUMA_ASSERT(pageCacheSize % pageSize == 0,
                  "pageCacheSize not page aligned");
     RNUMA_ASSERT(pageCacheFrames() >= 1, "page cache needs >= 1 frame");

@@ -44,7 +44,7 @@ struct Params
     std::size_t l1Assoc = 1;
 
     //--- Remote caches (per protocol) -----------------------------------
-    /** CC-NUMA / R-NUMA block cache size in bytes (0 = absent). */
+    /** CC-NUMA block cache size in bytes. */
     std::size_t blockCacheSize = 32 * 1024;
     /** Block cache associativity (direct-mapped SRAM in the paper). */
     std::size_t blockCacheAssoc = 1;

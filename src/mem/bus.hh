@@ -1,17 +1,15 @@
 /**
  * @file
- * A split-transaction memory-bus model. The bus is a serially
- * occupied resource: each transaction holds it for a fixed occupancy,
- * and later requesters queue. This captures the contention the paper
- * models at the 100 MHz MBus without simulating individual bus
- * phases.
+ * The one contention primitive of the timing model. A Resource is a
+ * serially occupied unit: each use holds it for a fixed occupancy and
+ * later requesters queue in FIFO order. Every contended structure is
+ * one: a node's split-transaction memory bus (the paper's 100 MHz
+ * MBus, without individual bus phases), the network interfaces, the
+ * mesh and fat-tree links, the home protocol controllers and the DRAM
+ * banks.
  *
- * This header is intentionally header-only: Resource::acquire() sits
- * on the access hot path (every L1 miss arbitrates for the node bus,
- * and the network interfaces reuse Resource), and the handful of
- * arithmetic statements involved inline away entirely. There is no
- * bus.cc; out-of-line logic that grows beyond this model (e.g. pipelined
- * arbitration or priority classes) should bring one back.
+ * Header-only: acquire() sits on the access hot path (every L1 miss
+ * arbitrates for its node's bus), and its few statements inline away.
  */
 
 #ifndef RNUMA_MEM_BUS_HH
@@ -61,25 +59,6 @@ class Resource
     Tick nextFree = 0;
     Tick waitTotal = 0;
     std::uint64_t uses = 0;
-};
-
-/** The per-node snoopy memory bus. */
-class Bus
-{
-  public:
-    explicit Bus(Tick occupancy) : res(occupancy) {}
-
-    /**
-     * Arbitrate for the bus at @p now; returns the grant time. The
-     * caller adds its own transfer latency on top.
-     */
-    Tick acquire(Tick now) { return res.acquire(now); }
-
-    Tick waited() const { return res.waited(); }
-    std::uint64_t transactions() const { return res.useCount(); }
-
-  private:
-    Resource res;
 };
 
 } // namespace rnuma

@@ -102,18 +102,6 @@ Cache::allocate(Addr a, Victim &victim, std::size_t bank)
 }
 
 void
-Cache::downgrade(Addr a)
-{
-    CacheLine *line = find(a);
-    if (!line)
-        return;
-    if (line->state == CacheState::Modified)
-        line->state = CacheState::Owned;
-    else if (line->state == CacheState::Exclusive)
-        line->state = CacheState::Shared;
-}
-
-void
 Cache::forEachValid(
     const std::function<void(const CacheLine &)> &fn) const
 {

@@ -2,7 +2,7 @@
  * @file
  * A generic set-associative, write-back cache model with MOESI line
  * states. Instantiated as a node's processor L1 data caches (one bank
- * per CPU) and (via rad/BlockCache) as the RAD's remote block cache.
+ * per CPU) and as the RAD's remote block cache (rad/rnuma_rad.hh).
  * Supports an "infinite" mode used for the Figure 6 normalization
  * baseline.
  */
@@ -183,9 +183,6 @@ class Cache
         return prior;
     }
 
-    /** Downgrade a block to Shared if present (snoop read). */
-    void downgrade(Addr a);
-
     /** Visit every valid line of every bank (test/diagnostic use). */
     void forEachValid(
         const std::function<void(const CacheLine &)> &fn) const;
@@ -194,7 +191,6 @@ class Cache
     std::size_t validCount() const;
 
     std::size_t blockSize() const { return blockBytes; }
-    bool infinite() const { return unbounded; }
 
   private:
     std::size_t blockBytes;

@@ -17,12 +17,6 @@ FirstTouchPlacement::touch(Addr page, NodeId node)
     return node;
 }
 
-void
-FirstTouchPlacement::pin(Addr page, NodeId node)
-{
-    homes.slot(page) = node;
-}
-
 bool
 FirstTouchPlacement::placed(Addr page) const
 {

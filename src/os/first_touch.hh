@@ -18,9 +18,8 @@ namespace rnuma
 {
 
 /**
- * First-touch home assignment; also supports explicit placement. Homes
- * are a page-indexed table (invalidNode = not yet placed), probed on
- * every reference.
+ * First-touch home assignment. Homes are a page-indexed table
+ * (invalidNode = not yet placed), probed on every reference.
  */
 class FirstTouchPlacement : public Placement
 {
@@ -30,9 +29,6 @@ class FirstTouchPlacement : public Placement
      * the home. Returns the (possibly pre-existing) home.
      */
     NodeId touch(Addr page, NodeId node);
-
-    /** Pin a page to a node regardless of touch order. */
-    void pin(Addr page, NodeId node);
 
     /** True once the page has a home. */
     bool placed(Addr page) const;

@@ -184,7 +184,6 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
         sharers.reset();
         sharers.set(requester);
         e.owner = requester;
-        res.exclusiveGrant = true;
     } else {
         if (e.owner == requester) {
             // Defensive: a read request from the registered owner
@@ -193,7 +192,6 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
             e.owner = invalidNode;
         }
         sharers.set(requester);
-        res.exclusiveGrant = sharers.count() == 1 && !e.hasOwner();
     }
 
     Tick done = data_at > ack_at ? data_at : ack_at;
@@ -222,7 +220,7 @@ GlobalProtocol::writeback(Tick now, NodeId from, Addr block)
 }
 
 void
-GlobalProtocol::flushBlock(Tick now, NodeId from, Addr block, bool dirty)
+GlobalProtocol::flushBlock(Tick now, NodeId from, Addr block)
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
@@ -232,13 +230,6 @@ GlobalProtocol::flushBlock(Tick now, NodeId from, Addr block, bool dirty)
     if (e.owner == from)
         e.owner = invalidNode;
     net.post(now, from, home, MsgKind::Flush);
-    (void)dirty;
-}
-
-void
-GlobalProtocol::illegalSilentUpgrade(NodeId node, Addr block)
-{
-    RNUMA_PANIC("node ", node, " silently upgraded block ", block);
 }
 
 } // namespace rnuma

@@ -78,8 +78,6 @@ struct FetchResult
     bool threeHop = false;
     /** Number of remote copies invalidated. */
     int invalidations = 0;
-    /** The requester is now the only holder (may fill Exclusive). */
-    bool exclusiveGrant = false;
 };
 
 /**
@@ -124,14 +122,7 @@ class GlobalProtocol
      * R-NUMA page-frame eviction: the node gives up the copy and
      * tells the home, so later requests are NOT refetches.
      */
-    void flushBlock(Tick now, NodeId from, Addr block, bool dirty);
-
-    /**
-     * A node silently transitions a read-only copy it still holds to
-     * writable without asking (never legal) — present only to
-     * document the invariant; calling it panics.
-     */
-    void illegalSilentUpgrade(NodeId, Addr);
+    void flushBlock(Tick now, NodeId from, Addr block);
 
     /** Directory introspection for tests and stats. */
     const Directory &directory() const { return dir_; }

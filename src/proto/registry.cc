@@ -214,13 +214,4 @@ findProtocolSpec(const std::string &name)
     return ProtocolRegistry::global().find(name);
 }
 
-std::unique_ptr<Rad>
-makeRad(const ProtocolSpec &spec, const Params &params, NodeId node,
-        RadDeps deps)
-{
-    RNUMA_ASSERT(spec.valid(), "protocol spec '", spec.id,
-                 "' has no Rad factory");
-    return spec.makeRad(params, node, deps);
-}
-
 } // namespace rnuma

@@ -13,7 +13,6 @@
 #define RNUMA_RAD_RAD_HH
 
 #include <cstdint>
-#include <memory>
 
 #include "common/geometry.hh"
 #include "common/params.hh"
@@ -23,7 +22,6 @@
 #include "mem/cache.hh"
 #include "mem/memory.hh"
 #include "os/page_table.hh"
-#include "os/vm.hh"
 #include "proto/protocol.hh"
 
 namespace rnuma
@@ -53,9 +51,8 @@ struct RadDeps
 {
     GlobalProtocol &proto;
     RunStats &stats;
-    Bus &bus;        ///< the node's memory bus (fill transactions)
+    Resource &bus;   ///< the node's memory bus (fill transactions)
     Memory &memory;  ///< the node's DRAM (page-cache data lives here)
-    VmManager &vm;
     PageTable &pageTable;
     L1Snooper &l1;
 };
@@ -139,13 +136,6 @@ class Rad
             (a & (Addr(p.pageSize) - 1)) >> blockShift);
     }
 };
-
-struct ProtocolSpec;
-
-/** Construct the RAD a protocol spec describes (spec.makeRad). */
-std::unique_ptr<Rad> makeRad(const ProtocolSpec &spec,
-                             const Params &params, NodeId node,
-                             RadDeps deps);
 
 } // namespace rnuma
 

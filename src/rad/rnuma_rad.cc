@@ -10,7 +10,8 @@ RNumaRad::RNumaRad(const Params &params, NodeId node, RadDeps deps,
                    bool infiniteBlockCache, std::size_t pageFrames,
                    std::unique_ptr<RelocationPolicy> policy)
     : Rad(params, node, deps), firstTouch_(firstTouch),
-      bc(blockCacheBytes, params, infiniteBlockCache),
+      bc(infiniteBlockCache ? params.pageSize : blockCacheBytes,
+         params.blockSize, params.blockCacheAssoc, infiniteBlockCache),
       pc(pageFrames, params.blocksPerPage()),
       policy_(std::move(policy))
 {
@@ -24,10 +25,10 @@ RNumaRad::evictLrm(Tick now)
 {
     Addr victim = pc.lrmVictim();
     std::size_t flushed = 0;
-    pc.forEachValid(victim, [&](std::size_t idx, FineTag tag) {
+    pc.forEachValid(victim, [&](std::size_t idx, FineTag) {
         Addr block = victim * p.pageSize + idx * p.blockSize;
         d.l1.invalidateL1Block(block);
-        d.proto.flushBlock(now, nodeId, block, tag == FineTag::ReadWrite);
+        d.proto.flushBlock(now, nodeId, block);
         d.stats.flushedBlocks++;
         flushed++;
     });
@@ -48,10 +49,17 @@ RNumaRad::evictLrm(Tick now)
 }
 
 Tick
+RNumaRad::chargeOs(Tick now, Tick cost)
+{
+    d.stats.osCycles += cost;
+    return now + cost;
+}
+
+Tick
 RNumaRad::allocatePage(Tick now, Addr page)
 {
     std::size_t flushed = pc.full() ? evictLrm(now) : 0;
-    Tick t = d.vm.chargeAllocation(now, flushed);
+    Tick t = chargeOs(now, p.pageOpCost(flushed));
     d.stats.pageFaults++;
     d.stats.scomaAllocations++;
     pc.insert(page);
@@ -66,7 +74,7 @@ RNumaRad::relocate(Tick now, Addr page)
 
     Tick t = now;
     if (pc.full())
-        t = d.vm.chargeAllocation(t, evictLrm(t));
+        t = chargeOs(t, p.pageOpCost(evictLrm(t)));
     pc.insert(page);
 
     // Move the locally referenced blocks: unmap the CC-NUMA page,
@@ -88,7 +96,9 @@ RNumaRad::relocate(Tick now, Addr page)
             moved++;
         }
     }
-    t = d.vm.chargeRelocation(t, moved);
+    // Relocation uses the allocation mechanism and costs the same
+    // (Section 4), per moved block.
+    t = chargeOs(t, p.pageOpCost(moved));
     d.pageTable.set(page, PageMode::SComa);
     policy_->onRelocated(page);
     return t;
@@ -219,7 +229,8 @@ RNumaRad::access(Tick now, Addr addr, bool write, bool upgrade)
         if (firstTouch_ == PageMode::SComa) {
             t = allocatePage(t, page);
         } else {
-            t = d.vm.chargeMapFault(t);
+            t = chargeOs(t, p.softTrap);
+            d.stats.pageFaults++;
             d.pageTable.set(page, PageMode::CCNuma);
         }
         mode = firstTouch_;
@@ -249,7 +260,10 @@ void
 RNumaRad::downgradeBlock(Addr block)
 {
     block = blockOf(block);
-    bc.downgrade(block);
+    // Only Modified grants write permission, so a read-only line is
+    // Shared whether or not its data went home.
+    if (CacheLine *line = bc.find(block))
+        line->state = CacheState::Shared;
     Addr page = pageOf(block);
     if (pc.contains(page)) {
         std::size_t idx = blockIndex(block);
@@ -286,7 +300,8 @@ bool
 RNumaRad::hasWritePermission(Addr block) const
 {
     block = blockOf(block);
-    if (bc.ownsBlock(block))
+    const CacheLine *line = bc.find(block);
+    if (line && line->state == CacheState::Modified)
         return true;
     Addr page = pageOf(block);
     return pc.contains(page) &&

@@ -20,7 +20,7 @@
 #include <memory>
 
 #include "core/relocation_policy.hh"
-#include "rad/block_cache.hh"
+#include "mem/cache.hh"
 #include "rad/page_cache.hh"
 #include "rad/rad.hh"
 
@@ -34,7 +34,8 @@ class RNumaRad : public Rad
     /**
      * @param firstTouch mode an unmapped page takes on first touch:
      *        CCNuma (block cache) or SComa (page cache)
-     * @param infiniteBlockCache the Figure 6 normalization baseline
+     * @param infiniteBlockCache the Figure 6 normalization baseline:
+     *        an unbounded block cache that ignores blockCacheBytes
      * @param policy relocation decision rule; null never relocates
      */
     RNumaRad(const Params &params, NodeId node, RadDeps deps,
@@ -52,12 +53,21 @@ class RNumaRad : public Rad
     /** The node's page cache (read-only, for invariant checks). */
     const PageCache &pageCache() const { return pc; }
 
-    /** The node's block cache (read-only, for invariant checks). */
-    const BlockCache &blockCache() const { return bc; }
+    /**
+     * The node's block cache (read-only, for invariant checks). Its
+     * lines are Shared (a read-only copy) or Modified (read-write:
+     * the node is the block's global owner).
+     */
+    const Cache &blockCache() const { return bc; }
 
   private:
     PageMode firstTouch_;
-    BlockCache bc;
+    /**
+     * The CC-NUMA block cache: remote blocks only, write-back
+     * (Section 2.1). Inclusion with the processor caches holds for
+     * read-write blocks but not read-only ones (Section 4).
+     */
+    Cache bc;
     PageCache pc;
     std::unique_ptr<RelocationPolicy> policy_;
 
@@ -97,6 +107,12 @@ class RNumaRad : public Rad
      * number of blocks flushed (feeds the page-operation cost).
      */
     std::size_t evictLrm(Tick now);
+
+    /**
+     * Charge an OS intervention's fixed Table 2 cost to the run's OS
+     * cycles; returns the resume tick.
+     */
+    Tick chargeOs(Tick now, Tick cost);
 };
 
 } // namespace rnuma

@@ -33,10 +33,6 @@ struct CpuState
      */
     bool hasPending = false;
     Ref pending{};
-    /** Ticks spent stalled on memory (diagnostics). */
-    Tick stalled = 0;
-    /** Ticks spent parked at barriers (diagnostics). */
-    Tick barrierWait = 0;
     /** Node of this CPU (global id = node * cpusPerNode + local). */
     NodeId node = 0;
     /** This CPU's index within its node: its L1 bank. */

@@ -71,7 +71,6 @@ Machine::maybeReleaseBarrier()
         if (cs.done || !cs.waiting)
             continue;
         cs.waiting = false;
-        cs.barrierWait += resume > cs.time ? resume - cs.time : 0;
         cs.time = resume;
         eq_.schedule(resume, c);
     }
@@ -81,11 +80,9 @@ Tick
 Machine::processMiss(CpuState &cs, Addr addr, bool write)
 {
     const NodeId home = place_.touch(addr >> pageShift, cs.node);
-    const Tick before = cs.time;
     const Tick done = nodes_[cs.node]->access(cs.time, cs.local, addr,
                                               write, home == cs.node);
-    cs.stalled += done - before;
-    stats_.stallCycles += done - before;
+    stats_.stallCycles += done - cs.time;
     return done;
 }
 

@@ -12,12 +12,11 @@ Node::Node(const Params &params, NodeId id, const ProtocolSpec &spec,
       bus_(params.busOccupancy),
       l1s_(params.l1Size, params.blockSize, params.l1Assoc, false,
            params.cpusPerNode),
-      pageTable_(), vm_(params, id, stats_),
       pageShift(ceilLog2(params.pageSize))
 {
-    rad_ = makeRad(spec, p, id,
-                   RadDeps{proto, stats, bus_, mem, vm_, pageTable_,
-                           *this});
+    rad_ = spec.makeRad(p, id,
+                        RadDeps{proto, stats, bus_, mem, pageTable_,
+                                *this});
 }
 
 CacheLine *

@@ -22,7 +22,6 @@
 #include "mem/cache.hh"
 #include "mem/memory.hh"
 #include "os/page_table.hh"
-#include "os/vm.hh"
 #include "proto/protocol.hh"
 #include "proto/registry.hh"
 #include "rad/rad.hh"
@@ -88,7 +87,7 @@ class Node : public L1Snooper
     //--- Introspection ------------------------------------------------------
     Rad &rad() { return *rad_; }
     const Rad &rad() const { return *rad_; }
-    Bus &bus() { return bus_; }
+    Resource &bus() { return bus_; }
     PageTable &pageTable() { return pageTable_; }
     /** The node's L1s: bank i is local CPU i's cache. */
     Cache &l1s() { return l1s_; }
@@ -100,10 +99,10 @@ class Node : public L1Snooper
     GlobalProtocol &proto;
     RunStats &stats;
     Memory &mem;
-    Bus bus_;
+    /** The node's split-transaction memory bus. */
+    Resource bus_;
     Cache l1s_;
     PageTable pageTable_;
-    VmManager vm_;
     std::unique_ptr<Rad> rad_;
     /** log2 of the page size (a power of two, Params::validate). */
     unsigned pageShift;

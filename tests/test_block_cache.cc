@@ -1,70 +1,75 @@
-/** @file Unit tests for the RAD block cache. */
+/**
+ * @file
+ * Machine-level test of the RAD's block cache (rad/rnuma_rad.hh):
+ * how a directory downgrade leaves a node's block cache and page
+ * cache.
+ */
 
 #include <gtest/gtest.h>
 
-#include "common/params.hh"
-#include "rad/block_cache.hh"
+#include <string>
+
+#include "rad/rnuma_rad.hh"
+#include "sim/machine.hh"
+#include "workload/workload.hh"
+
+#include "test_util.hh"
 
 namespace rnuma
 {
 
-TEST(BlockCache, FiniteGeometryFromParams)
+/**
+ * A read of a block another node holds writable is forwarded to the
+ * owner, whose RAD keeps its copy read-only: the node loses write
+ * permission but not the data.
+ */
+class RadDowngrade : public ::testing::TestWithParam<std::string>
 {
-    Params p = Params::base();
-    BlockCache bc(p.blockCacheSize, p, false);
-    EXPECT_FALSE(bc.infinite());
-    EXPECT_EQ(bc.validCount(), 0u);
-}
+};
 
-TEST(BlockCache, TinyRnumaCacheHoldsFourBlocks)
+TEST_P(RadDowngrade, ForwardedReadLeavesTheOwnerAReadOnlyCopy)
 {
-    Params p = Params::base();
-    BlockCache bc(p.rnumaBlockCacheSize, p, false);
-    Cache::Victim v;
-    // 128 bytes / 32-byte blocks = 4 frames.
-    for (Addr a = 0; a < 4 * 32; a += 32) {
-        bc.allocate(a, v)->state = CacheState::Shared;
-        ASSERT_FALSE(v.valid);
+    const std::string proto = GetParam();
+    Params p = test::smallParams();
+    p.numNodes = 3;
+    p.cpusPerNode = 1;
+    p.validate();
+
+    const Addr page = 0;
+    const Addr block = page * p.pageSize + 3 * p.blockSize;
+    // Without the read, node 1 keeps the block writable.
+    for (bool forwarded : {false, true}) {
+        SCOPED_TRACE(forwarded ? "forwarded read" : "no read");
+        VectorWorkload wl("downgrade", 3);
+        wl.push(0, Ref::touchOf(page * p.pageSize)); // home: node 0
+        wl.pushBarrierAll();
+        wl.push(1, Ref::mem(block, true, 0)); // node 1 owns the block
+        wl.pushBarrierAll();
+        if (forwarded)
+            wl.push(2, Ref::mem(block, false, 0)); // sent to node 1
+        wl.seal();
+
+        Machine m(p, protocolSpec(proto), wl);
+        RunStats s = m.run();
+        EXPECT_EQ(s.forwards, forwarded ? 1u : 0u);
+
+        const auto &rad =
+            dynamic_cast<const RNumaRad &>(m.node(1).rad());
+        EXPECT_EQ(rad.hasWritePermission(block), !forwarded);
+        if (proto == "scoma") {
+            ASSERT_TRUE(rad.pageCache().contains(page));
+            EXPECT_EQ(rad.pageCache().tag(page, 3),
+                      forwarded ? FineTag::ReadOnly : FineTag::ReadWrite);
+        } else {
+            const CacheLine *line = rad.blockCache().find(block);
+            ASSERT_NE(line, nullptr);
+            EXPECT_EQ(line->state, forwarded ? CacheState::Shared
+                                             : CacheState::Modified);
+        }
     }
-    bc.allocate(4 * 32, v);
-    EXPECT_TRUE(v.valid);
 }
 
-TEST(BlockCache, OwnsBlockOnlyWhenModified)
-{
-    Params p = Params::base();
-    BlockCache bc(p.blockCacheSize, p, false);
-    Cache::Victim v;
-    bc.allocate(0x100, v)->state = CacheState::Shared;
-    EXPECT_FALSE(bc.ownsBlock(0x100));
-    bc.find(0x100)->state = CacheState::Modified;
-    EXPECT_TRUE(bc.ownsBlock(0x100));
-    EXPECT_FALSE(bc.ownsBlock(0x200));
-}
-
-TEST(BlockCache, DowngradeClearsOwnership)
-{
-    Params p = Params::base();
-    BlockCache bc(p.blockCacheSize, p, false);
-    Cache::Victim v;
-    bc.allocate(0x100, v)->state = CacheState::Modified;
-    bc.downgrade(0x100);
-    EXPECT_FALSE(bc.ownsBlock(0x100));
-    EXPECT_NE(bc.find(0x100), nullptr);
-}
-
-TEST(BlockCache, InfiniteModeForBaseline)
-{
-    Params p = Params::base();
-    p.infiniteBlockCache = true;
-    BlockCache bc(p.blockCacheSize, p, true);
-    EXPECT_TRUE(bc.infinite());
-    Cache::Victim v;
-    for (Addr a = 0; a < 32 * 5000; a += 32) {
-        bc.allocate(a, v)->state = CacheState::Shared;
-        ASSERT_FALSE(v.valid);
-    }
-    EXPECT_EQ(bc.validCount(), 5000u);
-}
+INSTANTIATE_TEST_SUITE_P(Protocols, RadDowngrade,
+                         ::testing::Values("ccnuma", "scoma", "rnuma"));
 
 } // namespace rnuma

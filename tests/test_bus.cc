@@ -1,4 +1,4 @@
-/** @file Unit tests for the bus / shared-resource contention model. */
+/** @file Unit tests for the shared-resource contention model. */
 
 #include <gtest/gtest.h>
 
@@ -40,15 +40,6 @@ TEST(Resource, QueueBuildsLinearly)
     EXPECT_EQ(r.waited(), 0u + 10u + 20u + 30u + 40u);
     EXPECT_EQ(r.useCount(), 5u);
     EXPECT_EQ(r.freeAt(), 50u);
-}
-
-TEST(Bus, TransactionsCountAndWait)
-{
-    Bus bus(16);
-    bus.acquire(0);
-    bus.acquire(0);
-    EXPECT_EQ(bus.transactions(), 2u);
-    EXPECT_EQ(bus.waited(), 16u);
 }
 
 } // namespace rnuma

@@ -104,19 +104,6 @@ TEST(Cache, InvalidateReturnsPriorState)
     EXPECT_EQ(c.find(0x40), nullptr);
 }
 
-TEST(Cache, DowngradeDirtyAndClean)
-{
-    Cache c(1024, 32, 1);
-    Cache::Victim v;
-    c.allocate(0, v)->state = CacheState::Modified;
-    c.downgrade(0);
-    EXPECT_EQ(c.find(0)->state, CacheState::Owned);
-    c.invalidate(0);
-    c.allocate(0, v)->state = CacheState::Exclusive;
-    c.downgrade(0);
-    EXPECT_EQ(c.find(0)->state, CacheState::Shared);
-}
-
 TEST(Cache, InfiniteModeNeverEvicts)
 {
     Cache c(4096, 32, 1, /*infinite=*/true);

@@ -18,14 +18,6 @@ TEST(FirstTouch, FirstToucherBecomesHome)
     EXPECT_EQ(ft.homeOf(10), 3u);
 }
 
-TEST(FirstTouch, PinOverridesExisting)
-{
-    FirstTouchPlacement ft;
-    ft.touch(7, 1);
-    ft.pin(7, 6);
-    EXPECT_EQ(ft.homeOf(7), 6u);
-}
-
 TEST(FirstTouch, PlacedAndCounts)
 {
     FirstTouchPlacement ft;

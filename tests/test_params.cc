@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "common/params.hh"
 
@@ -110,6 +111,66 @@ TEST(Params, ValidateRejectsMisalignedPageCache)
     Params p = Params::base();
     p.pageCacheSize = p.pageSize * 3 + 1;
     EXPECT_THROW(p.validate(), std::logic_error);
+}
+
+namespace
+{
+
+/** validate() throws, naming @p field and @p value in its message. */
+void
+expectRejected(const Params &p, const std::string &field,
+               std::size_t value)
+{
+    try {
+        p.validate();
+        ADD_FAILURE() << field << " = " << value << " was accepted";
+    } catch (const std::logic_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(field), std::string::npos) << msg;
+        EXPECT_NE(msg.find(std::to_string(value)), std::string::npos)
+            << msg;
+    }
+}
+
+} // namespace
+
+TEST(Params, ValidateRejectsAnEmptyRemoteCache)
+{
+    // Cache cannot hold zero sets, so neither size may be 0.
+    Params p = Params::base();
+    p.blockCacheSize = 0;
+    expectRejected(p, "blockCacheSize", 0);
+    p = Params::base();
+    p.rnumaBlockCacheSize = 0;
+    expectRejected(p, "rnumaBlockCacheSize", 0);
+}
+
+TEST(Params, ValidateRejectsARemoteCacheOfPartialSets)
+{
+    Params p = Params::base();
+    p.rnumaBlockCacheSize = 100; // not a multiple of the 32-byte block
+    expectRejected(p, "rnumaBlockCacheSize", 100);
+    // Block aligned, but 96 bytes are not whole 2-way sets of 64.
+    p = Params::base();
+    p.blockCacheAssoc = 2;
+    p.rnumaBlockCacheSize = 96;
+    expectRejected(p, "rnumaBlockCacheSize", 96);
+    p = Params::base();
+    p.blockCacheAssoc = 2;
+    p.blockCacheSize = 32 * 1024 + 32;
+    expectRejected(p, "blockCacheSize", 32 * 1024 + 32);
+    p.blockCacheSize = 32 * 1024;
+    p.validate();
+}
+
+TEST(Params, ValidateRejectsAnL1ThatIsNotWholeSets)
+{
+    Params p = Params::base();
+    p.l1Assoc = 4;
+    p.l1Size = 8 * 1024 + 64; // block aligned, not whole 128-byte sets
+    expectRejected(p, "l1Size", 8 * 1024 + 64);
+    p.l1Size = 8 * 1024;
+    p.validate();
 }
 
 TEST(Params, ValidateRejectsZeroThreshold)

@@ -84,7 +84,6 @@ TEST_F(ProtocolTest, FirstFetchIsCold)
 {
     FetchResult r = proto->fetch(0, 1, blk, ReqType::GetS);
     EXPECT_EQ(r.kind, MissKind::Cold);
-    EXPECT_TRUE(r.exclusiveGrant);
 }
 
 TEST_F(ProtocolTest, SilentEvictionRefetchDetected)
@@ -131,7 +130,7 @@ TEST_F(ProtocolTest, NotifyingFlushPreventsRefetch)
 {
     proto->fetch(0, 1, blk, ReqType::GetS);
     // S-COMA page replacement notifies the home.
-    proto->flushBlock(500, 1, blk, false);
+    proto->flushBlock(500, 1, blk);
     FetchResult r = proto->fetch(1000, 1, blk, ReqType::GetS);
     EXPECT_NE(r.kind, MissKind::Refetch);
     EXPECT_EQ(r.kind, MissKind::Coherence);
@@ -140,7 +139,7 @@ TEST_F(ProtocolTest, NotifyingFlushPreventsRefetch)
 TEST_F(ProtocolTest, FlushFromDirtyOwnerClearsOwnership)
 {
     proto->fetch(0, 1, blk, ReqType::GetX);
-    proto->flushBlock(500, 1, blk, true);
+    proto->flushBlock(500, 1, blk);
     const DirEntry *e = proto->directory().peek(blk);
     EXPECT_FALSE(e->hasOwner());
     EXPECT_FALSE(proto->directory().sharers(*e).test(1));
@@ -218,47 +217,12 @@ TEST_F(ProtocolTest, ThreeHopSlowerThanTwoHop)
     EXPECT_GT(three.done - start, two.done - start * 2);
 }
 
-TEST_F(ProtocolTest, ExclusiveGrantOnlyWhenSoleHolder)
-{
-    FetchResult a = proto->fetch(0, 1, blk, ReqType::GetS);
-    EXPECT_TRUE(a.exclusiveGrant);
-    FetchResult b2 = proto->fetch(100, 2, blk, ReqType::GetS);
-    EXPECT_FALSE(b2.exclusiveGrant);
-}
-
 TEST_F(ProtocolTest, OnlyHolderSemantics)
 {
     EXPECT_TRUE(proto->onlyHolder(0, blk)); // untouched block
     proto->fetch(0, 1, blk, ReqType::GetS);
     EXPECT_FALSE(proto->onlyHolder(0, blk));
     EXPECT_TRUE(proto->onlyHolder(1, blk));
-}
-
-/** Nine nodes in 8-node coarse-vector regions: region 1 is node 8. */
-class PartialRegionTest : public ProtocolTest
-{
-  protected:
-    PartialRegionTest() : ProtocolTest(nineNodeCoarse()) {}
-
-    static Params
-    nineNodeCoarse()
-    {
-        Params q = Params::base();
-        q.numNodes = 9;
-        q.dirFormat = SharerFormat::CoarseVector;
-        q.dirRegionSize = 8;
-        q.validate();
-        return q;
-    }
-};
-
-TEST_F(PartialRegionTest, SoleReaderOfPartialRegionGetsExclusive)
-{
-    // The partial last region holds only node 8, so its bit names one
-    // sharer: the grant matches full-map. Region 0 names eight.
-    EXPECT_TRUE(proto->fetch(0, 8, blk, ReqType::GetS).exclusiveGrant);
-    EXPECT_FALSE(proto->fetch(0, 1, blk + 64, ReqType::GetS)
-                     .exclusiveGrant);
 }
 
 /** The base 8-node machine with one exact pointer per entry. */

@@ -1,58 +1,76 @@
-/** @file Unit tests for the OS virtual-memory cost model. */
+/**
+ * @file
+ * Machine-level test of how the RAD (rad/rnuma_rad.hh) charges the
+ * OS interventions' fixed Table 2 costs: every OS cycle of a run is
+ * accounted for by its fault, allocation, replacement, relocation and
+ * flush counters.
+ */
 
 #include <gtest/gtest.h>
 
-#include "common/stats.hh"
-#include "os/vm.hh"
+#include "sim/machine.hh"
+#include "sim/runner.hh"
+#include "workload/registry.hh"
 
 namespace rnuma
 {
 
-TEST(Vm, MapFaultChargesSoftTrap)
+/**
+ * Every OS cycle is one Table 2 charge: a soft trap per CC-NUMA
+ * mapping fault, and pageOpCost(blocks) per S-COMA allocation, page
+ * replacement or relocation, where blocks are the ones flushed or
+ * moved. With F = pageFaults - scomaAllocations mapping faults, the
+ * run's osCycles must decompose exactly into those charges. lu is
+ * left out: at scale 0.1 it references no remote page.
+ */
+TEST(RadOsCycles, AreTheTableTwoChargesOfTheCountedEvents)
 {
-    Params p = Params::base();
-    RunStats s;
-    VmManager vm(p, 0, s);
-    EXPECT_EQ(vm.chargeMapFault(1000), 1000 + p.softTrap);
-    EXPECT_EQ(s.pageFaults, 1u);
-    EXPECT_EQ(s.osCycles, p.softTrap);
-}
+    const Params p = Params::base();
+    const Tick op = p.pageOpCost(0);
+    // Some apps replace no page at this scale; the four together
+    // must exercise every term.
+    std::uint64_t scoma_flushed = 0, rnuma_replaced = 0,
+                  rnuma_flushed = 0;
+    for (const char *app : {"radix", "ocean", "fmm", "barnes"}) {
+        SCOPED_TRACE(app);
+        auto wl = makeWorkload(app, p, 0.1);
 
-TEST(Vm, AllocationCostScalesWithFlushedBlocks)
-{
-    Params p = Params::base();
-    RunStats s;
-    VmManager vm(p, 0, s);
-    Tick empty = vm.chargeAllocation(0, 0);
-    Tick full = vm.chargeAllocation(0, p.blocksPerPage());
-    EXPECT_EQ(empty, p.pageOpCost(0));
-    EXPECT_EQ(full, p.pageOpCost(p.blocksPerPage()));
-    EXPECT_GT(full, empty);
-    EXPECT_EQ(s.osCycles, empty + full);
-}
+        RunStats cc = runProtocol(p, "ccnuma", *wl);
+        ASSERT_GT(cc.pageFaults, 0u);
+        EXPECT_EQ(cc.scomaAllocations, 0u);
+        EXPECT_EQ(cc.osCycles, cc.pageFaults * p.softTrap);
 
-TEST(Vm, RelocationUsesSameMechanismAsAllocation)
-{
-    // "Page relocation uses similar mechanisms as page
-    // allocation/replacement and incurs the same overheads"
-    // (Section 4).
-    Params p = Params::base();
-    RunStats s;
-    VmManager vm(p, 2, s);
-    EXPECT_EQ(vm.chargeRelocation(0, 10), vm.chargeAllocation(0, 10));
-    EXPECT_EQ(vm.nodeId(), 2u);
-}
+        RunStats sc = runProtocol(p, "scoma", *wl);
+        ASSERT_GT(sc.scomaAllocations, 0u);
+        EXPECT_EQ(sc.pageFaults, sc.scomaAllocations);
+        EXPECT_EQ(sc.osCycles, sc.scomaAllocations * op +
+                                   sc.flushedBlocks * p.blockFlush);
 
-TEST(Vm, SoftSystemCostsMore)
-{
-    // VmManager keeps a reference; the params must outlive it.
-    Params base_params = Params::base();
-    Params soft_params = Params::soft();
-    RunStats s1, s2;
-    VmManager base(base_params, 0, s1);
-    VmManager soft(soft_params, 0, s2);
-    EXPECT_GT(soft.chargeAllocation(0, 16),
-              base.chargeAllocation(0, 16));
+        // A relocation also pays for the blocks it moved into the
+        // frame, which no counter records: what is left over must be
+        // a whole number of block moves, at most a page per
+        // relocation.
+        RunStats rn = runProtocol(p, "rnuma", *wl);
+        ASSERT_GT(rn.pageFaults, 0u);
+        ASSERT_GT(rn.relocations, 0u);
+        const std::uint64_t faults = rn.pageFaults - rn.scomaAllocations;
+        const Tick fixed = faults * p.softTrap +
+            (rn.relocations + rn.scomaReplacements) * op +
+            rn.flushedBlocks * p.blockFlush;
+        ASSERT_GE(rn.osCycles, fixed);
+        const Tick moved = rn.osCycles - fixed;
+        EXPECT_EQ(moved % p.blockFlush, 0u);
+        EXPECT_GT(moved, 0u);
+        EXPECT_LE(moved,
+                  p.blockFlush * rn.relocations * p.blocksPerPage());
+
+        scoma_flushed += sc.flushedBlocks;
+        rnuma_replaced += rn.scomaReplacements;
+        rnuma_flushed += rn.flushedBlocks;
+    }
+    EXPECT_GT(scoma_flushed, 0u);
+    EXPECT_GT(rnuma_replaced, 0u);
+    EXPECT_GT(rnuma_flushed, 0u);
 }
 
 } // namespace rnuma
