@@ -57,9 +57,7 @@ Params::fingerprint() const
     mix(blockSize);
     mix(pageSize);
     mix(l1Size);
-    mix(l1Assoc);
     mix(blockCacheSize);
-    mix(blockCacheAssoc);
     mix(infiniteBlockCache ? 1 : 0);
     mix(rnumaBlockCacheSize);
     mix(pageCacheSize);
@@ -111,23 +109,16 @@ Params::validate() const
     RNUMA_ASSERT(pageSize % blockSize == 0,
                  "pageSize must be a multiple of blockSize");
     // Each cache is built with these sizes, so a geometry Cache
-    // cannot hold is rejected here, by name, instead of there.
-    RNUMA_ASSERT(l1Assoc >= 1, "l1Assoc must be >= 1: ", l1Assoc);
-    RNUMA_ASSERT(l1Size > 0 && l1Size % (blockSize * l1Assoc) == 0,
-                 "l1Size must be a positive multiple of blockSize * "
-                 "l1Assoc (", blockSize * l1Assoc, "): ", l1Size);
-    RNUMA_ASSERT(blockCacheAssoc >= 1,
-                 "blockCacheAssoc must be >= 1: ", blockCacheAssoc);
-    const std::size_t bc_set = blockSize * blockCacheAssoc;
-    RNUMA_ASSERT(blockCacheSize > 0 && blockCacheSize % bc_set == 0,
-                 "blockCacheSize must be a positive multiple of "
-                 "blockSize * blockCacheAssoc (", bc_set, "): ",
-                 blockCacheSize);
-    RNUMA_ASSERT(rnumaBlockCacheSize > 0 &&
-                     rnumaBlockCacheSize % bc_set == 0,
-                 "rnumaBlockCacheSize must be a positive multiple of "
-                 "blockSize * blockCacheAssoc (", bc_set, "): ",
-                 rnumaBlockCacheSize);
+    // cannot hold is rejected here, by name, instead of there: a
+    // direct-mapped cache of a power-of-two number of lines.
+    auto check_cache = [this](const char *field, std::size_t size) {
+        RNUMA_ASSERT(size >= blockSize && isPow2(size), field,
+                     " must be a power-of-two multiple of blockSize (",
+                     blockSize, "): ", size);
+    };
+    check_cache("l1Size", l1Size);
+    check_cache("blockCacheSize", blockCacheSize);
+    check_cache("rnumaBlockCacheSize", rnumaBlockCacheSize);
     RNUMA_ASSERT(pageCacheSize % pageSize == 0,
                  "pageCacheSize not page aligned");
     RNUMA_ASSERT(pageCacheFrames() >= 1, "page cache needs >= 1 frame");

@@ -40,14 +40,10 @@ struct Params
     std::size_t pageSize = 4096;
     /** Per-processor L1 data cache size in bytes (direct-mapped). */
     std::size_t l1Size = 8 * 1024;
-    /** L1 associativity (the paper's caches are direct-mapped). */
-    std::size_t l1Assoc = 1;
 
     //--- Remote caches (per protocol) -----------------------------------
-    /** CC-NUMA block cache size in bytes. */
+    /** CC-NUMA block cache size in bytes (direct-mapped SRAM). */
     std::size_t blockCacheSize = 32 * 1024;
-    /** Block cache associativity (direct-mapped SRAM in the paper). */
-    std::size_t blockCacheAssoc = 1;
     /** Model an unbounded block cache (the Figure 6 baseline). */
     bool infiniteBlockCache = false;
     /**

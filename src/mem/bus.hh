@@ -38,18 +38,11 @@ class Resource
         Tick grant = now > nextFree ? now : nextFree;
         waitTotal += grant - now;
         nextFree = grant + occupancy;
-        uses++;
         return grant;
     }
 
     /** Total queueing delay experienced by all users. */
     Tick waited() const { return waitTotal; }
-
-    /** Number of acquisitions. */
-    std::uint64_t useCount() const { return uses; }
-
-    /** Time at which the resource next becomes free. */
-    Tick freeAt() const { return nextFree; }
 
     /** Per-use occupancy. */
     Tick occupancyPerUse() const { return occupancy; }
@@ -58,7 +51,6 @@ class Resource
     Tick occupancy;
     Tick nextFree = 0;
     Tick waitTotal = 0;
-    std::uint64_t uses = 0;
 };
 
 } // namespace rnuma

@@ -19,35 +19,25 @@ isValid(CacheState s)
 }
 
 Cache::Cache(std::size_t size_bytes, std::size_t block_bytes,
-             std::size_t assoc_, bool infinite, std::size_t banks_)
-    : blockBytes(block_bytes), assoc(assoc_), nbanks(banks_),
-      unbounded(infinite)
+             bool infinite, std::size_t banks_)
+    : blockBytes(block_bytes), nbanks(banks_), unbounded(infinite)
 {
-    RNUMA_ASSERT(block_bytes > 0 && (block_bytes & (block_bytes - 1)) == 0,
-                 "block size must be a power of two");
+    RNUMA_ASSERT(isPow2(block_bytes), "block size ", block_bytes,
+                 " must be a power of two");
     RNUMA_ASSERT(nbanks >= 1, "a cache needs at least one bank");
+    RNUMA_ASSERT(!unbounded || nbanks == 1,
+                 "an infinite cache has one bank");
+    RNUMA_ASSERT(size_bytes >= block_bytes && isPow2(size_bytes),
+                 infinite ? "an infinite cache's page size " : "cache size ",
+                 size_bytes, " must be a power-of-two multiple of the block");
     blockShift = ceilLog2(block_bytes);
     if (unbounded) {
-        RNUMA_ASSERT(nbanks == 1, "an infinite cache has one bank");
-        RNUMA_ASSERT(size_bytes >= block_bytes &&
-                         (size_bytes & (size_bytes - 1)) == 0,
-                     "an infinite cache's page size ", size_bytes,
-                     " must be a power-of-two multiple of the block");
         chunkShift = ceilLog2(size_bytes / block_bytes);
-        sets = 1;
         return;
     }
-    RNUMA_ASSERT(assoc >= 1, "associativity must be >= 1");
-    RNUMA_ASSERT(size_bytes % (block_bytes * assoc) == 0,
-                 "cache size ", size_bytes,
-                 " not divisible by block*assoc");
-    sets = size_bytes / (block_bytes * assoc);
-    RNUMA_ASSERT(sets >= 1, "cache must have at least one set");
-    setsArePow2 = (sets & (sets - 1)) == 0;
+    const std::size_t sets = size_bytes / block_bytes;
     setMask = sets - 1;
-    lines.resize(sets * nbanks * assoc);
-    if (assoc > 1)
-        lru.resize(lines.size());
+    lines.resize(sets * nbanks);
 }
 
 CacheLine *
@@ -57,48 +47,28 @@ Cache::allocate(Addr a, Victim &victim, std::size_t bank)
     RNUMA_ASSERT(a < CacheLine::noBlock, "block ", a,
                  " does not fit a cache line's tag");
     victim = Victim{};
+    CacheLine *line;
     if (unbounded) {
         const Addr block = a >> blockShift;
         std::unique_ptr<CacheLine[]> &chunk =
             chunks.slot(block >> chunkShift);
         if (!chunk)
             chunk.reset(new CacheLine[std::size_t{1} << chunkShift]);
-        CacheLine &line = chunk[block & ((1u << chunkShift) - 1)];
-        RNUMA_ASSERT(!line.valid(),
-                     "allocate of already-present block ", a);
-        line.addr = a;
-        line.state = CacheState::Invalid;
-        return &line;
+        line = &chunk[block & ((1u << chunkShift) - 1)];
+    } else {
+        RNUMA_ASSERT(bank < nbanks, "bank ", bank, " out of range");
+        line = &lines[setIndex(a) * nbanks + bank];
     }
-    RNUMA_ASSERT(bank < nbanks, "bank ", bank, " out of range");
-    // One pass over the set both picks the victim and enforces the
-    // not-already-present contract (a second find() would walk the
-    // same ways again). The first way is taken without an LRU
-    // compare, so direct-mapped caches never read the (absent) stamps.
-    const std::size_t base = (setIndex(a) * nbanks + bank) * assoc;
-    std::size_t chosen = base;
-    for (std::size_t i = base; i < base + assoc; ++i) {
-        const CacheLine &line = lines[i];
-        if (!line.valid()) {
-            if (i == base || lines[chosen].valid())
-                chosen = i;
-            continue;
-        }
-        RNUMA_ASSERT(line.addr != a,
+    if (line->valid()) {
+        RNUMA_ASSERT(line->addr != a,
                      "allocate of already-present block ", a);
-        if (i != base && lines[chosen].valid() && lru[i] < lru[chosen])
-            chosen = i;
-    }
-    CacheLine &line = lines[chosen];
-    if (line.valid()) {
         victim.valid = true;
-        victim.addr = line.addr;
-        victim.state = line.state;
+        victim.addr = line->addr;
+        victim.state = line->state;
     }
-    line.addr = a;
-    line.state = CacheState::Invalid;
-    touch(&line);
-    return &line;
+    line->addr = a;
+    line->state = CacheState::Invalid;
+    return line;
 }
 
 void

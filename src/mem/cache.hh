@@ -1,10 +1,11 @@
 /**
  * @file
- * A generic set-associative, write-back cache model with MOESI line
- * states. Instantiated as a node's processor L1 data caches (one bank
- * per CPU) and as the RAD's remote block cache (rad/rnuma_rad.hh).
- * Supports an "infinite" mode used for the Figure 6 normalization
- * baseline.
+ * A direct-mapped, write-back cache model with MOSI line states, the
+ * only geometry the paper's machine has (Section 4: direct-mapped L1s
+ * and block-cache SRAM). Instantiated as a node's processor L1 data
+ * caches (one bank per CPU) and as the RAD's remote block cache
+ * (rad/rnuma_rad.hh). Supports an "infinite" mode used for the
+ * Figure 6 normalization baseline.
  */
 
 #ifndef RNUMA_MEM_CACHE_HH
@@ -22,14 +23,14 @@ namespace rnuma
 {
 
 /**
- * MOESI line states (the node-internal snoopy protocol is modeled
- * after the Sparc MBus protocol, per Section 4 of the paper).
+ * MOSI line states (the node-internal snoopy protocol is modeled
+ * after the Sparc MBus protocol, per Section 4 of the paper),
+ * declared weakest first: a stronger state compares greater.
  */
 enum class CacheState : std::uint8_t
 {
     Invalid,
     Shared,    ///< clean, possibly other copies
-    Exclusive, ///< clean, sole copy
     Owned,     ///< dirty, responsible for supplying; other copies exist
     Modified   ///< dirty, sole copy
 };
@@ -42,7 +43,7 @@ bool isValid(CacheState s);
 
 /**
  * One cache line, packed into one 64-bit word: the block address in
- * the low 61 bits and the MOESI state in the top 3. Halving the line
+ * the low 61 bits and the MOSI state in the top 3. Halving the line
  * halves the L1 banks, block caches and infinite-cache chunks a
  * Machine zeroes at construction, and puts twice the lines in a host
  * cache line. A simulated address fits in addrBits (44) bits.
@@ -70,51 +71,42 @@ static_assert(addrBits < CacheLine::tagBits,
  * boundaries internally, so callers may pass raw addresses.
  *
  * A cache may hold several banks: independent caches of the same
- * geometry (no capacity or LRU order is shared between them) whose
- * lines are stored set-major, so one set's ways in every bank sit side
- * by side. A node keeps its CPUs' L1s as the banks of one Cache, and
- * a snoop or invalidation that probes every L1 is one pass over
- * setLines(), about one host cache line. find() and allocate() name
- * their bank; the default, 0, is the only bank of an unbanked cache.
+ * geometry whose lines are stored set-major, so one set's line in
+ * every bank sits side by side. A node keeps its CPUs' L1s as the
+ * banks of one Cache, and a snoop or invalidation that probes every
+ * L1 is one pass over setLines(), about one host cache line. find()
+ * and allocate() name their bank; the default, 0, is the only bank of
+ * an unbanked cache.
  */
 class Cache
 {
   public:
     /**
-     * @param size_bytes  capacity of each bank; when infinite, the
-     *                    page size instead (a power-of-two multiple
-     *                    of the block size), by which lines are
+     * @param size_bytes  capacity of each bank, a power-of-two
+     *                    multiple of the block size; when infinite,
+     *                    the page size instead, by which lines are
      *                    allocated
-     * @param block_bytes coherence block size
-     * @param assoc       ways per set (1 = direct-mapped)
+     * @param block_bytes coherence block size (a power of two)
      * @param infinite    unbounded capacity, no evictions ever
      * @param banks       number of banks (must be 1 when infinite)
      */
     Cache(std::size_t size_bytes, std::size_t block_bytes,
-          std::size_t assoc, bool infinite = false,
-          std::size_t banks = 1);
+          bool infinite = false, std::size_t banks = 1);
 
     /** Block-align an address. */
     Addr blockAlign(Addr a) const { return a & ~(blockBytes - 1); }
 
-    /**
-     * Probe @p bank for a block. Returns the line (without updating
-     * LRU) or nullptr on miss.
-     */
+    /** Probe @p bank for a block. Returns the line or nullptr on miss. */
     CacheLine *
     find(Addr a, std::size_t bank = 0)
     {
         a = blockAlign(a);
         if (unbounded)
             return findUnbounded(a);
-        CacheLine *set = &lines[(setIndex(a) * nbanks + bank) * assoc];
-        for (std::size_t w = 0; w < assoc; ++w) {
-            // Tag compare first: it almost always fails, and is
-            // cheaper than the state load on lines that do not match.
-            if (set[w].addr == a && set[w].valid())
-                return &set[w];
-        }
-        return nullptr;
+        CacheLine &line = lines[setIndex(a) * nbanks + bank];
+        // Tag compare first: it almost always fails, and is cheaper
+        // than the state load on lines that do not match.
+        return line.addr == a && line.valid() ? &line : nullptr;
     }
 
     const CacheLine *
@@ -124,30 +116,15 @@ class Cache
     }
 
     /**
-     * The first of the ways() * banks lines of @p a's set, which sit
-     * side by side: bank b's ways are [b * ways(), (b + 1) * ways()).
-     * A probe of every bank scans them in one pass instead of calling
-     * find() per bank. Finite caches only.
+     * The first of the banks lines of @p a's set, which sit side by
+     * side: bank b's line is setLines(a)[b]. A probe of every bank
+     * scans them in one pass instead of calling find() per bank.
+     * Finite caches only.
      */
     CacheLine *
     setLines(Addr a)
     {
-        return &lines[setIndex(blockAlign(a)) * nbanks * assoc];
-    }
-
-    /** Ways per set in each bank. */
-    std::size_t ways() const { return assoc; }
-
-    /**
-     * Mark a line most-recently used. Direct-mapped and infinite
-     * caches keep no LRU order, so this does nothing in them.
-     */
-    void
-    touch(CacheLine *line)
-    {
-        if (!lru.empty())
-            lru[static_cast<std::size_t>(line - lines.data())] =
-                ++lruClock;
+        return &lines[setIndex(blockAlign(a)) * nbanks];
     }
 
     /** Description of a line evicted by allocate(). */
@@ -160,10 +137,10 @@ class Cache
 
     /**
      * Allocate a line in @p bank for a block (which must not currently
-     * be present there), evicting the bank's LRU way if the set is
-     * full. The caller must handle any writeback implied by the
-     * victim's dirty state. The returned line is valid with state
-     * Invalid; the caller sets the state.
+     * be present there), evicting the line its set holds. The caller
+     * must handle any writeback implied by the victim's dirty state.
+     * The returned line holds the block with state Invalid; the
+     * caller sets the state.
      */
     CacheLine *allocate(Addr a, Victim &victim, std::size_t bank = 0);
 
@@ -190,36 +167,20 @@ class Cache
     /** Number of currently valid lines, over all banks. */
     std::size_t validCount() const;
 
-    std::size_t blockSize() const { return blockBytes; }
-
   private:
     std::size_t blockBytes;
-    std::size_t assoc;
     std::size_t nbanks;
-    std::size_t sets;
     bool unbounded;
     /**
      * find() runs tens of millions of times per figure (every L1
-     * probe, snoop, and invalidation lands here), so the set index
-     * is computed with a shift and mask instead of the division and
-     * modulo the naive form needs. blockShift always applies (block
-     * sizes are asserted powers of two); setMask applies when the
-     * set count is also a power of two — true for every configured
-     * cache in the paper's sweeps — with a modulo fallback for
-     * exotic geometries.
+     * probe, snoop, and invalidation lands here), so the set index is
+     * a shift and a mask: the block and set counts are powers of two.
      */
     unsigned blockShift = 0;
     std::size_t setMask = 0;
-    bool setsArePow2 = false;
-    std::uint64_t lruClock = 0;
 
-    /**
-     * Set-indexed storage (finite mode): sets * banks * assoc lines,
-     * line (set * banks + bank) * assoc + way.
-     */
+    /** Set-indexed storage (finite mode): line set * banks + bank. */
     std::vector<CacheLine> lines;
-    /** LRU stamps, parallel to lines; allocated only when assoc > 1. */
-    std::vector<std::uint64_t> lru;
     /**
      * Infinite-mode storage: one page's lines per chunk, allocated on
      * the page's first allocate() and indexed by page number, so the
@@ -233,10 +194,7 @@ class Cache
     std::size_t
     setIndex(Addr a) const
     {
-        const Addr block = a >> blockShift;
-        if (setsArePow2)
-            return static_cast<std::size_t>(block) & setMask;
-        return static_cast<std::size_t>(block % sets);
+        return static_cast<std::size_t>(a >> blockShift) & setMask;
     }
 
     CacheLine *

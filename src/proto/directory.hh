@@ -109,8 +109,8 @@ struct SetShape
  *
  *  - LimitedPointer: up to `pointers` exact ids (the bitmap's
  *    population); one more distinct set() flips the entry to
- *    broadcast, which sets every node's bit (test() true for every
- *    node, count() == nodes). Re-setting a present node is free.
+ *    broadcast, which sets every node's bit (test() and forEach()
+ *    report every node). Re-setting a present node is free.
  *    reset(n) of one node cannot un-broadcast; only a full reset()
  *    (protocol-wide invalidation/flush) clears the overflow.
  *  - CoarseVector: one bit per region of `regionSize` nodes;
@@ -198,26 +198,6 @@ class SharerSet
             if (w_[i])
                 return false;
         return true;
-    }
-
-    /**
-     * Apparent sharer count (over-approximate for the sparse
-     * formats: nodes for a broadcast entry, the real population of
-     * every set region for coarse bits).
-     */
-    std::size_t
-    count() const
-    {
-        const std::size_t pop = population();
-        if (shape_->format != SharerFormat::CoarseVector || pop == 0)
-            return pop;
-        // Every set region holds regionSize nodes except a partial
-        // last one.
-        const std::uint32_t r = shape_->regionSize;
-        const std::uint32_t last = (shape_->nodes - 1) / r;
-        if (!testBit(last))
-            return pop * r;
-        return (pop - 1) * r + (shape_->nodes - last * r);
     }
 
     /**

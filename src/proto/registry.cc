@@ -99,12 +99,11 @@ addBuiltins(ProtocolRegistry &reg)
     sc.description =
         "page cache only; remote pages allocated in local memory";
     // Every remote page faults into the page cache on first touch, so
-    // the smallest block cache (one set) stands idle.
+    // the smallest block cache (one line) stands idle.
     sc.makeRad = [](const Params &p, NodeId node, RadDeps deps) {
         return std::unique_ptr<Rad>(std::make_unique<RNumaRad>(
-            p, node, deps, PageMode::SComa,
-            p.blockSize * p.blockCacheAssoc, false, p.pageCacheFrames(),
-            nullptr));
+            p, node, deps, PageMode::SComa, p.blockSize, false,
+            p.pageCacheFrames(), nullptr));
     };
     reg.add(std::move(sc));
 

@@ -41,7 +41,7 @@ class L1Snooper
     /**
      * Invalidate every on-node L1 copy of @p block.
      * @return the strongest prior state across the node's L1s
-     *         (Modified > Owned > Exclusive > Shared > Invalid).
+     *         (Modified > Owned > Shared > Invalid).
      */
     virtual CacheState invalidateL1Block(Addr block) = 0;
 };

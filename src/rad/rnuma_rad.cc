@@ -11,7 +11,7 @@ RNumaRad::RNumaRad(const Params &params, NodeId node, RadDeps deps,
                    std::unique_ptr<RelocationPolicy> policy)
     : Rad(params, node, deps), firstTouch_(firstTouch),
       bc(infiniteBlockCache ? params.pageSize : blockCacheBytes,
-         params.blockSize, params.blockCacheAssoc, infiniteBlockCache),
+         params.blockSize, infiniteBlockCache),
       pc(pageFrames, params.blocksPerPage()),
       policy_(std::move(policy))
 {
@@ -139,7 +139,6 @@ RNumaRad::blockPath(Tick now, Addr addr, bool write)
     if (line && line->valid()) {
         if (!write || line->state == CacheState::Modified) {
             // Block cache hit: SRAM access plus the bus transfer.
-            bc.touch(line);
             d.stats.blockCacheHits++;
             return {now + p.sramAccess + p.busLatency,
                     ServiceKind::BlockCache, fill};
@@ -147,7 +146,6 @@ RNumaRad::blockPath(Tick now, Addr addr, bool write)
         // Write to a read-only block: permission-only upgrade.
         Tick done = upgradeRemote(now, block, page);
         line->state = CacheState::Modified;
-        bc.touch(line);
         return {done, ServiceKind::Remote, CacheState::Modified};
     }
 
@@ -168,7 +166,6 @@ RNumaRad::blockPath(Tick now, Addr addr, bool write)
 
     FetchResult res = fetchRemote(now, block, page, write);
     nl->state = fill;
-    bc.touch(nl);
 
     // The reactive mechanism: report capacity/conflict refetches to
     // the relocation policy; when it fires, the RAD interrupts and
@@ -287,7 +284,6 @@ RNumaRad::l1Writeback(Tick now, Addr block)
     CacheLine *line = bc.find(block);
     if (line && line->valid()) {
         line->state = CacheState::Modified;
-        bc.touch(line);
         return;
     }
     // Inclusion should make this unreachable, but stay safe: send the

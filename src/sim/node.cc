@@ -10,8 +10,7 @@ Node::Node(const Params &params, NodeId id, const ProtocolSpec &spec,
            Memory &memory, GlobalProtocol &proto_, RunStats &stats_)
     : p(params), id_(id), proto(proto_), stats(stats_), mem(memory),
       bus_(params.busOccupancy),
-      l1s_(params.l1Size, params.blockSize, params.l1Assoc, false,
-           params.cpusPerNode),
+      l1s_(params.l1Size, params.blockSize, false, params.cpusPerNode),
       pageShift(ceilLog2(params.pageSize))
 {
     rad_ = spec.makeRad(p, id,
@@ -23,12 +22,8 @@ CacheLine *
 Node::snoopOwned(std::size_t cpu, Addr block)
 {
     CacheLine *set = l1s_.setLines(block);
-    const std::size_t ways = l1s_.ways();
-    const std::size_t own = cpu * ways;
-    for (std::size_t i = 0; i < p.cpusPerNode * ways; ++i) {
-        if (i >= own && i < own + ways)
-            continue;
-        if (set[i].addr == block && isDirty(set[i].state))
+    for (std::size_t i = 0; i < p.cpusPerNode; ++i) {
+        if (i != cpu && set[i].addr == block && isDirty(set[i].state))
             return &set[i];
     }
     return nullptr;
@@ -38,14 +33,9 @@ void
 Node::invalidateOtherL1s(std::size_t cpu, Addr block)
 {
     CacheLine *set = l1s_.setLines(block);
-    const std::size_t ways = l1s_.ways();
-    const std::size_t own = cpu * ways;
-    for (std::size_t i = 0; i < p.cpusPerNode * ways; ++i) {
-        if (i >= own && i < own + ways)
-            continue;
-        if (set[i].addr == block && set[i].valid())
+    for (std::size_t i = 0; i < p.cpusPerNode; ++i)
+        if (i != cpu && set[i].addr == block && set[i].valid())
             set[i] = CacheLine{};
-    }
 }
 
 bool
@@ -62,7 +52,6 @@ Node::fillL1(Tick now, std::size_t cpu, Addr block, CacheState st)
     Cache::Victim v;
     CacheLine *nl = l1s_.allocate(block, v, cpu);
     nl->state = st;
-    l1s_.touch(nl);
     if (!v.valid || !isDirty(v.state))
         return;
     // Dirty victim: write it back to the node-level holder. The
@@ -85,7 +74,6 @@ Node::access(Tick now, std::size_t cpu, Addr addr, bool write,
 
     if (line) {
         if (!write || line->state == CacheState::Modified) {
-            l1s_.touch(line);
             stats.l1Hits++;
             return now;
         }
@@ -97,7 +85,6 @@ Node::access(Tick now, std::size_t cpu, Addr addr, bool write,
             // bus transaction transfers ownership locally.
             invalidateOtherL1s(cpu, block);
             line->state = CacheState::Modified;
-            l1s_.touch(line);
             return t;
         }
         Tick done;
@@ -118,12 +105,10 @@ Node::access(Tick now, std::size_t cpu, Addr addr, bool write,
         // very line; re-probe rather than resurrecting a stale
         // pointer.
         line = l1s_.find(block, cpu);
-        if (line) {
+        if (line)
             line->state = CacheState::Modified;
-            l1s_.touch(line);
-        } else {
+        else
             fillL1(done, cpu, block, CacheState::Modified);
-        }
         return done;
     }
 
@@ -181,21 +166,12 @@ Node::invalidateL1Block(Addr block)
 {
     block = blockOf(block);
     CacheState strongest = CacheState::Invalid;
-    auto rank = [](CacheState s) -> int {
-        switch (s) {
-          case CacheState::Modified:  return 4;
-          case CacheState::Owned:     return 3;
-          case CacheState::Exclusive: return 2;
-          case CacheState::Shared:    return 1;
-          case CacheState::Invalid:   return 0;
-        }
-        return 0;
-    };
     CacheLine *set = l1s_.setLines(block);
-    for (std::size_t i = 0; i < p.cpusPerNode * l1s_.ways(); ++i) {
+    for (std::size_t i = 0; i < p.cpusPerNode; ++i) {
         if (set[i].addr != block || !set[i].valid())
             continue;
-        if (rank(set[i].state) > rank(strongest))
+        // CacheState is declared weakest first.
+        if (set[i].state > strongest)
             strongest = set[i].state;
         set[i] = CacheLine{};
     }
@@ -216,7 +192,7 @@ Node::downgradeAll(Addr block)
 {
     block = blockOf(block);
     CacheLine *set = l1s_.setLines(block);
-    for (std::size_t i = 0; i < p.cpusPerNode * l1s_.ways(); ++i)
+    for (std::size_t i = 0; i < p.cpusPerNode; ++i)
         if (set[i].addr == block && set[i].valid())
             set[i].state = CacheState::Shared;
     rad_->downgradeBlock(block);

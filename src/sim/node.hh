@@ -1,7 +1,7 @@
 /**
  * @file
  * One SMP node (Figure 1): four processors with private L1 data
- * caches kept coherent by a snoopy MOESI-style protocol over a
+ * caches kept coherent by a snoopy MOSI protocol over a
  * split-transaction bus, an interleaved memory, and a Remote Access
  * Device. The node routes each L1 miss: on-node cache-to-cache
  * transfer (owned lines only, per the MBus limitation in Section 4),
@@ -69,7 +69,6 @@ class Node : public L1Snooper
         CacheLine *line = l1s_.find(addr, cpu);
         if (!line || (write && line->state != CacheState::Modified))
             return false;
-        l1s_.touch(line);
         stats.l1Hits++;
         return true;
     }

@@ -38,8 +38,8 @@ TEST(Resource, QueueBuildsLinearly)
         r.acquire(0);
     // Requests granted at 0, 10, 20, 30, 40 -> total wait 100.
     EXPECT_EQ(r.waited(), 0u + 10u + 20u + 30u + 40u);
-    EXPECT_EQ(r.useCount(), 5u);
-    EXPECT_EQ(r.freeAt(), 50u);
+    // The resource is next free at 50.
+    EXPECT_EQ(r.acquire(0), 50u);
 }
 
 } // namespace rnuma

@@ -1,4 +1,4 @@
-/** @file Unit tests for the generic set-associative MOESI cache. */
+/** @file Unit tests for the direct-mapped MOSI cache. */
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@ TEST(CacheState, DirtyAndValidPredicates)
     EXPECT_TRUE(isDirty(CacheState::Modified));
     EXPECT_TRUE(isDirty(CacheState::Owned));
     EXPECT_FALSE(isDirty(CacheState::Shared));
-    EXPECT_FALSE(isDirty(CacheState::Exclusive));
     EXPECT_FALSE(isDirty(CacheState::Invalid));
     EXPECT_TRUE(isValid(CacheState::Shared));
     EXPECT_FALSE(isValid(CacheState::Invalid));
@@ -23,14 +22,14 @@ TEST(CacheState, DirtyAndValidPredicates)
 
 TEST(Cache, MissOnEmpty)
 {
-    Cache c(1024, 32, 1);
+    Cache c(1024, 32);
     EXPECT_EQ(c.find(0x100), nullptr);
     EXPECT_EQ(c.validCount(), 0u);
 }
 
 TEST(Cache, AllocateThenFind)
 {
-    Cache c(1024, 32, 1);
+    Cache c(1024, 32);
     Cache::Victim v;
     CacheLine *line = c.allocate(0x100, v);
     ASSERT_NE(line, nullptr);
@@ -43,7 +42,7 @@ TEST(Cache, AllocateThenFind)
 
 TEST(Cache, BlockAlignmentOnProbe)
 {
-    Cache c(1024, 32, 1);
+    Cache c(1024, 32);
     Cache::Victim v;
     c.allocate(0x100, v)->state = CacheState::Shared;
     // Any address within the block finds the line.
@@ -55,7 +54,7 @@ TEST(Cache, DirectMappedConflictEvicts)
 {
     // 1 KB direct-mapped, 32 B blocks: 32 sets. Addresses 0 and 1024
     // map to the same set.
-    Cache c(1024, 32, 1);
+    Cache c(1024, 32);
     Cache::Victim v;
     c.allocate(0, v)->state = CacheState::Modified;
     c.allocate(1024, v)->state = CacheState::Shared;
@@ -66,37 +65,9 @@ TEST(Cache, DirectMappedConflictEvicts)
     EXPECT_NE(c.find(1024), nullptr);
 }
 
-TEST(Cache, TwoWayAvoidsSimpleConflict)
-{
-    Cache c(1024, 32, 2);
-    Cache::Victim v;
-    c.allocate(0, v)->state = CacheState::Shared;
-    c.allocate(1024, v)->state = CacheState::Shared;
-    EXPECT_FALSE(v.valid);
-    EXPECT_NE(c.find(0), nullptr);
-    EXPECT_NE(c.find(1024), nullptr);
-}
-
-TEST(Cache, LruEvictionOrder)
-{
-    // 2-way set: fill both ways, touch the first, insert a third; the
-    // untouched second way is the victim.
-    Cache c(2 * 32, 32, 2); // one set, two ways
-    Cache::Victim v;
-    CacheLine *a = c.allocate(0, v);
-    a->state = CacheState::Shared;
-    CacheLine *b = c.allocate(32, v);
-    b->state = CacheState::Shared;
-    c.touch(a);
-    c.allocate(64, v);
-    EXPECT_TRUE(v.valid);
-    EXPECT_EQ(v.addr, 32u);
-    EXPECT_NE(c.find(0), nullptr);
-}
-
 TEST(Cache, InvalidateReturnsPriorState)
 {
-    Cache c(1024, 32, 1);
+    Cache c(1024, 32);
     Cache::Victim v;
     c.allocate(0x40, v)->state = CacheState::Owned;
     EXPECT_EQ(c.invalidate(0x40), CacheState::Owned);
@@ -106,7 +77,7 @@ TEST(Cache, InvalidateReturnsPriorState)
 
 TEST(Cache, InfiniteModeNeverEvicts)
 {
-    Cache c(4096, 32, 1, /*infinite=*/true);
+    Cache c(4096, 32, /*infinite=*/true);
     Cache::Victim v;
     for (Addr a = 0; a < 32 * 10000; a += 32) {
         c.allocate(a, v)->state = CacheState::Shared;
@@ -118,7 +89,7 @@ TEST(Cache, InfiniteModeNeverEvicts)
 
 TEST(Cache, InfiniteModeInvalidateErases)
 {
-    Cache c(4096, 32, 1, true);
+    Cache c(4096, 32, true);
     Cache::Victim v;
     c.allocate(64, v)->state = CacheState::Modified;
     EXPECT_EQ(c.invalidate(64), CacheState::Modified);
@@ -128,7 +99,7 @@ TEST(Cache, InfiniteModeInvalidateErases)
 
 TEST(Cache, DoubleAllocatePanics)
 {
-    Cache c(1024, 32, 1);
+    Cache c(1024, 32);
     Cache::Victim v;
     c.allocate(0, v)->state = CacheState::Shared;
     EXPECT_THROW(c.allocate(0, v), std::logic_error);
@@ -136,7 +107,7 @@ TEST(Cache, DoubleAllocatePanics)
 
 TEST(Cache, ForEachValidVisitsAll)
 {
-    Cache c(1024, 32, 1);
+    Cache c(1024, 32);
     Cache::Victim v;
     for (Addr a = 0; a < 5 * 32; a += 32)
         c.allocate(a, v)->state = CacheState::Shared;
@@ -149,7 +120,7 @@ TEST(CacheBanks, OneSetInTwoBanksHoldsTwoBlocks)
 {
     // 1 KB direct-mapped banks: 0 and 1024 share a set, but each
     // bank is its own cache, so neither fill evicts the other.
-    Cache c(1024, 32, 1, false, 2);
+    Cache c(1024, 32, false, 2);
     Cache::Victim v;
     c.allocate(0, v, 0)->state = CacheState::Modified;
     c.allocate(1024, v, 1)->state = CacheState::Shared;
@@ -159,11 +130,10 @@ TEST(CacheBanks, OneSetInTwoBanksHoldsTwoBlocks)
     EXPECT_EQ(c.find(0, 1), nullptr);
     EXPECT_EQ(c.find(1024, 0), nullptr);
     // The same block may live in both banks, and one set's lines sit
-    // side by side: bank 0's ways, then bank 1's.
+    // side by side: bank 0's line, then bank 1's.
     c.allocate(0, v, 1)->state = CacheState::Shared;
     EXPECT_TRUE(v.valid);
     EXPECT_EQ(v.addr, 1024u);
-    ASSERT_EQ(c.ways(), 1u);
     CacheLine *set = c.setLines(0);
     EXPECT_EQ(c.setLines(1024 + 31), set);
     EXPECT_EQ(&set[0], c.find(0, 0));
@@ -173,40 +143,12 @@ TEST(CacheBanks, OneSetInTwoBanksHoldsTwoBlocks)
     EXPECT_EQ(c.validCount(), 2u);
 }
 
-TEST(CacheBanks, LruOrderIsKeptPerBank)
-{
-    // One 2-way set in each of two banks, filled in interleaved
-    // order: bank 0 touches its older way, bank 1 its newer one, so
-    // the two banks must pick different victims.
-    Cache c(2 * 32, 32, 2, false, 2);
-    Cache::Victim v;
-    auto fill = [&](Addr a, std::size_t bank) {
-        CacheLine *l = c.allocate(a, v, bank);
-        l->state = CacheState::Shared;
-        return l;
-    };
-    CacheLine *a0 = fill(0, 0);
-    fill(0, 1);
-    fill(32, 0);
-    CacheLine *b1 = fill(32, 1);
-    c.touch(a0);
-    c.touch(b1);
-    c.allocate(64, v, 0);
-    EXPECT_TRUE(v.valid);
-    EXPECT_EQ(v.addr, 32u);
-    c.allocate(64, v, 1);
-    EXPECT_TRUE(v.valid);
-    EXPECT_EQ(v.addr, 0u);
-    EXPECT_NE(c.find(0, 0), nullptr);
-    EXPECT_NE(c.find(32, 1), nullptr);
-}
-
 TEST(Cache, InfiniteModeCapIsCountedInPages)
 {
     // The lines are kept a page at a time, so the cap is the one every
     // page-level table has. A 4 KiB page holds 128 blocks, two
     // 64-block runs: a page past maxPages / 2 must still be accepted.
-    Cache c(4096, 32, 1, true);
+    Cache c(4096, 32, true);
     Cache::Victim v;
     const Addr page = maxPages / 2 + 1;
     c.allocate(page * 4096 + 96, v)->state = CacheState::Shared;
@@ -227,27 +169,35 @@ TEST(Cache, InfiniteModeCapIsCountedInPages)
 
 TEST(Cache, InfiniteModeNeedsAPageOfBlocks)
 {
-    EXPECT_THROW(Cache(16, 32, 1, true), std::logic_error);
-    EXPECT_THROW(Cache(96, 32, 1, true), std::logic_error);
+    EXPECT_THROW(Cache(16, 32, true), std::logic_error);
+    EXPECT_THROW(Cache(96, 32, true), std::logic_error);
+}
+
+TEST(Cache, SizeMustBeAPowerOfTwoMultipleOfTheBlock)
+{
+    // Direct-mapped sets are indexed with a mask, so a size that is
+    // not a power-of-two number of blocks has no set layout.
+    EXPECT_THROW(Cache(24 * 1024, 32), std::logic_error);
+    EXPECT_THROW(Cache(96, 32), std::logic_error);
+    EXPECT_THROW(Cache(16, 32), std::logic_error);
 }
 
 TEST(CacheBanks, InfiniteCacheHasOneBank)
 {
-    EXPECT_THROW(Cache(4096, 32, 1, true, 2), std::logic_error);
+    EXPECT_THROW(Cache(4096, 32, true, 2), std::logic_error);
 }
 
 /** Parameterized sweep: geometry invariants across configurations. */
 class CacheGeometry
-    : public ::testing::TestWithParam<std::tuple<int, int, int>>
+    : public ::testing::TestWithParam<std::tuple<int, int>>
 {
 };
 
 TEST_P(CacheGeometry, FillToCapacityWithoutPhantomEvictions)
 {
-    auto [size_kb, block, assoc] = GetParam();
+    auto [size_kb, block] = GetParam();
     std::size_t size = static_cast<std::size_t>(size_kb) * 1024;
-    Cache c(size, static_cast<std::size_t>(block),
-            static_cast<std::size_t>(assoc));
+    Cache c(size, static_cast<std::size_t>(block));
     std::size_t capacity = size / static_cast<std::size_t>(block);
     Cache::Victim v;
     // Sequential fill exactly to capacity must not evict anything.
@@ -266,11 +216,8 @@ TEST_P(CacheGeometry, FillToCapacityWithoutPhantomEvictions)
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometry,
-    ::testing::Values(std::make_tuple(1, 32, 1),
-                      std::make_tuple(8, 32, 1),
-                      std::make_tuple(8, 64, 2),
-                      std::make_tuple(32, 32, 1),
-                      std::make_tuple(4, 32, 4),
-                      std::make_tuple(16, 128, 8)));
+    ::testing::Values(std::make_tuple(1, 32), std::make_tuple(8, 32),
+                      std::make_tuple(8, 64), std::make_tuple(32, 32),
+                      std::make_tuple(4, 32), std::make_tuple(16, 128)));
 
 } // namespace rnuma

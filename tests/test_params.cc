@@ -145,31 +145,28 @@ TEST(Params, ValidateRejectsAnEmptyRemoteCache)
     expectRejected(p, "rnumaBlockCacheSize", 0);
 }
 
-TEST(Params, ValidateRejectsARemoteCacheOfPartialSets)
+TEST(Params, ValidateRejectsANonPowerOfTwoCache)
 {
+    // Every cache is direct-mapped with its set index a mask, so each
+    // size must be a power-of-two number of blocks: block aligned is
+    // not enough.
     Params p = Params::base();
-    p.rnumaBlockCacheSize = 100; // not a multiple of the 32-byte block
-    expectRejected(p, "rnumaBlockCacheSize", 100);
-    // Block aligned, but 96 bytes are not whole 2-way sets of 64.
+    p.l1Size = 24 * 1024;
+    expectRejected(p, "l1Size", 24 * 1024);
+    p.l1Size = 8 * 1024 + 64;
+    expectRejected(p, "l1Size", 8 * 1024 + 64);
     p = Params::base();
-    p.blockCacheAssoc = 2;
-    p.rnumaBlockCacheSize = 96;
-    expectRejected(p, "rnumaBlockCacheSize", 96);
-    p = Params::base();
-    p.blockCacheAssoc = 2;
+    p.blockCacheSize = 48 * 1024;
+    expectRejected(p, "blockCacheSize", 48 * 1024);
     p.blockCacheSize = 32 * 1024 + 32;
     expectRejected(p, "blockCacheSize", 32 * 1024 + 32);
-    p.blockCacheSize = 32 * 1024;
-    p.validate();
-}
-
-TEST(Params, ValidateRejectsAnL1ThatIsNotWholeSets)
-{
-    Params p = Params::base();
-    p.l1Assoc = 4;
-    p.l1Size = 8 * 1024 + 64; // block aligned, not whole 128-byte sets
-    expectRejected(p, "l1Size", 8 * 1024 + 64);
-    p.l1Size = 8 * 1024;
+    p = Params::base();
+    p.rnumaBlockCacheSize = 96;
+    expectRejected(p, "rnumaBlockCacheSize", 96);
+    p.rnumaBlockCacheSize = 100; // not a multiple of the 32-byte block
+    expectRejected(p, "rnumaBlockCacheSize", 100);
+    // One block is the smallest cache.
+    p.rnumaBlockCacheSize = 32;
     p.validate();
 }
 

@@ -16,6 +16,8 @@
 #include "net/network.hh"
 #include "proto/protocol.hh"
 
+#include "test_util.hh"
+
 namespace rnuma
 {
 
@@ -166,7 +168,7 @@ TEST_F(ProtocolTest, WriteInvalidatesAllOtherSharers)
     EXPECT_EQ(sink.invalidated.size(), 3u);
     const DirEntry *e = proto->directory().peek(blk);
     EXPECT_EQ(e->owner, 4u);
-    EXPECT_EQ(proto->directory().sharers(*e).count(), 1u);
+    EXPECT_EQ(test::sharerCount(proto->directory().sharers(*e)), 1u);
     EXPECT_TRUE(proto->directory().sharers(*e).test(4));
 }
 

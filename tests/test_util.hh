@@ -2,13 +2,17 @@
  * @file
  * Shared helpers for the unit and integration tests: a deliberately
  * tiny machine configuration that makes cache, page-cache, and
- * threshold behaviors easy to trigger with short reference streams.
+ * threshold behaviors easy to trigger with short reference streams,
+ * and a sharer-set counter.
  */
 
 #ifndef RNUMA_TESTS_TEST_UTIL_HH
 #define RNUMA_TESTS_TEST_UTIL_HH
 
+#include <cstddef>
+
 #include "common/params.hh"
+#include "proto/directory.hh"
 
 namespace rnuma::test
 {
@@ -40,6 +44,15 @@ inline Params
 paperParams()
 {
     return Params::base();
+}
+
+/** The nodes a sharer set reports, counted through forEach(). */
+inline std::size_t
+sharerCount(const SharerSet &s)
+{
+    std::size_t n = 0;
+    s.forEach([&n](NodeId) { ++n; });
+    return n;
 }
 
 } // namespace rnuma::test
