@@ -28,12 +28,11 @@ constexpr rnuma::Addr far = 32 * 1024;
  * The scripted stream: CPU 4 (node 1) owns a page; CPU 0 (node 0)
  * ping-pongs two conflicting blocks until the page relocates.
  */
-std::unique_ptr<rnuma::VectorWorkload>
+std::unique_ptr<rnuma::Workload>
 explorerStream(const rnuma::Params &p)
 {
     using namespace rnuma;
-    auto wl = std::make_unique<VectorWorkload>("explorer",
-                                               p.numCpus());
+    auto wl = std::make_unique<Workload>("explorer", p.numCpus());
     Addr page_addr = 0;
     wl->push(4, Ref::touchOf(page_addr));
     wl->push(4, Ref::touchOf(far));

@@ -7,7 +7,7 @@ namespace rnuma
 {
 
 void
-RunStats::recordFetch(Addr page, MissKind kind, bool write, bool remote)
+RunStats::recordFetch(Addr page, MissKind kind, bool write)
 {
     remoteFetches++;
     switch (kind) {
@@ -15,8 +15,6 @@ RunStats::recordFetch(Addr page, MissKind kind, bool write, bool remote)
       case MissKind::Coherence: coherenceMisses++; break;
       case MissKind::Refetch:   refetches++; break;
     }
-    if (!remote)
-        return;
     PageStats &ps = pages.slot(page);
     ps.remoteFetches++;
     if (kind == MissKind::Refetch)

@@ -145,7 +145,7 @@ struct RunStats
     PageIndexed<PageStats> pages;
 
     /** Record a remote fetch classification against a page. */
-    void recordFetch(Addr page, MissKind kind, bool write, bool remote);
+    void recordFetch(Addr page, MissKind kind, bool write);
 
     /**
      * Record write-sharing traffic on a page that is tracked as

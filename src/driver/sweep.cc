@@ -58,7 +58,7 @@ WorkloadInput::key() const
     return os.str();
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 WorkloadInput::make() const
 {
     return makeWorkload(id, gen, scale, seed, options);

@@ -53,7 +53,7 @@ struct WorkloadInput
     std::string key() const;
 
     /** Generate the workload (makeWorkload). */
-    std::unique_ptr<VectorWorkload> make() const;
+    std::unique_ptr<Workload> make() const;
 };
 
 /**

@@ -59,8 +59,7 @@ namespace
 {
 
 CellResult
-runCell(const Cell &cell,
-        std::shared_ptr<const VectorWorkload> snapshot)
+runCell(const Cell &cell, const Workload &wl)
 {
     CellResult r;
     r.app = cell.app;
@@ -70,7 +69,6 @@ runCell(const Cell &cell,
     r.network = cell.params.networkModel;
     r.directory = cell.params.directoryId();
     r.workload = cell.workload.id;
-    SnapshotWorkload wl(std::move(snapshot));
     r.stats = runProtocol(cell.params, cell.proto, wl);
     return r;
 }
@@ -94,8 +92,7 @@ SweepRunner::run(const Sweep &sweep)
         if (!cache_.count(keys[i]) && pending.insert(keys[i]).second)
             todo.push_back(i);
     }
-    std::vector<std::shared_ptr<const VectorWorkload>> fresh(
-        todo.size());
+    std::vector<std::shared_ptr<const Workload>> fresh(todo.size());
     parallelFor(todo.size(), jobs_, [&](std::size_t i) {
         fresh[i] = cells[todo[i]].workload.make();
     });
@@ -114,7 +111,7 @@ SweepRunner::run(const Sweep &sweep)
     // reports a failed cell from this thread.
     result.cells.resize(cells.size());
     parallelFor(cells.size(), jobs_, [&](std::size_t i) {
-        result.cells[i] = runCell(cells[i], cache_.at(keys[i]));
+        result.cells[i] = runCell(cells[i], *cache_.at(keys[i]));
     });
     return result;
 }

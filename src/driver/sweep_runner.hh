@@ -9,9 +9,10 @@
  *
  * The runner owns one content-addressed workload cache for its
  * lifetime: each distinct WorkloadInput::key() is generated once
- * (concurrently, on the same pool) into an immutable snapshot, and
+ * (concurrently, on the same pool) into an immutable Workload, and
  * every cell naming that input — in this run() or a later one —
- * replays a SnapshotWorkload view of it.
+ * runs a Machine over it; each Machine keeps its own cursors, so
+ * concurrent cells share the streams read-only.
  */
 
 #ifndef RNUMA_DRIVER_SWEEP_RUNNER_HH
@@ -49,7 +50,7 @@ struct SweepResult
     //--- Workload-cache accounting (whole sweep) -----------------------
     /** Distinct workloads actually generated. */
     std::size_t workloadsGenerated = 0;
-    /** Cells served from an already-generated snapshot. */
+    /** Cells served from an already-generated workload. */
     std::size_t workloadCacheHits = 0;
 
     /** Find a cell by labels; nullptr when absent. */
@@ -101,7 +102,7 @@ class SweepRunner
   private:
     std::size_t jobs_;
     std::unordered_map<std::string,
-                       std::shared_ptr<const VectorWorkload>>
+                       std::shared_ptr<const Workload>>
         cache_;
     std::size_t generated_ = 0;
     std::size_t hits_ = 0;

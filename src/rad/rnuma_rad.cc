@@ -119,7 +119,7 @@ RNumaRad::fetchRemote(Tick now, Addr block, Addr page, bool write)
 {
     FetchResult res = d.proto.fetch(now, nodeId, block,
                                     write ? ReqType::GetX : ReqType::GetS);
-    d.stats.recordFetch(page, res.kind, write, true);
+    d.stats.recordFetch(page, res.kind, write);
     d.stats.invalidationsSent +=
         static_cast<std::uint64_t>(res.invalidations);
     if (res.threeHop)

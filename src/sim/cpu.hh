@@ -19,6 +19,8 @@ namespace rnuma
 /** Per-CPU execution state owned by the Machine. */
 struct CpuState
 {
+    /** Next entry of this CPU's sealed stream (read in place). */
+    const Ref *cursor = nullptr;
     /** Local clock: when this CPU's next instruction issues. */
     Tick time = 0;
     /** Stream exhausted. */

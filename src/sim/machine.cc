@@ -7,8 +7,8 @@ namespace rnuma
 {
 
 Machine::Machine(const Params &params, const ProtocolSpec &spec,
-                 Workload &wl_)
-    : p(params), protocolId_(spec.id), wl(wl_),
+                 const Workload &wl)
+    : p(params), protocolId_(spec.id),
       pageShift(ceilLog2(params.pageSize)), net_(makeNetwork(params)),
       eq_(params.numCpus())
 {
@@ -18,6 +18,8 @@ Machine::Machine(const Params &params, const ProtocolSpec &spec,
     RNUMA_ASSERT(wl.numCpus() == p.numCpus(),
                  "workload has ", wl.numCpus(), " cpus, machine has ",
                  p.numCpus());
+    if (!wl.sealed())
+        RNUMA_FATAL("workload '", wl.name(), "' is not sealed");
 
     mems_.reserve(p.numNodes);
     std::vector<Memory *> mem_ptrs;
@@ -41,6 +43,7 @@ Machine::Machine(const Params &params, const ProtocolSpec &spec,
     for (CpuId c = 0; c < cpus_.size(); ++c) {
         cpus_[c].node = static_cast<NodeId>(c / p.cpusPerNode);
         cpus_[c].local = c % p.cpusPerNode;
+        cpus_[c].cursor = &wl.at(c, 0);
     }
 }
 
@@ -103,7 +106,9 @@ Machine::step(CpuId cpu)
 
     while (true) {
         // One 8-byte load per entry; the fields decode from a copy.
-        const Ref r = wl.next(cpu);
+        // The sealed End marker stops the CPU, so the cursor never
+        // passes it.
+        const Ref r = *cs.cursor++;
         switch (r.kind) {
           case RefKind::InitTouch:
             // Pre-parallel placement: the toucher becomes the home.

@@ -34,11 +34,13 @@ class Machine : public CoherenceSink
   public:
     /**
      * Build a machine running the system @p spec describes. The
-     * workload must provide exactly params.numCpus() streams. The
-     * spec's factories run here; the spec itself is not retained.
+     * workload must be sealed and provide exactly params.numCpus()
+     * streams; the machine reads them in place through its own
+     * cursors, so @p wl must outlive run() and is never modified.
+     * The spec's factories run here; the spec itself is not retained.
      */
     Machine(const Params &params, const ProtocolSpec &spec,
-            Workload &wl);
+            const Workload &wl);
 
     /** Execute the workload to completion; returns the statistics. */
     RunStats run();
@@ -60,7 +62,6 @@ class Machine : public CoherenceSink
   private:
     Params p;
     std::string protocolId_;
-    Workload &wl;
     /** log2 of the page size: the page of an address is a shift. */
     unsigned pageShift;
     RunStats stats_;

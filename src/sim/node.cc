@@ -73,11 +73,9 @@ Node::access(Tick now, std::size_t cpu, Addr addr, bool write,
     CacheLine *line = l1s_.find(block, cpu);
 
     if (line) {
-        if (!write || line->state == CacheState::Modified) {
-            stats.l1Hits++;
-            return now;
-        }
-        // Write hit on a non-writable line: permission upgrade.
+        // tryHit() failed and other CPUs only invalidate or downgrade
+        // this bank, so a present line is a write to a non-writable
+        // line: a permission upgrade.
         stats.upgrades++;
         Tick t = bus_.acquire(now) + p.busLatency;
         if (nodeHasWritePermission(block, is_home)) {

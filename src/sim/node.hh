@@ -47,13 +47,14 @@ class Node : public L1Snooper
          Memory &memory, GlobalProtocol &proto, RunStats &stats);
 
     /**
-     * Process one memory reference from local processor @p cpu.
+     * Process one L1 miss or write upgrade from local processor @p
+     * cpu: a reference that tryHit() turned down.
      * @param now     issue tick
      * @param cpu     local CPU index (0..cpusPerNode-1)
      * @param addr    global address
      * @param write   store
      * @param is_home this node is the referenced page's home
-     * @return completion tick (== @p now for an L1 hit)
+     * @return completion tick
      */
     Tick access(Tick now, std::size_t cpu, Addr addr, bool write,
                 bool is_home);

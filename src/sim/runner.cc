@@ -9,22 +9,21 @@ namespace rnuma
 
 RunStats
 runProtocol(const Params &params, const ProtocolSpec &spec,
-            Workload &wl)
+            const Workload &wl)
 {
-    wl.reset();
     Machine m(params, spec, wl);
     return m.run();
 }
 
 RunStats
 runProtocol(const Params &params, const std::string &name,
-            Workload &wl)
+            const Workload &wl)
 {
     return runProtocol(params, protocolSpec(name), wl);
 }
 
 RunStats
-runInfiniteBaseline(const Params &params, Workload &wl)
+runInfiniteBaseline(const Params &params, const Workload &wl)
 {
     Params base = params;
     base.infiniteBlockCache = true;

@@ -19,16 +19,16 @@
 namespace rnuma
 {
 
-/** Run one system over a workload (resets the workload first). */
+/** Run one system over a workload. */
 RunStats runProtocol(const Params &params, const ProtocolSpec &spec,
-                     Workload &wl);
+                     const Workload &wl);
 
 /** Run a registered protocol by name (fatal when unknown). */
 RunStats runProtocol(const Params &params, const std::string &name,
-                     Workload &wl);
+                     const Workload &wl);
 
 /** Run the Figure 6 baseline: CC-NUMA with an infinite block cache. */
-RunStats runInfiniteBaseline(const Params &params, Workload &wl);
+RunStats runInfiniteBaseline(const Params &params, const Workload &wl);
 
 /**
  * num/den as a normalized execution time. NaN when @p den is zero —

@@ -22,7 +22,7 @@
 namespace rnuma
 {
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeBarnes(const Params &p, double scale, std::uint64_t seed)
 {
     StreamBuilder b("barnes", p, seed ^ 0xba12ULL);

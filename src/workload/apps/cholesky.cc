@@ -20,7 +20,7 @@
 namespace rnuma
 {
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeCholesky(const Params &p, double scale, std::uint64_t seed)
 {
     StreamBuilder b("cholesky", p, seed ^ 0xc401ULL);

@@ -20,7 +20,7 @@
 namespace rnuma
 {
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeEm3d(const Params &p, double scale, std::uint64_t seed)
 {
     StreamBuilder b("em3d", p, seed ^ 0xe3d0ULL);

@@ -19,7 +19,7 @@
 namespace rnuma
 {
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeFft(const Params &p, double scale, std::uint64_t seed)
 {
     StreamBuilder b("fft", p, seed ^ 0xff70ULL);

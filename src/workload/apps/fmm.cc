@@ -22,7 +22,7 @@
 namespace rnuma
 {
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeFmm(const Params &p, double scale, std::uint64_t seed)
 {
     StreamBuilder b("fmm", p, seed ^ 0xf330ULL);

@@ -21,7 +21,7 @@
 namespace rnuma
 {
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeLu(const Params &p, double scale, std::uint64_t seed)
 {
     StreamBuilder b("lu", p, seed ^ 0x1004ULL);

@@ -21,7 +21,7 @@
 namespace rnuma
 {
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeMoldyn(const Params &p, double scale, std::uint64_t seed)
 {
     StreamBuilder b("moldyn", p, seed ^ 0x3014ULL);

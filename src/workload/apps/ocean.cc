@@ -21,7 +21,7 @@
 namespace rnuma
 {
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeOcean(const Params &p, double scale, std::uint64_t seed)
 {
     StreamBuilder b("ocean", p, seed ^ 0x0cea0ULL);

@@ -22,7 +22,7 @@
 namespace rnuma
 {
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeRadix(const Params &p, double scale, std::uint64_t seed)
 {
     StreamBuilder b("radix", p, seed ^ 0x4ad1ULL);

@@ -21,7 +21,7 @@
 namespace rnuma
 {
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeRaytrace(const Params &p, double scale, std::uint64_t seed)
 {
     StreamBuilder b("raytrace", p, seed ^ 0x4a70ULL);

@@ -22,7 +22,7 @@ firstCpuOf(const Params &p, NodeId node)
 
 } // namespace
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makePrivateLoop(const Params &p, std::size_t pages_per_cpu,
                 std::size_t iters)
 {
@@ -49,7 +49,7 @@ makePrivateLoop(const Params &p, std::size_t pages_per_cpu,
     return b.finish();
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeHotRemoteReuse(const Params &p, std::size_t remote_pages,
                    std::size_t sweeps)
 {
@@ -71,7 +71,7 @@ makeHotRemoteReuse(const Params &p, std::size_t remote_pages,
     return b.finish();
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeEvictionStorm(const Params &p, std::size_t remote_pages,
                   std::size_t sweeps)
 {
@@ -102,7 +102,7 @@ makeEvictionStorm(const Params &p, std::size_t remote_pages,
     return b.finish();
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeProducerConsumer(const Params &p, std::size_t pages,
                      std::size_t rounds)
 {
@@ -126,7 +126,7 @@ makeProducerConsumer(const Params &p, std::size_t pages,
     return b.finish();
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeAdversary(const Params &p, std::size_t pages,
               std::size_t touches_per_page)
 {
@@ -166,7 +166,7 @@ makeAdversary(const Params &p, std::size_t pages,
     return b.finish();
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeRwSharing(const Params &p, std::size_t rounds)
 {
     StreamBuilder b("rw-sharing", p, 0x55);
@@ -184,7 +184,7 @@ makeRwSharing(const Params &p, std::size_t rounds)
     return b.finish();
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeScalingShift(const Params &p, std::size_t pages_per_node,
                  std::size_t sweeps)
 {

@@ -20,7 +20,7 @@ namespace rnuma
  * Every CPU loops over a private, node-local array. No remote
  * traffic at all; all protocols should tie the infinite baseline.
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makePrivateLoop(const Params &p, std::size_t pages_per_cpu,
                 std::size_t iters);
 
@@ -30,7 +30,7 @@ makePrivateLoop(const Params &p, std::size_t pages_per_cpu,
  * cache, this is the canonical "reuse page" pattern that favors
  * S-COMA and triggers R-NUMA relocation.
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeHotRemoteReuse(const Params &p, std::size_t remote_pages,
                    std::size_t sweeps);
 
@@ -45,7 +45,7 @@ makeHotRemoteReuse(const Params &p, std::size_t remote_pages,
  * Asserts remote_pages > frames so a misconfigured cell fails
  * loudly instead of silently degenerating back into hot reuse.
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeEvictionStorm(const Params &p, std::size_t remote_pages,
                   std::size_t sweeps);
 
@@ -55,7 +55,7 @@ makeEvictionStorm(const Params &p, std::size_t remote_pages,
  * "communication page" pattern where CC-NUMA wins and S-COMA pays
  * allocation for nothing.
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeProducerConsumer(const Params &p, std::size_t pages,
                      std::size_t rounds);
 
@@ -70,7 +70,7 @@ makeProducerConsumer(const Params &p, std::size_t pages,
  * @param touches_per_page remote fetches to generate per page
  *        (set to the relocation threshold + 1 to just trip R-NUMA)
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeAdversary(const Params &p, std::size_t pages,
               std::size_t touches_per_page);
 
@@ -79,7 +79,7 @@ makeAdversary(const Params &p, std::size_t pages,
  * node 0 (lock/counter pattern): read-write sharing that page
  * migration/replication cannot help (Section 1).
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeRwSharing(const Params &p, std::size_t rounds);
 
 /**
@@ -92,7 +92,7 @@ makeRwSharing(const Params &p, std::size_t rounds);
  * with N — yet each page has exactly one remote reader, keeping
  * sparse sharer sets (limited-pointer, any width ≥ 1) exact.
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeScalingShift(const Params &p, std::size_t pages_per_node,
                  std::size_t sweeps);
 

@@ -138,8 +138,8 @@ struct Entry
     const char *name;
     const char *problem;
     const char *input;
-    std::unique_ptr<VectorWorkload> (*make)(const Params &, double,
-                                            std::uint64_t);
+    std::unique_ptr<Workload> (*make)(const Params &, double,
+                                      std::uint64_t);
 };
 
 const Entry entries[] = {
@@ -167,8 +167,8 @@ const Entry entries[] = {
 /** Wrap a no-option factory: any option string is an error. */
 WorkloadMakeFn
 noOptions(const std::string &id,
-          std::unique_ptr<VectorWorkload> (*make)(const Params &, double,
-                                                  std::uint64_t))
+          std::unique_ptr<Workload> (*make)(const Params &, double,
+                                            std::uint64_t))
 {
     return [id, make](const Params &p, double scale,
                       std::uint64_t seed, const std::string &options) {
@@ -403,12 +403,12 @@ workloadIds(const std::string &category)
     return ids;
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeWorkload(const std::string &name, const Params &p, double scale,
              std::uint64_t seed, const std::string &options)
 {
     const WorkloadSpec &spec = workloadSpec(name);
-    std::unique_ptr<VectorWorkload> wl =
+    std::unique_ptr<Workload> wl =
         spec.make(p, scale, seed, options);
     RNUMA_ASSERT(wl != nullptr, "workload '", spec.id,
                  "' factory returned null");

@@ -4,8 +4,7 @@
  * generators in the one Registry<Spec> mechanism
  * (common/registry.hh). A WorkloadSpec captures a
  * stable id (the JSON/compare/CLI currency), a display name, and a
- * factory from (Params, scale, seed, option string) to a
- * VectorWorkload.
+ * factory from (Params, scale, seed, option string) to a Workload.
  *
  * The built-ins cover three categories:
  *  - "app": the ten Table 3 application generators (barnes ...
@@ -96,7 +95,7 @@ class WorkloadOptions
  * generator seed, and a generator-specific option string (see
  * WorkloadOptions; "" selects every default).
  */
-using WorkloadMakeFn = std::function<std::unique_ptr<VectorWorkload>(
+using WorkloadMakeFn = std::function<std::unique_ptr<Workload>(
     const Params &, double, std::uint64_t, const std::string &)>;
 
 /** One selectable workload generator. Value-semantic, like
@@ -156,7 +155,7 @@ std::vector<std::string> workloadIds(const std::string &category);
  * workload with zero loads and stores would silently turn every
  * figure cell into a no-op.
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeWorkload(const std::string &name, const Params &p,
              double scale = 1.0, std::uint64_t seed = 1,
              const std::string &options = "");

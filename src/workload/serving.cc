@@ -65,7 +65,7 @@ homeRoundRobin(StreamBuilder &b, Addr base, std::size_t pages)
 
 } // namespace
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeZipfServe(const Params &p, double scale, std::uint64_t seed,
               const std::string &options)
 {
@@ -107,7 +107,7 @@ makeZipfServe(const Params &p, double scale, std::uint64_t seed,
     return b.finish();
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makePhaseShift(const Params &p, double scale, std::uint64_t seed,
                const std::string &options)
 {
@@ -152,7 +152,7 @@ makePhaseShift(const Params &p, double scale, std::uint64_t seed,
     return b.finish();
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeTenants(const Params &p, double scale, std::uint64_t seed,
             const std::string &options)
 {
@@ -205,7 +205,7 @@ makeTenants(const Params &p, double scale, std::uint64_t seed,
     return b.finish();
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeDatabaseScan(const Params &p, double scale, std::uint64_t seed,
                  const std::string &options)
 {

@@ -36,7 +36,7 @@ namespace rnuma
  *
  * Options: pages, theta, write (fraction), requests (per cpu).
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeZipfServe(const Params &p, double scale, std::uint64_t seed,
               const std::string &options = "");
 
@@ -51,7 +51,7 @@ makeZipfServe(const Params &p, double scale, std::uint64_t seed,
  *
  * Options: pages, phases, sweeps.
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makePhaseShift(const Params &p, double scale, std::uint64_t seed,
                const std::string &options = "");
 
@@ -65,7 +65,7 @@ makePhaseShift(const Params &p, double scale, std::uint64_t seed,
  *
  * Options: tenants, pages (per tenant), rounds.
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeTenants(const Params &p, double scale, std::uint64_t seed,
             const std::string &options = "");
 
@@ -78,7 +78,7 @@ makeTenants(const Params &p, double scale, std::uint64_t seed,
  *
  * Options: transactions, pool (pages), rows (per txn), hot (pages).
  */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 makeDatabaseScan(const Params &p, double scale, std::uint64_t seed,
                  const std::string &options = "");
 

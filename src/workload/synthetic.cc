@@ -10,8 +10,7 @@ namespace rnuma
 StreamBuilder::StreamBuilder(std::string name, const Params &params,
                              std::uint64_t seed)
     : p(params), as(params.pageSize), rng_(seed),
-      wl(std::make_unique<VectorWorkload>(std::move(name),
-                                          params.numCpus()))
+      wl(std::make_unique<Workload>(std::move(name), params.numCpus()))
 {
 }
 
@@ -48,7 +47,7 @@ StreamBuilder::barrier()
     wl->pushBarrierAll();
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 StreamBuilder::finish()
 {
     RNUMA_ASSERT(wl, "finish() called twice");

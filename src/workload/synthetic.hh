@@ -25,7 +25,7 @@
 namespace rnuma
 {
 
-/** Builder for VectorWorkload streams. */
+/** Builder for Workload streams. */
 class StreamBuilder
 {
   public:
@@ -53,7 +53,7 @@ class StreamBuilder
     void barrier();
 
     /** Seal and return the workload. The builder is then spent. */
-    std::unique_ptr<VectorWorkload> finish();
+    std::unique_ptr<Workload> finish();
 
     //--- Topology helpers -----------------------------------------------------
     std::size_t ncpus() const { return p.numCpus(); }
@@ -72,7 +72,7 @@ class StreamBuilder
     Params p; // copied: the workload outlives the caller's Params
     AddressSpace as;
     Rng rng_;
-    std::unique_ptr<VectorWorkload> wl;
+    std::unique_ptr<Workload> wl;
 };
 
 /**

@@ -145,7 +145,7 @@ flushChunk(std::ofstream &os, CpuId cpu, EncodeState &st)
 } // namespace
 
 void
-recordStreamTrace(const VectorWorkload &wl, const std::string &path)
+recordStreamTrace(const Workload &wl, const std::string &path)
 {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     if (!os)
@@ -180,7 +180,7 @@ recordStreamTrace(const VectorWorkload &wl, const std::string &path)
         RNUMA_FATAL("write to '", path, "' failed");
 }
 
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 loadStreamTrace(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
@@ -215,7 +215,7 @@ loadStreamTrace(const std::string &path)
         RNUMA_FATAL("stream trace '", path,
                     "': implausible name length ", nameLen);
     }
-    auto wl = std::make_unique<VectorWorkload>(
+    auto wl = std::make_unique<Workload>(
         bytes.substr(fixedHeader, nameLen), ncpus);
 
     std::vector<Addr> prev(ncpus, 0);

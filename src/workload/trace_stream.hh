@@ -1,7 +1,7 @@
 /**
  * @file
  * Binary reference traces: a compact, delta-encoded on-disk copy of
- * a VectorWorkload, for sharing reproducible inputs and
+ * a Workload, for sharing reproducible inputs and
  * regression-testing protocol changes. This is the repository's only
  * trace format:
  *
@@ -23,8 +23,8 @@
  * and record instead of truncating it. A recorded workload always
  * fits, since its Refs hold the same fields.
  *
- * A loaded trace is a sealed VectorWorkload, so it replays through
- * the same VectorWorkload/SnapshotWorkload path as a generated input,
+ * A loaded trace is a sealed Workload like a generated one, so a
+ * Machine reads it in place the same way and replays it
  * bit-identically to the recorded source.
  */
 
@@ -48,10 +48,10 @@ constexpr std::uint32_t streamTraceVersion = 1;
  * Write @p wl to a stream trace at @p path, with its addrLimit in the
  * header. Fatal on I/O errors.
  */
-void recordStreamTrace(const VectorWorkload &wl, const std::string &path);
+void recordStreamTrace(const Workload &wl, const std::string &path);
 
 /**
- * Read the stream trace at @p path into a sealed VectorWorkload. A
+ * Read the stream trace at @p path into a sealed Workload. A
  * non-zero header addrLimit is applied through setAddrLimit(), so an
  * address outside it is rejected here. Fatal (throwing under tests)
  * on a missing file, bad magic, unsupported version, implausible
@@ -59,7 +59,7 @@ void recordStreamTrace(const VectorWorkload &wl, const std::string &path);
  * varint, an unknown record kind, or a think time or address a Ref
  * cannot hold.
  */
-std::unique_ptr<VectorWorkload> loadStreamTrace(const std::string &path);
+std::unique_ptr<Workload> loadStreamTrace(const std::string &path);
 
 } // namespace rnuma
 

@@ -5,7 +5,7 @@
 namespace rnuma
 {
 
-const Ref VectorWorkload::endRef = Ref::end();
+const Ref Workload::endRef = Ref::end();
 
 void
 Ref::unrepresentable(Addr a, std::uint64_t th)
@@ -20,14 +20,14 @@ Ref::unrepresentable(Addr a, std::uint64_t th)
                 " cycles)");
 }
 
-VectorWorkload::VectorWorkload(std::string name, std::size_t ncpus)
+Workload::Workload(std::string name, std::size_t ncpus)
     : name_(std::move(name)), streams(ncpus), cursor(ncpus, 0)
 {
     RNUMA_ASSERT(ncpus >= 1, "workload needs at least one CPU");
 }
 
 const Ref &
-VectorWorkload::next(CpuId cpu)
+Workload::next(CpuId cpu)
 {
     RNUMA_ASSERT(cpu < streams.size(), "bad cpu ", cpu);
     auto &s = streams[cpu];
@@ -38,17 +38,17 @@ VectorWorkload::next(CpuId cpu)
 }
 
 void
-VectorWorkload::reset()
+Workload::reset()
 {
     for (auto &c : cursor)
         c = 0;
 }
 
 void
-VectorWorkload::push(CpuId cpu, Ref r)
+Workload::push(CpuId cpu, Ref r)
 {
     RNUMA_ASSERT(cpu < streams.size(), "bad cpu ", cpu);
-    RNUMA_ASSERT(!sealed, "cannot push after seal()");
+    RNUMA_ASSERT(!sealed_, "cannot push after seal()");
     if (r.kind == RefKind::Mem)
         mem_refs++;
     if ((r.kind == RefKind::Mem || r.kind == RefKind::InitTouch) &&
@@ -58,30 +58,30 @@ VectorWorkload::push(CpuId cpu, Ref r)
 }
 
 void
-VectorWorkload::pushBarrierAll()
+Workload::pushBarrierAll()
 {
     for (CpuId c = 0; c < streams.size(); ++c)
         push(c, Ref::barrier());
 }
 
 void
-VectorWorkload::seal()
+Workload::seal()
 {
-    RNUMA_ASSERT(!sealed, "seal() called twice");
+    RNUMA_ASSERT(!sealed_, "seal() called twice");
     for (auto &s : streams)
         s.push_back(Ref::end());
-    sealed = true;
+    sealed_ = true;
 }
 
 std::size_t
-VectorWorkload::size(CpuId cpu) const
+Workload::size(CpuId cpu) const
 {
     RNUMA_ASSERT(cpu < streams.size(), "bad cpu ", cpu);
     return streams[cpu].size();
 }
 
 const Ref &
-VectorWorkload::at(CpuId cpu, std::size_t i) const
+Workload::at(CpuId cpu, std::size_t i) const
 {
     RNUMA_ASSERT(cpu < streams.size() && i < streams[cpu].size(),
                  "bad index");
@@ -89,7 +89,7 @@ VectorWorkload::at(CpuId cpu, std::size_t i) const
 }
 
 void
-VectorWorkload::setAddrLimit(Addr limit)
+Workload::setAddrLimit(Addr limit)
 {
     if (addr_end > limit) {
         for (CpuId c = 0; c < streams.size(); ++c) {
@@ -112,54 +112,12 @@ VectorWorkload::setAddrLimit(Addr limit)
 }
 
 std::size_t
-VectorWorkload::totalRefs() const
+Workload::totalRefs() const
 {
     std::size_t n = 0;
     for (const auto &s : streams)
         n += s.size();
     return n;
-}
-
-SnapshotWorkload::SnapshotWorkload(
-    std::shared_ptr<const VectorWorkload> snap)
-    : snap_(std::move(snap))
-{
-    RNUMA_ASSERT(snap_, "snapshot view over a null workload");
-    RNUMA_ASSERT(snap_->sealed,
-                 "snapshot view over an unsealed workload '",
-                 snap_->name_, "'");
-    streams_.reserve(snap_->streams.size());
-    for (const auto &s : snap_->streams)
-        streams_.push_back(Stream{s.data(), s.size(), 0});
-}
-
-std::size_t
-SnapshotWorkload::numCpus() const
-{
-    return streams_.size();
-}
-
-const Ref &
-SnapshotWorkload::next(CpuId cpu)
-{
-    RNUMA_ASSERT(cpu < streams_.size(), "bad cpu ", cpu);
-    Stream &s = streams_[cpu];
-    if (s.cursor >= s.size)
-        return VectorWorkload::endRef;
-    return s.data[s.cursor++];
-}
-
-void
-SnapshotWorkload::reset()
-{
-    for (Stream &s : streams_)
-        s.cursor = 0;
-}
-
-const std::string &
-SnapshotWorkload::name() const
-{
-    return snap_->name_;
 }
 
 } // namespace rnuma

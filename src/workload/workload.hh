@@ -11,7 +11,6 @@
 #define RNUMA_WORKLOAD_WORKLOAD_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -85,38 +84,32 @@ struct Ref
 
 static_assert(sizeof(Ref) == 8, "a Ref is one 64-bit word");
 
-/** Abstract reference-stream source. */
+/**
+ * Per-CPU reference streams: built with push()/pushBarrierAll(), then
+ * sealed, after which they are read-only. A Machine reads a sealed
+ * workload in place through its own per-CPU cursors, so one const
+ * Workload may back any number of runs, concurrent ones included;
+ * next()/reset() are a separate sequential reader for tools and tests.
+ */
 class Workload
 {
   public:
-    virtual ~Workload() = default;
+    Workload(std::string name, std::size_t ncpus);
 
     /** Number of CPU streams. */
-    virtual std::size_t numCpus() const = 0;
+    std::size_t numCpus() const { return streams.size(); }
 
     /**
-     * Next entry for @p cpu, advancing the stream. Returns an End ref
-     * forever once exhausted.
+     * Next entry for @p cpu, advancing this object's own cursor.
+     * Returns an End ref forever once exhausted.
      */
-    virtual const Ref &next(CpuId cpu) = 0;
+    const Ref &next(CpuId cpu);
 
-    /** Rewind all streams (for back-to-back protocol comparisons). */
-    virtual void reset() = 0;
+    /** Rewind next()'s cursors. */
+    void reset();
 
     /** Workload name for reports. */
-    virtual const std::string &name() const = 0;
-};
-
-/** A workload backed by pre-generated per-CPU vectors. */
-class VectorWorkload : public Workload
-{
-  public:
-    VectorWorkload(std::string name, std::size_t ncpus);
-
-    std::size_t numCpus() const override { return streams.size(); }
-    const Ref &next(CpuId cpu) override;
-    void reset() override;
-    const std::string &name() const override { return name_; }
+    const std::string &name() const { return name_; }
 
     /** Append an entry to one CPU's stream. */
     void push(CpuId cpu, Ref r);
@@ -127,10 +120,16 @@ class VectorWorkload : public Workload
     /** Append End markers to every stream (call once, when done). */
     void seal();
 
+    /** True once seal() has run: every stream ends in an End marker. */
+    bool sealed() const { return sealed_; }
+
     /** Stream length for a CPU (including the End marker). */
     std::size_t size(CpuId cpu) const;
 
-    /** Entry inspection for tests and trace serialization. */
+    /**
+     * Entry inspection. A sealed stream is contiguous up to and
+     * including its End marker, so &at(cpu, 0) reads it in place.
+     */
     const Ref &at(CpuId cpu, std::size_t i) const;
 
     /** Total entries across all CPUs. */
@@ -160,8 +159,6 @@ class VectorWorkload : public Workload
     void setAddrLimit(Addr limit);
 
   private:
-    friend class SnapshotWorkload;
-
     std::string name_;
     std::vector<std::vector<Ref>> streams;
     std::vector<std::size_t> cursor;
@@ -173,48 +170,9 @@ class VectorWorkload : public Workload
      * cannot overflow.
      */
     Addr addr_end = 0;
-    bool sealed = false;
+    bool sealed_ = false;
 
     static const Ref endRef;
-};
-
-/**
- * A lightweight cursor view over an immutable, shared VectorWorkload
- * snapshot. The sweep driver's content-addressed workload cache
- * generates each distinct workload once and hands every cell sharing
- * it one of these: the (potentially large) reference streams are
- * shared read-only, while each view carries only its own per-CPU
- * cursors, so concurrent cells never touch shared mutable state.
- * Replaying a view is bit-identical to replaying the snapshot itself.
- *
- * next() is the simulator's per-reference hot path, so the view
- * flattens each stream to a raw (data, size) span at construction —
- * one dependent load fewer than going back through the snapshot's
- * vector-of-vectors on every reference.
- */
-class SnapshotWorkload : public Workload
-{
-  public:
-    /** @param snap a sealed workload; fatal when null or unsealed. */
-    explicit SnapshotWorkload(
-        std::shared_ptr<const VectorWorkload> snap);
-
-    std::size_t numCpus() const override;
-    const Ref &next(CpuId cpu) override;
-    void reset() override;
-    const std::string &name() const override;
-
-  private:
-    /** One CPU's stream: borrowed storage plus this view's cursor. */
-    struct Stream
-    {
-        const Ref *data;
-        std::size_t size;
-        std::size_t cursor;
-    };
-
-    std::shared_ptr<const VectorWorkload> snap_; ///< keeps data alive
-    std::vector<Stream> streams_;
 };
 
 } // namespace rnuma

@@ -40,7 +40,7 @@ TEST_P(RadDowngrade, ForwardedReadLeavesTheOwnerAReadOnlyCopy)
     // Without the read, node 1 keeps the block writable.
     for (bool forwarded : {false, true}) {
         SCOPED_TRACE(forwarded ? "forwarded read" : "no read");
-        VectorWorkload wl("downgrade", 3);
+        Workload wl("downgrade", 3);
         wl.push(0, Ref::touchOf(page * p.pageSize)); // home: node 0
         wl.pushBarrierAll();
         wl.push(1, Ref::mem(block, true, 0)); // node 1 owns the block

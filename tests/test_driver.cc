@@ -7,17 +7,15 @@
  * gate (every counter exact, coverage loss, current-schema-only and
  * checked-count loading), byte-identical JSON across job counts,
  * JSON round-trip of a small executed sweep, sweep declaration
- * invariants, the figures' selection flags, the extension figures'
- * renderer-enforced invariants (on hand-built runs), and the
- * unknown-app / empty-sweep error paths. Uses the tiny test_util.hh
- * machine so the suites stay fast.
+ * invariants, and the unknown-app / empty-sweep error paths. Uses
+ * the tiny test_util.hh machine so the suites stay fast. The figure
+ * registry's suites are in test_figures.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <sstream>
 
 #include "driver/compare.hh"
@@ -65,38 +63,6 @@ wrap(const Sweep &s, SweepResult r)
     run.jobs = 1;
     run.result = std::move(r);
     return run;
-}
-
-/**
- * A hand-built result cell carrying only what the extension
- * renderers read. As in Sweep::addComparison rows, @p config is the
- * protocol id, and the "baseline" column runs ccnuma.
- */
-CellResult
-fakeCell(const std::string &app, const std::string &config, Tick ticks,
-         std::uint64_t relocations = 0)
-{
-    CellResult c;
-    c.app = app;
-    c.config = config;
-    c.protocol = config == "baseline" ? "ccnuma" : config;
-    c.stats.ticks = ticks;
-    c.stats.relocations = relocations;
-    return c;
-}
-
-/** Render @p cells through @p figure's spec; returns its status. */
-int
-renderCells(const char *figure, std::vector<CellResult> cells,
-            std::string &out)
-{
-    FigureRun run;
-    run.name = figure;
-    run.result.cells = std::move(cells);
-    std::ostringstream os;
-    int status = renderFigure(*findFigure(figure), run, os);
-    out = os.str();
-    return status;
 }
 
 } // namespace
@@ -747,310 +713,6 @@ TEST(JsonParser, HandlesEscapesAndNumbers)
     // Round-trip through the writer's escaping.
     EXPECT_EQ(jsonQuote("a\"b\\c\n\t"),
               "\"a\\\"b\\\\c\\n\\t\"");
-}
-
-TEST(FigureRegistry, HasAllSixteenFiguresWithUniqueNames)
-{
-    const auto &specs = figureSpecs();
-    EXPECT_EQ(specs.size(), 16u);
-    for (const FigureSpec &a : specs) {
-        std::size_t count = 0;
-        for (const FigureSpec &b : specs)
-            if (std::string(a.name) == b.name)
-                count++;
-        EXPECT_EQ(count, 1u) << a.name;
-        EXPECT_EQ(findFigure(a.name), &a);
-    }
-    EXPECT_EQ(findFigure("no-such-figure"), nullptr);
-}
-
-TEST(FigureRegistry, SweepsBuildLazilyWithExpectedShapes)
-{
-    // Building a sweep generates no workloads, so even full-figure
-    // sweeps are cheap to enumerate here.
-    EXPECT_EQ(findFigure("fig6")->build({testScale}).size(), 40u);
-    EXPECT_EQ(findFigure("fig7")->build({testScale}).size(), 60u);
-    EXPECT_EQ(findFigure("fig8")->build({testScale}).size(), 40u);
-    EXPECT_EQ(findFigure("fig9")->build({testScale}).size(), 50u);
-    EXPECT_EQ(findFigure("fig5")->build({testScale}).size(), 10u);
-    EXPECT_EQ(findFigure("table4")->build({testScale}).size(), 30u);
-    EXPECT_EQ(findFigure("table2")->build({testScale}).size(), 0u);
-    EXPECT_EQ(findFigure("eq3")->build({testScale}).size(), 4u);
-    EXPECT_EQ(findFigure("ablation")->build({testScale}).size(), 30u);
-    EXPECT_EQ(findFigure("micro")->build({testScale}).size(), 16u);
-    // policies: two patterns x (one baseline + one cell per
-    // registered protocol).
-    EXPECT_EQ(findFigure("policies")->build({testScale}).size(),
-              2u * (1u + ProtocolRegistry::global().size()));
-}
-
-TEST(FigureRegistry, SelectionFlagsNarrowTheirFigures)
-{
-    // Each repeatable selection flag narrows the figure it is for:
-    // every built cell carries a selected value. Comparison baselines
-    // always run ccnuma, so the protocol check skips them. Repeated
-    // and alias spellings dedupe to one cell per protocol instead of
-    // tripping the duplicate-cell check.
-    auto protocolIn = [](std::vector<std::string> ids) {
-        return [ids](const Cell &c) {
-            return c.config == "baseline" ||
-                   std::find(ids.begin(), ids.end(), c.proto.id) !=
-                       ids.end();
-        };
-    };
-    FigureOptions pair(testScale, {"rnuma", "rnuma-adaptive"});
-    FigureOptions alias(testScale, {"rnuma", "R-NUMA", "rnuma"});
-    FigureOptions mesh(testScale);
-    mesh.networks = {"mesh-2d"};
-    FigureOptions tenants(testScale);
-    tenants.workloads = {"tenants"};
-    struct Case
-    {
-        const char *figure;
-        FigureOptions opt;
-        std::size_t cells;
-        std::function<bool(const Cell &)> selected;
-    };
-    const Case cases[] = {
-        // Two patterns x (baseline + the selected protocols).
-        {"policies", pair, 6, protocolIn({"rnuma", "rnuma-adaptive"})},
-        {"policies", alias, 4, protocolIn({"rnuma"})},
-        // Five node counts x two directory formats.
-        {"scaling", mesh, 10,
-         [](const Cell &c) { return c.params.networkModel == "mesh-2d"; }},
-        // One workload x (baseline + every registered protocol).
-        {"churn", tenants, 1 + ProtocolRegistry::global().size(),
-         [](const Cell &c) { return c.workload.id == "tenants"; }},
-    };
-    for (const Case &k : cases) {
-        Sweep s = findFigure(k.figure)->build(k.opt);
-        EXPECT_EQ(s.size(), k.cells) << k.figure;
-        for (const Cell &c : s.cells())
-            EXPECT_TRUE(k.selected(c))
-                << k.figure << ": " << c.app << "/" << c.config;
-    }
-}
-
-TEST(FigureRegistry, EvictionStormSeparatesThePoliciesAtCiScale)
-{
-    // Regression for the policy-tie bug: at CI scale (0.1) the old
-    // single hot-reuse microworkload fit the caches, so every
-    // relocation policy produced identical runs. The eviction-heavy
-    // pattern must keep a strict static / adaptive / hysteresis
-    // ordering — static ping-pongs the most relocations, the
-    // escalating adaptive rule fewer, hysteresis (4T re-entry) the
-    // fewest, and every pair stays distinct in both relocation
-    // count and simulated time.
-    FigureOptions opt;
-    opt.scale = 0.1; // exactly the CI figure-pipeline scale
-    opt.protocols = {"rnuma", "rnuma-hysteresis", "rnuma-adaptive"};
-    const FigureSpec *spec = findFigure("policies");
-    ASSERT_NE(spec, nullptr);
-    SweepRunner runner(0);
-    FigureRun run = runFigure(*spec, opt, runner, /*verify=*/false);
-
-    const RunStats &stat =
-        run.result.at("evict-storm", "rnuma").stats;
-    const RunStats &hyst =
-        run.result.at("evict-storm", "rnuma-hysteresis").stats;
-    const RunStats &adapt =
-        run.result.at("evict-storm", "rnuma-adaptive").stats;
-    EXPECT_GT(stat.relocations, adapt.relocations);
-    EXPECT_GT(adapt.relocations, hyst.relocations);
-    EXPECT_GT(hyst.relocations, 0u);
-    EXPECT_GT(stat.ticks, adapt.ticks);
-    EXPECT_GT(adapt.ticks, hyst.ticks);
-    std::ostringstream os;
-    EXPECT_EQ(renderFigure(*spec, run, os), 0) << os.str();
-
-    // The hot-reuse pattern still ties at this scale — that is the
-    // documented limitation the second pattern exists to cover, and
-    // it pins why the eviction cell may not regress into an
-    // in-cache pattern.
-    EXPECT_EQ(run.result.at("hot-reuse", "rnuma").stats,
-              run.result.at("hot-reuse", "rnuma-hysteresis").stats);
-}
-
-TEST(FigureRegistry, FeedbackPolicyBeatsTheClassicsOnPhaseShift)
-{
-    // The point of the residency-feedback channel: a policy that
-    // learns from eviction outcomes must beat every pre-feedback
-    // policy on the phase-shift workload at exactly the CI
-    // figure-pipeline scale. The online-model policy lowers its
-    // global threshold as evictions report healthy residencies, so
-    // it relocates earlier than the classics once phases churn.
-    FigureOptions opt;
-    opt.scale = 0.1;
-    opt.protocols = {"rnuma", "rnuma-hysteresis", "rnuma-adaptive",
-                     "rnuma-model", "rnuma-online-model"};
-    const FigureSpec *spec = findFigure("feedback");
-    ASSERT_NE(spec, nullptr);
-    SweepRunner runner(0);
-    FigureRun run = runFigure(*spec, opt, runner, /*verify=*/false);
-
-    // The fastest-churning row shows the widest separation.
-    const RunStats &stat =
-        run.result.at("shift-p12", "rnuma").stats;
-    const RunStats &hyst =
-        run.result.at("shift-p12", "rnuma-hysteresis").stats;
-    const RunStats &adapt =
-        run.result.at("shift-p12", "rnuma-adaptive").stats;
-    const RunStats &model =
-        run.result.at("shift-p12", "rnuma-model").stats;
-    const RunStats &online =
-        run.result.at("shift-p12", "rnuma-online-model").stats;
-    EXPECT_LT(online.ticks, stat.ticks);
-    EXPECT_LT(online.ticks, hyst.ticks);
-    EXPECT_LT(online.ticks, adapt.ticks);
-    EXPECT_LT(online.ticks, model.ticks);
-
-    // The win comes from actually relocating, and the feedback
-    // counters flow all the way into the figure's cells.
-    EXPECT_GT(online.relocations, 0u);
-    EXPECT_GT(online.evictedPageHits, 0u);
-    std::ostringstream os;
-    EXPECT_EQ(renderFigure(*spec, run, os), 0) << os.str();
-}
-
-TEST(FigureRegistry, Fig8IsAPolicySweepOverStaticThresholds)
-{
-    // The threshold axis lives in the protocol spec, not in Params:
-    // every fig8 cell runs the base machine configuration.
-    Sweep s = findFigure("fig8")->build({testScale});
-    Params base = Params::base();
-    for (const Cell &c : s.cells()) {
-        EXPECT_EQ(c.params.relocationThreshold,
-                  base.relocationThreshold);
-        EXPECT_EQ(c.proto.id, "rnuma-" + c.config);
-        ASSERT_TRUE(c.proto.makePolicy != nullptr);
-    }
-}
-
-TEST(FigureRegistry, Table2RendersAndPasses)
-{
-    const FigureSpec *spec = findFigure("table2");
-    ASSERT_NE(spec, nullptr);
-    SweepRunner runner(2);
-    FigureRun run = runFigure(*spec, {1.0}, runner, /*verify=*/true);
-    std::ostringstream os;
-    EXPECT_EQ(renderFigure(*spec, run, os), 0);
-    EXPECT_NE(os.str().find("PASS"), std::string::npos);
-}
-
-TEST(FigureRegistry, MicroFigureRunsVerifiedAndRenders)
-{
-    const FigureSpec *spec = findFigure("micro");
-    ASSERT_NE(spec, nullptr);
-    SweepRunner runner(4);
-    FigureRun run = runFigure(*spec, {0.02}, runner, /*verify=*/true);
-    EXPECT_EQ(run.result.cells.size(), 16u);
-    std::ostringstream os;
-    EXPECT_EQ(renderFigure(*spec, run, os), 0);
-    EXPECT_NE(os.str().find("private-loop"), std::string::npos);
-}
-
-// Each extension figure enforces its invariant in its renderer: a
-// hand-built run that satisfies it renders with status 0 and no
-// MISMATCH line; breaking one counter makes the renderer return 1
-// with a MISMATCH line naming the offending row.
-
-TEST(FigureInvariants, FeedbackOnlineModelMustBeatEveryClassicPolicy)
-{
-    std::vector<CellResult> cells = {
-        fakeCell("shift-p3", "baseline", 100),
-        fakeCell("shift-p3", "rnuma-model", 300, 10),
-        fakeCell("shift-p3", "rnuma-online-model", 200, 10)};
-    std::string out;
-    EXPECT_EQ(renderCells("feedback", cells, out), 0) << out;
-    EXPECT_EQ(out.find("MISMATCH"), std::string::npos) << out;
-
-    std::vector<CellResult> tie = cells;
-    tie[2].stats.ticks = 300; // a tie with rnuma-model
-    EXPECT_EQ(renderCells("feedback", tie, out), 1);
-    EXPECT_NE(out.find("MISMATCH: shift-p3: rnuma-online-model ran 300 "
-                       "ticks, not below rnuma-model's 300"),
-              std::string::npos)
-        << out;
-
-    std::vector<CellResult> idle = cells;
-    idle[2].stats.relocations = 0;
-    EXPECT_EQ(renderCells("feedback", idle, out), 1);
-    EXPECT_NE(out.find("MISMATCH: shift-p3: rnuma-online-model made no "
-                       "relocations"),
-              std::string::npos)
-        << out;
-}
-
-TEST(FigureInvariants, PoliciesSuppressionRulesMustRelocateLess)
-{
-    std::vector<CellResult> cells = {
-        fakeCell("evict-storm", "baseline", 100),
-        fakeCell("evict-storm", "rnuma", 300, 10),
-        fakeCell("evict-storm", "rnuma-hysteresis", 200, 5)};
-    std::string out;
-    EXPECT_EQ(renderCells("policies", cells, out), 0) << out;
-    EXPECT_EQ(out.find("MISMATCH"), std::string::npos) << out;
-
-    cells[2].stats.relocations = 10; // static <= hysteresis
-    EXPECT_EQ(renderCells("policies", cells, out), 1);
-    EXPECT_NE(out.find("MISMATCH: evict-storm: rnuma-hysteresis made "
-                       "10 relocations, the static rule 10"),
-              std::string::npos)
-        << out;
-}
-
-TEST(FigureInvariants, ScalingChecksDirectoryBitsAndFormatParity)
-{
-    // Per entry: full-map 2N+3 bits, limited-pointer-4 2(4*log2 N+1)+3.
-    auto scalingCell = [](std::size_t nodes, const std::string &dir,
-                          std::uint64_t bitsPerEntry) {
-        CellResult c = fakeCell(
-            "shift", "n" + std::to_string(nodes) + "/constant/" + dir,
-            1000);
-        c.protocol = "rnuma";
-        c.network = "constant";
-        c.directory = dir;
-        c.stats.dirEntries = 10;
-        c.stats.dirBits = 10 * bitsPerEntry;
-        return c;
-    };
-    std::vector<CellResult> cells = {
-        scalingCell(8, "full-map", 19),
-        scalingCell(8, "limited-pointer-4", 29),
-        scalingCell(128, "full-map", 259),
-        scalingCell(128, "limited-pointer-4", 61)};
-    std::string out;
-    EXPECT_EQ(renderCells("scaling", cells, out), 0) << out;
-    EXPECT_EQ(out.find("MISMATCH"), std::string::npos) << out;
-
-    // Limited-pointer no smaller than full-map at the largest size.
-    std::vector<CellResult> bits = cells;
-    bits[3].stats.dirBits = 10 * 259;
-    EXPECT_EQ(renderCells("scaling", bits, out), 1);
-    EXPECT_NE(out.find("MISMATCH: n128/constant/limited-pointer-4: "
-                       "259.00 bits per entry against full-map's "
-                       "259.00"),
-              std::string::npos)
-        << out;
-
-    // Limited-pointer cheaper than full-map at the smallest size.
-    bits = cells;
-    bits[1].stats.dirBits = 10 * 15;
-    EXPECT_EQ(renderCells("scaling", bits, out), 1);
-    EXPECT_NE(out.find("MISMATCH: n8/constant/limited-pointer-4: 15.00 "
-                       "bits per entry against full-map's 19.00"),
-              std::string::npos)
-        << out;
-
-    // The directory format changed the entry count on one size.
-    std::vector<CellResult> entries = cells;
-    entries[1].stats.dirEntries = 11;
-    EXPECT_EQ(renderCells("scaling", entries, out), 1);
-    EXPECT_NE(out.find("MISMATCH: n8/constant/limited-pointer-4: 1000 "
-                       "ticks / 11 dir entries, but full-map has "
-                       "1000 / 10"),
-              std::string::npos)
-        << out;
 }
 
 } // namespace rnuma::driver

@@ -99,7 +99,7 @@ void
 generateAndRunEverywhere(const char *app, const Params &p)
 {
     SCOPED_TRACE(app);
-    std::unique_ptr<VectorWorkload> wl = makeWorkload(app, p, 0.01);
+    std::unique_ptr<Workload> wl = makeWorkload(app, p, 0.01);
     EXPECT_GE(wl->memRefCount(), 1u);
     ASSERT_GT(wl->addrLimit(), 0u);
     for (CpuId c = 0; c < wl->numCpus(); ++c) {
@@ -154,7 +154,7 @@ TEST(GeneratorGeometry, BaseMachineStreamsCarryTheAuditBound)
     // honors it (finish() would have panicked otherwise).
     Params p = Params::base();
     for (const char *app : auditedApps) {
-        std::unique_ptr<VectorWorkload> wl = makeWorkload(app, p, 0.02);
+        std::unique_ptr<Workload> wl = makeWorkload(app, p, 0.02);
         ASSERT_GT(wl->addrLimit(), 0u) << app;
         EXPECT_GE(wl->memRefCount(), 1u) << app;
     }

@@ -97,7 +97,7 @@ TEST(MachineCcNuma, RunTwicePanics)
 TEST(MachineCcNuma, WorkloadCpuMismatchIsRejected)
 {
     Params p = test::smallParams();
-    VectorWorkload wl("bad", 2); // machine wants 4
+    Workload wl("bad", 2); // machine wants 4
     wl.seal();
     EXPECT_THROW(Machine(p, protocolSpec("ccnuma"), wl), std::logic_error);
 }

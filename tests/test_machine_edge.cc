@@ -9,6 +9,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "sim/machine.hh"
 #include "sim/runner.hh"
@@ -23,7 +24,7 @@ namespace rnuma
 TEST(MachineEdge, EmptyWorkloadFinishesAtTickZero)
 {
     Params p = test::smallParams();
-    VectorWorkload wl("empty", p.numCpus());
+    Workload wl("empty", p.numCpus());
     wl.seal();
     Machine m(p, protocolSpec("rnuma"), wl);
     RunStats s = m.run();
@@ -34,7 +35,7 @@ TEST(MachineEdge, EmptyWorkloadFinishesAtTickZero)
 TEST(MachineEdge, BarrierOnlyWorkload)
 {
     Params p = test::smallParams();
-    VectorWorkload wl("barriers", p.numCpus());
+    Workload wl("barriers", p.numCpus());
     for (int i = 0; i < 5; ++i)
         wl.pushBarrierAll();
     wl.seal();
@@ -50,7 +51,7 @@ TEST(MachineEdge, CpuFinishingEarlyDoesNotDeadlockBarriers)
     // CPU 3 ends immediately; the others barrier twice. The barrier
     // must release with only the active CPUs.
     Params p = test::smallParams();
-    VectorWorkload wl("early-exit", p.numCpus());
+    Workload wl("early-exit", p.numCpus());
     for (CpuId c = 0; c < 3; ++c) {
         wl.push(c, Ref::barrier());
         wl.push(c, Ref::barrier());
@@ -64,7 +65,7 @@ TEST(MachineEdge, CpuFinishingEarlyDoesNotDeadlockBarriers)
 TEST(MachineEdge, ThinkTimeAccumulatesWithoutMemoryTraffic)
 {
     Params p = test::smallParams();
-    VectorWorkload wl("think", p.numCpus());
+    Workload wl("think", p.numCpus());
     // One cold access then 100 thinks worth of L1 hits.
     wl.push(0, Ref::touchOf(0));
     wl.push(0, Ref::mem(0, false, 10));
@@ -120,7 +121,7 @@ TEST(MachineEdge, StatsTickEqualsSlowestCpu)
 {
     Params p = test::smallParams();
     // CPU 0 does much more work than the rest.
-    VectorWorkload wl("skew", p.numCpus());
+    Workload wl("skew", p.numCpus());
     wl.push(0, Ref::touchOf(0));
     for (int i = 0; i < 200; ++i)
         wl.push(0, Ref::mem((i % 64) * 32, i % 2 == 0, 5));
@@ -139,7 +140,7 @@ TEST(MachineEdge, AddressPastThePageLimitIsFatal)
     // fatal error, not a bad_alloc or an exhausted host. 2^40 fits a
     // Ref's 44-bit address but is page 2^31 at this 512-byte page.
     Params p = test::smallParams();
-    VectorWorkload wl("far", p.numCpus());
+    Workload wl("far", p.numCpus());
     wl.push(0, Ref::mem(Addr{1} << 40, false, 1));
     wl.seal();
     Machine m(p, protocolSpec("rnuma"), wl);
@@ -149,6 +150,49 @@ TEST(MachineEdge, AddressPastThePageLimitIsFatal)
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find("limit"), std::string::npos)
             << e.what();
+    }
+}
+
+/**
+ * A Machine reads a const Workload through its own cursors: runs over
+ * one workload, back to back or concurrent, see the same streams and
+ * leave the workload's next() cursor where it was.
+ */
+TEST(SharedWorkload, BackToBackAndConcurrentRunsMatch)
+{
+    Params p = test::smallParams();
+    std::unique_ptr<Workload> wl = makeHotRemoteReuse(p, 6, 3);
+    wl->next(0);
+    const Workload &shared = *wl;
+    const RunStats first = Machine(p, protocolSpec("rnuma"), shared).run();
+    EXPECT_GT(first.relocations, 0u);
+    EXPECT_TRUE(Machine(p, protocolSpec("rnuma"), shared).run() == first);
+    RunStats got[2];
+    std::thread t0([&] {
+        got[0] = Machine(p, protocolSpec("rnuma"), shared).run();
+    });
+    std::thread t1([&] {
+        got[1] = Machine(p, protocolSpec("rnuma"), shared).run();
+    });
+    t0.join();
+    t1.join();
+    EXPECT_TRUE(got[0] == first);
+    EXPECT_TRUE(got[1] == first);
+    EXPECT_EQ(&wl->next(0), &wl->at(0, 1));
+}
+
+TEST(SharedWorkload, UnsealedWorkloadIsFatalAndNamed)
+{
+    Params p = test::smallParams();
+    Workload wl("half-built", p.numCpus());
+    wl.push(0, Ref::mem(0, false, 1));
+    try {
+        Machine m(p, protocolSpec("ccnuma"), wl);
+        FAIL() << "a machine accepted an unsealed workload";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("'half-built'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("not sealed"), std::string::npos) << msg;
     }
 }
 
@@ -162,7 +206,7 @@ TEST_P(MicroByProtocol, RunsClean)
 {
     auto [which, proto] = GetParam();
     Params p = test::smallParams();
-    std::unique_ptr<VectorWorkload> wl;
+    std::unique_ptr<Workload> wl;
     switch (which) {
       case 0: wl = makePrivateLoop(p, 2, 2); break;
       case 1: wl = makeHotRemoteReuse(p, 6, 3); break;

@@ -71,7 +71,7 @@ TEST(MachineSComa, FasterThanCcNumaForReusePages)
 TEST(MachineSComa, WriteToReadOnlyTagUpgrades)
 {
     Params p = test::smallParams();
-    auto wl = std::make_unique<VectorWorkload>("upg", 4);
+    auto wl = std::make_unique<Workload>("upg", 4);
     Addr x = 0;
     wl->push(2, Ref::touchOf(x)); // home node 1
     wl->pushBarrierAll();

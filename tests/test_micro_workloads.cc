@@ -15,7 +15,7 @@ namespace
 
 /** Count entries of one kind in a cpu's stream. */
 std::size_t
-countKind(const VectorWorkload &wl, CpuId c, RefKind k)
+countKind(const Workload &wl, CpuId c, RefKind k)
 {
     std::size_t n = 0;
     for (std::size_t i = 0; i < wl.size(c); ++i)
@@ -26,7 +26,7 @@ countKind(const VectorWorkload &wl, CpuId c, RefKind k)
 
 /** Every cpu must see the same number of barriers (no deadlock). */
 void
-expectAlignedBarriers(const VectorWorkload &wl)
+expectAlignedBarriers(const Workload &wl)
 {
     std::size_t expected = countKind(wl, 0, RefKind::Barrier);
     for (CpuId c = 1; c < wl.numCpus(); ++c)

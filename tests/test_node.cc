@@ -19,10 +19,10 @@ namespace
 {
 
 /** Build a 4-CPU workload; cpu 0/1 are node 0, cpu 2/3 node 1. */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 blank()
 {
-    return std::make_unique<VectorWorkload>("node-test", 4);
+    return std::make_unique<Workload>("node-test", 4);
 }
 
 } // namespace

@@ -30,7 +30,7 @@ namespace
 
 /** A reuse-heavy pattern on the tiny machine: more remote pages
  *  than page-cache frames, so relocations and evictions happen. */
-std::unique_ptr<VectorWorkload>
+std::unique_ptr<Workload>
 reuseWorkload(const Params &p)
 {
     return makeHotRemoteReuse(p, 12, 6);

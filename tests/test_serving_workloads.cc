@@ -33,7 +33,7 @@ namespace
  * zipf-serve pool scans; session and update traffic use other think
  * times). */
 std::map<Addr, std::size_t>
-poolReadCounts(const VectorWorkload &wl, std::size_t page_size)
+poolReadCounts(const Workload &wl, std::size_t page_size)
 {
     std::map<Addr, std::size_t> counts;
     for (CpuId c = 0; c < wl.numCpus(); ++c) {

@@ -50,7 +50,7 @@ writeBytes(const std::string &path, const std::string &bytes)
 
 /** Assert @p got holds exactly @p want's entries, name and addrLimit. */
 void
-expectSameWorkload(const VectorWorkload &want, const VectorWorkload &got)
+expectSameWorkload(const Workload &want, const Workload &got)
 {
     EXPECT_EQ(got.name(), want.name());
     EXPECT_EQ(got.addrLimit(), want.addrLimit());
@@ -96,7 +96,7 @@ std::string
 loadHandBuilt(const std::string &path, std::uint32_t ncpus, CpuId cpu,
               const std::string &records)
 {
-    VectorWorkload empty("h", ncpus);
+    Workload empty("h", ncpus);
     empty.seal();
     recordStreamTrace(empty, path);
     std::string bytes = readBytes(path);
@@ -113,7 +113,7 @@ loadHandBuilt(const std::string &path, std::uint32_t ncpus, CpuId cpu,
 
 /** Record @p src, load the file, and assert bit-identity. */
 void
-roundTrip(const VectorWorkload &src, const char *file)
+roundTrip(const Workload &src, const char *file)
 {
     std::string path = tempPath(file);
     recordStreamTrace(src, path);
@@ -191,7 +191,7 @@ TEST(TraceStream, AddressDeltaPastAddrLimitIsFatal)
     // 40-byte fixed header, name "t", chunk header [cpu 0][len 4],
     // then the record: ctrl 0, delta varint {0x80, 0x01} (zigzag of
     // +0x40), think 0.
-    VectorWorkload src("t", 1);
+    Workload src("t", 1);
     src.push(0, Ref::mem(0x40, false, 0));
     src.seal();
     src.setAddrLimit(0x1000);
@@ -210,7 +210,7 @@ TEST(TraceStream, AddressDeltaPastAddrLimitIsFatal)
 
 TEST(TraceStream, RoundTripAtTheRefFieldLimits)
 {
-    VectorWorkload src("limits", 2);
+    Workload src("limits", 2);
     src.push(0, Ref::touchOf(Ref::addrEnd - 1));
     src.push(0, Ref::mem(Ref::addrEnd - 1, true, Ref::maxThink));
     src.push(1, Ref::mem(0, false, Ref::maxThink));

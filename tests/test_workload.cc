@@ -46,9 +46,9 @@ TEST(AddressSpace, PageAlignedBumpAllocation)
     EXPECT_EQ(as.bytesAllocated(), 5 * 4096u);
 }
 
-TEST(VectorWorkload, NextAdvancesAndEndsForever)
+TEST(Workload, NextAdvancesAndEndsForever)
 {
-    VectorWorkload wl("t", 2);
+    Workload wl("t", 2);
     wl.push(0, Ref::mem(64, false, 3));
     wl.push(0, Ref::mem(128, true, 0));
     wl.seal();
@@ -59,9 +59,9 @@ TEST(VectorWorkload, NextAdvancesAndEndsForever)
     EXPECT_EQ(wl.next(1).kind, RefKind::End); // empty stream
 }
 
-TEST(VectorWorkload, ResetRewinds)
+TEST(Workload, ResetRewinds)
 {
-    VectorWorkload wl("t", 1);
+    Workload wl("t", 1);
     wl.push(0, Ref::mem(64, false, 0));
     wl.seal();
     EXPECT_EQ(wl.next(0).kind, RefKind::Mem);
@@ -70,26 +70,26 @@ TEST(VectorWorkload, ResetRewinds)
     EXPECT_EQ(wl.next(0).kind, RefKind::Mem);
 }
 
-TEST(VectorWorkload, BarrierGoesToEveryCpu)
+TEST(Workload, BarrierGoesToEveryCpu)
 {
-    VectorWorkload wl("t", 3);
+    Workload wl("t", 3);
     wl.pushBarrierAll();
     wl.seal();
     for (CpuId c = 0; c < 3; ++c)
         EXPECT_EQ(wl.next(c).kind, RefKind::Barrier);
 }
 
-TEST(VectorWorkload, PushAfterSealPanics)
+TEST(Workload, PushAfterSealPanics)
 {
-    VectorWorkload wl("t", 1);
+    Workload wl("t", 1);
     wl.seal();
     EXPECT_THROW(wl.push(0, Ref::barrier()), std::logic_error);
     EXPECT_THROW(wl.seal(), std::logic_error);
 }
 
-TEST(VectorWorkload, SizeAndAtIntrospection)
+TEST(Workload, SizeAndAtIntrospection)
 {
-    VectorWorkload wl("t", 1);
+    Workload wl("t", 1);
     wl.push(0, Ref::touchOf(4096));
     wl.seal();
     EXPECT_EQ(wl.size(0), 2u); // touch + end marker
@@ -152,9 +152,9 @@ TEST(StreamBuilder, ScaledClampsToStructuralMinimum)
     EXPECT_EQ(scaled(16, 1e6), 16000000u);
 }
 
-TEST(VectorWorkload, MemRefCountCountsOnlyLoadsAndStores)
+TEST(Workload, MemRefCountCountsOnlyLoadsAndStores)
 {
-    VectorWorkload wl("w", 2);
+    Workload wl("w", 2);
     EXPECT_EQ(wl.memRefCount(), 0u);
     wl.push(0, Ref::touchOf(0));
     wl.pushBarrierAll();
@@ -226,10 +226,10 @@ TEST(StreamBuilder, ThinkOrAddressPastTheRefFieldIsFatal)
     EXPECT_EQ(wl->size(0), 2u); // the rejected entries were not pushed
 }
 
-TEST(VectorWorkload, AddrLimitAuditNamesTheFirstOffender)
+TEST(Workload, AddrLimitAuditNamesTheFirstOffender)
 {
     auto build = [] {
-        VectorWorkload wl("w", 3);
+        Workload wl("w", 3);
         wl.push(0, Ref::touchOf(0));
         wl.push(0, Ref::mem(100, false, 1));
         wl.pushBarrierAll();
@@ -241,10 +241,10 @@ TEST(VectorWorkload, AddrLimitAuditNamesTheFirstOffender)
         return wl;
     };
     // One past the highest address passes; the highest itself fails.
-    VectorWorkload ok = build();
+    Workload ok = build();
     ok.setAddrLimit(8193);
     EXPECT_EQ(ok.addrLimit(), 8193u);
-    VectorWorkload bad = build();
+    Workload bad = build();
     const std::string msg = fatalMessage([&] { bad.setAddrLimit(4096); });
     EXPECT_NE(msg.find("workload 'w': cpu 1 entry 2 touches 4096 beyond "
                        "its 4096-byte address limit"),
@@ -253,22 +253,22 @@ TEST(VectorWorkload, AddrLimitAuditNamesTheFirstOffender)
     EXPECT_EQ(bad.addrLimit(), 0u);
 }
 
-TEST(VectorWorkload, AddrLimitAuditEdges)
+TEST(Workload, AddrLimitAuditEdges)
 {
     // Barriers and End markers carry no address: any limit passes.
-    VectorWorkload none("n", 2);
+    Workload none("n", 2);
     none.pushBarrierAll();
     none.seal();
     none.setAddrLimit(0);
     // Address 0 still counts: a zero limit rejects it.
-    VectorWorkload zero("z", 1);
+    Workload zero("z", 1);
     zero.push(0, Ref::mem(0, false, 1));
     zero.seal();
     EXPECT_NE(fatalMessage([&] { zero.setAddrLimit(0); })
                   .find("cpu 0 entry 0 touches 0"),
               std::string::npos);
     // The highest representable address: its +1 is Ref::addrEnd.
-    VectorWorkload top("t", 1);
+    Workload top("t", 1);
     top.push(0, Ref::touchOf(Ref::addrEnd - 1));
     top.seal();
     EXPECT_NE(fatalMessage([&] { top.setAddrLimit(Ref::addrEnd - 1); })
