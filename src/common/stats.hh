@@ -61,7 +61,10 @@ struct NetworkStats
     }
 };
 
-/** Classification of a remote block fetch (see DESIGN.md section 7). */
+/**
+ * Classification of a remote block fetch (see docs/ARCHITECTURE.md,
+ * "`src/proto` — global coherence").
+ */
 enum class MissKind : std::uint8_t
 {
     Cold,      ///< first fetch of this block by this node

@@ -210,9 +210,9 @@ class HysteresisPolicy : public ThresholdPolicy
  * (refetches fire for non-resident pages only), so in-machine the
  * policy is monotone back-off per page: it bounds the adversary's
  * churn but never rewards relocations that paid off — it ignores
- * the residentHits feedback by design (ROADMAP item 4's diagnosis,
- * preserved for bit-identity with the PR 4 figures). The policies
- * below it consume the signal instead.
+ * the residentHits feedback by design, so its recorded figure rows
+ * (policies, storm-cliff) stay unchanged. The policies below it
+ * consume the signal instead.
  */
 class AdaptiveThresholdPolicy : public ThresholdPolicy
 {

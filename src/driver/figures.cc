@@ -931,58 +931,6 @@ renderServing(const FigureRun &run, std::ostream &os)
 }
 
 //--------------------------------------------------------------------------
-// Churn: the workload-parametric serving sweep (phase-shift and
-// tenants by default; the CLI's repeatable --workload flag selects
-// any registered generator). Every selected workload runs the
-// baseline plus every selected protocol on the base machine — the
-// relocation-vs-eviction churn harness ROADMAP item 4's policy work
-// runs its candidates through.
-//--------------------------------------------------------------------------
-
-Sweep
-buildChurn(const FigureOptions &opt)
-{
-    Sweep s("churn");
-    Params p = Params::base();
-    std::vector<std::string> ids =
-        selectedIds<ProtocolSpec>(opt.protocols);
-    for (const std::string &wl : selectedIds<WorkloadSpec>(
-             opt.workloads, {"phase-shift", "tenants"})) {
-        s.addComparison(wl, p, {wl, p, opt.scale}, ids);
-    }
-    return s;
-}
-
-int
-renderChurn(const FigureRun &run, std::ostream &os)
-{
-    Table t({"workload", "protocol", "normalized time",
-             "relocations", "scoma allocations", "page-cache hits",
-             "refetches"});
-    for (const CellResult &c : run.result.cells) {
-        if (c.config == "baseline")
-            continue;
-        t.addRow({c.app, label(c),
-                  Table::num(run.result.norm(c.app, c.config)),
-                  std::to_string(c.stats.relocations),
-                  std::to_string(c.stats.scomaAllocations),
-                  std::to_string(c.stats.pageCacheHits),
-                  std::to_string(c.stats.refetches)});
-    }
-    t.print(os);
-    os << "\nreading the result: phase-shift rotates a cache-sized "
-          "window every phase,\nso pages relocated in one phase "
-          "fall cold in the next — the policies that\nsuppress or "
-          "adapt re-entry keep the relocation count (and the page-"
-          "op\ncost) down. tenants interleaves competing hot sets "
-          "per node, so the page\ncache is a shared, contended "
-          "resource: watch the hit counts for fairness.\nSelect "
-          "any registered generator with --workload (see "
-          "--list-workloads).\n";
-    return 0;
-}
-
-//--------------------------------------------------------------------------
 // Storm-cliff: the fmm relocation-storm regression guard (not a
 // paper figure). On a pathologically small 4-frame page cache, fmm's
 // reuse set relocates, evicts, re-qualifies and relocates again —
@@ -1051,100 +999,6 @@ renderStormCliff(const FigureRun &run, std::ostream &os)
     return 0;
 }
 
-//--------------------------------------------------------------------------
-// Feedback: phase-shift step x every relocation policy. The
-// phase-shift generator rotates its hot window by pages/phases pages
-// per phase, so sweeping the phase count varies the churn *step* —
-// from full-window replacement (pages/phases >= window) down to
-// gentle drift — on a fixed page pool. Each step runs the baseline
-// plus every selected protocol; the v8 residency-feedback counters
-// (evictions_zero_hit / evicted_page_hits) make visible what the
-// utility-aware policies react to: how many of each policy's
-// evictions were pure ping-pong.
-//--------------------------------------------------------------------------
-
-/**
- * The step axis: phase counts for the generator's default 240-page
- * pool. 3 phases = 80-page steps (the window replaced wholesale),
- * 6 = the churn figure's default, 12 = 20-page drift.
- */
-const char *const feedbackPhases[] = {"3", "6", "12"};
-
-Sweep
-buildFeedback(const FigureOptions &opt)
-{
-    Sweep s("feedback");
-    Params p = Params::base();
-    std::vector<std::string> ids =
-        selectedIds<ProtocolSpec>(opt.protocols);
-    for (const char *phases : feedbackPhases) {
-        std::string row = std::string("shift-p") + phases;
-        // A fixed sweep count (not the generator's scaled default):
-        // separation needs residencies long enough for capacity
-        // refetches to cross the thresholds at *every* scale, so
-        // renderFeedback's ordering check holds at any --scale.
-        s.addComparison(row, p,
-                        {"phase-shift", p, opt.scale, 1,
-                         std::string("phases=") + phases +
-                             ",sweeps=96"},
-                        ids);
-    }
-    return s;
-}
-
-int
-renderFeedback(const FigureRun &run, std::ostream &os)
-{
-    Table t({"step", "protocol", "policy", "normalized time",
-             "relocations", "zero-hit evictions",
-             "evicted-page hits"});
-    for (const CellResult &c : run.result.cells) {
-        if (c.config == "baseline")
-            continue;
-        t.addRow({c.app, label(c), policyOf(c),
-                  Table::num(run.result.norm(c.app, c.config)),
-                  std::to_string(c.stats.relocations),
-                  std::to_string(c.stats.evictionsZeroHit),
-                  std::to_string(c.stats.evictedPageHits)});
-    }
-    t.print(os);
-    // The feedback channel's claim: a policy that learns from
-    // eviction outcomes beats every selected pre-feedback policy on
-    // every row, by actually relocating. A zero-hit eviction is one
-    // kind of S-COMA replacement, so it can never outnumber them.
-    std::vector<std::string> failed;
-    for (const CellResult &c : run.result.cells) {
-        if (c.stats.evictionsZeroHit > c.stats.scomaReplacements)
-            failed.push_back(c.app + "/" + c.config + ": more zero-hit "
-                             "evictions than S-COMA replacements");
-        if (c.protocol != "rnuma-online-model")
-            continue;
-        if (c.stats.relocations == 0)
-            failed.push_back(c.app + ": rnuma-online-model made no "
-                                     "relocations");
-        for (const char *id : {"rnuma", "rnuma-hysteresis",
-                               "rnuma-adaptive", "rnuma-model"}) {
-            const CellResult *classic = run.result.find(c.app, id);
-            if (classic && c.stats.ticks >= classic->stats.ticks)
-                failed.push_back(
-                    c.app + ": rnuma-online-model ran " +
-                    std::to_string(c.stats.ticks) + " ticks, not below " +
-                    id + "'s " + std::to_string(classic->stats.ticks));
-        }
-    }
-    int status = reportMismatches(failed, os);
-    os << "\nreading the result: every eviction that shows up under "
-          "zero-hit evictions\nwas a relocation that never paid — "
-          "the page was victimized before serving a\nsingle page-"
-          "cache hit. The pre-feedback policies (static, hysteresis, "
-          "adaptive,\nmodel) cannot see that signal; the utility, "
-          "online-model and ewma rows\nconsume it, so their "
-          "relocation counts and normalized times should "
-          "separate\nas the step shrinks and residencies start "
-          "paying off.\n";
-    return status;
-}
-
 } // namespace
 
 const std::vector<FigureSpec> &
@@ -1205,24 +1059,12 @@ figureSpecs()
          "Falsafi & Wood, ISCA'97, Section 1 (the commercial-"
          "serving motivation)",
          &buildServing, &renderServing},
-        {"churn",
-         "Churn: serving workloads (phase-shift, tenants) x "
-         "relocation policies",
-         "Falsafi & Wood, ISCA'97, Sections 1 and 3 (reactive "
-         "relocation under churn)",
-         &buildChurn, &renderChurn},
         {"storm-cliff",
          "Storm-cliff: the fmm 4-frame relocation-storm regression "
          "guard",
          "Falsafi & Wood, ISCA'97, Section 3.2 (the ping-pong worst "
          "case, embodied)",
          &buildStormCliff, &renderStormCliff},
-        {"feedback",
-         "Feedback: phase-shift step x every relocation policy "
-         "(residency utility)",
-         "Falsafi & Wood, ISCA'97, Section 3 (the threshold rule, "
-         "made utility-aware)",
-         &buildFeedback, &renderFeedback},
     };
     return specs;
 }

@@ -54,14 +54,6 @@ struct FigureOptions
      * constant network ignore it.
      */
     std::vector<std::string> networks;
-    /**
-     * Workload-registry ids for workload-parametric figures (the
-     * "churn" sweep; the CLI's repeatable --workload flag). Empty
-     * means the figure's default selection ({"phase-shift",
-     * "tenants"} for "churn"). Figures with a fixed workload set
-     * ignore it.
-     */
-    std::vector<std::string> workloads;
 };
 
 /** One figure/table: identity, lazy sweep builder, table renderer. */
@@ -86,8 +78,7 @@ struct FigureSpec
  * All figures, in paper order — fig5-9, table2/4, eq3, ablation,
  * micro — plus the registry-driven sweeps: "policies" (relocation
  * policies), "scaling" (nodes x networks x directories), "serving"
- * (Zipf-skew x protocols x machines), "churn" (workload-parametric
- * phase-shift/tenants x policies), and "storm-cliff" (the fmm
+ * (Zipf-skew x protocols x machines), and "storm-cliff" (the fmm
  * 4-frame relocation-storm regression guard).
  */
 const std::vector<FigureSpec> &figureSpecs();

@@ -3,9 +3,10 @@
  * The home-node coherence protocol engine. All three systems
  * (CC-NUMA, S-COMA, R-NUMA) use this same directory protocol; they
  * differ only in where remote data is cached (Section 2). Requests
- * are processed atomically at the home ("blocking home" — see
- * DESIGN.md section 7) with all message and controller latencies
- * charged, including three-hop forwards and invalidation rounds.
+ * are processed atomically at the home (the paper's "blocking home";
+ * see PAPER.md, "Simulated machine") with all message and controller
+ * latencies charged, including three-hop forwards and invalidation
+ * rounds.
  */
 
 #ifndef RNUMA_PROTO_PROTOCOL_HH

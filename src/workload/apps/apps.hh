@@ -2,8 +2,9 @@
  * @file
  * The ten application workload generators (Table 3 of the paper).
  * Each reproduces its application's sharing signature at scaled input
- * sizes; see DESIGN.md section 5 for the substitution argument and
- * each .cc file for the per-application model.
+ * sizes; see docs/ARCHITECTURE.md ("`src/workload` — reference
+ * streams") for the substitution argument and each .cc file for the
+ * per-application model.
  *
  * @param p     machine parameters (geometry only; costs are ignored)
  * @param scale input scale factor (1.0 = the repo's calibrated size;

@@ -322,9 +322,8 @@ addBuiltins(WorkloadRegistry &reg)
     }
 
     // The commercial-serving generators (Section 1's motivating
-    // traffic): Zipf-skewed page service, diurnal phase rotation,
-    // and multi-tenant interleaving, plus the database-scan demo
-    // promoted from examples/.
+    // traffic): Zipf-skewed page service and diurnal phase
+    // rotation, plus the database-scan demo promoted from examples/.
     WorkloadSpec zipf;
     zipf.id = "zipf-serve";
     zipf.displayName = "Zipf serving";
@@ -346,17 +345,6 @@ addBuiltins(WorkloadRegistry &reg)
     phase.category = "serving";
     phase.make = &makePhaseShift;
     reg.add(std::move(phase));
-
-    WorkloadSpec ten;
-    ten.id = "tenants";
-    ten.displayName = "Multi-tenant";
-    ten.description =
-        "K independent tenant address spaces interleaved per node; "
-        "stresses page-cache fairness under competing hot sets";
-    ten.input = "tenants=4, pages=96/tenant, rounds=6";
-    ten.category = "serving";
-    ten.make = &makeTenants;
-    reg.add(std::move(ten));
 
     WorkloadSpec db;
     db.id = "database-scan";
@@ -385,12 +373,6 @@ const WorkloadSpec &
 workloadSpec(const std::string &name)
 {
     return WorkloadRegistry::global().at(name);
-}
-
-const WorkloadSpec *
-findWorkloadSpec(const std::string &name)
-{
-    return WorkloadRegistry::global().find(name);
 }
 
 std::vector<std::string>

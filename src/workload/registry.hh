@@ -14,12 +14,10 @@
  *    rw-sharing, scaling-shift);
  *  - "serving": the commercial-serving generators the paper's
  *    Section 1 motivation describes (zipf-serve, phase-shift,
- *    tenants, database-scan).
+ *    database-scan).
  *
- * New generators are one registration away and immediately
- * selectable from the rnuma_sweep CLI (--workload,
- * --list-workloads) and sweepable by the workload-parametric
- * figures (the "churn" sweep).
+ * New generators are one registration away: makeWorkload builds
+ * them by id and rnuma_sweep --list-workloads lists them.
  */
 
 #ifndef RNUMA_WORKLOAD_REGISTRY_HH
@@ -137,9 +135,6 @@ Table workloadTable();
 
 /** Shorthand for WorkloadRegistry::global().at(name). */
 const WorkloadSpec &workloadSpec(const std::string &name);
-
-/** Shorthand for WorkloadRegistry::global().find(name). */
-const WorkloadSpec *findWorkloadSpec(const std::string &name);
 
 /**
  * Ids of the registered workloads in @p category, in registration

@@ -153,59 +153,6 @@ makePhaseShift(const Params &p, double scale, std::uint64_t seed,
 }
 
 std::unique_ptr<Workload>
-makeTenants(const Params &p, double scale, std::uint64_t seed,
-            const std::string &options)
-{
-    auto o = WorkloadOptions::parse(options);
-    std::size_t tenants = o.getSize("tenants", 4, 1);
-    std::size_t pages =
-        o.getSize("pages", scaled(96, scale, 8), 1, maxPages);
-    std::size_t rounds = o.getSize("rounds", scaled(6, scale, 2), 1,
-                                   maxStreamCount);
-    o.finish("tenants");
-
-    StreamBuilder b("tenants", p, seed);
-    tenants = std::min(tenants, b.ncpus());
-
-    // Each tenant owns a disjoint slice, homed round-robin across
-    // the nodes, and is served only by CPUs c with c mod K == t —
-    // placement included, so per-tenant address sets stay disjoint
-    // per CPU by construction.
-    std::vector<Addr> base(tenants);
-    for (std::size_t t = 0; t < tenants; ++t) {
-        base[t] = b.allocPages(pages);
-        std::size_t servers = (b.ncpus() - t + tenants - 1) / tenants;
-        for (std::size_t pg = 0; pg < pages; ++pg) {
-            CpuId c = static_cast<CpuId>(
-                t + tenants * (pg % servers));
-            b.touch(c, base[t] + pg * p.pageSize);
-        }
-    }
-    b.barrier();
-
-    std::size_t hot = std::max<std::size_t>(1, pages / 4);
-    std::size_t refsPerRound = 2 * pages;
-    for (std::size_t round = 0; round < rounds; ++round) {
-        for (std::size_t r = 0; r < refsPerRound; ++r) {
-            for (CpuId c = 0; c < b.ncpus(); ++c) {
-                std::size_t t = c % tenants;
-                std::size_t pg = b.rng().chance(0.8)
-                                     ? b.rng().below(hot)
-                                     : b.rng().below(pages);
-                Addr a = base[t] + pg * p.pageSize +
-                         b.rng().below(p.blocksPerPage()) *
-                             p.blockSize;
-                b.read(c, a, 4);
-                if (b.rng().chance(0.1))
-                    b.write(c, a, 4);
-            }
-        }
-        b.barrier();
-    }
-    return b.finish();
-}
-
-std::unique_ptr<Workload>
 makeDatabaseScan(const Params &p, double scale, std::uint64_t seed,
                  const std::string &options)
 {

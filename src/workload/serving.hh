@@ -7,7 +7,7 @@
  *
  * Each generator takes the machine geometry, the conventional input
  * scale, a seed, and a "key=value,..." option string (parsed with
- * WorkloadOptions; "" selects every default). All four build their
+ * WorkloadOptions; "" selects every default). All three build their
  * streams through StreamBuilder, so every emitted address passes the
  * finish()-time allocation audit before the workload is usable.
  */
@@ -54,20 +54,6 @@ makeZipfServe(const Params &p, double scale, std::uint64_t seed,
 std::unique_ptr<Workload>
 makePhaseShift(const Params &p, double scale, std::uint64_t seed,
                const std::string &options = "");
-
-/**
- * Multi-tenant interleaving: K tenants own disjoint address-space
- * slices homed round-robin across the nodes, and CPU c serves tenant
- * c mod K — so every node's page cache is shared by competing tenant
- * hot sets (page-cache fairness stress). Each CPU touches only its
- * own tenant's pages, including placement, keeping per-tenant
- * address sets provably disjoint.
- *
- * Options: tenants, pages (per tenant), rounds.
- */
-std::unique_ptr<Workload>
-makeTenants(const Params &p, double scale, std::uint64_t seed,
-            const std::string &options = "");
 
 /**
  * The OLTP-ish database mix formerly private to

@@ -5,10 +5,11 @@
  * placement, reads/writes with think time, and barriers.
  *
  * The generators substitute for the paper's execution-driven SPLASH-2
- * runs (DESIGN.md section 5): each reproduces its application's
- * sharing signature (remote working-set size, reuse vs communication
- * pages, read-write fraction, spatial density, iteration structure)
- * at the scaled Table 3 input sizes.
+ * runs (docs/ARCHITECTURE.md, "`src/workload` — reference streams"):
+ * each reproduces its application's sharing signature (remote
+ * working-set size, reuse vs communication pages, read-write
+ * fraction, spatial density, iteration structure) at the scaled
+ * Table 3 input sizes.
  */
 
 #ifndef RNUMA_WORKLOAD_SYNTHETIC_HH

@@ -3,8 +3,8 @@
  * The workload abstraction: per-CPU streams of memory references,
  * barrier markers, placement-only init touches, and end markers. The
  * simulator is driven entirely by a Workload, which stands in for the
- * paper's execution-driven SPLASH-2 binaries (see DESIGN.md section 5
- * for the substitution argument).
+ * paper's execution-driven SPLASH-2 binaries (see docs/ARCHITECTURE.md,
+ * "`src/workload` — reference streams", for the substitution argument).
  */
 
 #ifndef RNUMA_WORKLOAD_WORKLOAD_HH

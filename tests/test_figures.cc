@@ -2,8 +2,8 @@
  * @file
  * Tests for the figure registry (src/driver/figures): the registered
  * figures and the shapes of their lazily built sweeps, the
- * selection flags, the policy and feedback separations at the CI
- * figure-pipeline scale, verified runs of the micro and Table 2
+ * selection flags, the policy separation at the CI figure-pipeline
+ * scale, verified runs of the micro and Table 2
  * figures, and the extension figures' renderer-enforced invariants
  * (on hand-built runs). A test binary of its own, so ctest runs it
  * beside the sweep-driver suites.
@@ -62,10 +62,10 @@ renderCells(const char *figure, std::vector<CellResult> cells,
 
 } // namespace
 
-TEST(FigureRegistry, HasAllSixteenFiguresWithUniqueNames)
+TEST(FigureRegistry, HasAllFourteenFiguresWithUniqueNames)
 {
     const auto &specs = figureSpecs();
-    EXPECT_EQ(specs.size(), 16u);
+    EXPECT_EQ(specs.size(), 14u);
     for (const FigureSpec &a : specs) {
         std::size_t count = 0;
         for (const FigureSpec &b : specs)
@@ -115,8 +115,6 @@ TEST(FigureRegistry, SelectionFlagsNarrowTheirFigures)
     FigureOptions alias(testScale, {"rnuma", "R-NUMA", "rnuma"});
     FigureOptions mesh(testScale);
     mesh.networks = {"mesh-2d"};
-    FigureOptions tenants(testScale);
-    tenants.workloads = {"tenants"};
     struct Case
     {
         const char *figure;
@@ -131,9 +129,6 @@ TEST(FigureRegistry, SelectionFlagsNarrowTheirFigures)
         // Five node counts x two directory formats.
         {"scaling", mesh, 10,
          [](const Cell &c) { return c.params.networkModel == "mesh-2d"; }},
-        // One workload x (baseline + every registered protocol).
-        {"churn", tenants, 1 + ProtocolRegistry::global().size(),
-         [](const Cell &c) { return c.workload.id == "tenants"; }},
     };
     for (const Case &k : cases) {
         Sweep s = findFigure(k.figure)->build(k.opt);
@@ -184,47 +179,6 @@ TEST(FigureRegistry, EvictionStormSeparatesThePoliciesAtCiScale)
               run.result.at("hot-reuse", "rnuma-hysteresis").stats);
 }
 
-TEST(FigureRegistry, FeedbackPolicyBeatsTheClassicsOnPhaseShift)
-{
-    // The point of the residency-feedback channel: a policy that
-    // learns from eviction outcomes must beat every pre-feedback
-    // policy on the phase-shift workload at exactly the CI
-    // figure-pipeline scale. The online-model policy lowers its
-    // global threshold as evictions report healthy residencies, so
-    // it relocates earlier than the classics once phases churn.
-    FigureOptions opt;
-    opt.scale = 0.1;
-    opt.protocols = {"rnuma", "rnuma-hysteresis", "rnuma-adaptive",
-                     "rnuma-model", "rnuma-online-model"};
-    const FigureSpec *spec = findFigure("feedback");
-    ASSERT_NE(spec, nullptr);
-    SweepRunner runner(0);
-    FigureRun run = runFigure(*spec, opt, runner, /*verify=*/false);
-
-    // The fastest-churning row shows the widest separation.
-    const RunStats &stat =
-        run.result.at("shift-p12", "rnuma").stats;
-    const RunStats &hyst =
-        run.result.at("shift-p12", "rnuma-hysteresis").stats;
-    const RunStats &adapt =
-        run.result.at("shift-p12", "rnuma-adaptive").stats;
-    const RunStats &model =
-        run.result.at("shift-p12", "rnuma-model").stats;
-    const RunStats &online =
-        run.result.at("shift-p12", "rnuma-online-model").stats;
-    EXPECT_LT(online.ticks, stat.ticks);
-    EXPECT_LT(online.ticks, hyst.ticks);
-    EXPECT_LT(online.ticks, adapt.ticks);
-    EXPECT_LT(online.ticks, model.ticks);
-
-    // The win comes from actually relocating, and the feedback
-    // counters flow all the way into the figure's cells.
-    EXPECT_GT(online.relocations, 0u);
-    EXPECT_GT(online.evictedPageHits, 0u);
-    std::ostringstream os;
-    EXPECT_EQ(renderFigure(*spec, run, os), 0) << os.str();
-}
-
 TEST(FigureRegistry, Fig8IsAPolicySweepOverStaticThresholds)
 {
     // The threshold axis lives in the protocol spec, not in Params:
@@ -266,33 +220,6 @@ TEST(FigureRegistry, MicroFigureRunsVerifiedAndRenders)
 // hand-built run that satisfies it renders with status 0 and no
 // MISMATCH line; breaking one counter makes the renderer return 1
 // with a MISMATCH line naming the offending row.
-
-TEST(FigureInvariants, FeedbackOnlineModelMustBeatEveryClassicPolicy)
-{
-    std::vector<CellResult> cells = {
-        fakeCell("shift-p3", "baseline", 100),
-        fakeCell("shift-p3", "rnuma-model", 300, 10),
-        fakeCell("shift-p3", "rnuma-online-model", 200, 10)};
-    std::string out;
-    EXPECT_EQ(renderCells("feedback", cells, out), 0) << out;
-    EXPECT_EQ(out.find("MISMATCH"), std::string::npos) << out;
-
-    std::vector<CellResult> tie = cells;
-    tie[2].stats.ticks = 300; // a tie with rnuma-model
-    EXPECT_EQ(renderCells("feedback", tie, out), 1);
-    EXPECT_NE(out.find("MISMATCH: shift-p3: rnuma-online-model ran 300 "
-                       "ticks, not below rnuma-model's 300"),
-              std::string::npos)
-        << out;
-
-    std::vector<CellResult> idle = cells;
-    idle[2].stats.relocations = 0;
-    EXPECT_EQ(renderCells("feedback", idle, out), 1);
-    EXPECT_NE(out.find("MISMATCH: shift-p3: rnuma-online-model made no "
-                       "relocations"),
-              std::string::npos)
-        << out;
-}
 
 TEST(FigureInvariants, PoliciesSuppressionRulesMustRelocateLess)
 {

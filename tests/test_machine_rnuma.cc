@@ -81,6 +81,22 @@ TEST(MachineRNuma, PageTableAndPageCacheAgreeAfterChurn)
     }
 }
 
+TEST(MachineRNuma, EvictionsReportResidentHitsToRunStats)
+{
+    // The residency-feedback path end to end: a rotating hot set over
+    // the 4-frame page cache relocates pages and then evicts them,
+    // and each eviction's page-cache hits reach RunStats. A zero-hit
+    // eviction is one kind of S-COMA replacement, so it can never
+    // outnumber them.
+    Params p = test::smallParams();
+    auto wl = makeWorkload("phase-shift", p, 1.0, 1,
+                           "pages=24,phases=6,sweeps=16");
+    RunStats s = runProtocol(p, "rnuma-online-model", *wl);
+    EXPECT_GT(s.relocations, 0u);
+    EXPECT_GT(s.evictedPageHits, 0u);
+    EXPECT_LE(s.evictionsZeroHit, s.scomaReplacements);
+}
+
 TEST(MachineRNuma, CommunicationPagesNeverRelocate)
 {
     Params p = test::smallParams();

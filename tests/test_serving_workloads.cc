@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests for the workload registry and the commercial-serving
- * generators (zipf-serve, phase-shift, tenants, database-scan):
- * Zipf skew actually skews the page popularity, phase rotation has
- * the advertised window geometry, tenant address spaces are disjoint
- * per CPU, streams are seed-deterministic, and the option parser
- * rejects garbage loudly.
+ * generators (zipf-serve, phase-shift, database-scan): Zipf skew
+ * actually skews the page popularity, phase rotation has the
+ * advertised window geometry, streams are seed-deterministic, and
+ * the option parser rejects garbage loudly.
  */
 
 #include <gtest/gtest.h>
@@ -66,8 +65,8 @@ sortedCounts(const std::map<Addr, std::size_t> &counts)
 TEST(WorkloadRegistry, BuiltinsCoverAllThreeCategories)
 {
     const WorkloadRegistry &reg = WorkloadRegistry::global();
-    // 10 apps + 7 micros + 4 serving.
-    EXPECT_GE(reg.size(), 21u);
+    // 10 apps + 7 micros + 3 serving.
+    EXPECT_GE(reg.size(), 20u);
     std::size_t apps = 0, micros = 0, serving = 0;
     for (const WorkloadSpec *s : reg.all()) {
         EXPECT_TRUE(s->valid());
@@ -80,7 +79,7 @@ TEST(WorkloadRegistry, BuiltinsCoverAllThreeCategories)
     }
     EXPECT_EQ(apps, 10u);
     EXPECT_GE(micros, 7u);
-    EXPECT_GE(serving, 4u);
+    EXPECT_GE(serving, 3u);
 }
 
 TEST(WorkloadRegistry, UnknownNameIsFatal)
@@ -178,8 +177,7 @@ TEST(WorkloadOptions, OutOfRangeGeneratorOptionIsFatal)
     const std::pair<const char *, const char *> cases[] = {
         {"zipf-serve", "write=2"},        {"zipf-serve", "theta=-1"},
         {"zipf-serve", "pages=0"},        {"zipf-serve", "requests=0"},
-        {"phase-shift", "phases=0"},      {"tenants", "rounds=0"},
-        {"tenants", "tenants=0"},         {"database-scan", "hot=500"},
+        {"phase-shift", "phases=0"},      {"database-scan", "hot=500"},
         {"database-scan", "hot=0"},       {"database-scan", "pool=0"},
         {"private-loop", "pages=0"},      {"hot-reuse", "sweeps=0"},
         {"evict-storm", "pages=4"},       {"producer-consumer", "pages=0"},
@@ -188,7 +186,6 @@ TEST(WorkloadOptions, OutOfRangeGeneratorOptionIsFatal)
         // Past maxPages: a named error, not a bad_alloc.
         {"zipf-serve", "pages=1000000000000"},
         {"phase-shift", "pages=1000000000000"},
-        {"tenants", "pages=1000000000000"},
         {"database-scan", "pool=1000000000000"},
         {"private-loop", "pages=1000000000000"},
         {"hot-reuse", "pages=1000000000000"},
@@ -207,7 +204,6 @@ TEST(WorkloadOptions, OutOfRangeGeneratorOptionIsFatal)
         {"zipf-serve", "requests=1000000000000"},
         {"phase-shift", "phases=1000000000000"},
         {"phase-shift", "sweeps=1000000000000"},
-        {"tenants", "rounds=1000000000000"},
         {"database-scan", "transactions=1000000000000"},
         {"database-scan", "rows=1000000000000"},
     };
@@ -332,50 +328,6 @@ TEST(PhaseShift, DefaultPoolOverflowsThePageCache)
 }
 
 //--------------------------------------------------------------------------
-// tenants
-//--------------------------------------------------------------------------
-
-TEST(Tenants, AddressSpacesAreDisjointPerCpu)
-{
-    Params p = test::smallParams(); // 4 CPUs
-    const std::size_t K = 2;
-    auto wl = makeTenants(p, 1.0, 9, "tenants=2,pages=8,rounds=2");
-    std::vector<std::set<Addr>> touched(wl->numCpus());
-    for (CpuId c = 0; c < wl->numCpus(); ++c)
-        for (std::size_t i = 0; i < wl->size(c); ++i) {
-            const Ref &r = wl->at(c, i);
-            if (r.kind == RefKind::Mem ||
-                r.kind == RefKind::InitTouch)
-                touched[c].insert(r.addr / p.pageSize);
-        }
-    for (CpuId a = 0; a < wl->numCpus(); ++a) {
-        EXPECT_FALSE(touched[a].empty()) << "cpu " << a;
-        for (CpuId b = 0; b < wl->numCpus(); ++b) {
-            if (a % K == b % K)
-                continue; // same tenant: sharing expected
-            std::vector<Addr> inter;
-            std::set_intersection(touched[a].begin(),
-                                  touched[a].end(),
-                                  touched[b].begin(),
-                                  touched[b].end(),
-                                  std::back_inserter(inter));
-            EXPECT_TRUE(inter.empty())
-                << "cpus " << a << " and " << b
-                << " serve different tenants but share pages";
-        }
-    }
-}
-
-TEST(Tenants, TenantCountClampsToCpuCount)
-{
-    Params p = test::smallParams(); // 4 CPUs
-    // Asking for more tenants than CPUs must not leave tenants
-    // unserved (or crash); it clamps to ncpus.
-    auto wl = makeTenants(p, 1.0, 3, "tenants=64,pages=4,rounds=1");
-    EXPECT_GT(wl->memRefCount(), 0u);
-}
-
-//--------------------------------------------------------------------------
 // determinism
 //--------------------------------------------------------------------------
 
@@ -383,7 +335,7 @@ TEST(ServingWorkloads, SameSeedSameStreamDifferentSeedDifferent)
 {
     Params p = test::smallParams();
     for (const char *id :
-         {"zipf-serve", "phase-shift", "tenants", "database-scan"}) {
+         {"zipf-serve", "phase-shift", "database-scan"}) {
         auto va = makeWorkload(id, p, 0.1, 11);
         auto vb = makeWorkload(id, p, 0.1, 11);
         auto vc = makeWorkload(id, p, 0.1, 12);
@@ -419,7 +371,7 @@ TEST(ServingWorkloads, AllPassTheFinishAudit)
     // scales) is the audit; also assert the limit is recorded.
     Params p = test::smallParams();
     for (const char *id :
-         {"zipf-serve", "phase-shift", "tenants", "database-scan"}) {
+         {"zipf-serve", "phase-shift", "database-scan"}) {
         for (double scale : {0.1, 1.0}) {
             auto vec = makeWorkload(id, p, scale, 1);
             EXPECT_GT(vec->addrLimit(), 0u) << id;

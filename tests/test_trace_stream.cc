@@ -134,7 +134,7 @@ TEST(TraceStream, RoundTripAppAndServingWorkloads)
 {
     Params p = test::smallParams();
     for (const char *id :
-         {"radix", "barnes", "zipf-serve", "tenants",
+         {"radix", "barnes", "zipf-serve", "phase-shift",
           "database-scan"}) {
         SCOPED_TRACE(id);
         roundTrip(*makeWorkload(id, p, 0.1, 3), "wl.strace");

@@ -60,9 +60,6 @@ usage(std::ostream &os, int status)
           "  --network NAME       (repeatable) select network models "
           "for network-parametric\n"
           "                       figures (see 'scaling')\n"
-          "  --workload NAME      (repeatable) select workloads for "
-          "workload-parametric\n"
-          "                       figures (see 'churn')\n"
           "  --scale S            workload scale (default 1)\n"
           "  --jobs N             worker threads (0 = hardware "
           "concurrency; default 1)\n"
@@ -106,9 +103,8 @@ void
 listWorkloads(std::ostream &os)
 {
     workloadTable().print(os);
-    os << "\n(select with --workload, sweep them via the 'churn' "
-          "figure; serving\ngenerators take k=v options via "
-          "makeWorkload — see docs/ARCHITECTURE.md)\n";
+    os << "\n(serving generators take k=v options via makeWorkload "
+          "— see\ndocs/ARCHITECTURE.md)\n";
 }
 
 /**
@@ -164,7 +160,6 @@ main(int argc, char **argv)
     std::size_t jobs = 1;
     std::vector<std::string> protocols;
     std::vector<std::string> networks;
-    std::vector<std::string> workloads;
     std::string json_out;
     std::string compare_path;
     std::string current_path;
@@ -208,14 +203,6 @@ main(int argc, char **argv)
                 return 2;
             }
             networks.push_back(name);
-        } else if (arg == "--workload") {
-            std::string name = next();
-            if (!findWorkloadSpec(name)) {
-                std::cerr << "rnuma_sweep: unknown workload '"
-                          << name << "' (see --list-workloads)\n";
-                return 2;
-            }
-            workloads.push_back(name);
         } else if (arg == "--scale") {
             const char *val = next();
             std::optional<double> s = parseScale(val);
@@ -283,7 +270,6 @@ main(int argc, char **argv)
     opt.scale = scale;
     opt.protocols = protocols;
     opt.networks = networks;
-    opt.workloads = workloads;
     // One runner for the whole invocation, so figures naming the
     // same workload input generate it exactly once.
     SweepRunner runner(jobs);
