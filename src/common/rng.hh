@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
+
 namespace rnuma
 {
 
@@ -37,11 +39,21 @@ class Rng
         return x * 0x2545f4914f6cdd1dULL;
     }
 
-    /** Uniform integer in [0, bound). bound must be > 0. */
+    /**
+     * Uniform integer in [0, bound): next() % bound. A power-of-two
+     * bound (every block-in-page draw) masks instead of dividing,
+     * which gives the same value. Panics on a bound of 0.
+     */
     std::uint64_t
     below(std::uint64_t bound)
     {
-        return next() % bound;
+        std::uint64_t x = next();
+        if ((bound & (bound - 1)) == 0) {
+            if (bound == 0)
+                zeroBound();
+            return x & (bound - 1);
+        }
+        return x % bound;
     }
 
     /** Uniform integer in [lo, hi]. */
@@ -73,6 +85,12 @@ class Rng
     }
 
   private:
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    zeroBound()
+    {
+        RNUMA_PANIC("Rng::below needs a bound > 0");
+    }
+
     std::uint64_t state;
 };
 

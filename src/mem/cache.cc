@@ -71,28 +71,4 @@ Cache::allocate(Addr a, Victim &victim, std::size_t bank)
     return line;
 }
 
-void
-Cache::forEachValid(
-    const std::function<void(const CacheLine &)> &fn) const
-{
-    if (unbounded) {
-        for (const auto &chunk : chunks)
-            for (std::size_t i = 0; chunk && i < (1u << chunkShift); ++i)
-                if (chunk[i].valid())
-                    fn(chunk[i]);
-        return;
-    }
-    for (const auto &line : lines)
-        if (line.valid())
-            fn(line);
-}
-
-std::size_t
-Cache::validCount() const
-{
-    std::size_t n = 0;
-    forEachValid([&](const CacheLine &) { ++n; });
-    return n;
-}
-
 } // namespace rnuma

@@ -12,7 +12,6 @@
 #define RNUMA_MEM_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -161,11 +160,31 @@ class Cache
     }
 
     /** Visit every valid line of every bank (test/diagnostic use). */
-    void forEachValid(
-        const std::function<void(const CacheLine &)> &fn) const;
+    template <class F>
+    void
+    forEachValid(F &&fn) const
+    {
+        if (unbounded) {
+            for (const auto &chunk : chunks)
+                for (std::size_t i = 0; chunk && i < (1u << chunkShift);
+                     ++i)
+                    if (chunk[i].valid())
+                        fn(chunk[i]);
+            return;
+        }
+        for (const auto &line : lines)
+            if (line.valid())
+                fn(line);
+    }
 
     /** Number of currently valid lines, over all banks. */
-    std::size_t validCount() const;
+    std::size_t
+    validCount() const
+    {
+        std::size_t n = 0;
+        forEachValid([&n](const CacheLine &) { ++n; });
+        return n;
+    }
 
   private:
     std::size_t blockBytes;

@@ -137,15 +137,4 @@ PageCache::validBlocks(Addr page) const
     return valid_[frameOf(page)];
 }
 
-void
-PageCache::forEachValid(
-    Addr page,
-    const std::function<void(std::size_t, FineTag)> &fn) const
-{
-    const FineTag *t = frameTags(frameOf(page));
-    for (std::size_t i = 0; i < blocksPerPage; ++i)
-        if (t[i] != FineTag::Invalid)
-            fn(i, t[i]);
-}
-
 } // namespace rnuma

@@ -13,7 +13,6 @@
 #define RNUMA_RAD_PAGE_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/page_indexed.hh"
@@ -90,10 +89,20 @@ class PageCache
     /** Number of valid (non-Invalid) tags on a page. */
     std::size_t validBlocks(Addr page) const;
 
-    /** Visit valid blocks of a page as (index, tag). */
-    void forEachValid(
-        Addr page,
-        const std::function<void(std::size_t, FineTag)> &fn) const;
+    /**
+     * Visit valid blocks of a page as (index, tag). A template
+     * visitor, like SharerSet::forEach: it runs on every page-cache
+     * replacement, so the call must inline.
+     */
+    template <class F>
+    void
+    forEachValid(Addr page, F &&fn) const
+    {
+        const FineTag *t = frameTags(frameOf(page));
+        for (std::size_t i = 0; i < blocksPerPage; ++i)
+            if (t[i] != FineTag::Invalid)
+                fn(i, t[i]);
+    }
 
   private:
     /**

@@ -37,14 +37,25 @@ class ZipfSampler
         }
     }
 
+    /**
+     * The rank std::lower_bound would find for the draw, clamped to
+     * the last rank, by a branch-free search: the halving step is a
+     * conditional move, not a mispredicted jump.
+     */
     std::size_t
     draw(Rng &rng) const
     {
         double u = rng.uniform() * cum_.back();
-        auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
-        if (it == cum_.end())
-            --it;
-        return static_cast<std::size_t>(it - cum_.begin());
+        const double *base = cum_.data();
+        std::size_t n = cum_.size();
+        while (n > 1) {
+            std::size_t half = n / 2;
+            base = base[half - 1] < u ? base + half : base;
+            n -= half;
+        }
+        std::size_t rank = static_cast<std::size_t>(base - cum_.data()) +
+                           (*base < u);
+        return std::min(rank, cum_.size() - 1);
     }
 
   private:
@@ -90,18 +101,22 @@ makeZipfServe(const Params &p, double scale, std::uint64_t seed,
     }
     b.barrier();
 
+    // Per request: a read, at most one update and a session write.
+    b.reserveEach({requests, 3}, 1);
     ZipfSampler zipf(pages, theta);
+    // Hoisted: the appends store through size_t fields the compiler
+    // cannot tell from p's, so a call in the loop divides per entry.
+    const std::size_t blocks = p.blocksPerPage();
     for (std::size_t req = 0; req < requests; ++req) {
+        Addr slot = (req % blocks) * p.blockSize;
         for (CpuId c = 0; c < b.ncpus(); ++c) {
             std::size_t pg = zipf.draw(b.rng());
             Addr a = pool + pg * p.pageSize +
-                     b.rng().below(p.blocksPerPage()) * p.blockSize;
+                     b.rng().below(blocks) * p.blockSize;
             b.read(c, a, 6);
             if (b.rng().chance(writeFrac))
                 b.write(c, a, 4);
-            b.write(c, session[c] +
-                           (req % p.blocksPerPage()) * p.blockSize,
-                    2);
+            b.write(c, session[c] + slot, 2);
         }
     }
     return b.finish();
@@ -128,15 +143,17 @@ makePhaseShift(const Params &p, double scale, std::uint64_t seed,
 
     std::size_t window = std::min(pages, p.pageCacheFrames());
     std::size_t step = std::max<std::size_t>(1, pages / phases);
+    // Per window page: a read and at most one update; one barrier
+    // per phase.
+    b.reserveEach({phases, sweeps, window, 2}, phases + 1);
+    const std::size_t blocks = p.blocksPerPage();
     for (std::size_t ph = 0; ph < phases; ++ph) {
         std::size_t start = ph * step;
         for (std::size_t sweep = 0; sweep < sweeps; ++sweep) {
             for (std::size_t i = 0; i < window; ++i) {
-                std::size_t pg = (start + i) % pages;
+                Addr page = pool + ((start + i) % pages) * p.pageSize;
                 for (CpuId c = 0; c < b.ncpus(); ++c) {
-                    Addr a = pool + pg * p.pageSize +
-                             b.rng().below(p.blocksPerPage()) *
-                                 p.blockSize;
+                    Addr a = page + b.rng().below(blocks) * p.blockSize;
                     b.read(c, a, 4);
                     // In-place updates keep the set read-write
                     // shared (the Section 1 traffic class).

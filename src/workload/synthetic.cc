@@ -15,12 +15,6 @@ StreamBuilder::StreamBuilder(std::string name, const Params &params,
 }
 
 void
-StreamBuilder::touch(CpuId cpu, Addr a)
-{
-    wl->push(cpu, Ref::touchOf(a));
-}
-
-void
 StreamBuilder::touchRange(CpuId cpu, Addr base, std::size_t bytes)
 {
     Addr first = base / p.pageSize;
@@ -29,16 +23,24 @@ StreamBuilder::touchRange(CpuId cpu, Addr base, std::size_t bytes)
         touch(cpu, pg * p.pageSize);
 }
 
-void
-StreamBuilder::read(CpuId cpu, Addr a, std::uint32_t think)
+std::optional<std::size_t>
+reserveBound(std::initializer_list<std::size_t> factors, std::size_t extra)
 {
-    wl->push(cpu, Ref::mem(a, false, think));
+    std::size_t n = 1;
+    for (std::size_t f : factors)
+        if (__builtin_mul_overflow(n, f, &n))
+            return std::nullopt;
+    if (__builtin_add_overflow(n, extra, &n) || n > maxReserveEntries)
+        return std::nullopt;
+    return n;
 }
 
 void
-StreamBuilder::write(CpuId cpu, Addr a, std::uint32_t think)
+StreamBuilder::reserveEach(std::initializer_list<std::size_t> factors,
+                           std::size_t extra)
 {
-    wl->push(cpu, Ref::mem(a, true, think));
+    if (auto n = reserveBound(factors, extra))
+        wl->reserveEach(*n);
 }
 
 void

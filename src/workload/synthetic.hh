@@ -15,7 +15,9 @@
 #ifndef RNUMA_WORKLOAD_SYNTHETIC_HH
 #define RNUMA_WORKLOAD_SYNTHETIC_HH
 
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/params.hh"
@@ -25,6 +27,22 @@
 
 namespace rnuma
 {
+
+/**
+ * The largest per-CPU bound StreamBuilder::reserveEach acts on: 4 Mi
+ * entries, 32 MiB of Refs per CPU stream. A bound counts every entry
+ * a generator might emit, so it can be about twice what the stream
+ * holds; past this size, reserving it would claim more memory up front
+ * than growing the stream on demand touches.
+ */
+constexpr std::size_t maxReserveEntries = std::size_t{1} << 22;
+
+/**
+ * The product of @p factors plus @p extra, or nothing when the
+ * arithmetic overflows or the result exceeds maxReserveEntries.
+ */
+std::optional<std::size_t>
+reserveBound(std::initializer_list<std::size_t> factors, std::size_t extra);
 
 /** Builder for Workload streams. */
 class StreamBuilder
@@ -41,14 +59,35 @@ class StreamBuilder
     Addr allocPages(std::size_t n) { return as.allocPages(n); }
 
     //--- Stream construction -------------------------------------------------
+    // The appends are inline so each generator loop compiles down to
+    // the push itself.
+
     /** Placement-only first touch of the page holding @p a. */
-    void touch(CpuId cpu, Addr a);
+    void touch(CpuId cpu, Addr a) { wl->push(cpu, Ref::touchOf(a)); }
 
     /** First-touch every page of [base, base+bytes). */
     void touchRange(CpuId cpu, Addr base, std::size_t bytes);
 
-    void read(CpuId cpu, Addr a, std::uint32_t think = defaultThink);
-    void write(CpuId cpu, Addr a, std::uint32_t think = defaultThink);
+    void
+    read(CpuId cpu, Addr a, std::uint32_t think = defaultThink)
+    {
+        wl->push(cpu, Ref::mem(a, false, think));
+    }
+    void
+    write(CpuId cpu, Addr a, std::uint32_t think = defaultThink)
+    {
+        wl->push(cpu, Ref::mem(a, true, think));
+    }
+
+    /**
+     * Reserve every CPU stream for the product of @p factors plus
+     * @p extra more entries: a generator's exact per-CPU upper bound
+     * on what it has yet to emit, End marker included. Reserves
+     * nothing when reserveBound() rejects the bound, so a huge legal
+     * option grows its streams on demand.
+     */
+    void reserveEach(std::initializer_list<std::size_t> factors,
+                     std::size_t extra);
 
     /** Global barrier across every CPU. */
     void barrier();

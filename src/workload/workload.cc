@@ -45,16 +45,10 @@ Workload::reset()
 }
 
 void
-Workload::push(CpuId cpu, Ref r)
+Workload::reserveEach(std::size_t n)
 {
-    RNUMA_ASSERT(cpu < streams.size(), "bad cpu ", cpu);
-    RNUMA_ASSERT(!sealed_, "cannot push after seal()");
-    if (r.kind == RefKind::Mem)
-        mem_refs++;
-    if ((r.kind == RefKind::Mem || r.kind == RefKind::InitTouch) &&
-        r.addr >= addr_end)
-        addr_end = r.addr + 1;
-    streams[cpu].push_back(r);
+    for (auto &s : streams)
+        s.reserve(s.size() + n);
 }
 
 void

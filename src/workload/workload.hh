@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace rnuma
@@ -111,8 +112,28 @@ class Workload
     /** Workload name for reports. */
     const std::string &name() const { return name_; }
 
-    /** Append an entry to one CPU's stream. */
-    void push(CpuId cpu, Ref r);
+    /**
+     * Append an entry to one CPU's stream. Inline: a generator calls
+     * it once per entry, tens of millions of times per figure.
+     */
+    void
+    push(CpuId cpu, Ref r)
+    {
+        RNUMA_ASSERT(cpu < streams.size(), "bad cpu ", cpu);
+        RNUMA_ASSERT(!sealed_, "cannot push after seal()");
+        if (r.kind == RefKind::Mem)
+            mem_refs++;
+        if ((r.kind == RefKind::Mem || r.kind == RefKind::InitTouch) &&
+            r.addr >= addr_end)
+            addr_end = r.addr + 1;
+        streams[cpu].push_back(r);
+    }
+
+    /**
+     * Make room for @p n more entries in every CPU's stream, so the
+     * pushes that follow never regrow it.
+     */
+    void reserveEach(std::size_t n);
 
     /** Append a barrier to every CPU's stream. */
     void pushBarrierAll();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hh"
@@ -40,6 +41,32 @@ TEST(Rng, BelowStaysInRange)
     Rng r(7);
     for (int i = 0; i < 10000; ++i)
         EXPECT_LT(r.below(17), 17u);
+}
+
+TEST(Rng, BelowMatchesModulo)
+{
+    // A power-of-two bound masks instead of dividing; every bound
+    // must still give exactly next() % bound.
+    const std::uint64_t bounds[] = {1,
+                                    2,
+                                    3,
+                                    100,
+                                    128,
+                                    std::uint64_t{1} << 32,
+                                    std::uint64_t{1} << 63,
+                                    ~std::uint64_t{0}};
+    for (std::uint64_t b : bounds) {
+        Rng r(23);
+        Rng twin(23);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(r.below(b), twin.next() % b) << "bound " << b;
+    }
+}
+
+TEST(Rng, BelowZeroIsAnError)
+{
+    Rng r(29);
+    EXPECT_THROW(r.below(0), std::logic_error);
 }
 
 TEST(Rng, RangeIsInclusive)

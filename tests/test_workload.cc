@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -119,6 +121,18 @@ TEST(StreamBuilder, TopologyHelpers)
     EXPECT_EQ(b.nnodes(), 2u);
     EXPECT_EQ(b.nodeOf(0), 0u);
     EXPECT_EQ(b.nodeOf(3), 1u);
+}
+
+TEST(ReserveBound, OverflowingOrOverCapBoundReservesNothing)
+{
+    EXPECT_EQ(reserveBound({10, 3}, 2), std::optional<std::size_t>(32));
+    EXPECT_EQ(reserveBound({maxReserveEntries}, 0),
+              std::optional<std::size_t>(maxReserveEntries));
+    // The product overflows, the sum overflows, or the bound is one
+    // past the cap: the streams are left to grow on demand.
+    EXPECT_EQ(reserveBound({SIZE_MAX / 2, 3}, 1), std::nullopt);
+    EXPECT_EQ(reserveBound({SIZE_MAX}, 1), std::nullopt);
+    EXPECT_EQ(reserveBound({maxReserveEntries, 1}, 1), std::nullopt);
 }
 
 TEST(StreamBuilder, ScaledHelper)

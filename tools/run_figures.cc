@@ -232,9 +232,10 @@ main(int argc, char **argv)
             verify = true;
         else if (arg == "--quiet")
             quiet = true;
-        else if (!arg.empty() && arg[0] == '-')
+        else if (!arg.empty() && arg[0] == '-') {
+            std::cerr << "rnuma_sweep: unknown option '" << arg << "'\n";
             return usage(std::cerr, 2);
-        else
+        } else
             names.push_back(arg);
     }
     if (!current_path.empty() && compare_path.empty()) {
