@@ -58,8 +58,11 @@ makeBarnes(const Params &p, double scale, std::uint64_t seed)
     touch_sliced(hot, hot_pages);
     touch_sliced(cold, cold_pages);
 
+    // Hoisted: the appends store through size_t fields the compiler
+    // cannot tell from p's, so a call in the loop divides per entry.
+    const std::size_t blocks_per_page = p.blocksPerPage();
     auto rand_block = [&](Addr base_addr, std::size_t pages) {
-        std::size_t blocks = pages * p.blocksPerPage();
+        std::size_t blocks = pages * blocks_per_page;
         return base_addr + b.rng().below(blocks) * p.blockSize;
     };
 
@@ -83,7 +86,7 @@ makeBarnes(const Params &p, double scale, std::uint64_t seed)
         // Tree rebuild: each node's lead CPU rewrites ~40% of its hot
         // slice, invalidating consumers (the hot pages are read-write
         // shared, matching Table 4's 97%).
-        std::size_t hot_blocks = hot_pages * p.blocksPerPage();
+        std::size_t hot_blocks = hot_pages * blocks_per_page;
         std::size_t per_node = hot_blocks / b.nnodes();
         for (NodeId n = 0; n < b.nnodes(); ++n) {
             CpuId lead = static_cast<CpuId>(n * b.cpusPerNode());

@@ -27,12 +27,15 @@ makeCholesky(const Params &p, double scale, std::uint64_t seed)
     const std::size_t panels = scaled(96, scale);
     const std::size_t steps = panels / 3 ? panels / 3 : 1;
     const std::size_t reads_per_step = 3; // panels re-read per cpu
+    // Hoisted: the appends store through size_t fields the compiler
+    // cannot tell from p's, so a call in the loop divides per entry.
+    const std::size_t blocks_per_page = p.blocksPerPage();
     // 96 of the base machine's 128 blocks per panel page; clamped
     // because a panel is exactly one page — on small-page
     // configurations sampling 96 blocks would run off the panel
     // into its neighbors (and past the last allocation).
     const std::size_t sample_blocks =
-        p.blocksPerPage() < 96 ? p.blocksPerPage() : 96;
+        blocks_per_page < 96 ? blocks_per_page : 96;
     const std::size_t passes = 2;
     const std::size_t ncpus = b.ncpus();
 
@@ -53,7 +56,7 @@ makeCholesky(const Params &p, double scale, std::uint64_t seed)
         // invalidated).
         for (std::size_t k = 3 * s; k < 3 * s + 3 && k < panels; ++k) {
             CpuId owner = static_cast<CpuId>(k % ncpus);
-            for (std::size_t blk = 0; blk < p.blocksPerPage(); ++blk)
+            for (std::size_t blk = 0; blk < blocks_per_page; ++blk)
                 b.write(owner, panel[k] + blk * p.blockSize, 2);
         }
         b.barrier();
@@ -79,7 +82,7 @@ makeCholesky(const Params &p, double scale, std::uint64_t seed)
                 }
             }
             // Task-queue interaction (read-write shared).
-            Addr a = queue + (s + c) % p.blocksPerPage() * p.blockSize;
+            Addr a = queue + (s + c) % blocks_per_page * p.blockSize;
             b.read(c, a, 2);
             b.write(c, a, 2);
         }

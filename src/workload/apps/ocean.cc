@@ -41,6 +41,9 @@ makeOcean(const Params &p, double scale, std::uint64_t seed)
         ? rows / b.nnodes() : 1;
     const std::size_t rows_per_cpu = rows / ncpus ? rows / ncpus : 1;
     const std::size_t row_blocks = row_bytes / p.blockSize;
+    // Hoisted: the appends store through size_t fields the compiler
+    // cannot tell from p's, so a call in the loop divides per entry.
+    const std::size_t blocks_per_page = p.blocksPerPage();
 
     // Grids partitioned in horizontal bands, one band per node.
     std::vector<Addr> grid_base(arrays);
@@ -114,8 +117,7 @@ makeOcean(const Params &p, double scale, std::uint64_t seed)
             for (CpuId c = 0; c < ncpus; ++c) {
                 for (std::size_t k = 0; k < coarse_reads; ++k) {
                     std::size_t blk = static_cast<std::size_t>(
-                        b.rng().below(coarse_pages *
-                                      p.blocksPerPage()));
+                        b.rng().below(coarse_pages * blocks_per_page));
                     b.read(c, coarse + blk * p.blockSize, 2);
                 }
                 // Update owned coarse blocks (local writes).
@@ -124,7 +126,7 @@ makeOcean(const Params &p, double scale, std::uint64_t seed)
                     std::size_t pg = n + b.nnodes() *
                         b.rng().below(coarse_pages / b.nnodes());
                     Addr a = coarse + pg * p.pageSize +
-                        b.rng().below(p.blocksPerPage()) *
+                        b.rng().below(blocks_per_page) *
                             p.blockSize;
                     b.write(c, a, 2);
                 }

@@ -37,6 +37,10 @@ makeRadix(const Params &p, double scale, std::uint64_t seed)
     // the clamp the stride arithmetic divides by zero.
     const std::size_t keys_per_block = p.blockSize > key_bytes
         ? p.blockSize / key_bytes : 1;
+    // Hoisted: the appends store through size_t fields the compiler
+    // cannot tell from p's, so a call in the loop divides per entry.
+    const std::size_t blocks_per_page = p.blocksPerPage();
+    const std::size_t keys_per_page = p.pageSize / key_bytes;
 
     // Per-digit, per-node destination sub-runs: digit-major layout,
     // each (digit, node) run holds keys/digits/nodes keys. A block of
@@ -102,7 +106,7 @@ makeRadix(const Params &p, double scale, std::uint64_t seed)
                 keys_per_block;
             std::size_t consumed = 0;
             for (std::size_t k = 0; k < blocks_to_read; ++k) {
-                if (consumed == p.blocksPerPage()) {
+                if (consumed == blocks_per_page) {
                     pg += b.nnodes() * b.cpusPerNode();
                     if (pg >= array_pages)
                         pg = n % array_pages;
@@ -113,7 +117,7 @@ makeRadix(const Params &p, double scale, std::uint64_t seed)
                 consumed++;
             }
             for (std::size_t h = 0; h < 32; ++h) {
-                Addr a = hist + ((c + h) % p.blocksPerPage()) *
+                Addr a = hist + ((c + h) % blocks_per_page) *
                     p.blockSize;
                 b.read(c, a, 2);
                 b.write(c, a, 2);
@@ -142,7 +146,7 @@ makeRadix(const Params &p, double scale, std::uint64_t seed)
                 if (k % keys_per_block == 0) {
                     // Advance through the node's own pages.
                     std::size_t key_in_page =
-                        (k % (p.pageSize / key_bytes));
+                        (k % keys_per_page);
                     if (k > 0 && key_in_page == 0) {
                         local_pg += stride;
                         if (local_pg >= array_pages)

@@ -56,8 +56,11 @@ makeRaytrace(const Params &p, double scale, std::uint64_t seed)
         b.touchRange(c, fb[c], 2 * p.pageSize);
     }
 
+    // Hoisted: the appends store through size_t fields the compiler
+    // cannot tell from p's, so a call in the loop divides per entry.
+    const std::size_t blocks_per_page = p.blocksPerPage();
     auto rand_block = [&](Addr base_addr, std::size_t pages) {
-        std::size_t blocks = pages * p.blocksPerPage();
+        std::size_t blocks = pages * blocks_per_page;
         return base_addr + b.rng().below(blocks) * p.blockSize;
     };
 
@@ -70,12 +73,12 @@ makeRaytrace(const Params &p, double scale, std::uint64_t seed)
                 for (std::size_t k = 0; k < cold_reads; ++k)
                     b.read(c, rand_block(cold, cold_pages), 2);
                 // Write the pixel to the private framebuffer strip.
-                b.write(c, fb[c] + (r % (2 * p.blocksPerPage())) *
+                b.write(c, fb[c] + (r % (2 * blocks_per_page)) *
                                    p.blockSize, 2);
                 // Occasionally grab work from the shared queue.
                 if (r % 64 == 0) {
                     Addr a = queue +
-                        (r / 64 % p.blocksPerPage()) * p.blockSize;
+                        (r / 64 % blocks_per_page) * p.blockSize;
                     b.read(c, a, 2);
                     b.write(c, a, 2);
                 }

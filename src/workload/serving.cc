@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/logging.hh"
@@ -39,8 +41,18 @@ class ZipfSampler
 
     /**
      * The rank std::lower_bound would find for the draw, clamped to
-     * the last rank, by a branch-free search: the halving step is a
-     * conditional move, not a mispredicted jump.
+     * the last rank, by a branch-free search (Khuong and Morin,
+     * "Array Layouts for Comparison-Based Searching", JEA 2017): the
+     * loop's only jump is its own exit, which depends on n alone.
+     *
+     * The halving step must stay arithmetic in the object code. A
+     * conditional expression compiles to a jump under GCC 12, which
+     * the uniform draw mispredicts half the time; a comparison masked
+     * into the step (`half & -size_t(x < u)`) is branch-free under
+     * GCC, but LLVM turns it back into a select and then into a jump.
+     * So the step takes its mask from the sign bit of x - u, which
+     * for finite doubles is set exactly when x < u: gradual
+     * underflow keeps a nonzero difference nonzero, and x - x is +0.
      */
     std::size_t
     draw(Rng &rng) const
@@ -50,7 +62,10 @@ class ZipfSampler
         std::size_t n = cum_.size();
         while (n > 1) {
             std::size_t half = n / 2;
-            base = base[half - 1] < u ? base + half : base;
+            double diff = base[half - 1] - u;
+            std::uint64_t bits;
+            std::memcpy(&bits, &diff, sizeof bits);
+            base += half & -(bits >> 63);
             n -= half;
         }
         std::size_t rank = static_cast<std::size_t>(base - cum_.data()) +
@@ -74,6 +89,14 @@ homeRoundRobin(StreamBuilder &b, Addr base, std::size_t pages)
     }
 }
 
+/** The most placement touches homeRoundRobin appends to one CPU's
+ * stream for a pool of @p pages pages. */
+std::size_t
+homeTouchesPerCpu(const StreamBuilder &b, std::size_t pages)
+{
+    return (pages + b.nnodes() - 1) / b.nnodes();
+}
+
 } // namespace
 
 std::unique_ptr<Workload>
@@ -91,6 +114,10 @@ makeZipfServe(const Params &p, double scale, std::uint64_t seed,
     o.finish("zipf-serve");
 
     StreamBuilder b("zipf-serve", p, seed);
+    // Per CPU: the placement touches, a session touch and a barrier,
+    // then per request a read, at most one update and a session
+    // write, then the End marker.
+    b.reserveEach({requests, 3}, homeTouchesPerCpu(b, pages) + 3);
     Addr pool = b.allocPages(pages);
     homeRoundRobin(b, pool, pages);
     // Per-CPU session state: private, node-local request scratch.
@@ -101,8 +128,6 @@ makeZipfServe(const Params &p, double scale, std::uint64_t seed,
     }
     b.barrier();
 
-    // Per request: a read, at most one update and a session write.
-    b.reserveEach({requests, 3}, 1);
     ZipfSampler zipf(pages, theta);
     // Hoisted: the appends store through size_t fields the compiler
     // cannot tell from p's, so a call in the loop divides per entry.
@@ -136,16 +161,19 @@ makePhaseShift(const Params &p, double scale, std::uint64_t seed,
                                    maxStreamCount);
     o.finish("phase-shift");
 
+    std::size_t window = std::min(pages, p.pageCacheFrames());
+    std::size_t step = std::max<std::size_t>(1, pages / phases);
+
     StreamBuilder b("phase-shift", p, seed);
+    // Per CPU: the placement touches and a barrier, then per window
+    // page a read and at most one update, a barrier per phase, and
+    // the End marker.
+    b.reserveEach({phases, sweeps, window, 2},
+                  homeTouchesPerCpu(b, pages) + phases + 2);
     Addr pool = b.allocPages(pages);
     homeRoundRobin(b, pool, pages);
     b.barrier();
 
-    std::size_t window = std::min(pages, p.pageCacheFrames());
-    std::size_t step = std::max<std::size_t>(1, pages / phases);
-    // Per window page: a read and at most one update; one barrier
-    // per phase.
-    b.reserveEach({phases, sweeps, window, 2}, phases + 1);
     const std::size_t blocks = p.blocksPerPage();
     for (std::size_t ph = 0; ph < phases; ++ph) {
         std::size_t start = ph * step;

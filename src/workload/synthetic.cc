@@ -17,6 +17,8 @@ StreamBuilder::StreamBuilder(std::string name, const Params &params,
 void
 StreamBuilder::touchRange(CpuId cpu, Addr base, std::size_t bytes)
 {
+    if (bytes == 0)
+        return;
     Addr first = base / p.pageSize;
     Addr last = (base + bytes - 1) / p.pageSize;
     for (Addr pg = first; pg <= last; ++pg)

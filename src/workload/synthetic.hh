@@ -65,7 +65,8 @@ class StreamBuilder
     /** Placement-only first touch of the page holding @p a. */
     void touch(CpuId cpu, Addr a) { wl->push(cpu, Ref::touchOf(a)); }
 
-    /** First-touch every page of [base, base+bytes). */
+    /** First-touch every page of [base, base+bytes); an empty range
+     * touches nothing. */
     void touchRange(CpuId cpu, Addr base, std::size_t bytes);
 
     void

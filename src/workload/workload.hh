@@ -33,11 +33,15 @@ enum class RefKind : std::uint8_t
  * One stream entry, packed into one 64-bit word: a workload holds
  * tens of millions of them, so the host bytes per entry set both the
  * generation time and the sweep's resident memory. Bits 0-1 hold the
- * kind, bit 2 the write flag, bits 3-18 the think time and bits
- * 19-62 the address. Build one through the factories: they reject a
- * think time above maxThink or an address at or past addrEnd with a
- * named fatal error, where assigning a field would silently truncate
- * (the fields stay public for reading only). A default Ref is End.
+ * kind, bit 2 the write flag, bits 3-18 the think time, bits 19-62
+ * the address and bit 63 a declared field that is always 0. Declared,
+ * it makes a Ref a pure value: building one writes the whole word,
+ * where an undeclared bit would keep whatever the word held before,
+ * and every append would read that back. Build one through the
+ * factories: they reject a think time above maxThink or an address
+ * at or past addrEnd with a named fatal error, where assigning a
+ * field would silently truncate (the fields stay public for reading
+ * only). A default Ref is End.
  */
 struct Ref
 {
@@ -52,6 +56,7 @@ struct Ref
     bool write : 1;
     std::uint64_t think : thinkBits; ///< compute cycles before the access
     Addr addr : addrBits;            ///< global address (Mem / InitTouch)
+    std::uint64_t zero : 1;          ///< always 0
 
     constexpr Ref() : Ref(RefKind::End, false, 0, 0) {}
 
@@ -74,7 +79,7 @@ struct Ref
 
   private:
     constexpr Ref(RefKind k, bool w, std::uint64_t th, Addr a)
-        : kind(k), write(w), think(th), addr(a)
+        : kind(k), write(w), think(th), addr(a), zero(0)
     {
     }
 

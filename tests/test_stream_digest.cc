@@ -96,15 +96,40 @@ const std::map<std::string, std::uint64_t> expectedDigests = {
     {"database-scan", 0x90310e90da243926ULL},
     {"zipf-serve:theta=0", 0x1ff176ffd134260dULL},
     {"zipf-serve:theta=1.2", 0xbddd397a9119be80ULL},
+    // Recorded before the Zipf search became arithmetic and the
+    // serving generators reserved ahead of their placement touches.
+    {"zipf-serve:pages=48,theta=0.6,write=0.3,requests=60@mesh64",
+     0x1d81deff31fdd03fULL},
+    {"zipf-serve:pages=48,theta=0.6,write=0.3,requests=60@mesh128",
+     0x3df20499e002c42fULL},
+    {"phase-shift:pages=240,phases=3,sweeps=12", 0xe62fee55efc40b1cULL},
+    {"phase-shift:pages=240,phases=12,sweeps=12", 0x1f9bdebcbb911574ULL},
+    {"zipf-serve:pages=1", 0x70549d60e6510b7fULL},
 };
 
-/** Compare one workload's digest; a mismatch prints the table line
- * that records the new value. */
+/** The mesh-2d machine of @p nodes nodes perfbench's mesh-sharing
+ * workload generates zipf-serve on. */
+Params
+meshParams(std::size_t nodes)
+{
+    Params p = Params::base();
+    p.numNodes = nodes;
+    p.networkModel = "mesh-2d";
+    return p;
+}
+
+/** Compare the digest of one workload built on @p p, keyed as in
+ * expectedDigests plus "@<tag>" for a machine other than
+ * Params::base(); a mismatch prints the table line that records the
+ * new value. */
 void
-checkDigest(const std::string &id, const std::string &options)
+checkDigest(const std::string &id, const std::string &options,
+            const Params &p = Params::base(), const std::string &tag = "")
 {
     std::string key = options.empty() ? id : id + ":" + options;
-    auto wl = makeWorkload(id, Params::base(), digestScale, 1, options);
+    if (!tag.empty())
+        key += "@" + tag;
+    auto wl = makeWorkload(id, p, digestScale, 1, options);
     std::uint64_t got = streamDigest(*wl);
     std::ostringstream line;
     line << "{\"" << key << "\", 0x" << std::hex << std::setw(16)
@@ -130,7 +155,7 @@ TEST(StreamDigest, EveryRegisteredGeneratorIsUnchanged)
     // A registered id without a recorded digest fails above; a
     // recorded id that is no longer registered fails here.
     for (const auto &kv : expectedDigests) {
-        std::string id = kv.first.substr(0, kv.first.find(':'));
+        std::string id = kv.first.substr(0, kv.first.find_first_of(":@"));
         EXPECT_TRUE(seen.count(id))
             << "digest recorded for unregistered workload '" << id
             << "'";
@@ -141,6 +166,28 @@ TEST(StreamDigest, ZipfServeSkewExtremesAreUnchanged)
 {
     checkDigest("zipf-serve", "theta=0");
     checkDigest("zipf-serve", "theta=1.2");
+}
+
+// perfbench's mesh-sharing streams: 256 and 512 CPUs, so the Zipf
+// search and the stream reservations run at their widest.
+TEST(StreamDigest, MeshSharingZipfServeIsUnchanged)
+{
+    const std::string options = "pages=48,theta=0.6,write=0.3,requests=60";
+    checkDigest("zipf-serve", options, meshParams(64), "mesh64");
+    checkDigest("zipf-serve", options, meshParams(128), "mesh128");
+}
+
+// perfbench's relocation-churn streams.
+TEST(StreamDigest, RelocationChurnPhaseShiftIsUnchanged)
+{
+    checkDigest("phase-shift", "pages=240,phases=3,sweeps=12");
+    checkDigest("phase-shift", "pages=240,phases=12,sweeps=12");
+}
+
+// A one-page pool: every draw is rank 0 without a search step.
+TEST(StreamDigest, ZipfServeSinglePageIsUnchanged)
+{
+    checkDigest("zipf-serve", "pages=1");
 }
 
 } // namespace rnuma

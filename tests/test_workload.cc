@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -113,6 +114,22 @@ TEST(StreamBuilder, TouchRangeCoversEveryPage)
     EXPECT_EQ(wl->at(0, 2).addr, base + 2 * p.pageSize);
 }
 
+TEST(StreamBuilder, TouchRangeOfNoBytesTouchesNothing)
+{
+    Params p = test::smallParams();
+    StreamBuilder b("t", p, 1);
+    Addr base = b.allocPages(2);
+    ASSERT_EQ(base, 0u);
+    // At address 0, base + bytes - 1 would wrap to the top of the
+    // address space; at an unaligned base, it would name the page
+    // before the range.
+    b.touchRange(0, base, 0);
+    b.touchRange(1, base + p.pageSize + 100, 0);
+    auto wl = b.finish();
+    EXPECT_EQ(wl->size(0), 1u); // the End marker alone
+    EXPECT_EQ(wl->size(1), 1u);
+}
+
 TEST(StreamBuilder, TopologyHelpers)
 {
     Params p = test::smallParams();
@@ -188,6 +205,11 @@ TEST(Ref, PacksIntoOneWordAndRoundTripsAtTheFieldLimits)
     EXPECT_TRUE(m.write);
     EXPECT_EQ(m.think, 65535u);
     EXPECT_EQ(m.addr, (Addr{1} << 44) - 1);
+    // Bit 63 is the declared zero field.
+    std::uint64_t word;
+    std::memcpy(&word, &m, sizeof word);
+    EXPECT_EQ(word >> 63, 0u);
+    EXPECT_EQ(m.zero, 0u);
     const Ref r = Ref::mem(0, false, 0);
     EXPECT_EQ(r.kind, RefKind::Mem);
     EXPECT_FALSE(r.write);
