@@ -24,8 +24,8 @@ main(int argc, char **argv)
     using namespace rnuma;
     std::optional<std::size_t> pages =
         driver::parseCount(argc > 1 ? argv[1] : "24");
-    if (!pages) {
-        std::cerr << "usage: adversary [pages >= 0]\n";
+    if (!pages || *pages == 0) {
+        std::cerr << "usage: adversary [pages >= 1]\n";
         return 2;
     }
 

@@ -54,9 +54,7 @@ main(int argc, char **argv)
     // One sweep row: the infinite-block-cache baseline plus every
     // registered protocol. The cells share one generated workload and
     // run concurrently with bit-identical results.
-    std::vector<std::string> ids;
-    for (const ProtocolSpec *spec : ProtocolRegistry::global().all())
-        ids.push_back(spec->id);
+    std::vector<std::string> ids = protocolIds();
     Sweep sweep("quickstart");
     sweep.addComparison(app, p, {app, p, *scale}, ids);
     SweepResult r = SweepRunner(*jobs).run(sweep);

@@ -125,7 +125,7 @@ Params::validate() const
     RNUMA_ASSERT(relocationThreshold >= 1,
                  "relocation threshold must be positive");
     // Geometry the chosen topology cannot embed is a configuration
-    // error, not a runtime surprise. The ids are checked by name so
+    // error, not a runtime surprise. The id is checked by name so
     // the common layer stays independent of net/registry; unknown ids
     // are rejected later by makeNetwork().
     if (networkModel == "mesh-2d") {
@@ -133,13 +133,6 @@ Params::validate() const
                      "mesh-2d cannot embed ", numNodes,
                      " nodes in a rectangular (<= 2:1) mesh");
         RNUMA_ASSERT(hopLatency >= 1, "mesh hopLatency must be >= 1");
-    }
-    if (networkModel == "fat-tree") {
-        RNUMA_ASSERT(isPow2(numNodes),
-                     "fat-tree needs a power-of-two node count, got ",
-                     numNodes);
-        RNUMA_ASSERT(hopLatency >= 1,
-                     "fat-tree hopLatency must be >= 1");
     }
     RNUMA_ASSERT(dirPointers >= 1,
                  "limited-pointer directory needs >= 1 pointer");

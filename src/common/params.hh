@@ -68,12 +68,11 @@ struct Params
     //--- Interconnect model (net/registry.hh) ----------------------------
     /**
      * Registered network model id: "constant" (the paper's fixed
-     * point-to-point latency, the default), "mesh-2d"
-     * (dimension-ordered routing with per-hop link contention), or
-     * "fat-tree" (log-distance hop latency, contention-free links).
+     * point-to-point latency, the default) or "mesh-2d"
+     * (dimension-ordered routing with per-hop link contention).
      */
     std::string networkModel = "constant";
-    /** Per-hop wire latency for topology models (mesh-2d, fat-tree). */
+    /** Per-hop wire latency of the mesh-2d model. */
     Tick hopLatency = 25;
     /** Per-message occupancy of one mesh link (contention unit). */
     Tick linkOccupancy = 4;

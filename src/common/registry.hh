@@ -11,9 +11,10 @@
  * built-ins, and its factories.
  *
  * A Spec provides:
- *  - `std::string id`: the stable JSON/compare/CLI currency,
- *    lowercase, no whitespace;
- *  - `std::string displayName`: the name tables and logs print;
+ *  - `std::string id`: the one name a spec is looked up by, and the
+ *    stable JSON/compare currency: lowercase, no whitespace;
+ *  - `std::string displayName`: the name tables and logs print
+ *    (never looked up, so it need not be unique);
  *  - `bool valid() const`: an id and a factory are present;
  *  - `static constexpr const char *kind`: the noun diagnostics use
  *    ("protocol"), whose plural names the CLI listing flag
@@ -39,9 +40,7 @@ namespace rnuma
 {
 
 /**
- * The process-wide name -> Spec table. Lookup matches a spec's id or
- * display name, case-insensitively, so enum-era spellings such as
- * "CC-NUMA" keep resolving: they are the built-in display names.
+ * The process-wide id -> Spec table. Lookup is an exact id match.
  *
  * Thread-safe: registration takes an exclusive lock and lookups a
  * shared one, so sweep workers may register and resolve specs
@@ -61,8 +60,8 @@ class Registry
 
     /**
      * Register a spec. Panics on an invalid spec or an id that is
-     * not lowercase without whitespace; fatal when its id or display
-     * name already names a registered spec.
+     * not lowercase without whitespace; fatal when its id already
+     * names a registered spec.
      * @return the registered (stably stored) spec.
      */
     const Spec &add(Spec spec)
@@ -76,31 +75,26 @@ class Registry
                          "' is not lowercase without whitespace");
         }
         std::unique_lock<std::shared_mutex> lock(mutex_);
-        const Spec *clash = findLocked(spec.id);
-        if (!clash && !spec.displayName.empty())
-            clash = findLocked(spec.displayName);
-        if (clash) {
-            RNUMA_FATAL(Spec::kind, " '", spec.id, "' (\"",
-                        spec.displayName, "\") clashes with the "
-                        "registered '", clash->id, "'");
-        }
+        if (findLocked(spec.id))
+            RNUMA_FATAL(Spec::kind, " '", spec.id,
+                        "' is already registered");
         specs_.push_back(std::make_unique<Spec>(std::move(spec)));
         return *specs_.back();
     }
 
-    /** Look up by id or display name; nullptr when unknown. */
-    const Spec *find(const std::string &name) const
+    /** Look up by id; nullptr when unknown. */
+    const Spec *find(const std::string &id) const
     {
         std::shared_lock<std::shared_mutex> lock(mutex_);
-        return findLocked(name);
+        return findLocked(id);
     }
 
     /** Look up; fatal (std::runtime_error under tests) when unknown. */
-    const Spec &at(const std::string &name) const
+    const Spec &at(const std::string &id) const
     {
-        const Spec *s = find(name);
+        const Spec *s = find(id);
         if (!s) {
-            RNUMA_FATAL("unknown ", Spec::kind, " '", name,
+            RNUMA_FATAL("unknown ", Spec::kind, " '", id,
                         "' (see rnuma_sweep --list-", Spec::kind,
                         "s)");
         }
@@ -127,26 +121,11 @@ class Registry
   private:
     Registry() { addBuiltins(*this); }
 
-    /** ASCII case-insensitive equality: the registry's name match. */
-    static bool sameName(const std::string &a, const std::string &b)
-    {
-        if (a.size() != b.size())
-            return false;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            if (std::tolower(static_cast<unsigned char>(a[i])) !=
-                std::tolower(static_cast<unsigned char>(b[i])))
-                return false;
-        }
-        return true;
-    }
-
     /** find() without taking the lock (callers hold it). */
-    const Spec *findLocked(const std::string &name) const
+    const Spec *findLocked(const std::string &id) const
     {
         for (const auto &s : specs_) {
-            if (sameName(s->id, name) ||
-                (!s->displayName.empty() &&
-                 sameName(s->displayName, name)))
+            if (s->id == id)
                 return s.get();
         }
         return nullptr;

@@ -1,6 +1,5 @@
 #include "driver/figures.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 
@@ -24,34 +23,6 @@ namespace
 /** The three systems the paper compares, as spec ids. */
 const std::vector<std::string> paperSystems = {"ccnuma", "scoma",
                                                "rnuma"};
-
-/**
- * A figure's selection from the @p Spec registry: @p names (a
- * repeatable CLI flag), else @p defaults, else every registered
- * spec. Names canonicalize to spec ids and dedupe, so repeated or
- * alias spellings (--protocol rnuma --protocol R-NUMA) run once
- * instead of tripping the duplicate-cell check. Fatal on an unknown
- * name.
- */
-template <class Spec>
-std::vector<std::string>
-selectedIds(std::vector<std::string> names,
-            const std::vector<std::string> &defaults = {})
-{
-    if (names.empty())
-        names = defaults;
-    if (names.empty()) {
-        for (const Spec *spec : Registry<Spec>::global().all())
-            names.push_back(spec->id);
-    }
-    std::vector<std::string> ids;
-    for (const std::string &name : names) {
-        const std::string &id = Registry<Spec>::global().at(name).id;
-        if (std::find(ids.begin(), ids.end(), id) == ids.end())
-            ids.push_back(id);
-    }
-    return ids;
-}
 
 /** A cell's protocol as a table label: display name, else id. */
 const std::string &
@@ -105,12 +76,12 @@ reportMismatches(const std::vector<std::string> &failed,
 //--------------------------------------------------------------------------
 
 Sweep
-buildFig5(const FigureOptions &opt)
+buildFig5(double scale)
 {
     Sweep s("fig5");
     Params p = Params::base();
     for (const std::string &app : workloadIds("app"))
-        s.addApp(app, "ccnuma", p, "ccnuma", opt.scale);
+        s.addApp(app, "ccnuma", p, "ccnuma", scale);
     return s;
 }
 
@@ -160,12 +131,12 @@ renderFig5(const FigureRun &run, std::ostream &os)
 //--------------------------------------------------------------------------
 
 Sweep
-buildFig6(const FigureOptions &opt)
+buildFig6(double scale)
 {
     Sweep s("fig6");
     Params p = Params::base();
     for (const std::string &app : workloadIds("app")) {
-        s.addComparison(app, p, {app, p, opt.scale}, paperSystems);
+        s.addComparison(app, p, {app, p, scale}, paperSystems);
     }
     return s;
 }
@@ -206,7 +177,7 @@ renderFig6(const FigureRun &run, std::ostream &os)
 //--------------------------------------------------------------------------
 
 Sweep
-buildFig7(const FigureOptions &opt)
+buildFig7(double scale)
 {
     Sweep s("fig7");
     Params base = Params::base();
@@ -226,7 +197,7 @@ buildFig7(const FigureOptions &opt)
         // must measure the identical trace generated from the base
         // machine (as the original harness did). The shared input
         // makes the runner generate that trace exactly once.
-        WorkloadInput wl(app, base, opt.scale);
+        WorkloadInput wl(app, base, scale);
         s.add({app, "baseline", cc, inf, wl});
         s.add({app, "cc-b1k", cc, cc1k, wl});
         s.add({app, "cc-b32k", cc, base, wl});
@@ -272,12 +243,12 @@ renderFig7(const FigureRun &run, std::ostream &os)
 constexpr std::size_t fig8Thresholds[] = {16, 64, 256, 1024};
 
 Sweep
-buildFig8(const FigureOptions &opt)
+buildFig8(double scale)
 {
     Sweep s("fig8");
     Params base = Params::base();
     for (const std::string &app : workloadIds("app")) {
-        WorkloadInput wl(app, base, opt.scale);
+        WorkloadInput wl(app, base, scale);
         for (std::size_t T : fig8Thresholds) {
             s.add({app, "t" + std::to_string(T),
                    staticThresholdSpec(T), base, wl});
@@ -312,7 +283,7 @@ renderFig8(const FigureRun &run, std::ostream &os)
 //--------------------------------------------------------------------------
 
 Sweep
-buildFig9(const FigureOptions &opt)
+buildFig9(double scale)
 {
     Sweep s("fig9");
     Params base = Params::base();
@@ -323,7 +294,7 @@ buildFig9(const FigureOptions &opt)
     const ProtocolSpec &sc = protocolSpec("scoma");
     const ProtocolSpec &rn = protocolSpec("rnuma");
     for (const std::string &app : workloadIds("app")) {
-        WorkloadInput wl(app, base, opt.scale);
+        WorkloadInput wl(app, base, scale);
         s.add({app, "baseline", cc, inf, wl});
         s.add({app, "scoma", sc, base, wl});
         s.add({app, "scoma-soft", sc, soft, wl});
@@ -376,7 +347,7 @@ class NullSink : public CoherenceSink
 };
 
 Sweep
-buildTable2(const FigureOptions &)
+buildTable2(double)
 {
     return Sweep("table2");
 }
@@ -440,13 +411,13 @@ renderTable2(const FigureRun &, std::ostream &os)
 //--------------------------------------------------------------------------
 
 Sweep
-buildTable4(const FigureOptions &opt)
+buildTable4(double scale)
 {
     Sweep s("table4");
     Params p = Params::base();
     for (const std::string &app : workloadIds("app")) {
         for (const std::string &id : paperSystems)
-            s.addApp(app, id, p, id, opt.scale);
+            s.addApp(app, id, p, id, scale);
     }
     return s;
 }
@@ -489,7 +460,7 @@ renderTable4(const FigureRun &run, std::ostream &os)
 //--------------------------------------------------------------------------
 
 Sweep
-buildEq3(const FigureOptions &)
+buildEq3(double)
 {
     Sweep s("eq3");
     // The adversary stream is threshold-16 on a reduced problem (the
@@ -554,16 +525,16 @@ renderEq3(const FigureRun &run, std::ostream &os)
 //--------------------------------------------------------------------------
 
 Sweep
-buildAblation(const FigureOptions &opt)
+buildAblation(double scale)
 {
     Sweep s("ablation");
     Params full = Params::base();
     Params ablated = full;
     ablated.priorOwnerState = false;
     for (const std::string &app : workloadIds("app")) {
-        s.addComparison(app, full, {app, full, opt.scale}, {});
-        s.addApp(app, "full", full, "rnuma", opt.scale);
-        s.addApp(app, "ablated", ablated, "rnuma", opt.scale);
+        s.addComparison(app, full, {app, full, scale}, {});
+        s.addApp(app, "full", full, "rnuma", scale);
+        s.addApp(app, "ablated", ablated, "rnuma", scale);
     }
     return s;
 }
@@ -605,12 +576,12 @@ const char *const microPatterns[] = {"private-loop", "hot-reuse",
                                      "producer-consumer", "rw-sharing"};
 
 Sweep
-buildMicro(const FigureOptions &opt)
+buildMicro(double scale)
 {
     Sweep s("micro");
     Params p = Params::base();
     for (const char *pat : microPatterns)
-        s.addComparison(pat, p, {pat, p, opt.scale}, paperSystems);
+        s.addComparison(pat, p, {pat, p, scale}, paperSystems);
     return s;
 }
 
@@ -636,32 +607,29 @@ renderMicro(const FigureRun &run, std::ostream &os)
 
 //--------------------------------------------------------------------------
 // Policies: the registry-driven relocation-policy sweep (not a paper
-// figure). Every selected protocol — by default every registered one
-// — runs two microworkloads: the canonical in-cache reuse pattern
-// (the pattern the relocation decision exists for) and an
-// eviction-heavy pattern whose reuse set exceeds the page-cache
-// frame budget, so relocated pages keep falling out and
-// re-qualifying — the regime where the policies actually separate
-// (at small scales the caches absorb hot-reuse and every policy
-// ties). Both normalize to the infinite baseline. This is the
-// harness that makes a new ProtocolSpec registration measurable
-// with zero further wiring, and the CLI's --protocol flag narrows
-// the selection by name.
+// figure). Every registered protocol runs two microworkloads: the
+// canonical in-cache reuse pattern (the pattern the relocation
+// decision exists for) and an eviction-heavy pattern whose reuse set
+// exceeds the page-cache frame budget, so relocated pages keep
+// falling out and re-qualifying — the regime where the policies
+// actually separate (at small scales the caches absorb hot-reuse and
+// every policy ties). Both normalize to the infinite baseline. This
+// is the harness that makes a new ProtocolSpec registration
+// measurable with zero further wiring.
 //--------------------------------------------------------------------------
 
 Sweep
-buildPolicies(const FigureOptions &opt)
+buildPolicies(double scale)
 {
     Sweep s("policies");
     Params p = Params::base();
-    std::vector<std::string> ids =
-        selectedIds<ProtocolSpec>(opt.protocols);
+    std::vector<std::string> ids = protocolIds();
     // evict-storm's default page count derives from the frame
     // budget, not from the scale alone: the reuse set must overflow
     // the page cache at every scale (the small-scale tie was exactly
     // this cell degenerating into in-cache reuse).
     for (const char *pat : {"hot-reuse", "evict-storm"})
-        s.addComparison(pat, p, {pat, p, opt.scale}, ids);
+        s.addComparison(pat, p, {pat, p, scale}, ids);
     return s;
 }
 
@@ -716,22 +684,18 @@ renderPolicies(const FigureRun &run, std::ostream &os)
 // set owned by its antipodal partner, so interconnect distance and
 // directory population both grow with the node count — the regime
 // where the paper's fixed-latency network and full-map directory
-// stop being realistic. Cells pair each selected network model
-// (default {constant, mesh-2d}; the CLI's repeatable --network flag
-// overrides) with the full-map and limited-pointer-4 sharer-set
-// formats under R-NUMA. The shift pattern has exactly one remote
-// reader per page, so limited-pointer never overflows and the
+// stop being realistic. Cells pair the constant and mesh-2d network
+// models with the full-map and limited-pointer-4 sharer-set formats
+// under R-NUMA. The shift pattern has exactly one remote reader per
+// page, so limited-pointer never overflows and the
 // directory-format axis is purely a storage-cost axis: per-cell
 // ticks must match across formats at every node count.
 //--------------------------------------------------------------------------
 
 Sweep
-buildScaling(const FigureOptions &opt)
+buildScaling(double scale)
 {
     Sweep s("scaling");
-    double scale = opt.scale;
-    std::vector<std::string> nets = selectedIds<NetworkSpec>(
-        opt.networks, {"constant", "mesh-2d"});
     const SharerFormat formats[] = {SharerFormat::FullMap,
                                     SharerFormat::LimitedPointer};
     for (std::size_t nodes : {8, 16, 32, 64, 128}) {
@@ -741,7 +705,7 @@ buildScaling(const FigureOptions &opt)
         // generation (and one cache entry) per node count, shared
         // by every network x directory cell at that size.
         WorkloadInput wl("scaling-shift", gen, scale);
-        for (const std::string &net : nets) {
+        for (const char *net : {"constant", "mesh-2d"}) {
             for (SharerFormat fmt : formats) {
                 Params p = gen;
                 p.networkModel = net;
@@ -854,11 +818,10 @@ renderScaling(const FigureRun &run, std::ostream &os)
 const char *const servingThetas[] = {"0.2", "0.6", "0.95"};
 
 Sweep
-buildServing(const FigureOptions &opt)
+buildServing(double scale)
 {
     Sweep s("serving");
-    std::vector<std::string> ids =
-        selectedIds<ProtocolSpec>(opt.protocols);
+    std::vector<std::string> ids = protocolIds();
 
     struct MachineAxis
     {
@@ -876,7 +839,7 @@ buildServing(const FigureOptions &opt)
             std::string row = std::string("zipf-") + theta +
                               m.suffix;
             s.addComparison(row, m.gen,
-                            {"zipf-serve", m.gen, opt.scale, 1,
+                            {"zipf-serve", m.gen, scale, 1,
                              std::string("theta=") + theta},
                             ids);
         }
@@ -941,7 +904,7 @@ renderServing(const FigureRun &run, std::ostream &os)
 //--------------------------------------------------------------------------
 
 Sweep
-buildStormCliff(const FigureOptions &opt)
+buildStormCliff(double scale)
 {
     Sweep s("storm-cliff");
     Params base = Params::base();
@@ -953,7 +916,7 @@ buildStormCliff(const FigureOptions &opt)
     // One input for every column, generated from the base machine
     // (fmm reads the block-cache geometry; the fig7 convention), so
     // each cell measures the identical trace.
-    WorkloadInput wl("fmm", base, opt.scale);
+    WorkloadInput wl("fmm", base, scale);
     s.add({"fmm", "baseline", protocolSpec("ccnuma"), inf, wl});
     s.add({"fmm", "rnuma", protocolSpec("rnuma"), base, wl});
     s.add({"fmm", "rnuma-f4", protocolSpec("rnuma"), f4, wl});
@@ -1079,17 +1042,17 @@ findFigure(const std::string &name)
 }
 
 FigureRun
-runFigure(const FigureSpec &spec, const FigureOptions &opt,
-          SweepRunner &runner, bool verify)
+runFigure(const FigureSpec &spec, double scale, SweepRunner &runner,
+          bool verify)
 {
     FigureRun run;
     run.name = spec.name;
     run.title = spec.title;
     run.paperRef = spec.paperRef;
-    run.scale = opt.scale;
+    run.scale = scale;
 
     run.jobs = runner.jobs();
-    Sweep sweep = spec.build(opt);
+    Sweep sweep = spec.build(scale);
     auto t0 = std::chrono::steady_clock::now();
     run.result = runner.run(sweep);
     auto t1 = std::chrono::steady_clock::now();

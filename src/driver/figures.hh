@@ -23,39 +23,6 @@
 namespace rnuma::driver
 {
 
-/**
- * Inputs a figure's sweep is built from; converts implicitly from a
- * bare scale (`build({0.1})`) for the common case.
- */
-struct FigureOptions
-{
-    FigureOptions() = default;
-    FigureOptions(double s) : scale(s) {}
-    FigureOptions(double s, std::vector<std::string> protos)
-        : scale(s), protocols(std::move(protos))
-    {
-    }
-
-    /** Workload input scale. */
-    double scale = 1.0;
-    /**
-     * Registry protocol names for protocol-parametric figures (the
-     * "policies" sweep; the CLI's repeatable --protocol flag).
-     * Empty means the figure's default selection — every registered
-     * protocol for "policies". Figures with a fixed system set
-     * (fig5-9, the tables) ignore it.
-     */
-    std::vector<std::string> protocols;
-    /**
-     * Registry network-model names for network-parametric figures
-     * (the "scaling" sweep; the CLI's repeatable --network flag).
-     * Empty means the figure's default selection ({"constant",
-     * "mesh-2d"} for "scaling"). Figures pinned to the paper's
-     * constant network ignore it.
-     */
-    std::vector<std::string> networks;
-};
-
 /** One figure/table: identity, lazy sweep builder, table renderer. */
 struct FigureSpec
 {
@@ -63,8 +30,8 @@ struct FigureSpec
     const char *title;
     const char *paperRef;
 
-    /** Build the cell list from the options (cheap; lazy). */
-    Sweep (*build)(const FigureOptions &opt);
+    /** Build the cell list at a workload scale (cheap; lazy). */
+    Sweep (*build)(double scale);
 
     /**
      * Print the figure's table and commentary from the executed
@@ -87,14 +54,14 @@ const std::vector<FigureSpec> &figureSpecs();
 const FigureSpec *findFigure(const std::string &name);
 
 /**
- * Build and execute one figure's sweep on @p runner, whose workload
- * cache serves every figure run on it. With @p verify set and more
- * than one worker, re-runs the sweep serially and asserts every
+ * Build and execute one figure's sweep at workload @p scale on
+ * @p runner, whose workload cache serves every figure run on it.
+ * With @p verify set and more than one worker, re-runs the sweep serially and asserts every
  * cell's RunStats is bit-identical (catching any cross-cell state
  * leakage that threading would expose); a serial run is itself the
  * reference, so verify is a no-op there.
  */
-FigureRun runFigure(const FigureSpec &spec, const FigureOptions &opt,
+FigureRun runFigure(const FigureSpec &spec, double scale,
                     SweepRunner &runner, bool verify);
 
 /** Render @p run with its spec's renderer, recording the status. */

@@ -5,8 +5,7 @@
  * later requesters queue in FIFO order. Every contended structure is
  * one: a node's split-transaction memory bus (the paper's 100 MHz
  * MBus, without individual bus phases), the network interfaces, the
- * mesh and fat-tree links, the home protocol controllers and the DRAM
- * banks.
+ * mesh links, the home protocol controllers and the DRAM banks.
  *
  * Header-only: acquire() sits on the access hot path (every L1 miss
  * arbitrates for its node's bus), and its few statements inline away.

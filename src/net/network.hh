@@ -13,7 +13,7 @@
  * the protocol uses to bound invalidation acknowledgements) — plus
  * the per-kind message counters the stats layer reports.
  *
- * Concrete topologies (mesh-2d, fat-tree) live in net/topology.hh;
+ * The mesh-2d topology lives in net/topology.hh;
  * selection is by string id through net/registry.hh, mirroring the
  * protocol registry.
  */

@@ -34,19 +34,6 @@ addBuiltins(NetworkRegistry &reg)
                                           p.niOccupancy));
     };
     reg.add(std::move(mesh));
-
-    NetworkSpec fat;
-    fat.id = "fat-tree";
-    fat.displayName = "Fat tree";
-    fat.description =
-        "radix-2 fat tree; 2*(log-distance+1) hops of hopLatency, "
-        "contention-free internal links";
-    fat.make = [](const Params &p) {
-        return std::unique_ptr<NetworkModel>(
-            std::make_unique<FatTreeNetwork>(p.numNodes, p.hopLatency,
-                                             p.niOccupancy));
-    };
-    reg.add(std::move(fat));
 }
 
 Table

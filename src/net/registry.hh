@@ -2,13 +2,12 @@
  * @file
  * The network registry: string-keyed, composable interconnect models
  * in the one Registry<Spec> mechanism (common/registry.hh). A NetworkSpec
- * captures a stable id (the JSON/compare/CLI currency), a display
- * name, and a factory from Params to a NetworkModel; the three
+ * captures a stable id (the JSON/compare currency), a display
+ * name, and a factory from Params to a NetworkModel; the two
  * built-ins are "constant" (the paper's fixed-latency network, the
- * default), "mesh-2d", and "fat-tree". New topologies are one
- * registration away and immediately selectable from the rnuma_sweep
- * CLI (--network, --list-networks) and sweepable by the scaling
- * figure.
+ * default) and "mesh-2d". A new topology is one registration away
+ * from every Params (Params::networkModel) and rnuma_sweep
+ * --list-networks.
  */
 
 #ifndef RNUMA_NET_REGISTRY_HH
@@ -35,9 +34,9 @@ using NetworkFactory =
 struct NetworkSpec
 {
     /**
-     * Stable machine-readable id: the JSON artifact / compare-gate /
-     * CLI currency ("constant", "mesh-2d", "fat-tree"). Lowercase,
-     * no spaces.
+     * Stable machine-readable id: the Params::networkModel value and
+     * the JSON artifact / compare-gate currency ("constant",
+     * "mesh-2d"). Lowercase, no spaces.
      */
     std::string id;
     /** Human-readable name for tables and logs ("2D mesh"). */
@@ -55,7 +54,7 @@ struct NetworkSpec
 /** The interconnect table; see common/registry.hh. */
 using NetworkRegistry = Registry<NetworkSpec>;
 
-/** Registers "constant", "mesh-2d", and "fat-tree". */
+/** Registers "constant" and "mesh-2d". */
 void addBuiltins(NetworkRegistry &reg);
 
 /** The network registry as a table (id, name, description): what

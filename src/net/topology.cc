@@ -99,57 +99,4 @@ MeshNetwork::waited() const
     return total;
 }
 
-FatTreeNetwork::FatTreeNetwork(std::size_t nodes, Tick hop_latency,
-                               Tick ni_occupancy)
-    : NetworkModel(nodes, ni_occupancy), hopLatency_(hop_latency)
-{
-    RNUMA_ASSERT(isPow2(nodes),
-                 "fat-tree needs a power-of-two node count, got ",
-                 nodes);
-    RNUMA_ASSERT(hop_latency >= 1,
-                 "fat-tree hop latency must be >= 1");
-}
-
-std::size_t
-FatTreeNetwork::hops(NodeId from, NodeId to) const
-{
-    if (from == to)
-        return 0;
-    // Height of the smallest subtree containing both leaves is
-    // floor(log2(from ^ to)) + 1; the route goes that far up and the
-    // same distance down.
-    std::uint32_t diff = from ^ to;
-    std::size_t height = 0;
-    while (diff >>= 1)
-        height++;
-    return 2 * (height + 1);
-}
-
-Tick
-FatTreeNetwork::send(Tick now, NodeId from, NodeId to, MsgKind kind)
-{
-    countMsg(kind);
-    if (from == to)
-        return now;
-    const Tick departed =
-        ni(from).acquire(now) + ni(from).occupancyPerUse();
-    return departed + latency(from, to);
-}
-
-void
-FatTreeNetwork::post(Tick now, NodeId from, NodeId to, MsgKind kind)
-{
-    countMsg(kind);
-    if (from == to)
-        return;
-    ni(from).acquire(now);
-    ni(to).acquire(now + latency(from, to));
-}
-
-Tick
-FatTreeNetwork::latency(NodeId from, NodeId to) const
-{
-    return static_cast<Tick>(hops(from, to)) * hopLatency_;
-}
-
 } // namespace rnuma

@@ -1,14 +1,12 @@
 /**
  * @file
- * Hop-dependent interconnect topologies behind the NetworkModel
- * interface: a 2D mesh with dimension-ordered routing and per-hop
- * link contention (the DASH-style scaling interconnect), and a
- * fat-tree whose hop count grows with the log of the node distance
- * and whose internal links are fat enough to be contention-free.
+ * The hop-dependent interconnect behind the NetworkModel interface:
+ * a 2D mesh with dimension-ordered routing and per-hop link
+ * contention (the DASH-style scaling interconnect).
  *
- * Both models keep the constant model's NI discipline — the source
- * NI serializes outgoing messages, the destination controller models
- * receive-side processing — and differ only in the wire term.
+ * It keeps the constant model's NI discipline — the source NI
+ * serializes outgoing messages, the destination controller models
+ * receive-side processing — and differs only in the wire term.
  */
 
 #ifndef RNUMA_NET_TOPOLOGY_HH
@@ -85,33 +83,6 @@ class MeshNetwork : public NetworkModel
     std::vector<Coord> coords_;
     /** links_[n * 4 + d]: node n's outgoing link in direction d. */
     std::vector<Resource> links_;
-};
-
-/**
- * Fat-tree over a power-of-two node count, registered as "fat-tree".
- * Two leaves under the same radix-2 subtree of height k are 2*k hops
- * apart (k up, k down): hops(a, b) = 2 * (floor(log2(a ^ b)) + 1).
- * Fat trees double link capacity toward the root, so internal links
- * are modeled contention-free and only the NIs serialize (the
- * classic reason to build one).
- */
-class FatTreeNetwork : public NetworkModel
-{
-  public:
-    FatTreeNetwork(std::size_t nodes, Tick hop_latency,
-                   Tick ni_occupancy);
-
-    Tick send(Tick now, NodeId from, NodeId to,
-              MsgKind kind) override;
-    void post(Tick now, NodeId from, NodeId to,
-              MsgKind kind) override;
-    Tick latency(NodeId from, NodeId to) const override;
-
-    /** Up-then-down hop count between two leaves. */
-    std::size_t hops(NodeId from, NodeId to) const;
-
-  private:
-    Tick hopLatency_;
 };
 
 } // namespace rnuma

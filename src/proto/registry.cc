@@ -213,4 +213,13 @@ findProtocolSpec(const std::string &name)
     return ProtocolRegistry::global().find(name);
 }
 
+std::vector<std::string>
+protocolIds()
+{
+    std::vector<std::string> ids;
+    for (const ProtocolSpec *s : ProtocolRegistry::global().all())
+        ids.push_back(s->id);
+    return ids;
+}
+
 } // namespace rnuma

@@ -13,8 +13,8 @@
  * RelocationPolicy factory. The three paper systems are the first
  * three registrations; new hybrid designs (hysteresis, adaptive
  * thresholds, anything else a RelocationPolicy can express) are
- * one registration away and immediately sweepable by the driver and
- * selectable from the rnuma_sweep CLI (--protocol, --list-protocols).
+ * one registration away and immediately run by the policies and
+ * serving figures and listed by rnuma_sweep --list-protocols.
  */
 
 #ifndef RNUMA_PROTO_REGISTRY_HH
@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/registry.hh"
 #include "common/table.hh"
@@ -48,9 +49,9 @@ using PolicyFactory =
 struct ProtocolSpec
 {
     /**
-     * Stable machine-readable id: the JSON artifact / compare-gate /
-     * CLI currency ("ccnuma", "rnuma-hysteresis", ...). Lowercase,
-     * no spaces.
+     * Stable machine-readable id: the lookup key and the JSON
+     * artifact / compare-gate currency ("ccnuma",
+     * "rnuma-hysteresis", ...). Lowercase, no spaces.
      */
     std::string id;
     /** Human-readable name for tables and logs ("CC-NUMA"). */
@@ -89,6 +90,13 @@ const ProtocolSpec &protocolSpec(const std::string &name);
 
 /** Shorthand for ProtocolRegistry::global().find(name). */
 const ProtocolSpec *findProtocolSpec(const std::string &name);
+
+/**
+ * Every registered protocol's id, in registration order: the column
+ * list of every comparison that runs all protocols (the policies and
+ * serving figures).
+ */
+std::vector<std::string> protocolIds();
 
 /**
  * Build an unregistered hybrid-RAD spec (block cache + page cache +

@@ -131,7 +131,6 @@ makeRadix(const Params &p, double scale, std::uint64_t seed)
         // open run for its digit. Writes scatter remotely; reads
         // stay local — radix's refetch traffic is write-dominated
         // on mostly read-only-shared pages (Table 4: 15%).
-        std::size_t pages_per_node = array_pages / b.nnodes();
         for (CpuId c = 0; c < ncpus; ++c) {
             NodeId n = b.nodeOf(c);
             std::size_t local_pg = n +
@@ -140,7 +139,6 @@ makeRadix(const Params &p, double scale, std::uint64_t seed)
                 local_pg %= array_pages;
             Addr mine = from + local_pg * p.pageSize;
             std::size_t stride = b.nnodes() * b.cpusPerNode();
-            (void)pages_per_node;
             std::size_t consumed = 0;
             for (std::size_t k = 0; k < keys_per_cpu; ++k) {
                 if (k % keys_per_block == 0) {

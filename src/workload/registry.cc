@@ -40,6 +40,11 @@ WorkloadOptions::parse(const std::string &text)
         Pair p;
         p.key = pair.substr(0, eq);
         p.value = pair.substr(eq + 1);
+        for (const Pair &seen : opts.pairs_) {
+            if (seen.key == p.key)
+                RNUMA_FATAL("workload option '", p.key,
+                            "' is given more than once");
+        }
         opts.pairs_.push_back(std::move(p));
     }
     return opts;
@@ -126,55 +131,136 @@ WorkloadOptions::finish(const std::string &workload) const
 }
 
 //--------------------------------------------------------------------------
-// The Table 3 application table the registry's "app" entries are
-// built from.
+// The generators that take no options: the Table 3 applications and
+// the microbenchmark patterns.
 //--------------------------------------------------------------------------
 
 namespace
 {
 
+/** A no-option generator: its defaults are its only input. */
+using FixedMakeFn = std::unique_ptr<Workload> (*)(const Params &, double,
+                                                  std::uint64_t);
+
 struct Entry
 {
-    const char *name;
-    const char *problem;
+    const char *id;
+    const char *displayName;
+    const char *description;
     const char *input;
-    std::unique_ptr<Workload> (*make)(const Params &, double,
-                                      std::uint64_t);
+    FixedMakeFn make;
 };
 
-const Entry entries[] = {
-    {"barnes", "Barnes-Hut N-body simulation", "16K particles",
+/** The ten Table 3 applications, listed under their own ids. */
+const Entry apps[] = {
+    {"barnes", "barnes", "Barnes-Hut N-body simulation", "16K particles",
      &makeBarnes},
-    {"cholesky", "Blocked sparse Cholesky factorization", "tk16.O",
-     &makeCholesky},
-    {"em3d", "3-D electromagnetic wave propagation",
+    {"cholesky", "cholesky", "Blocked sparse Cholesky factorization",
+     "tk16.O", &makeCholesky},
+    {"em3d", "em3d", "3-D electromagnetic wave propagation",
      "76800 nodes, 15% remote, 5 iters", &makeEm3d},
-    {"fft", "Complex 1-D radix-sqrt(n) six-step FFT", "64K points",
-     &makeFft},
-    {"fmm", "Fast Multipole N-body simulation", "16K particles",
+    {"fft", "fft", "Complex 1-D radix-sqrt(n) six-step FFT",
+     "64K points", &makeFft},
+    {"fmm", "fmm", "Fast Multipole N-body simulation", "16K particles",
      &makeFmm},
-    {"lu", "Blocked dense LU factorization",
+    {"lu", "lu", "Blocked dense LU factorization",
      "512x512 matrix, 16x16 blocks", &makeLu},
-    {"moldyn", "Molecular dynamics simulation",
+    {"moldyn", "moldyn", "Molecular dynamics simulation",
      "2048 particles, 15 iters", &makeMoldyn},
-    {"ocean", "Ocean simulation", "258x258 ocean", &makeOcean},
-    {"radix", "Integer radix sort", "1M integers, radix 1024",
+    {"ocean", "ocean", "Ocean simulation", "258x258 ocean", &makeOcean},
+    {"radix", "radix", "Integer radix sort", "1M integers, radix 1024",
      &makeRadix},
-    {"raytrace", "3-D scene rendering using ray-tracing", "car",
-     &makeRaytrace},
+    {"raytrace", "raytrace", "3-D scene rendering using ray-tracing",
+     "car", &makeRaytrace},
+};
+
+/**
+ * The microbenchmark patterns, at the parameterizations the
+ * micro/policies/eq3/scaling figures run. Tests and examples that
+ * need other sizes call the typed make* functions (workload/micro.hh).
+ */
+const Entry micros[] = {
+    {"private-loop", "Private loop",
+     "per-cpu private pages reused in a loop; the all-local floor "
+     "every protocol should match",
+     "4 pages per cpu, 20 iterations",
+     [](const Params &p, double scale, std::uint64_t) {
+         return makePrivateLoop(p, 4, scaled(20, scale));
+     }},
+    {"hot-reuse", "Hot remote reuse",
+     "every cpu sweeps a node-0 page set repeatedly; the relocation "
+     "win case",
+     "120 pages, 8 sweeps",
+     [](const Params &p, double scale, std::uint64_t) {
+         return makeHotRemoteReuse(p, scaled(120, scale, 2), 8);
+     }},
+    {"evict-storm", "Eviction storm",
+     "reuse set overflows the page cache; relocation thrash unless "
+     "the policy backs off",
+     "frames+80 pages, 16 sweeps",
+     [](const Params &p, double scale, std::uint64_t) {
+         return makeEvictionStorm(
+             p, p.pageCacheFrames() + scaled(80, scale, 40),
+             scaled(16, scale, 8));
+     }},
+    {"producer-consumer", "Producer-consumer",
+     "node-0 writes, every other node reads; the S-COMA replication "
+     "win case",
+     "32 pages, 10 rounds",
+     [](const Params &p, double scale, std::uint64_t) {
+         return makeProducerConsumer(p, scaled(32, scale, 1), 10);
+     }},
+    {"rw-sharing", "Read-write sharing",
+     "fine-grain read-write sharing of one page; the CC-NUMA win "
+     "case",
+     "400 rounds",
+     [](const Params &p, double scale, std::uint64_t) {
+         return makeRwSharing(p, scaled(400, scale, 8));
+     }},
+    {"adversary", "Adversary",
+     "touches each remote page exactly threshold+1 times; the "
+     "Equation 3 worst case",
+     "24 pages, threshold+1 touches",
+     [](const Params &p, double, std::uint64_t) {
+         return makeAdversary(p, 24, p.relocationThreshold + 1);
+     }},
+    {"scaling-shift", "Scaling shift",
+     "neighbor-shifted page sweeps that scale with the node count; "
+     "the topology-sweep generator",
+     "4 pages per node, 4 sweeps",
+     [](const Params &p, double scale, std::uint64_t) {
+         return makeScalingShift(p, scaled(4, scale, 1),
+                                 scaled(4, scale, 2));
+     }},
 };
 
 /** Wrap a no-option factory: any option string is an error. */
 WorkloadMakeFn
-noOptions(const std::string &id,
-          std::unique_ptr<Workload> (*make)(const Params &, double,
-                                            std::uint64_t))
+noOptions(const std::string &id, FixedMakeFn make)
 {
     return [id, make](const Params &p, double scale,
                       std::uint64_t seed, const std::string &options) {
         WorkloadOptions::parse(options).finish(id);
         return make(p, scale, seed);
     };
+}
+
+/** Register @p entries under @p category. */
+template <std::size_t N>
+void
+addFixed(WorkloadRegistry &reg, const Entry (&entries)[N],
+         const char *category)
+{
+    for (const Entry &e : entries) {
+        WorkloadSpec spec;
+        spec.id = e.id;
+        spec.displayName = e.displayName;
+        spec.description = e.description;
+        spec.input = e.input;
+        spec.category = category;
+        spec.make = noOptions(spec.id, e.make);
+        reg.add(std::move(spec));
+    }
 }
 
 } // namespace
@@ -186,140 +272,8 @@ noOptions(const std::string &id,
 void
 addBuiltins(WorkloadRegistry &reg)
 {
-    // The ten Table 3 applications.
-    for (const Entry &e : entries) {
-        WorkloadSpec spec;
-        spec.id = e.name;
-        spec.displayName = e.name;
-        spec.description = e.problem;
-        spec.input = e.input;
-        spec.category = "app";
-        spec.make = noOptions(spec.id, e.make);
-        reg.add(std::move(spec));
-    }
-
-    // The microbenchmark patterns, defaulted to the parameterizations
-    // the micro/policies/eq3/scaling figures run, so selecting one by
-    // name reproduces its figure row.
-    struct MicroEntry
-    {
-        const char *id;
-        const char *displayName;
-        const char *description;
-        const char *input;
-        WorkloadMakeFn make;
-    };
-    const MicroEntry micros[] = {
-        {"private-loop", "Private loop",
-         "per-cpu private pages reused in a loop; the all-local "
-         "floor every protocol should match",
-         "pages=4, iters=20",
-         [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) {
-             auto o = WorkloadOptions::parse(options);
-             std::size_t pages = o.getSize("pages", 4, 1, maxPages);
-             std::size_t iters =
-                 o.getSize("iters", scaled(20, scale), 1,
-                           maxStreamCount);
-             o.finish("private-loop");
-             return makePrivateLoop(p, pages, iters);
-         }},
-        {"hot-reuse", "Hot remote reuse",
-         "every cpu sweeps a node-0 page set repeatedly; the "
-         "relocation win case",
-         "pages=120, sweeps=8",
-         [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) {
-             auto o = WorkloadOptions::parse(options);
-             std::size_t pages =
-                 o.getSize("pages", scaled(120, scale, 2), 1,
-                           maxPages);
-             std::size_t sweeps = o.getSize("sweeps", 8, 1, maxStreamCount);
-             o.finish("hot-reuse");
-             return makeHotRemoteReuse(p, pages, sweeps);
-         }},
-        {"evict-storm", "Eviction storm",
-         "reuse set overflows the page cache; relocation thrash "
-         "unless the policy backs off",
-         "pages=frames+80, sweeps=16",
-         [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) {
-             auto o = WorkloadOptions::parse(options);
-             std::size_t pages =
-                 o.getSize("pages", p.pageCacheFrames() +
-                                        scaled(80, scale, 40),
-                           p.pageCacheFrames() + 1, maxPages);
-             std::size_t sweeps =
-                 o.getSize("sweeps", scaled(16, scale, 8), 1,
-                           maxStreamCount);
-             o.finish("evict-storm");
-             return makeEvictionStorm(p, pages, sweeps);
-         }},
-        {"producer-consumer", "Producer-consumer",
-         "node-0 writes, every other node reads; the S-COMA "
-         "replication win case",
-         "pages=32, rounds=10",
-         [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) {
-             auto o = WorkloadOptions::parse(options);
-             std::size_t pages =
-                 o.getSize("pages", scaled(32, scale, 1), 1, maxPages);
-             std::size_t rounds = o.getSize("rounds", 10, 1, maxStreamCount);
-             o.finish("producer-consumer");
-             return makeProducerConsumer(p, pages, rounds);
-         }},
-        {"rw-sharing", "Read-write sharing",
-         "fine-grain read-write sharing of one page; the CC-NUMA "
-         "win case",
-         "rounds=400",
-         [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) {
-             auto o = WorkloadOptions::parse(options);
-             std::size_t rounds =
-                 o.getSize("rounds", scaled(400, scale, 8), 1,
-                           maxStreamCount);
-             o.finish("rw-sharing");
-             return makeRwSharing(p, rounds);
-         }},
-        {"adversary", "Adversary",
-         "touches each remote page exactly threshold+1 times; the "
-         "Equation 3 worst case",
-         "pages=24, touches=threshold+1",
-         [](const Params &p, double, std::uint64_t,
-            const std::string &options) {
-             auto o = WorkloadOptions::parse(options);
-             std::size_t pages = o.getSize("pages", 24, 1, maxPages);
-             std::size_t touches = o.getSize(
-                 "touches", p.relocationThreshold + 1, 1, maxStreamCount);
-             o.finish("adversary");
-             return makeAdversary(p, pages, touches);
-         }},
-        {"scaling-shift", "Scaling shift",
-         "neighbor-shifted page sweeps that scale with the node "
-         "count; the topology-sweep generator",
-         "pages=4/node, sweeps=4",
-         [](const Params &p, double scale, std::uint64_t,
-            const std::string &options) {
-             auto o = WorkloadOptions::parse(options);
-             std::size_t pages =
-                 o.getSize("pages", scaled(4, scale, 1), 1, maxPages);
-             std::size_t sweeps =
-                 o.getSize("sweeps", scaled(4, scale, 2), 1,
-                           maxStreamCount);
-             o.finish("scaling-shift");
-             return makeScalingShift(p, pages, sweeps);
-         }},
-    };
-    for (const MicroEntry &m : micros) {
-        WorkloadSpec spec;
-        spec.id = m.id;
-        spec.displayName = m.displayName;
-        spec.description = m.description;
-        spec.input = m.input;
-        spec.category = "micro";
-        spec.make = m.make;
-        reg.add(std::move(spec));
-    }
+    addFixed(reg, apps, "app");
+    addFixed(reg, micros, "micro");
 
     // The commercial-serving generators (Section 1's motivating
     // traffic): Zipf-skewed page service and diurnal phase

@@ -3,7 +3,7 @@
  * The workload registry: string-keyed, composable reference-stream
  * generators in the one Registry<Spec> mechanism
  * (common/registry.hh). A WorkloadSpec captures a
- * stable id (the JSON/compare/CLI currency), a display name, and a
+ * stable id (the JSON/compare currency), a display name, and a
  * factory from (Params, scale, seed, option string) to a Workload.
  *
  * The built-ins cover three categories:
@@ -11,10 +11,13 @@
  *    raytrace), in the paper's order;
  *  - "micro": the analyzable microbenchmark patterns (private-loop,
  *    hot-reuse, evict-storm, producer-consumer, adversary,
- *    rw-sharing, scaling-shift);
+ *    rw-sharing, scaling-shift), at their figures' sizes;
  *  - "serving": the commercial-serving generators the paper's
  *    Section 1 motivation describes (zipf-serve, phase-shift,
  *    database-scan).
+ *
+ * Only the serving generators take options; an app or a micro
+ * rejects any option string by name.
  *
  * New generators are one registration away: makeWorkload builds
  * them by id and rnuma_sweep --list-workloads lists them.
@@ -40,8 +43,8 @@ namespace rnuma
 
 /**
  * Upper bound on a generator option that sizes the reference stream
- * by a repeat count (iters, sweeps, rounds, requests, transactions,
- * rows, touches, phases): thousands of times any figure's input, so
+ * by a repeat count (requests, transactions, rows, sweeps,
+ * phases): thousands of times any figure's input, so
  * a mistyped count is a named fatal error before the stream grows
  * instead of an allocation failure once it has.
  */
@@ -56,7 +59,10 @@ constexpr std::size_t maxStreamCount = std::size_t{1} << 20;
 class WorkloadOptions
 {
   public:
-    /** Parse @p text ("" = no options). Fatal on malformed pairs. */
+    /**
+     * Parse @p text ("" = no options). Fatal on a malformed pair or a
+     * repeated key, naming it.
+     */
     static WorkloadOptions parse(const std::string &text);
 
     /**
@@ -101,9 +107,9 @@ using WorkloadMakeFn = std::function<std::unique_ptr<Workload>(
 struct WorkloadSpec
 {
     /**
-     * Stable machine-readable id: the JSON artifact / compare-gate /
-     * CLI currency ("barnes", "zipf-serve", ...). Lowercase, no
-     * spaces.
+     * Stable machine-readable id: the lookup key and the JSON
+     * artifact / compare-gate currency ("barnes", "zipf-serve", ...).
+     * Lowercase, no spaces.
      */
     std::string id;
     /** Human-readable name for tables and logs ("Zipf serving"). */

@@ -84,7 +84,7 @@ TEST(SweepDecl, AddComparisonIsTheBaselinePlusOneCellPerSpec)
 {
     // addComparison builds exactly the infinite-block-cache CC-NUMA
     // baseline plus the cells addApp would, and keys its columns by
-    // canonical spec id.
+    // spec id.
     Params p = test::smallParams();
     Params inf = p;
     inf.infiniteBlockCache = true;
@@ -95,7 +95,7 @@ TEST(SweepDecl, AddComparisonIsTheBaselinePlusOneCellPerSpec)
     by_hand.addApp("radix", "rnuma", p, "rnuma", testScale);
     Sweep row("row");
     row.addComparison("radix", p, {"radix", p, testScale},
-                      {"ccnuma", "R-NUMA"});
+                      {"ccnuma", "rnuma"});
     ASSERT_EQ(row.size(), by_hand.size());
     for (std::size_t i = 0; i < row.size(); ++i) {
         const Cell &a = row.cells()[i];
@@ -216,9 +216,7 @@ TEST(SweepRunnerTest, RegistryAppsAreDeterministicAcrossJobs)
     // counter, via RunStats::operator== — so a data-layout change
     // that silently breaks reproducibility cannot land.
     Params p = test::smallParams();
-    std::vector<std::string> ids;
-    for (const ProtocolSpec *spec : ProtocolRegistry::global().all())
-        ids.push_back(spec->id);
+    std::vector<std::string> ids = protocolIds();
     Sweep s("determinism");
     for (const std::string &app : workloadIds("app")) {
         s.addComparison(app, p, {app, p, 0.02, /*seed=*/7}, ids);

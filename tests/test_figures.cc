@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the figure registry (src/driver/figures): the registered
- * figures and the shapes of their lazily built sweeps, the
- * selection flags, the policy separation at the CI figure-pipeline
- * scale, verified runs of the micro and Table 2
+ * figures and the shapes of their lazily built sweeps, the fixed
+ * protocol and network selections, the policy separation at the CI
+ * figure-pipeline scale, verified runs of the micro and Table 2
  * figures, and the extension figures' renderer-enforced invariants
  * (on hand-built runs). A test binary of its own, so ctest runs it
  * beside the sweep-driver suites.
@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 
 #include "driver/figures.hh"
@@ -81,61 +80,54 @@ TEST(FigureRegistry, SweepsBuildLazilyWithExpectedShapes)
 {
     // Building a sweep generates no workloads, so even full-figure
     // sweeps are cheap to enumerate here.
-    EXPECT_EQ(findFigure("fig6")->build({testScale}).size(), 40u);
-    EXPECT_EQ(findFigure("fig7")->build({testScale}).size(), 60u);
-    EXPECT_EQ(findFigure("fig8")->build({testScale}).size(), 40u);
-    EXPECT_EQ(findFigure("fig9")->build({testScale}).size(), 50u);
-    EXPECT_EQ(findFigure("fig5")->build({testScale}).size(), 10u);
-    EXPECT_EQ(findFigure("table4")->build({testScale}).size(), 30u);
-    EXPECT_EQ(findFigure("table2")->build({testScale}).size(), 0u);
-    EXPECT_EQ(findFigure("eq3")->build({testScale}).size(), 4u);
-    EXPECT_EQ(findFigure("ablation")->build({testScale}).size(), 30u);
-    EXPECT_EQ(findFigure("micro")->build({testScale}).size(), 16u);
+    EXPECT_EQ(findFigure("fig6")->build(testScale).size(), 40u);
+    EXPECT_EQ(findFigure("fig7")->build(testScale).size(), 60u);
+    EXPECT_EQ(findFigure("fig8")->build(testScale).size(), 40u);
+    EXPECT_EQ(findFigure("fig9")->build(testScale).size(), 50u);
+    EXPECT_EQ(findFigure("fig5")->build(testScale).size(), 10u);
+    EXPECT_EQ(findFigure("table4")->build(testScale).size(), 30u);
+    EXPECT_EQ(findFigure("table2")->build(testScale).size(), 0u);
+    EXPECT_EQ(findFigure("eq3")->build(testScale).size(), 4u);
+    EXPECT_EQ(findFigure("ablation")->build(testScale).size(), 30u);
+    EXPECT_EQ(findFigure("micro")->build(testScale).size(), 16u);
     // policies: two patterns x (one baseline + one cell per
     // registered protocol).
-    EXPECT_EQ(findFigure("policies")->build({testScale}).size(),
+    EXPECT_EQ(findFigure("policies")->build(testScale).size(),
               2u * (1u + ProtocolRegistry::global().size()));
 }
 
-TEST(FigureRegistry, SelectionFlagsNarrowTheirFigures)
+TEST(FigureRegistry, FixedSelectionsHaveTheirShapes)
 {
-    // Each repeatable selection flag narrows the figure it is for:
-    // every built cell carries a selected value. Comparison baselines
-    // always run ccnuma, so the protocol check skips them. Repeated
-    // and alias spellings dedupe to one cell per protocol instead of
-    // tripping the duplicate-cell check.
-    auto protocolIn = [](std::vector<std::string> ids) {
-        return [ids](const Cell &c) {
-            return c.config == "baseline" ||
-                   std::find(ids.begin(), ids.end(), c.proto.id) !=
-                       ids.end();
-        };
-    };
-    FigureOptions pair(testScale, {"rnuma", "rnuma-adaptive"});
-    FigureOptions alias(testScale, {"rnuma", "R-NUMA", "rnuma"});
-    FigureOptions mesh(testScale);
-    mesh.networks = {"mesh-2d"};
-    struct Case
-    {
-        const char *figure;
-        FigureOptions opt;
-        std::size_t cells;
-        std::function<bool(const Cell &)> selected;
-    };
-    const Case cases[] = {
-        // Two patterns x (baseline + the selected protocols).
-        {"policies", pair, 6, protocolIn({"rnuma", "rnuma-adaptive"})},
-        {"policies", alias, 4, protocolIn({"rnuma"})},
-        // Five node counts x two directory formats.
-        {"scaling", mesh, 10,
-         [](const Cell &c) { return c.params.networkModel == "mesh-2d"; }},
-    };
-    for (const Case &k : cases) {
-        Sweep s = findFigure(k.figure)->build(k.opt);
-        EXPECT_EQ(s.size(), k.cells) << k.figure;
-        for (const Cell &c : s.cells())
-            EXPECT_TRUE(k.selected(c))
-                << k.figure << ": " << c.app << "/" << c.config;
+    // policies: each of its two rows is a baseline plus one cell per
+    // registered protocol, in registration order.
+    Sweep policies = findFigure("policies")->build(testScale);
+    const auto protos = ProtocolRegistry::global().all();
+    const std::size_t perRow = 1 + protos.size();
+    ASSERT_EQ(policies.size(), 2 * perRow);
+    for (std::size_t i = 0; i < policies.size(); ++i) {
+        const Cell &c = policies.cells()[i];
+        EXPECT_EQ(c.app, i < perRow ? "hot-reuse" : "evict-storm");
+        const std::size_t col = i % perRow;
+        EXPECT_EQ(c.config, col == 0 ? "baseline" : protos[col - 1]->id)
+            << c.app << " column " << col;
+    }
+
+    // scaling: five node counts x {constant, mesh-2d} x two
+    // directory formats, all under R-NUMA.
+    Sweep scaling = findFigure("scaling")->build(testScale);
+    ASSERT_EQ(scaling.size(), 5u * 2u * 2u);
+    std::size_t i = 0;
+    for (std::size_t nodes : {8, 16, 32, 64, 128}) {
+        for (const char *net : {"constant", "mesh-2d"}) {
+            for (const char *dir : {"full-map", "limited-pointer-4"}) {
+                const Cell &c = scaling.cells()[i++];
+                EXPECT_EQ(c.config, "n" + std::to_string(nodes) + "/" +
+                                        net + "/" + dir);
+                EXPECT_EQ(c.params.numNodes, nodes) << c.config;
+                EXPECT_EQ(c.params.networkModel, net) << c.config;
+                EXPECT_EQ(c.proto.id, "rnuma") << c.config;
+            }
+        }
     }
 }
 
@@ -149,13 +141,25 @@ TEST(FigureRegistry, EvictionStormSeparatesThePoliciesAtCiScale)
     // escalating adaptive rule fewer, hysteresis (4T re-entry) the
     // fewest, and every pair stays distinct in both relocation
     // count and simulated time.
-    FigureOptions opt;
-    opt.scale = 0.1; // exactly the CI figure-pipeline scale
-    opt.protocols = {"rnuma", "rnuma-hysteresis", "rnuma-adaptive"};
+    //
+    // Only the baselines and the three policies compared here run,
+    // not every registered protocol, so the test stays short.
     const FigureSpec *spec = findFigure("policies");
     ASSERT_NE(spec, nullptr);
+    const std::vector<std::string> compared = {
+        "baseline", "rnuma", "rnuma-hysteresis", "rnuma-adaptive"};
+    const Sweep full = spec->build(0.1); // the CI figure-pipeline scale
+    Sweep sweep("policies");
+    for (const Cell &c : full.cells()) {
+        if (std::find(compared.begin(), compared.end(), c.config) !=
+            compared.end())
+            sweep.add(c);
+    }
+    ASSERT_EQ(sweep.size(), 2 * compared.size());
     SweepRunner runner(0);
-    FigureRun run = runFigure(*spec, opt, runner, /*verify=*/false);
+    FigureRun run;
+    run.name = spec->name;
+    run.result = runner.run(sweep);
 
     const RunStats &stat =
         run.result.at("evict-storm", "rnuma").stats;
@@ -183,7 +187,7 @@ TEST(FigureRegistry, Fig8IsAPolicySweepOverStaticThresholds)
 {
     // The threshold axis lives in the protocol spec, not in Params:
     // every fig8 cell runs the base machine configuration.
-    Sweep s = findFigure("fig8")->build({testScale});
+    Sweep s = findFigure("fig8")->build(testScale);
     Params base = Params::base();
     for (const Cell &c : s.cells()) {
         EXPECT_EQ(c.params.relocationThreshold,
@@ -198,7 +202,7 @@ TEST(FigureRegistry, Table2RendersAndPasses)
     const FigureSpec *spec = findFigure("table2");
     ASSERT_NE(spec, nullptr);
     SweepRunner runner(2);
-    FigureRun run = runFigure(*spec, {1.0}, runner, /*verify=*/true);
+    FigureRun run = runFigure(*spec, 1.0, runner, /*verify=*/true);
     std::ostringstream os;
     EXPECT_EQ(renderFigure(*spec, run, os), 0);
     EXPECT_NE(os.str().find("PASS"), std::string::npos);
@@ -209,7 +213,7 @@ TEST(FigureRegistry, MicroFigureRunsVerifiedAndRenders)
     const FigureSpec *spec = findFigure("micro");
     ASSERT_NE(spec, nullptr);
     SweepRunner runner(4);
-    FigureRun run = runFigure(*spec, {0.02}, runner, /*verify=*/true);
+    FigureRun run = runFigure(*spec, 0.02, runner, /*verify=*/true);
     EXPECT_EQ(run.result.cells.size(), 16u);
     std::ostringstream os;
     EXPECT_EQ(renderFigure(*spec, run, os), 0);

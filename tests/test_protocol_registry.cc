@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/analytic_model.hh"
 #include "proto/registry.hh"
@@ -57,14 +59,24 @@ TEST(ProtocolRegistry, HasTheBuiltinsInOrder)
 
 TEST(ProtocolRegistry, PaperSystemsKeepTheirDisplayNames)
 {
-    // The tables label the three paper systems by display name, and
-    // those names resolve back to the same specs.
+    // The tables label the three paper systems by display name. A
+    // display name is only a label: looking one up is fatal, as for
+    // any name that is not an id.
     EXPECT_EQ(protocolSpec("ccnuma").displayName, "CC-NUMA");
     EXPECT_EQ(protocolSpec("scoma").displayName, "S-COMA");
     EXPECT_EQ(protocolSpec("rnuma").displayName, "R-NUMA");
     for (const char *id : {"ccnuma", "scoma", "rnuma"}) {
-        const ProtocolSpec &spec = protocolSpec(id);
-        EXPECT_EQ(&protocolSpec(spec.displayName), &spec) << id;
+        const std::string display = protocolSpec(id).displayName;
+        EXPECT_EQ(findProtocolSpec(display), nullptr) << display;
+        try {
+            protocolSpec(display);
+            ADD_FAILURE() << display << " resolved";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "unknown protocol '" + display + "'"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

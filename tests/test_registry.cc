@@ -3,10 +3,10 @@
  * Tests for the one registry mechanism (common/registry.hh), typed
  * over all three domains: ProtocolRegistry, NetworkRegistry, and
  * WorkloadRegistry. Covers invalid and duplicate registration,
- * case-insensitive id/display-name lookup (enum-era spellings such
- * as "CC-NUMA" are built-in display names), the fatal unknown-name
- * path, registration order, and a concurrent add/lookup hammer —
- * under TSan the test that catches an unguarded table. Domain
+ * exact-id lookup (an upper-cased id or a display name is unknown),
+ * the fatal unknown-name path, registration order, and a concurrent
+ * add/lookup hammer — under TSan the test that catches an unguarded
+ * table. Domain
  * content (built-in lists, factories) is tested per domain.
  *
  * Specs registered here stay in the process-global registries
@@ -136,32 +136,38 @@ TYPED_TEST(RegistryTest, RejectsInvalidAndDuplicateSpecs)
     EXPECT_THROW(reg.add(D::make(p + "Upper", "")), std::logic_error);
     EXPECT_THROW(reg.add(D::make(p + "a b", "")), std::logic_error);
 
-    // Duplicate: the id, or the display name, already names a spec
-    // (matched case-insensitively).
-    EXPECT_THROW(reg.add(D::make(D::probeId, p + "display")),
-                 std::runtime_error);
-    EXPECT_THROW(reg.add(D::make(p + "dup", D::probeDisplay)),
-                 std::runtime_error);
-    EXPECT_THROW(reg.add(D::make(p + "dup", upper(D::probeId))),
-                 std::runtime_error);
-    std::string display = p + "Display";
-    reg.add(D::make(p + "one", display));
-    EXPECT_THROW(reg.add(D::make(p + "two", upper(display))),
-                 std::runtime_error);
-    EXPECT_EQ(reg.size(), before + 1);
+    // Duplicate: the id already names a spec, whatever the display
+    // name says.
+    try {
+        reg.add(D::make(D::probeId, p + "display"));
+        ADD_FAILURE() << "a repeated id registered";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      std::string("'") + D::probeId +
+                      "' is already registered"),
+                  std::string::npos)
+            << e.what();
+    }
+    // A display name is only a label: two specs may share one.
+    reg.add(D::make(p + "one", D::probeDisplay));
+    reg.add(D::make(p + "two", D::probeDisplay));
+    EXPECT_EQ(reg.size(), before + 2);
 }
 
-TYPED_TEST(RegistryTest, LookupIsCaseInsensitiveOnIdAndDisplayName)
+TYPED_TEST(RegistryTest, LookupIsByExactIdOnly)
 {
     using D = typename TestFixture::D;
     auto &reg = TestFixture::reg();
     const TypeParam &spec = reg.at(D::probeId);
     EXPECT_EQ(spec.id, D::probeId);
     EXPECT_EQ(spec.displayName, D::probeDisplay);
-    EXPECT_EQ(reg.find(upper(D::probeId)), &spec);
-    EXPECT_EQ(reg.find(D::probeDisplay), &spec);
-    EXPECT_EQ(reg.find(upper(D::probeDisplay)), &spec);
-    EXPECT_EQ(&reg.at(upper(D::probeDisplay)), &spec);
+    EXPECT_EQ(reg.find(D::probeId), &spec);
+    // An upper-cased id and a display name are unknown names.
+    for (const std::string &name :
+         {upper(D::probeId), std::string(D::probeDisplay)}) {
+        EXPECT_EQ(reg.find(name), nullptr) << name;
+        EXPECT_THROW(reg.at(name), std::runtime_error) << name;
+    }
 }
 
 TYPED_TEST(RegistryTest, UnknownNameIsFatal)
@@ -196,7 +202,7 @@ TYPED_TEST(RegistryTest, AllIsInRegistrationOrder)
     EXPECT_EQ(all[before], &a);
     EXPECT_EQ(all[before + 1], &b);
     // Registered specs stay put: lookups return the stored copy.
-    EXPECT_EQ(reg.find(p + "A DISPLAY"), &a);
+    EXPECT_EQ(reg.find(p + "a"), &a);
     EXPECT_EQ(&reg.at(p + "b"), &b);
     for (const TypeParam *s : all)
         EXPECT_TRUE(s->valid()) << s->id;
@@ -237,7 +243,7 @@ TYPED_TEST(RegistryTest, ConcurrentAddAndLookupIsSafe)
             while (!go.load())
                 std::this_thread::yield();
             for (int i = 0; i < 200; ++i) {
-                if (reg.find(D::probeDisplay) == nullptr)
+                if (reg.find(D::probeId) == nullptr)
                     readerFailures.fetch_add(1);
                 for (const TypeParam *s : reg.all()) {
                     if (!s->valid())
@@ -256,7 +262,6 @@ TYPED_TEST(RegistryTest, ConcurrentAddAndLookupIsSafe)
             std::string id =
                 prefix + std::to_string(w) + "-" + std::to_string(i);
             EXPECT_NE(reg.find(id), nullptr) << id;
-            EXPECT_NE(reg.find(upper(id) + " DISPLAY"), nullptr) << id;
         }
     }
 }

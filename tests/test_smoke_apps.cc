@@ -71,9 +71,7 @@ TEST_P(AppSmoke, NWayComparisonOnSmallMachine)
 
     // Every registered protocol, in registration order. A new
     // registration lands in this row with no edit.
-    std::vector<std::string> ids;
-    for (const ProtocolSpec *spec : ProtocolRegistry::global().all())
-        ids.push_back(spec->id);
+    std::vector<std::string> ids = protocolIds();
     driver::Sweep sweep("smoke");
     sweep.addComparison(app, p, {app, p, smokeScale}, ids);
     driver::SweepResult r = driver::SweepRunner(1).run(sweep);

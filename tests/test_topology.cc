@@ -1,11 +1,10 @@
 /**
  * @file
- * Unit tests for the hop-dependent interconnect topologies
- * (net/topology.hh) and the geometry math they embed
- * (common/geometry.hh): mesh factorization, dimension-ordered hop
- * counts, per-link contention serialization, fat-tree log-distance
- * hops, and the constant model's latency(from, to) quirk the
- * acknowledgement bound depends on.
+ * Unit tests for the hop-dependent mesh topology (net/topology.hh)
+ * and the geometry math it embeds (common/geometry.hh): mesh
+ * factorization, dimension-ordered hop counts, per-link contention
+ * serialization, and the constant model's latency(from, to) quirk
+ * the acknowledgement bound depends on.
  */
 
 #include <gtest/gtest.h>
@@ -232,30 +231,6 @@ TEST(Mesh, MeanLatencyIsAverageOverDistinctPairs)
     const Tick expect =
         static_cast<Tick>((sum + pairs / 2) / pairs);
     EXPECT_EQ(m.meanLatency(), expect);
-}
-
-TEST(FatTree, HopsGrowWithLogDistance)
-{
-    FatTreeNetwork f(8, 25, 20);
-    EXPECT_EQ(f.hops(0, 0), 0u);
-    EXPECT_EQ(f.hops(0, 1), 2u); // siblings: 1 up, 1 down
-    EXPECT_EQ(f.hops(0, 2), 4u);
-    EXPECT_EQ(f.hops(0, 3), 4u);
-    EXPECT_EQ(f.hops(0, 7), 6u); // across the root
-    EXPECT_EQ(f.hops(7, 0), 6u);
-    EXPECT_EQ(f.latency(0, 7), 150u);
-}
-
-TEST(FatTree, InternalLinksAreContentionFree)
-{
-    FatTreeNetwork f(8, 25, 20);
-    // Two messages from different sources to the same destination:
-    // each pays only its own NI plus the wire — no link queueing
-    // (fat links), no destination charge (the receiving controller
-    // models that).
-    EXPECT_EQ(f.send(0, 0, 7, MsgKind::Request), 170u);
-    EXPECT_EQ(f.send(0, 1, 7, MsgKind::Request), 170u);
-    EXPECT_EQ(f.waited(), 0u);
 }
 
 TEST(Constant, LatencyIsFlatForEveryPairIncludingSelf)

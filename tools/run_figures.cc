@@ -54,12 +54,6 @@ usage(std::ostream &os, int status)
           "  --list-protocols     list the protocol registry\n"
           "  --list-networks      list the network registry\n"
           "  --list-workloads     list the workload registry\n"
-          "  --protocol NAME      (repeatable) select protocols for "
-          "protocol-parametric\n"
-          "                       figures (see 'policies')\n"
-          "  --network NAME       (repeatable) select network models "
-          "for network-parametric\n"
-          "                       figures (see 'scaling')\n"
           "  --scale S            workload scale (default 1)\n"
           "  --jobs N             worker threads (0 = hardware "
           "concurrency; default 1)\n"
@@ -85,18 +79,16 @@ void
 listProtocols(std::ostream &os)
 {
     protocolTable().print(os);
-    os << "\n(policies are shown for the paper's base Params; "
-          "select with --protocol,\nrun them via the 'policies' "
-          "figure)\n";
+    os << "\n(policies are shown for the paper's base Params; the "
+          "'policies' and\n'serving' figures run every protocol)\n";
 }
 
 void
 listNetworks(std::ostream &os)
 {
     networkTable().print(os);
-    os << "\n(select with --network, sweep them via the 'scaling' "
-          "figure; every other\nfigure pins the paper's constant "
-          "model)\n";
+    os << "\n(the 'scaling' and 'serving' figures run mesh-2d; every "
+          "other figure\npins the paper's constant model)\n";
 }
 
 void
@@ -158,8 +150,6 @@ main(int argc, char **argv)
 {
     double scale = 1.0;
     std::size_t jobs = 1;
-    std::vector<std::string> protocols;
-    std::vector<std::string> networks;
     std::string json_out;
     std::string compare_path;
     std::string current_path;
@@ -187,23 +177,7 @@ main(int argc, char **argv)
             return (listNetworks(std::cout), 0);
         else if (arg == "--list-workloads")
             return (listWorkloads(std::cout), 0);
-        else if (arg == "--protocol") {
-            std::string name = next();
-            if (!findProtocolSpec(name)) {
-                std::cerr << "rnuma_sweep: unknown protocol '"
-                          << name << "' (see --list-protocols)\n";
-                return 2;
-            }
-            protocols.push_back(name);
-        } else if (arg == "--network") {
-            std::string name = next();
-            if (!findNetworkSpec(name)) {
-                std::cerr << "rnuma_sweep: unknown network '"
-                          << name << "' (see --list-networks)\n";
-                return 2;
-            }
-            networks.push_back(name);
-        } else if (arg == "--scale") {
+        else if (arg == "--scale") {
             const char *val = next();
             std::optional<double> s = parseScale(val);
             if (!s) {
@@ -267,17 +241,13 @@ main(int argc, char **argv)
     }
 
     int status = 0;
-    FigureOptions opt;
-    opt.scale = scale;
-    opt.protocols = protocols;
-    opt.networks = networks;
     // One runner for the whole invocation, so figures naming the
     // same workload input generate it exactly once.
     SweepRunner runner(jobs);
     std::vector<FigureRun> runs;
     runs.reserve(specs.size());
     for (const FigureSpec *spec : specs) {
-        FigureRun run = runFigure(*spec, opt, runner, verify);
+        FigureRun run = runFigure(*spec, scale, runner, verify);
         std::ostringstream table;
         int rc = renderFigure(*spec, run, table);
         if (!quiet) {

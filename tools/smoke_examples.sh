@@ -17,6 +17,10 @@ trap 'rm -rf "$traces"' EXIT
 
 set -x
 "$bin/adversary"
+# A zero-page adversary has nothing to measure: a usage error.
+rc=0
+"$bin/adversary" 0 2> /dev/null || rc=$?
+[ "$rc" -eq 2 ]
 "$bin/custom_sweep" ocean 0.1 2
 "$bin/database_scan"
 "$bin/protocol_explorer"
