@@ -14,9 +14,6 @@
 
 #include "workload/apps/apps.hh"
 
-#include <algorithm>
-#include <vector>
-
 #include "workload/synthetic.hh"
 
 namespace rnuma
@@ -37,30 +34,38 @@ makeBarnes(const Params &p, double scale, std::uint64_t seed)
     const std::size_t own = bodies / ncpus ? bodies / ncpus : 1;
 
     Addr bodies_base = b.allocBytes(bodies * body_bytes);
-    for (CpuId c = 0; c < ncpus; ++c) {
-        b.touchRange(c, bodies_base + c * own * body_bytes,
-                     own * body_bytes);
-    }
-
     // Tree cells, partitioned across nodes (cells are built
     // cooperatively; each node homes a slice).
     Addr hot = b.allocPages(hot_pages);
     Addr cold = b.allocPages(cold_pages);
-    auto touch_sliced = [&](Addr base_addr, std::size_t pages) {
-        std::size_t per = pages / b.nnodes() ? pages / b.nnodes() : 1;
-        for (std::size_t pg = 0; pg < pages; ++pg) {
-            NodeId n = static_cast<NodeId>(
-                std::min(pg / per, b.nnodes() - 1));
-            b.touch(static_cast<CpuId>(n * b.cpusPerNode()),
-                    base_addr + pg * p.pageSize);
-        }
-    };
-    touch_sliced(hot, hot_pages);
-    touch_sliced(cold, cold_pages);
 
     // Hoisted: the appends store through size_t fields the compiler
     // cannot tell from p's, so a call in the loop divides per entry.
     const std::size_t blocks_per_page = p.blocksPerPage();
+    // Tree rebuild writes per node lead and timestep (see below).
+    const std::size_t hot_blocks = hot_pages * blocks_per_page;
+    const std::size_t per_node = hot_blocks / b.nnodes();
+    const std::size_t rebuild_writes = per_node * 2 / 5;
+    // Per CPU: its body pages; on a node lead, its tree slices and
+    // rebuild writes; a barrier, then per timestep hot_reads +
+    // cold_reads + 2 entries per owned body and two barriers; End.
+    for (CpuId c = 0; c < ncpus; ++c) {
+        NodeId n = b.nodeOf(c);
+        bool lead = c == n * b.cpusPerNode();
+        b.reserve(c, {iters, own, hot_reads + cold_reads + 2},
+                  b.pagesIn(bodies_base + c * own * body_bytes,
+                            own * body_bytes) +
+                      (lead ? b.slicedPages(n, hot_pages) +
+                                  b.slicedPages(n, cold_pages) +
+                                  iters * rebuild_writes
+                            : 0) +
+                      2 * iters + 2);
+        b.touchRange(c, bodies_base + c * own * body_bytes,
+                     own * body_bytes);
+    }
+    b.homeSliced(hot, hot_pages);
+    b.homeSliced(cold, cold_pages);
+
     auto rand_block = [&](Addr base_addr, std::size_t pages) {
         std::size_t blocks = pages * blocks_per_page;
         return base_addr + b.rng().below(blocks) * p.blockSize;
@@ -86,11 +91,9 @@ makeBarnes(const Params &p, double scale, std::uint64_t seed)
         // Tree rebuild: each node's lead CPU rewrites ~40% of its hot
         // slice, invalidating consumers (the hot pages are read-write
         // shared, matching Table 4's 97%).
-        std::size_t hot_blocks = hot_pages * blocks_per_page;
-        std::size_t per_node = hot_blocks / b.nnodes();
         for (NodeId n = 0; n < b.nnodes(); ++n) {
             CpuId lead = static_cast<CpuId>(n * b.cpusPerNode());
-            for (std::size_t k = 0; k < per_node * 2 / 5; ++k) {
+            for (std::size_t k = 0; k < rebuild_writes; ++k) {
                 Addr a = hot + (n * per_node +
                     b.rng().below(per_node)) * p.blockSize;
                 b.write(lead, a, 2);

@@ -41,12 +41,28 @@ makeCholesky(const Params &p, double scale, std::uint64_t seed)
 
     // One page per panel, owned round-robin by CPU.
     std::vector<Addr> panel(panels);
-    for (std::size_t k = 0; k < panels; ++k) {
+    for (std::size_t k = 0; k < panels; ++k)
         panel[k] = b.allocPages(1);
-        b.touch(static_cast<CpuId>(k % ncpus), panel[k]);
-    }
     // A small shared task queue (supplies the read-write component).
     Addr queue = b.allocPages(1);
+
+    // Per CPU: its panel pages (and the queue page on CPU 0) and a
+    // barrier; a page of writes per panel it factors (the first
+    // 3 * steps); per step the update reads, a queue read and write
+    // and two barriers; End.
+    const std::size_t factored = 3 * steps < panels ? 3 * steps : panels;
+    // How many of the panels k < n CPU c owns.
+    auto owned = [&](std::size_t n, CpuId c) {
+        return n / ncpus + (c < n % ncpus);
+    };
+    for (CpuId c = 0; c < ncpus; ++c) {
+        b.reserve(c, {steps, passes * reads_per_step * sample_blocks + 4},
+                  owned(panels, c) + (c == 0) +
+                      owned(factored, c) * blocks_per_page + 2);
+    }
+
+    for (std::size_t k = 0; k < panels; ++k)
+        b.touch(static_cast<CpuId>(k % ncpus), panel[k]);
     b.touch(0, queue);
 
     b.barrier(); // placement completes before the parallel phase

@@ -34,6 +34,11 @@ makeEm3d(const Params &p, double scale, std::uint64_t seed)
     std::vector<Addr> region(ncpus);
     for (CpuId c = 0; c < ncpus; ++c) {
         region[c] = b.allocBytes(gnodes_per_cpu * p.blockSize);
+        // Its region's pages and a barrier, then per iteration degree
+        // reads and a write per graph node and a barrier; End.
+        b.reserve(c, {iters, gnodes_per_cpu, degree + 1},
+                  b.pagesIn(region[c], gnodes_per_cpu * p.blockSize) +
+                      iters + 2);
         b.touchRange(c, region[c], gnodes_per_cpu * p.blockSize);
     }
 

@@ -31,6 +31,11 @@ makeFft(const Params &p, double scale, std::uint64_t seed)
     std::vector<Addr> region(ncpus);
     for (CpuId c = 0; c < ncpus; ++c) {
         region[c] = b.allocBytes(np * point_bytes);
+        // Its region's pages and a barrier, then a read and a write
+        // per owned point and a barrier in each of the three
+        // transposes and two compute phases; End.
+        b.reserve(c, {5, np, 2},
+                  b.pagesIn(region[c], np * point_bytes) + 5 + 2);
         b.touchRange(c, region[c], np * point_bytes);
     }
     b.barrier(); // placement completes before the parallel phase

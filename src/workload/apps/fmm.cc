@@ -45,9 +45,6 @@ makeFmm(const Params &p, double scale, std::uint64_t seed)
         p.pageSize >= cell_bytes ? p.pageSize / cell_bytes : 1;
 
     Addr base = b.allocBytes(cells * cell_bytes);
-    for (CpuId c = 0; c < ncpus; ++c) {
-        b.touchRange(c, base + c * own * cell_bytes, own * cell_bytes);
-    }
 
     // Per-node interaction pools: remote cells, at most one per page
     // — the adaptive tree scatters each list over many pages with
@@ -105,6 +102,21 @@ makeFmm(const Params &p, double scale, std::uint64_t seed)
             used[pg] = true;
             pool[n].push_back(base + q * cell_bytes);
         }
+    }
+
+    // Per CPU: its cell pages and a barrier, then per iteration an
+    // expansion write and, with a pool, passes * interactions pool
+    // reads per owned cell (a block each, two with two-block cells)
+    // and two barriers; End.
+    const std::size_t cell_refs = two_block_cells ? 2 : 1;
+    const std::size_t pool_reads = pool_target > 0
+        ? passes * interactions : 0;
+    for (CpuId c = 0; c < ncpus; ++c) {
+        b.reserve(c, {iters, own, cell_refs, 1 + pool_reads},
+                  b.pagesIn(base + c * own * cell_bytes,
+                            own * cell_bytes) +
+                      2 * iters + 2);
+        b.touchRange(c, base + c * own * cell_bytes, own * cell_bytes);
     }
 
     b.barrier(); // placement completes before the parallel phase

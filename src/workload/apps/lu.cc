@@ -14,6 +14,7 @@
 
 #include "workload/apps/apps.hh"
 
+#include <algorithm>
 #include <vector>
 
 #include "workload/synthetic.hh"
@@ -49,6 +50,26 @@ makeLu(const Params &p, double scale, std::uint64_t seed)
     auto blk_addr = [&](std::size_t i, std::size_t j) {
         return base + (i * grid + j) * mb;
     };
+    // The owner of block (i,j) touches it, sweeps it twice when step
+    // min(i,j) factors it (the diagonal) or updates it (the
+    // perimeter) — every block but the last diagonal one — and three
+    // times per earlier step as an interior block. Per CPU: those
+    // touches and mblocks entries per sweep, a barrier, three per
+    // step, and End. The skewed owner map makes the split very
+    // uneven, so each CPU reserves its own count.
+    std::vector<std::size_t> touches(b.ncpus(), 0);
+    std::vector<std::size_t> sweeps(b.ncpus(), 0);
+    for (std::size_t i = 0; i < grid; ++i) {
+        for (std::size_t j = 0; j < grid; ++j) {
+            CpuId c = owner_cpu(i, j);
+            touches[c]++;
+            sweeps[c] += 3 * std::min(i, j) +
+                (i + 1 < grid || j + 1 < grid ? 2 : 0);
+        }
+    }
+    for (CpuId c = 0; c < b.ncpus(); ++c)
+        b.reserve(c, {sweeps[c], mblocks}, touches[c] + 3 * (grid - 1) + 2);
+
     for (std::size_t i = 0; i < grid; ++i)
         for (std::size_t j = 0; j < grid; ++j)
             b.touch(owner_cpu(i, j), blk_addr(i, j));

@@ -34,7 +34,15 @@ makeMoldyn(const Params &p, double scale, std::uint64_t seed)
     const std::size_t own = particles / ncpus ? particles / ncpus : 1;
 
     Addr base = b.allocBytes(particles * particle_bytes);
+    // Per CPU: its particle pages and a barrier, then per iteration
+    // passes * partners reads and one write per particle record block
+    // for each owned particle, and a barrier; End.
+    const std::size_t record_blocks = p.blockSize < particle_bytes ? 2 : 1;
     for (CpuId c = 0; c < ncpus; ++c) {
+        b.reserve(c, {iters, own, passes * partners + record_blocks},
+                  b.pagesIn(base + c * own * particle_bytes,
+                            own * particle_bytes) +
+                      iters + 2);
         b.touchRange(c, base + c * own * particle_bytes,
                      own * particle_bytes);
     }
@@ -70,7 +78,7 @@ makeMoldyn(const Params &p, double scale, std::uint64_t seed)
             Addr mine = base + c * own * particle_bytes;
             for (std::size_t i = 0; i < own; ++i) {
                 b.write(c, mine + i * particle_bytes, 3);
-                if (p.blockSize < particle_bytes)
+                if (record_blocks == 2)
                     b.write(c,
                             mine + i * particle_bytes + p.blockSize,
                             3);

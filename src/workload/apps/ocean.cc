@@ -47,21 +47,49 @@ makeOcean(const Params &p, double scale, std::uint64_t seed)
 
     // Grids partitioned in horizontal bands, one band per node.
     std::vector<Addr> grid_base(arrays);
-    for (std::size_t g = 0; g < arrays; ++g) {
+    for (std::size_t g = 0; g < arrays; ++g)
         grid_base[g] = b.allocBytes(rows * row_bytes);
+    // Multigrid coarse levels, homed round-robin.
+    Addr coarse = b.allocPages(coarse_pages);
+
+    // The CPU whose band starts its node's band reads the node
+    // below's boundary row at each sweep (see below).
+    auto low_edge = [&](CpuId c) {
+        NodeId n = b.nodeOf(c);
+        return n > 0 && c * rows_per_cpu == n * rows_per_node;
+    };
+    // Per CPU: its band pages in each grid, on a node lead its coarse
+    // pages, and a barrier; per iteration, for each color, a read
+    // and a write per block of its rows (the colors split each row's
+    // blocks) and, on a low edge, a boundary row per grid, then
+    // frag_reads and a barrier; mg_passes of coarse_reads + 8 and a
+    // barrier; End.
+    for (CpuId c = 0; c < ncpus; ++c) {
+        NodeId n = b.nodeOf(c);
+        std::size_t band_pages = 0;
+        for (std::size_t g = 0; g < arrays; ++g) {
+            band_pages += b.pagesIn(
+                grid_base[g] + c * rows_per_cpu * row_bytes,
+                rows_per_cpu * row_bytes);
+        }
+        std::size_t per_iter_extra =
+            (low_edge(c) ? 2 * arrays * row_blocks : 0) +
+            2 * (frag_reads + 1) + mg_passes * (coarse_reads + 8 + 1);
+        b.reserve(c, {iters, arrays, rows_per_cpu, row_blocks, 2},
+                  band_pages +
+                      (c == n * b.cpusPerNode()
+                           ? b.roundRobinPages(n, coarse_pages) : 0) +
+                      iters * per_iter_extra + 2);
+    }
+
+    for (std::size_t g = 0; g < arrays; ++g) {
         for (CpuId c = 0; c < ncpus; ++c) {
             b.touchRange(c, grid_base[g] +
                              c * rows_per_cpu * row_bytes,
                          rows_per_cpu * row_bytes);
         }
     }
-    // Multigrid coarse levels, homed round-robin.
-    Addr coarse = b.allocPages(coarse_pages);
-    for (std::size_t pg = 0; pg < coarse_pages; ++pg) {
-        NodeId n = static_cast<NodeId>(pg % b.nnodes());
-        b.touch(static_cast<CpuId>(n * b.cpusPerNode()),
-                coarse + pg * p.pageSize);
-    }
+    b.homeRoundRobin(coarse, coarse_pages);
 
     auto row_addr = [&](std::size_t g, std::size_t r) {
         return grid_base[g] + r * row_bytes;
@@ -87,10 +115,9 @@ makeOcean(const Params &p, double scale, std::uint64_t seed)
                     }
                     // Boundary exchange: the CPU owning the band edge
                     // reads the adjacent node's boundary row.
-                    NodeId n = b.nodeOf(c);
-                    bool low_edge = r0 == n * rows_per_node;
-                    if (low_edge && n > 0) {
-                        std::size_t nb = n * rows_per_node - 1;
+                    if (low_edge(c)) {
+                        std::size_t nb =
+                            b.nodeOf(c) * rows_per_node - 1;
                         for (std::size_t blk = 0; blk < row_blocks;
                              ++blk) {
                             b.read(c, row_addr(g, nb) +

@@ -63,20 +63,39 @@ makeRadix(const Params &p, double scale, std::uint64_t seed)
     Addr dst = b.allocBytes(array_bytes);
     std::size_t array_pages = (array_bytes + p.pageSize - 1) /
         p.pageSize;
+    // Global histogram page (read-write shared by everyone).
+    Addr hist = b.allocPages(1);
+
+    // Per CPU: on a node lead, a source and a destination touch per
+    // page homed on its node; the histogram page on CPU 0; a barrier;
+    // per pass, a read per whole key block, 32 histogram reads and
+    // writes and a barrier, then a read per started key block, a
+    // write per key and a barrier; End.
+    const std::size_t whole_blocks = keys_per_cpu / keys_per_block;
+    const std::size_t started_blocks =
+        (keys_per_cpu + keys_per_block - 1) / keys_per_block;
+    for (CpuId c = 0; c < ncpus; ++c) {
+        NodeId n = b.nodeOf(c);
+        b.reserve(c, {passes, keys_per_cpu + whole_blocks +
+                                  started_blocks + 2 * 32 + 2},
+                  (c == n * b.cpusPerNode()
+                       ? 2 * b.roundRobinPages(n, array_pages) : 0) +
+                      (c == 0) + 2);
+    }
+
     for (std::size_t pg = 0; pg < array_pages; ++pg) {
         CpuId t = static_cast<CpuId>((pg % b.nnodes()) *
                                      b.cpusPerNode());
         b.touch(t, src + pg * p.pageSize);
         b.touch(t, dst + pg * p.pageSize);
     }
-    // Global histogram page (read-write shared by everyone).
-    Addr hist = b.allocPages(1);
     b.touch(0, hist);
 
+    // Each (digit, node) run is written cyclically: a cursor holds
+    // the next position in its run, already wrapped.
     auto run_addr = [&](Addr array, std::size_t digit, NodeId n,
-                        std::size_t k) {
-        std::size_t idx = digit * digit_keys + n * run_keys +
-            (k % run_keys);
+                        std::size_t pos) {
+        std::size_t idx = digit * digit_keys + n * run_keys + pos;
         return array + idx * key_bytes;
     };
 
@@ -102,10 +121,8 @@ makeRadix(const Params &p, double scale, std::uint64_t seed)
             std::size_t pg = n + (c % b.cpusPerNode()) * b.nnodes();
             if (pg >= array_pages)
                 pg %= array_pages;
-            std::size_t blocks_to_read = keys_per_cpu /
-                keys_per_block;
             std::size_t consumed = 0;
-            for (std::size_t k = 0; k < blocks_to_read; ++k) {
+            for (std::size_t k = 0; k < whole_blocks; ++k) {
                 if (consumed == blocks_per_page) {
                     pg += b.nnodes() * b.cpusPerNode();
                     if (pg >= array_pages)
@@ -140,25 +157,34 @@ makeRadix(const Params &p, double scale, std::uint64_t seed)
             Addr mine = from + local_pg * p.pageSize;
             std::size_t stride = b.nnodes() * b.cpusPerNode();
             std::size_t consumed = 0;
+            // Keys left in the block last read and in the page it
+            // is on: a page holds whole blocks, so both run out
+            // together at a page boundary.
+            std::size_t block_left = 0;
+            std::size_t page_left = keys_per_page;
             for (std::size_t k = 0; k < keys_per_cpu; ++k) {
-                if (k % keys_per_block == 0) {
+                if (block_left == 0) {
                     // Advance through the node's own pages.
-                    std::size_t key_in_page =
-                        (k % keys_per_page);
-                    if (k > 0 && key_in_page == 0) {
+                    if (page_left == 0) {
                         local_pg += stride;
                         if (local_pg >= array_pages)
                             local_pg = n % array_pages;
                         mine = from + local_pg * p.pageSize;
                         consumed = 0;
+                        page_left = keys_per_page;
                     }
                     b.read(c, mine + consumed * p.blockSize, 2);
                     consumed++;
+                    block_left = keys_per_block;
                 }
+                block_left--;
+                page_left--;
                 std::size_t digit = static_cast<std::size_t>(
                     b.rng().below(digits));
-                std::size_t pos = cursor[n][digit]++;
+                std::size_t &pos = cursor[n][digit];
                 b.write(c, run_addr(to, digit, n, pos), 1);
+                if (++pos == run_keys)
+                    pos = 0;
             }
         }
         b.barrier();

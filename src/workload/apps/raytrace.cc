@@ -13,7 +13,6 @@
 
 #include "workload/apps/apps.hh"
 
-#include <algorithm>
 #include <vector>
 
 #include "workload/synthetic.hh"
@@ -36,29 +35,36 @@ makeRaytrace(const Params &p, double scale, std::uint64_t seed)
     Addr hot = b.allocPages(hot_pages);
     Addr cold = b.allocPages(cold_pages);
     Addr queue = b.allocPages(1); // shared work queue (RW)
-    auto touch_sliced = [&](Addr base_addr, std::size_t pages) {
-        std::size_t per = pages / b.nnodes() ? pages / b.nnodes() : 1;
-        for (std::size_t pg = 0; pg < pages; ++pg) {
-            NodeId n = static_cast<NodeId>(
-                std::min(pg / per, b.nnodes() - 1));
-            b.touch(static_cast<CpuId>(n * b.cpusPerNode()),
-                    base_addr + pg * p.pageSize);
-        }
-    };
-    touch_sliced(hot, hot_pages);
-    touch_sliced(cold, cold_pages);
-    b.touch(0, queue);
-
     // Private framebuffer strips.
     std::vector<Addr> fb(ncpus);
-    for (CpuId c = 0; c < ncpus; ++c) {
+    for (CpuId c = 0; c < ncpus; ++c)
         fb[c] = b.allocPages(2);
-        b.touchRange(c, fb[c], 2 * p.pageSize);
-    }
 
     // Hoisted: the appends store through size_t fields the compiler
     // cannot tell from p's, so a call in the loop divides per entry.
     const std::size_t blocks_per_page = p.blocksPerPage();
+    // Per CPU: its framebuffer pages; on a node lead, its BVH and
+    // scene slices; on CPU 0, the queue page; a barrier, then per
+    // frame hot_reads + cold_reads + 1 entries per ray, two per
+    // queue grab (every 64th ray) and a barrier; End.
+    const std::size_t grabs = (rays_per_cpu + 63) / 64;
+    for (CpuId c = 0; c < ncpus; ++c) {
+        NodeId n = b.nodeOf(c);
+        bool lead = c == n * b.cpusPerNode();
+        b.reserve(c, {frames, rays_per_cpu, hot_reads + cold_reads + 1},
+                  b.pagesIn(fb[c], 2 * p.pageSize) +
+                      (lead ? b.slicedPages(n, hot_pages) +
+                                  b.slicedPages(n, cold_pages)
+                            : 0) +
+                      (c == 0) + frames * (2 * grabs + 1) + 2);
+    }
+
+    b.homeSliced(hot, hot_pages);
+    b.homeSliced(cold, cold_pages);
+    b.touch(0, queue);
+    for (CpuId c = 0; c < ncpus; ++c)
+        b.touchRange(c, fb[c], 2 * p.pageSize);
+
     auto rand_block = [&](Addr base_addr, std::size_t pages) {
         std::size_t blocks = pages * blocks_per_page;
         return base_addr + b.rng().below(blocks) * p.blockSize;

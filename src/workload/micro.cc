@@ -20,6 +20,22 @@ firstCpuOf(const Params &p, NodeId node)
     return static_cast<CpuId>(node * p.cpusPerNode);
 }
 
+/**
+ * Reserve for a sweep micro: @p owner touches the @p pages pages,
+ * @p reader reads every block of them @p sweeps times, and every CPU
+ * also holds a barrier and End.
+ */
+void
+reserveSweeps(StreamBuilder &b, CpuId owner, std::size_t pages,
+              CpuId reader, std::size_t sweeps)
+{
+    const Params &p = b.params();
+    for (CpuId c = 0; c < p.numCpus(); ++c) {
+        b.reserve(c, {c == reader ? sweeps : 0, pages, p.blocksPerPage()},
+                  (c == owner ? pages : 0) + 2);
+    }
+}
+
 } // namespace
 
 std::unique_ptr<Workload>
@@ -27,6 +43,10 @@ makePrivateLoop(const Params &p, std::size_t pages_per_cpu,
                 std::size_t iters)
 {
     StreamBuilder b("private-loop", p, 0x11);
+    // Per CPU: its pages, a barrier, a read and a write per block of
+    // them per iteration, End.
+    b.reserveEach({iters, pages_per_cpu, p.blocksPerPage(), 2},
+                  pages_per_cpu + 2);
     std::vector<Addr> base(p.numCpus());
     for (CpuId c = 0; c < p.numCpus(); ++c) {
         base[c] = b.allocPages(pages_per_cpu);
@@ -58,6 +78,7 @@ makeHotRemoteReuse(const Params &p, std::size_t remote_pages,
     Addr data = b.allocPages(remote_pages);
     CpuId owner = firstCpuOf(p, 1);
     CpuId reader = firstCpuOf(p, 0);
+    reserveSweeps(b, owner, remote_pages, reader, sweeps);
     b.touchRange(owner, data, remote_pages * p.pageSize);
     b.barrier(); // placement completes before the parallel phase
     for (std::size_t s = 0; s < sweeps; ++s) {
@@ -84,6 +105,7 @@ makeEvictionStorm(const Params &p, std::size_t remote_pages,
     Addr data = b.allocPages(remote_pages);
     CpuId owner = firstCpuOf(p, 1);
     CpuId reader = firstCpuOf(p, 0);
+    reserveSweeps(b, owner, remote_pages, reader, sweeps);
     b.touchRange(owner, data, remote_pages * p.pageSize);
     b.barrier(); // placement completes before the parallel phase
     // The same sequential sweep as hot reuse, but over a reuse set
@@ -111,6 +133,14 @@ makeProducerConsumer(const Params &p, std::size_t pages,
     Addr buf = b.allocPages(pages);
     CpuId prod = firstCpuOf(p, 0);
     CpuId cons = firstCpuOf(p, 1);
+    // Per CPU: the producer's pages, a barrier, two barriers per
+    // round, End; per round the producer writes and the consumer
+    // reads every block.
+    for (CpuId c = 0; c < p.numCpus(); ++c) {
+        bool active = c == prod || c == cons;
+        b.reserve(c, {active ? rounds : 0, pages, p.blocksPerPage()},
+                  (c == prod ? pages : 0) + 2 * rounds + 2);
+    }
     b.touchRange(prod, buf, pages * p.pageSize);
     b.barrier(); // placement completes before the parallel phase
     for (std::size_t r = 0; r < rounds; ++r) {
@@ -147,6 +177,12 @@ makeAdversary(const Params &p, std::size_t pages,
         pages_per_half = 1;
 
     std::size_t npairs = (pages + 1) / 2;
+    // Per CPU: the owner's pages, a barrier, the victim's two reads
+    // per touch of each pair, End.
+    for (CpuId c = 0; c < p.numCpus(); ++c) {
+        b.reserve(c, {c == victim ? npairs : 0, touches_per_page, 2},
+                  (c == owner ? npairs * 2 * pages_per_half : 0) + 2);
+    }
     std::vector<std::pair<Addr, Addr>> pairs;
     for (std::size_t pair = 0; pair < npairs; ++pair) {
         Addr chunk = b.allocPages(2 * pages_per_half);
@@ -170,6 +206,10 @@ std::unique_ptr<Workload>
 makeRwSharing(const Params &p, std::size_t rounds)
 {
     StreamBuilder b("rw-sharing", p, 0x55);
+    // Per CPU: the page on CPU 0, a barrier, a read and a write per
+    // round, End.
+    for (CpuId c = 0; c < p.numCpus(); ++c)
+        b.reserve(c, {rounds, 2}, (c == firstCpuOf(p, 0)) + 2);
     Addr page = b.allocPages(1);
     b.touchRange(firstCpuOf(p, 0), page, p.pageSize);
     b.barrier(); // placement completes before the parallel phase
@@ -190,6 +230,13 @@ makeScalingShift(const Params &p, std::size_t pages_per_node,
 {
     RNUMA_ASSERT(p.numNodes >= 2, "needs at least two nodes");
     StreamBuilder b("scaling-shift", p, 0x77);
+    // Per CPU: on a node's first CPU, its pages and a read per block
+    // of its partner's pages per sweep; a barrier and End on all.
+    for (CpuId c = 0; c < p.numCpus(); ++c) {
+        bool lead = c % p.cpusPerNode == 0;
+        b.reserve(c, {lead ? sweeps : 0, pages_per_node, p.blocksPerPage()},
+                  (lead ? pages_per_node : 0) + 2);
+    }
     std::vector<Addr> owned(p.numNodes);
     for (NodeId n = 0; n < p.numNodes; ++n) {
         owned[n] = b.allocPages(pages_per_node);

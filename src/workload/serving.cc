@@ -77,26 +77,6 @@ class ZipfSampler
     std::vector<double> cum_;
 };
 
-/** Home page @p pg of a pool at @p base round-robin across nodes via
- * each node's first CPU (the serving pools' placement policy). */
-void
-homeRoundRobin(StreamBuilder &b, Addr base, std::size_t pages)
-{
-    for (std::size_t pg = 0; pg < pages; ++pg) {
-        NodeId n = static_cast<NodeId>(pg % b.nnodes());
-        b.touch(static_cast<CpuId>(n * b.cpusPerNode()),
-                base + pg * b.params().pageSize);
-    }
-}
-
-/** The most placement touches homeRoundRobin appends to one CPU's
- * stream for a pool of @p pages pages. */
-std::size_t
-homeTouchesPerCpu(const StreamBuilder &b, std::size_t pages)
-{
-    return (pages + b.nnodes() - 1) / b.nnodes();
-}
-
 } // namespace
 
 std::unique_ptr<Workload>
@@ -117,9 +97,9 @@ makeZipfServe(const Params &p, double scale, std::uint64_t seed,
     // Per CPU: the placement touches, a session touch and a barrier,
     // then per request a read, at most one update and a session
     // write, then the End marker.
-    b.reserveEach({requests, 3}, homeTouchesPerCpu(b, pages) + 3);
+    b.reserveEach({requests, 3}, b.roundRobinPages(0, pages) + 3);
     Addr pool = b.allocPages(pages);
-    homeRoundRobin(b, pool, pages);
+    b.homeRoundRobin(pool, pages);
     // Per-CPU session state: private, node-local request scratch.
     std::vector<Addr> session(b.ncpus());
     for (CpuId c = 0; c < b.ncpus(); ++c) {
@@ -169,9 +149,9 @@ makePhaseShift(const Params &p, double scale, std::uint64_t seed,
     // page a read and at most one update, a barrier per phase, and
     // the End marker.
     b.reserveEach({phases, sweeps, window, 2},
-                  homeTouchesPerCpu(b, pages) + phases + 2);
+                  b.roundRobinPages(0, pages) + phases + 2);
     Addr pool = b.allocPages(pages);
-    homeRoundRobin(b, pool, pages);
+    b.homeRoundRobin(pool, pages);
     b.barrier();
 
     const std::size_t blocks = p.blocksPerPage();

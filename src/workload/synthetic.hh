@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/params.hh"
 #include "common/rng.hh"
@@ -29,7 +30,7 @@ namespace rnuma
 {
 
 /**
- * The largest per-CPU bound StreamBuilder::reserveEach acts on: 4 Mi
+ * The largest per-CPU bound StreamBuilder::reserve acts on: 4 Mi
  * entries, 32 MiB of Refs per CPU stream. A bound counts every entry
  * a generator might emit, so it can be about twice what the stream
  * holds; past this size, reserving it would claim more memory up front
@@ -69,6 +70,35 @@ class StreamBuilder
      * touches nothing. */
     void touchRange(CpuId cpu, Addr base, std::size_t bytes);
 
+    /** The number of pages touchRange(cpu, base, bytes) touches. */
+    std::size_t pagesIn(Addr base, std::size_t bytes) const;
+
+    /**
+     * Home the @p pages pages from @p base in contiguous per-node
+     * slices, each touched by its node's first CPU; the last node
+     * also takes the remainder.
+     */
+    void homeSliced(Addr base, std::size_t pages);
+
+    /** The number of pages homeSliced(base, pages) homes on @p n. */
+    std::size_t
+    slicedPages(NodeId n, std::size_t pages) const
+    {
+        return sliceStart(n + 1, pages) - sliceStart(n, pages);
+    }
+
+    /** Home page i of the @p pages from @p base on node i mod
+     * nnodes(), touched by that node's first CPU. */
+    void homeRoundRobin(Addr base, std::size_t pages);
+
+    /** The number of pages homeRoundRobin(base, pages) homes on
+     * @p n. */
+    std::size_t
+    roundRobinPages(NodeId n, std::size_t pages) const
+    {
+        return pages / nnodes() + (n < pages % nnodes());
+    }
+
     void
     read(CpuId cpu, Addr a, std::uint32_t think = defaultThink)
     {
@@ -81,19 +111,31 @@ class StreamBuilder
     }
 
     /**
-     * Reserve every CPU stream for the product of @p factors plus
-     * @p extra more entries: a generator's exact per-CPU upper bound
-     * on what it has yet to emit, End marker included. Reserves
-     * nothing when reserveBound() rejects the bound, so a huge legal
-     * option grows its streams on demand.
+     * Reserve @p cpu's stream for the product of @p factors plus
+     * @p extra more entries: the generator's upper bound, from its
+     * own loop counts, on what it has yet to append to that stream,
+     * End marker included. finish() panics, naming the generator and
+     * the CPU, if the stream ends up longer, so a bound that falls
+     * out of step with its loops fails every run that generates it.
+     * Reserves and checks nothing when reserveBound() rejects the
+     * bound, so a huge legal input grows its stream on demand.
      */
+    void reserve(CpuId cpu, std::initializer_list<std::size_t> factors,
+                 std::size_t extra);
+
+    /** reserve() every CPU's stream for the same bound. */
     void reserveEach(std::initializer_list<std::size_t> factors,
                      std::size_t extra);
 
     /** Global barrier across every CPU. */
     void barrier();
 
-    /** Seal and return the workload. The builder is then spent. */
+    /**
+     * Seal and return the workload. The builder is then spent.
+     * Panics when a reserved stream holds more entries than its
+     * reservation allowed, and is fatal when an entry lies outside
+     * the allocated address space.
+     */
     std::unique_ptr<Workload> finish();
 
     //--- Topology helpers -----------------------------------------------------
@@ -110,10 +152,20 @@ class StreamBuilder
     Rng &rng() { return rng_; }
 
   private:
+    /** First page of node @p n's homeSliced() slice; pages itself
+     * for n == nnodes(). */
+    std::size_t sliceStart(NodeId n, std::size_t pages) const;
+
     Params p; // copied: the workload outlives the caller's Params
     AddressSpace as;
     Rng rng_;
     std::unique_ptr<Workload> wl;
+    /**
+     * Per CPU: the most entries its stream may hold at finish(),
+     * End marker included, by its last reservation; SIZE_MAX when
+     * unreserved or rejected by reserveBound().
+     */
+    std::vector<std::size_t> cap;
 };
 
 /**

@@ -45,10 +45,10 @@ Workload::reset()
 }
 
 void
-Workload::reserveEach(std::size_t n)
+Workload::reserve(CpuId cpu, std::size_t n)
 {
-    for (auto &s : streams)
-        s.reserve(s.size() + n);
+    RNUMA_ASSERT(cpu < streams.size(), "bad cpu ", cpu);
+    streams[cpu].reserve(streams[cpu].size() + n);
 }
 
 void

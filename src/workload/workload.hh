@@ -135,10 +135,10 @@ class Workload
     }
 
     /**
-     * Make room for @p n more entries in every CPU's stream, so the
+     * Make room for @p n more entries in @p cpu's stream, so the
      * pushes that follow never regrow it.
      */
-    void reserveEach(std::size_t n);
+    void reserve(CpuId cpu, std::size_t n);
 
     /** Append a barrier to every CPU's stream. */
     void pushBarrierAll();

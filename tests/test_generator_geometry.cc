@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/params.hh"
 #include "sim/runner.hh"
@@ -146,6 +147,24 @@ TEST(GeneratorGeometry, SmallMachineAtHundredthScaleStaysInBounds)
 {
     for (const char *app : auditedApps)
         generateAndRunEverywhere(app, test::smallParams());
+}
+
+TEST(GeneratorGeometry, EveryAppAndMicroKeepsToItsReservation)
+{
+    // Each app and micro reserves its streams from its own loop
+    // counts, and finish() panics, naming the generator and the CPU,
+    // when a stream outgrows its bound. The bounds follow the
+    // geometry (blocks per page, pages per range, the per-node
+    // slices), so check them on the odd machines too.
+    for (const Params &p : {bigBlockParams(), tinyBlockParams(),
+                            wideMachineParams(), test::smallParams()}) {
+        for (const char *category : {"app", "micro"}) {
+            for (const std::string &id : workloadIds(category)) {
+                SCOPED_TRACE(id);
+                EXPECT_GE(makeWorkload(id, p, 0.01)->memRefCount(), 1u);
+            }
+        }
+    }
 }
 
 TEST(GeneratorGeometry, BaseMachineStreamsCarryTheAuditBound)

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -150,6 +151,92 @@ TEST(ReserveBound, OverflowingOrOverCapBoundReservesNothing)
     EXPECT_EQ(reserveBound({SIZE_MAX / 2, 3}, 1), std::nullopt);
     EXPECT_EQ(reserveBound({SIZE_MAX}, 1), std::nullopt);
     EXPECT_EQ(reserveBound({maxReserveEntries, 1}, 1), std::nullopt);
+}
+
+TEST(StreamBuilder, AppendingPastTheReservationPanicsInFinish)
+{
+    Params p = test::smallParams();
+    auto finishMessage = [](StreamBuilder &b) -> std::string {
+        try {
+            b.finish();
+        } catch (const std::logic_error &e) {
+            return e.what();
+        }
+        return "";
+    };
+
+    // Room for one read and the End marker on every CPU; CPU 2
+    // appends a second read.
+    StreamBuilder over("short-bound", p, 1);
+    Addr a = over.allocPages(1);
+    over.reserveEach({1, 1}, 1);
+    for (CpuId c = 0; c < over.ncpus(); ++c)
+        over.read(c, a);
+    over.read(2, a);
+    EXPECT_NE(finishMessage(over).find(
+                  "generator 'short-bound': cpu 2 holds 3 entries, "
+                  "past the 2 it reserved"),
+              std::string::npos);
+
+    // A per-CPU bound counts from the stream's length when it is
+    // made, and a stream that fills it exactly passes.
+    StreamBuilder exact("exact", p, 1);
+    a = exact.allocPages(1);
+    exact.touch(1, a);
+    exact.reserve(1, {2}, 1);
+    exact.read(1, a);
+    exact.write(1, a);
+    EXPECT_EQ(finishMessage(exact), "");
+}
+
+TEST(StreamBuilder, RejectedBoundReservesAndChecksNothing)
+{
+    Params p = test::smallParams();
+    StreamBuilder b("over-cap", p, 1);
+    Addr a = b.allocPages(1);
+    // The first bound would be exceeded, but the second replaces it
+    // and is past maxReserveEntries: CPU 0 grows on demand, unchecked.
+    b.reserve(0, {0}, 1);
+    b.reserve(0, {maxReserveEntries, 1}, 1);
+    for (int i = 0; i < 3; ++i)
+        b.read(0, a);
+    std::unique_ptr<Workload> wl;
+    EXPECT_NO_THROW(wl = b.finish());
+    EXPECT_EQ(wl->size(0), 4u);
+}
+
+TEST(StreamBuilder, PlacementCountsMatchTheTouches)
+{
+    Params p = test::smallParams();
+    p.numNodes = 8;
+    p.validate();
+    for (std::size_t pages : {0, 1, 3, 7, 8, 13, 30}) {
+        StreamBuilder b("t", p, 1);
+        Addr base = b.allocPages(pages + 1);
+        b.homeSliced(base, pages);
+        b.homeRoundRobin(base, pages);
+        b.touchRange(1, base + 100, pages * p.pageSize);
+        auto wl = b.finish();
+        std::size_t sliced_total = 0;
+        for (NodeId n = 0; n < b.nnodes(); ++n) {
+            CpuId lead = static_cast<CpuId>(n * p.cpusPerNode);
+            std::size_t sliced = b.slicedPages(n, pages);
+            sliced_total += sliced;
+            EXPECT_EQ(wl->size(lead),
+                      sliced + b.roundRobinPages(n, pages) + 1)
+                << pages << " pages, node " << n;
+            // Slices are contiguous and ascend node by node; the last
+            // node takes the remainder.
+            for (std::size_t i = 1; i < sliced; ++i)
+                EXPECT_EQ(wl->at(lead, i).addr,
+                          wl->at(lead, i - 1).addr + p.pageSize);
+        }
+        EXPECT_EQ(sliced_total, pages);
+        // An unaligned range spans one page more than its length.
+        EXPECT_EQ(wl->size(1), (pages ? pages + 1 : 0) + 1);
+        EXPECT_EQ(b.pagesIn(base + 100, pages * p.pageSize),
+                  pages ? pages + 1 : 0);
+    }
 }
 
 TEST(StreamBuilder, ScaledHelper)

@@ -10,11 +10,15 @@ host drift falls on both sides alike. Every run must report `correct`
 and `failed` 0, or the script exits 1 naming the run.
 
 For each end-to-end metric of BENCHMARK.json it prints both sides'
-quartiles, the change of the median, the pairs the change won (ties
-count for neither side) and whether a gain may be claimed: the change
-wins at least nine tenths of the pairs, and its median is better than
-the parent's by more than the parent's interquartile range. Both sides
-may be the same directory, which checks that the runs work at all.
+quartiles, the change of the median, the pairs the change won and
+lost (ties count for neither side) and a verdict. `gain`: the change
+won at least nine tenths of the pairs, and its median is better than
+the parent's by more than the parent's interquartile range. `worse`:
+the same rule mirrored, the change lost at least nine tenths of the
+pairs and its median is worse by more than that range. `neither`
+otherwise, and `too few pairs` below MIN_PAIRS, for either verdict.
+Both sides may be the same directory, which checks that the runs work
+at all.
 """
 
 import argparse
@@ -25,6 +29,11 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Fewer pairs give no verdict: one run has no interquartile range, so
+# a single pair would call any difference a gain or a loss, and a
+# clean sweep of n pairs comes by chance one time in 2^n.
+MIN_PAIRS = 5
 
 
 def end_to_end_metrics():
@@ -46,6 +55,28 @@ def quartiles(values):
         return v[lo] + (v[hi] - v[lo]) * (pos - lo)
 
     return at(0.25), at(0.5), at(0.75)
+
+
+def pairs_won_lost(parent, change, higher):
+    """(pairs the change won, pairs it lost); ties count for neither."""
+    better = [(y > x if higher else y < x) for x, y in zip(parent, change)]
+    worse = [(y < x if higher else y > x) for x, y in zip(parent, change)]
+    return sum(better), sum(worse)
+
+
+def verdict(parent, change, higher):
+    """gain, worse, neither or too few pairs for one metric's runs."""
+    if len(parent) < MIN_PAIRS:
+        return "too few pairs"
+    qa, qb = quartiles(parent), quartiles(change)
+    spread = qa[2] - qa[0]
+    gain = (qb[1] - qa[1]) if higher else (qa[1] - qb[1])
+    won, lost = pairs_won_lost(parent, change, higher)
+    if won >= 0.9 * len(parent) and gain > spread:
+        return "gain"
+    if lost >= 0.9 * len(parent) and -gain > spread:
+        return "worse"
+    return "neither"
 
 
 def run_side(checkout, args):
@@ -93,21 +124,20 @@ def main():
 
     print("workload %s, seed %d, %d pairs of %d s runs"
           % (args.workload, args.seed, args.pairs, args.seconds))
-    print("%-16s %-6s %-34s %-34s %8s %6s  %s"
+    print("%-16s %-6s %-34s %-34s %8s %6s %6s  %s"
           % ("metric", "unit", "parent q1 / median / q3",
-             "change q1 / median / q3", "median", "won", "claim"))
+             "change q1 / median / q3", "median", "won", "lost",
+             "verdict"))
     for name, unit, higher in end_to_end_metrics():
         a = [r[name] for r in runs["parent"]]
         b = [r[name] for r in runs["change"]]
         qa, qb = quartiles(a), quartiles(b)
-        won = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
-        gain = (qb[1] - qa[1]) if higher else (qa[1] - qb[1])
-        holds = won >= 0.9 * args.pairs and gain > qa[2] - qa[0]
+        won, lost = pairs_won_lost(a, b, higher)
         change = (qb[1] - qa[1]) / qa[1] if qa[1] else float("nan")
-        print("%-16s %-6s %-34s %-34s %+7.1f%% %3d/%-2d  %s"
+        print("%-16s %-6s %-34s %-34s %+7.1f%% %3d/%-2d %3d/%-2d  %s"
               % (name, unit, " / ".join("%.4g" % q for q in qa),
                  " / ".join("%.4g" % q for q in qb), 100 * change, won,
-                 args.pairs, "holds" if holds else "does not hold"))
+                 args.pairs, lost, args.pairs, verdict(a, b, higher)))
     return 0
 
 
