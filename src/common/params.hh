@@ -155,7 +155,7 @@ struct Params
     Tick remoteFetch() const { return remoteFetch(netLatency); }
 
     /**
-     * Stable directory-format id for artifacts and the compare gate:
+     * Stable directory-format id for the results JSON:
      * "full-map", "limited-pointer-<i>", or "coarse-vector-<r>".
      */
     std::string directoryId() const;

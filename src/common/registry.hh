@@ -12,7 +12,7 @@
  *
  * A Spec provides:
  *  - `std::string id`: the one name a spec is looked up by, and the
- *    stable JSON/compare currency: lowercase, no whitespace;
+ *    stable results-JSON currency: lowercase, no whitespace;
  *  - `std::string displayName`: the name tables and logs print
  *    (never looked up, so it need not be unique);
  *  - `bool valid() const`: an id and a factory are present;

@@ -1,9 +1,7 @@
 #include "driver/json.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace rnuma::driver
 {
@@ -116,10 +114,9 @@ JsonWriter::value(double v)
     separate();
     if (std::isfinite(v)) {
         char buf[64];
-        // Round-trip precision: the compare gate re-parses emitted
-        // documents and diffs fields like `scale` against in-process
-        // values, so serialization must not truncate (%.17g prints
-        // the shortest-ish form that parses back to the same double).
+        // %.17g, never a shorter form: the committed baseline's
+        // `scale` lines (0.10000000000000001) are compared byte for
+        // byte, so the digits written must not change.
         std::snprintf(buf, sizeof(buf), "%.17g", v);
         os_ << buf;
     } else {
@@ -134,267 +131,6 @@ JsonWriter::value(std::uint64_t v)
     separate();
     os_ << v;
     need_comma_ = true;
-}
-
-void
-JsonWriter::value(bool v)
-{
-    separate();
-    os_ << (v ? "true" : "false");
-    need_comma_ = true;
-}
-
-const JsonValue *
-JsonValue::get(const std::string &k) const
-{
-    if (kind != Kind::Object)
-        return nullptr;
-    for (const auto &kv : object)
-        if (kv.first == k)
-            return &kv.second;
-    return nullptr;
-}
-
-namespace
-{
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : s(text) {}
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = parseValue();
-        skipWs();
-        if (pos != s.size())
-            fail("trailing characters after document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &why) const
-    {
-        throw std::runtime_error("malformed JSON at byte " +
-                                 std::to_string(pos) + ": " + why);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-                s[pos] == '\r'))
-            pos++;
-    }
-
-    char
-    peek()
-    {
-        if (pos >= s.size())
-            fail("unexpected end of input");
-        return s[pos];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        pos++;
-    }
-
-    bool
-    consumeWord(const char *w)
-    {
-        std::size_t n = std::string(w).size();
-        if (s.compare(pos, n, w) == 0) {
-            pos += n;
-            return true;
-        }
-        return false;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        skipWs();
-        JsonValue v;
-        switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"':
-            v.kind = JsonValue::Kind::String;
-            v.str = parseString();
-            return v;
-          case 't':
-            if (!consumeWord("true"))
-                fail("bad literal");
-            v.kind = JsonValue::Kind::Bool;
-            v.boolean = true;
-            return v;
-          case 'f':
-            if (!consumeWord("false"))
-                fail("bad literal");
-            v.kind = JsonValue::Kind::Bool;
-            v.boolean = false;
-            return v;
-          case 'n':
-            if (!consumeWord("null"))
-                fail("bad literal");
-            v.kind = JsonValue::Kind::Null;
-            return v;
-          default:
-            return parseNumber();
-        }
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        for (;;) {
-            if (pos >= s.size())
-                fail("unterminated string");
-            char c = s[pos++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos >= s.size())
-                fail("unterminated escape");
-            char e = s[pos++];
-            switch (e) {
-              case '"':  out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/':  out += '/'; break;
-              case 'b':  out += '\b'; break;
-              case 'f':  out += '\f'; break;
-              case 'n':  out += '\n'; break;
-              case 'r':  out += '\r'; break;
-              case 't':  out += '\t'; break;
-              case 'u': {
-                if (pos + 4 > s.size())
-                    fail("short \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = s[pos++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        fail("bad \\u escape");
-                }
-                // The writer only emits \u for control characters;
-                // represent anything else as '?' rather than
-                // implementing full UTF-16 decoding.
-                out += code < 0x80 ? static_cast<char>(code) : '?';
-                break;
-              }
-              default:
-                fail("bad escape");
-            }
-        }
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        std::size_t start = pos;
-        if (peek() == '-')
-            pos++;
-        while (pos < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[pos])) ||
-                s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E' ||
-                s[pos] == '+' || s[pos] == '-'))
-            pos++;
-        if (pos == start)
-            fail("expected a value");
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        std::string tok = s.substr(start, pos - start);
-        try {
-            std::size_t used = 0;
-            v.number = std::stod(tok, &used);
-            // stod parses a valid prefix; anything left over means
-            // the token itself was malformed (e.g. "1.2.3").
-            if (used != tok.size())
-                fail("bad number");
-        } catch (const std::exception &) {
-            fail("bad number");
-        }
-        return v;
-    }
-
-    JsonValue
-    parseObject()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        skipWs();
-        if (peek() == '}') {
-            pos++;
-            return v;
-        }
-        for (;;) {
-            skipWs();
-            std::string k = parseString();
-            skipWs();
-            expect(':');
-            v.object.emplace_back(std::move(k), parseValue());
-            skipWs();
-            if (peek() == ',') {
-                pos++;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    JsonValue
-    parseArray()
-    {
-        expect('[');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
-        skipWs();
-        if (peek() == ']') {
-            pos++;
-            return v;
-        }
-        for (;;) {
-            v.array.push_back(parseValue());
-            skipWs();
-            if (peek() == ',') {
-                pos++;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    const std::string &s;
-    std::size_t pos = 0;
-};
-
-} // namespace
-
-JsonValue
-parseJson(const std::string &text)
-{
-    return Parser(text).parse();
 }
 
 } // namespace rnuma::driver

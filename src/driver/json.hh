@@ -1,10 +1,8 @@
 /**
  * @file
- * Minimal JSON support for the sweep driver: a writer with correct
- * string escaping for the machine-readable result sink, and a small
- * recursive-descent parser used to validate emitted files (the CLI
- * re-parses what it wrote; the tests round-trip sweep results). No
- * third-party dependency.
+ * Minimal JSON writer for the sweep driver's machine-readable result
+ * sink, with correct string escaping. The program only writes JSON;
+ * it reads none. No third-party dependency.
  */
 
 #ifndef RNUMA_DRIVER_JSON_HH
@@ -13,8 +11,6 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace rnuma::driver
 {
@@ -43,7 +39,6 @@ class JsonWriter
     void value(const char *v) { value(std::string(v)); }
     void value(double v);
     void value(std::uint64_t v);
-    void value(bool v);
 
   private:
     void separate();
@@ -54,39 +49,6 @@ class JsonWriter
     bool need_comma_ = false;
     bool after_key_ = false;
 };
-
-/** A parsed JSON value (object keys preserve document order). */
-struct JsonValue
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0;
-    std::string str;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    /** Object member lookup; nullptr when absent or not an object. */
-    const JsonValue *get(const std::string &k) const;
-
-    bool isObject() const { return kind == Kind::Object; }
-    bool isArray() const { return kind == Kind::Array; }
-};
-
-/**
- * Parse a complete JSON document. Throws std::runtime_error with a
- * byte offset on malformed input (including trailing garbage).
- */
-JsonValue parseJson(const std::string &text);
 
 } // namespace rnuma::driver
 

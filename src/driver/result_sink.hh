@@ -4,9 +4,9 @@
  * a figure's identity with its SweepResult; writeJson() serializes
  * lists of them. The JSON schema
  * (resultsSchema, documented in docs/PERFORMANCE.md) is the stable
- * artifact format the CI figure pipeline and the counter gate
- * (`rnuma_sweep --compare`) consume, so a change to it must bump the
- * schema string; the gate reads only the current version.
+ * artifact format of `rnuma_sweep --json-out`, which CI compares
+ * byte for byte with the committed baseline/figures-s0.1.json, so a
+ * change to it must bump the schema string.
  */
 
 #ifndef RNUMA_DRIVER_RESULT_SINK_HH
@@ -21,7 +21,7 @@
 namespace rnuma::driver
 {
 
-/** The results schema writeJson() writes and loadResults reads. */
+/** The results schema writeJson() writes. */
 constexpr const char *resultsSchema = "rnuma-sweep-results/v9";
 
 /** One executed figure: identity plus per-cell results. */

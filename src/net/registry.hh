@@ -2,7 +2,7 @@
  * @file
  * The network registry: string-keyed, composable interconnect models
  * in the one Registry<Spec> mechanism (common/registry.hh). A NetworkSpec
- * captures a stable id (the JSON/compare currency), a display
+ * captures a stable id (the results-JSON currency), a display
  * name, and a factory from Params to a NetworkModel; the two
  * built-ins are "constant" (the paper's fixed-latency network, the
  * default) and "mesh-2d". A new topology is one registration away
@@ -35,8 +35,8 @@ struct NetworkSpec
 {
     /**
      * Stable machine-readable id: the Params::networkModel value and
-     * the JSON artifact / compare-gate currency ("constant",
-     * "mesh-2d"). Lowercase, no spaces.
+     * the results-JSON currency ("constant", "mesh-2d").
+     * Lowercase, no spaces.
      */
     std::string id;
     /** Human-readable name for tables and logs ("2D mesh"). */

@@ -8,7 +8,7 @@
  * CC-NUMA, S-COMA, and R-NUMA differ only in their Remote Access
  * Device, and that the *reactive* part of R-NUMA is a small per-page
  * decision rule layered on a hybrid RAD. A ProtocolSpec captures
- * exactly that factoring: a stable id (the JSON/compare currency), a
+ * exactly that factoring: a stable id (the results-JSON currency), a
  * display name, a Rad factory, and — for hybrid RADs — a
  * RelocationPolicy factory. The three paper systems are the first
  * three registrations; new hybrid designs (hysteresis, adaptive
@@ -49,9 +49,9 @@ using PolicyFactory =
 struct ProtocolSpec
 {
     /**
-     * Stable machine-readable id: the lookup key and the JSON
-     * artifact / compare-gate currency ("ccnuma",
-     * "rnuma-hysteresis", ...). Lowercase, no spaces.
+     * Stable machine-readable id: the lookup key and the
+     * results-JSON currency ("ccnuma", "rnuma-hysteresis", ...).
+     * Lowercase, no spaces.
      */
     std::string id;
     /** Human-readable name for tables and logs ("CC-NUMA"). */

@@ -277,7 +277,7 @@ addBuiltins(WorkloadRegistry &reg)
 
     // The commercial-serving generators (Section 1's motivating
     // traffic): Zipf-skewed page service and diurnal phase
-    // rotation, plus the database-scan demo promoted from examples/.
+    // rotation.
     WorkloadSpec zipf;
     zipf.id = "zipf-serve";
     zipf.displayName = "Zipf serving";
@@ -299,17 +299,6 @@ addBuiltins(WorkloadRegistry &reg)
     phase.category = "serving";
     phase.make = &makePhaseShift;
     reg.add(std::move(phase));
-
-    WorkloadSpec db;
-    db.id = "database-scan";
-    db.displayName = "Database scan";
-    db.description =
-        "transaction mix over a shared buffer pool with a hot "
-        "subset, per-cpu scratch, and a lock page";
-    db.input = "transactions=48, pool=160 pages, hot=24";
-    db.category = "serving";
-    db.make = &makeDatabaseScan;
-    reg.add(std::move(db));
 }
 
 Table

@@ -3,7 +3,7 @@
  * The workload registry: string-keyed, composable reference-stream
  * generators in the one Registry<Spec> mechanism
  * (common/registry.hh). A WorkloadSpec captures a
- * stable id (the JSON/compare currency), a display name, and a
+ * stable id (the results-JSON currency), a display name, and a
  * factory from (Params, scale, seed, option string) to a Workload.
  *
  * The built-ins cover three categories:
@@ -13,8 +13,7 @@
  *    hot-reuse, evict-storm, producer-consumer, adversary,
  *    rw-sharing, scaling-shift), at their figures' sizes;
  *  - "serving": the commercial-serving generators the paper's
- *    Section 1 motivation describes (zipf-serve, phase-shift,
- *    database-scan).
+ *    Section 1 motivation describes (zipf-serve, phase-shift).
  *
  * Only the serving generators take options; an app or a micro
  * rejects any option string by name.
@@ -107,8 +106,8 @@ using WorkloadMakeFn = std::function<std::unique_ptr<Workload>(
 struct WorkloadSpec
 {
     /**
-     * Stable machine-readable id: the lookup key and the JSON
-     * artifact / compare-gate currency ("barnes", "zipf-serve", ...).
+     * Stable machine-readable id: the lookup key and the
+     * results-JSON currency ("barnes", "zipf-serve", ...).
      * Lowercase, no spaces.
      */
     std::string id;

@@ -177,68 +177,4 @@ makePhaseShift(const Params &p, double scale, std::uint64_t seed,
     return b.finish();
 }
 
-std::unique_ptr<Workload>
-makeDatabaseScan(const Params &p, double scale, std::uint64_t seed,
-                 const std::string &options)
-{
-    auto o = WorkloadOptions::parse(options);
-    std::size_t transactions =
-        o.getSize("transactions", scaled(48, scale, 8), 1,
-                  maxStreamCount);
-    std::size_t pool_pages = o.getSize("pool", 160, 1, maxPages);
-    std::size_t rows_per_txn = o.getSize("rows", 48, 0, maxStreamCount);
-    std::size_t hot_fraction_pages = o.getSize("hot", 24, 1);
-    o.finish("database-scan");
-    if (hot_fraction_pages > pool_pages) {
-        RNUMA_FATAL("database-scan option hot=", hot_fraction_pages,
-                    " is out of range (want hot <= pool=", pool_pages,
-                    ")");
-    }
-
-    StreamBuilder b("database-scan", p, seed);
-    Addr pool = b.allocPages(pool_pages);
-    for (std::size_t pg = 0; pg < pool_pages; ++pg) {
-        NodeId n = static_cast<NodeId>(pg % b.nnodes());
-        b.touch(static_cast<CpuId>(n * b.cpusPerNode()),
-                pool + pg * p.pageSize);
-    }
-    Addr locks = b.allocPages(1);
-    b.touch(0, locks);
-    std::vector<Addr> scratch(b.ncpus());
-    for (CpuId c = 0; c < b.ncpus(); ++c) {
-        scratch[c] = b.allocPages(1);
-        b.touchRange(c, scratch[c], p.pageSize);
-    }
-
-    b.barrier();
-    for (std::size_t txn = 0; txn < transactions; ++txn) {
-        for (CpuId c = 0; c < b.ncpus(); ++c) {
-            // Acquire a latch: read-write traffic on the hot page.
-            Addr latch = locks +
-                b.rng().below(p.blocksPerPage()) * p.blockSize;
-            b.read(c, latch, 2);
-            b.write(c, latch, 2);
-            // Scan rows, mostly in the hot part of the pool.
-            for (std::size_t r = 0; r < rows_per_txn; ++r) {
-                std::size_t pg = b.rng().chance(0.8)
-                    ? b.rng().below(hot_fraction_pages)
-                    : b.rng().below(pool_pages);
-                Addr row = pool + pg * p.pageSize +
-                    b.rng().below(p.blocksPerPage()) * p.blockSize;
-                b.read(c, row, 6);
-                // 10% of rows are updated in place (read-write
-                // sharing that replication cannot help).
-                if (b.rng().chance(0.1))
-                    b.write(c, row, 4);
-                // Spill to private working storage.
-                b.write(c, scratch[c] +
-                            (r % p.blocksPerPage()) * p.blockSize, 2);
-            }
-        }
-        if (txn % 8 == 7)
-            b.barrier(); // commit groups
-    }
-    return b.finish();
-}
-
 } // namespace rnuma

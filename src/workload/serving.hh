@@ -7,7 +7,7 @@
  *
  * Each generator takes the machine geometry, the conventional input
  * scale, a seed, and a "key=value,..." option string (parsed with
- * WorkloadOptions; "" selects every default). All three build their
+ * WorkloadOptions; "" selects every default). Both build their
  * streams through StreamBuilder, so every emitted address passes the
  * finish()-time allocation audit before the workload is usable.
  */
@@ -54,19 +54,6 @@ makeZipfServe(const Params &p, double scale, std::uint64_t seed,
 std::unique_ptr<Workload>
 makePhaseShift(const Params &p, double scale, std::uint64_t seed,
                const std::string &options = "");
-
-/**
- * The OLTP-ish database mix formerly private to
- * examples/database_scan.cc: a read-mostly shared buffer pool with a
- * hot subset, a latch page hammered read-write by every node, and
- * per-CPU scratch. Seed 0xdb with default options reproduces the
- * example's historical stream exactly.
- *
- * Options: transactions, pool (pages), rows (per txn), hot (pages).
- */
-std::unique_ptr<Workload>
-makeDatabaseScan(const Params &p, double scale, std::uint64_t seed,
-                 const std::string &options = "");
 
 } // namespace rnuma
 

@@ -170,8 +170,7 @@ class Workload
 
     /**
      * One past the highest legally addressable byte: a generator's
-     * allocation high-water mark, or a loaded trace's recorded one.
-     * 0 = unknown (a trace recorded without one).
+     * allocation high-water mark. 0 = unknown (never set).
      */
     Addr addrLimit() const { return addr_limit; }
 

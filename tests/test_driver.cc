@@ -3,13 +3,12 @@
  * Tests for the sweep driver (src/driver): serial-vs-parallel
  * RunStats determinism across thread counts, the runner's
  * content-addressed workload cache (hit/miss accounting across runs,
- * key semantics, recovery from a failed generation), the counter
- * gate (every counter exact, coverage loss, current-schema-only and
- * checked-count loading), byte-identical JSON across job counts,
- * JSON round-trip of a small executed sweep, sweep declaration
- * invariants, and the unknown-app / empty-sweep error paths. Uses
- * the tiny test_util.hh machine so the suites stay fast. The figure
- * registry's suites are in test_figures.cc.
+ * key semantics, recovery from a failed generation), byte-identical
+ * JSON across job counts, the results JSON of a small executed sweep
+ * checked line by line, sweep declaration invariants, and the
+ * unknown-app / empty-sweep error paths. Uses the tiny test_util.hh
+ * machine so the suites stay fast. The figure registry's suites are
+ * in test_figures.cc.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +16,9 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
-#include "driver/compare.hh"
 #include "driver/figures.hh"
 #include "driver/json.hh"
 #include "driver/result_sink.hh"
@@ -275,63 +275,87 @@ TEST(SweepResultTest, NormAndBestOfBaseReadTheBaselineRow)
     EXPECT_THROW(cc.bestOfBase("moldyn"), std::runtime_error);
 }
 
-TEST(JsonRoundTrip, SmallSweepSurvivesWriteAndParse)
+namespace
+{
+
+/** @p text's lines, each without its indent and trailing comma. */
+std::vector<std::string>
+jsonLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+        line.erase(0, line.find_first_not_of(' '));
+        if (!line.empty() && line.back() == ',')
+            line.pop_back();
+        lines.push_back(line);
+    }
+    return lines;
+}
+
+/** The line writeJson() writes for a string member. */
+std::string
+member(const std::string &key, const std::string &value)
+{
+    return jsonQuote(key) + ": " + jsonQuote(value);
+}
+
+} // namespace
+
+TEST(ResultSink, SmallSweepWritesEveryCellAndCounter)
 {
     Sweep s = smallSweep();
     FigureRun run = wrap(s, SweepRunner(2).run(s));
 
     std::ostringstream os;
     writeJson(os, {run});
-    JsonValue doc = parseJson(os.str());
+    const std::string text = os.str();
+    const std::vector<std::string> lines = jsonLines(text);
 
-    ASSERT_TRUE(doc.isObject());
-    ASSERT_NE(doc.get("schema"), nullptr);
-    EXPECT_EQ(doc.get("schema")->str, "rnuma-sweep-results/v9");
-
-    const JsonValue *figures = doc.get("figures");
-    ASSERT_NE(figures, nullptr);
-    ASSERT_TRUE(figures->isArray());
-    ASSERT_EQ(figures->array.size(), 1u);
-
-    const JsonValue &fig = figures->array[0];
-    EXPECT_EQ(fig.get("name")->str, "small");
+    ASSERT_GE(lines.size(), 2u);
+    EXPECT_EQ(lines[1], member("schema", "rnuma-sweep-results/v9"));
     // v9: no host timings anywhere in the document.
-    EXPECT_EQ(fig.get("jobs"), nullptr);
-    EXPECT_EQ(fig.get("wall_ms"), nullptr);
+    for (const char *key : {"jobs", "wall_ms", "events_per_sec"})
+        EXPECT_EQ(text.find(jsonQuote(key)), std::string::npos) << key;
+    EXPECT_NE(std::find(lines.begin(), lines.end(),
+                        member("name", "small")),
+              lines.end());
 
-    // The v4 per-figure protocols array: distinct ids in
+    // The per-figure protocols array: distinct ids in
     // first-appearance order.
-    const JsonValue *protos = fig.get("protocols");
-    ASSERT_NE(protos, nullptr);
-    ASSERT_TRUE(protos->isArray());
-    ASSERT_EQ(protos->array.size(), 3u);
-    EXPECT_EQ(protos->array[0].str, "ccnuma");
-    EXPECT_EQ(protos->array[1].str, "scoma");
-    EXPECT_EQ(protos->array[2].str, "rnuma");
+    auto protos = std::find(lines.begin(), lines.end(),
+                            "\"protocols\": [");
+    ASSERT_GE(lines.end() - protos, 5);
+    EXPECT_EQ(std::vector<std::string>(protos + 1, protos + 5),
+              (std::vector<std::string>{"\"ccnuma\"", "\"scoma\"",
+                                        "\"rnuma\"", "]"}));
 
-    const JsonValue *cells = fig.get("cells");
-    ASSERT_NE(cells, nullptr);
-    ASSERT_EQ(cells->array.size(), run.result.cells.size());
-
-    // Every serialized counter round-trips exactly (the values fit a
-    // double at test scale).
-    for (std::size_t i = 0; i < cells->array.size(); ++i) {
-        const JsonValue &jc = cells->array[i];
-        const CellResult &cc = run.result.cells[i];
-        EXPECT_EQ(jc.get("app")->str, cc.app);
-        EXPECT_EQ(jc.get("config")->str, cc.config);
-        EXPECT_EQ(jc.get("wall_ms"), nullptr);
-        EXPECT_EQ(jc.get("events_per_sec"), nullptr);
-        const JsonValue *stats = jc.get("stats");
-        ASSERT_NE(stats, nullptr);
-        for (const StatField &f : statFields()) {
-            const JsonValue *v = stats->get(f.name);
-            ASSERT_NE(v, nullptr) << f.name;
-            EXPECT_EQ(static_cast<std::uint64_t>(v->number),
-                      f.get(cc.stats))
-                << cc.app << "/" << cc.config << " " << f.name;
-        }
+    // Every cell in order: its ids, then a line per counter
+    // statFields() names, with the run's value.
+    std::vector<std::string> want;
+    for (const CellResult &c : run.result.cells) {
+        want.push_back("{");
+        want.push_back(member("app", c.app));
+        want.push_back(member("config", c.config));
+        want.push_back(member("protocol", c.protocol));
+        want.push_back(member("protocol_name", c.protocolName));
+        want.push_back(member("network", c.network));
+        want.push_back(member("directory", c.directory));
+        want.push_back(member("workload", c.workload));
+        want.push_back("\"stats\": {");
+        for (const StatField &f : statFields())
+            want.push_back(jsonQuote(f.name) + ": " +
+                           std::to_string(f.get(c.stats)));
+        want.push_back("}");
+        want.push_back("}");
     }
+    want.push_back("]");
+    auto cells = std::find(lines.begin(), lines.end(), "\"cells\": [");
+    ASSERT_GE(lines.end() - cells,
+              static_cast<std::ptrdiff_t>(want.size()) + 1);
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(cells[1 + static_cast<std::ptrdiff_t>(i)], want[i])
+            << "line " << i << " of the cells array";
 }
 
 TEST(RunnerCache, SharesGenerationAcrossCellsAndCountsHits)
@@ -415,302 +439,6 @@ TEST(RunnerCache, FailedGenerationLeavesTheRunnerUsable)
         EXPECT_EQ(r.cells[i].stats, fresh.cells[i].stats)
             << r.cells[i].app << "/" << r.cells[i].config;
     }
-}
-
-namespace
-{
-
-/** One executed smallSweep, serialized and loaded back. */
-ResultDoc
-smallDoc()
-{
-    Sweep s = smallSweep();
-    std::ostringstream os;
-    writeJson(os, {wrap(s, SweepRunner(1).run(s))});
-    return loadResults(os.str());
-}
-
-} // namespace
-
-TEST(CompareGate, IdenticalResultsPass)
-{
-    ResultDoc doc = smallDoc();
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(doc, doc, os), 0u);
-    EXPECT_NE(os.str().find("ok:   small: 12 cells, counters identical"),
-              std::string::npos);
-    EXPECT_NE(os.str().find("compare: PASS"), std::string::npos);
-}
-
-TEST(CompareGate, TicksDriftFailsExactly)
-{
-    ResultDoc base = smallDoc();
-    ResultDoc cur = base;
-    cur.figures[0].cells[3].counters["ticks"] += 1;
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, os), 1u);
-    EXPECT_NE(os.str().find("ticks drifted"), std::string::npos);
-}
-
-TEST(CompareGate, EventsDriftFails)
-{
-    ResultDoc base = smallDoc();
-    ResultDoc cur = base;
-    cur.figures[0].cells[0].counters["events"] += 5;
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, os), 1u);
-    EXPECT_NE(os.str().find("events drifted"), std::string::npos);
-
-    // Independent cells accumulate independent violations.
-    cur.figures[0].cells[1].counters["refs"] -= 1;
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(base, cur, os2), 2u);
-    EXPECT_NE(os2.str().find("refs drifted"), std::string::npos);
-    EXPECT_NE(os2.str().find("compare: FAIL (2 violation(s))"),
-              std::string::npos);
-}
-
-TEST(CompareGate, EveryStatFieldIsGated)
-{
-    // A +1 drift in any one serialized counter of one cell is exactly
-    // one violation, and the report names that counter.
-    ResultDoc base = smallDoc();
-    for (const StatField &f : statFields()) {
-        ResultDoc cur = base;
-        cur.figures[0].cells[5].counters.at(f.name) += 1;
-        std::ostringstream os;
-        EXPECT_EQ(compareResults(base, cur, os), 1u) << f.name;
-        EXPECT_NE(os.str().find(std::string(": ") + f.name +
-                                " drifted"),
-                  std::string::npos)
-            << f.name << "\n" << os.str();
-    }
-}
-
-TEST(CompareGate, StatsKeyOnOneSideOnlyIsAViolation)
-{
-    ResultDoc base = smallDoc();
-    ResultDoc cur = base;
-    cur.figures[0].cells[2].counters.erase("relocations");
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, os), 1u);
-    EXPECT_NE(os.str().find("counter relocations missing from the "
-                            "current document"),
-              std::string::npos)
-        << os.str();
-
-    // The other way round: a key the baseline lacks.
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(cur, base, os2), 1u);
-    EXPECT_NE(os2.str().find("counter relocations missing from the "
-                             "baseline"),
-              std::string::npos)
-        << os2.str();
-}
-
-TEST(CompareGate, MissingCellAndFigureAreViolations)
-{
-    ResultDoc base = smallDoc();
-    ResultDoc cur = base;
-    cur.figures[0].cells.pop_back();
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, os), 1u);
-    EXPECT_NE(os.str().find("cell missing"), std::string::npos);
-
-    ResultDoc none;
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(base, none, os2), 1u);
-    EXPECT_NE(os2.str().find("small: figure missing"), std::string::npos);
-}
-
-TEST(CompareGate, NewCellsAndFiguresAreNotesNotViolations)
-{
-    ResultDoc base = smallDoc();
-    ResultDoc cur = base;
-    ResultCell extra = cur.figures[0].cells[0];
-    extra.config = "rnuma-extra";
-    cur.figures[0].cells.push_back(extra);
-    ResultFigure fig;
-    fig.name = "fig99";
-    cur.figures.push_back(fig);
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, os), 0u);
-    EXPECT_NE(os.str().find("small/moldyn/rnuma-extra is new"),
-              std::string::npos);
-    EXPECT_NE(os.str().find("figure fig99 is new"), std::string::npos);
-}
-
-TEST(CompareGate, ScaleMismatchIsAViolation)
-{
-    ResultDoc base = smallDoc();
-    ResultDoc cur = base;
-    cur.figures[0].scale *= 2;
-    // The figure is incomparable as a whole: one violation, and its
-    // cells are not diffed.
-    cur.figures[0].cells[0].counters["events"] += 999;
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, os), 1u);
-    EXPECT_NE(os.str().find("scale changed"), std::string::npos);
-    cur.figures[0].cells[0].counters["events"] -= 999;
-
-    // Serialization rounding must not count as a mismatch.
-    cur.figures[0].scale =
-        base.figures[0].scale * (1.0 + 1e-7);
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(base, cur, os2), 0u);
-}
-
-TEST(CompareGate, LoadResultsRoundTripsWriteJson)
-{
-    Sweep s = smallSweep();
-    FigureRun run = wrap(s, SweepRunner(1).run(s));
-    std::ostringstream os;
-    writeJson(os, {run});
-    ResultDoc loaded = loadResults(os.str());
-    ASSERT_EQ(loaded.figures.size(), 1u);
-    const ResultFigure &f = loaded.figures[0];
-    EXPECT_EQ(f.name, run.name);
-    EXPECT_DOUBLE_EQ(f.scale, run.scale);
-    ASSERT_EQ(f.cells.size(), run.result.cells.size());
-    for (std::size_t i = 0; i < f.cells.size(); ++i) {
-        const ResultCell &a = f.cells[i];
-        const CellResult &c = run.result.cells[i];
-        EXPECT_EQ(a.app, c.app);
-        EXPECT_EQ(a.config, c.config);
-        EXPECT_EQ(a.protocol, c.protocol);
-        EXPECT_EQ(a.network, c.network);
-        EXPECT_EQ(a.directory, c.directory);
-        EXPECT_EQ(a.workload, c.workload);
-        // Every counter statFields() names, with the run's value.
-        std::map<std::string, std::uint64_t> want;
-        for (const StatField &sf : statFields())
-            want[sf.name] = sf.get(c.stats);
-        EXPECT_EQ(a.counters, want) << a.app << "/" << a.config;
-    }
-}
-
-namespace
-{
-
-/** A one-cell v9 document whose stats carry @p stats verbatim. */
-std::string
-oneCellDoc(const std::string &stats)
-{
-    return "{\"schema\": \"rnuma-sweep-results/v9\", \"figures\": ["
-           "{\"name\": \"small\", \"scale\": 0.05, \"status\": 0,"
-           " \"cells\": ["
-           "{\"app\": \"moldyn\", \"config\": \"rnuma\","
-           " \"protocol\": \"rnuma\", \"network\": \"constant\","
-           " \"directory\": \"full-map\", \"workload\": \"moldyn\","
-           " \"stats\": {" + stats + "}}]}]}";
-}
-
-} // namespace
-
-TEST(CompareGate, IdChangesAndFeedbackCounterDriftFail)
-{
-    ResultDoc base = loadResults(oneCellDoc(
-        "\"ticks\": 42, \"events\": 9, \"evictions_zero_hit\": 3,"
-        " \"evicted_page_hits\": 90"));
-    ResultDoc cur = base;
-    cur.figures[0].cells[0].counters["evictions_zero_hit"] = 5;
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, os), 1u);
-    EXPECT_NE(os.str().find("evictions_zero_hit drifted"),
-              std::string::npos);
-
-    cur = base;
-    cur.figures[0].cells[0].protocol = "rnuma-t16";
-    cur.figures[0].cells[0].network = "mesh-2d";
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(base, cur, os2), 2u);
-    EXPECT_NE(os2.str().find("protocol changed"), std::string::npos);
-    EXPECT_NE(os2.str().find("network changed"), std::string::npos);
-}
-
-TEST(CompareGate, RejectsOlderSchemaVersions)
-{
-    // Only the current schema loads; an older document fails with
-    // its schema named, never with a silently defaulted diff.
-    for (int v = 1; v <= 8; ++v) {
-        std::string old = oneCellDoc("\"ticks\": 42");
-        std::string schema = "rnuma-sweep-results/v" +
-            std::to_string(v);
-        old.replace(old.find("rnuma-sweep-results/v9"),
-                    schema.size(), schema);
-        try {
-            loadResults(old);
-            ADD_FAILURE() << schema << " was accepted";
-        } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find("'" + schema + "'"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-    EXPECT_NO_THROW(loadResults(oneCellDoc("\"ticks\": 42")));
-}
-
-TEST(CompareGate, RejectsCountsACastCannotHold)
-{
-    // A baseline comes from outside the program: a negative,
-    // fractional, or >= 2^64 counter must be a diagnostic naming the
-    // cell and field, not an undefined double-to-integer cast.
-    for (const char *bad :
-         {"-5", "1.5", "1e20", "18446744073709551616", "\"7\""}) {
-        try {
-            loadResults(oneCellDoc(std::string("\"ticks\": ") + bad));
-            ADD_FAILURE() << "ticks " << bad << " was accepted";
-        } catch (const std::runtime_error &e) {
-            std::string msg = e.what();
-            EXPECT_NE(msg.find("small/moldyn/rnuma"), std::string::npos)
-                << msg;
-            EXPECT_NE(msg.find("'ticks'"), std::string::npos) << msg;
-        }
-    }
-    // The largest double below 2^64 still fits.
-    ResultDoc ok = loadResults(
-        oneCellDoc("\"ticks\": 18446744073709549568"));
-    EXPECT_EQ(ok.figures[0].cells[0].counters.at("ticks"),
-              18446744073709549568ull);
-}
-
-TEST(CompareGate, RejectsForeignJson)
-{
-    EXPECT_THROW(loadResults("{\"schema\": \"other/v1\"}"),
-                 std::runtime_error);
-    EXPECT_THROW(loadResults("{\"figures\": []}"), std::runtime_error);
-    EXPECT_THROW(loadResults("{\"schema\": \"rnuma-sweep-results/v9\"}"),
-                 std::runtime_error);
-    EXPECT_THROW(loadResults("[1, 2]"), std::runtime_error);
-    EXPECT_THROW(loadResults("not json"), std::runtime_error);
-}
-
-TEST(JsonParser, RejectsMalformedDocuments)
-{
-    EXPECT_THROW(parseJson(""), std::runtime_error);
-    EXPECT_THROW(parseJson("{"), std::runtime_error);
-    EXPECT_THROW(parseJson("{\"a\": }"), std::runtime_error);
-    EXPECT_THROW(parseJson("[1, 2,]"), std::runtime_error);
-    EXPECT_THROW(parseJson("{} trailing"), std::runtime_error);
-    EXPECT_THROW(parseJson("nul"), std::runtime_error);
-    EXPECT_THROW(parseJson("1.2.3"), std::runtime_error);
-    EXPECT_THROW(parseJson("12e4e2"), std::runtime_error);
-    EXPECT_THROW(parseJson("[1-2]"), std::runtime_error);
-}
-
-TEST(JsonParser, HandlesEscapesAndNumbers)
-{
-    JsonValue v = parseJson(
-        "{\"s\": \"a\\\"b\\\\c\\n\\u0041\", \"n\": -1.5e2, "
-        "\"b\": true, \"z\": null, \"arr\": [1, 2, 3]}");
-    EXPECT_EQ(v.get("s")->str, "a\"b\\c\nA");
-    EXPECT_DOUBLE_EQ(v.get("n")->number, -150.0);
-    EXPECT_TRUE(v.get("b")->boolean);
-    EXPECT_EQ(v.get("z")->kind, JsonValue::Kind::Null);
-    EXPECT_EQ(v.get("arr")->array.size(), 3u);
-    // Round-trip through the writer's escaping.
-    EXPECT_EQ(jsonQuote("a\"b\\c\n\t"),
-              "\"a\\\"b\\\\c\\n\\t\"");
 }
 
 } // namespace rnuma::driver

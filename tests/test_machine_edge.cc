@@ -134,10 +134,10 @@ TEST(MachineEdge, StatsTickEqualsSlowestCpu)
 
 TEST(MachineEdge, AddressPastThePageLimitIsFatal)
 {
-    // A hand-built workload (like a trace recorded without an
-    // addrLimit) is not audited against any bound, so the
-    // page-indexed tables' cap is what stops a stray address: a named
-    // fatal error, not a bad_alloc or an exhausted host. 2^40 fits a
+    // A hand-built workload (one with no addrLimit) is not audited
+    // against any bound, so the page-indexed tables' cap is what
+    // stops a stray address: a named fatal error, not a bad_alloc or
+    // an exhausted host. 2^40 fits a
     // Ref's 44-bit address but is page 2^31 at this 512-byte page.
     Params p = test::smallParams();
     Workload wl("far", p.numCpus());

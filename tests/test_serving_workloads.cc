@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the workload registry and the commercial-serving
- * generators (zipf-serve, phase-shift, database-scan): Zipf skew
+ * generators (zipf-serve, phase-shift): Zipf skew
  * actually skews the page popularity, phase rotation has the
  * advertised window geometry, streams are seed-deterministic, and
  * the option parser rejects garbage loudly.
@@ -65,8 +65,8 @@ sortedCounts(const std::map<Addr, std::size_t> &counts)
 TEST(WorkloadRegistry, BuiltinsCoverAllThreeCategories)
 {
     const WorkloadRegistry &reg = WorkloadRegistry::global();
-    // 10 apps + 7 micros + 3 serving.
-    EXPECT_GE(reg.size(), 20u);
+    // 10 apps + 7 micros + 2 serving.
+    EXPECT_GE(reg.size(), 19u);
     std::size_t apps = 0, micros = 0, serving = 0;
     for (const WorkloadSpec *s : reg.all()) {
         EXPECT_TRUE(s->valid());
@@ -79,7 +79,7 @@ TEST(WorkloadRegistry, BuiltinsCoverAllThreeCategories)
     }
     EXPECT_EQ(apps, 10u);
     EXPECT_GE(micros, 7u);
-    EXPECT_GE(serving, 3u);
+    EXPECT_GE(serving, 2u);
 }
 
 TEST(WorkloadRegistry, UnknownNameIsFatal)
@@ -209,18 +209,14 @@ TEST(WorkloadOptions, OutOfRangeGeneratorOptionIsFatal)
     const std::pair<const char *, const char *> cases[] = {
         {"zipf-serve", "write=2"},        {"zipf-serve", "theta=-1"},
         {"zipf-serve", "pages=0"},        {"zipf-serve", "requests=0"},
-        {"phase-shift", "phases=0"},      {"database-scan", "hot=500"},
-        {"database-scan", "hot=0"},       {"database-scan", "pool=0"},
+        {"phase-shift", "phases=0"},
         // Past maxPages: a named error, not a bad_alloc.
         {"zipf-serve", "pages=1000000000000"},
         {"phase-shift", "pages=1000000000000"},
-        {"database-scan", "pool=1000000000000"},
         // Past maxStreamCount: named before the stream is built.
         {"zipf-serve", "requests=1000000000000"},
         {"phase-shift", "phases=1000000000000"},
         {"phase-shift", "sweeps=1000000000000"},
-        {"database-scan", "transactions=1000000000000"},
-        {"database-scan", "rows=1000000000000"},
     };
     for (const auto &[workload, kv] : cases) {
         try {
@@ -349,8 +345,7 @@ TEST(PhaseShift, DefaultPoolOverflowsThePageCache)
 TEST(ServingWorkloads, SameSeedSameStreamDifferentSeedDifferent)
 {
     Params p = test::smallParams();
-    for (const char *id :
-         {"zipf-serve", "phase-shift", "database-scan"}) {
+    for (const char *id : {"zipf-serve", "phase-shift"}) {
         auto va = makeWorkload(id, p, 0.1, 11);
         auto vb = makeWorkload(id, p, 0.1, 11);
         auto vc = makeWorkload(id, p, 0.1, 12);
@@ -385,26 +380,13 @@ TEST(ServingWorkloads, AllPassTheFinishAudit)
     // allocated range, so simply building each generator (at two
     // scales) is the audit; also assert the limit is recorded.
     Params p = test::smallParams();
-    for (const char *id :
-         {"zipf-serve", "phase-shift", "database-scan"}) {
+    for (const char *id : {"zipf-serve", "phase-shift"}) {
         for (double scale : {0.1, 1.0}) {
             auto vec = makeWorkload(id, p, scale, 1);
             EXPECT_GT(vec->addrLimit(), 0u) << id;
             EXPECT_GT(vec->memRefCount(), 0u) << id;
         }
     }
-}
-
-TEST(ServingWorkloads, DatabaseScanRegistryMatchesHistoricalStream)
-{
-    // Seed 0xdb + default options must reproduce the stream the
-    // database_scan example has always run (the generator moved from
-    // the example into the registry).
-    Params p = Params::base();
-    auto vec = makeWorkload("database-scan", p, 1.0, 0xdb,
-                            "transactions=8");
-    EXPECT_EQ(vec->name(), "database-scan");
-    EXPECT_GT(vec->memRefCount(), 0u);
 }
 
 } // namespace rnuma

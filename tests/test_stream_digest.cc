@@ -93,7 +93,6 @@ const std::map<std::string, std::uint64_t> expectedDigests = {
     {"scaling-shift", 0x3ab04dce2a9a8c2dULL},
     {"zipf-serve", 0x1a1a0f4c44814d0cULL},
     {"phase-shift", 0xc311841d15c2c292ULL},
-    {"database-scan", 0x90310e90da243926ULL},
     {"zipf-serve:theta=0", 0x1ff176ffd134260dULL},
     {"zipf-serve:theta=1.2", 0xbddd397a9119be80ULL},
     // Recorded before the Zipf search became arithmetic and the

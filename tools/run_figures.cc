@@ -2,8 +2,7 @@
  * @file
  * rnuma_sweep: run any paper figure/table by name through the
  * thread-parallel sweep driver and emit human tables plus
- * machine-readable JSON results, optionally diffing their counters
- * against a stored baseline.
+ * machine-readable JSON results.
  *
  * Usage: rnuma_sweep [options] <figure>... | all; usage() below
  * lists the options (rnuma_sweep --help).
@@ -32,9 +31,7 @@
 #include <vector>
 
 #include "common/table.hh"
-#include "driver/compare.hh"
 #include "driver/figures.hh"
-#include "driver/json.hh"
 #include "driver/result_sink.hh"
 #include "net/registry.hh"
 #include "proto/registry.hh"
@@ -60,10 +57,6 @@ usage(std::ostream &os, int status)
           "  --json-out FILE      write rnuma-sweep-results/v9 JSON\n"
           "  --verify             assert serial/parallel RunStats "
           "are bit-identical\n"
-          "  --compare FILE       diff results against a baseline "
-          "JSON (exit 4 on drift)\n"
-          "  --current FILE       with --compare: diff FILE instead\n"
-          "                       of running figures\n"
           "  --quiet              suppress human-readable tables\n";
     return status;
 }
@@ -99,47 +92,23 @@ listWorkloads(std::ostream &os)
           "— see\ndocs/ARCHITECTURE.md)\n";
 }
 
-/**
- * Write @p text, the serialized @p figures runs, to @p path after
- * re-parsing it as a malformed-output guard.
- */
+/** Write @p runs as results JSON to @p path; false on any failure. */
 bool
-emitJson(const std::string &path, const std::string &text,
-         std::size_t figures)
+emitJson(const std::string &path, const std::vector<FigureRun> &runs)
 {
-    try {
-        JsonValue doc = parseJson(text);
-        const JsonValue *figs = doc.get("figures");
-        if (!figs || !figs->isArray() || figs->array.size() != figures)
-            throw std::runtime_error("figure count mismatch");
-    } catch (const std::exception &e) {
-        std::cerr << "rnuma_sweep: emitted JSON failed validation: "
-                  << e.what() << "\n";
-        return false;
-    }
     std::ofstream out(path);
+    if (out) {
+        writeJson(out, runs);
+        // close() writes what is still buffered: a full disk shows
+        // up here, not at the last <<.
+        out.close();
+    }
     if (!out) {
         std::cerr << "rnuma_sweep: cannot write " << path << "\n";
         return false;
     }
-    out << text;
-    std::cerr << "wrote " << path << " (" << figures
-              << " figures, validated)\n";
-    return true;
-}
-
-/** Read a whole file; empty optional-style failure via bool. */
-bool
-slurp(const std::string &path, std::string &out)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::cerr << "rnuma_sweep: cannot read " << path << "\n";
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    out = buf.str();
+    std::cerr << "wrote " << path << " (" << runs.size()
+              << " figures)\n";
     return true;
 }
 
@@ -151,8 +120,6 @@ main(int argc, char **argv)
     double scale = 1.0;
     std::size_t jobs = 1;
     std::string json_out;
-    std::string compare_path;
-    std::string current_path;
     bool verify = false;
     bool quiet = false;
     std::vector<std::string> names;
@@ -198,10 +165,6 @@ main(int argc, char **argv)
             jobs = *j;
         } else if (arg == "--json-out")
             json_out = next();
-        else if (arg == "--compare")
-            compare_path = next();
-        else if (arg == "--current")
-            current_path = next();
         else if (arg == "--verify")
             verify = true;
         else if (arg == "--quiet")
@@ -212,17 +175,8 @@ main(int argc, char **argv)
         } else
             names.push_back(arg);
     }
-    if (!current_path.empty() && compare_path.empty()) {
-        std::cerr << "rnuma_sweep: --current requires --compare\n";
-        return 2;
-    }
-    if (names.empty() && current_path.empty())
+    if (names.empty())
         return usage(std::cerr, 2);
-    if (!names.empty() && !current_path.empty()) {
-        std::cerr << "rnuma_sweep: --current replaces running "
-                     "figures; drop the figure names\n";
-        return 2;
-    }
     if (names.size() == 1 && names[0] == "all") {
         names.clear();
         for (const FigureSpec &s : figureSpecs())
@@ -276,44 +230,12 @@ main(int argc, char **argv)
         runs.push_back(std::move(run));
     }
 
-    if (!runs.empty()) {
-        std::cout << "workload cache: "
-                  << runner.workloadsGenerated()
-                  << " workloads generated, "
-                  << runner.workloadCacheHits()
-                  << " cells served from cache across "
-                  << runs.size() << " figure(s)\n";
-    }
+    std::cout << "workload cache: " << runner.workloadsGenerated()
+              << " workloads generated, " << runner.workloadCacheHits()
+              << " cells served from cache across " << runs.size()
+              << " figure(s)\n";
 
-    // The serialized runs: what --json-out writes and, without
-    // --current, what --compare gates.
-    std::ostringstream doc;
-    writeJson(doc, runs);
-    std::string current_text = doc.str();
-
-    if (!json_out.empty() &&
-        !emitJson(json_out, current_text, runs.size()))
+    if (!json_out.empty() && !emitJson(json_out, runs))
         status = status > 1 ? status : 1;
-
-    if (!compare_path.empty()) {
-        try {
-            if (!current_path.empty() &&
-                !slurp(current_path, current_text))
-                return 2;
-            ResultDoc current = loadResults(current_text);
-            std::string text;
-            if (!slurp(compare_path, text))
-                return 2;
-            ResultDoc baseline = loadResults(text);
-            std::cout << "comparing against " << compare_path << " ("
-                      << resultsSchema << ")\n";
-            if (compareResults(baseline, current, std::cout) > 0)
-                status = 4;
-        } catch (const std::exception &e) {
-            std::cerr << "rnuma_sweep: compare failed: " << e.what()
-                      << "\n";
-            return 2;
-        }
-    }
     return status;
 }
